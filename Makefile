@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check vet test race docs-check check bench bench-serve bench-sweep \
+.PHONY: all build fmt-check vet test race docs-check check bench bench-serve bench-sweep bench-wire \
 	loadtest loadtest-colocation bench-baseline bench-check cover lint metrics-smoke \
 	fuzz fuzz-smoke chaos-smoke clean
 
@@ -40,6 +40,11 @@ bench-serve:
 
 bench-sweep:
 	$(GO) test -run xxx -bench 'BenchmarkSweep' -benchmem .
+
+# bench-wire runs the repository benchmark's wire-warm workload (GET
+# /v1/run JSON over loopback; see bench/README.md) for a quick reading.
+bench-wire:
+	bash bench/run.sh --workload wire-warm --seconds 5 --trace 0
 
 # loadtest runs one load scenario against the in-process engine and
 # prints the measured report (SCENARIO/DURATION overridable).

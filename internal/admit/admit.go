@@ -118,9 +118,9 @@ const (
 	// TokenBucket policies.
 	StrictPriority Policy = iota
 	// SharedFIFO runs everything through one queue in arrival order with
-	// no throttle and no shedding — the no-QoS baseline (the old
-	// serve.Pool behavior), kept selectable so tests can demonstrate the
-	// priority inversion the scheduler removes.
+	// no throttle and no shedding — the no-QoS baseline (how serve.Pool
+	// behaved before it was deleted), kept selectable so tests can
+	// demonstrate the priority inversion the scheduler removes.
 	SharedFIFO
 )
 
@@ -226,7 +226,7 @@ type item struct {
 // Scheduler is the class-based admission scheduler. All state is guarded
 // by one mutex + condvar; no path holds the mutex across a blocking
 // channel send or task execution, so a full queue can never stall
-// unrelated submitters (the head-of-line bug the old serve.Pool had).
+// unrelated submitters (the head-of-line bug the deleted serve.Pool had).
 type Scheduler struct {
 	cfg  Config
 	mu   sync.Mutex

@@ -227,7 +227,7 @@ func TestRouterHandlerQoSFace(t *testing.T) {
 func TestRouterHandlerForwardsReplicaRetryAfter(t *testing.T) {
 	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Retry-After", "7")
-		serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "shed"})
+		httpapi.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "shed"})
 	}))
 	defer replica.Close()
 	r, err := New([]Backend{NewHTTPBackend(replica.URL)}, Config{Retries: 1})

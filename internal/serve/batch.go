@@ -194,7 +194,7 @@ func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
 		return
 	}
-	ctx, cancel, err := RequestContext(r)
+	ctx, cancel, err := httpapi.RequestContext(r)
 	if err != nil {
 		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
 		return

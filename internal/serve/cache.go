@@ -1,8 +1,9 @@
 // Package serve is the toolkit's concurrent experiment-serving engine: a
-// sharded memoizing result cache, a singleflight layer that collapses
-// thundering herds, a bounded worker pool, and HTTP handlers — the paper's
-// warehouse-scale serving concerns (memory/storage wall, tail
-// predictability, cross-layer co-design) applied to the toolkit itself.
+// sharded slab cache memoizing encoded results, a singleflight layer that
+// collapses thundering herds, class-based admission (internal/admit), and
+// HTTP handlers — the paper's warehouse-scale serving concerns
+// (memory/storage wall, tail predictability, cross-layer co-design)
+// applied to the toolkit itself.
 // Parameterized requests (ServeWith) fold the resolved assignment into
 // the cache key, so every distinct design point memoizes and
 // deduplicates independently — the substrate the sweep package fans
@@ -39,6 +40,12 @@ import (
 // slice before writing the same key, and must never modify it. The
 // engine's singleflight layer guarantees it never Sets a live key it is
 // concurrently reading.
+//
+// An entry may carry an auxiliary byte region after its payload (AttachAux,
+// GetWithAux): bytes derived from the payload that live and die with it.
+// Attaching re-appends the entry rather than writing in place, so the old
+// bytes stay intact for readers still holding them; every operation that
+// replaces or removes the payload drops the aux with it.
 type Cache struct {
 	shards []cacheShard
 	mask   uint64
@@ -96,9 +103,10 @@ const (
 	// 0 of every entry, bumped in place by Get.
 	entryHitsLen = 8
 	// entryHdrLen is the fixed entry header: hits u64, added i64, ttl
-	// i64, keyLen u32, valLen u32, valCap u32, state u32. Everything is
-	// fixed-width so in-place mutation never moves a byte after it.
-	entryHdrLen = 40
+	// i64, keyLen u32, valLen u32, valCap u32, state u32, auxLen u32.
+	// Everything is fixed-width so in-place mutation never moves a byte
+	// after it. The key, valCap payload bytes and auxLen aux bytes follow.
+	entryHdrLen = 44
 
 	offAdded  = 8
 	offTTL    = 16
@@ -106,6 +114,7 @@ const (
 	offValLen = 28
 	offValCap = 32
 	offState  = 36
+	offAuxLen = 40
 
 	stateLive     = 1 << 0
 	stateAccessed = 1 << 1 // the CLOCK second-chance bit
@@ -238,7 +247,14 @@ func fnv1a(s string) uint64 {
 }
 
 // entrySize is an entry's full slab footprint.
-func entrySize(keyLen, valCap int) int { return entryHdrLen + keyLen + valCap }
+func entrySize(keyLen, valCap, auxLen int) int { return entryHdrLen + keyLen + valCap + auxLen }
+
+// entryLens reads the three length words of the entry starting at b.
+func entryLens(b []byte) (keyLen, valCap, auxLen int) {
+	return int(binary.LittleEndian.Uint32(b[offKeyLen:])),
+		int(binary.LittleEndian.Uint32(b[offValCap:])),
+		int(binary.LittleEndian.Uint32(b[offAuxLen:]))
+}
 
 // valCapFor rounds a payload length up to the entry's value capacity:
 // 8-byte aligned so a re-encoded result that grew by a few bytes still
@@ -350,17 +366,21 @@ func (s *cacheShard) rehash() {
 
 // killSlot tombstones a slot and marks its entry dead in the slab.
 func (s *cacheShard) killSlot(slot int) {
+	s.retire(slot)
+	s.idxHash[slot] = idxTombstone
+	s.idxLive--
+}
+
+// retire marks the slot's entry dead in the slab, leaving the slot itself
+// for the caller to tombstone or re-point.
+func (s *cacheShard) retire(slot int) {
 	seg, off := s.at(s.idxRef[slot])
 	b := seg.buf[off:]
-	kl := int(binary.LittleEndian.Uint32(b[offKeyLen:]))
-	vc := int(binary.LittleEndian.Uint32(b[offValCap:]))
-	size := entrySize(kl, vc)
+	size := entrySize(entryLens(b))
 	st := binary.LittleEndian.Uint32(b[offState:])
 	binary.LittleEndian.PutUint32(b[offState:], st&^stateLive)
 	seg.live -= size
 	s.dead += int64(size)
-	s.idxHash[slot] = idxTombstone
-	s.idxLive--
 }
 
 // head returns a segment with room for size bytes, allocating a fresh
@@ -421,9 +441,8 @@ func (s *cacheShard) reclaimOldest(c *Cache, force bool) {
 	var deadHere int64
 	for off := 0; off+entryHdrLen <= seg.used; {
 		b := seg.buf[off:]
-		kl := int(binary.LittleEndian.Uint32(b[offKeyLen:]))
-		vc := int(binary.LittleEndian.Uint32(b[offValCap:]))
-		size := entrySize(kl, vc)
+		kl, vc, al := entryLens(b)
+		size := entrySize(kl, vc, al)
 		st := binary.LittleEndian.Uint32(b[offState:])
 		if st&stateLive == 0 {
 			deadHere += int64(size)
@@ -470,7 +489,7 @@ func (s *cacheShard) reclaimOldest(c *Cache, force bool) {
 // append writes a fresh entry into the slab and indexes it.
 func (s *cacheShard) append(c *Cache, h uint64, key string, val []byte, added int64) {
 	vc := valCapFor(len(val))
-	size := entrySize(len(key), vc)
+	size := entrySize(len(key), vc, 0)
 	seg := s.head(c, size, true)
 	off := seg.used
 	b := seg.buf[off : off+size]
@@ -481,6 +500,7 @@ func (s *cacheShard) append(c *Cache, h uint64, key string, val []byte, added in
 	binary.LittleEndian.PutUint32(b[offValLen:], uint32(len(val)))
 	binary.LittleEndian.PutUint32(b[offValCap:], uint32(vc))
 	binary.LittleEndian.PutUint32(b[offState:], stateLive)
+	binary.LittleEndian.PutUint32(b[offAuxLen:], 0)
 	copy(b[entryHdrLen:], key)
 	copy(b[entryHdrLen+len(key):], val)
 	seg.used += size
@@ -493,6 +513,13 @@ func (s *cacheShard) append(c *Cache, h uint64, key string, val []byte, added in
 // The returned slice aliases slab memory — see the Cache aliasing
 // contract.
 func (c *Cache) Get(key string) ([]byte, bool) {
+	val, _, ok := c.GetWithAux(key)
+	return val, ok
+}
+
+// GetWithAux is Get that also returns the entry's aux region (nil when
+// none is attached) from the same lookup under the same shard lock.
+func (c *Cache) GetWithAux(key string) (val, aux []byte, ok bool) {
 	h := fnv1a(key)
 	s := &c.shards[h&c.mask]
 	now := c.now().UnixNano()
@@ -501,7 +528,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	if slot < 0 {
 		s.misses++
 		s.mu.Unlock()
-		return nil, false
+		return nil, nil, false
 	}
 	seg, off := s.at(s.idxRef[slot])
 	b := seg.buf[off:]
@@ -511,19 +538,64 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 			s.expired++
 			s.misses++
 			s.mu.Unlock()
-			return nil, false
+			return nil, nil, false
 		}
 	}
 	binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)+1)
 	binary.LittleEndian.PutUint32(b[offState:],
 		binary.LittleEndian.Uint32(b[offState:])|stateAccessed)
 	s.hits++
-	kl := int(binary.LittleEndian.Uint32(b[offKeyLen:]))
+	kl, vc, al := entryLens(b)
 	vl := int(binary.LittleEndian.Uint32(b[offValLen:]))
 	lo := off + entryHdrLen + kl
-	val := seg.buf[lo : lo+vl : lo+vl]
+	val = seg.buf[lo : lo+vl : lo+vl]
+	if al > 0 {
+		aux = seg.buf[lo+vc : lo+vc+al : lo+vc+al]
+	}
 	s.mu.Unlock()
-	return val, true
+	return val, aux, true
+}
+
+// AttachAux stores aux beside key's payload, provided the entry is live,
+// has no aux yet, and its payload is still val — the very slab bytes a Get
+// returned, so bytes derived from an entry that has since been replaced
+// or moved are never attached to its successor. The entry is re-appended
+// with hit count, CLOCK bit, stamp and TTL preserved and the old copy
+// retired, never written in place. It reports whether aux was attached;
+// it counts as neither a hit nor a miss.
+func (c *Cache) AttachAux(key string, val, aux []byte) bool {
+	if len(val) == 0 || len(aux) == 0 {
+		return false
+	}
+	h := fnv1a(key)
+	s := &c.shards[h&c.mask]
+	vc := valCapFor(len(val))
+	size := entrySize(len(key), vc, len(aux))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Make room before the lookup: reclamation may move or evict the entry.
+	dst := s.head(c, size, true)
+	slot := s.find(h, key)
+	if slot < 0 {
+		return false
+	}
+	seg, off := s.at(s.idxRef[slot])
+	b := seg.buf[off:]
+	lo := entryHdrLen + len(key)
+	if _, _, al := entryLens(b); al != 0 ||
+		int(binary.LittleEndian.Uint32(b[offValLen:])) != len(val) || &b[lo] != &val[0] {
+		return false
+	}
+	nb := dst.buf[dst.used : dst.used+size]
+	copy(nb, b[:lo+len(val)])
+	binary.LittleEndian.PutUint32(nb[offValCap:], uint32(vc))
+	binary.LittleEndian.PutUint32(nb[offAuxLen:], uint32(len(aux)))
+	copy(nb[lo+vc:], aux)
+	s.retire(slot)
+	s.idxRef[slot] = ref(dst.seq, dst.used)
+	dst.used += size
+	dst.live += size
+	return true
 }
 
 // Set stores a payload under key with the cache's TTL.
@@ -544,13 +616,16 @@ func (c *Cache) SetStamped(key string, val []byte, addedUnixNano int64) {
 	if slot := s.find(h, key); slot >= 0 {
 		seg, off := s.at(s.idxRef[slot])
 		b := seg.buf[off:]
-		if vc := int(binary.LittleEndian.Uint32(b[offValCap:])); len(val) <= vc {
+		if kl, vc, al := entryLens(b); len(val) <= vc {
 			binary.LittleEndian.PutUint64(b, 0)
 			binary.LittleEndian.PutUint64(b[offAdded:], uint64(addedUnixNano))
 			binary.LittleEndian.PutUint64(b[offTTL:], uint64(c.ttl))
 			binary.LittleEndian.PutUint32(b[offValLen:], uint32(len(val)))
 			binary.LittleEndian.PutUint32(b[offState:], stateLive)
-			kl := int(binary.LittleEndian.Uint32(b[offKeyLen:]))
+			// A new payload invalidates the aux; its bytes fold into the
+			// value capacity so the entry's footprint is unchanged.
+			binary.LittleEndian.PutUint32(b[offValCap:], uint32(vc+al))
+			binary.LittleEndian.PutUint32(b[offAuxLen:], 0)
 			copy(b[entryHdrLen+kl:], val)
 			s.mu.Unlock()
 			return

@@ -238,6 +238,10 @@ type RawResponse struct {
 	Shared   bool
 	// Latency is the request's wall time inside the engine.
 	Latency time.Duration
+	// tail is the entry's memoized /run envelope tail (see runTail), nil
+	// when none is attached yet; set by ServeEncoded on a cache hit only,
+	// and aliasing slab memory like Raw.
+	tail []byte
 }
 
 // Result decodes the raw payload (allocating — the convenience path, not
@@ -483,7 +487,7 @@ func (e *Engine) ServeEncoded(ctx context.Context, id string, p core.Params) (Ra
 		tb.requests.Add(1)
 	}
 
-	if raw, ok := e.cache.Get(key); ok {
+	if raw, tail, ok := e.cache.GetWithAux(key); ok {
 		cc.hits.Add(1)
 		if tb != nil {
 			tb.hits.Add(1)
@@ -491,7 +495,7 @@ func (e *Engine) ServeEncoded(ctx context.Context, id string, p core.Params) (Ra
 		lat := time.Since(t0)
 		e.observe(class, true, lat)
 		return RawResponse{ID: id, Params: resolved, Key: key, Class: class,
-			Raw: raw, CacheHit: true, Latency: lat}, nil
+			Raw: raw, CacheHit: true, Latency: lat, tail: tail}, nil
 	}
 	return e.serveMissRaw(ctx, id, key, resolved, t0)
 }

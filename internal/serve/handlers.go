@@ -1,9 +1,14 @@
 package serve
 
 import (
-	"context"
+	"bytes"
+	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
+	"strconv"
+	"strings"
+	"unicode/utf8"
 
 	"repro/internal/admit"
 	"repro/internal/core"
@@ -95,27 +100,100 @@ func ParamInfos(specs []core.ParamSpec) []ParamInfo {
 	return out
 }
 
-// runEnvelope is the /run/{id} JSON response.
-type runEnvelope struct {
-	ID        string      `json:"id"`
-	Params    core.Params `json:"params,omitempty"`
-	Key       string      `json:"key,omitempty"`
-	Class     string      `json:"class"`
-	CacheHit  bool        `json:"cache_hit"`
-	Shared    bool        `json:"shared"`
-	LatencyMS float64     `json:"latency_ms"`
-	Headline  *float64    `json:"headline,omitempty"`
-	Findings  []string    `json:"findings,omitempty"`
-	Report    string      `json:"report"`
+// runTail is the result-derived end of the /run/{id} JSON envelope. The
+// head before it differs per request (a bare-ID entry is shared by
+// no-param requests, which omit "params", and explicit-default ones, which
+// carry the resolved object); the tail is a pure function of the cached
+// result, so it is rendered once per entry and memoized in the slab
+// beside the payload (Cache.AttachAux).
+type runTail struct {
+	Headline *float64 `json:"headline,omitempty"`
+	Findings []string `json:"findings,omitempty"`
+	Report   string   `json:"report"`
 }
 
-// RequestContext derives a request's QoS context from its headers —
-// kept as a package-level name for the engine's callers, with the shared
-// implementation (one header contract for every face of the API) in
-// internal/httpapi. The returned cancel must be called when the request
-// finishes.
-func RequestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
-	return httpapi.RequestContext(r)
+// appendJSONString appends s as encoding/json would: directly when no
+// byte needs escaping, through json.Marshal otherwise.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || strings.IndexByte(`"\<>&`, c) >= 0 {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// appendJSONFloat appends a finite f in encoding/json's number format.
+func appendJSONFloat(b []byte, f float64) []byte {
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		b = strconv.AppendFloat(b, f, 'e', -1, 64)
+		// e-09 prints as e-9.
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+		return b
+	}
+	return strconv.AppendFloat(b, f, 'f', -1, 64)
+}
+
+// appendRunHead appends the envelope up to and including latency_ms, byte
+// for byte what httpapi.WriteJSON emitted for those fields.
+func appendRunHead(b []byte, rr *RawResponse) []byte {
+	b = appendJSONString(append(b, "{\n  \"id\": "...), rr.ID)
+	if len(rr.Params) > 0 {
+		b = append(b, ",\n  \"params\": {"...)
+		for i, name := range rr.Params.SortedNames() {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONString(append(b, "\n    "...), name)
+			b = appendJSONFloat(append(b, ": "...), rr.Params[name])
+		}
+		b = append(b, "\n  }"...)
+	}
+	if rr.Key != "" {
+		b = appendJSONString(append(b, ",\n  \"key\": "...), rr.Key)
+	}
+	b = appendJSONString(append(b, ",\n  \"class\": "...), rr.Class.String())
+	b = strconv.AppendBool(append(b, ",\n  \"cache_hit\": "...), rr.CacheHit)
+	b = strconv.AppendBool(append(b, ",\n  \"shared\": "...), rr.Shared)
+	return appendJSONFloat(append(b, ",\n  \"latency_ms\": "...), rr.Latency.Seconds()*1e3)
+}
+
+// writeRunJSON answers /run/{id} in the default format: the head written
+// per request, then the entry's tail — from the slab when a previous hit
+// memoized it, otherwise rendered here and, on a hit, attached for the
+// next one. A miss never attaches: the entry it filled may already be
+// gone, and cold paths (sweeps, warm-up fills) must not pay for a render.
+func (e *Engine) writeRunJSON(w http.ResponseWriter, rr RawResponse) {
+	tail := rr.tail
+	if tail == nil {
+		res, err := rr.Result()
+		var enc bytes.Buffer
+		if err == nil {
+			je := json.NewEncoder(&enc)
+			je.SetIndent("", "  ")
+			err = je.Encode(runTail{Headline: res.Headline, Findings: res.Findings, Report: res.Render()})
+		}
+		if err != nil {
+			writeRunError(w, err)
+			return
+		}
+		// "{\n  ...\n}\n" becomes ",\n  ...\n}\n", continuing the head.
+		tail = enc.Bytes()
+		tail[0] = ','
+		if rr.CacheHit {
+			e.cache.AttachAux(rr.Key, rr.Raw, tail)
+		}
+	}
+	buf := httpapi.GetBuffer()
+	*buf = append(appendRunHead((*buf)[:0], &rr), tail...)
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(*buf)
+	httpapi.PutBuffer(buf)
 }
 
 // WriteShedHeaders maps an admission error onto the HTTP response: 503
@@ -133,19 +211,20 @@ func WriteShedHeaders(w http.ResponseWriter, err error) bool {
 func (e *Engine) Handler() http.Handler {
 	mux := http.NewServeMux()
 	httpapi.MountFunc(mux, "GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	httpapi.MountFunc(mux, "GET /experiments", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, ExperimentInfos())
+		httpapi.WriteJSON(w, http.StatusOK, ExperimentInfos())
 	})
 	httpapi.MountFunc(mux, "GET /run/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
-		params, err := core.ParseParams(r.URL.Query()["param"])
+		q := r.URL.Query()
+		params, err := core.ParseParams(q["param"])
 		if err != nil {
 			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
 			return
 		}
-		format := r.URL.Query().Get("format")
+		format := q.Get("format")
 		switch format {
 		case "", "json", "text", "csv", "bin":
 		default:
@@ -153,22 +232,26 @@ func (e *Engine) Handler() http.Handler {
 				"format must be json, text, csv, or bin")
 			return
 		}
-		ctx, cancel, err := RequestContext(r)
+		ctx, cancel, err := httpapi.RequestContext(r)
 		if err != nil {
 			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
 			return
 		}
 		defer cancel()
-		if format == "bin" {
+		rr, err := e.ServeEncoded(ctx, id, params)
+		if err != nil {
+			writeRunError(w, err)
+			return
+		}
+		switch format {
+		case "", "json":
+			e.writeRunJSON(w, rr)
+			return
+		case "bin":
 			// The zero-copy transport: serve the memoized codec bytes as
 			// the body (a warm hit is one slab read, no decode/re-encode;
 			// the write below is the single copy-on-read) with the JSON
 			// envelope's fields carried in response headers.
-			rr, err := e.ServeEncoded(ctx, id, params)
-			if err != nil {
-				writeRunError(w, err)
-				return
-			}
 			h := w.Header()
 			h.Set("Content-Type", "application/octet-stream")
 			h.Set(httpapi.HeaderKey, rr.Key)
@@ -185,36 +268,23 @@ func (e *Engine) Handler() http.Handler {
 			_, _ = w.Write(rr.Raw)
 			return
 		}
-		resp, err := e.ServeWith(ctx, id, params)
+		// text and csv decode at the edge.
+		res, err := rr.Result()
 		if err != nil {
 			writeRunError(w, err)
 			return
 		}
-		switch format {
-		case "", "json":
-			writeJSON(w, http.StatusOK, runEnvelope{
-				ID:        resp.ID,
-				Params:    resp.Params,
-				Key:       resp.Key,
-				Class:     resp.Class.String(),
-				CacheHit:  resp.CacheHit,
-				Shared:    resp.Shared,
-				LatencyMS: resp.Latency.Seconds() * 1e3,
-				Headline:  resp.Result.Headline,
-				Findings:  resp.Result.Findings,
-				Report:    resp.Result.Render(),
-			})
-		case "text":
+		if format == "text" {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			_, _ = w.Write([]byte(resp.Result.Render()))
-		case "csv":
-			w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-			switch {
-			case resp.Result.Table != nil:
-				_, _ = w.Write([]byte(resp.Result.Table.CSV()))
-			case resp.Result.Figure != nil:
-				_, _ = w.Write([]byte(resp.Result.Figure.CSV()))
-			}
+			_, _ = w.Write([]byte(res.Render()))
+			return
+		}
+		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
+		switch {
+		case res.Table != nil:
+			_, _ = w.Write([]byte(res.Table.CSV()))
+		case res.Figure != nil:
+			_, _ = w.Write([]byte(res.Figure.CSV()))
 		}
 	})
 	// POST /batch: the multi-get wire surface (varint frames in and out,
@@ -223,7 +293,7 @@ func (e *Engine) Handler() http.Handler {
 	httpapi.MountFunc(mux, "GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		// Memoized (StatsTTL): a dashboard poller must not pay — or make
 		// the serving path pay — a full reservoir walk per request.
-		writeJSON(w, http.StatusOK, e.MetricsCached())
+		httpapi.WriteJSON(w, http.StatusOK, e.MetricsCached())
 	})
 	httpapi.Mount(mux, "GET /metrics", e.MetricsRegistry().Handler())
 	httpapi.Mount(mux, "GET /events", e.Events().Handler())
@@ -247,12 +317,3 @@ func writeRunError(w http.ResponseWriter, err error) {
 	}
 	httpapi.WriteError(w, status, code, err.Error())
 }
-
-// WriteJSON writes v as an indented JSON response — kept as a
-// package-level name for the engine's callers; the shared encoder both
-// faces of the API use lives in internal/httpapi.
-func WriteJSON(w http.ResponseWriter, status int, v interface{}) {
-	httpapi.WriteJSON(w, status, v)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v interface{}) { WriteJSON(w, status, v) }

@@ -287,6 +287,6 @@ func (e *Engine) ControlHandler() http.Handler {
 			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
 			return
 		}
-		WriteJSON(w, http.StatusOK, ack)
+		httpapi.WriteJSON(w, http.StatusOK, ack)
 	})
 }
