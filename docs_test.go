@@ -560,6 +560,12 @@ func TestBatchedDataPlaneDocs(t *testing.T) {
 		"arch21_batch_flushes_total", "router.FlushReasonNames()",
 		"arch21_batched_requests_total", "arch21_batch_size",
 		"sweep.BatchServer", "exactly-once",
+		// The replica stream: handshake, caps, fallback, observability.
+		"GET /v1/stream", "`Upgrade: " + httpapi.StreamProtocol + "`", "http.Hijacker",
+		"httpapi.MaxBatchBytes", "httpapi.MaxStreamReplyBytes", "FuzzStreamMessage",
+		"serve.ServeBatchFrame", "`404`, `405`, `426`", "transport failure", "`cancel id`",
+		"`\"transport\": \"stream\" | \"http\"`", "arch21_backend_stream_redials_total",
+		"BenchmarkHop", "Engine.Close",
 	} {
 		if !strings.Contains(sec7, want) {
 			t.Errorf("DESIGN.md §7 no longer documents %q", want)

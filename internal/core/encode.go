@@ -67,7 +67,14 @@ func (r Result) Encode() []byte {
 }
 
 // DecodeResult parses a payload produced by Result.Encode.
-func DecodeResult(buf []byte) (Result, error) {
+func DecodeResult(buf []byte) (Result, error) { return decodeResult(buf, true) }
+
+// DecodeSummary is DecodeResult for callers that use only Headline and
+// Findings (the routing front-end's envelope): the table and figure
+// chunks are bounds-checked and skipped, not decoded, and stay nil.
+func DecodeSummary(buf []byte) (Result, error) { return decodeResult(buf, false) }
+
+func decodeResult(buf []byte, withReport bool) (Result, error) {
 	var r Result
 	if len(buf) == 0 {
 		return r, fmt.Errorf("core: %w: empty result payload", report.ErrCorrupt)
@@ -107,8 +114,10 @@ func DecodeResult(buf []byte) (Result, error) {
 		if err != nil {
 			return r, err
 		}
-		if r.Table, err = report.DecodeTable(c); err != nil {
-			return r, err
+		if withReport {
+			if r.Table, err = report.DecodeTable(c); err != nil {
+				return r, err
+			}
 		}
 	}
 	if flags&flagFigure != 0 {
@@ -116,8 +125,10 @@ func DecodeResult(buf []byte) (Result, error) {
 		if err != nil {
 			return r, err
 		}
-		if r.Figure, err = report.DecodeFigure(c); err != nil {
-			return r, err
+		if withReport {
+			if r.Figure, err = report.DecodeFigure(c); err != nil {
+				return r, err
+			}
 		}
 	}
 	nf, err := uvarint()

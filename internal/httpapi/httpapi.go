@@ -69,56 +69,54 @@ func IsHedge(ctx context.Context) bool {
 // front-end so both faces of the API speak the same header contract. The
 // returned cancel must be called when the request finishes.
 func RequestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
-	class, err := admit.ParseClass(r.Header.Get(admit.HeaderClass))
-	if err != nil {
+	var env Envelope
+	var err error
+	if env.Class, err = admit.ParseClass(r.Header.Get(admit.HeaderClass)); err != nil {
 		return nil, nil, err
 	}
-	ctx := admit.WithClass(r.Context(), class)
-	tenant, err := admit.ParseTenant(r.Header.Get(admit.HeaderTenant))
-	if err != nil {
+	if env.Tenant, err = admit.ParseTenant(r.Header.Get(admit.HeaderTenant)); err != nil {
 		return nil, nil, err
 	}
-	ctx = admit.WithTenant(ctx, tenant)
-	if r.Header.Get(HeaderHedge) != "" {
-		ctx = WithHedge(ctx)
-	}
+	env.Hedge = r.Header.Get(HeaderHedge) != ""
 	if h := r.Header.Get(admit.HeaderDeadlineMS); h != "" {
 		ms, err := strconv.ParseFloat(h, 64)
 		if err != nil || math.IsNaN(ms) || math.IsInf(ms, 0) || ms <= 0 {
 			return nil, nil, fmt.Errorf("httpapi: bad %s header %q (want a positive millisecond budget)",
 				admit.HeaderDeadlineMS, h)
 		}
-		ctx, cancel := context.WithTimeout(ctx, time.Duration(ms*float64(time.Millisecond)))
-		return ctx, cancel, nil
+		// A sub-nanosecond budget is still a deadline, not "none".
+		env.Deadline = max(time.Duration(ms*float64(time.Millisecond)), 1)
 	}
-	return ctx, func() {}, nil
+	ctx, cancel := env.Context(r.Context())
+	return ctx, cancel, nil
 }
 
 // Forward stamps the context's QoS envelope onto an outbound request:
 // the class in X-Arch21-Class, the tenant in X-Arch21-Tenant, the hedge
 // marker in X-Arch21-Hedge, and the remaining deadline — decremented by
-// hopBudget, the slice this hop keeps for transfer and decode — in
-// X-Arch21-Deadline-MS. When the budget cannot survive the hop it
-// returns an *admit.ShedError with Deadline set: a deadline shed decided
-// at the sender instead of burning the wire.
+// hopBudget, see EnvelopeFrom — in X-Arch21-Deadline-MS. When the budget
+// cannot survive the hop it returns EnvelopeFrom's *admit.ShedError.
 func Forward(req *http.Request, ctx context.Context, hopBudget time.Duration) error {
-	req.Header.Set(admit.HeaderClass, admit.ClassFrom(ctx).String())
-	if tenant := admit.TenantFrom(ctx); tenant != "" {
-		req.Header.Set(admit.HeaderTenant, tenant)
+	env, err := EnvelopeFrom(ctx, hopBudget)
+	if err != nil {
+		return err
 	}
-	if IsHedge(ctx) {
+	env.Stamp(req)
+	return nil
+}
+
+// Stamp writes the envelope into an outbound request's X-Arch21-* headers.
+func (env Envelope) Stamp(req *http.Request) {
+	req.Header.Set(admit.HeaderClass, env.Class.String())
+	if env.Tenant != "" {
+		req.Header.Set(admit.HeaderTenant, env.Tenant)
+	}
+	if env.Hedge {
 		req.Header.Set(HeaderHedge, "1")
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		remaining := time.Until(dl) - hopBudget
-		if remaining <= 0 {
-			return &admit.ShedError{
-				Class: admit.ClassFrom(ctx), Deadline: true, RetryAfter: hopBudget}
-		}
-		req.Header.Set(admit.HeaderDeadlineMS,
-			strconv.FormatFloat(math.Ceil(remaining.Seconds()*1e3), 'f', -1, 64))
+	if env.Deadline > 0 {
+		req.Header.Set(admit.HeaderDeadlineMS, strconv.FormatInt(int64(env.Deadline/time.Millisecond), 10))
 	}
-	return nil
 }
 
 // DrainClose consumes what remains of an HTTP response body (bounded)

@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/admit"
@@ -118,10 +120,21 @@ func isHTTPStatus(err error, status int) bool {
 }
 
 // HTTPBackend is a remote arch21d replica reached over its HTTP API
-// (GET /run/{id} to serve, GET /healthz to probe).
+// (GET /run/{id} to serve, GET /healthz to probe) and, for batch frames,
+// over one upgraded stream (stream.go) with POST /batch as the fallback
+// for replicas that refuse the upgrade.
 type HTTPBackend struct {
 	base   string
 	client *http.Client
+
+	// smu guards stream — the live (or last, dead) connection — and
+	// serializes dials. httpOnly is set once the replica definitively
+	// refused the upgrade; redials counts streams established after the
+	// first. Atomics, so /stats never waits behind a dial.
+	smu      sync.Mutex
+	stream   *streamConn
+	httpOnly atomic.Bool
+	redials  atomic.Int64
 }
 
 // NewHTTPBackend points at an arch21d base address ("localhost:8021",
@@ -238,56 +251,48 @@ func (b *HTTPBackend) Do(ctx context.Context, id string, p core.Params) (serve.R
 	}, nil
 }
 
-// DoBatch implements BatchBackend over the wire: POST /v1/batch with
-// the varint request frame (encoded into a pooled buffer) and decode
-// the per-entry outcome frame. The response body is read into a fresh
-// buffer — never pooled — because every OK entry's payload aliases it
-// for the rest of the outcomes' lifetime. Entry-level errors surface as
-// statusError values so the router's verdict taxonomy (client error vs
-// shed vs replica failure) applies per entry exactly as it would to a
-// single routed request.
+// DoBatch implements BatchBackend over the wire: one A21B request frame
+// out, one A21R outcome frame back. This is the frame-exchange routine of
+// both carriers; only how the bytes move differs — a message on the
+// replica's stream, or POST /v1/batch when the replica refused the
+// upgrade. The QoS envelope (class, tenant, hedge marker, deadline less
+// hopBudget) is read once and rides the stream message or the POST's
+// headers; a budget that cannot survive the hop is shed here without a
+// wire message. Entry-level errors surface as statusError values so the
+// router's verdict taxonomy (client error vs shed vs replica failure)
+// applies per entry exactly as it would to a single routed request.
 func (b *HTTPBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]serve.BatchOutcome, error) {
 	t0 := time.Now()
-	entries := make([]httpapi.BatchEntry, len(items))
-	for i, it := range items {
-		entries[i] = httpapi.BatchEntry{ID: it.ID, Class: it.Class, Params: it.Params.Assignments()}
-	}
-	fb := httpapi.GetBuffer()
-	frame := httpapi.AppendBatchRequest((*fb)[:0], entries)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.base+"/v1/batch",
-		bytes.NewReader(frame))
+	env, err := httpapi.EnvelopeFrom(ctx, hopBudget)
 	if err != nil {
-		*fb = frame
-		httpapi.PutBuffer(fb)
-		return nil, fmt.Errorf("router: %s: %v", b.base, err)
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if err := httpapi.Forward(req, ctx, hopBudget); err != nil {
-		*fb = frame
-		httpapi.PutBuffer(fb)
 		return nil, err
 	}
-	resp, err := b.client.Do(req)
-	// Do returns only after the request body has been fully consumed (or
-	// abandoned), so the frame buffer is safe to recycle here.
-	*fb = frame
-	httpapi.PutBuffer(fb)
+	var raw []byte // never a pooled buffer: every OK entry's payload aliases it
+	sc, err := b.streamFor(ctx)
+	if err == nil {
+		entries := make([]httpapi.BatchEntry, len(items))
+		for i, it := range items {
+			entries[i] = httpapi.BatchEntry{ID: it.ID, Class: it.Class, Params: it.Params.Assignments()}
+		}
+		fb := httpapi.GetBuffer()
+		if sc != nil {
+			var hdr [httpapi.StreamHeaderLen]byte
+			msg := httpapi.AppendBatchRequest(env.Append(append((*fb)[:0], hdr[:]...)), entries)
+			raw, err = sc.exchange(ctx, msg)
+			*fb = msg
+		} else {
+			*fb = httpapi.AppendBatchRequest((*fb)[:0], entries)
+			raw, err = b.postBatch(ctx, env, *fb)
+		}
+		// Both carriers return only after the request bytes are consumed
+		// (or abandoned), so the frame buffer is safe to recycle here.
+		httpapi.PutBuffer(fb)
+	}
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, ctxErr
 		}
-		return nil, fmt.Errorf("router: %s: %w", b.base, err)
-	}
-	defer httpapi.DrainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("router: %s /batch: %w", b.base,
-			&statusError{status: resp.StatusCode, msg: strings.TrimSpace(string(body)),
-				retryAfter: resp.Header.Get("Retry-After")})
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("router: %s: reading batch body: %v", b.base, err)
+		return nil, fmt.Errorf("router: %s batch: %w", b.base, err)
 	}
 	results, err := httpapi.DecodeBatchResponse(raw)
 	if err != nil {
@@ -317,6 +322,38 @@ func (b *HTTPBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]s
 		}
 	}
 	return out, nil
+}
+
+// postBatch is DoBatch's HTTP carrier: POST /v1/batch with the frame as
+// the body and the envelope in headers, returning the response body.
+func (b *HTTPBackend) postBatch(ctx context.Context, env httpapi.Envelope, frame []byte) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.base+"/v1/batch", bytes.NewReader(frame))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/octet-stream")
+	env.Stamp(req)
+	resp, err := b.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer httpapi.DrainClose(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return nil, &statusError{status: resp.StatusCode, msg: strings.TrimSpace(string(body)),
+			retryAfter: resp.Header.Get("Retry-After")}
+	}
+	return io.ReadAll(resp.Body)
+}
+
+// Carrier reports which transport DoBatch is on — "stream" unless the
+// replica refused the upgrade, then "http" — and how many times the
+// stream had to be re-established.
+func (b *HTTPBackend) Carrier() (transport string, redials int64) {
+	if b.httpOnly.Load() {
+		return "http", 0
+	}
+	return "stream", b.redials.Load()
 }
 
 // Control implements Controller: POST the raw body to the replica's

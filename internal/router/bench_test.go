@@ -9,9 +9,14 @@ package router
 import (
 	"context"
 	"fmt"
+	"net/http/httptest"
+	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
+	"time"
 
+	"repro/internal/admit"
 	"repro/internal/core"
 	"repro/internal/serve"
 	"repro/internal/sweep"
@@ -57,3 +62,85 @@ func BenchmarkServeEncodedRoutedWarm(b *testing.B) {
 		}
 	})
 }
+
+// The hop, four ways (ROADMAP item 3): the same one-entry warm exchange
+// against one engine over (i) net/http GET format=bin, (ii) net/http POST
+// /v1/batch with a frame of one, (iii) the upgraded frame stream, (iv) the
+// stream with eight exchanges in flight. Every reply is decoded and
+// checked. Reported per exchange: ns (wall), cpu-us (getrusage, whole
+// process — client and replica), allocs. DESIGN §7 records the readings
+// and the rule they were taken for: build the stream if (iii) <= 0.5 x (i).
+func benchHop(b *testing.B, carrier string, inflight int, exchange func(hb *HTTPBackend) error) {
+	eng := serve.NewEngine(serve.Config{Shards: 8, Workers: 2})
+	defer eng.Close()
+	h := eng.Handler()
+	if carrier != "stream" {
+		h = noStream(h)
+	}
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	hb := NewHTTPBackend(srv.URL)
+	for i := 0; i < 2*hedgeWarmup; i++ { // fill the cache, open the connections
+		if err := exchange(hb); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if tr, _ := hb.Carrier(); carrier != "" && tr != carrier {
+		b.Fatalf("DoBatch rides %q, want %q", tr, carrier)
+	}
+	cpu := func() time.Duration {
+		var ru syscall.Rusage
+		_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru)
+		return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	c0 := cpu()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < inflight; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for next.Add(1) <= int64(b.N) {
+				if err := exchange(hb); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.ReportMetric(float64(cpu()-c0)/1e3/float64(b.N), "cpu-us/op")
+}
+
+var hopCtx = admit.WithClass(context.Background(), admit.Interactive)
+
+func hopBatchOne(hb *HTTPBackend) error {
+	outs, err := hb.DoBatch(hopCtx, []serve.BatchItem{{ID: "E7", Class: admit.Interactive}})
+	if err != nil {
+		return err
+	}
+	if outs[0].Err != nil || outs[0].RawResponse.Key != "E7" {
+		return fmt.Errorf("bad outcome %+v", outs[0])
+	}
+	res, err := outs[0].RawResponse.Result()
+	if err == nil && res.Figure == nil {
+		err = fmt.Errorf("bad payload %+v", res)
+	}
+	return err
+}
+
+func BenchmarkHopHTTPGetBin(b *testing.B) {
+	benchHop(b, "", 1, func(hb *HTTPBackend) error {
+		resp, err := hb.Do(hopCtx, "E7", nil)
+		if err == nil && (resp.Key != "E7" || resp.Result.Figure == nil) {
+			err = fmt.Errorf("bad response %+v", resp)
+		}
+		return err
+	})
+}
+
+func BenchmarkHopHTTPBatchOne(b *testing.B)     { benchHop(b, "http", 1, hopBatchOne) }
+func BenchmarkHopStream(b *testing.B)           { benchHop(b, "stream", 1, hopBatchOne) }
+func BenchmarkHopStreamPipelined8(b *testing.B) { benchHop(b, "stream", 8, hopBatchOne) }

@@ -18,31 +18,15 @@ package router
 // the replicas, which serve every format.
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 
-	"repro/internal/admit"
 	"repro/internal/core"
 	"repro/internal/httpapi"
 	"repro/internal/serve"
 )
-
-// routedEnvelope is the front-end's /run/{id} JSON response: the
-// replica's outcome plus which backend served it.
-type routedEnvelope struct {
-	ID        string      `json:"id"`
-	Params    core.Params `json:"params,omitempty"`
-	Key       string      `json:"key,omitempty"`
-	Class     string      `json:"class"`
-	CacheHit  bool        `json:"cache_hit"`
-	Shared    bool        `json:"shared"`
-	LatencyMS float64     `json:"latency_ms"`
-	Headline  *float64    `json:"headline,omitempty"`
-	Findings  []string    `json:"findings,omitempty"`
-}
 
 // Handler returns the routing front-end's HTTP API.
 func (r *Router) Handler() http.Handler {
@@ -83,74 +67,33 @@ func (r *Router) Handler() http.Handler {
 			writeRoutedError(w, err)
 			return
 		}
-		res, err := rr.Result()
+		res, err := core.DecodeSummary(rr.Raw)
 		if err != nil {
 			httpapi.WriteError(w, http.StatusBadGateway, httpapi.CodeUpstream,
 				"bad result payload: "+err.Error())
 			return
 		}
-		httpapi.WriteJSON(w, http.StatusOK, routedEnvelope{
-			ID:        rr.ID,
-			Params:    rr.Params,
-			Key:       rr.Key,
-			Class:     rr.Class.String(),
-			CacheHit:  rr.CacheHit,
-			Shared:    rr.Shared,
-			LatencyMS: rr.Latency.Seconds() * 1e3,
-			Headline:  res.Headline,
-			Findings:  res.Findings,
-		})
+		// The envelope — the replica's outcome, headline and findings —
+		// is written by serve's hand-rolled writers into a pooled buffer.
+		buf := httpapi.GetBuffer()
+		defer httpapi.PutBuffer(buf)
+		body, ok := serve.AppendRoutedEnvelope((*buf)[:0], &rr, res.Headline, res.Findings)
+		if !ok {
+			httpapi.WriteError(w, http.StatusInternalServerError, httpapi.CodeInternal,
+				"result headline is not a finite number")
+			return
+		}
+		*buf = body
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(body)
 	})
 	// POST /batch: the front-end face of the multi-get plane. Entries
 	// are regrouped by owning replica and shipped as one DoBatch
 	// exchange per owner; per-entry failures ride inside the response
 	// frame with the same status taxonomy the single-request route uses.
 	httpapi.MountFunc(mux, "POST /batch", func(w http.ResponseWriter, req *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, httpapi.MaxBatchBytes))
-		if err != nil {
-			httpapi.WriteError(w, http.StatusRequestEntityTooLarge, httpapi.CodePayloadTooLarge,
-				"batch body exceeds the cap or could not be read")
-			return
-		}
-		entries, err := httpapi.DecodeBatchRequest(body)
-		if err != nil {
-			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
-			return
-		}
-		ctx, cancel, err := httpapi.RequestContext(req)
-		if err != nil {
-			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
-			return
-		}
-		defer cancel()
-		results := make([]httpapi.BatchResult, len(entries))
-		items := make([]serve.BatchItem, 0, len(entries))
-		served := make([]int, 0, len(entries))
-		for i, en := range entries {
-			p, perr := core.ParseParams(en.Params)
-			if perr != nil {
-				results[i] = httpapi.BatchResult{Status: http.StatusBadRequest, Msg: perr.Error()}
-				continue
-			}
-			items = append(items, serve.BatchItem{ID: en.ID, Params: p, Class: en.Class})
-			served = append(served, i)
-		}
-		for j, o := range r.ServeEncodedBatch(ctx, items) {
-			i := served[j]
-			if o.Err != nil {
-				results[i] = httpapi.BatchResult{Status: routedErrStatus(o.Err), Msg: o.Err.Error()}
-				continue
-			}
-			rr := o.RawResponse
-			results[i] = httpapi.BatchResult{OK: true, CacheHit: rr.CacheHit, Shared: rr.Shared,
-				Key: rr.Key, Payload: rr.Raw}
-		}
-		buf := httpapi.GetBuffer()
-		frame := httpapi.AppendBatchResponse((*buf)[:0], results)
-		w.Header().Set("Content-Type", "application/octet-stream")
-		_, _ = w.Write(frame)
-		*buf = frame
-		httpapi.PutBuffer(buf)
+		serve.HandleBatch(w, req, r.ServeEncodedBatch, routedErrStatus)
 	})
 	httpapi.MountFunc(mux, "GET /stats", func(w http.ResponseWriter, req *http.Request) {
 		httpapi.WriteJSON(w, http.StatusOK, r.Metrics())
@@ -216,24 +159,13 @@ func writeRoutedError(w http.ResponseWriter, err error) {
 }
 
 // routedErrStatus is writeRoutedError's taxonomy flattened to a status
-// code for a batch entry's outcome word.
+// code for a batch entry's outcome word: the engine's own taxonomy first,
+// then a replica's HTTP verdict, exhaustion, and 502 for the rest.
 func routedErrStatus(err error) int {
-	var shed *admit.ShedError
 	var se *statusError
-	switch {
-	case errors.As(err, &shed):
-		if shed.Deadline {
-			return http.StatusTooManyRequests
-		}
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, serve.ErrUnknownExperiment):
-		return http.StatusNotFound
-	case errors.Is(err, serve.ErrBadParams):
-		return http.StatusBadRequest
+	switch s := serve.BatchErrStatus(err); {
+	case s != http.StatusInternalServerError:
+		return s
 	case errors.As(err, &se):
 		return se.status
 	case errors.Is(err, ErrNoBackends):

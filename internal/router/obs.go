@@ -145,6 +145,18 @@ func (r *Router) buildRegistry() *obs.Registry {
 		[]string{"backend"}, perScore(func(sc *score) float64 { return float64(sc.hedges.Load()) }))
 	reg.CounterVec("arch21_backend_hedge_wins_total", "Hedged backups that answered before the replica's primary attempt.",
 		[]string{"backend"}, perScore(func(sc *score) float64 { return float64(sc.hedgeWins.Load()) }))
+	reg.CounterVec("arch21_backend_stream_redials_total", "Times the replica's frame stream was re-established after the first dial (0 for backends without one).",
+		[]string{"backend"}, func() []obs.Sample {
+			out := make([]obs.Sample, 0, len(r.backends))
+			for _, b := range r.backends {
+				var redials int64
+				if c, ok := b.(carrier); ok {
+					_, redials = c.Carrier()
+				}
+				out = append(out, obs.Sample{Values: []string{b.Name()}, Value: float64(redials)})
+			}
+			return out
+		})
 	reg.Counter("arch21_batched_requests_total", "Requests served through a coalesced or direct batch exchange.",
 		func() float64 { return float64(r.batched.Load()) })
 	reg.CounterVec("arch21_batch_flushes_total", "Batch frames shipped, by flush reason (full: frame hit the entry cap; window: a pure batch-class queue waited out its window; interactive: an interactive arrival flushed the queue at once; direct: a pre-assembled frame from the sweep fan-out or /batch endpoint).",

@@ -780,6 +780,15 @@ type BackendStatus struct {
 	// ran long; HedgeWins those backups that answered first.
 	Hedges    int64 `json:"hedges"`
 	HedgeWins int64 `json:"hedge_wins"`
+	// Transport is the carrier a wire backend ships batch frames over
+	// ("stream" or "http"; empty for in-process backends).
+	Transport string `json:"transport,omitempty"`
+}
+
+// carrier is the optional backend capability the transport row and the
+// arch21_backend_stream_redials_total counter read (HTTPBackend.Carrier).
+type carrier interface {
+	Carrier() (transport string, redials int64)
 }
 
 // Metrics is a point-in-time router snapshot.
@@ -830,6 +839,9 @@ func (r *Router) Metrics() Metrics {
 		row.Inflight = sc.inflight.Load()
 		row.Hedges = sc.hedges.Load()
 		row.HedgeWins = sc.hedgeWins.Load()
+		if c, ok := r.backends[i].(carrier); ok {
+			row.Transport, _ = c.Carrier()
+		}
 		m.Health = append(m.Health, row)
 	}
 	return m

@@ -1,0 +1,221 @@
+package router
+
+// The front-end end of the stream carrier (wire contract in
+// internal/httpapi/stream.go): HTTPBackend keeps one upgraded connection
+// per replica, dialled lazily on the first DoBatch, and pipelines batch
+// frames over it — a write under the connection's write lock, then a wait
+// on the reply the reader goroutine demultiplexes by id.
+
+import (
+	"bufio"
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"strings"
+	"sync"
+	"time"
+
+	"repro/internal/httpapi"
+)
+
+// streamDialTimeout bounds the dial plus the upgrade handshake.
+const streamDialTimeout = 5 * time.Second
+
+// streamReply is what the reader hands a waiter: a reply body, or the
+// error the replica answered the frame with or that killed the connection.
+type streamReply struct {
+	body []byte
+	err  error
+}
+
+// streamConn is one live stream. Any read or write failure ends it
+// through fail, which fails every waiter once.
+type streamConn struct {
+	conn net.Conn
+	wmu  sync.Mutex // one message on the wire at a time
+
+	mu      sync.Mutex
+	waiters map[uint32]chan streamReply // capacity 1 each: the reader never blocks
+	next    uint32
+	err     error // set once, when the stream dies
+}
+
+// streamFor returns the backend's live stream, dialling it when there is
+// none or the last one died. nil without error means this replica is
+// served over HTTP: it refused the upgrade definitively (404/405/426) or
+// the base is not plain http://. Anything else that goes wrong — dial
+// error, 5xx, a bad handshake — is a transport failure for the caller to
+// report, and the next call dials again.
+func (b *HTTPBackend) streamFor(ctx context.Context) (*streamConn, error) {
+	b.smu.Lock()
+	defer b.smu.Unlock()
+	if b.httpOnly.Load() {
+		return nil, nil
+	}
+	if sc := b.stream; sc != nil {
+		sc.mu.Lock()
+		dead := sc.err != nil
+		sc.mu.Unlock()
+		if !dead {
+			return sc, nil
+		}
+	}
+	req, err := http.NewRequest(http.MethodGet, b.base+"/v1/stream", nil)
+	if err != nil || req.URL.Scheme != "http" {
+		b.httpOnly.Store(true)
+		return nil, nil
+	}
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", httpapi.StreamProtocol)
+	addr := req.URL.Host
+	if req.URL.Port() == "" {
+		addr += ":80"
+	}
+	conn, err := (&net.Dialer{Timeout: streamDialTimeout}).DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	_ = conn.SetDeadline(time.Now().Add(streamDialTimeout))
+	br := bufio.NewReaderSize(conn, 16<<10)
+	var resp *http.Response
+	if err = req.Write(conn); err == nil {
+		resp, err = http.ReadResponse(br, req)
+	}
+	switch {
+	case err != nil:
+	case resp.StatusCode == http.StatusSwitchingProtocols &&
+		strings.EqualFold(resp.Header.Get("Upgrade"), httpapi.StreamProtocol):
+		_ = conn.SetDeadline(time.Time{})
+		sc := &streamConn{conn: conn, waiters: make(map[uint32]chan streamReply)}
+		if b.stream != nil {
+			b.redials.Add(1)
+		}
+		b.stream = sc
+		go sc.readLoop(br)
+		return sc, nil
+	case resp.StatusCode == http.StatusNotFound, resp.StatusCode == http.StatusMethodNotAllowed,
+		resp.StatusCode == http.StatusUpgradeRequired:
+		b.httpOnly.Store(true)
+	default:
+		err = &statusError{status: resp.StatusCode, msg: "stream upgrade refused"}
+	}
+	_ = conn.Close()
+	return nil, err
+}
+
+// readLoop demultiplexes replies to their waiters until the connection
+// ends — on the replica's close as well, so no Close call is needed to
+// reclaim it.
+func (sc *streamConn) readLoop(br *bufio.Reader) {
+	for {
+		// The body is never pooled: every OK entry's payload aliases it for
+		// the rest of the outcomes' lifetime.
+		id, kind, body, err := httpapi.ReadStreamMessage(br, httpapi.MaxStreamReplyBytes)
+		if err == nil && kind != httpapi.StreamReply && kind != httpapi.StreamError {
+			err = fmt.Errorf("%w: kind %d from a replica", httpapi.ErrStreamMessage, kind)
+		}
+		if err != nil {
+			sc.fail(err)
+			return
+		}
+		r := streamReply{body: body}
+		if kind == httpapi.StreamError {
+			var se statusError
+			if se.status, se.msg, r.err = httpapi.ParseStreamError(body); r.err == nil {
+				r.err = &se
+			}
+		}
+		if ch := sc.take(id); ch != nil { // nil: a canceled caller has already left
+			ch <- r
+		}
+	}
+}
+
+// take withdraws request id's waiter; nil when the reader, fail or the
+// waiter itself already took it.
+func (sc *streamConn) take(id uint32) chan streamReply {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	ch := sc.waiters[id]
+	delete(sc.waiters, id)
+	return ch
+}
+
+// fail ends the stream: the first call records err, closes the
+// connection and fails every waiter; later calls do nothing.
+func (sc *streamConn) fail(err error) {
+	if errors.Is(err, io.EOF) {
+		err = errors.New("stream closed by the replica")
+	}
+	sc.mu.Lock()
+	if sc.err != nil {
+		sc.mu.Unlock()
+		return
+	}
+	sc.err = err
+	waiters := sc.waiters
+	sc.waiters = nil
+	sc.mu.Unlock()
+	_ = sc.conn.Close()
+	for _, ch := range waiters {
+		ch <- streamReply{err: err}
+	}
+}
+
+// send writes one whole message under the write lock and a write
+// deadline — ctx's, at most StreamWriteTimeout — so a peer that stops
+// reading cannot hold the lock past the caller's patience. A failed write
+// leaves the peer mid-message: it ends the stream. A ctx already over
+// when the lock is won writes nothing.
+func (sc *streamConn) send(ctx context.Context, msg []byte) error {
+	dl := time.Now().Add(httpapi.StreamWriteTimeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(dl) {
+		dl = d
+	}
+	sc.wmu.Lock()
+	defer sc.wmu.Unlock()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	_ = sc.conn.SetWriteDeadline(dl)
+	_, err := sc.conn.Write(msg)
+	if err != nil {
+		sc.fail(err)
+	}
+	return err
+}
+
+// exchange sends one request — msg with StreamHeaderLen bytes reserved in
+// front of its body — and waits for the reply body. A caller whose ctx
+// ends sends a cancel message instead of tearing the connection down.
+func (sc *streamConn) exchange(ctx context.Context, msg []byte) ([]byte, error) {
+	ch := make(chan streamReply, 1)
+	sc.mu.Lock()
+	if sc.err != nil {
+		sc.mu.Unlock()
+		return nil, sc.err
+	}
+	sc.next++
+	id := sc.next
+	sc.waiters[id] = ch
+	sc.mu.Unlock()
+	httpapi.PutStreamHeader(msg, id, httpapi.StreamRequest)
+	if err := sc.send(ctx, msg); err != nil {
+		sc.take(id)
+		return nil, err
+	}
+	select {
+	case r := <-ch:
+		return r.body, r.err
+	case <-ctx.Done():
+		if sc.take(id) != nil {
+			var cancel [httpapi.StreamHeaderLen]byte
+			httpapi.PutStreamHeader(cancel[:], id, httpapi.StreamCancel)
+			_ = sc.send(context.Background(), cancel[:])
+		}
+		return nil, ctx.Err()
+	}
+}

@@ -152,10 +152,11 @@ func (e *Engine) ServeEncodedBatchInto(ctx context.Context, items []BatchItem, b
 	return out
 }
 
-// batchErrStatus maps one item's serving error onto the HTTP status its
+// BatchErrStatus maps one item's serving error onto the HTTP status its
 // outcome word carries — the same taxonomy writeRunError applies to a
-// single /run request, so a batched caller can branch identically.
-func batchErrStatus(err error) int {
+// single /run request, so a batched caller can branch identically (500
+// is "none of the known outcomes": the front-end refines it).
+func BatchErrStatus(err error) int {
 	var shed *admit.ShedError
 	switch {
 	case errors.As(err, &shed):
@@ -176,22 +177,20 @@ func batchErrStatus(err error) int {
 	}
 }
 
-// handleBatch is POST /batch: decode the request frame, serve every
-// entry through ServeEncodedBatch, answer with the response frame. The
-// whole-request error paths (unreadable body, bad frame, bad QoS
-// headers) use the shared JSON envelope like every other endpoint;
-// per-entry failures ride inside the frame as outcome words so one bad
-// entry cannot fail its siblings.
-func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
+// HandleBatch is POST /batch on either face of the API — the engine's
+// (serveFn = Engine.ServeEncodedBatch) and the routing front-end's
+// (Router.ServeEncodedBatch): one frame in the request body, its response
+// frame in the reply. The whole-request error paths (unreadable body, bad
+// QoS headers, bad frame) use the shared JSON envelope like every other
+// endpoint; per-entry failures ride inside the frame as outcome words,
+// with the status errStatus gives them, so one bad entry cannot fail its
+// siblings.
+func HandleBatch(w http.ResponseWriter, r *http.Request,
+	serveFn func(context.Context, []BatchItem) []BatchOutcome, errStatus func(error) int) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, httpapi.MaxBatchBytes))
 	if err != nil {
 		httpapi.WriteError(w, http.StatusRequestEntityTooLarge, httpapi.CodePayloadTooLarge,
 			"batch body exceeds the cap or could not be read")
-		return
-	}
-	entries, err := httpapi.DecodeBatchRequest(body)
-	if err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
 		return
 	}
 	ctx, cancel, err := httpapi.RequestContext(r)
@@ -200,6 +199,29 @@ func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
+	buf := httpapi.GetBuffer()
+	defer httpapi.PutBuffer(buf)
+	frame, err := ServeBatchFrame(ctx, body, (*buf)[:0], serveFn, errStatus)
+	if err != nil {
+		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
+		return
+	}
+	*buf = frame
+	w.Header().Set("Content-Type", "application/octet-stream")
+	_, _ = w.Write(frame)
+}
+
+// ServeBatchFrame is the frame routine both carriers share (POST /batch
+// and the replica stream): decode the A21B request frame in body, serve
+// every entry through serveFn, append the A21R response frame to dst. The
+// error is a frame that does not decode — the one failure that answers
+// the whole frame instead of an entry.
+func ServeBatchFrame(ctx context.Context, body, dst []byte,
+	serveFn func(context.Context, []BatchItem) []BatchOutcome, errStatus func(error) int) ([]byte, error) {
+	entries, err := httpapi.DecodeBatchRequest(body)
+	if err != nil {
+		return dst, err
+	}
 	results := make([]httpapi.BatchResult, len(entries))
 	items := make([]BatchItem, 0, len(entries))
 	served := make([]int, 0, len(entries)) // results index per items index
@@ -212,20 +234,15 @@ func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
 		items = append(items, BatchItem{ID: en.ID, Params: p, Class: en.Class})
 		served = append(served, i)
 	}
-	for j, o := range e.ServeEncodedBatch(ctx, items) {
+	for j, o := range serveFn(ctx, items) {
 		i := served[j]
 		if o.Err != nil {
-			results[i] = httpapi.BatchResult{Status: batchErrStatus(o.Err), Msg: o.Err.Error()}
+			results[i] = httpapi.BatchResult{Status: errStatus(o.Err), Msg: o.Err.Error()}
 			continue
 		}
 		rr := o.RawResponse
 		results[i] = httpapi.BatchResult{OK: true, CacheHit: rr.CacheHit, Shared: rr.Shared,
 			Key: rr.Key, Payload: rr.Raw}
 	}
-	buf := httpapi.GetBuffer()
-	frame := httpapi.AppendBatchResponse((*buf)[:0], results)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(frame)
-	*buf = frame
-	httpapi.PutBuffer(buf)
+	return httpapi.AppendBatchResponse(dst, results), nil
 }

@@ -192,6 +192,11 @@ type Engine struct {
 	// supervisor's SetSLO here).
 	sloMu   sync.Mutex
 	sloHook func(slo time.Duration) error
+
+	// streams is the live GET /stream connections (stream.go). Kept last:
+	// the counters and recorders above are the words the warm path
+	// hammers, and a field ahead of them moves their cache lines.
+	streams streamSet
 }
 
 // Response is one served result.
@@ -800,6 +805,11 @@ func (e *Engine) Reset() {
 	e.dropOrSaveSnapshot()
 }
 
-// Close shuts down the scheduler, draining queued work. Serve must not
-// be called after Close.
-func (e *Engine) Close() { e.sched.Close() }
+// Close ends the live replica streams — their in-flight frames are
+// canceled and waited for, and a front-end on the other end sees a
+// transport failure — then shuts down the scheduler, draining queued
+// work. Serve must not be called after Close.
+func (e *Engine) Close() {
+	e.streams.close()
+	e.sched.Close()
+}

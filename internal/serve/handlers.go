@@ -26,6 +26,8 @@ import (
 //	GET /v1/run/{id}?format=csv  table/figure as CSV
 //	POST /v1/batch               multi-get: varint-framed batch of requests in,
 //	                             varint-framed per-entry outcomes + payloads out
+//	GET /v1/stream               upgrade (arch21-stream) to the pipelined frame stream a
+//	                             front-end carries its batch frames over
 //	GET /v1/stats                engine metrics: counters, cache, per-class p50/p99
 //	GET /v1/metrics              Prometheus text exposition (promlint-clean)
 //	GET /v1/events?since=N       structured control-plane events after cursor N
@@ -113,13 +115,19 @@ type runTail struct {
 }
 
 // appendJSONString appends s as encoding/json would: directly when no
-// byte needs escaping, through json.Marshal otherwise.
+// byte needs escaping — valid UTF-8 passes through as it is, bar U+2028
+// and U+2029 — through json.Marshal otherwise.
 func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || strings.IndexByte(`"\<>&`, c) >= 0 {
-			q, _ := json.Marshal(s) // a string always marshals
-			return append(b, q...)
-		}
+	plain, ascii := true, true
+	for i := 0; i < len(s) && plain; i++ {
+		c := s[i]
+		ascii = ascii && c < utf8.RuneSelf
+		plain = c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' &&
+			(c != 0xE2 || !strings.HasPrefix(s[i:], "\u2028") && !strings.HasPrefix(s[i:], "\u2029"))
+	}
+	if !plain || !ascii && !utf8.ValidString(s) {
+		q, _ := json.Marshal(s) // a string always marshals
+		return append(b, q...)
 	}
 	return append(append(append(b, '"'), s...), '"')
 }
@@ -160,6 +168,32 @@ func appendRunHead(b []byte, rr *RawResponse) []byte {
 	b = strconv.AppendBool(append(b, ",\n  \"cache_hit\": "...), rr.CacheHit)
 	b = strconv.AppendBool(append(b, ",\n  \"shared\": "...), rr.Shared)
 	return appendJSONFloat(append(b, ",\n  \"latency_ms\": "...), rr.Latency.Seconds()*1e3)
+}
+
+// AppendRoutedEnvelope appends the routing front-end's /run/{id} JSON
+// envelope — the head, then the result's headline and findings, no
+// report — byte for byte what httpapi.WriteJSON emitted for the struct
+// the front-end used to marshal (kept in its test tree as the
+// reference). It reports false for a headline JSON cannot carry.
+func AppendRoutedEnvelope(b []byte, rr *RawResponse, headline *float64, findings []string) ([]byte, bool) {
+	b = appendRunHead(b, rr)
+	if headline != nil {
+		if math.IsNaN(*headline) || math.IsInf(*headline, 0) {
+			return b, false
+		}
+		b = appendJSONFloat(append(b, ",\n  \"headline\": "...), *headline)
+	}
+	if len(findings) > 0 {
+		b = append(b, ",\n  \"findings\": ["...)
+		for i, f := range findings {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONString(append(b, "\n    "...), f)
+		}
+		b = append(b, "\n  ]"...)
+	}
+	return append(b, "\n}\n"...), true
 }
 
 // writeRunJSON answers /run/{id} in the default format: the head written
@@ -289,7 +323,11 @@ func (e *Engine) Handler() http.Handler {
 	})
 	// POST /batch: the multi-get wire surface (varint frames in and out,
 	// per-entry outcome words, payloads served zero-copy from the slab).
-	httpapi.MountFunc(mux, "POST /batch", e.handleBatch)
+	httpapi.MountFunc(mux, "POST /batch", func(w http.ResponseWriter, r *http.Request) {
+		HandleBatch(w, r, e.ServeEncodedBatch, BatchErrStatus)
+	})
+	// GET /stream: the same frames over one upgraded, pipelined connection.
+	httpapi.MountFunc(mux, "GET /stream", e.handleStream)
 	httpapi.MountFunc(mux, "GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		// Memoized (StatsTTL): a dashboard poller must not pay — or make
 		// the serving path pay — a full reservoir walk per request.

@@ -1,0 +1,174 @@
+package serve
+
+// The replica end of the stream carrier (wire contract in
+// internal/httpapi/stream.go): GET /stream upgrades the connection, after
+// which every request message is served on its own goroutine through
+// ServeBatchFrame — the routine POST /batch uses — and answered by id, so
+// a slow miss never holds up a warm hit queued behind it.
+
+import (
+	"bufio"
+	"context"
+	"io"
+	"net"
+	"net/http"
+	"strings"
+	"sync"
+	"time"
+
+	"repro/internal/httpapi"
+)
+
+// streamMaxInflight bounds the frames one connection serves at once. At
+// the cap the reader stops reading, so the sender meets TCP back-pressure
+// instead of the replica growing goroutines without bound.
+const streamMaxInflight = 64
+
+// streamSet is the engine's live stream connections. http.Server.Shutdown
+// neither waits for nor closes hijacked connections, so Engine.Close ends
+// them here.
+type streamSet struct {
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	closed bool
+	wg     sync.WaitGroup // one per connection handler
+}
+
+// close ends every live stream and waits for the handlers (and the frames
+// they are serving, which see their contexts canceled) to return.
+func (s *streamSet) close() {
+	s.mu.Lock()
+	s.closed = true
+	for c := range s.conns {
+		_ = c.Close()
+	}
+	s.mu.Unlock()
+	s.wg.Wait()
+}
+
+// replicaStream is one upgraded connection.
+type replicaStream struct {
+	e      *Engine
+	conn   net.Conn
+	wmu    sync.Mutex // one reply on the wire at a time
+	frames sync.WaitGroup
+
+	mu      sync.Mutex
+	cancels map[uint32]context.CancelFunc // in-flight requests by id
+}
+
+// handleStream is GET /stream. A request that does not ask for the
+// upgrade, or a ResponseWriter that cannot be hijacked, answers 426 — a
+// definitive "HTTP only" to the dialer; a closing engine drops the
+// connection, which the dialer treats as a transport failure.
+func (e *Engine) handleStream(w http.ResponseWriter, r *http.Request) {
+	hj, ok := w.(http.Hijacker)
+	if !ok || !strings.EqualFold(r.Header.Get("Upgrade"), httpapi.StreamProtocol) {
+		httpapi.WriteError(w, http.StatusUpgradeRequired, httpapi.CodeBadRequest,
+			"GET /stream serves only the "+httpapi.StreamProtocol+" upgrade")
+		return
+	}
+	conn, brw, err := hj.Hijack()
+	if err != nil {
+		httpapi.WriteError(w, http.StatusInternalServerError, httpapi.CodeInternal, err.Error())
+		return
+	}
+	defer conn.Close()
+	set := &e.streams
+	set.mu.Lock()
+	if set.closed {
+		set.mu.Unlock()
+		return
+	}
+	if set.conns == nil {
+		set.conns = make(map[net.Conn]struct{})
+	}
+	set.conns[conn] = struct{}{}
+	set.wg.Add(1)
+	set.mu.Unlock()
+	defer func() {
+		set.mu.Lock()
+		delete(set.conns, conn)
+		set.mu.Unlock()
+		set.wg.Done()
+	}()
+	// http.Hijacker leaves clearing the server's ReadTimeout/WriteTimeout
+	// deadlines to the caller; the stream must outlive them.
+	_ = conn.SetDeadline(time.Time{})
+	if _, err := io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+
+		httpapi.StreamProtocol+"\r\n\r\n"); err != nil {
+		return
+	}
+	s := &replicaStream{e: e, conn: conn, cancels: make(map[uint32]context.CancelFunc)}
+	s.serve(bufio.NewReaderSize(brw.Reader, 16<<10))
+}
+
+// serve reads messages until the connection ends or the peer breaks the
+// protocol, then cancels what is in flight and waits for it.
+func (s *replicaStream) serve(br *bufio.Reader) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer s.frames.Wait()
+	defer cancel()
+	sem := make(chan struct{}, streamMaxInflight)
+	for {
+		sem <- struct{}{} // before reading: at the cap the reader stops reading
+		id, kind, body, err := httpapi.ReadStreamMessage(br, httpapi.MaxBatchBytes)
+		switch {
+		case err != nil:
+			return
+		case kind == httpapi.StreamCancel && len(body) == 0:
+			s.mu.Lock()
+			if c := s.cancels[id]; c != nil {
+				c()
+			}
+			s.mu.Unlock()
+			<-sem
+		case kind == httpapi.StreamRequest:
+			fctx, fcancel := context.WithCancel(ctx)
+			s.mu.Lock()
+			s.cancels[id] = fcancel
+			s.mu.Unlock()
+			s.frames.Add(1)
+			go func() {
+				defer s.frames.Done()
+				s.serveFrame(fctx, id, body)
+				s.mu.Lock()
+				delete(s.cancels, id)
+				s.mu.Unlock()
+				fcancel()
+				<-sem
+			}()
+		default:
+			return
+		}
+	}
+}
+
+// serveFrame serves one request message and writes its reply.
+func (s *replicaStream) serveFrame(ctx context.Context, id uint32, body []byte) {
+	out := httpapi.GetBuffer()
+	defer httpapi.PutBuffer(out)
+	var hdr [httpapi.StreamHeaderLen]byte
+	kind := httpapi.StreamReply
+	msg := append((*out)[:0], hdr[:]...)
+	env, frame, err := httpapi.ParseStreamRequest(body)
+	if err == nil {
+		ectx, cancel := env.Context(ctx)
+		msg, err = ServeBatchFrame(ectx, frame, msg, s.e.ServeEncodedBatch, BatchErrStatus)
+		cancel()
+	}
+	if err != nil {
+		kind = httpapi.StreamError
+		msg = httpapi.AppendStreamError(msg[:len(hdr)], http.StatusBadRequest, err.Error())
+	}
+	httpapi.PutStreamHeader(msg, id, kind)
+	*out = msg
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	_ = s.conn.SetWriteDeadline(time.Now().Add(httpapi.StreamWriteTimeout))
+	if _, err := s.conn.Write(msg); err != nil {
+		// A reply cut short leaves the peer unable to find the next
+		// header: end the connection, which the reader above observes.
+		_ = s.conn.Close()
+	}
+}
