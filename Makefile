@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: all build fmt-check vet test race docs-check check bench bench-serve bench-sweep bench-wire \
-	bench-routed bench-hop \
+	bench-routed bench-hop bench-engine \
 	loadtest loadtest-colocation bench-baseline bench-check cover lint metrics-smoke \
 	fuzz fuzz-smoke chaos-smoke clean
 
@@ -58,6 +58,13 @@ bench-routed:
 # eight deep): ns, cpu-us and allocs per exchange, replies checked.
 bench-hop:
 	$(GO) test -run xxx -bench 'BenchmarkHop' -benchtime 2s -count 3 -cpu 1,2 ./internal/router
+
+# bench-engine is the in-tree core-scaling evidence (DESIGN §6): the warm
+# engine hit and the slab Get from 1, 2 and 4 goroutines (ns/op falls as
+# cores are added only if the hit path shares nothing it writes), and the
+# boot-and-fill cost the repository benchmark's setup_s is sensitive to.
+bench-engine:
+	$(GO) test -run xxx -bench 'BenchmarkEngineWarmHit|BenchmarkEngineBoot|BenchmarkCacheGetHotParallel' -benchmem -cpu 1,2,4 ./internal/serve
 
 # loadtest runs one load scenario against the in-process engine and
 # prints the measured report (SCENARIO/DURATION overridable).

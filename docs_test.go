@@ -345,7 +345,7 @@ func TestObservabilityDocsCoverObs(t *testing.T) {
 	squashed := strings.Join(strings.Fields(sec9), " ")
 	for _, want := range []string{
 		"internal/obs", "GET /metrics", "GET /events", "POST /control",
-		"obs.Lint", "TakeClassWindow", "StatsTTL", "arch21 ctl",
+		"obs.Lint", "TakeClassWindow", "snapshot difference", "stats.AtomicHistogram", "arch21 ctl",
 		"-events-log", "207", "schema 2",
 	} {
 		if !strings.Contains(squashed, want) {
@@ -444,10 +444,10 @@ func TestAdversarialWorkloadDocs(t *testing.T) {
 // DESIGN.md §4 must document the segment-arena layout, the open-
 // addressed offset index, the fixed in-place hit word, the eviction
 // policy vocabulary (pinned to serve's ParseEvictionPolicy names), the
-// aliasing contract, the zero-copy bin format, and the comparative
-// benchmark harness; §6 must carry the allocs_per_request field and its
-// ratchet semantics; README must document the cache flags and the
-// zero-alloc perf note.
+// aliasing contract, the read-mostly Get and its alignment rule, the
+// zero-copy bin format, and the benchmark harness; §6 must carry the
+// allocs_per_request ratchet and the one latency instrument; README must
+// document the cache flags and the zero-alloc perf note.
 func TestSlabCacheDocs(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -466,7 +466,8 @@ func TestSlabCacheDocs(t *testing.T) {
 		"8-byte hit word at offset 0", "in place",
 		"aliasing contract", "copy-on-read",
 		"format=bin", "application/octet-stream", "ServeEncoded",
-		"legacyCache", "b.ReportAllocs()", "BenchmarkServeEncodedCacheHit",
+		"read-mostly `Get`", "alignment rule", "bench-engine",
+		"b.ReportAllocs()", "BenchmarkServeEncodedCacheHit",
 	} {
 		if !strings.Contains(sec4, want) {
 			t.Errorf("DESIGN.md §4 no longer documents %q", want)
@@ -490,7 +491,8 @@ func TestSlabCacheDocs(t *testing.T) {
 	}
 	sec6 := strings.Join(strings.Fields(doc[s6:s7]), " ")
 	for _, want := range []string{
-		"`allocs_per_request`", "Mallocs delta", "ratchet",
+		"`allocs_per_request`", "Mallocs delta", "ratchet", "One latency instrument",
+		"stripes", "`HistogramSnapshot.Quantile`", "never frozen", "bench-engine",
 	} {
 		if !strings.Contains(sec6, want) {
 			t.Errorf("DESIGN.md §6 no longer documents %q", want)

@@ -16,7 +16,6 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"time"
 
 	"repro/internal/admit"
 	"repro/internal/core"
@@ -89,7 +88,7 @@ func (e *Engine) ServeEncodedBatchInto(ctx context.Context, items []BatchItem, b
 	// One clock read serves the whole warm scan: items in one frame
 	// share an arrival time, and a slab read is microseconds — per-item
 	// Now calls were measurable on the flush path, the precision is not.
-	t0 := time.Now()
+	t0 := e.now()
 	for i := range items {
 		it := &items[i]
 		key, resolved := it.Key, it.Params
@@ -101,17 +100,14 @@ func (e *Engine) ServeEncodedBatchInto(ctx context.Context, items []BatchItem, b
 				continue
 			}
 		}
-		cc := &e.classes[it.Class]
-		cc.requests.Add(1)
 		if tb != nil {
 			tb.requests.Add(1)
 		}
 		if raw, ok := e.cache.Get(key); ok {
-			cc.hits.Add(1)
 			if tb != nil {
 				tb.hits.Add(1)
 			}
-			lat := time.Since(t0)
+			lat := e.now() - t0
 			e.observe(it.Class, true, lat)
 			out[i].RawResponse = RawResponse{ID: it.ID, Params: resolved, Key: key,
 				Class: it.Class, Raw: raw, CacheHit: true, Latency: lat}
@@ -140,7 +136,7 @@ func (e *Engine) ServeEncodedBatchInto(ctx context.Context, items []BatchItem, b
 				ictx = admit.WithClass(ctx, it.Class)
 			}
 			rr, err := e.serveMissRaw(ictx, it.ID, out[i].RawResponse.Key,
-				out[i].RawResponse.Params, time.Now())
+				out[i].RawResponse.Params, e.now())
 			if err != nil {
 				out[i] = BatchOutcome{Err: err}
 				return

@@ -16,12 +16,17 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Cache is a sharded, memoizing byte cache backed by slab segments. Keys
-// hash to one of N power-of-two shards, each guarded by its own mutex so
-// concurrent readers on different shards never contend.
+// hash to one of N power-of-two shards, each guarded by its own
+// read-write lock: Get holds it shared and writes only atomics (the
+// entry's hit word and CLOCK bit, the shard's hit/miss counters);
+// everything that moves bytes or the index — Set, AttachAux, TTL expiry,
+// deletion, reclamation — holds it exclusively.
 //
 // Inside a shard, entries live packed inside fixed-size []byte segment
 // arenas, located through an open-addressed index of two scalar []uint64
@@ -31,6 +36,9 @@ import (
 // Entry headers are fixed-width, so the per-entry hit counter is bumped
 // in place on Get and a Set whose new payload fits the entry's value
 // capacity overwrites in place with no index churn and no allocation.
+// Arenas come 8-aligned from the allocator and every entry's size is
+// rounded up to 8, so the hit word (offset 0) and state word (offset 36)
+// of every entry are aligned for sync/atomic.
 //
 // Aliasing contract: Get returns a slice aliasing slab memory. It is
 // stable across Gets (only the fixed header words mutate afterwards) and
@@ -99,13 +107,11 @@ const (
 	// segment get a dedicated arena of their exact size.
 	segmentSize = 64 << 10
 
-	// entryHitsLen is the fixed little-endian hit-counter word at offset
-	// 0 of every entry, bumped in place by Get.
-	entryHitsLen = 8
-	// entryHdrLen is the fixed entry header: hits u64, added i64, ttl
-	// i64, keyLen u32, valLen u32, valCap u32, state u32, auxLen u32.
-	// Everything is fixed-width so in-place mutation never moves a byte
-	// after it. The key, valCap payload bytes and auxLen aux bytes follow.
+	// entryHdrLen is the fixed entry header: hits u64 (bumped in place by
+	// Get), added i64, ttl i64, keyLen u32, valLen u32, valCap u32, state
+	// u32, auxLen u32. Everything is fixed-width so in-place mutation
+	// never moves a byte after it. The key, valCap payload bytes and
+	// auxLen aux bytes follow, then padding to the next 8-byte boundary.
 	entryHdrLen = 44
 
 	offAdded  = 8
@@ -143,8 +149,15 @@ type segment struct {
 	seq  uint64
 }
 
+// cacheShard's first cache line holds the only shard words a Get writes;
+// what a Get reads sits on the lines after it, and the padding keeps the
+// next shard's hot line off this shard's last one.
 type cacheShard struct {
-	mu sync.Mutex
+	mu sync.RWMutex
+	// hits and misses count Get outcomes, under the shared lock.
+	hits   atomic.Uint64
+	misses atomic.Uint64
+	_      [64 - 40]byte
 
 	// segs is oldest-first; appends go to the last segment. segBase is
 	// segs[0]'s sequence number — index refs address segments by
@@ -166,11 +179,19 @@ type cacheShard struct {
 	bytes int64 // total allocated segment bytes
 	dead  int64 // bytes occupied by dead (deleted/superseded) entries
 
-	hits    uint64
-	misses  uint64
 	expired uint64
 	evicted uint64
+	_       [64 - 136%64]byte
 }
+
+// A shard is whole cache lines (this fails to compile otherwise).
+var _ [0]struct{} = [unsafe.Sizeof(cacheShard{}) % 64]struct{}{}
+
+// hitWord and stateWord address the two words of the (8-aligned) entry at b
+// that Get mutates: holders of the shared lock go through these with
+// sync/atomic, holders of the exclusive lock may use plain loads and stores.
+func hitWord(b []byte) *uint64   { return (*uint64)(unsafe.Pointer(&b[0])) }
+func stateWord(b []byte) *uint32 { return (*uint32)(unsafe.Pointer(&b[offState])) }
 
 // CacheStats aggregates shard counters. JSON tags let servers expose the
 // stats directly.
@@ -246,8 +267,17 @@ func fnv1a(s string) uint64 {
 	return h
 }
 
-// entrySize is an entry's full slab footprint.
-func entrySize(keyLen, valCap, auxLen int) int { return entryHdrLen + keyLen + valCap + auxLen }
+// entrySize is an entry's full slab footprint, rounded up so the next
+// entry starts 8-aligned.
+func entrySize(keyLen, valCap, auxLen int) int {
+	return (entryHdrLen + keyLen + valCap + auxLen + 7) &^ 7
+}
+
+// lapsed reports whether the entry at b has outlived its TTL at now.
+func lapsed(b []byte, now int64) bool {
+	ttl := int64(binary.LittleEndian.Uint64(b[offTTL:]))
+	return ttl > 0 && now-int64(binary.LittleEndian.Uint64(b[offAdded:])) > ttl
+}
 
 // entryLens reads the three length words of the entry starting at b.
 func entryLens(b []byte) (keyLen, valCap, auxLen int) {
@@ -518,33 +548,33 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 }
 
 // GetWithAux is Get that also returns the entry's aux region (nil when
-// none is attached) from the same lookup under the same shard lock.
+// none is attached) from the same lookup under the shard's shared lock: a
+// hit writes only atomics, and reads the clock only if the entry has a TTL.
 func (c *Cache) GetWithAux(key string) (val, aux []byte, ok bool) {
 	h := fnv1a(key)
 	s := &c.shards[h&c.mask]
-	now := c.now().UnixNano()
-	s.mu.Lock()
+	s.mu.RLock()
 	slot := s.find(h, key)
 	if slot < 0 {
-		s.misses++
-		s.mu.Unlock()
+		s.misses.Add(1)
+		s.mu.RUnlock()
 		return nil, nil, false
 	}
 	seg, off := s.at(s.idxRef[slot])
 	b := seg.buf[off:]
-	if ttl := int64(binary.LittleEndian.Uint64(b[offTTL:])); ttl > 0 {
-		if added := int64(binary.LittleEndian.Uint64(b[offAdded:])); now-added > ttl {
-			s.killSlot(slot)
-			s.expired++
-			s.misses++
-			s.mu.Unlock()
+	if binary.LittleEndian.Uint64(b[offTTL:]) != 0 {
+		if now := c.now().UnixNano(); lapsed(b, now) {
+			s.misses.Add(1)
+			s.mu.RUnlock()
+			c.expire(s, h, key, now)
 			return nil, nil, false
 		}
 	}
-	binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)+1)
-	binary.LittleEndian.PutUint32(b[offState:],
-		binary.LittleEndian.Uint32(b[offState:])|stateAccessed)
-	s.hits++
+	atomic.AddUint64(hitWord(b), 1)
+	if st := stateWord(b); atomic.LoadUint32(st)&stateAccessed == 0 {
+		atomic.OrUint32(st, stateAccessed)
+	}
+	s.hits.Add(1)
 	kl, vc, al := entryLens(b)
 	vl := int(binary.LittleEndian.Uint32(b[offValLen:]))
 	lo := off + entryHdrLen + kl
@@ -552,8 +582,21 @@ func (c *Cache) GetWithAux(key string) (val, aux []byte, ok bool) {
 	if al > 0 {
 		aux = seg.buf[lo+vc : lo+vc+al : lo+vc+al]
 	}
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	return val, aux, true
+}
+
+// expire is the exclusive half of a Get that found key's entry past its
+// TTL under the shared lock: drop it, unless a Set got there first.
+func (c *Cache) expire(s *cacheShard, h uint64, key string, now int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if slot := s.find(h, key); slot >= 0 {
+		if seg, off := s.at(s.idxRef[slot]); lapsed(seg.buf[off:], now) {
+			s.killSlot(slot)
+			s.expired++
+		}
+	}
 }
 
 // AttachAux stores aux beside key's payload, provided the entry is live,
@@ -641,14 +684,14 @@ func (c *Cache) SetStamped(key string, val []byte, addedUnixNano int64) {
 func (c *Cache) Hits(key string) int64 {
 	h := fnv1a(key)
 	s := &c.shards[h&c.mask]
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	slot := s.find(h, key)
 	if slot < 0 {
 		return 0
 	}
 	seg, off := s.at(s.idxRef[slot])
-	return int64(binary.LittleEndian.Uint64(seg.buf[off:]))
+	return int64(atomic.LoadUint64(hitWord(seg.buf[off:])))
 }
 
 // Delete removes key. It reports whether an entry was present.
@@ -711,15 +754,14 @@ func (c *Cache) Dump() []KV {
 	var out []KV
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.mu.Lock()
+		s.mu.RLock()
 		for slot, v := range s.idxHash {
 			if v == idxEmpty || v == idxTombstone {
 				continue
 			}
 			seg, off := s.at(s.idxRef[slot])
 			b := seg.buf[off:]
-			added := int64(binary.LittleEndian.Uint64(b[offAdded:]))
-			if ttl := int64(binary.LittleEndian.Uint64(b[offTTL:])); ttl > 0 && now-added > ttl {
+			if lapsed(b, now) {
 				continue
 			}
 			kl := int(binary.LittleEndian.Uint32(b[offKeyLen:]))
@@ -729,10 +771,10 @@ func (c *Cache) Dump() []KV {
 			out = append(out, KV{
 				Key:           string(b[entryHdrLen : entryHdrLen+kl]),
 				Val:           val,
-				AddedUnixNano: added,
+				AddedUnixNano: int64(binary.LittleEndian.Uint64(b[offAdded:])),
 			})
 		}
-		s.mu.Unlock()
+		s.mu.RUnlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
@@ -757,14 +799,14 @@ func (c *Cache) Stats() CacheStats {
 	st := CacheStats{Shards: len(c.shards)}
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.mu.Lock()
+		s.mu.RLock()
 		st.Entries += s.idxLive
-		st.Hits += s.hits
-		st.Misses += s.misses
+		st.Hits += s.hits.Load()
+		st.Misses += s.misses.Load()
 		st.Expired += s.expired
 		st.Evicted += s.evicted
 		st.Bytes += s.bytes
-		s.mu.Unlock()
+		s.mu.RUnlock()
 	}
 	return st
 }

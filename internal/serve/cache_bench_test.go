@@ -1,57 +1,19 @@
 package serve
 
-// Comparative cache benchmarks: the slab cache against the legacy
-// map-of-varint-blobs implementation it replaced, behind one small
-// interface built from function thunks (the directcache benches idiom —
-// SNIPPETS.md Snippet 1) so both run the identical driver. Every
-// benchmark reports allocations: the slab's whole claim is near-zero
-// allocs on the warm path, and the comparison is what keeps the claim
-// honest.
+// Cache and engine benchmarks. Every one reports allocations: the slab's
+// whole claim is near-zero allocs on the warm path. `make bench-engine`
+// runs the three that carry the core-scaling story (figures in DESIGN §6).
+// The map-of-varint-blobs cache the slab replaced used to run beside it
+// here; the last comparison is recorded in CHANGES PR 9.
 
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 )
-
-type benchCache interface {
-	get(key string) ([]byte, bool)
-	set(key string, val []byte)
-}
-
-type getFunc func(key string) ([]byte, bool)
-type setFunc func(key string, val []byte)
-
-func (f getFunc) get(key string) ([]byte, bool) { return f(key) }
-func (f setFunc) set(key string, val []byte)    { f(key, val) }
-
-func newSlabBench(shards int) benchCache {
-	c := NewCache(shards, 0)
-	return &struct {
-		getFunc
-		setFunc
-	}{c.Get, c.Set}
-}
-
-func newLegacyBench(shards int) benchCache {
-	c := newLegacyCache(shards, 0)
-	return &struct {
-		getFunc
-		setFunc
-	}{c.Get, c.Set}
-}
-
-// benchImpls enumerates the contenders once; every comparative benchmark
-// ranges over it so the two implementations always run the same driver.
-var benchImpls = []struct {
-	name string
-	make func(shards int) benchCache
-}{
-	{"slab", newSlabBench},
-	{"legacy", newLegacyBench},
-}
 
 const benchEntries = 4096
 
@@ -71,133 +33,104 @@ func benchVal() []byte {
 	return val
 }
 
-// The warm read path — the serving tier's dominant operation. The slab
-// must be alloc-free here; the legacy cache pays a decode per hit.
-func BenchmarkCacheGetHot(b *testing.B) {
-	for _, impl := range benchImpls {
-		b.Run(impl.name, func(b *testing.B) {
-			c := impl.make(16)
-			keys := benchKeys()
-			val := benchVal()
-			for _, k := range keys {
-				c.set(k, val)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, ok := c.get(keys[i%benchEntries]); !ok {
-					b.Fatal("miss on warmed key")
-				}
-			}
-		})
+// warmBenchCache is a 16-shard slab holding benchKeys.
+func warmBenchCache() (*Cache, []string) {
+	c := NewCache(16, 0)
+	keys := benchKeys()
+	val := benchVal()
+	for _, k := range keys {
+		c.Set(k, val)
 	}
+	return c, keys
 }
 
-// Parallel warm reads across shards — the contention profile a loaded
-// engine sees.
+// Warm reads across shards — the serving tier's dominant operation,
+// alloc-free — from every processor at once: the contention profile a
+// loaded engine sees. Run with -cpu 1,2,4 for the scaling curve.
 func BenchmarkCacheGetHotParallel(b *testing.B) {
-	for _, impl := range benchImpls {
-		b.Run(impl.name, func(b *testing.B) {
-			c := impl.make(16)
-			keys := benchKeys()
-			val := benchVal()
-			for _, k := range keys {
-				c.set(k, val)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					c.get(keys[i%benchEntries])
-					i++
-				}
-			})
-		})
-	}
+	c, keys := warmBenchCache()
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			c.Get(keys[i%benchEntries])
+			i++
+		}
+	})
 }
 
 // Fresh inserts (distinct keys) — the cold-path write cost.
 func BenchmarkCacheSetFresh(b *testing.B) {
-	for _, impl := range benchImpls {
-		b.Run(impl.name, func(b *testing.B) {
-			c := impl.make(16)
-			val := benchVal()
-			keys := make([]string, 0, 1<<16)
-			for i := 0; i < 1<<16; i++ {
-				keys = append(keys, fmt.Sprintf("E7?bces=%d&n=%d", i%512, i))
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.set(keys[i%len(keys)], val)
-			}
-		})
+	c := NewCache(16, 0)
+	val := benchVal()
+	keys := make([]string, 0, 1<<16)
+	for i := 0; i < 1<<16; i++ {
+		keys = append(keys, fmt.Sprintf("E7?bces=%d&n=%d", i%512, i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Set(keys[i%len(keys)], val)
 	}
 }
 
-// Same-key overwrites — where the slab's in-place update (fits-in-
-// capacity) against the legacy re-encode shows up.
+// Same-key overwrites — the slab's in-place update (fits-in-capacity).
 func BenchmarkCacheSetOverwrite(b *testing.B) {
-	for _, impl := range benchImpls {
-		b.Run(impl.name, func(b *testing.B) {
-			c := impl.make(16)
-			val := benchVal()
-			c.set("E7?bces=256", val)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.set("E7?bces=256", val)
-			}
-		})
+	c := NewCache(16, 0)
+	val := benchVal()
+	c.Set("E7?bces=256", val)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Set("E7?bces=256", val)
 	}
 }
 
-// Mixed 90/10 read/write at steady state.
-func BenchmarkCacheMixed(b *testing.B) {
-	for _, impl := range benchImpls {
-		b.Run(impl.name, func(b *testing.B) {
-			c := impl.make(16)
-			keys := benchKeys()
-			val := benchVal()
-			for _, k := range keys {
-				c.set(k, val)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := keys[i%benchEntries]
-				if i%10 == 9 {
-					c.set(k, val)
-				} else {
-					c.get(k)
-				}
-			}
-		})
+// benchHotIDs is the engine benchmarks' 16-key hot set.
+var benchHotIDs = func() []string {
+	ids := make([]string, 16)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("X%d", i)
 	}
-}
+	return ids
+}()
 
-// The engine's warm path end to end, both materializations: ServeEncoded
-// (the zero-copy path the HTTP layer and the load generator drive) and
-// ServeWith (the decode path in-process callers get). The gap between
-// the two is the decode cost the tentpole removed from the hot path.
-func BenchmarkEngineWarmHit(b *testing.B) {
+// bootBenchEngine is what a serving process does before its first
+// request: build the engine and fill the hot set.
+func bootBenchEngine(tb testing.TB) *Engine {
 	e := NewEngine(Config{Shards: 16, Workers: 2, Runner: func(id string) (core.Result, error) {
 		return fakeResult(id), nil
 	}})
+	for _, id := range benchHotIDs {
+		if _, err := e.ServeEncoded(context.Background(), id, nil); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return e
+}
+
+// The engine's warm path end to end, both materializations: ServeEncoded
+// (the zero-copy path the HTTP layer and the load generator drive), every
+// goroutine of a RunParallel walking the hot set from its own offset — run
+// with -cpu 1,2,4 for the scaling curve — and ServeWith (the decode path
+// in-process callers get). The gap between the two is the decode cost.
+func BenchmarkEngineWarmHit(b *testing.B) {
+	e := bootBenchEngine(b)
 	defer e.Close()
 	ctx := context.Background()
-	if _, err := e.Serve("X1"); err != nil {
-		b.Fatal(err)
-	}
 	b.Run("encoded", func(b *testing.B) {
+		var starts atomic.Int64
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rr, err := e.ServeEncoded(ctx, "X1", nil)
-			if err != nil || !rr.CacheHit {
-				b.Fatalf("warm ServeEncoded: hit=%v err=%v", rr.CacheHit, err)
+		b.RunParallel(func(pb *testing.PB) {
+			for i := int(starts.Add(5)); pb.Next(); i++ {
+				rr, err := e.ServeEncoded(ctx, benchHotIDs[i%len(benchHotIDs)], nil)
+				if err != nil || !rr.CacheHit {
+					b.Errorf("warm ServeEncoded: hit=%v err=%v", rr.CacheHit, err)
+					return
+				}
 			}
-		}
+		})
 	})
 	b.Run("decoded", func(b *testing.B) {
 		b.ReportAllocs()
@@ -208,4 +141,13 @@ func BenchmarkEngineWarmHit(b *testing.B) {
 			}
 		}
 	})
+}
+
+// Boot and fill — NewEngine, sixteen cold requests, Close: the guard on what
+// the latency instrument and the slab cost before the first hit (setup_s).
+func BenchmarkEngineBoot(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		bootBenchEngine(b).Close()
+	}
 }

@@ -1,10 +1,17 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/stats"
 )
 
 // The shard-rounding loop used to spin forever for adversarial counts:
@@ -287,5 +294,160 @@ func TestSlabDeletePrefixAcrossSegments(t *testing.T) {
 	}
 	if got := c.Stats().Entries; got != 400 {
 		t.Fatalf("entries = %d, want 400", got)
+	}
+}
+
+// pattern is n bytes that could only be tag's: the tag repeated.
+func pattern(tag string, n int) []byte {
+	return bytes.Repeat([]byte(tag), n/len(tag)+1)[:n]
+}
+
+// Get runs under the shard's shared lock and writes only atomics, so its
+// books must stay exact with readers racing each other and the writers:
+// eight readers hammer a Zipf hot set (and now and then a churned key)
+// while writers Set — in place and relocating — SetStamped entries already
+// past their TTL, Delete, DeletePrefix (Invalidate's shape), read Stats,
+// and AttachAux onto the hot entries, forcing compaction or eviction to
+// move live entries under the readers. Afterwards Stats().Hits and .Misses
+// are the goroutines' own tallies, each hot entry's hit word is the number
+// of times it was served, and no alias ever showed another key's bytes (the
+// hot keys are never Set again, so reading their aliases is within the
+// aliasing contract). Run under -race in CI.
+func TestSlabReadersKeepExactBooksUnderWriters(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		maxBytes int64
+		policy   EvictionPolicy
+	}{{"unbounded", 0, EvictLRU}, {"bounded-lru", 512 << 10, EvictLRU}, {"bounded-cost", 512 << 10, EvictCost}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const readers, writers, lookups, nHot = 8, 2, 20000, 16
+			c := NewCacheSized(4, time.Hour, tc.maxBytes, tc.policy)
+			hot := make([]string, nHot)
+			for i := range hot {
+				hot[i] = fmt.Sprintf("hot/%02d", i)
+				c.Set(hot[i], pattern(hot[i], 200+17*i))
+			}
+			type tally struct {
+				hits, misses uint64
+				perHot       [nHot]int64
+			}
+			tallies := make([]tally, readers+writers)
+			// lookup is one tallied Get of hot key i, its bytes checked.
+			lookup := func(tl *tally, i int) (val []byte, ok bool) {
+				val, aux, ok := c.GetWithAux(hot[i])
+				if !ok {
+					tl.misses++
+					return nil, false
+				}
+				tl.hits++
+				tl.perHot[i]++
+				if !bytes.Equal(val, pattern(hot[i], 200+17*i)) ||
+					(aux != nil && !bytes.Equal(aux, pattern("aux:"+hot[i], 64))) {
+					t.Errorf("Get(%s) returned %q with aux %q", hot[i], val, aux)
+				}
+				return val, true
+			}
+			var readersDone, writersDone sync.WaitGroup
+			var stop atomic.Bool
+			for r := 0; r < readers; r++ {
+				readersDone.Add(1)
+				go func(tl *tally, seed uint64) {
+					defer readersDone.Done()
+					rng, zipf := stats.NewRNG(seed), stats.NewZipf(nHot, 1.1)
+					for n := 0; n < lookups; n++ {
+						if n%8 != 7 {
+							lookup(tl, zipf.Rank(rng)-1)
+						} else if _, ok := c.Get(fmt.Sprintf("churn/%d/%d", rng.Intn(8), rng.Intn(64))); ok {
+							tl.hits++
+						} else {
+							tl.misses++
+						}
+					}
+				}(&tallies[r], uint64(r+1))
+			}
+			for w := 0; w < writers; w++ {
+				writersDone.Add(1)
+				go func(tl *tally, seed uint64) {
+					defer writersDone.Done()
+					for rng := stats.NewRNG(seed); !stop.Load(); {
+						group := rng.Intn(8)
+						key := fmt.Sprintf("churn/%d/%d", group, rng.Intn(64))
+						switch op := rng.Intn(16); {
+						case op < 8:
+							c.Set(key, pattern(key, 100+rng.Intn(3000)))
+						case op < 10:
+							c.SetStamped(key, pattern(key, 300), time.Now().Add(-2*time.Hour).UnixNano())
+						case op < 12:
+							c.Delete(key)
+						case op < 13:
+							c.DeletePrefix(fmt.Sprintf("churn/%d/", group))
+						case op < 14:
+							c.Stats()
+						default:
+							i := rng.Intn(nHot)
+							if val, ok := lookup(tl, i); ok {
+								c.AttachAux(hot[i], val, pattern("aux:"+hot[i], 64))
+							}
+						}
+					}
+				}(&tallies[readers+w], uint64(100+w))
+			}
+			readersDone.Wait()
+			stop.Store(true)
+			writersDone.Wait()
+
+			var want tally
+			for i := range tallies {
+				want.hits += tallies[i].hits
+				want.misses += tallies[i].misses
+				for k, n := range tallies[i].perHot {
+					want.perHot[k] += n
+				}
+			}
+			st := c.Stats()
+			if st.Hits != want.hits || st.Misses != want.misses || want.hits == 0 || want.misses == 0 || st.Expired == 0 {
+				t.Errorf("Stats: %d hits %d misses %d expired; the goroutines counted %d hits and %d misses (each must be > 0)",
+					st.Hits, st.Misses, st.Expired, want.hits, want.misses)
+			}
+			if tc.maxBytes > 0 {
+				if st.Evicted == 0 {
+					t.Errorf("a %d-byte cache evicted nothing", tc.maxBytes)
+				}
+				return
+			}
+			// Unbounded: compaction and AttachAux carry the hit word along.
+			for i, k := range hot {
+				if got := c.Hits(k); got != want.perHot[i] {
+					t.Errorf("Hits(%s) = %d, it was served %d times", k, got, want.perHot[i])
+				}
+			}
+		})
+	}
+}
+
+// A hit reads the cache's clock only when the entry has a TTL to check:
+// with the engine's own two reads (arrival and completion), that is the
+// whole clock cost of a warm hit.
+func TestWarmHitReadsSlabClockOnlyForTTL(t *testing.T) {
+	for _, tc := range []struct {
+		ttl  time.Duration
+		want int
+	}{{0, 0}, {time.Hour, 1}} {
+		e := NewEngine(Config{TTL: tc.ttl, Runner: func(id string) (core.Result, error) { return fakeResult(id), nil }})
+		if _, err := e.Serve("X"); err != nil {
+			t.Fatal(err)
+		}
+		reads := 0
+		e.cache.now = func() time.Time { reads++; return time.Now() }
+		const hits = 10
+		for i := 0; i < hits; i++ {
+			if rr, err := e.ServeEncoded(context.Background(), "X", nil); err != nil || !rr.CacheHit {
+				t.Fatalf("warm ServeEncoded: hit=%v err=%v", rr.CacheHit, err)
+			}
+		}
+		if reads != tc.want*hits {
+			t.Errorf("ttl %v: %d hits read the cache clock %d times, want %d", tc.ttl, hits, reads, tc.want*hits)
+		}
+		e.Close()
 	}
 }

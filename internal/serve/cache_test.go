@@ -99,30 +99,6 @@ func TestCacheHitCounters(t *testing.T) {
 	}
 }
 
-func TestCacheEntryCodecRoundTrip(t *testing.T) {
-	for _, e := range []cacheEntry{
-		{},
-		{addedUnixNano: 123456789, ttlNanos: int64(time.Hour), hits: 42, val: []byte("payload")},
-		{addedUnixNano: -5, hits: 1 << 40, val: make([]byte, 10000)},
-	} {
-		got, ok := decodeEntry(e.encode())
-		if !ok {
-			t.Fatalf("decodeEntry failed for %+v", e)
-		}
-		if got.addedUnixNano != e.addedUnixNano || got.ttlNanos != e.ttlNanos ||
-			got.hits != e.hits || !bytes.Equal(got.val, e.val) {
-			t.Fatalf("round trip: got %+v want %+v", got, e)
-		}
-	}
-	if _, ok := decodeEntry(nil); ok {
-		t.Fatal("decodeEntry(nil) should fail")
-	}
-	enc := cacheEntry{hits: 3, val: []byte("abc")}.encode()
-	if _, ok := decodeEntry(enc[:len(enc)-1]); ok {
-		t.Fatal("truncated entry should fail")
-	}
-}
-
 func TestCacheDeleteAndClear(t *testing.T) {
 	c := NewCache(4, 0)
 	for i := 0; i < 20; i++ {
@@ -149,31 +125,6 @@ func TestCacheKeysSpreadAcrossShards(t *testing.T) {
 	if len(touched) < 16 {
 		t.Fatalf("1000 keys hit only %d/16 shards", len(touched))
 	}
-}
-
-func TestCacheConcurrentAccess(t *testing.T) {
-	c := NewCache(8, 0)
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				key := fmt.Sprintf("k%d", i%37)
-				if i%3 == 0 {
-					c.Set(key, []byte{byte(w), byte(i)})
-				} else {
-					c.Get(key)
-				}
-				if i%100 == 0 {
-					c.Stats()
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // TestCacheStatsConservedUnderConcurrency drives concurrent Gets (over a

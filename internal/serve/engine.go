@@ -60,9 +60,6 @@ type Config struct {
 	BatchRate float64
 	// BatchBurst is the token bucket depth (default max(1, Workers)).
 	BatchBurst float64
-	// SampleCap is the latency reservoir capacity per outcome class
-	// (default 4096).
-	SampleCap int
 	// Runner executes one experiment by ID at its default parameters.
 	// Defaults to the core registry; injectable for tests.
 	Runner func(id string) (core.Result, error)
@@ -98,29 +95,29 @@ type Config struct {
 // per-class conservation law — hits + deduped + sheds + executions ==
 // requests — holds for every class at quiescence: each admitted request
 // lands in exactly one bucket of its own class (a shed follower of a
-// shared flight counts as deduped; the leader owns the shed).
+// shared flight counts as deduped; the leader owns the shed). A hit's
+// only write is one Observe, so hits is the hit histogram's count and
+// requests is hits + misses: the law's content is that every request
+// that entered serveMissRaw left through exactly one other bucket.
 type classCounters struct {
-	requests   atomic.Int64
-	hits       atomic.Int64
+	// hit and cold are the class's latency instruments: /stats, /metrics
+	// and the controller's window all read these two; "all" is their sum.
+	hit, cold *stats.AtomicHistogram
+
+	// misses counts requests that entered serveMissRaw, less those a late
+	// leader then served from the cache (they are hits).
+	misses     atomic.Int64
 	deduped    atomic.Int64
 	executions atomic.Int64
 	sheds      atomic.Int64
 
-	hitLat  *stats.LatencyRecorder
-	coldLat *stats.LatencyRecorder
-	allLat  *stats.LatencyRecorder
-	// winLat is the class's current *window* recorder, swapped out by
-	// TakeClassWindow: the live signal a feedback controller needs. The
-	// lifetime reservoirs above freeze once mature (replacement
-	// probability cap/n), so they must never drive control decisions.
-	winLat atomic.Pointer[stats.LatencyRecorder]
-	// hitHist and coldHist are the class's cumulative fixed-bucket
-	// latency histograms — what GET /metrics exposes. Scrapes read these
-	// (and the atomics above) only, never winLat, so a scrape can never
-	// consume the controller's window.
-	hitHist  *stats.AtomicHistogram
-	coldHist *stats.AtomicHistogram
+	// winPrev is hit + cold as the last TakeClassWindow read them.
+	winMu        sync.Mutex
+	win, winPrev stats.HistogramSnapshot
 }
+
+func (c *classCounters) hits() int64     { return int64(c.hit.Count()) }
+func (c *classCounters) requests() int64 { return c.hits() + c.misses.Load() }
 
 // tenantCounters is one tenant's slice of the engine's books. Unlike the
 // class books there is no per-tenant conservation law: a tenant's
@@ -154,18 +151,13 @@ type Engine struct {
 	snapSaveFails atomic.Int64
 	snapLastSave  atomic.Int64 // unix nanos
 
-	classes   [2]classCounters
-	sampleCap int
+	classes [2]classCounters
 
 	// tenants/tenantBooks are the per-tenant accounting plane: nil/empty
 	// unless Config.Tenants was set. Books are indexed by the bounded
 	// vocabulary's slots (declared tenants, then the overflow bucket).
 	tenants     *obs.BoundedLabels
 	tenantBooks []tenantCounters
-
-	hitLat  *stats.LatencyRecorder
-	coldLat *stats.LatencyRecorder
-	allLat  *stats.LatencyRecorder
 
 	started time.Time
 
@@ -179,23 +171,13 @@ type Engine struct {
 	obsOnce sync.Once
 	obsReg  *obs.Registry
 
-	// statsMu/statsVal/statsAt memoize Metrics() for the /stats handler:
-	// a full snapshot walks every reservoir (sort per percentile), so a
-	// scrape storm would burn CPU the serving path needs. ~250ms of
-	// staleness is invisible to an operator dashboard.
-	statsMu  sync.Mutex
-	statsVal Metrics
-	statsAt  time.Time
-
 	// sloMu/sloHook is the live-SLO actuator POST /control drives when a
 	// feedback controller is attached (cmd/arch21d registers the
 	// supervisor's SetSLO here).
 	sloMu   sync.Mutex
 	sloHook func(slo time.Duration) error
 
-	// streams is the live GET /stream connections (stream.go). Kept last:
-	// the counters and recorders above are the words the warm path
-	// hammers, and a field ahead of them moves their cache lines.
+	// streams is the live GET /stream connections (stream.go).
 	streams streamSet
 }
 
@@ -277,9 +259,6 @@ func NewEngine(cfg Config) *Engine {
 	if cfg.Queue <= 0 {
 		cfg.Queue = 16 * cfg.Workers
 	}
-	if cfg.SampleCap <= 0 {
-		cfg.SampleCap = 4096
-	}
 	run := cfg.RunnerWith
 	if run == nil {
 		if cfg.Runner != nil {
@@ -302,21 +281,12 @@ func NewEngine(cfg Config) *Engine {
 		}),
 		run:      run,
 		snapPath: cfg.SnapshotPath,
-		hitLat:   stats.NewLatencyRecorder(cfg.SampleCap, 1),
-		coldLat:  stats.NewLatencyRecorder(cfg.SampleCap, 2),
-		allLat:   stats.NewLatencyRecorder(cfg.SampleCap, 3),
 		started:  time.Now(),
 		events:   obs.NewEvents(0),
 	}
-	e.sampleCap = cfg.SampleCap
 	for i := range e.classes {
-		c := &e.classes[i]
-		c.hitLat = stats.NewLatencyRecorder(cfg.SampleCap, uint64(10+3*i))
-		c.coldLat = stats.NewLatencyRecorder(cfg.SampleCap, uint64(11+3*i))
-		c.allLat = stats.NewLatencyRecorder(cfg.SampleCap, uint64(12+3*i))
-		c.winLat.Store(stats.NewLatencyRecorder(cfg.SampleCap, uint64(20+i)))
-		c.hitHist = stats.NewAtomicHistogram(nil)
-		c.coldHist = stats.NewAtomicHistogram(nil)
+		e.classes[i].hit = stats.NewAtomicHistogram(nil)
+		e.classes[i].cold = stats.NewAtomicHistogram(nil)
 	}
 	if len(cfg.Tenants) > 0 {
 		e.tenants = obs.NewBoundedLabels(cfg.Tenants, "other")
@@ -420,18 +390,16 @@ func (e *Engine) ServeWith(ctx context.Context, id string, p core.Params) (Respo
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	t0 := time.Now()
+	t0 := e.now()
 	class := admit.ClassFrom(ctx)
 
 	key, resolved, err := e.resolveKey(id, p)
 	if err != nil {
 		return Response{}, err
 	}
-	// Requests are counted once validation has passed, so the per-class
-	// conservation law (hits+deduped+sheds+executions == requests) holds
+	// Requests are counted — a hit here, or a miss in serveMissRaw — only
+	// once validation has passed, so the per-class conservation law holds
 	// over everything that was actually admitted to the serving path.
-	cc := &e.classes[class]
-	cc.requests.Add(1)
 	tb := e.tenantBook(ctx)
 	if tb != nil {
 		tb.requests.Add(1)
@@ -444,11 +412,10 @@ func (e *Engine) ServeWith(ctx context.Context, id string, p core.Params) (Respo
 			// to a fresh execution.
 			e.cache.Delete(key)
 		} else {
-			cc.hits.Add(1)
 			if tb != nil {
 				tb.hits.Add(1)
 			}
-			lat := time.Since(t0)
+			lat := e.now() - t0
 			e.observe(class, true, lat)
 			return Response{ID: id, Params: resolved, Key: key, Class: class,
 				Result: res, CacheHit: true, Latency: lat}, nil
@@ -478,26 +445,23 @@ func (e *Engine) ServeEncoded(ctx context.Context, id string, p core.Params) (Ra
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	t0 := time.Now()
+	t0 := e.now()
 	class := admit.ClassFrom(ctx)
 
 	key, resolved, err := e.resolveKey(id, p)
 	if err != nil {
 		return RawResponse{}, err
 	}
-	cc := &e.classes[class]
-	cc.requests.Add(1)
 	tb := e.tenantBook(ctx)
 	if tb != nil {
 		tb.requests.Add(1)
 	}
 
 	if raw, tail, ok := e.cache.GetWithAux(key); ok {
-		cc.hits.Add(1)
 		if tb != nil {
 			tb.hits.Add(1)
 		}
-		lat := time.Since(t0)
+		lat := e.now() - t0
 		e.observe(class, true, lat)
 		return RawResponse{ID: id, Params: resolved, Key: key, Class: class,
 			Raw: raw, CacheHit: true, Latency: lat, tail: tail}, nil
@@ -525,13 +489,15 @@ func (e *Engine) resolveKey(id string, p core.Params) (string, core.Params, erro
 
 // serveMissRaw is the path after a cache miss: singleflight-deduplicated
 // execution through the admission scheduler, memoizing on the way out,
-// returning the encoded payload. Exactly one per-class counter bucket is
-// incremented per caller: hit (late leader), deduped (follower, whatever
-// the outcome), execution (leader whose task ran, even to an error), or
-// shed (leader rejected at admission or canceled before start).
-func (e *Engine) serveMissRaw(ctx context.Context, id, key string, p core.Params, t0 time.Time) (RawResponse, error) {
+// returning the encoded payload. The caller counts as a miss on the way in
+// and lands in exactly one bucket on the way out: hit (late leader — the
+// miss is taken back), deduped (follower, whatever the outcome), execution
+// (leader whose task ran, even to an error), or shed (leader rejected at
+// admission or canceled before start).
+func (e *Engine) serveMissRaw(ctx context.Context, id, key string, p core.Params, t0 time.Duration) (RawResponse, error) {
 	class := admit.ClassFrom(ctx)
 	cc := &e.classes[class]
+	cc.misses.Add(1)
 	tb := e.tenantBook(ctx)
 	var leaderHit, executed bool
 	raw, err, shared := e.fg.Do(key, func() ([]byte, error) {
@@ -581,9 +547,9 @@ func (e *Engine) serveMissRaw(ctx context.Context, id, key string, p core.Params
 	if err != nil {
 		return RawResponse{}, err
 	}
-	lat := time.Since(t0)
+	lat := e.now() - t0
 	if leaderHit && !shared {
-		cc.hits.Add(1)
+		cc.misses.Add(-1)
 		if tb != nil {
 			tb.hits.Add(1)
 		}
@@ -596,35 +562,45 @@ func (e *Engine) serveMissRaw(ctx context.Context, id, key string, p core.Params
 		Shared: shared, Latency: lat}, nil
 }
 
+// lanes hands out small integers that stick to the caller's processor:
+// sync.Pool keeps what a P Puts for that P's next Get, and a fresh value
+// takes the next number. Picking the histogram stripe with one keeps that
+// stripe's cache lines on one core. Only locality rests on this.
+var (
+	lanes   = sync.Pool{New: func() any { id := laneSeq.Add(1); return &id }}
+	laneSeq atomic.Uint64
+)
+
+// now is the engine's clock, monotonic time since it started: one clock
+// read where time.Now is two (wall and monotonic).
+func (e *Engine) now() time.Duration { return time.Since(e.started) }
+
+// observe records one served request — a hit's only write to the books.
 func (e *Engine) observe(class admit.Class, hit bool, lat time.Duration) {
-	s := lat.Seconds()
-	cc := &e.classes[class]
+	h := e.classes[class].cold
 	if hit {
-		e.hitLat.Observe(s)
-		cc.hitLat.Observe(s)
-		cc.hitHist.Observe(s)
-	} else {
-		e.coldLat.Observe(s)
-		cc.coldLat.Observe(s)
-		cc.coldHist.Observe(s)
+		h = e.classes[class].hit
 	}
-	e.allLat.Observe(s)
-	cc.allLat.Observe(s)
-	cc.winLat.Load().Observe(s)
+	ln := lanes.Get().(*uint64)
+	h.ObserveDuration(lat, *ln)
+	lanes.Put(ln)
 }
 
 // TakeClassWindow returns the class's latency snapshot over the window
-// since the previous TakeClassWindow call and starts a fresh window.
-// This is the signal the SLO feedback controller must read: the
-// lifetime reservoirs in Metrics barely move once mature (a new
-// observation replaces a slot with probability cap/n), so a controller
-// fed from them would neither see a fresh violation nor a recovery. An
-// observation racing the swap may land in the retired window and be
-// dropped from both — harmless for a control signal.
+// since the previous TakeClassWindow call — the signal the SLO feedback
+// controller reads. It is the difference between the class's histograms
+// now and as the previous call read them: every observation is in exactly
+// one window, and nothing the serving path or a scrape touches is reset.
 func (e *Engine) TakeClassWindow(class admit.Class) stats.LatencySnapshot {
 	cc := &e.classes[class]
-	fresh := stats.NewLatencyRecorder(e.sampleCap, uint64(30+int(class)))
-	return cc.winLat.Swap(fresh).Snapshot()
+	cc.winMu.Lock()
+	defer cc.winMu.Unlock()
+	cc.win.Reset()
+	cc.hit.AddTo(&cc.win)
+	cc.cold.AddTo(&cc.win)
+	cc.win.Sub(cc.winPrev)
+	cc.winPrev.Add(cc.win)
+	return cc.win.Latency()
 }
 
 // SetBatchRate retunes the batch token-bucket rate live (<= 0 removes
@@ -649,7 +625,8 @@ type ClassMetrics struct {
 	// QueueDepth is the class's current scheduler queue depth (a gauge).
 	QueueDepth int `json:"queue_depth"`
 	// HitLatency, ColdLatency, AllLatency are the class's latency
-	// snapshots (seconds).
+	// snapshots (seconds), read off its histograms: exact mean; min, max
+	// and percentiles at bucket resolution (within 10 %), never frozen.
 	HitLatency  stats.LatencySnapshot `json:"hit_latency"`
 	ColdLatency stats.LatencySnapshot `json:"cold_latency"`
 	AllLatency  stats.LatencySnapshot `json:"all_latency"`
@@ -725,9 +702,6 @@ func (e *Engine) Metrics() Metrics {
 		UptimeSeconds: time.Since(e.started).Seconds(),
 		Workers:       sched.Workers,
 		Cache:         e.cache.Stats(),
-		HitLatency:    e.hitLat.Snapshot(),
-		ColdLatency:   e.coldLat.Snapshot(),
-		AllLatency:    e.allLat.Snapshot(),
 		Classes:       make(map[string]ClassMetrics, len(e.classes)),
 		Scheduler:     sched,
 		Snapshot: SnapshotStats{
@@ -739,19 +713,24 @@ func (e *Engine) Metrics() Metrics {
 			LastSaveUnixNano: e.snapLastSave.Load(),
 		},
 	}
+	var hits, colds stats.HistogramSnapshot
 	for _, class := range admit.Classes() {
 		cc := &e.classes[class]
+		hit, cold := cc.hit.Snapshot(), cc.cold.Snapshot()
+		hits.Add(hit)
+		colds.Add(cold)
 		cm := ClassMetrics{
-			Requests:    cc.requests.Load(),
-			CacheHits:   cc.hits.Load(),
+			Requests:    int64(hit.Count) + cc.misses.Load(),
+			CacheHits:   int64(hit.Count),
 			Deduped:     cc.deduped.Load(),
 			Executions:  cc.executions.Load(),
 			Sheds:       cc.sheds.Load(),
 			QueueDepth:  sched.Classes[class.String()].Queued,
-			HitLatency:  cc.hitLat.Snapshot(),
-			ColdLatency: cc.coldLat.Snapshot(),
-			AllLatency:  cc.allLat.Snapshot(),
+			HitLatency:  hit.Latency(),
+			ColdLatency: cold.Latency(),
 		}
+		cold.Add(hit) // "all" is the two outcomes added
+		cm.AllLatency = cold.Latency()
 		m.Classes[class.String()] = cm
 		m.Requests += cm.Requests
 		m.CacheHits += cm.CacheHits
@@ -759,6 +738,9 @@ func (e *Engine) Metrics() Metrics {
 		m.Executions += cm.Executions
 		m.Sheds += cm.Sheds
 	}
+	m.HitLatency, m.ColdLatency = hits.Latency(), colds.Latency()
+	hits.Add(colds)
+	m.AllLatency = hits.Latency()
 	if e.tenants != nil {
 		m.Tenants = make(map[string]TenantMetrics, e.tenants.Len())
 		for i := range e.tenantBooks {

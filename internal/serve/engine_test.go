@@ -200,7 +200,7 @@ func TestEngineLateLeaderServedFromCache(t *testing.T) {
 	// the miss path as a fresh flight leader (exactly what happens when
 	// the first leader's Set lands between Serve's cache probe and
 	// fg.Do).
-	r, err := e.serveMissRaw(context.Background(), "X1", "X1", nil, time.Now())
+	r, err := e.serveMissRaw(context.Background(), "X1", "X1", nil, e.now())
 	if err != nil {
 		t.Fatalf("serveMissRaw: %v", err)
 	}

@@ -329,9 +329,7 @@ func (e *Engine) Handler() http.Handler {
 	// GET /stream: the same frames over one upgraded, pipelined connection.
 	httpapi.MountFunc(mux, "GET /stream", e.handleStream)
 	httpapi.MountFunc(mux, "GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		// Memoized (StatsTTL): a dashboard poller must not pay — or make
-		// the serving path pay — a full reservoir walk per request.
-		httpapi.WriteJSON(w, http.StatusOK, e.MetricsCached())
+		httpapi.WriteJSON(w, http.StatusOK, e.Metrics())
 	})
 	httpapi.Mount(mux, "GET /metrics", e.MetricsRegistry().Handler())
 	httpapi.Mount(mux, "GET /events", e.Events().Handler())

@@ -1,11 +1,11 @@
 package serve
 
 // The engine's observability plane: the Prometheus /metrics registry, the
-// structured event log, the memoized /stats snapshot, and the live
-// POST /control channel. Everything /metrics exposes is collected at
-// scrape time from atomics and cumulative histograms — never from the
-// controller's TakeClassWindow reservoirs — so scraping, no matter how
-// aggressive, cannot perturb the QoS feedback signal.
+// structured event log and the live POST /control channel. /metrics reads
+// atomics and the cumulative histograms at scrape time, and the
+// controller's TakeClassWindow differences the same histograms against
+// its own last reading — neither resets anything, so scraping, no matter
+// how aggressive, cannot perturb the QoS feedback signal.
 
 import (
 	"encoding/json"
@@ -18,13 +18,8 @@ import (
 	"repro/internal/admit"
 	"repro/internal/httpapi"
 	"repro/internal/obs"
+	"repro/internal/stats"
 )
-
-// StatsTTL bounds the staleness of the memoized /stats snapshot. A full
-// Metrics() walks every latency reservoir (a sort per percentile), so an
-// aggressive dashboard poller would burn CPU the serving path needs;
-// 250ms of staleness is invisible to an operator.
-const StatsTTL = 250 * time.Millisecond
 
 // Events returns the engine's control-plane event ring (never nil).
 func (e *Engine) Events() *obs.Events { return e.events }
@@ -40,19 +35,6 @@ func (e *Engine) OnSLOChange(fn func(slo time.Duration) error) {
 
 // SetPolicy switches the admission discipline live.
 func (e *Engine) SetPolicy(p admit.Policy) { e.sched.SetPolicy(p) }
-
-// MetricsCached returns Metrics() memoized for StatsTTL — what the
-// /stats handler serves. Live tests keep calling Metrics() directly.
-func (e *Engine) MetricsCached() Metrics {
-	e.statsMu.Lock()
-	defer e.statsMu.Unlock()
-	if !e.statsAt.IsZero() && time.Since(e.statsAt) < StatsTTL {
-		return e.statsVal
-	}
-	e.statsVal = e.Metrics()
-	e.statsAt = time.Now()
-	return e.statsVal
-}
 
 // MetricsRegistry returns the engine's /metrics registry, built once.
 // Every collector reads atomics or cumulative histograms, so a scrape
@@ -82,28 +64,28 @@ func (e *Engine) buildRegistry() *obs.Registry {
 	r.Gauge("arch21_uptime_seconds", "Seconds since the engine started.",
 		func() float64 { return time.Since(e.started).Seconds() })
 	r.CounterVec("arch21_requests_total", "Validated requests by class.", []string{"class"},
-		e.classCounterVec(func(c *classCounters) int64 { return c.requests.Load() }))
+		e.classCounterVec((*classCounters).requests))
 	r.CounterVec("arch21_cache_hits_total", "Requests answered from cache, by class.", []string{"class"},
-		e.classCounterVec(func(c *classCounters) int64 { return c.hits.Load() }))
+		e.classCounterVec((*classCounters).hits))
 	r.CounterVec("arch21_deduped_total", "Requests that piggybacked on an in-flight execution, by class.", []string{"class"},
 		e.classCounterVec(func(c *classCounters) int64 { return c.deduped.Load() }))
 	r.CounterVec("arch21_executions_total", "Underlying experiment executions, by class.", []string{"class"},
 		e.classCounterVec(func(c *classCounters) int64 { return c.executions.Load() }))
 	r.CounterVec("arch21_sheds_total", "Requests rejected at admission, by class.", []string{"class"},
 		e.classCounterVec(func(c *classCounters) int64 { return c.sheds.Load() }))
+	le, outcomes := stats.DefaultLatencyBuckets(), []string{"hit", "cold"}
 	r.Histogram("arch21_request_duration_seconds",
 		"Request latency by class and outcome (hit: served from cache; cold: executed or deduplicated).",
 		[]string{"class", "outcome"}, func() []obs.HistSample {
 			out := make([]obs.HistSample, 0, 2*len(e.classes))
 			for _, class := range admit.Classes() {
 				cc := &e.classes[class]
-				hit := cc.hitHist.Snapshot()
-				cold := cc.coldHist.Snapshot()
-				out = append(out,
-					obs.HistSample{Values: []string{class.String(), "hit"},
-						Bounds: hit.Bounds, CumCounts: hit.CumCounts, Count: hit.Count, Sum: hit.Sum},
-					obs.HistSample{Values: []string{class.String(), "cold"},
-						Bounds: cold.Bounds, CumCounts: cold.CumCounts, Count: cold.Count, Sum: cold.Sum})
+				for i, h := range []*stats.AtomicHistogram{cc.hit, cc.cold} {
+					// Every le bound is a fine-bucket edge: exact.
+					s := h.Snapshot().Rebucket(le)
+					out = append(out, obs.HistSample{Values: []string{class.String(), outcomes[i]},
+						Bounds: s.Bounds, CumCounts: s.CumCounts, Count: s.Count, Sum: s.Sum})
+				}
 			}
 			return out
 		})

@@ -4,8 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +18,7 @@ import (
 	"repro/internal/admit"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/stats"
 )
 
 // scrape runs one GET /metrics through the engine's full handler and
@@ -90,28 +95,6 @@ func TestMetricsExpositionClean(t *testing.T) {
 				t.Errorf("missing sample %q", tc.sample)
 			}
 		})
-	}
-
-	// Bucket series must be cumulative and terminate in le="+Inf" — walk
-	// the interactive/cold series explicitly (the traffic above filled it).
-	var last float64 = -1
-	sawInf := false
-	for _, line := range strings.Split(body, "\n") {
-		if !strings.HasPrefix(line, `arch21_request_duration_seconds_bucket{class="interactive",outcome="cold",`) {
-			continue
-		}
-		var v float64
-		if _, err := fmt.Sscanf(line[strings.LastIndexByte(line, ' ')+1:], "%g", &v); err != nil {
-			t.Fatalf("bad bucket line %q: %v", line, err)
-		}
-		if v < last {
-			t.Fatalf("non-cumulative bucket series at %q (%g < %g)", line, v, last)
-		}
-		last = v
-		sawInf = strings.Contains(line, `le="+Inf"`)
-	}
-	if !sawInf {
-		t.Fatal(`interactive/cold bucket series does not end in le="+Inf"`)
 	}
 }
 
@@ -256,30 +239,6 @@ func TestControlHandlerHTTP(t *testing.T) {
 	}
 }
 
-// TestStatsMemoized pins the /stats memoization contract: within StatsTTL
-// the handler serves the cached snapshot, while Metrics() stays live.
-func TestStatsMemoized(t *testing.T) {
-	e := newTestEngine(func(id string) (core.Result, error) { return fakeResult(id), nil })
-	defer e.Close()
-
-	if _, err := e.Serve("S1"); err != nil {
-		t.Fatal(err)
-	}
-	first := e.MetricsCached()
-	if first.Requests != 1 {
-		t.Fatalf("first cached snapshot: %+v", first)
-	}
-	if _, err := e.Serve("S2"); err != nil {
-		t.Fatal(err)
-	}
-	if again := e.MetricsCached(); again.Requests != 1 {
-		t.Fatalf("snapshot within TTL should be memoized: Requests=%d want 1", again.Requests)
-	}
-	if live := e.Metrics(); live.Requests != 2 {
-		t.Fatalf("Metrics() must stay live: Requests=%d want 2", live.Requests)
-	}
-}
-
 // TestConcurrentScrapeServeControl exercises every observability surface
 // at once — serving, /metrics scrapes, /stats, /events, and live control
 // retunes — and relies on the -race CI lane to flag unsynchronized state.
@@ -338,44 +297,65 @@ func TestConcurrentScrapeServeControl(t *testing.T) {
 	}
 }
 
-// The memoization satellite's before/after numbers: a full reservoir walk
-// per call vs the cached snapshot.
-func BenchmarkEngineMetrics(b *testing.B) {
-	e := benchEngine(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = e.Metrics()
-	}
-}
-
-func BenchmarkEngineMetricsCached(b *testing.B) {
-	e := benchEngine(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = e.MetricsCached()
-	}
-}
-
-func BenchmarkEngineMetricsScrape(b *testing.B) {
-	e := benchEngine(b)
-	reg := e.MetricsRegistry()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var sb strings.Builder
-		if err := reg.WriteText(&sb); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchEngine(b *testing.B) *Engine {
-	b.Helper()
+// The /metrics histogram is read off the engine's fine-bucket instrument;
+// what a scraper sees must be exactly what a histogram built over the
+// documented le bounds would have counted for the same stream — same
+// bounds, same cumulative counts, same count and sum.
+func TestMetricsHistogramMatchesReference(t *testing.T) {
 	e := newTestEngine(func(id string) (core.Result, error) { return fakeResult(id), nil })
-	b.Cleanup(e.Close)
-	for i := 0; i < 512; i++ {
-		if _, err := e.Serve(fmt.Sprintf("B%d", i%64)); err != nil {
-			b.Fatal(err)
+	defer e.Close()
+
+	ref := stats.NewAtomicHistogram(stats.DefaultLatencyBuckets())
+	rng := stats.NewRNG(5)
+	d := stats.LogNormal{Mu: math.Log(20e-6), Sigma: 2.5} // 100 ns .. seconds, and a few past 10 s
+	for i := 0; i < 5000; i++ {
+		lat := time.Duration(d.Sample(rng) * 1e9)
+		e.observe(admit.Batch, true, lat)
+		ref.Observe(lat.Seconds())
+	}
+	// Land exactly on bounds too: upper bounds are inclusive.
+	for _, le := range stats.DefaultLatencyBuckets() {
+		lat := time.Duration(math.Round(le * 1e9))
+		e.observe(admit.Batch, true, lat)
+		ref.Observe(lat.Seconds())
+	}
+	want := ref.Snapshot()
+
+	body := scrape(t, e.Handler())
+	if problems := obs.Lint(strings.NewReader(body)); len(problems) > 0 {
+		t.Fatalf("/metrics is not promlint-clean:\n  %s", strings.Join(problems, "\n  "))
+	}
+	var les []float64
+	var cums []uint64
+	var count, inf, sum float64
+	series := regexp.MustCompile(`(?m)^arch21_request_duration_seconds_(bucket|count|sum)\{class="batch",outcome="hit"(?:,le="([^"]+)")?\} (\S+)$`)
+	for _, m := range series.FindAllStringSubmatch(body, -1) {
+		v, err := strconv.ParseFloat(m[3], 64)
+		if err != nil {
+			t.Fatalf("bad sample %q: %v", m[0], err)
+		}
+		switch le, _ := strconv.ParseFloat(m[2], 64); {
+		case m[1] == "count":
+			count = v
+		case m[1] == "sum":
+			sum = v
+		case m[2] == "+Inf":
+			inf = v
+		default:
+			les, cums = append(les, le), append(cums, uint64(v))
 		}
 	}
-	return e
+	if !slices.Equal(les, want.Bounds) {
+		t.Fatalf("le bounds %v, want %v", les, want.Bounds)
+	}
+	if !slices.Equal(cums, want.CumCounts) {
+		t.Errorf("cumulative counts %v, want %v", cums, want.CumCounts)
+	}
+	if uint64(count) != want.Count || uint64(inf) != want.Count || math.Abs(sum-want.Sum) > 1e-9*want.Sum {
+		t.Errorf(`count/le="+Inf"/sum %g/%g/%g, want %d/%d/%g`, count, inf, sum, want.Count, want.Count, want.Sum)
+	}
+	// The hit counter is that histogram's count.
+	if !strings.Contains(body, fmt.Sprintf("arch21_cache_hits_total{class=\"batch\"} %d\n", want.Count)) {
+		t.Errorf("arch21_cache_hits_total{class=\"batch\"} is not the hit histogram's count %d", want.Count)
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,7 +36,9 @@ func slowRunner(d time.Duration) func(context.Context, string, core.Params) (cor
 // hits + deduped + sheds + executions == requests. Hammered concurrently
 // with mixed classes, tight queues (so interactive sheds really happen),
 // per-caller deadlines (so deadline sheds happen), and repeated keys (so
-// hits and singleflight dedup happen). Run under -race in CI.
+// hits and singleflight dedup happen), through both entry points. Hits and
+// requests are derived (the hit histogram's count; that plus the miss-path
+// counter), so both renderings of them are checked. Run under -race in CI.
 func TestEngineClassConservationLaw(t *testing.T) {
 	e := NewEngine(Config{
 		Shards: 4, Workers: 2, Queue: 2,
@@ -65,7 +68,11 @@ func TestEngineClassConservationLaw(t *testing.T) {
 				}
 				// A small key space mixes cold runs, hits, and dedup.
 				id := fmt.Sprintf("K%d", (g+i)%6)
-				_, _ = e.ServeWith(ctx, id, nil)
+				if i%2 == 0 {
+					_, _ = e.ServeWith(ctx, id, nil)
+				} else {
+					_, _ = e.ServeEncoded(ctx, id, nil)
+				}
 			}
 		}()
 	}
@@ -79,6 +86,11 @@ func TestEngineClassConservationLaw(t *testing.T) {
 		if sum != cm.Requests {
 			t.Errorf("%s: hits(%d)+deduped(%d)+sheds(%d)+executions(%d)=%d != requests(%d)",
 				class, cm.CacheHits, cm.Deduped, cm.Sheds, cm.Executions, sum, cm.Requests)
+		}
+		if cc := &e.classes[class]; cm.CacheHits != int64(cm.HitLatency.Count) ||
+			cm.CacheHits != cc.hits() || cm.Requests != cc.requests() || cm.CacheHits == 0 {
+			t.Errorf("%s: hits %d (latency count %d, /metrics %d), requests %d (/metrics %d)",
+				class, cm.CacheHits, cm.HitLatency.Count, cc.hits(), cm.Requests, cc.requests())
 		}
 		total += cm.Requests
 	}
@@ -297,9 +309,8 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// TakeClassWindow returns per-window snapshots and resets between calls —
-// the live signal the SLO controller steers on (the lifetime reservoirs
-// freeze once mature).
+// TakeClassWindow returns per-window snapshots and starts afresh between
+// calls — the live signal the SLO controller steers on.
 func TestEngineTakeClassWindow(t *testing.T) {
 	e := newTestEngine(func(id string) (core.Result, error) { return fakeResult(id), nil })
 	defer e.Close()
@@ -329,6 +340,44 @@ func TestEngineTakeClassWindow(t *testing.T) {
 	// The batch window is independent.
 	if win := e.TakeClassWindow(admit.Batch); win.Count != 0 {
 		t.Fatalf("batch window = %d, want 0", win.Count)
+	}
+}
+
+// The window is a snapshot difference, so the boundary loses nothing: with
+// requests racing a controller that takes windows as fast as it can, the
+// windows' counts (and the residual one) add up to the requests made,
+// exactly — the recorder swap this replaced could drop an observation.
+func TestTakeClassWindowLosesNothing(t *testing.T) {
+	e := newTestEngine(func(id string) (core.Result, error) { return fakeResult(id), nil })
+	defer e.Close()
+	const goroutines, each = 8, 3000
+	var serving atomic.Int32
+	serving.Store(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func(g int) {
+			defer serving.Add(-1)
+			for i := 0; i < each; i++ {
+				if _, err := e.ServeEncoded(context.Background(), fmt.Sprintf("W%d", (g+i)%5), nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	total, windows := 0, 0
+	for running := true; running; windows++ {
+		running = serving.Load() > 0 // the pass after the last one leaves takes the residual
+		win := e.TakeClassWindow(admit.Interactive)
+		if win.Count > 0 && (win.P99 <= 0 || win.Min > win.P50 || win.P50 > win.P99 || win.P99 > win.Max) {
+			t.Fatalf("window %d is not ordered: %+v", windows, win)
+		}
+		total += win.Count
+	}
+	if total != goroutines*each {
+		t.Fatalf("%d windows hold %d observations, %d requests were served", windows, total, goroutines*each)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { e.TakeClassWindow(admit.Interactive) }); allocs != 0 {
+		t.Errorf("TakeClassWindow allocates %.0f times per tick, want 0", allocs)
 	}
 }
 

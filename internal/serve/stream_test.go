@@ -204,7 +204,7 @@ func TestStreamBoundsInflightFrames(t *testing.T) {
 		s.request(uint32(i+1), httpapi.Envelope{Class: admit.Batch},
 			httpapi.BatchEntry{ID: fmt.Sprintf("slow%d", i), Class: admit.Batch})
 	}
-	requests := func() int64 { return e.classes[admit.Batch].requests.Load() }
+	requests := func() int64 { return e.classes[admit.Batch].requests() }
 	waitFor(t, func() bool { return requests() == streamMaxInflight })
 	time.Sleep(50 * time.Millisecond)
 	if n := requests(); n != streamMaxInflight {

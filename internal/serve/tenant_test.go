@@ -10,7 +10,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/admit"
 	"repro/internal/core"
@@ -88,11 +87,13 @@ func TestTenantBooksCountSheds(t *testing.T) {
 		id := id
 		go func() { _, _ = e.ServeWith(ctx, id, core.Params{}) }()
 	}
-	// Wait until both occupy the scheduler (one running, one queued).
-	deadline := time.Now().Add(2 * time.Second)
-	for e.Metrics().Tenants["alpha"].Requests < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	// Wait until both occupy the scheduler (one running, one queued): a
+	// request counted but not yet queued would leave S1 the queue slot,
+	// and S1 would wait there for a release that comes after it returns.
+	waitFor(t, func() bool {
+		m := e.Metrics()
+		return m.Scheduler.Running >= 1 && m.Classes[admit.Interactive.String()].QueueDepth >= 1
+	})
 
 	var shed *admit.ShedError
 	sawShed := false

@@ -51,17 +51,21 @@ func (l *LatencyRecorder) Observe(x float64) {
 	}
 }
 
-// LatencySnapshot is a point-in-time view of a recorder. JSON tags let
-// servers expose snapshots directly.
+// LatencySnapshot is a point-in-time view of a recorder, or of a
+// histogram (HistogramSnapshot.Latency). JSON tags let servers expose
+// snapshots directly.
 type LatencySnapshot struct {
 	// Count is the total number of observations.
 	Count int `json:"count"`
-	// Mean, Min, Max are exact over all observations.
+	// Mean is exact over all observations; so are Min and Max from a
+	// recorder, while a histogram gives the outer edges of its lowest and
+	// highest occupied buckets.
 	Mean float64 `json:"mean"`
 	Min  float64 `json:"min"`
 	Max  float64 `json:"max"`
-	// P50, P95, P99, P999 are estimated from the reservoir (exact while
-	// Count does not exceed the reservoir capacity).
+	// P50, P95, P99, P999 are estimated from the recorder's reservoir
+	// (exact while Count does not exceed its capacity), or read off the
+	// histogram's buckets (within 10 % for the fine latency set).
 	P50  float64 `json:"p50"`
 	P95  float64 `json:"p95"`
 	P99  float64 `json:"p99"`
