@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: all build fmt-check vet test race docs-check check bench bench-serve bench-sweep bench-wire \
-	bench-routed bench-hop bench-engine \
+	bench-routed bench-batch bench-hop bench-engine \
 	loadtest loadtest-colocation bench-baseline bench-check cover lint metrics-smoke \
 	fuzz fuzz-smoke chaos-smoke clean
 
@@ -52,6 +52,12 @@ bench-wire:
 # is judged on.
 bench-routed:
 	bash bench/run.sh --workload wire-routed --seconds 5 --trace 0
+
+# bench-batch is the quick reading of POST /v1/batch 64-entry frames
+# through the same front-end: the workload the request identity (DESIGN
+# §7) is judged on; ops are entries.
+bench-batch:
+	bash bench/run.sh --workload wire-batch --seconds 5 --trace 0
 
 # bench-hop times one front-end -> replica exchange four ways (net/http
 # GET format=bin, net/http POST /v1/batch, the frame stream, the stream

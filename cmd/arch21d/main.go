@@ -24,6 +24,9 @@
 //	        [-batch-rate 0] [-lc-slo 0] [-events-log events.ndjson]
 //	arch21d -peers :8022,:8023,:8024 [-addr :8021] [-events-log events.ndjson]
 //
+// Either mode takes -pprof ADDR: net/http/pprof on a listener of its own
+// (go tool pprof http://ADDR/debug/pprof/profile), never on the API port.
+//
 // Endpoints:
 //
 //	GET  /healthz              liveness probe
@@ -61,6 +64,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -101,11 +105,25 @@ func main() {
 	eventsLog := flag.String("events-log", "", "append every control-plane event to this file as NDJSON (the in-memory ring serves /events regardless)")
 	tenants := flag.String("tenants", "", "comma-separated tenant vocabulary: keep per-tenant books and /metrics families; requests with an unlisted (or no) X-Arch21-Tenant header fold into \"other\"")
 	peers := flag.String("peers", "", "comma-separated replica addresses: run as a consistent-hash routing front-end instead of serving locally")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof under /debug/pprof/ on this address, a listener of its own (empty = none)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "arch21d: unexpected arguments %v\n", flag.Args())
 		flag.Usage()
 		os.Exit(2)
+	}
+
+	if *pprofAddr != "" {
+		// Its own mux on its own listener: the import registers on
+		// http.DefaultServeMux, which nothing here serves, so the API
+		// port never exposes a profile.
+		pm := http.NewServeMux()
+		pm.HandleFunc("/debug/pprof/", pprof.Index)
+		pm.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		pm.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		pm.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		pm.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		go func() { log.Fatalf("arch21d: -pprof: %v", http.ListenAndServe(*pprofAddr, pm)) }()
 	}
 
 	mux := http.NewServeMux()

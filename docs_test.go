@@ -568,6 +568,9 @@ func TestBatchedDataPlaneDocs(t *testing.T) {
 		"serve.ServeBatchFrame", "`404`, `405`, `426`", "transport failure", "`cancel id`",
 		"`\"transport\": \"stream\" | \"http\"`", "arch21_backend_stream_redials_total",
 		"BenchmarkHop", "Engine.Close",
+		// The request identity: what is interned, how it is found, the cap.
+		"**Request identity.**", "serve.Identity", "serve.Intern", "serve.IdentOf",
+		"httpapi.BatchWalker", "**The cap rule:** 8192 rows", "`routeTab`", "`BatchItem.Key`",
 	} {
 		if !strings.Contains(sec7, want) {
 			t.Errorf("DESIGN.md §7 no longer documents %q", want)

@@ -109,17 +109,30 @@ func appendUvarint(dst []byte, v uint64) []byte {
 	return append(dst, tmp[:n]...)
 }
 
+// AppendBatchHeader opens a request frame of n entries, for callers that
+// append the entries themselves with AppendBatchEntry.
+func AppendBatchHeader(dst []byte, n int) []byte {
+	dst = append(dst, BatchRequestMagic...)
+	dst = append(dst, BatchVersion)
+	return appendUvarint(dst, uint64(n))
+}
+
+// AppendBatchEntry appends one request entry whose params run — the
+// assignment count, then each "name=value" length-prefixed — is already
+// in frame form (BatchWalker.Run).
+func AppendBatchEntry(dst []byte, id string, class admit.Class, run []byte) []byte {
+	dst = appendUvarint(dst, uint64(len(id)))
+	dst = append(dst, id...)
+	dst = append(dst, byte(class))
+	return append(dst, run...)
+}
+
 // AppendBatchRequest appends the request frame for entries to dst and
 // returns the extended slice.
 func AppendBatchRequest(dst []byte, entries []BatchEntry) []byte {
-	dst = append(dst, BatchRequestMagic...)
-	dst = append(dst, BatchVersion)
-	dst = appendUvarint(dst, uint64(len(entries)))
+	dst = AppendBatchHeader(dst, len(entries))
 	for _, e := range entries {
-		dst = appendUvarint(dst, uint64(len(e.ID)))
-		dst = append(dst, e.ID...)
-		dst = append(dst, byte(e.Class))
-		dst = appendUvarint(dst, uint64(len(e.Params)))
+		dst = appendUvarint(AppendBatchEntry(dst, e.ID, e.Class, nil), uint64(len(e.Params)))
 		for _, p := range e.Params {
 			dst = appendUvarint(dst, uint64(len(p)))
 			dst = append(dst, p...)
@@ -228,50 +241,109 @@ func (fr *frameReader) clampPrealloc(count, minBytes int) int {
 	return count
 }
 
-// DecodeBatchRequest parses a request frame. Decoded strings are copies;
-// the input buffer may be reused (pooled) once the call returns.
-func DecodeBatchRequest(buf []byte) ([]BatchEntry, error) {
-	fr := &frameReader{buf: buf}
-	count, err := fr.header(BatchRequestMagic)
+// params reads one params run (a uvarint count, then that many chunks) and
+// returns a view of it; a non-nil into also receives the chunks as strings.
+func (fr *frameReader) params(entry int, into *[]string) ([]byte, error) {
+	start := fr.off
+	np, err := fr.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	// Minimum entry: 1-byte ID length + 1-byte class + 1-byte param count.
-	entries := make([]BatchEntry, 0, fr.clampPrealloc(count, 3))
-	for i := 0; i < count; i++ {
-		id, err := fr.chunk()
-		if err != nil {
-			return nil, err
-		}
-		cb, err := fr.byte()
-		if err != nil {
-			return nil, err
-		}
-		if int(cb) >= len(admit.Classes()) {
-			return nil, fmt.Errorf("%w: entry %d: unknown class byte %d", ErrBatchFrame, i, cb)
-		}
-		np, err := fr.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if np > uint64(len(fr.buf)-fr.off) { // each param costs >= 1 byte
-			return nil, fmt.Errorf("%w: entry %d: truncated params", ErrBatchFrame, i)
-		}
-		var params []string
-		if np > 0 {
-			params = make([]string, 0, np)
-			for j := uint64(0); j < np; j++ {
-				p, err := fr.chunk()
-				if err != nil {
-					return nil, err
-				}
-				params = append(params, string(p))
-			}
-		}
-		entries = append(entries, BatchEntry{ID: string(id), Class: admit.Class(cb), Params: params})
+	if np > uint64(len(fr.buf)-fr.off) { // each param costs >= 1 byte
+		return nil, fmt.Errorf("%w: entry %d: truncated params", ErrBatchFrame, entry)
 	}
-	if fr.off != len(buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after %d entries", ErrBatchFrame, len(buf)-fr.off, count)
+	if into != nil && np > 0 {
+		*into = make([]string, 0, np)
+	}
+	for j := uint64(0); j < np; j++ {
+		p, err := fr.chunk()
+		if err != nil {
+			return nil, err
+		}
+		if into != nil {
+			*into = append(*into, string(p))
+		}
+	}
+	return fr.buf[start:fr.off], nil
+}
+
+// BatchWalker walks a request frame entry by entry without copying;
+// DecodeBatchRequest is built on it, so both reject the same frames. A frame
+// is only known good once Next has returned false with Err nil.
+type BatchWalker struct {
+	fr   frameReader
+	n, i int
+	into *[]string // DecodeBatchRequest's: also receives each entry's assignments
+	// Err is the error that ended the walk, nil for a frame walked to its end.
+	Err error
+	// ID, Class and Run are the current entry after Next; ID and Run alias
+	// the frame, Run being the params run as it sits there (AppendBatchEntry).
+	ID    []byte
+	Class admit.Class
+	Run   []byte
+}
+
+// WalkBatchRequest checks a request frame's prologue and returns its walker.
+func WalkBatchRequest(buf []byte) (w BatchWalker, err error) {
+	w.fr.buf = buf
+	w.n, err = w.fr.header(BatchRequestMagic)
+	return w, err
+}
+
+// Len is the frame's entry count clamped by what its remaining bytes could
+// encode (an entry is at least three bytes): safe to pre-allocate by.
+func (w *BatchWalker) Len() int { return w.fr.clampPrealloc(w.n, 3) }
+
+// Next advances to the next entry, reporting false at the end of the
+// frame or at the first malformed byte (Err tells which).
+func (w *BatchWalker) Next() bool {
+	if w.Err != nil || w.i == w.n {
+		if rest := len(w.fr.buf) - w.fr.off; w.Err == nil && rest != 0 {
+			w.Err = fmt.Errorf("%w: %d trailing bytes after %d entries", ErrBatchFrame, rest, w.n)
+		}
+		return false
+	}
+	var cb byte
+	if w.ID, w.Err = w.fr.chunk(); w.Err == nil {
+		cb, w.Err = w.fr.byte()
+	}
+	if w.Err == nil && int(cb) >= len(admit.Classes()) {
+		w.Err = fmt.Errorf("%w: entry %d: unknown class byte %d", ErrBatchFrame, w.i, cb)
+	}
+	if w.Err == nil {
+		w.Class = admit.Class(cb)
+		w.Run, w.Err = w.fr.params(w.i, w.into)
+	}
+	w.i++
+	return w.Err == nil
+}
+
+// ParamsOfRun copies a params run's assignments out as strings (nil for
+// an empty run).
+func ParamsOfRun(run []byte) (params []string, err error) {
+	fr := frameReader{buf: run}
+	if _, err = fr.params(0, &params); err == nil && fr.off != len(run) {
+		err = fmt.Errorf("%w: %d trailing bytes after params", ErrBatchFrame, len(run)-fr.off)
+	}
+	return params, err
+}
+
+// DecodeBatchRequest parses a request frame. Decoded strings are copies;
+// the input buffer may be reused (pooled) once the call returns.
+func DecodeBatchRequest(buf []byte) ([]BatchEntry, error) {
+	w, err := WalkBatchRequest(buf)
+	if err != nil {
+		return nil, err
+	}
+	entries := make([]BatchEntry, 0, w.Len())
+	var params []string
+	w.into = &params
+	for w.Next() {
+		entries = append(entries, BatchEntry{ID: string(w.ID), Class: w.Class, Params: params})
+		params = nil
+	}
+	if w.Err != nil {
+		return nil, w.Err
 	}
 	return entries, nil
 }

@@ -110,11 +110,126 @@ func TestBatchResponseRejectsBadStatus(t *testing.T) {
 	}
 }
 
+// decodeBatchRequestRef is the request decoder as it stood before
+// DecodeBatchRequest was rebuilt on BatchWalker, kept as the independent
+// reference FuzzBatchFrame holds both to.
+func decodeBatchRequestRef(buf []byte) ([]BatchEntry, error) {
+	fr := &frameReader{buf: buf}
+	count, err := fr.header(BatchRequestMagic)
+	if err != nil {
+		return nil, err
+	}
+	var entries []BatchEntry
+	for i := 0; i < count; i++ {
+		id, err := fr.chunk()
+		if err != nil {
+			return nil, err
+		}
+		cb, err := fr.byte()
+		if err != nil {
+			return nil, err
+		}
+		if int(cb) >= len(admit.Classes()) {
+			return nil, ErrBatchFrame
+		}
+		np, err := fr.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if np > uint64(len(fr.buf)-fr.off) {
+			return nil, ErrBatchFrame
+		}
+		var params []string
+		for j := uint64(0); j < np; j++ {
+			p, err := fr.chunk()
+			if err != nil {
+				return nil, err
+			}
+			params = append(params, string(p))
+		}
+		entries = append(entries, BatchEntry{ID: string(id), Class: admit.Class(cb), Params: params})
+	}
+	if fr.off != len(buf) {
+		return nil, ErrBatchFrame
+	}
+	return entries, nil
+}
+
+func sameEntries(a, b []BatchEntry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || a[i].Class != b[i].Class || len(a[i].Params) != len(b[i].Params) ||
+			strings.Join(a[i].Params, "\x00") != strings.Join(b[i].Params, "\x00") {
+			return false
+		}
+	}
+	return true
+}
+
+// The zero-copy walker, the decoder built on it and the reference decoder
+// accept and reject the same frames and see the same entries; a frame
+// re-assembled from the walker's views (what a front-end forwards) decodes
+// to those entries too.
+func checkWalkerAgrees(t *testing.T, data []byte) {
+	t.Helper()
+	want, wantErr := decodeBatchRequestRef(data)
+	got, gotErr := DecodeBatchRequest(data)
+	if (wantErr == nil) != (gotErr == nil) || !sameEntries(want, got) {
+		t.Fatalf("DecodeBatchRequest = (%+v, %v), reference (%+v, %v)", got, gotErr, want, wantErr)
+	}
+	var walked []BatchEntry
+	var forwarded []byte
+	w, err := WalkBatchRequest(data)
+	for err == nil && w.Next() {
+		params, perr := ParamsOfRun(w.Run)
+		if perr != nil {
+			t.Fatalf("walker yielded a run that does not split: %v", perr)
+		}
+		walked = append(walked, BatchEntry{ID: string(w.ID), Class: w.Class, Params: params})
+		forwarded = AppendBatchEntry(forwarded, string(w.ID), w.Class, w.Run)
+	}
+	if err == nil {
+		err = w.Err
+	}
+	if (wantErr == nil) != (err == nil) {
+		t.Fatalf("walker err = %v, reference err = %v", err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if !sameEntries(want, walked) {
+		t.Fatalf("walker saw %+v, reference %+v", walked, want)
+	}
+	again, err := decodeBatchRequestRef(append(AppendBatchHeader(nil, len(walked)), forwarded...))
+	if err != nil || !sameEntries(want, again) {
+		t.Fatalf("frame rebuilt from walker views = (%+v, %v), want %+v", again, err, want)
+	}
+}
+
+func TestBatchWalkerAgreesWithDecoder(t *testing.T) {
+	good := AppendBatchRequest(nil, []BatchEntry{
+		{ID: "E7", Class: admit.Interactive, Params: []string{"f=0.95", "bces=64"}},
+		{ID: "E1", Class: admit.Batch},
+		{ID: "", Class: admit.Batch, Params: []string{""}},
+	})
+	checkWalkerAgrees(t, good)
+	for cut := 0; cut < len(good); cut++ {
+		checkWalkerAgrees(t, good[:cut])
+	}
+	checkWalkerAgrees(t, append(good[:len(good):len(good)], 0))
+	// A non-minimal varint count is a spelling the encoder never emits but
+	// the decoders accept; the walker's Run carries it through verbatim.
+	checkWalkerAgrees(t, append(AppendBatchEntry(AppendBatchHeader(nil, 1), "E1", admit.Batch, nil), 0x80, 0x00))
+}
+
 // FuzzBatchFrame drives both frame decoders over arbitrary bytes: no
 // panic, no runaway allocation, and — the codec invariant — anything
 // that decodes must survive an encode/decode round trip unchanged.
 // (Byte-exact canonicality is not asserted: binary.Uvarint accepts
-// non-minimal varints the encoder never emits.)
+// non-minimal varints the encoder never emits.) On every input the
+// zero-copy request walker must agree with the decoders.
 func FuzzBatchFrame(f *testing.F) {
 	f.Add(AppendBatchRequest(nil, []BatchEntry{
 		{ID: "E7", Class: admit.Interactive, Params: []string{"f=0.95", "bces=64"}},
@@ -127,6 +242,7 @@ func FuzzBatchFrame(f *testing.F) {
 	f.Add([]byte(BatchRequestMagic))
 	f.Add([]byte(BatchResponseMagic))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkWalkerAgrees(t, data)
 		if entries, err := DecodeBatchRequest(data); err == nil {
 			again, err := DecodeBatchRequest(AppendBatchRequest(nil, entries))
 			if err != nil {

@@ -270,20 +270,26 @@ func (b *HTTPBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]s
 	var raw []byte // never a pooled buffer: every OK entry's payload aliases it
 	sc, err := b.streamFor(ctx)
 	if err == nil {
-		entries := make([]httpapi.BatchEntry, len(items))
-		for i, it := range items {
-			entries[i] = httpapi.BatchEntry{ID: it.ID, Class: it.Class, Params: it.Params.Assignments()}
-		}
+		// An entry is its identity's wire bytes: nothing is rendered here.
 		fb := httpapi.GetBuffer()
+		msg := (*fb)[:0]
 		if sc != nil {
-			var hdr [httpapi.StreamHeaderLen]byte
-			msg := httpapi.AppendBatchRequest(env.Append(append((*fb)[:0], hdr[:]...)), entries)
-			raw, err = sc.exchange(ctx, msg)
-			*fb = msg
-		} else {
-			*fb = httpapi.AppendBatchRequest((*fb)[:0], entries)
-			raw, err = b.postBatch(ctx, env, *fb)
+			msg = env.Append(append(msg, make([]byte, httpapi.StreamHeaderLen)...))
 		}
+		msg = httpapi.AppendBatchHeader(msg, len(items))
+		for i := range items {
+			ident := items[i].Ident
+			if ident == nil {
+				ident = serve.IdentOf(items[i].ID, items[i].Params)
+			}
+			msg = httpapi.AppendBatchEntry(msg, items[i].ID, items[i].Class, ident.Wire())
+		}
+		if sc != nil {
+			raw, err = sc.exchange(ctx, msg)
+		} else {
+			raw, err = b.postBatch(ctx, env, msg)
+		}
+		*fb = msg
 		// Both carriers return only after the request bytes are consumed
 		// (or abandoned), so the frame buffer is safe to recycle here.
 		httpapi.PutBuffer(fb)

@@ -254,6 +254,53 @@ func TestRouterBatchEndpoint(t *testing.T) {
 	}
 }
 
+// ServeEncodedBatch keeps its books whether a frame has one owner (served
+// on the caller's goroutine) or several (one goroutine each): outcomes in
+// item order, one direct flush and one batch-size observation per owner,
+// every entry counted toward its owner, nothing left in flight.
+func TestServeEncodedBatchBooksPerOwner(t *testing.T) {
+	r, engines := newRegistryCluster(t, 3, "", Config{})
+	defer func() {
+		for _, e := range engines {
+			e.Close()
+		}
+	}()
+	ids := []string{"E7", "E1", "E2", "E4", "E5", "E9", "E12", "E18"}
+	for _, frameIDs := range [][]string{{"E7", "E7", "E7", "E7", "E7"}, ids} {
+		items := make([]serve.BatchItem, len(frameIDs))
+		perOwner := map[int]int64{}
+		for i, id := range frameIDs {
+			items[i] = serve.BatchItem{ID: id, Class: admit.Batch}
+			perOwner[r.Owner(RouteKey(id, nil))]++
+		}
+		if (len(perOwner) == 1) != (frameIDs[0] == frameIDs[1]) {
+			t.Fatalf("frame %v spans %d owners", frameIDs, len(perOwner))
+		}
+		before, flushes, sizes := r.Metrics(), r.batchFlushes[flushDirect].Load(), r.batchSize.Snapshot()
+		for i, o := range r.ServeEncodedBatch(context.Background(), items) {
+			if o.Err != nil || o.RawResponse.ID != frameIDs[i] {
+				t.Fatalf("outcome %d: id %q err %v, want %s", i, o.RawResponse.ID, o.Err, frameIDs[i])
+			}
+		}
+		after, snap := r.Metrics(), r.batchSize.Snapshot()
+		if got := r.batchFlushes[flushDirect].Load() - flushes; got != int64(len(perOwner)) {
+			t.Errorf("%d owners: %d direct flushes", len(perOwner), got)
+		}
+		if snap.Count-sizes.Count != uint64(len(perOwner)) || snap.Sum-sizes.Sum != float64(len(items)) {
+			t.Errorf("%d owners: batch_size saw %d flushes of %v entries, want %d of %d",
+				len(perOwner), snap.Count-sizes.Count, snap.Sum-sizes.Sum, len(perOwner), len(items))
+		}
+		for b := range after.Health {
+			if got := after.Health[b].Requests - before.Health[b].Requests; got != perOwner[b] {
+				t.Errorf("backend %d counted %d requests, owns %d entries", b, got, perOwner[b])
+			}
+			if after.Health[b].Inflight != 0 {
+				t.Errorf("backend %d left %d in flight", b, after.Health[b].Inflight)
+			}
+		}
+	}
+}
+
 // A coalesced flush that fails as a whole (transport error) must fail
 // over: every queued request still completes through the classic chain
 // on a sibling, and the dead replica's health accounting sees the

@@ -82,15 +82,19 @@ const flusherIdle = 50 * time.Millisecond
 
 // batchCall is one request waiting in a coalescing queue. done is
 // buffered so a flush can complete a call whose caller already gave up.
-// key carries the memoized canonical engine cache key ("" when the
-// routing key was the ad-hoc form), letting an in-process engine skip
-// its own schema resolution on the warm path.
+// ident is the request's interned identity: the flush serves an in-process
+// engine by its key and a remote one by its wire bytes.
 type batchCall struct {
-	id     string
-	key    string
-	params core.Params
-	class  admit.Class
-	done   chan serve.BatchOutcome
+	ident *serve.Identity
+	class admit.Class
+	done  chan serve.BatchOutcome
+}
+
+// release recycles a completed call, passing its outcome through.
+func (call *batchCall) release(out serve.BatchOutcome) serve.BatchOutcome {
+	call.ident = nil
+	callPool.Put(call)
+	return out
 }
 
 var callPool = sync.Pool{New: func() any {
@@ -140,17 +144,10 @@ type coalescer struct {
 // do enqueues one request and blocks until its flush completes or ctx
 // is canceled. On cancellation the call is abandoned, not recycled —
 // the in-flight flush still owns it and will complete it into the
-// buffered done channel. e is the request's memoized placement: when it
-// resolved canonically, the flush ships the resolved assignment and the
-// engine cache key so the replica's warm path is one slab lookup.
-func (c *coalescer) do(ctx context.Context, id string, p core.Params, class admit.Class, e *routeEntry) serve.BatchOutcome {
+// buffered done channel.
+func (c *coalescer) do(ctx context.Context, class admit.Class, ident *serve.Identity) serve.BatchOutcome {
 	call := callPool.Get().(*batchCall)
-	call.id, call.class = id, class
-	if e.canonical {
-		call.key, call.params = e.key, e.resolved
-	} else {
-		call.key, call.params = "", p
-	}
+	call.ident, call.class = ident, class
 	c.mu.Lock()
 	c.pending = append(c.pending, call)
 	n := len(c.pending)
@@ -190,10 +187,7 @@ func (c *coalescer) do(ctx context.Context, id string, p core.Params, class admi
 			default:
 			}
 		}
-		out := <-call.done
-		call.params = nil
-		callPool.Put(call)
-		return out
+		return call.release(<-call.done)
 	}
 	spawn := !c.flushing
 	if spawn {
@@ -211,16 +205,11 @@ func (c *coalescer) do(ctx context.Context, id string, p core.Params, class admi
 	if ctx.Done() == nil {
 		// No cancellation to race (Background or an uncancelable parent):
 		// a plain receive skips the generic select machinery.
-		out := <-call.done
-		call.params = nil
-		callPool.Put(call)
-		return out
+		return call.release(<-call.done)
 	}
 	select {
 	case out := <-call.done:
-		call.params = nil
-		callPool.Put(call)
-		return out
+		return call.release(out)
 	case <-ctx.Done():
 		return serve.BatchOutcome{Err: ctx.Err()}
 	}
@@ -332,8 +321,8 @@ func (c *coalescer) ship(calls []*batchCall, reason int) {
 	st.mu.Unlock()
 	items := c.items[:0]
 	for _, call := range calls {
-		items = append(items, serve.BatchItem{
-			ID: call.id, Key: call.key, Params: call.params, Class: call.class})
+		items = append(items, serve.BatchItem{ID: call.ident.ID(), Params: call.ident.Params(),
+			Class: call.class, Ident: call.ident})
 	}
 	c.items = items[:0]
 	sc := &r.sb.scores[c.b]
@@ -430,9 +419,10 @@ func (r *Router) ServeEncoded(ctx context.Context, id string, p core.Params) (se
 	}
 	r.requests.Add(1)
 	class := admit.ClassFrom(ctx)
-	e := r.route(id, p)
-	if c := r.co[e.owner]; c != nil && r.coalesceOK(ctx, e.owner, class) {
-		out := c.do(ctx, id, p, class, e)
+	ident := serve.IdentOf(id, p)
+	owner := r.ring.Place(ident.Hash())
+	if c := r.co[owner]; c != nil && r.coalesceOK(ctx, owner, class) {
+		out := c.do(ctx, class, ident)
 		if out.Err == nil {
 			r.batched.Add(1)
 			return out.RawResponse, nil
@@ -446,7 +436,7 @@ func (r *Router) ServeEncoded(ctx context.Context, id string, p core.Params) (se
 		// Queue-full shed or replica failure: the chain walk below owns
 		// failover, ejection, and hedging semantics.
 	}
-	resp, err := r.serveChainKeyed(ctx, id, p, e.key)
+	resp, err := r.serveChainKeyed(ctx, id, p, ident.Key())
 	if err != nil {
 		return serve.RawResponse{}, err
 	}
@@ -460,7 +450,7 @@ func (r *Router) fallbackOne(ctx context.Context, it serve.BatchItem) serve.Batc
 	if admit.ClassFrom(ctx) != it.Class {
 		ictx = admit.WithClass(ctx, it.Class)
 	}
-	resp, err := r.serveChain(ictx, it.ID, it.Params)
+	resp, err := r.serveChainKeyed(ictx, it.ID, it.Params, it.Ident.Key())
 	if err != nil {
 		return serve.BatchOutcome{Err: err}
 	}
@@ -475,29 +465,38 @@ func (r *Router) fallbackOne(ctx context.Context, it serve.BatchItem) serve.Batc
 // are in item order. Placement still follows the ring, so a sweep
 // fanned out through frames executes each grid point exactly once
 // cluster-wide, on the same replica single requests would pick. Items
-// whose assignment resolves canonically are annotated in place with the
-// engine cache key and resolved params (visible to the caller), so the
-// owning replica's warm path skips per-item schema resolution.
+// that arrive without an identity (in-process callers holding a map) are
+// annotated in place with it and its resolved params (visible to the
+// caller). Owners are served concurrently, a lone owner on this goroutine.
 func (r *Router) ServeEncodedBatch(ctx context.Context, items []serve.BatchItem) []serve.BatchOutcome {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	r.requests.Add(int64(len(items)))
 	out := make([]serve.BatchOutcome, len(items))
-	groups := make(map[int][]int)
+	groups := make([][]int, len(r.backends))
+	var owner int
 	for i := range items {
-		e := r.route(items[i].ID, items[i].Params)
-		if e.canonical && items[i].Key == "" {
-			// Annotate the frame in place with the memoized canonical key
-			// and resolved assignment: the owning engine then serves warm
-			// entries without re-resolving the schema per item.
-			items[i].Key = e.key
-			items[i].Params = e.resolved
+		it := &items[i]
+		if it.Ident == nil {
+			it.Ident = serve.IdentOf(it.ID, it.Params)
+			it.Params = it.Ident.Params()
 		}
-		groups[e.owner] = append(groups[e.owner], i)
+		owner = r.ring.Place(it.Ident.Hash())
+		if groups[owner] == nil {
+			groups[owner] = make([]int, 0, len(items)-i)
+		}
+		groups[owner] = append(groups[owner], i)
+	}
+	if n := len(items); n > 0 && len(groups[owner]) == n { // one owner: no goroutine
+		r.serveOwnerBatch(ctx, owner, groups[owner], items, out)
+		return out
 	}
 	var wg sync.WaitGroup
 	for owner, idxs := range groups {
+		if len(idxs) == 0 {
+			continue
+		}
 		wg.Add(1)
 		go func(owner int, idxs []int) {
 			defer wg.Done()

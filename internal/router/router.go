@@ -19,9 +19,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
-	"math"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -151,18 +148,6 @@ type Router struct {
 	batchSize    *stats.AtomicHistogram
 	batchFlushes [flushReasons]atomic.Int64
 
-	// routeTab memoizes placement per (experiment, assignment) pair: an
-	// immutable fingerprint→entry map read lock-free on every request and
-	// swapped copy-on-write on insert. Resolving an assignment against
-	// the experiment schema and formatting its canonical key costs more
-	// than serving a warm hit, and a router sees the same bounded set of
-	// grid points over and over — so the derivation is paid once per
-	// distinct assignment, not once per request. Entries verify the full
-	// (id, params) pair on lookup, so a fingerprint collision costs a
-	// memoization miss, never a wrong key.
-	routeTab   atomic.Pointer[map[uint64]*routeEntry]
-	routeTabMu sync.Mutex
-
 	// events records ejections, re-admissions, and control fan-outs.
 	events *obs.Events
 
@@ -205,137 +190,15 @@ func New(backends []Backend, cfg Config) (*Router, error) {
 func (r *Router) Events() *obs.Events { return r.events }
 
 // RouteKey derives the placement key for one (experiment, assignment)
-// pair: the engine's cache key when the ID is registered (so placement
-// agrees with memoization — explicit-default assignments route with the
-// bare-ID traffic), otherwise the ID plus sorted assignments. Placement
-// must be derivable without asking a replica, so resolution failures
-// fall back to the ad-hoc form and let the owning replica report the
-// schema error.
-func RouteKey(id string, p core.Params) string {
-	if exp, ok := core.ByID(id); ok && len(p) > 0 {
-		if resolved, err := exp.ResolveParams(p); err == nil {
-			return exp.CacheKey(resolved)
-		}
-	}
-	as := p.Assignments()
-	if len(as) == 0 {
-		return id
-	}
-	return id + "?" + strings.Join(as, "&")
-}
+// pair — the Key of its interned request identity: the engine's cache key
+// when the pair resolves (so placement agrees with memoization, and
+// explicit-default assignments route with the bare-ID traffic), otherwise
+// the ID plus sorted assignments, leaving the schema error to the owner.
+func RouteKey(id string, p core.Params) string { return serve.IdentOf(id, p).Key() }
 
 // Owner returns the backend index that owns a routing key (ignoring
 // health) — what placement tests and rebalancing math inspect.
 func (r *Router) Owner(key string) int { return r.ring.Place(cluster.HashString(key)) }
-
-// routeEntry is one memoized placement: the routing key, the ring owner
-// it hashes to, and — when the assignment resolved against a registered
-// schema — the canonical engine cache key plus the resolved params, so
-// the batched data plane can hand both to an in-process engine and skip
-// the engine's own re-resolution. raw holds a private copy of the
-// assignment the entry was derived from; lookups compare against it, so
-// a fingerprint collision degrades to a miss instead of misplacing (or
-// worse, mislabeling) a request. Entries are immutable after insert;
-// resolved is shared read-only across every response built from it.
-type routeEntry struct {
-	id        string
-	raw       core.Params
-	key       string
-	owner     int
-	canonical bool
-	resolved  core.Params
-}
-
-// routeTabMax caps the memo. Grids are bounded, but ad-hoc assignments
-// arrive from clients; past the cap new pairs are derived per request
-// instead of growing the table without bound.
-const routeTabMax = 8192
-
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// routeFP fingerprints one (experiment, assignment) pair without
-// allocating: FNV-1a over the ID, folded with an order-independent XOR
-// of per-assignment sub-hashes so Go's randomized map iteration cannot
-// perturb the fingerprint.
-func routeFP(id string, p core.Params) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(id); i++ {
-		h = (h ^ uint64(id[i])) * fnvPrime64
-	}
-	var mix uint64
-	for name, v := range p {
-		eh := h
-		for i := 0; i < len(name); i++ {
-			eh = (eh ^ uint64(name[i])) * fnvPrime64
-		}
-		bits := math.Float64bits(v)
-		for s := 0; s < 64; s += 8 {
-			eh = (eh ^ (bits >> s & 0xff)) * fnvPrime64
-		}
-		mix ^= eh
-	}
-	return h ^ mix
-}
-
-// route returns the memoized placement for (id, p), deriving and
-// caching it on first sight. The derived key is exactly RouteKey's; the
-// entry additionally records whether that key is the engine's canonical
-// cache key (registered ID, assignment resolved — including the bare-ID
-// zero-param form, which the engine keys identically).
-func (r *Router) route(id string, p core.Params) *routeEntry {
-	fp := routeFP(id, p)
-	if tab := r.routeTab.Load(); tab != nil {
-		if e, ok := (*tab)[fp]; ok && e.id == id && maps.Equal(e.raw, p) {
-			return e
-		}
-	}
-	e := &routeEntry{id: id}
-	if len(p) == 0 {
-		e.key, e.canonical = id, true
-	} else {
-		e.raw = maps.Clone(p)
-		if exp, ok := core.ByID(id); ok {
-			if resolved, err := exp.ResolveParams(p); err == nil {
-				e.key = exp.CacheKey(resolved)
-				e.canonical = true
-				e.resolved = resolved
-			}
-		}
-		if !e.canonical {
-			e.key = id + "?" + strings.Join(p.Assignments(), "&")
-		}
-	}
-	e.owner = r.ring.Place(cluster.HashString(e.key))
-	r.storeRoute(fp, e)
-	return e
-}
-
-// storeRoute inserts one entry copy-on-write. TryLock keeps inserts off
-// the request path's critical section: if another insert is in flight,
-// this pair is simply re-derived until a later request lands it.
-func (r *Router) storeRoute(fp uint64, e *routeEntry) {
-	if !r.routeTabMu.TryLock() {
-		return
-	}
-	defer r.routeTabMu.Unlock()
-	old := r.routeTab.Load()
-	var n int
-	if old != nil {
-		n = len(*old)
-	}
-	if n >= routeTabMax {
-		return
-	}
-	next := make(map[uint64]*routeEntry, n+1)
-	if old != nil {
-		maps.Copy(next, *old)
-	}
-	next[fp] = e
-	r.routeTab.Store(&next)
-}
 
 // verdict classifies one attempt's outcome; it encodes the router's
 // whole error taxonomy in one place so the plain failover path and the
@@ -410,19 +273,13 @@ func (r *Router) ServeWith(ctx context.Context, id string, p core.Params) (serve
 		ctx = context.Background()
 	}
 	r.requests.Add(1)
-	return r.serveChain(ctx, id, p)
+	return r.serveChainKeyed(ctx, id, p, RouteKey(id, p))
 }
 
-// serveChain is the classic per-request chain walk: the body of
-// ServeWith minus the top-level request count, so the batched data
-// plane (Router.ServeEncoded falling back after a coalesced miss) can
-// reuse it without double-counting the request.
-func (r *Router) serveChain(ctx context.Context, id string, p core.Params) (serve.Response, error) {
-	return r.serveChainKeyed(ctx, id, p, r.route(id, p).key)
-}
-
-// serveChainKeyed is serveChain with the routing key already derived
-// (the batched data plane holds a memoized entry when it falls back).
+// serveChainKeyed is the classic per-request chain walk: the body of
+// ServeWith minus the top-level request count and with the routing key
+// already derived, so the batched data plane (falling back after a
+// coalesced miss) can reuse it without double-counting the request.
 func (r *Router) serveChainKeyed(ctx context.Context, id string, p core.Params, key string) (serve.Response, error) {
 	chain := r.ring.PlaceK(cluster.HashString(key), 1+r.cfg.Retries)
 	r.sb.prefer(chain)

@@ -26,20 +26,16 @@ import (
 type BatchItem struct {
 	// ID is the experiment to serve.
 	ID string
-	// Key, when non-empty, is the pre-derived engine cache key for
-	// (ID, Params), with Params already schema-resolved. Only in-process
-	// callers that performed the canonical resolution themselves (the
-	// router's batched data plane) may set it: the engine trusts the
-	// pair as exactly what resolveKey would return and serves the warm
-	// path from it without re-resolving. Frames arriving over the wire
-	// never carry it — the handler leaves it empty and the engine
-	// resolves per item as usual.
-	Key string
 	// Params is the parameter assignment (nil for defaults).
 	Params core.Params
 	// Class is the QoS class the item is served and accounted under
 	// (per item, not per batch: a coalesced flush can mix classes).
 	Class admit.Class
+	// Ident, when set, is the interned identity of (ID, Params) — only
+	// Intern and IdentOf hand one out. The frame routine and the router
+	// attach it so the layers below serve, place and forward by it;
+	// callers holding only a map leave it nil.
+	Ident *Identity
 }
 
 // BatchOutcome is one item's result: exactly one of RawResponse (Err ==
@@ -91,15 +87,16 @@ func (e *Engine) ServeEncodedBatchInto(ctx context.Context, items []BatchItem, b
 	t0 := e.now()
 	for i := range items {
 		it := &items[i]
-		key, resolved := it.Key, it.Params
-		if key == "" {
-			var err error
-			key, resolved, err = e.resolveKey(it.ID, it.Params)
-			if err != nil {
-				out[i].Err = err
-				continue
-			}
+		id := it.Ident
+		if id == nil { // a caller holding only a map: resolve it here, intern nothing
+			id = &Identity{}
+			id.key, id.params, id.err = resolveKey(it.ID, it.Params)
 		}
+		if id.err != nil {
+			out[i].Err = id.err
+			continue
+		}
+		key, resolved := id.key, id.params
 		if tb != nil {
 			tb.requests.Add(1)
 		}
@@ -185,8 +182,12 @@ func HandleBatch(w http.ResponseWriter, r *http.Request,
 	serveFn func(context.Context, []BatchItem) []BatchOutcome, errStatus func(error) int) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, httpapi.MaxBatchBytes))
 	if err != nil {
-		httpapi.WriteError(w, http.StatusRequestEntityTooLarge, httpapi.CodePayloadTooLarge,
-			"batch body exceeds the cap or could not be read")
+		status, code := http.StatusBadRequest, httpapi.CodeBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status, code = http.StatusRequestEntityTooLarge, httpapi.CodePayloadTooLarge
+		}
+		httpapi.WriteError(w, status, code, "bad batch body: "+err.Error())
 		return
 	}
 	ctx, cancel, err := httpapi.RequestContext(r)
@@ -208,30 +209,34 @@ func HandleBatch(w http.ResponseWriter, r *http.Request,
 }
 
 // ServeBatchFrame is the frame routine both carriers share (POST /batch
-// and the replica stream): decode the A21B request frame in body, serve
-// every entry through serveFn, append the A21R response frame to dst. The
-// error is a frame that does not decode — the one failure that answers
-// the whole frame instead of an entry.
+// and the replica stream): walk the A21B request frame in body, naming each
+// entry by its own bytes (Intern), serve them through serveFn, append the
+// A21R response frame to dst. The error is a frame that does not decode —
+// the one failure that answers the whole frame instead of an entry.
 func ServeBatchFrame(ctx context.Context, body, dst []byte,
 	serveFn func(context.Context, []BatchItem) []BatchOutcome, errStatus func(error) int) ([]byte, error) {
-	entries, err := httpapi.DecodeBatchRequest(body)
+	w, err := httpapi.WalkBatchRequest(body)
 	if err != nil {
 		return dst, err
 	}
-	results := make([]httpapi.BatchResult, len(entries))
-	items := make([]BatchItem, 0, len(entries))
-	served := make([]int, 0, len(entries)) // results index per items index
-	for i, en := range entries {
-		p, perr := core.ParseParams(en.Params)
+	results := make([]httpapi.BatchResult, 0, w.Len())
+	items := make([]BatchItem, 0, w.Len())
+	for w.Next() {
+		ident, perr := Intern(w.ID, w.Run)
 		if perr != nil {
-			results[i] = httpapi.BatchResult{Status: http.StatusBadRequest, Msg: perr.Error()}
+			results = append(results, httpapi.BatchResult{Status: http.StatusBadRequest, Msg: perr.Error()})
 			continue
 		}
-		items = append(items, BatchItem{ID: en.ID, Params: p, Class: en.Class})
-		served = append(served, i)
+		items = append(items, BatchItem{ID: ident.id, Params: ident.params, Class: w.Class, Ident: ident})
+		results = append(results, httpapi.BatchResult{})
 	}
-	for j, o := range serveFn(ctx, items) {
-		i := served[j]
+	if w.Err != nil {
+		return dst, w.Err
+	}
+	i := -1
+	for _, o := range serveFn(ctx, items) {
+		for i++; results[i].Status != 0; i++ { // on to the next entry not rejected above
+		}
 		if o.Err != nil {
 			results[i] = httpapi.BatchResult{Status: errStatus(o.Err), Msg: o.Err.Error()}
 			continue

@@ -393,7 +393,7 @@ func (e *Engine) ServeWith(ctx context.Context, id string, p core.Params) (Respo
 	t0 := e.now()
 	class := admit.ClassFrom(ctx)
 
-	key, resolved, err := e.resolveKey(id, p)
+	key, resolved, err := resolveKey(id, p)
 	if err != nil {
 		return Response{}, err
 	}
@@ -448,7 +448,7 @@ func (e *Engine) ServeEncoded(ctx context.Context, id string, p core.Params) (Ra
 	t0 := e.now()
 	class := admit.ClassFrom(ctx)
 
-	key, resolved, err := e.resolveKey(id, p)
+	key, resolved, err := resolveKey(id, p)
 	if err != nil {
 		return RawResponse{}, err
 	}
@@ -472,7 +472,7 @@ func (e *Engine) ServeEncoded(ctx context.Context, id string, p core.Params) (Ra
 // resolveKey maps (id, params) to the cache key: the bare ID for
 // zero-param requests, the experiment's canonical grid-point key after
 // schema resolution otherwise.
-func (e *Engine) resolveKey(id string, p core.Params) (string, core.Params, error) {
+func resolveKey(id string, p core.Params) (string, core.Params, error) {
 	if len(p) == 0 {
 		return id, nil, nil
 	}
