@@ -39,8 +39,12 @@ bench:
 bench-serve:
 	$(GO) test -run xxx -bench 'BenchmarkServe' -benchmem .
 
+# bench-sweep is the quick reading of POST /v1/sweep over a fresh 64-point
+# E7 grid per call: the workload the closed-form Hill-Marty optimum and the
+# flush-when-about-to-wait stream (DESIGN §5) are judged on; ops are
+# points. The root BenchmarkSweep* stay reachable through `make bench`.
 bench-sweep:
-	$(GO) test -run xxx -bench 'BenchmarkSweep' -benchmem .
+	bash bench/run.sh --workload sweep-cold --seconds 5 --trace 0
 
 # bench-wire runs the repository benchmark's wire-warm workload (GET
 # /v1/run JSON over loopback; see bench/README.md) for a quick reading.
@@ -144,6 +148,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzParseRateSchedule -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run xxx -fuzz FuzzBatchFrame -fuzztime $(FUZZTIME) ./internal/httpapi
 	$(GO) test -run xxx -fuzz FuzzStreamMessage -fuzztime $(FUZZTIME) ./internal/httpapi
+	$(GO) test -run xxx -fuzz FuzzOptimalSymmetricR -fuzztime $(FUZZTIME) ./internal/multicore
 
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s

@@ -561,7 +561,7 @@ func TestBatchedDataPlaneDocs(t *testing.T) {
 		"coalescing queue", "router.BatchBackend", "ServeEncodedBatch",
 		"arch21_batch_flushes_total", "router.FlushReasonNames()",
 		"arch21_batched_requests_total", "arch21_batch_size",
-		"sweep.BatchServer", "exactly-once",
+		"sweep.Server", "exactly-once",
 		// The replica stream: handshake, caps, fallback, observability.
 		"GET /v1/stream", "`Upgrade: " + httpapi.StreamProtocol + "`", "http.Hijacker",
 		"httpapi.MaxBatchBytes", "httpapi.MaxStreamReplyBytes", "FuzzStreamMessage",

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/multicore"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -130,5 +133,34 @@ func TestIDOrdering(t *testing.T) {
 	}
 	if !idLess("E18", "T1") {
 		t.Fatal("E18 should sort before T1")
+	}
+}
+
+// TestE7MatchesLinearScan pins E7's encoded result to the bytes it has
+// when the symmetric optimum is found by scanning every integer r in
+// [1, n] — what multicore.OptimalSymmetricR did before it evaluated only
+// the integers around the closed-form optimum.
+func TestE7MatchesLinearScan(t *testing.T) {
+	exp, _ := ByID("E7")
+	for _, p := range []Params{nil, {"f": 0.9, "bces": 16}, {"f": 0.95, "bces": 256}, {"f": 0.99, "bces": 1024}} {
+		res, resolved, err := exp.RunWith(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, n := resolved.Float("f"), float64(resolved.Int("bces"))
+		var bestR, bestS float64
+		for r := 1.0; r <= n; r++ {
+			if s := multicore.SymmetricSpeedup(f, n, r); s > bestS {
+				bestS, bestR = s, r
+			}
+		}
+		want := res
+		want.Findings = append([]string(nil), res.Findings...)
+		want.Findings[0] = finding("symmetric optimum at r=%.0f with %.1fx (interior optimum: neither sea-of-small-cores nor one big core)", bestR, bestS)
+		want.SetHeadline(bestS)
+		if !bytes.Equal(res.Encode(), want.Encode()) {
+			t.Errorf("E7 %v: headline %v, %q; the scan gives %v, %q",
+				p, *res.Headline, res.Findings[0], bestS, want.Findings[0])
+		}
 	}
 }

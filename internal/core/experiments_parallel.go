@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cluster"
 	"repro/internal/multicore"
@@ -45,12 +46,17 @@ func runE7(ctx context.Context, p Params) Result {
 	sym := fig.AddSeries("symmetric")
 	asym := fig.AddSeries("asymmetric")
 	dyn := fig.AddSeries("dynamic")
-	rs := []float64{}
+	// The powers of two up to n, then n itself: sized once, a cold sweep
+	// runs this per point.
+	rs := make([]float64, 0, bits.Len(uint(n))+1)
 	for r := 1.0; r <= n; r *= 2 {
 		rs = append(rs, r)
 	}
 	if last := rs[len(rs)-1]; last != n {
 		rs = append(rs, n)
+	}
+	for _, s := range fig.Series {
+		s.Points = make([]report.Point, 0, len(rs))
 	}
 	for _, r := range rs {
 		sym.Add(r, multicore.SymmetricSpeedup(f, n, r))

@@ -23,8 +23,9 @@ func Perf(r float64) float64 { return math.Sqrt(r) }
 // cores of r BCEs each, on a workload with parallel fraction f.
 func SymmetricSpeedup(f float64, n, r float64) float64 {
 	checkFNR(f, n, r)
-	serial := (1 - f) / Perf(r)
-	parallel := f * r / (Perf(r) * n)
+	p := Perf(r)
+	serial := (1 - f) / p
+	parallel := f * r / (p * n)
 	return 1 / (serial + parallel)
 }
 
@@ -56,10 +57,30 @@ func checkFNR(f, n, r float64) {
 	}
 }
 
-// OptimalSymmetricR searches integer r in [1, n] maximizing symmetric
-// speedup.
+// OptimalSymmetricR returns the integer r in [1, n] maximizing symmetric
+// speedup (the lowest such r on a tie) and that speedup; (0, 0) when no
+// integer fits or f is NaN.
+//
+// ln SymmetricSpeedup = ½·ln r − ln((1−f) + f·r/n) has derivative
+// (f/2n)·(r*−r) / (r·((1−f) + f·r/n)) with r* = (1−f)·n/f: it rises up to
+// r*, falls after it, and on [1, n] peaks at c = clamp(r*, 1, ⌊n⌋).
+// Integrating that derivative, an integer d away from c is lower by a
+// relative d²/(24c²) or more, while the evaluation's rounding error is a
+// few 2⁻⁵³: the float maximum lies within 2 + c·2⁻²⁰ of c, so scanning
+// that window in ascending order with the same strict > picks exactly
+// what a scan of all of 1…n would.
 func OptimalSymmetricR(f float64, n float64) (bestR, bestSpeedup float64) {
-	for r := 1.0; r <= n; r++ {
+	top := math.Floor(n)
+	c := (1 - f) * n / f
+	if !(c >= 1) { // below range, or NaN from a NaN or infinite f
+		c = 1
+	}
+	if c > top {
+		c = top
+	}
+	w := 2 + math.Ceil(c*0x1p-20)
+	lo, hi := math.Max(1, math.Floor(c)-w), math.Min(top, math.Ceil(c)+w)
+	for r := lo; r <= hi; r++ {
 		if s := SymmetricSpeedup(f, n, r); s > bestSpeedup {
 			bestSpeedup, bestR = s, r
 		}

@@ -10,9 +10,9 @@
 // failures and lazily re-admits it after a successful probe; requests to
 // an unhealthy or failing owner fail over — bounded — to the next
 // distinct ring positions, so one wedged replica degrades capacity
-// instead of availability. The router satisfies sweep.Server, so POST
-// /sweep fans out through it unchanged, and internal/load measures it
-// like any other target.
+// instead of availability. The router satisfies sweep.Server (through
+// ServeEncodedBatch), so POST /sweep fans out through it unchanged, and
+// internal/load measures it like any other target.
 package router
 
 import (
@@ -266,8 +266,7 @@ func classify(err error) verdict {
 // it travels as the X-Arch21-Class and budget-decremented
 // X-Arch21-Deadline-MS headers, with backups marked X-Arch21-Hedge. A
 // shed answered by a replica (429) is a client-visible QoS verdict, not
-// a replica failure: no ejection, no failover. ServeWith satisfies
-// sweep.Server, so sweeps fan out through the router unchanged.
+// a replica failure: no ejection, no failover.
 func (r *Router) ServeWith(ctx context.Context, id string, p core.Params) (serve.Response, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -117,6 +117,9 @@ func (e *Engine) ServeEncodedBatchInto(ctx context.Context, items []BatchItem, b
 	if len(missIdx) == 0 {
 		return out
 	}
+	// The scheduler reads a miss's class from its context, so an item of
+	// another class than the call's gets a context of its own.
+	ctxClass := admit.ClassFrom(ctx)
 	sem := make(chan struct{}, batchMissParallel)
 	var wg sync.WaitGroup
 	for _, i := range missIdx {
@@ -126,13 +129,11 @@ func (e *Engine) ServeEncodedBatchInto(ctx context.Context, items []BatchItem, b
 			defer wg.Done()
 			defer func() { <-sem }()
 			it := &items[i]
-			// serveMissRaw reads the class from the context for its
-			// accounting; it must match the class counted above.
 			ictx := ctx
-			if admit.ClassFrom(ctx) != it.Class {
+			if ctxClass != it.Class {
 				ictx = admit.WithClass(ctx, it.Class)
 			}
-			rr, err := e.serveMissRaw(ictx, it.ID, out[i].RawResponse.Key,
+			rr, err := e.serveMissRaw(ictx, it.Class, it.ID, out[i].RawResponse.Key,
 				out[i].RawResponse.Params, e.now())
 			if err != nil {
 				out[i] = BatchOutcome{Err: err}

@@ -422,7 +422,7 @@ func (e *Engine) ServeWith(ctx context.Context, id string, p core.Params) (Respo
 		}
 	}
 
-	rr, err := e.serveMissRaw(ctx, id, key, resolved, t0)
+	rr, err := e.serveMissRaw(ctx, class, id, key, resolved, t0)
 	if err != nil {
 		return Response{}, err
 	}
@@ -466,7 +466,7 @@ func (e *Engine) ServeEncoded(ctx context.Context, id string, p core.Params) (Ra
 		return RawResponse{ID: id, Params: resolved, Key: key, Class: class,
 			Raw: raw, CacheHit: true, Latency: lat, tail: tail}, nil
 	}
-	return e.serveMissRaw(ctx, id, key, resolved, t0)
+	return e.serveMissRaw(ctx, class, id, key, resolved, t0)
 }
 
 // resolveKey maps (id, params) to the cache key: the bare ID for
@@ -493,9 +493,10 @@ func resolveKey(id string, p core.Params) (string, core.Params, error) {
 // and lands in exactly one bucket on the way out: hit (late leader — the
 // miss is taken back), deduped (follower, whatever the outcome), execution
 // (leader whose task ran, even to an error), or shed (leader rejected at
-// admission or canceled before start).
-func (e *Engine) serveMissRaw(ctx context.Context, id, key string, p core.Params, t0 time.Duration) (RawResponse, error) {
-	class := admit.ClassFrom(ctx)
+// admission or canceled before start). class is ctx's class, which every
+// caller has already read: the scheduler takes it from ctx, the books from
+// the argument.
+func (e *Engine) serveMissRaw(ctx context.Context, class admit.Class, id, key string, p core.Params, t0 time.Duration) (RawResponse, error) {
 	cc := &e.classes[class]
 	cc.misses.Add(1)
 	tb := e.tenantBook(ctx)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/core"
 	"repro/internal/report"
 )
@@ -200,7 +201,7 @@ func TestEngineLateLeaderServedFromCache(t *testing.T) {
 	// the miss path as a fresh flight leader (exactly what happens when
 	// the first leader's Set lands between Serve's cache probe and
 	// fg.Do).
-	r, err := e.serveMissRaw(context.Background(), "X1", "X1", nil, e.now())
+	r, err := e.serveMissRaw(context.Background(), admit.Interactive, "X1", "X1", nil, e.now())
 	if err != nil {
 		t.Fatalf("serveMissRaw: %v", err)
 	}

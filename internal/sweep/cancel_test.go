@@ -95,6 +95,11 @@ func TestDroppedSweepStreamCancelsInFlightPoints(t *testing.T) {
 	}
 }
 
+// errAborted marked the points Run's per-point fan-out skipped once its
+// sweep was doomed. The fan-out is gone and Run never returns it; it is
+// declared here only because the test below still names it.
+var errAborted = errors.New("sweep aborted")
+
 // sweep.Run itself reacts to caller cancellation: in-flight points are
 // canceled through the derived context and the sweep returns promptly
 // with the context error.

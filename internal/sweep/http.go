@@ -2,10 +2,16 @@ package sweep
 
 // POST /sweep — the HTTP face of the sweep engine. The request names an
 // experiment and its axes; the response streams NDJSON: one line per
-// completed grid point (in grid order, flushed as each lands) and one
-// final summary line carrying the aggregated report. Repeat sweeps are
-// served from the engine's memoizing cache, so a hot sweep streams at
-// cache speed. cmd/arch21d mounts this next to the engine's own handlers.
+// completed grid point (in grid order) and one final summary line
+// carrying the aggregated report. Lines are flushed when Run is about to
+// wait on the server — after a wave's last point, the summary line, the
+// terminal error line — not one by one: no line is ever held across a
+// wait for compute, so a client sees every point as soon as the server
+// has nothing newer to add, and a wave that is already computed goes out
+// in one write instead of one per point (net/http's own buffer writes
+// through when it fills). Repeat sweeps are served from the engine's
+// memoizing cache, so a hot sweep streams at cache speed. cmd/arch21d
+// mounts this next to the engine's own handlers.
 
 import (
 	"encoding/json"
@@ -39,6 +45,23 @@ type PointLine struct {
 	Findings  []string    `json:"findings,omitempty"`
 }
 
+// pointLine is the NDJSON line for one completed grid point.
+func pointLine(pt Point) PointLine {
+	pl := PointLine{
+		Point:     pt.Index,
+		Params:    pt.Params,
+		Key:       pt.Key,
+		CacheHit:  pt.CacheHit,
+		Shared:    pt.Shared,
+		LatencyMS: pt.Latency.Seconds() * 1e3,
+		Findings:  pt.Result.Findings,
+	}
+	if h, ok := Headline(pt.Result); ok {
+		pl.Headline = &h
+	}
+	return pl
+}
+
 // SummaryLine is the final NDJSON line.
 type SummaryLine struct {
 	Summary struct {
@@ -49,6 +72,18 @@ type SummaryLine struct {
 		Findings  []string `json:"findings,omitempty"`
 		Report    string   `json:"report"`
 	} `json:"summary"`
+}
+
+// summaryLine is the NDJSON line that closes a completed sweep.
+func summaryLine(sum Summary) SummaryLine {
+	var sl SummaryLine
+	sl.Summary.ID = sum.ID
+	sl.Summary.Points = sum.Points
+	sl.Summary.CacheHits = sum.CacheHits
+	sl.Summary.ElapsedMS = sum.Elapsed.Seconds() * 1e3
+	sl.Summary.Findings = sum.Aggregate.Findings
+	sl.Summary.Report = sum.Aggregate.Render()
+	return sl
 }
 
 // Handler returns the POST /sweep endpoint backed by the server (an
@@ -91,11 +126,13 @@ func Handler(srv Server) http.Handler {
 		w.WriteHeader(http.StatusOK)
 		enc := json.NewEncoder(w)
 		flusher, _ := w.(http.Flusher)
-		line := func(v any) error {
+		// line writes one NDJSON line; hold leaves it in the response
+		// buffer because the next line follows without a wait.
+		line := func(v any, hold bool) error {
 			if err := enc.Encode(v); err != nil {
 				return err
 			}
-			if flusher != nil {
+			if flusher != nil && !hold {
 				flusher.Flush()
 			}
 			return nil
@@ -112,33 +149,14 @@ func Handler(srv Server) http.Handler {
 			if err := r.Context().Err(); err != nil {
 				return err
 			}
-			pl := PointLine{
-				Point:     pt.Index,
-				Params:    pt.Params,
-				Key:       pt.Key,
-				CacheHit:  pt.CacheHit,
-				Shared:    pt.Shared,
-				LatencyMS: pt.Latency.Seconds() * 1e3,
-				Findings:  pt.Result.Findings,
-			}
-			if h, ok := Headline(pt.Result); ok {
-				pl.Headline = &h
-			}
-			return line(pl)
+			return line(pointLine(pt), pt.More)
 		})
 		if err != nil {
 			// The status line is already out; report the failure as a
 			// terminal NDJSON line instead.
-			_ = line(map[string]string{"error": err.Error()})
+			_ = line(map[string]string{"error": err.Error()}, false)
 			return
 		}
-		var sl SummaryLine
-		sl.Summary.ID = sum.ID
-		sl.Summary.Points = sum.Points
-		sl.Summary.CacheHits = sum.CacheHits
-		sl.Summary.ElapsedMS = sum.Elapsed.Seconds() * 1e3
-		sl.Summary.Findings = sum.Aggregate.Findings
-		sl.Summary.Report = sum.Aggregate.Render()
-		_ = line(sl)
+		_ = line(summaryLine(sum), false)
 	})
 }

@@ -3,12 +3,18 @@ package sweep
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/serve"
 )
 
 // sweepMux composes the endpoint the way cmd/arch21d mounts it.
@@ -142,5 +148,162 @@ func TestSweepEndpointRejects(t *testing.T) {
 	}
 	if execs.Load() != 0 {
 		t.Fatalf("rejected sweeps executed %d points", execs.Load())
+	}
+}
+
+// gatedEngine serves f < gateAt at once and holds every other point until
+// release is closed, announcing each held point on held.
+func gatedEngine(gateAt float64, held chan<- struct{}, release <-chan struct{}) *serve.Engine {
+	return serve.NewEngine(serve.Config{
+		Shards: 4, Workers: 2,
+		RunnerWith: func(ctx context.Context, id string, p core.Params) (core.Result, error) {
+			if f := p.Float("f"); f >= gateAt {
+				held <- struct{}{}
+				select {
+				case <-release:
+				case <-ctx.Done():
+					return core.Result{}, ctx.Err()
+				}
+			}
+			res := core.Result{Findings: []string{"point done"}}
+			res.SetHeadline(p.Float("f"))
+			return res, nil
+		},
+	})
+}
+
+// The invariant that replaced a flush per line: no emitted line is held
+// across a wait on the engine. With wave 2 blocked inside its runner, the
+// client already has every line of wave 1.
+func TestSweepStreamHoldsNoLineAcrossAWait(t *testing.T) {
+	held := make(chan struct{}, 4) // wave 2 is four points
+	release := make(chan struct{})
+	eng := gatedEngine(0.94, held, release)
+	defer eng.Close()
+	srv := httptest.NewServer(Handler(eng))
+	defer srv.Close()
+
+	// Eight points, parallelism 2: two waves of four; the gate shuts on
+	// wave 2's first f value.
+	body := `{"id":"E7","params":["f=0.9:0.97:0.01"],"parallelism":2}`
+	resp, err := srv.Client().Post(srv.URL+"/sweep", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	point := func(want int) {
+		t.Helper()
+		var pl PointLine
+		if !sc.Scan() {
+			t.Fatalf("stream ended before point %d: %v", want, sc.Err())
+		}
+		if err := json.Unmarshal(sc.Bytes(), &pl); err != nil || pl.Point != want || len(pl.Findings) != 1 {
+			t.Fatalf("line %q (%v), want point %d", sc.Text(), err, want)
+		}
+	}
+	// These reads would block for good if wave 1's lines sat in the
+	// server's buffer while it waits on wave 2.
+	for i := 0; i < 4; i++ {
+		point(i)
+	}
+	<-held // wave 2 is inside the engine, and stays there until released
+	close(release)
+	for i := 4; i < 8; i++ {
+		point(i)
+	}
+	var sl SummaryLine
+	if !sc.Scan() || json.Unmarshal(sc.Bytes(), &sl) != nil || sl.Summary.Points != 8 {
+		t.Fatalf("summary line %q: %v", sc.Text(), sc.Err())
+	}
+	if sc.Scan() {
+		t.Fatalf("line after the summary: %q", sc.Text())
+	}
+}
+
+// flushCounter is a recording ResponseWriter that counts Flush calls.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (f *flushCounter) Flush() { f.flushes++ }
+
+var wallClockFields = regexp.MustCompile(`"(latency_ms|elapsed_ms)":[^,}]+`)
+
+// A sweep flushes once per wave and once for the summary, and what it
+// writes is what one Encode per line writes: the same lines, in order.
+func TestSweepFlushesPerWaveNotPerLine(t *testing.T) {
+	var execs atomic.Int64
+	eng := countingEngine(&execs)
+	defer eng.Close()
+	axes := []string{"f=0.6:0.95:0.05", "bces=16:3516:500"} // 8 x 8, waves of 16
+	reqBody, _ := json.Marshal(Request{ID: "E7", Params: axes})
+	w := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+	Handler(eng).ServeHTTP(w, httptest.NewRequest("POST", "/sweep", bytes.NewReader(reqBody)))
+	if w.Code != http.StatusOK || execs.Load() != 64 {
+		t.Fatalf("status %d, %d executions", w.Code, execs.Load())
+	}
+	if w.flushes < 1 || w.flushes > 4+1 {
+		t.Fatalf("%d Flush calls for 4 waves + summary, want at most 5", w.flushes)
+	}
+
+	// The reference: the same sweep on a fresh engine, one Encode per
+	// point and one for the summary.
+	ref := countingEngine(new(atomic.Int64))
+	defer ref.Close()
+	sp, err := ParseSpec("E7", axes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	sum, err := Run(context.Background(), ref, sp, func(pt Point) error { return enc.Encode(pointLine(pt)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(summaryLine(sum)); err != nil {
+		t.Fatal(err)
+	}
+	mask := func(b []byte) []string {
+		return strings.Split(string(wallClockFields.ReplaceAll(b, []byte(`"$1":0`))), "\n")
+	}
+	got, ref65 := mask(w.Body.Bytes()), mask(want.Bytes())
+	if len(got) != 64+1+1 || len(ref65) != len(got) { // the last element is the empty tail
+		t.Fatalf("%d lines streamed, reference has %d, want 66", len(got), len(ref65))
+	}
+	for i := range got {
+		if got[i] != ref65[i] {
+			t.Fatalf("line %d:\n got %s\nwant %s", i, got[i], ref65[i])
+		}
+	}
+}
+
+// A point failing mid-wave ends the stream with the points before it and
+// a terminal error line, flushed.
+func TestSweepMidStreamErrorLine(t *testing.T) {
+	eng := serve.NewEngine(serve.Config{
+		Shards: 4, Workers: 2,
+		RunnerWith: func(_ context.Context, id string, p core.Params) (core.Result, error) {
+			if p.Float("f") == 0.92 {
+				return core.Result{}, errors.New("model diverged")
+			}
+			return core.Result{Findings: []string{"ok 1"}}, nil
+		},
+	})
+	defer eng.Close()
+	w := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+	Handler(eng).ServeHTTP(w, httptest.NewRequest("POST", "/sweep",
+		strings.NewReader(`{"id":"E7","params":["f=0.9,0.91,0.92,0.93"]}`)))
+	lines := ndjsonLines(t, w.Body)
+	if w.Code != http.StatusOK || len(lines) != 3 {
+		t.Fatalf("status %d, %d lines, want points 0, 1 and the error line", w.Code, len(lines))
+	}
+	msg, _ := lines[2]["error"].(string)
+	if !strings.Contains(msg, "point 2") || !strings.Contains(msg, "model diverged") {
+		t.Fatalf("terminal line = %v", lines[2])
+	}
+	if w.flushes != 1 {
+		t.Fatalf("%d Flush calls, want 1 (the error line carries the two held points out)", w.flushes)
 	}
 }

@@ -1,16 +1,16 @@
 // Package sweep fans a parameter grid out over the serving engine: it
 // parses axis specifications ("f=0.9:0.99:0.03", "bces=64,256", "gens=8"),
 // expands their cross product in row-major order (first axis slowest),
-// runs every grid point through serve.Engine.ServeWith — so each point is
-// validated against the experiment's declared schema, memoized under a
-// params-folded cache key, deduplicated by singleflight, and admitted as
-// batch class through the engine's QoS scheduler (a sweep can never
-// starve interactive traffic) — and aggregates the per-point results into
-// one combined report.Table (plus a report.Figure for 1- and 2-axis
-// sweeps).
-// Points stream to the caller in grid order as they complete, which is
-// what cmd/arch21's sweep subcommand prints and what the POST /sweep
-// NDJSON endpoint writes line by line. The whole pipeline is
+// serves the grid in waves through the engine's (or the router's) batched
+// multi-get — so each point is validated against the experiment's
+// declared schema, memoized under a params-folded cache key, deduplicated
+// by singleflight, and admitted as batch class through the engine's QoS
+// scheduler (a sweep can never starve interactive traffic) — and
+// aggregates the per-point results into one combined report.Table (plus a
+// report.Figure for 1- and 2-axis sweeps).
+// Points stream to the caller in grid order, wave by wave, which is what
+// cmd/arch21's sweep subcommand prints and what the POST /sweep NDJSON
+// endpoint writes line by line. The whole pipeline is
 // deterministic: the same spec always yields the same grid, the same
 // per-point results, and the same aggregate, whether served cold or from
 // cache.
@@ -18,13 +18,10 @@ package sweep
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"regexp"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/admit"
@@ -33,22 +30,17 @@ import (
 	"repro/internal/serve"
 )
 
-// errAborted marks grid points skipped because the sweep was already
-// doomed when they would have started.
-var errAborted = errors.New("sweep aborted")
-
 // MaxPoints bounds a single sweep's grid so a fat-fingered step cannot
 // queue an unbounded amount of work.
 const MaxPoints = 4096
 
-// defaultParallelism bounds in-flight ServeWith calls per sweep. The
-// engine's worker pool already bounds cold compute; this only caps how
-// many points can simultaneously occupy the pool's queue.
+// defaultParallelism sets a sweep's wave to 16 points. The engine's
+// scheduler already bounds cold compute; this only caps how many points
+// one sweep has in front of it at once.
 const defaultParallelism = 8
 
 // maxParallelism clamps Spec.Parallelism, which reaches Run straight from
-// the POST /sweep body: one worker goroutine is spawned per unit, so an
-// unclamped value would be a remote goroutine bomb.
+// the POST /sweep body and sizes each wave's batch call.
 const maxParallelism = 64
 
 // Axis is one swept parameter: a name and the ordered values it takes.
@@ -67,7 +59,8 @@ type Spec struct {
 	ID string
 	// Axes are the swept parameters.
 	Axes []Axis
-	// Parallelism caps concurrently in-flight points (default 8).
+	// Parallelism sizes the waves the grid is served in: 2*Parallelism
+	// points per batch call (default 8, at most 64).
 	Parallelism int
 }
 
@@ -253,23 +246,14 @@ func (sp Spec) Grid() []core.Params {
 	return grid
 }
 
-// Server is the serving surface a sweep fans out over: anything that can
-// serve one (experiment, assignment) point under a request context. The
-// in-process serve.Engine satisfies it, and so does router.Router — which
-// is how a POST /sweep against a routing front-end lands each grid point
-// on its owning replica.
+// Server is the serving surface a sweep fans out over: a multi-get that
+// serves many (experiment, assignment) points in one call. serve.Engine
+// satisfies it, and so does router.Router — which is how a POST /sweep
+// against a routing front-end lands each grid point on its owning replica,
+// one wave becoming one batch exchange per replica instead of a request
+// per point. Placement and memoization are those of a single request, so
+// exactly-once cluster-wide is preserved.
 type Server interface {
-	ServeWith(ctx context.Context, id string, p core.Params) (serve.Response, error)
-}
-
-// BatchServer is the optional multi-get surface a sweep prefers when the
-// server offers it: many grid points served in one call. serve.Engine
-// and router.Router both satisfy it — through the router, one wave
-// becomes one batch exchange per owning replica instead of a request
-// per point, which is where a cluster sweep's wall time goes. Placement
-// and memoization are identical to the per-point path, so exactly-once
-// cluster-wide is preserved.
-type BatchServer interface {
 	ServeEncodedBatch(ctx context.Context, items []serve.BatchItem) []serve.BatchOutcome
 }
 
@@ -281,13 +265,20 @@ type Point struct {
 	Params core.Params
 	// Key is the engine cache key the point is memoized under.
 	Key string
-	// Result is the experiment output at this point.
+	// Result is the experiment output at this point, as far as a sweep
+	// reads it: Headline and Findings. Table and Figure are not decoded
+	// and stay nil.
 	Result core.Result
 	// CacheHit and Shared report how the engine satisfied the point.
 	CacheHit bool
 	Shared   bool
 	// Latency is the point's wall time inside the engine.
 	Latency time.Duration
+	// More reports that the next point is already computed and follows
+	// without a wait on the server: a streaming consumer may hold this
+	// point in its buffer. When false, Run is about to wait (or is done)
+	// and whatever is buffered should go out now.
+	More bool
 }
 
 // Summary is one completed sweep.
@@ -309,18 +300,21 @@ type Summary struct {
 
 // Run executes the sweep on the server (an engine or a router), streaming
 // each completed point to emit (in grid order) and returning the
-// aggregate. Points run concurrently — bounded by Spec.Parallelism and,
-// for cold compute, by the engine's admission scheduler — but emission is
-// strictly ordered, so output is deterministic. A nil emit just skips
-// streaming. The first point error aborts the sweep.
+// aggregate. The grid is served in sequential waves of 2*Parallelism
+// points, each wave one ServeEncodedBatch call: within a wave points run
+// concurrently (bounded by the server's own miss fan-out and, for cold
+// compute, by the engine's admission scheduler), and a wave's points
+// stream before the next wave ships, so output is deterministic. A nil
+// emit just skips streaming. The first point error aborts the sweep.
 //
 // Grid points run as batch class (unless ctx carries an explicit class
 // already): a sweep is bulk work, and the engine's scheduler must never
 // let it starve interactive traffic. When the sweep aborts — a point
 // fails, emit errors (the NDJSON client hung up), or ctx itself is
-// canceled — the derived context is canceled too, so points already
-// executing stop at their next iteration boundary instead of grinding to
-// completion: cancellation reaches running work, not just queued points.
+// canceled — the derived context is canceled too, so points the wave
+// left executing stop at their next iteration boundary instead of
+// grinding to completion: cancellation reaches running work, not just
+// queued points.
 func Run(ctx context.Context, srv Server, sp Spec, emit func(Point) error) (Summary, error) {
 	exp, err := sp.Validate()
 	if err != nil {
@@ -329,8 +323,10 @@ func Run(ctx context.Context, srv Server, sp Spec, emit func(Point) error) (Summ
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if _, tagged := admit.ClassFromContext(ctx); !tagged {
-		ctx = admit.WithClass(ctx, admit.Batch)
+	class, tagged := admit.ClassFromContext(ctx)
+	if !tagged {
+		class = admit.Batch
+		ctx = admit.WithClass(ctx, class)
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -343,115 +339,14 @@ func Run(ctx context.Context, srv Server, sp Spec, emit func(Point) error) (Summ
 	if par > maxParallelism {
 		par = maxParallelism
 	}
-	if par > len(grid) {
-		par = len(grid)
-	}
-	if bs, ok := srv.(BatchServer); ok {
-		return runBatched(ctx, bs, exp, sp, grid, par, t0, emit)
-	}
-
-	type outcome struct {
-		resp serve.Response
-		err  error
-	}
-	results := make([]outcome, len(grid))
-	done := make([]chan struct{}, len(grid))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	// aborted short-circuits not-yet-started points once the sweep is
-	// doomed (a point failed or the consumer went away), so an abandoned
-	// large sweep stops occupying the engine instead of grinding through
-	// thousands of results nobody will read. In-flight points (at most
-	// par) are canceled through ctx and stop at their next iteration
-	// boundary. par fixed workers pull indices off a channel — not one
-	// goroutine per point, which would stack up O(grid) goroutines per
-	// request just to block on a semaphore.
-	var aborted atomic.Bool
-	abort := func() {
-		aborted.Store(true)
-		cancel()
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if aborted.Load() || ctx.Err() != nil {
-					results[i] = outcome{err: errAborted}
-					close(done[i])
-					continue
-				}
-				resp, err := srv.ServeWith(ctx, sp.ID, grid[i])
-				results[i] = outcome{resp, err}
-				close(done[i])
-			}
-		}()
-	}
-	go func() {
-		defer close(idx)
-		for i := range grid {
-			idx <- i
-		}
-	}()
-	defer wg.Wait()
-
-	sum := Summary{ID: sp.ID, Axes: sp.Axes, Points: len(grid)}
-	points := make([]Point, 0, len(grid))
-	for i := range grid {
-		<-done[i]
-		out := results[i]
-		if out.err != nil {
-			abort()
-			return Summary{}, fmt.Errorf("sweep: %s point %d: %w", sp.ID, i, out.err)
-		}
-		pt := Point{
-			Index:    i,
-			Params:   grid[i],
-			Key:      out.resp.Key,
-			Result:   out.resp.Result,
-			CacheHit: out.resp.CacheHit,
-			Shared:   out.resp.Shared,
-			Latency:  out.resp.Latency,
-		}
-		if pt.CacheHit {
-			sum.CacheHits++
-		}
-		if emit != nil {
-			if err := emit(pt); err != nil {
-				abort()
-				return Summary{}, err
-			}
-		}
-		points = append(points, pt)
-	}
-	sum.Elapsed = time.Since(t0)
-	sum.Aggregate = aggregate(exp, sp, points)
-	return sum, nil
-}
-
-// runBatched is Run's fan-out over a BatchServer: the grid is served in
-// sequential waves of 2*Parallelism points, each wave one
-// ServeEncodedBatch call (which the router regroups into one exchange
-// per owning replica). Emission stays strictly ordered — a wave's
-// points stream before the next wave ships — and the first point error
-// (or emit error) aborts exactly like the per-point path: ctx
-// cancellation reaches whatever the wave left running.
-func runBatched(ctx context.Context, bs BatchServer, exp core.Experiment, sp Spec, grid []core.Params, par int, t0 time.Time, emit func(Point) error) (Summary, error) {
-	// Twice the per-point worker count: enough batching to amortize the
-	// exchange, small enough that a doomed sweep stops within one wave.
-	wave := 2 * par
-	class := admit.ClassFrom(ctx)
+	// Twice the parallelism: enough batching to amortize the exchange,
+	// small enough that a doomed sweep stops within one wave.
+	wave := min(2*par, len(grid))
 	sum := Summary{ID: sp.ID, Axes: sp.Axes, Points: len(grid)}
 	points := make([]Point, 0, len(grid))
 	items := make([]serve.BatchItem, 0, wave)
 	for lo := 0; lo < len(grid); lo += wave {
-		hi := lo + wave
-		if hi > len(grid) {
-			hi = len(grid)
-		}
+		hi := min(lo+wave, len(grid))
 		if err := ctx.Err(); err != nil {
 			return Summary{}, fmt.Errorf("sweep: %s point %d: %w", sp.ID, lo, err)
 		}
@@ -459,12 +354,14 @@ func runBatched(ctx context.Context, bs BatchServer, exp core.Experiment, sp Spe
 		for i := lo; i < hi; i++ {
 			items = append(items, serve.BatchItem{ID: sp.ID, Params: grid[i], Class: class})
 		}
-		for j, out := range bs.ServeEncodedBatch(ctx, items) {
+		for j, out := range srv.ServeEncodedBatch(ctx, items) {
 			i := lo + j
 			if out.Err != nil {
 				return Summary{}, fmt.Errorf("sweep: %s point %d: %w", sp.ID, i, out.Err)
 			}
-			res, err := out.RawResponse.Result()
+			// Nothing downstream of a sweep reads a point's table or
+			// figure, so they are skipped, not decoded.
+			res, err := core.DecodeSummary(out.RawResponse.Raw)
 			if err != nil {
 				return Summary{}, fmt.Errorf("sweep: %s point %d: bad result payload: %w", sp.ID, i, err)
 			}
@@ -476,6 +373,7 @@ func runBatched(ctx context.Context, bs BatchServer, exp core.Experiment, sp Spe
 				CacheHit: out.RawResponse.CacheHit,
 				Shared:   out.RawResponse.Shared,
 				Latency:  out.RawResponse.Latency,
+				More:     i+1 < hi,
 			}
 			if pt.CacheHit {
 				sum.CacheHits++

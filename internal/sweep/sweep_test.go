@@ -351,9 +351,9 @@ func TestSweepAbortSkipsQueuedPoints(t *testing.T) {
 	}
 }
 
-// Parallelism reaches Run straight from the POST /sweep body and spawns
-// one worker goroutine per unit, so it must be clamped — an absurd value
-// must neither fail nor materialize absurd concurrency.
+// Parallelism reaches Run straight from the POST /sweep body and sizes
+// each wave's batch call, so it must be clamped — an absurd value must
+// neither fail nor materialize absurd concurrency.
 func TestSweepClampsParallelism(t *testing.T) {
 	var execs atomic.Int64
 	eng := countingEngine(&execs)
