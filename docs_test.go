@@ -516,7 +516,8 @@ func TestSlabCacheDocs(t *testing.T) {
 
 // The batched-data-plane docs cannot drift: DESIGN.md §4 must document
 // the batch frame format with the exact magics, version, and bounds the
-// codec exports, plus the fuzz target; §7 must document the coalescing
+// codec exports, plus the fuzz target, and the one JSON appender; §5 the
+// miss pass and the sweep stream; §7 must document the coalescing
 // queue with the exact flush-reason vocabulary the router exports (both
 // directions — every exported reason must be documented, and the
 // documented metric families are already pinned both ways against the
@@ -541,9 +542,26 @@ func TestBatchedDataPlaneDocs(t *testing.T) {
 		"httpapi.BatchVersion", "outcome word",
 		"httpapi.MaxBatchEntries", "httpapi.MaxBatchBytes",
 		"ErrBatchFrame", "httpapi.GetBuffer", "FuzzBatchFrame",
+		// The one JSON appender and its three callers.
+		"httpapi.AppendJSONString", "httpapi.AppendJSONFloat", "FuzzAppendJSONString",
 	} {
 		if !strings.Contains(sec4, want) {
 			t.Errorf("DESIGN.md §4 no longer documents %q", want)
+		}
+	}
+	// §5: the miss pass and the hand-appended stream, by the names the
+	// code uses.
+	s6 := strings.Index(doc, "## §6")
+	if s6 <= s5 {
+		t.Fatal("DESIGN.md lost its §5/§6 structure")
+	}
+	sec5 := strings.Join(strings.Fields(doc[s5:s6]), " ")
+	for _, want := range []string{
+		"Engine.serveMisses", "sched.Workers()", "serveMissRaw", "BenchmarkColdWave", "BenchmarkColdFloor",
+		"misspass_test.go", "httpapi.AppendJSONString", "httpapi.GetBuffer", "one `Write`", "Point.More",
+	} {
+		if !strings.Contains(sec5, want) {
+			t.Errorf("DESIGN.md §5 no longer documents %q", want)
 		}
 	}
 
@@ -558,7 +576,7 @@ func TestBatchedDataPlaneDocs(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"coalescing queue", "router.BatchBackend", "ServeEncodedBatch",
+		"coalescing queue", "router.BatchBackend", "ServeEncodedBatch", "httpapi.AppendJSONString",
 		"arch21_batch_flushes_total", "router.FlushReasonNames()",
 		"arch21_batched_requests_total", "arch21_batch_size",
 		"sweep.Server", "exactly-once",

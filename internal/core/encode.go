@@ -38,7 +38,13 @@ func (r Result) Encode() []byte {
 	if r.Headline != nil {
 		flags |= flagHeadline
 	}
-	buf := make([]byte, 0, 1+len(tbl)+len(fig)+64)
+	// Sized once: flags, headline, and a varint of at most 10 bytes before
+	// each chunk, the findings count and each finding.
+	size := 1 + 8 + len(tbl) + len(fig) + binary.MaxVarintLen64*(3+len(r.Findings))
+	for _, f := range r.Findings {
+		size += len(f)
+	}
+	buf := make([]byte, 0, size)
 	buf = append(buf, flags)
 	if r.Headline != nil {
 		var w [8]byte
@@ -134,6 +140,9 @@ func decodeResult(buf []byte, withReport bool) (Result, error) {
 	nf, err := uvarint()
 	if err != nil {
 		return r, err
+	}
+	if nf > 0 { // sized once; a finding is at least its length byte, which bounds a corrupt count
+		r.Findings = make([]string, 0, min(nf, uint64(len(buf)-off)))
 	}
 	for i := uint64(0); i < nf; i++ {
 		c, err := chunk()

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"repro/internal/report"
@@ -55,6 +58,47 @@ func TestResultEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// referenceTableEncode and referenceFigureEncode write report's codec
+// the way it was written before Encode sized its buffer: growing from 64
+// bytes, one append at a time.
+func referenceTableEncode(t *report.Table) []byte {
+	b := append(make([]byte, 0, 64), 0x01)
+	str := func(s string) { b = append(binary.AppendUvarint(b, uint64(len(s))), s...) }
+	str(t.Title)
+	str(t.Note)
+	b = binary.AppendUvarint(b, uint64(len(t.Headers)))
+	for _, h := range t.Headers {
+		str(h)
+	}
+	b = binary.AppendUvarint(b, uint64(len(t.Rows)))
+	for _, r := range t.Rows {
+		b = binary.AppendUvarint(b, uint64(len(r)))
+		for _, c := range r {
+			str(c)
+		}
+	}
+	return b
+}
+
+func referenceFigureEncode(f *report.Figure) []byte {
+	b := append(make([]byte, 0, 64), 0x02)
+	str := func(s string) { b = append(binary.AppendUvarint(b, uint64(len(s))), s...) }
+	str(f.Title)
+	str(f.XLabel)
+	str(f.YLabel)
+	str(f.Note)
+	b = binary.AppendUvarint(b, uint64(len(f.Series)))
+	for _, s := range f.Series {
+		str(s.Name)
+		b = binary.AppendUvarint(b, uint64(len(s.Points)))
+		for _, p := range s.Points {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.X))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.Y))
+		}
+	}
+	return b
+}
+
 // TestEveryExperimentResultRoundTrips guards the serve-cache contract: each
 // registered experiment's output must survive Encode/Decode byte-for-byte at
 // the rendered level.
@@ -72,6 +116,13 @@ func TestEveryExperimentResultRoundTrips(t *testing.T) {
 			}
 			if got.Render() != res.Render() {
 				t.Fatalf("%s: render mismatch across codec round trip", e.ID)
+			}
+			// The sized-once encoders write the bytes the growing ones wrote.
+			if res.Table != nil && !bytes.Equal(res.Table.Encode(), referenceTableEncode(res.Table)) {
+				t.Fatalf("%s: Table.Encode differs from the reference encoding", e.ID)
+			}
+			if res.Figure != nil && !bytes.Equal(res.Figure.Encode(), referenceFigureEncode(res.Figure)) {
+				t.Fatalf("%s: Figure.Encode differs from the reference encoding", e.ID)
 			}
 		})
 	}

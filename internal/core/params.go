@@ -257,21 +257,22 @@ func (e Experiment) RunWith(ctx context.Context, p Params) (Result, Params, erro
 // "E7?bces=512&f=0.99". The assignment should already be resolved; missing
 // names are treated as defaults.
 func (e Experiment) CacheKey(resolved Params) string {
-	var b strings.Builder
-	b.WriteString(e.ID)
+	var buf [96]byte // a few assignments format on the stack: one allocation, the key
+	b := append(buf[:0], e.ID...)
 	sep := byte('?')
 	for _, s := range e.Params {
 		v, ok := resolved[s.Name]
 		if !ok || v == s.Default {
 			continue
 		}
-		b.WriteByte(sep)
+		b = append(append(append(b, sep), s.Name...), '=')
+		b = strconv.AppendFloat(b, v, 'g', -1, 64) // FormatParamValue's form
 		sep = '&'
-		b.WriteString(s.Name)
-		b.WriteByte('=')
-		b.WriteString(FormatParamValue(v))
 	}
-	return b.String()
+	if len(b) == len(e.ID) {
+		return e.ID
+	}
+	return string(b)
 }
 
 // ParseParams parses "name=value" assignments (one per element) against no

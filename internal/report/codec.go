@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Codec kind tags (first byte of every encoded payload).
@@ -38,6 +39,12 @@ func (e *encoder) str(s string) {
 	e.uvarint(uint64(len(s)))
 	e.buf = append(e.buf, s...)
 }
+
+// uvarintLen and strLen are the bytes uvarint(v) and str(s) append, so
+// Encode can size its buffer once.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+func strLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
 
 func (e *encoder) float(f float64) {
 	var w [8]byte
@@ -83,7 +90,17 @@ func (d *decoder) float() (float64, error) {
 
 // Encode serializes the table.
 func (t *Table) Encode() []byte {
-	e := &encoder{buf: make([]byte, 0, 64)}
+	size := 1 + strLen(t.Title) + strLen(t.Note) + uvarintLen(uint64(len(t.Headers))) + uvarintLen(uint64(len(t.Rows)))
+	for _, h := range t.Headers {
+		size += strLen(h)
+	}
+	for _, r := range t.Rows {
+		size += uvarintLen(uint64(len(r)))
+		for _, c := range r {
+			size += strLen(c)
+		}
+	}
+	e := &encoder{buf: make([]byte, 0, size)}
 	e.buf = append(e.buf, kindTable)
 	e.str(t.Title)
 	e.str(t.Note)
@@ -158,7 +175,11 @@ func DecodeTable(buf []byte) (*Table, error) {
 
 // Encode serializes the figure.
 func (f *Figure) Encode() []byte {
-	e := &encoder{buf: make([]byte, 0, 64)}
+	size := 1 + strLen(f.Title) + strLen(f.XLabel) + strLen(f.YLabel) + strLen(f.Note) + uvarintLen(uint64(len(f.Series)))
+	for _, s := range f.Series {
+		size += strLen(s.Name) + uvarintLen(uint64(len(s.Points))) + 16*len(s.Points)
+	}
+	e := &encoder{buf: make([]byte, 0, size)}
 	e.buf = append(e.buf, kindFigure)
 	e.str(f.Title)
 	e.str(f.XLabel)

@@ -7,7 +7,9 @@ package report
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a titled grid of string cells with a header row.
@@ -56,11 +58,11 @@ func FormatFloat(v float64) string {
 	case v == 0:
 		return "0"
 	case av >= 1e7 || av < 1e-3:
-		return fmt.Sprintf("%.3g", v)
+		return strconv.FormatFloat(v, 'g', 3, 64)
 	case v == float64(int64(v)) && av < 1e7:
-		return fmt.Sprintf("%d", int64(v))
+		return strconv.FormatInt(int64(v), 10)
 	default:
-		return fmt.Sprintf("%.4g", v)
+		return strconv.FormatFloat(v, 'g', 4, 64)
 	}
 }
 
@@ -87,14 +89,21 @@ func (t *Table) widths() []int {
 	return w
 }
 
-// String renders the table as aligned ASCII.
+// String renders the table as aligned ASCII. A column is as wide as its
+// longest cell in bytes and a cell is padded up to that many runes, as
+// fmt's %-*s pads: a multi-byte cell stands out by its extra bytes.
 func (t *Table) String() string {
 	var b strings.Builder
 	if t.Title != "" {
 		b.WriteString(t.Title + "\n")
 	}
 	w := t.widths()
-	line := func(cells []string) {
+	total := 1
+	for _, n := range w {
+		total += n + 2
+	}
+	b.Grow(total * (len(t.Rows) + 2))
+	line := func(cells []string, pad byte) {
 		for i := 0; i < len(w); i++ {
 			c := ""
 			if i < len(cells) {
@@ -103,18 +112,17 @@ func (t *Table) String() string {
 			if i > 0 {
 				b.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", w[i], c)
+			b.WriteString(c)
+			for n := w[i] - utf8.RuneCountInString(c); n > 0; n-- {
+				b.WriteByte(pad)
+			}
 		}
 		b.WriteString("\n")
 	}
-	line(t.Headers)
-	sep := make([]string, len(w))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", w[i])
-	}
-	line(sep)
+	line(t.Headers, ' ')
+	line(nil, '-')
 	for _, r := range t.Rows {
-		line(r)
+		line(r, ' ')
 	}
 	if t.Note != "" {
 		b.WriteString("note: " + t.Note + "\n")

@@ -16,6 +16,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/admit"
 	"repro/internal/core"
@@ -46,16 +47,11 @@ type BatchOutcome struct {
 	Err         error
 }
 
-// batchMissParallel bounds concurrent miss dispatches per batch call:
-// the scheduler's worker pool already bounds cold compute, this only
-// caps how many goroutines one frame can occupy at once.
-const batchMissParallel = 8
-
 // ServeEncodedBatch serves every item and returns outcomes in item
 // order. Warm hits are served inline (one slab read each, no goroutine);
-// misses run concurrently — bounded by batchMissParallel — through
-// serveMissRaw, so a batch of cold points still deduplicates against
-// concurrent single requests and sheds under the same admission policy.
+// misses run concurrently through serveMissRaw (see serveMisses), so a
+// batch of cold points still deduplicates against concurrent single
+// requests and sheds under the same admission policy.
 // One item's failure never fails its siblings. The context carries the
 // caller's tenant, deadline, and cancellation; each item's class comes
 // from the item itself.
@@ -114,36 +110,48 @@ func (e *Engine) ServeEncodedBatchInto(ctx context.Context, items []BatchItem, b
 		out[i].RawResponse = RawResponse{Key: key, Params: resolved}
 		missIdx = append(missIdx, i)
 	}
-	if len(missIdx) == 0 {
-		return out
+	if len(missIdx) > 0 {
+		e.serveMisses(ctx, items, out, missIdx)
 	}
+	return out
+}
+
+// serveMisses is the batch call's miss pass: min(len(misses), Workers())
+// goroutines each take the next miss off one counter and serve it through
+// serveMissRaw — singleflight, admission, shedding, books and cancellation
+// are a single request's. The scheduler runs Workers() tasks at once, so
+// more goroutines would only queue, and one per miss regrows its stack
+// through flight, scheduler and select each time where a reused one grows
+// once. out[i] carries in each miss's resolved key and params. A method of
+// its own, so an all-hit call allocates nothing for the goroutines' captures.
+func (e *Engine) serveMisses(ctx context.Context, items []BatchItem, out []BatchOutcome, misses []int) {
 	// The scheduler reads a miss's class from its context, so an item of
 	// another class than the call's gets a context of its own.
 	ctxClass := admit.ClassFrom(ctx)
-	sem := make(chan struct{}, batchMissParallel)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for _, i := range missIdx {
-		sem <- struct{}{}
+	for g := min(len(misses), e.sched.Workers()); g > 0; g-- {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			it := &items[i]
-			ictx := ctx
-			if ctxClass != it.Class {
-				ictx = admit.WithClass(ctx, it.Class)
+			for k := next.Add(1) - 1; k < int64(len(misses)); k = next.Add(1) - 1 {
+				i := misses[k]
+				it := &items[i]
+				ictx := ctx
+				if ctxClass != it.Class {
+					ictx = admit.WithClass(ctx, it.Class)
+				}
+				rr, err := e.serveMissRaw(ictx, it.Class, it.ID, out[i].RawResponse.Key,
+					out[i].RawResponse.Params, e.now())
+				if err != nil {
+					out[i] = BatchOutcome{Err: err}
+					continue
+				}
+				out[i].RawResponse = rr
 			}
-			rr, err := e.serveMissRaw(ictx, it.Class, it.ID, out[i].RawResponse.Key,
-				out[i].RawResponse.Params, e.now())
-			if err != nil {
-				out[i] = BatchOutcome{Err: err}
-				return
-			}
-			out[i].RawResponse = rr
-		}(i)
+		}()
 	}
 	wg.Wait()
-	return out
 }
 
 // BatchErrStatus maps one item's serving error onto the HTTP status its

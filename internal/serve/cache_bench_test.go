@@ -9,6 +9,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -149,5 +150,83 @@ func BenchmarkEngineBoot(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		bootBenchEngine(b).Close()
+	}
+}
+
+// coldWave returns n E7 points no earlier call asked for: 8 values of bces
+// under an f that moves by 1e-7 per point-group, as the repository
+// benchmark's sweep-cold grids do.
+func coldWave(items []BatchItem, n int, fresh *int) []BatchItem {
+	items = items[:0]
+	for i := 0; i < n; i++ {
+		*fresh++
+		items = append(items, BatchItem{ID: "E7", Params: core.Params{
+			"f": 0.55 + float64(*fresh/8)*1e-7, "bces": float64(16 + 500*(*fresh%8))}})
+	}
+	return items
+}
+
+// What dispatch costs a cold point, and its floor: BenchmarkColdWave serves
+// waves of fresh E7 points through ServeEncodedBatch into a 4 MiB cache
+// (resolve, miss pass, singleflight, admission, run, Encode, Set, books);
+// BenchmarkColdFloor does the same points' RunWith + Encode + Set on
+// Workers() bare goroutines. ns/point of the first over the second is the
+// dispatch ÷ floor ratio DESIGN §5 quotes.
+func BenchmarkColdWave(b *testing.B) {
+	for _, wave := range []int{16, 64} {
+		b.Run(fmt.Sprint(wave), func(b *testing.B) {
+			e := NewEngine(Config{CacheBytes: 4 << 20})
+			defer e.Close()
+			ctx := context.Background()
+			var items []BatchItem
+			fresh := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				items = coldWave(items, wave, &fresh)
+				for _, o := range e.ServeEncodedBatch(ctx, items) {
+					if o.Err != nil || o.RawResponse.CacheHit {
+						b.Fatalf("cold point: hit=%v err=%v", o.RawResponse.CacheHit, o.Err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*wave), "ns/point")
+		})
+	}
+}
+
+func BenchmarkColdFloor(b *testing.B) {
+	exp, _ := core.ByID("E7")
+	for _, wave := range []int{16, 64} {
+		b.Run(fmt.Sprint(wave), func(b *testing.B) {
+			e := NewEngine(Config{CacheBytes: 4 << 20})
+			defer e.Close()
+			ctx := context.Background()
+			var items []BatchItem
+			fresh := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				items = coldWave(items, wave, &fresh)
+				var next atomic.Int64
+				var wg sync.WaitGroup
+				for g := e.sched.Workers(); g > 0; g-- {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for k := next.Add(1) - 1; k < int64(wave); k = next.Add(1) - 1 {
+							res, resolved, err := exp.RunWith(ctx, items[k].Params)
+							if err != nil {
+								b.Error(err)
+								return
+							}
+							e.cache.Set(exp.CacheKey(resolved), res.Encode())
+						}
+					}()
+				}
+				wg.Wait()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*wave), "ns/point")
+		})
 	}
 }

@@ -184,14 +184,20 @@ func TestRunEnvelopeEscaping(t *testing.T) {
 func TestEnvelopeHeadWritersMatchEncodingJSON(t *testing.T) {
 	sameFloat := func(f float64) bool {
 		want, err := json.Marshal(f)
-		return err != nil || bytes.Equal(appendJSONFloat(nil, f), want) // NaN/Inf never reach the head
+		got, gotErr := httpapi.AppendJSONFloat(nil, f)
+		if err != nil { // NaN/Inf: the same error, nothing appended
+			return gotErr != nil && gotErr.Error() == err.Error() && len(got) == 0
+		}
+		return gotErr == nil && bytes.Equal(got, want)
 	}
 	for _, f := range []float64{0, math.Copysign(0, -1), 1, -1, 42, 1 << 53, 123456789012345678,
 		math.SmallestNonzeroFloat64, 2.2250738585072014e-308, 1e-7, -1e-7, 9.99999e-7, 1e-6, 0.000123,
-		0.1, 1.5, 1e20, 999999999999999900000, 1e21, -1e21, 1.5e300, math.MaxFloat64} {
+		0.1, 1.5, 1e20, 999999999999999900000, 1e21, -1e21, 1.5e300, math.MaxFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if !sameFloat(f) {
 			want, _ := json.Marshal(f)
-			t.Errorf("appendJSONFloat(%v) = %s, json.Marshal = %s", f, appendJSONFloat(nil, f), want)
+			got, _ := httpapi.AppendJSONFloat(nil, f)
+			t.Errorf("AppendJSONFloat(%v) = %s, json.Marshal = %s", f, got, want)
 		}
 	}
 	if err := quick.Check(func(bits uint64) bool { return sameFloat(math.Float64frombits(bits)) }, nil); err != nil {
@@ -204,12 +210,12 @@ func TestEnvelopeHeadWritersMatchEncodingJSON(t *testing.T) {
 	}
 	sameString := func(s string) bool {
 		want, _ := json.Marshal(s)
-		return bytes.Equal(appendJSONString([]byte("x"), s), append([]byte("x"), want...))
+		return bytes.Equal(httpapi.AppendJSONString([]byte("x"), s), append([]byte("x"), want...))
 	}
 	for _, s := range []string{"", "E7", "E7?bces=64&f=0.99", "<>", `"\`, "\x00\x1f\x7f", "a\nb\tc", "  ",
-		"héllo", "\xff\xfe", "interactive"} {
+		"héllo", "\xff\xfe", "interactive", "a\u2028b\u2029", "\b\f\r\v", "é\xe2\x80", "— <&> \xc3"} {
 		if !sameString(s) {
-			t.Errorf("appendJSONString(%q) = %s", s, appendJSONString(nil, s))
+			t.Errorf("AppendJSONString(%q) = %s", s, httpapi.AppendJSONString(nil, s))
 		}
 	}
 	if err := quick.Check(sameString, nil); err != nil {

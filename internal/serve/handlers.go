@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"math"
 	"net/http"
 	"strconv"
-	"strings"
-	"unicode/utf8"
 
 	"repro/internal/admit"
 	"repro/internal/core"
@@ -114,60 +111,31 @@ type runTail struct {
 	Report   string   `json:"report"`
 }
 
-// appendJSONString appends s as encoding/json would: directly when no
-// byte needs escaping — valid UTF-8 passes through as it is, bar U+2028
-// and U+2029 — through json.Marshal otherwise.
-func appendJSONString(b []byte, s string) []byte {
-	plain, ascii := true, true
-	for i := 0; i < len(s) && plain; i++ {
-		c := s[i]
-		ascii = ascii && c < utf8.RuneSelf
-		plain = c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' &&
-			(c != 0xE2 || !strings.HasPrefix(s[i:], "\u2028") && !strings.HasPrefix(s[i:], "\u2029"))
-	}
-	if !plain || !ascii && !utf8.ValidString(s) {
-		q, _ := json.Marshal(s) // a string always marshals
-		return append(b, q...)
-	}
-	return append(append(append(b, '"'), s...), '"')
-}
-
-// appendJSONFloat appends a finite f in encoding/json's number format.
-func appendJSONFloat(b []byte, f float64) []byte {
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		b = strconv.AppendFloat(b, f, 'e', -1, 64)
-		// e-09 prints as e-9.
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-		return b
-	}
-	return strconv.AppendFloat(b, f, 'f', -1, 64)
-}
-
 // appendRunHead appends the envelope up to and including latency_ms, byte
-// for byte what httpapi.WriteJSON emitted for those fields.
+// for byte what httpapi.WriteJSON emitted for those fields. Its numbers —
+// resolved parameters and a duration — are finite, so the appender's
+// non-finite error cannot occur here.
 func appendRunHead(b []byte, rr *RawResponse) []byte {
-	b = appendJSONString(append(b, "{\n  \"id\": "...), rr.ID)
+	b = httpapi.AppendJSONString(append(b, "{\n  \"id\": "...), rr.ID)
 	if len(rr.Params) > 0 {
 		b = append(b, ",\n  \"params\": {"...)
 		for i, name := range rr.Params.SortedNames() {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendJSONString(append(b, "\n    "...), name)
-			b = appendJSONFloat(append(b, ": "...), rr.Params[name])
+			b = httpapi.AppendJSONString(append(b, "\n    "...), name)
+			b, _ = httpapi.AppendJSONFloat(append(b, ": "...), rr.Params[name])
 		}
 		b = append(b, "\n  }"...)
 	}
 	if rr.Key != "" {
-		b = appendJSONString(append(b, ",\n  \"key\": "...), rr.Key)
+		b = httpapi.AppendJSONString(append(b, ",\n  \"key\": "...), rr.Key)
 	}
-	b = appendJSONString(append(b, ",\n  \"class\": "...), rr.Class.String())
+	b = httpapi.AppendJSONString(append(b, ",\n  \"class\": "...), rr.Class.String())
 	b = strconv.AppendBool(append(b, ",\n  \"cache_hit\": "...), rr.CacheHit)
 	b = strconv.AppendBool(append(b, ",\n  \"shared\": "...), rr.Shared)
-	return appendJSONFloat(append(b, ",\n  \"latency_ms\": "...), rr.Latency.Seconds()*1e3)
+	b, _ = httpapi.AppendJSONFloat(append(b, ",\n  \"latency_ms\": "...), rr.Latency.Seconds()*1e3)
+	return b
 }
 
 // AppendRoutedEnvelope appends the routing front-end's /run/{id} JSON
@@ -178,10 +146,10 @@ func appendRunHead(b []byte, rr *RawResponse) []byte {
 func AppendRoutedEnvelope(b []byte, rr *RawResponse, headline *float64, findings []string) ([]byte, bool) {
 	b = appendRunHead(b, rr)
 	if headline != nil {
-		if math.IsNaN(*headline) || math.IsInf(*headline, 0) {
+		var err error
+		if b, err = httpapi.AppendJSONFloat(append(b, ",\n  \"headline\": "...), *headline); err != nil {
 			return b, false
 		}
-		b = appendJSONFloat(append(b, ",\n  \"headline\": "...), *headline)
 	}
 	if len(findings) > 0 {
 		b = append(b, ",\n  \"findings\": ["...)
@@ -189,7 +157,7 @@ func AppendRoutedEnvelope(b []byte, rr *RawResponse, headline *float64, findings
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendJSONString(append(b, "\n    "...), f)
+			b = httpapi.AppendJSONString(append(b, "\n    "...), f)
 		}
 		b = append(b, "\n  ]"...)
 	}

@@ -19,33 +19,30 @@ import (
 	"repro/internal/serve"
 )
 
-// slowCtxRunner sleeps d per point, returning early (with ctx.Err) when
-// the request context is canceled — the behavior core.RunWith gives real
-// experiments via their iteration-boundary checks.
-func slowCtxRunner(d time.Duration) func(context.Context, string, core.Params) (core.Result, error) {
-	return func(ctx context.Context, id string, p core.Params) (core.Result, error) {
-		select {
-		case <-ctx.Done():
-			return core.Result{}, ctx.Err()
-		case <-time.After(d):
-		}
-		res := core.Result{Findings: []string{"point done"}}
-		res.SetHeadline(p.Float("f"))
-		return res, nil
+// returnsWithin fails the test unless f returns inside the watchdog: the
+// gated runners below are never released, so a sweep whose cancellation
+// did not reach them would hang here rather than pass slowly.
+func returnsWithin(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { f(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s did not return: in-flight points were not canceled", what)
 	}
 }
 
 func TestDroppedSweepStreamCancelsInFlightPoints(t *testing.T) {
-	eng := serve.NewEngine(serve.Config{
-		Shards: 4, Workers: 2, Queue: 4,
-		RunnerWith: slowCtxRunner(30 * time.Millisecond),
-	})
+	// 36 points in waves of four: wave 1 (f = 0.9, 0.905) runs through,
+	// every later point would sit in its runner until released — and
+	// nothing ever releases it.
+	held := make(chan struct{}, 36)
+	eng := gatedEngine(0.9075, held, make(chan struct{}))
 	defer eng.Close()
 	srv := httptest.NewServer(Handler(eng))
 	defer srv.Close()
 
-	// A 36-point grid at 30ms per cold point: ~540ms of compute if nobody
-	// cancels it.
 	body := `{"id":"E7","params":["f=0.9:0.985:0.005","bces=64,1024"],"parallelism":2}`
 	req, err := http.NewRequest(http.MethodPost, srv.URL+"/sweep", strings.NewReader(body))
 	if err != nil {
@@ -58,40 +55,24 @@ func TestDroppedSweepStreamCancelsInFlightPoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	// Read two streamed point lines, then hang up mid-sweep.
+	// Read two streamed point lines, wait until a wave-2 point is inside
+	// its runner, then hang up mid-sweep.
 	sc := bufio.NewScanner(resp.Body)
 	for i := 0; i < 2; i++ {
 		if !sc.Scan() {
 			t.Fatalf("stream ended after %d lines: %v", i, sc.Err())
 		}
 	}
+	<-held
 	resp.Body.Close()
 
-	// The disconnect cancels the request context; in-flight points return
-	// at their next cancellation check and queued points never start.
-	// Give the abort a moment to propagate, then require the executions
-	// counter to go quiet well short of the full grid.
-	deadline := time.Now().Add(2 * time.Second)
-	var settled int64
-	for {
-		a := eng.Executions()
-		time.Sleep(150 * time.Millisecond)
-		b := eng.Executions()
-		if a == b {
-			settled = b
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("executions still rising long after disconnect (%d -> %d)", a, b)
-		}
-	}
-	if settled >= 36 {
-		t.Fatalf("sweep ran to completion (%d executions) despite the dropped stream", settled)
-	}
-	// And it stays quiet: no background grinding resumes.
-	time.Sleep(200 * time.Millisecond)
-	if got := eng.Executions(); got != settled {
-		t.Fatalf("executions rose again after settling: %d -> %d", settled, got)
+	// The disconnect cancels the request context; the held points return
+	// at their cancellation check and queued points never start. Closing
+	// the server waits for the handler, so once it returns the sweep is
+	// over and the books are final.
+	returnsWithin(t, "the dropped sweep's handler", srv.Close)
+	if got := eng.Executions(); got < 5 || got > 4+2 {
+		t.Fatalf("%d executions, want wave 1's four plus the one or two points the two workers held", got)
 	}
 }
 
@@ -104,10 +85,8 @@ var errAborted = errors.New("sweep aborted")
 // canceled through the derived context and the sweep returns promptly
 // with the context error.
 func TestRunCanceledContextAbortsInFlight(t *testing.T) {
-	eng := serve.NewEngine(serve.Config{
-		Shards: 4, Workers: 2, Queue: 4,
-		RunnerWith: slowCtxRunner(50 * time.Millisecond),
-	})
+	held := make(chan struct{}, 36)
+	eng := gatedEngine(0.9075, held, make(chan struct{})) // never released
 	defer eng.Close()
 
 	sp, err := ParseSpec("E7", []string{"f=0.9:0.985:0.005", "bces=64,1024"})
@@ -117,22 +96,18 @@ func TestRunCanceledContextAbortsInFlight(t *testing.T) {
 	sp.Parallelism = 2
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		time.Sleep(80 * time.Millisecond) // a couple of points in
+		<-held // wave 1 is done and a wave-2 point is inside its runner
 		cancel()
 	}()
-	t0 := time.Now()
-	_, err = Run(ctx, eng, sp, nil)
+	returnsWithin(t, "the canceled sweep", func() { _, err = Run(ctx, eng, sp, nil) })
 	if err == nil {
 		t.Fatal("canceled sweep returned no error")
 	}
 	if !errors.Is(err, context.Canceled) && !errors.Is(err, errAborted) {
 		t.Fatalf("canceled sweep error = %v", err)
 	}
-	if elapsed := time.Since(t0); elapsed > 2*time.Second {
-		t.Fatalf("canceled sweep took %v; in-flight points were not canceled", elapsed)
-	}
-	if got := eng.Executions(); got >= 36 {
-		t.Fatalf("sweep executed the whole grid (%d) despite cancellation", got)
+	if got := eng.Executions(); got < 5 || got > 4+2 {
+		t.Fatalf("%d executions, want wave 1's four plus the one or two points the two workers held", got)
 	}
 }
 

@@ -3,20 +3,21 @@ package sweep
 // POST /sweep — the HTTP face of the sweep engine. The request names an
 // experiment and its axes; the response streams NDJSON: one line per
 // completed grid point (in grid order) and one final summary line
-// carrying the aggregated report. Lines are flushed when Run is about to
-// wait on the server — after a wave's last point, the summary line, the
-// terminal error line — not one by one: no line is ever held across a
-// wait for compute, so a client sees every point as soon as the server
-// has nothing newer to add, and a wave that is already computed goes out
-// in one write instead of one per point (net/http's own buffer writes
-// through when it fills). Repeat sweeps are served from the engine's
-// memoizing cache, so a hot sweep streams at cache speed. cmd/arch21d
-// mounts this next to the engine's own handlers.
+// carrying the aggregated report. Lines are appended by hand (httpapi's
+// JSON appender; PointLine and SummaryLine are what they decode into) to
+// one pooled buffer, which goes out in one Write and a flush when Run is
+// about to wait on the server — after a wave's last point, the summary
+// line, the terminal error line — not line by line: no line is ever held
+// across a wait for compute, so a client sees every point as soon as the
+// server has nothing newer to add. Repeat sweeps are served from the
+// engine's memoizing cache, so a hot sweep streams at cache speed.
+// cmd/arch21d mounts this next to the engine's own handlers.
 
 import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/httpapi"
@@ -29,7 +30,8 @@ type Request struct {
 	// Params are axis assignments in sweep order, one "name=value",
 	// "name=a,b,c", or "name=lo:hi:step" string per axis.
 	Params []string `json:"params"`
-	// Parallelism optionally caps in-flight points.
+	// Parallelism sizes the waves the grid is served in: 2*Parallelism
+	// points per batch call (default 8, at most 64).
 	Parallelism int `json:"parallelism,omitempty"`
 }
 
@@ -45,21 +47,43 @@ type PointLine struct {
 	Findings  []string    `json:"findings,omitempty"`
 }
 
-// pointLine is the NDJSON line for one completed grid point.
-func pointLine(pt Point) PointLine {
-	pl := PointLine{
-		Point:     pt.Index,
-		Params:    pt.Params,
-		Key:       pt.Key,
-		CacheHit:  pt.CacheHit,
-		Shared:    pt.Shared,
-		LatencyMS: pt.Latency.Seconds() * 1e3,
-		Findings:  pt.Result.Findings,
+// appendFindings appends the omitempty "findings" member.
+func appendFindings(b []byte, findings []string) []byte {
+	if len(findings) == 0 {
+		return b
 	}
-	if h, ok := Headline(pt.Result); ok {
-		pl.Headline = &h
+	b = append(b, `,"findings":[`...)
+	for _, f := range findings {
+		b = append(httpapi.AppendJSONString(b, f), ',')
 	}
-	return pl
+	b[len(b)-1] = ']' // over the last comma
+	return b
+}
+
+// appendPointLine appends one completed grid point as the NDJSON line
+// json.Encoder writes for its PointLine, or appends nothing and returns
+// json's own error when a number is not finite.
+func appendPointLine(b []byte, pt *Point) ([]byte, error) {
+	line := len(b)
+	b = strconv.AppendInt(append(b, `{"point":`...), int64(pt.Index), 10)
+	b = append(b, `,"params":{`...)
+	for _, name := range pt.Params.SortedNames() {
+		b = append(httpapi.AppendJSONString(b, name), ':')
+		b, _ = httpapi.AppendJSONFloat(b, pt.Params[name]) // Validate let only finite values in
+		b = append(b, ',')
+	}
+	b[len(b)-1] = '}' // over the last comma: a grid point has at least one axis
+	b = httpapi.AppendJSONString(append(b, `,"key":`...), pt.Key)
+	b = strconv.AppendBool(append(b, `,"cache_hit":`...), pt.CacheHit)
+	b = strconv.AppendBool(append(b, `,"shared":`...), pt.Shared)
+	b, err := httpapi.AppendJSONFloat(append(b, `,"latency_ms":`...), pt.Latency.Seconds()*1e3)
+	if err == nil && pt.hasHeadline {
+		b, err = httpapi.AppendJSONFloat(append(b, `,"headline":`...), pt.headline)
+	}
+	if err != nil {
+		return b[:line], err
+	}
+	return append(appendFindings(b, pt.Result.Findings), "}\n"...), nil
 }
 
 // SummaryLine is the final NDJSON line.
@@ -74,16 +98,20 @@ type SummaryLine struct {
 	} `json:"summary"`
 }
 
-// summaryLine is the NDJSON line that closes a completed sweep.
-func summaryLine(sum Summary) SummaryLine {
-	var sl SummaryLine
-	sl.Summary.ID = sum.ID
-	sl.Summary.Points = sum.Points
-	sl.Summary.CacheHits = sum.CacheHits
-	sl.Summary.ElapsedMS = sum.Elapsed.Seconds() * 1e3
-	sl.Summary.Findings = sum.Aggregate.Findings
-	sl.Summary.Report = sum.Aggregate.Render()
-	return sl
+// appendSummaryLine appends the line that closes a completed sweep, as
+// json.Encoder writes its SummaryLine; errors as appendPointLine.
+func appendSummaryLine(b []byte, sum *Summary) ([]byte, error) {
+	line := len(b)
+	b = httpapi.AppendJSONString(append(b, `{"summary":{"id":`...), sum.ID)
+	b = strconv.AppendInt(append(b, `,"points":`...), int64(sum.Points), 10)
+	b = strconv.AppendInt(append(b, `,"cache_hits":`...), int64(sum.CacheHits), 10)
+	b, err := httpapi.AppendJSONFloat(append(b, `,"elapsed_ms":`...), sum.Elapsed.Seconds()*1e3)
+	if err != nil {
+		return b[:line], err
+	}
+	b = appendFindings(b, sum.Aggregate.Findings)
+	b = httpapi.AppendJSONString(append(b, `,"report":`...), sum.Aggregate.Render())
+	return append(b, "}}\n"...), nil
 }
 
 // Handler returns the POST /sweep endpoint backed by the server (an
@@ -124,18 +152,23 @@ func Handler(srv Server) http.Handler {
 
 		w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
-		enc := json.NewEncoder(w)
 		flusher, _ := w.(http.Flusher)
-		// line writes one NDJSON line; hold leaves it in the response
-		// buffer because the next line follows without a wait.
-		line := func(v any, hold bool) error {
-			if err := enc.Encode(v); err != nil {
-				return err
+		buf := httpapi.GetBuffer()
+		out := (*buf)[:0]
+		defer func() {
+			if cap(out) <= 64<<10 { // a 4096-row report is not for the pool
+				*buf = out
+				httpapi.PutBuffer(buf)
 			}
-			if flusher != nil && !hold {
+		}()
+		// send writes the gathered lines in one Write and flushes them.
+		send := func() error {
+			_, err := w.Write(out)
+			out = out[:0]
+			if flusher != nil {
 				flusher.Flush()
 			}
-			return nil
+			return err
 		}
 
 		// Run under the request context: a gone client cancels queued AND
@@ -149,14 +182,22 @@ func Handler(srv Server) http.Handler {
 			if err := r.Context().Err(); err != nil {
 				return err
 			}
-			return line(pointLine(pt), pt.More)
+			var err error
+			// A point with More set stays in the buffer: the next line
+			// follows without a wait.
+			if out, err = appendPointLine(out, &pt); err != nil || pt.More {
+				return err
+			}
+			return send()
 		})
+		if err == nil {
+			out, err = appendSummaryLine(out, &sum)
+		}
 		if err != nil {
 			// The status line is already out; report the failure as a
 			// terminal NDJSON line instead.
-			_ = line(map[string]string{"error": err.Error()}, false)
-			return
+			out = append(httpapi.AppendJSONString(append(out, `{"error":`...), err.Error()), "}\n"...)
 		}
-		_ = line(summaryLine(sum), false)
+		_ = send()
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -16,6 +17,122 @@ import (
 	"repro/internal/core"
 	"repro/internal/serve"
 )
+
+// pointLine and summaryLine are the reference the handler's hand-appended
+// lines are held to: the structs bench/ and clients decode into, filled
+// the way the handler filled them when json.Encoder wrote its lines.
+func pointLine(pt Point) PointLine {
+	pl := PointLine{
+		Point:     pt.Index,
+		Params:    pt.Params,
+		Key:       pt.Key,
+		CacheHit:  pt.CacheHit,
+		Shared:    pt.Shared,
+		LatencyMS: pt.Latency.Seconds() * 1e3,
+		Findings:  pt.Result.Findings,
+	}
+	if h, ok := Headline(pt.Result); ok {
+		pl.Headline = &h
+	}
+	return pl
+}
+
+func summaryLine(sum Summary) SummaryLine {
+	var sl SummaryLine
+	sl.Summary.ID = sum.ID
+	sl.Summary.Points = sum.Points
+	sl.Summary.CacheHits = sum.CacheHits
+	sl.Summary.ElapsedMS = sum.Elapsed.Seconds() * 1e3
+	sl.Summary.Findings = sum.Aggregate.Findings
+	sl.Summary.Report = sum.Aggregate.Render()
+	return sl
+}
+
+// runBothWays runs the sweep once and writes every line twice from the
+// same Point and Summary values: by the appenders and by json.Encoder over
+// the reference structs. Wall-clock fields are the same values on both
+// sides, so the comparison needs no masking.
+func runBothWays(t *testing.T, srv Server, id string, axes ...string) (got, want []byte, points int) {
+	t.Helper()
+	sp, err := ParseSpec(id, axes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref bytes.Buffer
+	enc := json.NewEncoder(&ref)
+	sum, err := Run(context.Background(), srv, sp, func(pt Point) error {
+		if got, err = appendPointLine(got, &pt); err != nil {
+			return err
+		}
+		return enc.Encode(pointLine(pt))
+	})
+	if err != nil {
+		t.Fatalf("%s %v: %v", id, axes, err)
+	}
+	if got, err = appendSummaryLine(got, &sum); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(summaryLine(sum)); err != nil {
+		t.Fatal(err)
+	}
+	return got, ref.Bytes(), sum.Points
+}
+
+// The hand-appended NDJSON lines are json.Encoder's, byte for byte: a cold
+// E7 grid and its warm repeat (cache_hit flips, findings and report carry
+// "—", "&" in every key), 1- and 3-axis sweeps, points without a headline,
+// and findings full of what encoding/json escapes.
+func TestSweepLinesMatchEncodingJSON(t *testing.T) {
+	real := serve.NewEngine(serve.Config{Workers: 2})
+	defer real.Close()
+	var execs atomic.Int64
+	fake := countingEngine(&execs) // no declared headline: the first-number fallback
+	defer fake.Close()
+	nasty := []string{"<b>a && b</b> \"q\" \\ ", "line one\nline two\ttab\r\x00\x1f",
+		"sep \u2028 and \u2029 \u2027", "bad \xff\xfe utf8 \xe2\x80", "héllo — wörld"}
+	hostile := serve.NewEngine(serve.Config{Workers: 2,
+		RunnerWith: func(_ context.Context, id string, p core.Params) (core.Result, error) {
+			// Rotate so every string also leads (first finding -> table cell
+			// -> report) and every third point has none at all.
+			k := int(p.Float("gens"))
+			if k%3 == 0 {
+				return core.Result{}, nil
+			}
+			return core.Result{Findings: append(append([]string{}, nasty[k%len(nasty):]...), nasty[:k%len(nasty)]...)}, nil
+		}})
+	defer hostile.Close()
+
+	lines := 0
+	for _, c := range []struct {
+		name string
+		srv  Server
+		id   string
+		axes []string
+	}{
+		{"cold E7 grid", real, "E7", []string{"f=0.6:0.95:0.05", "bces=16:3516:500"}},
+		{"warm repeat", real, "E7", []string{"f=0.6:0.95:0.05", "bces=16:3516:500"}},
+		{"duplicate lead value", real, "E7", []string{"f=0.9,0.9", "bces=64,128"}},
+		{"1-axis", real, "E1", []string{"gens=1:12:1"}},
+		{"3-axis, fallback headline", fake, "E3", []string{"fanout=1,10,100", "trials=1000,2000", "hedge=0.5,0.9"}},
+		{"hostile findings, some points bare", hostile, "E1", []string{"gens=1:12:1"}},
+	} {
+		got, want, n := runBothWays(t, c.srv, c.id, c.axes...)
+		if !bytes.Equal(got, want) {
+			g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+			for i := range w {
+				if i >= len(g) || g[i] != w[i] {
+					t.Fatalf("%s: line %d:\n got %s\nwant %s", c.name, i, strings.Join(g[i:min(i+1, len(g))], ""), w[i])
+				}
+			}
+			t.Fatalf("%s: %d bytes appended, json.Encoder wrote %d", c.name, len(got), len(want))
+		}
+		if c.name == "warm repeat" && !bytes.Contains(got, []byte(`"cache_hit":true`)) {
+			t.Fatal("the warm repeat served no hit")
+		}
+		lines += n + 1
+	}
+	t.Logf("%d NDJSON lines byte-identical to json.Encoder", lines)
+}
 
 // sweepMux composes the endpoint the way cmd/arch21d mounts it.
 func sweepMux(execs *atomic.Int64) (*http.ServeMux, func()) {
@@ -305,5 +422,44 @@ func TestSweepMidStreamErrorLine(t *testing.T) {
 	}
 	if w.flushes != 1 {
 		t.Fatalf("%d Flush calls, want 1 (the error line carries the two held points out)", w.flushes)
+	}
+}
+
+// A headline JSON cannot carry ends the stream the way json.Encoder ended
+// it: the points before it, then a terminal error line with json's own
+// message, in one flush — and no bare NaN or Inf token on the wire.
+func TestSweepNonFiniteHeadlineErrorLine(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		eng := serve.NewEngine(serve.Config{
+			Shards: 4, Workers: 2,
+			RunnerWith: func(_ context.Context, id string, p core.Params) (core.Result, error) {
+				res := core.Result{Findings: []string{"ok 1"}}
+				res.SetHeadline(p.Float("f"))
+				if p.Float("f") == 0.92 {
+					res.SetHeadline(bad)
+				}
+				return res, nil
+			},
+		})
+		w := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+		Handler(eng).ServeHTTP(w, httptest.NewRequest("POST", "/sweep",
+			strings.NewReader(`{"id":"E7","params":["f=0.9,0.91,0.92,0.93"]}`)))
+		eng.Close()
+		lines := ndjsonLines(t, w.Body) // fails on a line that is not JSON
+		if w.Code != http.StatusOK || len(lines) != 3 {
+			t.Fatalf("headline %v: status %d, %d lines, want points 0, 1 and the error line", bad, w.Code, len(lines))
+		}
+		for i, ln := range lines[:2] {
+			if int(ln["point"].(float64)) != i || ln["headline"] == nil {
+				t.Fatalf("headline %v: line %d = %v", bad, i, ln)
+			}
+		}
+		_, want := json.Marshal(bad)
+		if msg, _ := lines[2]["error"].(string); msg != want.Error() {
+			t.Fatalf("headline %v: terminal line = %v, want json's %q", bad, lines[2], want)
+		}
+		if w.flushes != 1 {
+			t.Fatalf("headline %v: %d Flush calls, want 1", bad, w.flushes)
+		}
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"regexp"
+	"strconv"
 	"strings"
 	"time"
 
@@ -34,9 +35,10 @@ import (
 // queue an unbounded amount of work.
 const MaxPoints = 4096
 
-// defaultParallelism sets a sweep's wave to 16 points. The engine's
-// scheduler already bounds cold compute; this only caps how many points
-// one sweep has in front of it at once.
+// defaultParallelism is Spec.Parallelism when the caller sets none: waves
+// of 2*8 = 16 points per batch call. The engine's scheduler already bounds
+// cold compute; a wave only caps how many points one sweep has in front of
+// it at once.
 const defaultParallelism = 8
 
 // maxParallelism clamps Spec.Parallelism, which reaches Run straight from
@@ -279,6 +281,10 @@ type Point struct {
 	// point in its buffer. When false, Run is about to wait (or is done)
 	// and whatever is buffered should go out now.
 	More bool
+	// headline is Headline(Result), taken once by Run for the point's
+	// line, its aggregate row and its figure point.
+	headline    float64
+	hasHeadline bool
 }
 
 // Summary is one completed sweep.
@@ -375,6 +381,7 @@ func Run(ctx context.Context, srv Server, sp Spec, emit func(Point) error) (Summ
 				Latency:  out.RawResponse.Latency,
 				More:     i+1 < hi,
 			}
+			pt.headline, pt.hasHeadline = Headline(res)
 			if pt.CacheHit {
 				sum.CacheHits++
 			}
@@ -423,29 +430,40 @@ func axisNames(axes []Axis) string {
 	return strings.Join(names, ", ")
 }
 
-// aggregate folds per-point results into one deterministic Result: a
-// table with one row per grid point (axis values, headline metric, first
-// finding) and — for 1- and 2-axis sweeps — a figure of the headline
-// metric over the last axis, one series per value of the leading axis.
+// aggregate folds the grid's points (all of them, in grid order) into one
+// deterministic Result: a table with one row per grid point (axis values,
+// headline metric, first finding) and — for 1- and 2-axis sweeps — a
+// figure of the headline metric over the last axis, one series per value
+// of the leading axis. An axis value is formatted once, not per point.
 func aggregate(exp core.Experiment, sp Spec, points []Point) core.Result {
 	headers := make([]string, 0, len(sp.Axes)+2)
-	for _, ax := range sp.Axes {
+	text := make([][]string, len(sp.Axes))
+	for a, ax := range sp.Axes {
 		headers = append(headers, ax.Name)
+		text[a] = make([]string, len(ax.Values))
+		for k, v := range ax.Values {
+			text[a][k] = core.FormatParamValue(v)
+		}
 	}
 	headers = append(headers, "headline", "first finding")
+	names := axisNames(sp.Axes)
 	tbl := report.NewTable(
-		fmt.Sprintf("sweep %s: %d points over %s", sp.ID, len(points), axisNames(sp.Axes)),
-		headers...)
+		"sweep "+sp.ID+": "+strconv.Itoa(len(points))+" points over "+names, headers...)
+	tbl.Rows = make([][]string, 0, len(points))
 
 	var minH, maxH float64
 	haveH := false
-	for _, pt := range points {
-		row := make([]string, 0, len(headers))
-		for _, ax := range sp.Axes {
-			row = append(row, core.FormatParamValue(pt.Params[ax.Name]))
+	cells := make([]string, len(points)*len(headers)) // every row's cells, one allocation
+	for i := range points {
+		pt := &points[i]
+		row := cells[i*len(headers) : (i+1)*len(headers) : (i+1)*len(headers)]
+		// Row-major, as Grid expands it: the last axis varies fastest.
+		rem := pt.Index
+		for a := len(sp.Axes) - 1; a >= 0; a-- {
+			row[a] = text[a][rem%len(text[a])]
+			rem /= len(text[a])
 		}
-		h, ok := Headline(pt.Result)
-		if ok {
+		if h := pt.headline; pt.hasHeadline {
 			if !haveH || h < minH {
 				minH = h
 			}
@@ -453,65 +471,60 @@ func aggregate(exp core.Experiment, sp Spec, points []Point) core.Result {
 				maxH = h
 			}
 			haveH = true
-			row = append(row, report.FormatFloat(h))
-		} else {
-			row = append(row, "")
+			row[len(sp.Axes)] = report.FormatFloat(h)
 		}
-		first := ""
 		if len(pt.Result.Findings) > 0 {
-			first = pt.Result.Findings[0]
+			row[len(sp.Axes)+1] = pt.Result.Findings[0]
 		}
-		row = append(row, first)
-		tbl.AddRow(row...)
+		tbl.Rows = append(tbl.Rows, row)
 	}
 
 	res := core.Result{Table: tbl}
-	if fig := aggregateFigure(sp, points); fig != nil {
+	if fig := aggregateFigure(sp, points, text[0]); fig != nil {
 		res.Figure = fig
 	}
 	res.Findings = append(res.Findings,
-		fmt.Sprintf("%s (%s) swept over %s: %d points",
-			sp.ID, exp.Title, axisNames(sp.Axes), len(points)))
+		sp.ID+" ("+exp.Title+") swept over "+names+": "+strconv.Itoa(len(points))+" points")
 	if haveH {
 		res.Findings = append(res.Findings,
-			fmt.Sprintf("headline metric spans [%s, %s] across the grid",
-				report.FormatFloat(minH), report.FormatFloat(maxH)))
+			"headline metric spans ["+report.FormatFloat(minH)+", "+report.FormatFloat(maxH)+"] across the grid")
 	}
 	return res
 }
 
 // aggregateFigure plots the headline metric for 1- and 2-axis sweeps:
-// x is the last axis; a 2-axis sweep gets one series per leading-axis
-// value. Wider grids and headline-less results yield no figure.
-func aggregateFigure(sp Spec, points []Point) *report.Figure {
-	if len(sp.Axes) < 1 || len(sp.Axes) > 2 {
+// x is the last axis; a 2-axis sweep gets one series per distinct
+// leading-axis value (leadText is that axis as text; a value listed twice
+// keeps one series). Wider grids and headline-less results yield none.
+func aggregateFigure(sp Spec, points []Point, leadText []string) *report.Figure {
+	if len(sp.Axes) > 2 {
 		return nil
 	}
 	xAxis := sp.Axes[len(sp.Axes)-1]
-	fig := report.NewFigure(
-		fmt.Sprintf("sweep %s: headline metric vs %s", sp.ID, xAxis.Name),
-		xAxis.Name, "headline")
+	fig := report.NewFigure("sweep "+sp.ID+": headline metric vs "+xAxis.Name, xAxis.Name, "headline")
 	series := map[string]*report.Series{}
-	any := false
-	for _, pt := range points {
-		h, ok := Headline(pt.Result)
-		if !ok {
-			continue
-		}
+	// One run of the last axis per leading-axis value, in grid order.
+	nx := len(xAxis.Values)
+	for lo := 0; lo+nx <= len(points); lo += nx {
 		name := "headline"
 		if len(sp.Axes) == 2 {
-			lead := sp.Axes[0]
-			name = lead.Name + "=" + core.FormatParamValue(pt.Params[lead.Name])
+			name = sp.Axes[0].Name + "=" + leadText[lo/nx]
 		}
-		s, ok := series[name]
-		if !ok {
-			s = fig.AddSeries(name)
-			series[name] = s
+		s := series[name]
+		for k, x := range xAxis.Values {
+			pt := &points[lo+k]
+			if !pt.hasHeadline {
+				continue
+			}
+			if s == nil {
+				s = fig.AddSeries(name)
+				s.Points = make([]report.Point, 0, nx)
+				series[name] = s
+			}
+			s.Add(x, pt.headline)
 		}
-		s.Add(pt.Params[xAxis.Name], h)
-		any = true
 	}
-	if !any {
+	if len(series) == 0 {
 		return nil
 	}
 	return fig

@@ -289,6 +289,23 @@ func TestSweepDeterministicAndOrdered(t *testing.T) {
 	if s0.Points[0].Y != 64.9 {
 		t.Fatalf("headline for (0.9, 64) = %v, want 64.9", s0.Points[0].Y)
 	}
+	// A leading-axis value listed twice keeps one series: its two runs of
+	// the last axis merge, in grid order.
+	dup, err := ParseSpec("E7", []string{"f=0.9,0.9", "bces=64,128"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := Run(context.Background(), eng, dup, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig := sum.Aggregate.Figure
+	if fig == nil || len(fig.Series) != 1 || fig.Series[0].Name != "f=0.9" || len(fig.Series[0].Points) != 4 {
+		t.Fatalf("f=0.9,0.9 should merge into one 4-point series: %+v", fig)
+	}
+	if p := fig.Series[0].Points; p[0].X != 64 || p[1].X != 128 || p[2].X != 64 || p[3].X != 128 {
+		t.Fatalf("merged series out of grid order: %v", p)
+	}
 }
 
 // A real registered experiment sweeps end to end through the registry
@@ -330,7 +347,6 @@ func TestSweepAbortSkipsQueuedPoints(t *testing.T) {
 		Workers: 1,
 		RunnerWith: func(_ context.Context, id string, p core.Params) (core.Result, error) {
 			execs.Add(1)
-			time.Sleep(time.Millisecond)
 			return core.Result{Findings: []string{"x 1"}}, nil
 		},
 	})
@@ -346,8 +362,10 @@ func TestSweepAbortSkipsQueuedPoints(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "client went away") {
 		t.Fatalf("Run error = %v", err)
 	}
-	if got := execs.Load(); got >= 12 {
-		t.Fatalf("aborted sweep still executed all %d points", got)
+	// Parallelism 1 is waves of two: the wave whose first point failed to
+	// emit ran, and no later wave was shipped.
+	if got := execs.Load(); got != 2 {
+		t.Fatalf("aborted sweep executed %d of 12 points, want the first wave's 2", got)
 	}
 }
 
