@@ -576,7 +576,8 @@ func TestBatchedDataPlaneDocs(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"coalescing queue", "router.BatchBackend", "ServeEncodedBatch", "httpapi.AppendJSONString",
+		"coalescing queue", "`router.Backend` is `DoBatch` + `Check` + `Name`", "ServeEncodedBatch", "httpapi.AppendJSONString",
+		"frame of one", "`Router.exchange`", "*removed in PR 23*",
 		"arch21_batch_flushes_total", "router.FlushReasonNames()",
 		"arch21_batched_requests_total", "arch21_batch_size",
 		"sweep.Server", "exactly-once",

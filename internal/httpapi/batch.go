@@ -4,7 +4,9 @@ package httpapi
 // request body carrying many (experiment, assignment, class) entries,
 // answered by one varint-framed response carrying a per-entry outcome
 // word plus either the memoized result payload (served zero-copy from
-// the replica's slab) or an (HTTP status, message) error. The frame
+// the replica's slab) or an (HTTP status, message) error — and, when the
+// entry was shed, the retry hint a single response carries as Retry-After
+// (one more outcome-word bit, then a uvarint of milliseconds). The frame
 // replaces the per-request X-Arch21-* response headers: a batch of 64
 // warm hits costs one HTTP round trip and one header block instead of
 // 64, which is what lets routed throughput track engine throughput (the
@@ -21,7 +23,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
+	"time"
 
 	"repro/internal/admit"
 )
@@ -78,6 +82,9 @@ type BatchResult struct {
 	// Status and Msg are set when !OK.
 	Status int
 	Msg    string
+	// RetryAfter is a shed entry's backoff hint (!OK only; 0 means none),
+	// carried at millisecond precision.
+	RetryAfter time.Duration
 }
 
 // Outcome word bit layout (one byte per entry).
@@ -85,6 +92,7 @@ const (
 	batchOK       = 0x01
 	batchCacheHit = 0x02
 	batchShared   = 0x04
+	batchRetry    = 0x08 // !OK only: a uvarint of milliseconds follows the message
 )
 
 // bufPool recycles batch encode/decode scratch buffers across requests;
@@ -158,6 +166,9 @@ func AppendBatchResponse(dst []byte, results []BatchResult) []byte {
 		if r.Shared {
 			word |= batchShared
 		}
+		if !r.OK && r.RetryAfter > 0 {
+			word |= batchRetry
+		}
 		dst = append(dst, word)
 		if r.OK {
 			dst = appendUvarint(dst, uint64(len(r.Key)))
@@ -168,6 +179,11 @@ func AppendBatchResponse(dst []byte, results []BatchResult) []byte {
 			dst = appendUvarint(dst, uint64(r.Status))
 			dst = appendUvarint(dst, uint64(len(r.Msg)))
 			dst = append(dst, r.Msg...)
+			if word&batchRetry != 0 {
+				// Rounded up, so the whole-second Retry-After a front-end
+				// derives from it is the one the replica would have sent.
+				dst = appendUvarint(dst, uint64((r.RetryAfter+time.Millisecond-1)/time.Millisecond))
+			}
 		}
 	}
 	return dst
@@ -371,6 +387,9 @@ func DecodeBatchResponse(buf []byte) ([]BatchResult, error) {
 			Shared:   word&batchShared != 0,
 		}
 		if r.OK {
+			if word&batchRetry != 0 {
+				return nil, fmt.Errorf("%w: entry %d: retry hint on an OK entry", ErrBatchFrame, i)
+			}
 			key, err := fr.chunk()
 			if err != nil {
 				return nil, err
@@ -393,6 +412,13 @@ func DecodeBatchResponse(buf []byte) ([]BatchResult, error) {
 				return nil, err
 			}
 			r.Status, r.Msg = int(status), string(msg)
+			if word&batchRetry != 0 {
+				ms, err := fr.uvarint()
+				if err != nil || ms > math.MaxInt64/uint64(time.Millisecond) {
+					return nil, fmt.Errorf("%w: entry %d: bad retry hint", ErrBatchFrame, i)
+				}
+				r.RetryAfter = time.Duration(ms) * time.Millisecond
+			}
 		}
 		results = append(results, r)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/admit"
 )
@@ -41,6 +42,8 @@ func TestBatchResponseRoundTrip(t *testing.T) {
 		{OK: true, Shared: true, Key: "E1", Payload: nil},
 		{Status: 404, Msg: "unknown experiment"},
 		{Status: 503, Msg: ""},
+		{Status: 503, Msg: "queue full", RetryAfter: 1500 * time.Millisecond},
+		{Status: 429, Msg: "deadline", RetryAfter: time.Millisecond},
 	}
 	frame := AppendBatchResponse(nil, results)
 	got, err := DecodeBatchResponse(frame)
@@ -53,10 +56,53 @@ func TestBatchResponseRoundTrip(t *testing.T) {
 	for i, r := range results {
 		g := got[i]
 		if g.OK != r.OK || g.CacheHit != r.CacheHit || g.Shared != r.Shared ||
-			g.Key != r.Key || g.Status != r.Status || g.Msg != r.Msg ||
+			g.Key != r.Key || g.Status != r.Status || g.Msg != r.Msg || g.RetryAfter != r.RetryAfter ||
 			!bytes.Equal(g.Payload, r.Payload) {
 			t.Fatalf("result %d: got %+v, want %+v", i, g, r)
 		}
+	}
+	// A frame without a shed is byte for byte what it was before the hint
+	// existed; the bit and the uvarint appear only on a hinted entry.
+	_, absent, _, _ := retryHintFrames()
+	if want := "A21R\x01\x01\x00\xf7\x03\x0aqueue full"; string(absent) != want {
+		t.Fatalf("plain shed frame = %q, want %q", absent, want)
+	}
+	// A sub-millisecond hint rounds up to the one millisecond the frame can say.
+	got, err = DecodeBatchResponse(AppendBatchResponse(nil, []BatchResult{{Status: 503, RetryAfter: time.Microsecond}}))
+	if err != nil || got[0].RetryAfter != time.Millisecond {
+		t.Fatalf("sub-millisecond hint decoded as (%+v, %v), want 1ms", got, err)
+	}
+}
+
+// retryHintFrames are response frames around the retry hint: present,
+// absent, and the two spellings the decoder must reject — a hint on an OK
+// entry and a hint whose uvarint overflows.
+func retryHintFrames() (present, absent, onOK, overflow []byte) {
+	present = AppendBatchResponse(nil, []BatchResult{{Status: 503, Msg: "queue full", RetryAfter: 2 * time.Second}})
+	absent = AppendBatchResponse(nil, []BatchResult{{Status: 503, Msg: "queue full"}})
+	onOK = AppendBatchResponse(nil, []BatchResult{{OK: true, Key: "k"}})
+	onOK[len(BatchResponseMagic)+2] |= batchRetry
+	onOK = appendUvarint(onOK, 7)
+	overflow = append(present[:len(present)-2:len(present)-2], bytes.Repeat([]byte{0xFF}, 10)...)
+	return
+}
+
+func TestBatchResponseRetryHint(t *testing.T) {
+	present, absent, onOK, overflow := retryHintFrames()
+	if want := "A21R\x01\x01\x08\xf7\x03\x0aqueue full\xd0\x0f"; string(present) != want {
+		t.Fatalf("hinted shed frame = %q, want %q", present, want)
+	}
+	if got, err := DecodeBatchResponse(present); err != nil || got[0].RetryAfter != 2*time.Second {
+		t.Fatalf("hinted entry = (%+v, %v), want a 2s hint", got, err)
+	}
+	if got, err := DecodeBatchResponse(absent); err != nil || got[0].RetryAfter != 0 {
+		t.Fatalf("plain shed entry = (%+v, %v), want no hint", got, err)
+	}
+	if _, err := DecodeBatchResponse(onOK); err == nil {
+		t.Fatal("a retry hint on an OK entry was accepted")
+	}
+	if _, err := DecodeBatchResponse(overflow); err == nil {
+		t.Fatal("an overflowing retry hint was accepted")
 	}
 }
 
@@ -222,6 +268,12 @@ func TestBatchWalkerAgreesWithDecoder(t *testing.T) {
 	// A non-minimal varint count is a spelling the encoder never emits but
 	// the decoders accept; the walker's Run carries it through verbatim.
 	checkWalkerAgrees(t, append(AppendBatchEntry(AppendBatchHeader(nil, 1), "E1", admit.Batch, nil), 0x80, 0x00))
+	// Response frames, the retry hint's four spellings among them, are not
+	// request frames to walker or decoder.
+	present, absent, onOK, overflow := retryHintFrames()
+	for _, frame := range [][]byte{present, absent, onOK, overflow} {
+		checkWalkerAgrees(t, frame)
+	}
 }
 
 // FuzzBatchFrame drives both frame decoders over arbitrary bytes: no
@@ -241,6 +293,10 @@ func FuzzBatchFrame(f *testing.F) {
 	}))
 	f.Add([]byte(BatchRequestMagic))
 	f.Add([]byte(BatchResponseMagic))
+	present, absent, onOK, overflow := retryHintFrames()
+	for _, frame := range [][]byte{present, absent, onOK, overflow} {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkWalkerAgrees(t, data)
 		if entries, err := DecodeBatchRequest(data); err == nil {
@@ -269,6 +325,7 @@ func FuzzBatchFrame(f *testing.F) {
 			for i := range results {
 				if again[i].OK != results[i].OK || again[i].Key != results[i].Key ||
 					again[i].Status != results[i].Status || again[i].Msg != results[i].Msg ||
+					again[i].RetryAfter != results[i].RetryAfter ||
 					!bytes.Equal(again[i].Payload, results[i].Payload) {
 					t.Fatalf("result %d changed in round trip: %+v -> %+v", i, results[i], again[i])
 				}

@@ -30,9 +30,8 @@ const HeaderHedge = "X-Arch21-Hedge"
 // Binary result transport (?format=bin): the response body is the raw
 // core.Result codec payload exactly as memoized — served zero-copy from
 // the tier-1 slab — and the envelope fields JSON would carry ride in
-// these response headers instead. The routing front-end's backend client
-// uses this so a proxied warm hit is one slab read plus one body copy,
-// never a decode/re-encode round trip.
+// these response headers instead. It is client API; the routing
+// front-end's hop is the batch frame (batch.go), not this.
 const (
 	// HeaderKey echoes the cache key the result is memoized under.
 	HeaderKey = "X-Arch21-Key"

@@ -62,16 +62,10 @@ func NewEngineTarget(eng *serve.Engine) *EngineTarget {
 }
 
 // Server is any in-process serving surface (serve.Engine, router.Router)
-// a ServerTarget can drive.
+// a ServerTarget can drive — the zero-copy one: results stay encoded, so
+// a warm hit costs no decode and the generator measures the slab path
+// itself instead of its own decode allocations.
 type Server interface {
-	ServeWith(ctx context.Context, id string, p core.Params) (serve.Response, error)
-}
-
-// EncodedServer is the zero-copy serving surface (serve.Engine): results
-// stay encoded, so a warm hit costs no decode. ServerTarget uses it when
-// the wrapped server offers it — what lets the generator measure the
-// slab path itself instead of its own decode allocations.
-type EncodedServer interface {
 	ServeEncoded(ctx context.Context, id string, p core.Params) (serve.RawResponse, error)
 }
 
@@ -79,7 +73,6 @@ type EncodedServer interface {
 // like any single engine.
 type ServerTarget struct {
 	srv   Server
-	enc   EncodedServer // non-nil when srv serves encoded results
 	name  string
 	reset func()
 	// classCtx precomputes one context per class: Do is the generator's
@@ -98,7 +91,6 @@ func NewServerTarget(srv Server, name string) *ServerTarget {
 }
 
 func (t *ServerTarget) init() {
-	t.enc, _ = t.srv.(EncodedServer)
 	for _, class := range admit.Classes() {
 		t.classCtx[class] = admit.WithClass(context.Background(), class)
 	}
@@ -126,22 +118,15 @@ func (t *ServerTarget) ctx(v Variant) context.Context {
 }
 
 // Do serves one variant through the server under the variant's class
-// and, for multi-tenant scenarios, its tenant identity. Servers that
-// expose the encoded path are driven through it — the measured request
-// then exercises exactly the bytes-out path the HTTP layer serves.
+// and, for multi-tenant scenarios, its tenant identity — through the
+// encoded path, so the measured request exercises exactly the bytes-out
+// path the HTTP layer serves.
 func (t *ServerTarget) Do(v Variant) (Outcome, error) {
-	if t.enc != nil {
-		rr, err := t.enc.ServeEncoded(t.ctx(v), v.ID, v.Params)
-		if err != nil {
-			return Outcome{}, err
-		}
-		return Outcome{CacheHit: rr.CacheHit, Shared: rr.Shared}, nil
-	}
-	resp, err := t.srv.ServeWith(t.ctx(v), v.ID, v.Params)
+	rr, err := t.srv.ServeEncoded(t.ctx(v), v.ID, v.Params)
 	if err != nil {
 		return Outcome{}, err
 	}
-	return Outcome{CacheHit: resp.CacheHit, Shared: resp.Shared}, nil
+	return Outcome{CacheHit: rr.CacheHit, Shared: rr.Shared}, nil
 }
 
 // Name identifies the target kind.

@@ -116,13 +116,12 @@ func (e *Events) Record(typ string, labels map[string]string, data map[string]fl
 		e.buf[e.next] = ev
 	}
 	e.next = (e.next + 1) % e.cap
-	sink := e.sink
-	e.mu.Unlock()
-	if sink != nil {
+	if e.sink != nil { // under the lock, as SetSink promises: a sink need not be safe for concurrent writes
 		if line, err := json.Marshal(ev); err == nil {
-			_, _ = sink.Write(append(line, '\n'))
+			_, _ = e.sink.Write(append(line, '\n'))
 		}
 	}
+	e.mu.Unlock()
 }
 
 // Total returns how many events have ever been recorded (the ring may

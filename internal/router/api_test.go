@@ -4,21 +4,24 @@ package router
 // replica engine's handler and the routing front-end — answers with the
 // shared httpapi envelope, on the legacy paths and their /v1 aliases
 // alike; upstream sheds pass through with Retry-After intact; and
-// HTTPBackend's keep-alive pool actually reuses connections, including
-// across error responses.
+// HTTPBackend keeps one stream per replica, and on the POST carrier its
+// keep-alive pool actually reuses connections, including across error
+// responses.
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
-	"repro/internal/admit"
 	"repro/internal/httpapi"
 	"repro/internal/serve"
 )
@@ -145,19 +148,40 @@ func TestV1AliasesServeSameContent(t *testing.T) {
 	}
 }
 
+// shedReplica is a fake replica that refuses the stream upgrade and
+// answers every POST /v1/batch frame with one shed entry per request
+// entry: 503 queue-full carrying retryAfter as the frame's retry hint.
+func shedReplica(t *testing.T, retryAfter time.Duration) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/healthz":
+			w.WriteHeader(http.StatusOK)
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/batch":
+			body, _ := io.ReadAll(r.Body)
+			entries, err := httpapi.DecodeBatchRequest(body)
+			if err != nil {
+				t.Errorf("fake replica got a bad frame: %v", err)
+			}
+			results := make([]httpapi.BatchResult, len(entries))
+			for i := range results {
+				results[i] = httpapi.BatchResult{Status: http.StatusServiceUnavailable,
+					Msg: "queue full", RetryAfter: retryAfter}
+			}
+			_, _ = w.Write(httpapi.AppendBatchResponse(nil, results))
+		default:
+			httpapi.WriteError(w, http.StatusUpgradeRequired, httpapi.CodeBadRequest, "no stream here")
+		}
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
 func TestRouterPassesThroughUpstreamShedEnvelope(t *testing.T) {
-	// A replica sheds with 503 + Retry-After; the front-end must re-emit
+	// A replica sheds with 503 + a retry hint; the front-end must re-emit
 	// the same status, the envelope, and the backoff header instead of
 	// swallowing them.
-	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/healthz" {
-			w.WriteHeader(http.StatusOK)
-			return
-		}
-		httpapi.WriteErrorRetry(w, http.StatusServiceUnavailable, httpapi.CodeQueueFull,
-			"queue full", 2e9)
-	}))
-	t.Cleanup(replica.Close)
+	replica := shedReplica(t, 2*time.Second)
 	rt, err := New([]Backend{NewHTTPBackend(replica.URL)}, Config{Retries: 1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -170,28 +194,49 @@ func TestRouterPassesThroughUpstreamShedEnvelope(t *testing.T) {
 	if got := rec.Header().Get("Retry-After"); got != "2" {
 		t.Fatalf("Retry-After %q, want %q", got, "2")
 	}
-	if got := decodeEnvelope(t, rec); got.Code != httpapi.CodeQueueFull {
-		t.Fatalf("code %q, want queue_full", got.Code)
+	if got := decodeEnvelope(t, rec); got.Code != httpapi.CodeQueueFull || got.RetryAfterMS != 2000 {
+		t.Fatalf("envelope %+v, want queue_full with retry_after_ms 2000", got)
 	}
 }
 
 func TestHTTPBackendReusesConnections(t *testing.T) {
-	// Sequential requests — including one answered with an error status
-	// whose body the backend must drain — have to ride one keep-alive
-	// connection. Without draining, the transport tears the connection
-	// down after every error and the pool silently degrades to a dial
-	// per request.
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/run/ERR") {
+	eng := newTestEngine(t)
+	ctx := context.Background()
+
+	// Over the stream, every attempt rides the one upgraded connection:
+	// the replica sees a single request — the upgrade — and no redial.
+	var requests atomic.Int64
+	streamSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		eng.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(streamSrv.Close)
+	b := NewHTTPBackend(streamSrv.URL)
+	for i := 0; i < 8; i++ {
+		if _, err := b.Do(ctx, fmt.Sprintf("E%d", i%2), nil); err != nil {
+			t.Fatalf("stream attempt %d: %v", i, err)
+		}
+	}
+	if tr, redials := b.Carrier(); tr != "stream" || redials != 0 || requests.Load() != 1 {
+		t.Fatalf("8 attempts: carrier %q, %d redials, %d HTTP requests; want one stream, dialled once", tr, redials, requests.Load())
+	}
+
+	// On the POST carrier, sequential exchanges — including one answered
+	// with an error status whose body the backend must drain — have to
+	// ride one keep-alive connection. Without draining, the transport
+	// tears the connection down after every error and the pool silently
+	// degrades to a dial per request.
+	var posts atomic.Int64
+	postSrv := httptest.NewServer(noStream(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && posts.Add(1) == 2 {
 			httpapi.WriteError(w, http.StatusServiceUnavailable, httpapi.CodeQueueFull,
 				strings.Repeat("shed ", 200)) // larger than the 512B error sample
 			return
 		}
-		w.Header().Set(admit.HeaderClass, "interactive")
-		_, _ = w.Write(fakeResult(strings.TrimPrefix(r.URL.Path, "/run/")).Encode())
-	}))
-	t.Cleanup(srv.Close)
-	b := NewHTTPBackend(srv.URL)
+		eng.Handler().ServeHTTP(w, r)
+	})))
+	t.Cleanup(postSrv.Close)
+	b = NewHTTPBackend(postSrv.URL)
 
 	var mu sync.Mutex
 	var reused []bool
@@ -200,13 +245,13 @@ func TestHTTPBackendReusesConnections(t *testing.T) {
 		reused = append(reused, info.Reused)
 		mu.Unlock()
 	}}
-	ctx := httptrace.WithClientTrace(context.Background(), trace)
+	ctx = httptrace.WithClientTrace(ctx, trace)
 
 	if _, err := b.Do(ctx, "E1", nil); err != nil {
 		t.Fatalf("first request: %v", err)
 	}
-	if _, err := b.Do(ctx, "ERR", nil); err == nil {
-		t.Fatal("error request should fail")
+	if _, err := b.Do(ctx, "E1", nil); !isHTTPStatus(err, http.StatusServiceUnavailable) {
+		t.Fatalf("error request = %v, want the 503", err)
 	}
 	if _, err := b.Do(ctx, "E1", nil); err != nil {
 		t.Fatalf("post-error request: %v", err)

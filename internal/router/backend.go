@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,29 +19,24 @@ import (
 	"repro/internal/serve"
 )
 
-// Backend is one serve replica the router can place requests on.
+// Backend is one serve replica the router can place requests on. Every
+// request reaches it as a frame through DoBatch — a coalesced flush, a
+// pre-assembled owner group, or a chain attempt's frame of one.
 // Implementations must be safe for concurrent calls.
 type Backend interface {
-	// Do serves one (experiment, assignment) request under the caller's
-	// QoS context (class, deadline, cancellation).
-	Do(ctx context.Context, id string, p core.Params) (serve.Response, error)
+	// DoBatch serves many items against the replica in a single exchange
+	// under the caller's QoS context (tenant, deadline, hedge marker,
+	// cancellation; each item carries its own class). Outcomes come back
+	// in item order, one per item, and one item's failure never fails its
+	// siblings — transport-level failures (the whole exchange lost) are
+	// the returned error instead.
+	DoBatch(ctx context.Context, items []serve.BatchItem) ([]serve.BatchOutcome, error)
 	// Check probes liveness cheaply; nil means healthy. The router calls
 	// it to decide re-admission of an ejected backend.
 	Check() error
 	// Name identifies the backend in metrics ("engine[2]",
 	// "http://host:8021").
 	Name() string
-}
-
-// BatchBackend is the optional multi-get capability the batched data
-// plane routes through: serve many items against one replica in a
-// single exchange. Outcomes come back in item order, one per item, and
-// one item's failure never fails its siblings — transport-level
-// failures (the whole exchange lost) are the returned error instead.
-// Backends without it (test doubles, old replicas) are served through
-// the classic per-request path.
-type BatchBackend interface {
-	DoBatch(ctx context.Context, items []serve.BatchItem) ([]serve.BatchOutcome, error)
 }
 
 // EngineBackend is an in-process serve.Engine shard.
@@ -57,13 +51,8 @@ func NewEngineBackend(eng *serve.Engine, name string) *EngineBackend {
 	return &EngineBackend{eng: eng, name: name}
 }
 
-// Do implements Backend.
-func (b *EngineBackend) Do(ctx context.Context, id string, p core.Params) (serve.Response, error) {
-	return b.eng.ServeWith(ctx, id, p)
-}
-
-// DoBatch implements BatchBackend straight through the engine's
-// multi-get surface.
+// DoBatch implements Backend straight through the engine's multi-get
+// surface.
 func (b *EngineBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]serve.BatchOutcome, error) {
 	return b.eng.ServeEncodedBatch(ctx, items), nil
 }
@@ -95,13 +84,13 @@ func (b *EngineBackend) Control(_ context.Context, body []byte) ([]byte, error) 
 // statusError is an HTTP backend failure carrying the replica's status
 // code — so the router can tell client errors (no failover: every
 // replica would reject identically) from replica failures (fail over) —
-// plus the replica's Retry-After hint when it sent one, so the routing
-// front-end can re-emit the header instead of swallowing the backoff
-// signal DESIGN.md §8 promises.
+// plus the retry hint a shed entry carried, so the routing front-end can
+// re-emit Retry-After instead of swallowing the backoff signal DESIGN.md
+// §8 promises.
 type statusError struct {
 	status     int
 	msg        string
-	retryAfter string
+	retryAfter time.Duration
 }
 
 func (e *statusError) Error() string { return fmt.Sprintf("HTTP %d: %s", e.status, e.msg) }
@@ -119,10 +108,9 @@ func isHTTPStatus(err error, status int) bool {
 	return errors.As(err, &se) && se.status == status
 }
 
-// HTTPBackend is a remote arch21d replica reached over its HTTP API
-// (GET /run/{id} to serve, GET /healthz to probe) and, for batch frames,
-// over one upgraded stream (stream.go) with POST /batch as the fallback
-// for replicas that refuse the upgrade.
+// HTTPBackend is a remote arch21d replica: frames ride one upgraded
+// stream (stream.go), or POST /batch when the replica refuses the
+// upgrade; GET /healthz probes it and POST /control retunes it.
 type HTTPBackend struct {
 	base   string
 	client *http.Client
@@ -156,13 +144,14 @@ func NewHTTPBackend(addr string) *HTTPBackend {
 			// abandoned goroutine's connection eventually.
 			Timeout: DefaultTimeout + time.Minute,
 			Transport: &http.Transport{
-				// One backend == one host, so the per-host cap is the real
-				// limit; size both to the router's worst-case fan-out (a
-				// hedge per in-flight request) so bursts never fall back to
-				// per-request dials. Reuse only works if every response body
-				// is drained — see httpapi.DrainClose.
-				MaxIdleConns:        256,
-				MaxIdleConnsPerHost: 256,
+				// Carries /healthz, /control and — only for a replica that
+				// refused the stream — the POST carrier. One backend == one
+				// host, so the per-host cap is the real limit: as many pooled
+				// exchanges as a replica serves frames at once on a stream
+				// (serve's streamMaxInflight). Reuse only works if every
+				// response body is drained — see httpapi.DrainClose.
+				MaxIdleConns:        64,
+				MaxIdleConnsPerHost: 64,
 				IdleConnTimeout:     90 * time.Second,
 			},
 		},
@@ -177,81 +166,20 @@ func NewHTTPBackend(addr string) *HTTPBackend {
 // one.
 const hopBudget = 5 * time.Millisecond
 
-// Do implements Backend: GET /run/{id}?format=bin&param=... against the
-// replica. The binary transport carries the memoized codec bytes as the
-// body — served zero-copy from the replica's slab, decoded once here —
-// so a proxied result is the replica's full Result (tables and figures
-// included), not the headline slice the old JSON envelope kept. The
-// context's QoS envelope travels as headers via httpapi.Forward: class,
-// tenant, hedge marker, and the remaining deadline decremented by
-// hopBudget — so the whole chain fits the caller's original budget
-// instead of each hop granting itself a fresh one.
+// Do serves one request as a frame of one and decodes it at the edge: a
+// helper over DoBatch, kept because bench/ times the hop through it.
 func (b *HTTPBackend) Do(ctx context.Context, id string, p core.Params) (serve.Response, error) {
-	t0 := time.Now()
-	// The URL is assembled into a pooled buffer: url.Values + Encode
-	// costs a map plus several slices per request, and this is the
-	// routed hot loop.
-	ub := httpapi.GetBuffer()
-	ubuf := append((*ub)[:0], b.base...)
-	ubuf = append(ubuf, "/run/"...)
-	ubuf = append(ubuf, url.PathEscape(id)...)
-	ubuf = append(ubuf, "?format=bin"...)
-	for _, a := range p.Assignments() {
-		ubuf = append(ubuf, "&param="...)
-		ubuf = append(ubuf, url.QueryEscape(a)...)
+	outs, err := b.DoBatch(ctx, []serve.BatchItem{itemOf(serve.IdentOf(id, p), admit.ClassFrom(ctx))})
+	if err == nil {
+		err = outs[0].Err
 	}
-	u := string(ubuf)
-	*ub = ubuf
-	httpapi.PutBuffer(ub)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
-		return serve.Response{}, fmt.Errorf("router: %s: %v", b.base, err)
-	}
-	if err := httpapi.Forward(req, ctx, hopBudget); err != nil {
-		// The budget cannot survive the hop: a deadline shed, decided at
-		// the front-end instead of burning the wire.
 		return serve.Response{}, err
 	}
-	resp, err := b.client.Do(req)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return serve.Response{}, ctxErr
-		}
-		return serve.Response{}, fmt.Errorf("router: %s: %w", b.base, err)
-	}
-	defer httpapi.DrainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return serve.Response{}, fmt.Errorf("router: %s /run/%s: %w", b.base, id,
-			&statusError{status: resp.StatusCode, msg: strings.TrimSpace(string(body)),
-				retryAfter: resp.Header.Get("Retry-After")})
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return serve.Response{}, fmt.Errorf("router: %s: reading body: %v", b.base, err)
-	}
-	res, err := core.DecodeResult(raw)
-	if err != nil {
-		return serve.Response{}, fmt.Errorf("router: %s: bad result payload: %v", b.base, err)
-	}
-	params, err := core.ParseParams(resp.Header.Values(httpapi.HeaderParam))
-	if err != nil {
-		return serve.Response{}, fmt.Errorf("router: %s: bad param header: %v", b.base, err)
-	}
-	class, _ := admit.ParseClass(resp.Header.Get(admit.HeaderClass)) // absent/unknown defaults to interactive
-	return serve.Response{
-		ID:       id,
-		Params:   params,
-		Key:      resp.Header.Get(httpapi.HeaderKey),
-		Class:    class,
-		CacheHit: resp.Header.Get(httpapi.HeaderCacheHit) == "1",
-		Shared:   resp.Header.Get(httpapi.HeaderShared) == "1",
-		Result:   res,
-		Latency:  time.Since(t0),
-	}, nil
+	return decodeResponse(outs[0].RawResponse)
 }
 
-// DoBatch implements BatchBackend over the wire: one A21B request frame
+// DoBatch implements Backend over the wire: one A21B request frame
 // out, one A21R outcome frame back. This is the frame-exchange routine of
 // both carriers; only how the bytes move differs — a message on the
 // replica's stream, or POST /v1/batch when the replica refused the
@@ -260,7 +188,7 @@ func (b *HTTPBackend) Do(ctx context.Context, id string, p core.Params) (serve.R
 // headers; a budget that cannot survive the hop is shed here without a
 // wire message. Entry-level errors surface as statusError values so the
 // router's verdict taxonomy (client error vs shed vs replica failure)
-// applies per entry exactly as it would to a single routed request.
+// applies per entry whichever frame carried it.
 func (b *HTTPBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]serve.BatchOutcome, error) {
 	t0 := time.Now()
 	env, err := httpapi.EnvelopeFrom(ctx, hopBudget)
@@ -313,7 +241,7 @@ func (b *HTTPBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]s
 	for i, res := range results {
 		if !res.OK {
 			out[i].Err = fmt.Errorf("router: %s /batch entry %s: %w", b.base, items[i].ID,
-				&statusError{status: res.Status, msg: res.Msg})
+				&statusError{status: res.Status, msg: res.Msg, retryAfter: res.RetryAfter})
 			continue
 		}
 		out[i].RawResponse = serve.RawResponse{
@@ -346,8 +274,7 @@ func (b *HTTPBackend) postBatch(ctx context.Context, env httpapi.Envelope, frame
 	defer httpapi.DrainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, &statusError{status: resp.StatusCode, msg: strings.TrimSpace(string(body)),
-			retryAfter: resp.Header.Get("Retry-After")}
+		return nil, &statusError{status: resp.StatusCode, msg: strings.TrimSpace(string(body))}
 	}
 	return io.ReadAll(resp.Body)
 }

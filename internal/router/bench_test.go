@@ -63,13 +63,14 @@ func BenchmarkServeEncodedRoutedWarm(b *testing.B) {
 	})
 }
 
-// The hop, four ways (ROADMAP item 3): the same one-entry warm exchange
-// against one engine over (i) net/http GET format=bin, (ii) net/http POST
-// /v1/batch with a frame of one, (iii) the upgraded frame stream, (iv) the
-// stream with eight exchanges in flight. Every reply is decoded and
-// checked. Reported per exchange: ns (wall), cpu-us (getrusage, whole
-// process — client and replica), allocs. DESIGN §7 records the readings
-// and the rule they were taken for: build the stream if (iii) <= 0.5 x (i).
+// The hop, three ways (ROADMAP item 3): the same one-entry warm exchange
+// against one engine over (i) net/http POST /v1/batch with a frame of
+// one, (ii) the upgraded frame stream, (iii) the stream with eight
+// exchanges in flight. Every reply is decoded and checked. Reported per
+// exchange: ns (wall), cpu-us (getrusage, whole process — client and
+// replica), allocs. DESIGN §7 records the readings, next to the fourth
+// way they were first taken against (net/http GET format=bin, whose
+// client PR 23 removed).
 func benchHop(b *testing.B, carrier string, inflight int, exchange func(hb *HTTPBackend) error) {
 	eng := serve.NewEngine(serve.Config{Shards: 8, Workers: 2})
 	defer eng.Close()
@@ -85,7 +86,7 @@ func benchHop(b *testing.B, carrier string, inflight int, exchange func(hb *HTTP
 			b.Fatal(err)
 		}
 	}
-	if tr, _ := hb.Carrier(); carrier != "" && tr != carrier {
+	if tr, _ := hb.Carrier(); tr != carrier {
 		b.Fatalf("DoBatch rides %q, want %q", tr, carrier)
 	}
 	cpu := func() time.Duration {
@@ -129,16 +130,6 @@ func hopBatchOne(hb *HTTPBackend) error {
 		err = fmt.Errorf("bad payload %+v", res)
 	}
 	return err
-}
-
-func BenchmarkHopHTTPGetBin(b *testing.B) {
-	benchHop(b, "", 1, func(hb *HTTPBackend) error {
-		resp, err := hb.Do(hopCtx, "E7", nil)
-		if err == nil && (resp.Key != "E7" || resp.Result.Figure == nil) {
-			err = fmt.Errorf("bad response %+v", resp)
-		}
-		return err
-	})
 }
 
 func BenchmarkHopHTTPBatchOne(b *testing.B)     { benchHop(b, "http", 1, hopBatchOne) }

@@ -21,16 +21,16 @@ package router
 //
 // Interactive requests only coalesce at all when the owner is trusted:
 // scoreboard warmed up (>= hedgeWarmup samples) and its latency EWMA
-// under coalesceTrustMean — otherwise they take the classic hedged
-// single-request path, so a degraded replica's p99 is still covered by
-// backup requests. Requests carrying a deadline always bypass
-// coalescing: a flush runs under the router's own timeout, detached
-// from caller contexts, so one canceled caller cannot waste its
-// siblings' memoized work.
+// under coalesceTrustMean — otherwise they walk the hedged chain with a
+// frame of their own, so a degraded replica's p99 is still covered by
+// backup requests. A frame carries one QoS envelope, and a flush runs
+// under the router's own timeout, detached from caller contexts (one
+// canceled caller must not waste its siblings' memoized work) — so a
+// request with an envelope of its own, a deadline or a tenant, never
+// joins a shared frame either: it ships its own, under its own context.
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -47,7 +47,7 @@ const (
 	batchWindow = 500 * time.Microsecond
 	// coalesceTrustMean is the owner latency EWMA (seconds) above which
 	// interactive traffic stops coalescing and returns to the hedged
-	// single-request path.
+	// chain walk.
 	coalesceTrustMean = 0.005
 )
 
@@ -56,9 +56,9 @@ const (
 	flushFull = iota
 	flushWindow
 	flushInteractive
-	// flushDirect counts pre-assembled frames (sweep fan-out and the
-	// /batch endpoint) shipped through ServeEncodedBatch without passing
-	// the coalescing queue.
+	// flushDirect counts frames shipped without passing the coalescing
+	// queue: ServeEncodedBatch's pre-assembled owner groups (sweep fan-out
+	// and the /batch endpoint) and the chain walk's frames of one.
 	flushDirect
 	flushReasons
 )
@@ -104,17 +104,15 @@ var callPool = sync.Pool{New: func() any {
 // coalescer is one backend's flush queue. At most one flushLoop
 // goroutine exists per coalescer (guarded by flushing); it drains the
 // queue in frames, parks briefly when the queue goes empty, and exits
-// only after flusherIdle without traffic. direct marks an in-process
-// engine backend: its DoBatch cannot transport-wedge, so flushes skip
-// the per-flush timeout context a remote exchange needs.
+// only after flusherIdle without traffic.
 type coalescer struct {
-	r      *Router
-	b      int
-	bb     BatchBackend
-	direct bool
-	// eng is the unwrapped in-process engine when direct: flushes call
-	// its buffer-reusing multi-get directly, so the steady state
-	// allocates neither items nor outcomes per frame.
+	r *Router
+	b int
+	// eng is the unwrapped engine of an in-process backend: it cannot
+	// transport-wedge, so its flushes skip the per-flush timeout context
+	// a remote exchange needs, and exchange calls its buffer-reusing
+	// multi-get directly, so the steady state allocates neither items
+	// nor outcomes per frame.
 	eng *serve.Engine
 
 	mu      sync.Mutex
@@ -308,48 +306,25 @@ func (c *coalescer) flushLoop() {
 
 // ship runs one frame against the backend and completes every call.
 // The flush context is the router's own timeout, deliberately detached
-// from the callers': deadline-carrying requests bypassed coalescing, so
-// every queued caller is patient, and a caller that gave up anyway must
-// not cancel its siblings' (memoized, never wasted) work.
+// from the callers': requests with a deadline of their own ship their
+// own frames, so every queued caller is patient, and a caller that gave
+// up anyway must not cancel its siblings' (memoized, never wasted) work.
+// Whatever loses the frame — expiry of that timeout included — is the
+// replica's failure.
 func (c *coalescer) ship(calls []*batchCall, reason int) {
 	r := c.r
-	r.batchFlushes[reason].Add(1)
-	r.batchSize.Observe(float64(len(calls)))
-	st := &r.state[c.b]
-	st.mu.Lock()
-	st.requests += int64(len(calls))
-	st.mu.Unlock()
 	items := c.items[:0]
 	for _, call := range calls {
-		items = append(items, serve.BatchItem{ID: call.ident.ID(), Params: call.ident.Params(),
-			Class: call.class, Ident: call.ident})
+		items = append(items, itemOf(call.ident, call.class))
 	}
 	c.items = items[:0]
-	sc := &r.sb.scores[c.b]
-	sc.inflight.Add(int64(len(calls)))
-	var (
-		outs []serve.BatchOutcome
-		err  error
-	)
-	t0 := time.Now()
-	if c.direct {
-		// The flush bound exists to classify transport slowness; an
-		// in-process engine cannot transport-wedge, so direct flushes
-		// skip the per-flush context (and its timer) and reuse the
-		// outcome buffer frame over frame.
-		outs = c.eng.ServeEncodedBatchInto(context.Background(), items, c.outs[:0])
-		c.outs = outs[:0]
-	} else {
-		fctx, cancel := context.WithTimeout(context.Background(), r.cfg.Timeout)
-		outs, err = c.bb.DoBatch(fctx, items)
-		cancel()
+	ctx := context.Background()
+	if c.eng == nil {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, r.cfg.Timeout)
+		defer cancel()
 	}
-	elapsed := time.Since(t0)
-	sc.inflight.Add(-int64(len(calls)))
-	if err == nil && len(outs) != len(calls) {
-		err = fmt.Errorf("router: %s: batch returned %d outcomes for %d items",
-			r.backends[c.b].Name(), len(outs), len(calls))
-	}
+	outs, err := r.exchange(ctx, c.b, items, reason)
 	if err != nil {
 		r.noteFailure(c.b)
 		for _, call := range calls {
@@ -358,21 +333,21 @@ func (c *coalescer) ship(calls []*batchCall, reason int) {
 		return
 	}
 	r.noteSuccess(c.b)
-	r.sb.observe(c.b, elapsed)
 	for i, call := range calls {
 		call.done <- outs[i]
 	}
 }
 
-// coalesceOK reports whether one request may enter owner's coalescing
-// queue instead of the classic chain. Deadline-carrying requests never
-// coalesce (the flush runs detached from caller deadlines); ejected
+// coalesceOK reports whether one request may join owner's shared frame
+// instead of shipping its own along the chain. A request with an envelope
+// of its own — a deadline or a tenant — never does (a frame carries one
+// envelope, and the flush runs detached from caller contexts); ejected
 // owners never coalesce (the chain walk knows how to probe and fail
 // over); batch class always coalesces past those gates; interactive
 // coalesces only when the owner's scoreboard is warmed up and fast —
-// otherwise the hedged single-request path keeps its p99 covered.
+// otherwise the hedged chain walk keeps its p99 covered.
 func (r *Router) coalesceOK(ctx context.Context, owner int, class admit.Class) bool {
-	if _, hasDeadline := ctx.Deadline(); hasDeadline {
+	if _, hasDeadline := ctx.Deadline(); hasDeadline || admit.TenantFrom(ctx) != "" {
 		return false
 	}
 	st := &r.state[owner]
@@ -389,30 +364,13 @@ func (r *Router) coalesceOK(ctx context.Context, owner int, class admit.Class) b
 	return n >= hedgeWarmup && mean < coalesceTrustMean
 }
 
-// encodeResponse converts a classic-path Response into the encoded
-// form the batched surfaces return (one Encode; the payload is fresh,
-// not slab-aliased).
-func encodeResponse(resp serve.Response) serve.RawResponse {
-	return serve.RawResponse{
-		ID:       resp.ID,
-		Params:   resp.Params,
-		Key:      resp.Key,
-		Class:    resp.Class,
-		Raw:      resp.Result.Encode(),
-		CacheHit: resp.CacheHit,
-		Shared:   resp.Shared,
-		Latency:  resp.Latency,
-	}
-}
-
-// ServeEncoded routes one request through the batched data plane: if
-// the owner's backend can batch and the request may coalesce, it joins
-// the owner's flush queue and returns the replica's encoded payload
-// without a decode/re-encode at this hop. Otherwise — or when a
-// coalesced attempt comes back with a failover-worthy error — it takes
-// the classic hedged chain and encodes at the edge. Satisfies
-// load.EncodedServer, so in-process load generation measures exactly
-// this path.
+// ServeEncoded routes one request through the batched data plane: a
+// request that may coalesce joins its owner's flush queue; anything else
+// — or a coalesced attempt that comes back with a failover-worthy error
+// — walks the hedged chain with a frame of its own. Either way the
+// replica's encoded payload comes back without a decode/re-encode at
+// this hop. Satisfies load.Server, so in-process load generation
+// measures exactly this path.
 func (r *Router) ServeEncoded(ctx context.Context, id string, p core.Params) (serve.RawResponse, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -421,8 +379,8 @@ func (r *Router) ServeEncoded(ctx context.Context, id string, p core.Params) (se
 	class := admit.ClassFrom(ctx)
 	ident := serve.IdentOf(id, p)
 	owner := r.ring.Place(ident.Hash())
-	if c := r.co[owner]; c != nil && r.coalesceOK(ctx, owner, class) {
-		out := c.do(ctx, class, ident)
+	if r.coalesceOK(ctx, owner, class) {
+		out := r.co[owner].do(ctx, class, ident)
 		if out.Err == nil {
 			r.batched.Add(1)
 			return out.RawResponse, nil
@@ -436,38 +394,24 @@ func (r *Router) ServeEncoded(ctx context.Context, id string, p core.Params) (se
 		// Queue-full shed or replica failure: the chain walk below owns
 		// failover, ejection, and hedging semantics.
 	}
-	resp, err := r.serveChainKeyed(ctx, id, p, ident.Key())
-	if err != nil {
-		return serve.RawResponse{}, err
-	}
-	return encodeResponse(resp), nil
+	out := r.serveChainKeyed(ctx, itemOf(ident, class))
+	return out.RawResponse, out.Err
 }
 
-// fallbackOne serves one batch item through the classic chain under the
-// item's own class.
-func (r *Router) fallbackOne(ctx context.Context, it serve.BatchItem) serve.BatchOutcome {
-	ictx := ctx
-	if admit.ClassFrom(ctx) != it.Class {
-		ictx = admit.WithClass(ctx, it.Class)
-	}
-	resp, err := r.serveChainKeyed(ictx, it.ID, it.Params, it.Ident.Key())
-	if err != nil {
-		return serve.BatchOutcome{Err: err}
-	}
-	return serve.BatchOutcome{RawResponse: encodeResponse(resp)}
-}
-
-// ServeEncodedBatch serves a pre-assembled frame of items: group by
-// owning replica, one DoBatch exchange per owner (under the caller's
-// context — the sweep path needs its cancellation to propagate), and
-// per-entry fallback through the classic chain when an owner cannot
-// batch, is ejected, or an entry comes back failover-worthy. Outcomes
-// are in item order. Placement still follows the ring, so a sweep
-// fanned out through frames executes each grid point exactly once
-// cluster-wide, on the same replica single requests would pick. Items
-// that arrive without an identity (in-process callers holding a map) are
-// annotated in place with it and its resolved params (visible to the
-// caller). Owners are served concurrently, a lone owner on this goroutine.
+// ServeEncodedBatch serves a pre-assembled frame of items: group by owning
+// replica, one exchange per owner (under the caller's context — the sweep
+// path needs its cancellation to propagate), and per-entry fallback
+// through the chain walk when an owner is ejected, loses the frame, or an
+// entry comes back failover-worthy. Outcomes are in item order. Placement
+// still follows the ring, so a sweep fanned out through frames executes
+// each grid point exactly once cluster-wide, on the same replica single
+// requests would pick. Items that arrive without an identity (in-process
+// callers holding a map) are annotated in place with it and its resolved
+// params (visible to the caller). Owners are served concurrently, a lone
+// owner on this goroutine, their exchanges under one bound — ctx, canceled
+// at the router's timeout — so a wedged replica costs a sweep one timeout,
+// not the sweep. A cancel, not a deadline: arming a timer is not free, and
+// a deadline would ride the envelope and arm one on every replica too.
 func (r *Router) ServeEncodedBatch(ctx context.Context, items []serve.BatchItem) []serve.BatchOutcome {
 	if ctx == nil {
 		ctx = context.Background()
@@ -488,8 +432,11 @@ func (r *Router) ServeEncodedBatch(ctx context.Context, items []serve.BatchItem)
 		}
 		groups[owner] = append(groups[owner], i)
 	}
+	xctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer time.AfterFunc(r.cfg.Timeout, cancel).Stop()
 	if n := len(items); n > 0 && len(groups[owner]) == n { // one owner: no goroutine
-		r.serveOwnerBatch(ctx, owner, groups[owner], items, out)
+		r.serveOwnerBatch(ctx, xctx, owner, groups[owner], items, out)
 		return out
 	}
 	var wg sync.WaitGroup
@@ -500,7 +447,7 @@ func (r *Router) ServeEncodedBatch(ctx context.Context, items []serve.BatchItem)
 		wg.Add(1)
 		go func(owner int, idxs []int) {
 			defer wg.Done()
-			r.serveOwnerBatch(ctx, owner, idxs, items, out)
+			r.serveOwnerBatch(ctx, xctx, owner, idxs, items, out)
 		}(owner, idxs)
 	}
 	wg.Wait()
@@ -508,34 +455,19 @@ func (r *Router) ServeEncodedBatch(ctx context.Context, items []serve.BatchItem)
 }
 
 // serveOwnerBatch ships one owner's share of a frame, falling back to
-// the classic chain per entry when the direct exchange is unavailable
-// or an entry's error warrants failover.
-func (r *Router) serveOwnerBatch(ctx context.Context, owner int, idxs []int, items []serve.BatchItem, out []serve.BatchOutcome) {
-	bb, ok := r.backends[owner].(BatchBackend)
-	if ok && r.admit(owner) {
-		// admit counted one request toward the owner; account the rest of
-		// the frame's entries.
-		if len(idxs) > 1 {
-			st := &r.state[owner]
-			st.mu.Lock()
-			st.requests += int64(len(idxs) - 1)
-			st.mu.Unlock()
-		}
+// the chain walk per entry when the owner is ejected, the exchange is
+// lost, or an entry's error warrants failover. The exchange runs under
+// xctx, ctx canceled at the router's timeout; the fallbacks under ctx.
+func (r *Router) serveOwnerBatch(ctx, xctx context.Context, owner int, idxs []int, items []serve.BatchItem, out []serve.BatchOutcome) {
+	if r.admit(owner) {
 		sub := make([]serve.BatchItem, len(idxs))
 		for j, i := range idxs {
 			sub[j] = items[i]
 		}
-		r.batchFlushes[flushDirect].Add(1)
-		r.batchSize.Observe(float64(len(sub)))
-		sc := &r.sb.scores[owner]
-		sc.inflight.Add(int64(len(sub)))
-		t0 := time.Now()
-		outs, err := bb.DoBatch(ctx, sub)
-		elapsed := time.Since(t0)
-		sc.inflight.Add(-int64(len(sub)))
-		if err == nil && len(outs) == len(sub) {
+		outs, err := r.exchange(xctx, owner, sub, flushDirect)
+		switch {
+		case err == nil:
 			r.noteSuccess(owner)
-			r.sb.observe(owner, elapsed)
 			for j, i := range idxs {
 				o := outs[j]
 				if o.Err == nil {
@@ -547,23 +479,22 @@ func (r *Router) serveOwnerBatch(ctx context.Context, owner int, idxs []int, ite
 				case verdictCtx, verdictReturn:
 					out[i] = o
 				default:
-					out[i] = r.fallbackOne(ctx, items[i])
+					out[i] = r.serveChainKeyed(ctx, items[i])
 				}
 			}
 			return
-		}
-		if err != nil && classify(err) == verdictCtx {
+		case ctx.Err() != nil:
 			// The caller is gone: final for every entry, no health blame.
 			for _, i := range idxs {
-				out[i] = serve.BatchOutcome{Err: err}
+				out[i] = serve.BatchOutcome{Err: ctx.Err()}
 			}
 			return
 		}
-		// Transport failure (or a malformed outcome count): blame the
-		// replica once and let each entry fail over through the chain.
+		// Transport failure, timeout or a malformed outcome count: blame
+		// the replica once and let each entry fail over through the chain.
 		r.noteFailure(owner)
 	}
 	for _, i := range idxs {
-		out[i] = r.fallbackOne(ctx, items[i])
+		out[i] = r.serveChainKeyed(ctx, items[i])
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/serve"
 	"repro/internal/sweep"
 )
@@ -112,22 +111,14 @@ type killableBackend struct {
 	dead atomic.Bool
 }
 
-func (k *killableBackend) Do(ctx context.Context, id string, p core.Params) (serve.Response, error) {
-	if k.dead.Load() {
-		return serve.Response{}, fmt.Errorf("backend killed")
-	}
-	return k.Backend.Do(ctx, id, p)
-}
-
-// DoBatch keeps the killable replica on the batched data plane while
-// alive, so the mid-sweep kill exercises batch-exchange failover (a
-// dead replica's frame fails as a transport error and every entry must
-// fail over through the classic chain).
+// DoBatch fails a dead replica's frame as a transport error — the
+// mid-sweep kill exercises batch-exchange failover: every entry must fail
+// over through the chain walk.
 func (k *killableBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]serve.BatchOutcome, error) {
 	if k.dead.Load() {
 		return nil, fmt.Errorf("backend killed")
 	}
-	return k.Backend.(BatchBackend).DoBatch(ctx, items)
+	return k.Backend.DoBatch(ctx, items)
 }
 
 func (k *killableBackend) Check() error {
@@ -188,22 +179,27 @@ func TestClusterSweepSurvivesReplicaKillMidSweep(t *testing.T) {
 	}
 }
 
-// hangingBackend blocks every Do until released — a wedged replica, not
-// a crashed one: it accepts work and never answers.
+// hangingBackend blocks every frame until released or abandoned — a
+// wedged replica, not a crashed one: it accepts work and never answers.
+// Like a replica behind the stream, it learns of an abandoned exchange
+// only through the exchange's context (the cancel message), and the
+// frame is then lost as a whole.
 type hangingBackend struct {
 	Backend
 	hung    atomic.Bool
 	release chan struct{}
 }
 
-func (h *hangingBackend) Do(ctx context.Context, id string, p core.Params) (serve.Response, error) {
+func (h *hangingBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]serve.BatchOutcome, error) {
 	if h.hung.Load() {
-		// Abandoned attempts unblock at test teardown and must not touch
-		// the (closing) engine.
-		<-h.release
-		return serve.Response{}, fmt.Errorf("wedged attempt abandoned")
+		// Abandoned exchanges must not touch the (closing) engine.
+		select {
+		case <-h.release:
+		case <-ctx.Done():
+		}
+		return nil, fmt.Errorf("wedged exchange abandoned")
 	}
-	return h.Backend.Do(ctx, id, p)
+	return h.Backend.DoBatch(ctx, items)
 }
 
 // A wedged replica must not stall an entire sweep: points owned by the

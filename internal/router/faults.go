@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/serve"
 )
 
@@ -22,21 +21,22 @@ var ErrInjectedFault = errors.New("injected fault")
 
 // FaultBackend wraps an inner Backend with operator-controlled faults:
 //
-//   - Kill/Revive — a crashed replica: every Do fails fast and Check
+//   - Kill/Revive — a crashed replica: every frame fails fast and Check
 //     fails, so the router ejects it and probes it back after revival.
-//   - Hang/Release — a wedged replica: Do blocks until released or the
-//     caller's context expires (a hang must not leak goroutines past
+//   - Hang/Release — a wedged replica: DoBatch blocks until released or
+//     the caller's context expires (a hang must not leak goroutines past
 //     their deadlines), while Check still succeeds — the failure mode
 //     health probes cannot see.
-//   - ErrorBurst(n) — the next n calls fail fast: a transient fault
+//   - ErrorBurst(n) — the next n frames fail fast: a transient fault
 //     that exercises failover without tripping ejection thresholds
 //     when n is small.
-//   - Degrade(d) — a slow replica: every Do sleeps d before delegating,
-//     but still answers correctly and passes health checks. The failure
-//     mode ejection cannot fix and only latency-aware routing (hedging,
-//     scoreboard demotion) mitigates.
+//   - Degrade(d) — a slow replica: every frame waits d before
+//     delegating, but still answers correctly and passes health checks.
+//     The failure mode ejection cannot fix and only latency-aware
+//     routing (hedging, scoreboard demotion) mitigates.
 //
-// All methods are safe for concurrent use.
+// A fault is injected once per frame, as the transport-level error a
+// lost exchange is. All methods are safe for concurrent use.
 type FaultBackend struct {
 	inner Backend
 
@@ -47,7 +47,6 @@ type FaultBackend struct {
 	mu   sync.Mutex
 	hung chan struct{} // non-nil while hanging; closed by Release
 
-	calls  atomic.Int64
 	faults atomic.Int64
 }
 
@@ -56,7 +55,7 @@ func NewFaultBackend(inner Backend) *FaultBackend {
 	return &FaultBackend{inner: inner}
 }
 
-// Kill crash-stops the backend: every Do and Check fails until Revive.
+// Kill crash-stops the backend: every frame and Check fails until Revive.
 // In-flight calls complete — a kill is a crash, not a time machine.
 func (f *FaultBackend) Kill() { f.killed.Store(true) }
 
@@ -64,7 +63,7 @@ func (f *FaultBackend) Kill() { f.killed.Store(true) }
 // successful health probe.
 func (f *FaultBackend) Revive() { f.killed.Store(false) }
 
-// Hang wedges the backend: every Do blocks until Release (or its
+// Hang wedges the backend: every frame blocks until Release (or its
 // context's deadline). Health checks keep passing. Hanging an already
 // hung backend is a no-op.
 func (f *FaultBackend) Hang() {
@@ -85,24 +84,22 @@ func (f *FaultBackend) Release() {
 	f.mu.Unlock()
 }
 
-// ErrorBurst makes the next n calls fail fast with ErrInjectedFault.
+// ErrorBurst makes the next n frames fail fast with ErrInjectedFault.
 func (f *FaultBackend) ErrorBurst(n int) { f.burst.Store(int64(n)) }
 
-// Degrade adds d of service latency to every subsequent Do (0 heals).
+// Degrade adds d of service latency to every subsequent frame (0 heals).
 // Unlike Hang, degraded calls still complete and health checks still
 // pass — the replica is slow, not dead.
 func (f *FaultBackend) Degrade(d time.Duration) { f.degrade.Store(int64(d)) }
 
-// Calls reports total Do attempts; Faults those that failed injected.
-func (f *FaultBackend) Calls() int64  { return f.calls.Load() }
+// Faults reports the frames that failed injected.
 func (f *FaultBackend) Faults() int64 { return f.faults.Load() }
 
-// Do implements Backend with the configured faults applied.
-func (f *FaultBackend) Do(ctx context.Context, id string, p core.Params) (serve.Response, error) {
-	f.calls.Add(1)
+// DoBatch implements Backend with the configured faults applied.
+func (f *FaultBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]serve.BatchOutcome, error) {
 	if f.killed.Load() {
 		f.faults.Add(1)
-		return serve.Response{}, ErrInjectedFault
+		return nil, ErrInjectedFault
 	}
 	for {
 		f.mu.Lock()
@@ -116,12 +113,12 @@ func (f *FaultBackend) Do(ctx context.Context, id string, p core.Params) (serve.
 			// Released; re-check in case of an immediate re-hang.
 		case <-ctx.Done():
 			f.faults.Add(1)
-			return serve.Response{}, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 	if f.burst.Load() > 0 && f.burst.Add(-1) >= 0 {
 		f.faults.Add(1)
-		return serve.Response{}, ErrInjectedFault
+		return nil, ErrInjectedFault
 	}
 	if d := time.Duration(f.degrade.Load()); d > 0 {
 		// A context-aware sleep: a degraded replica abandoned by a winning
@@ -133,10 +130,10 @@ func (f *FaultBackend) Do(ctx context.Context, id string, p core.Params) (serve.
 		case <-ctx.Done():
 			t.Stop()
 			f.faults.Add(1)
-			return serve.Response{}, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
-	return f.inner.Do(ctx, id, p)
+	return f.inner.DoBatch(ctx, items)
 }
 
 // Check implements Backend: fails while killed, passes while hung (a
@@ -150,7 +147,3 @@ func (f *FaultBackend) Check() error {
 
 // Name implements Backend.
 func (f *FaultBackend) Name() string { return f.inner.Name() }
-
-// Inner exposes the wrapped backend (chaos assertions read per-replica
-// engine books through it).
-func (f *FaultBackend) Inner() Backend { return f.inner }

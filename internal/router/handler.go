@@ -51,7 +51,7 @@ func (r *Router) Handler() http.Handler {
 		}
 		// The front-end speaks the same QoS header contract as a replica
 		// (X-Arch21-Class, X-Arch21-Deadline-MS); HTTPBackend re-emits the
-		// envelope with the budget decremented per hop.
+		// envelope on its frame with the budget decremented per hop.
 		ctx, cancel, err := httpapi.RequestContext(req)
 		if err != nil {
 			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
@@ -60,8 +60,8 @@ func (r *Router) Handler() http.Handler {
 		defer cancel()
 		// The batched data plane serves this: a coalesce-eligible request
 		// joins its owner's flush queue (one exchange per frame), anything
-		// else takes the classic hedged chain — either way the payload
-		// arrives encoded, decoded once here at the edge.
+		// else walks the hedged chain with a frame of its own — either way
+		// the payload arrives encoded, decoded once here at the edge.
 		rr, err := r.ServeEncoded(ctx, id, params)
 		if err != nil {
 			writeRoutedError(w, err)
@@ -149,8 +149,9 @@ func writeRoutedError(w http.ResponseWriter, err error) {
 		// A replica's shed carried a backoff hint; re-emit it so the
 		// client behind the front-end sees the same contract a replica
 		// speaks directly.
-		if se.retryAfter != "" {
-			w.Header().Set("Retry-After", se.retryAfter)
+		if se.retryAfter > 0 {
+			httpapi.WriteErrorRetry(w, status, code, err.Error(), se.retryAfter)
+			return
 		}
 	case errors.Is(err, ErrNoBackends):
 		status, code = http.StatusServiceUnavailable, httpapi.CodeNoBackends

@@ -252,16 +252,18 @@ func TestHedgeLoserCanceledNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-// errBackend answers every Do instantly with a fixed error.
+// errBackend answers every request instantly with a fixed error.
 type errBackend struct {
 	name  string
 	err   error
 	calls atomic.Int64
 }
 
-func (e *errBackend) Do(context.Context, string, core.Params) (serve.Response, error) {
-	e.calls.Add(1)
-	return serve.Response{}, e.err
+func (e *errBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]serve.BatchOutcome, error) {
+	return perRequest(func(context.Context, string, core.Params) (serve.Response, error) {
+		e.calls.Add(1)
+		return serve.Response{}, e.err
+	}).DoBatch(ctx, items)
 }
 func (e *errBackend) Check() error { return nil }
 func (e *errBackend) Name() string { return e.name }

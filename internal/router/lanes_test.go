@@ -1,0 +1,263 @@
+package router
+
+// One taxonomy, shown. Whichever way a request reaches its replica — in a
+// shared frame or a frame of its own (cold scoreboard, deadline, tenant),
+// interactive or batch class, over the stream or over the POST carrier —
+// the client of Router.Handler() sees the same status, Retry-After, error
+// code and envelope. A 2-replica HTTP cluster: replica 0 takes the stream,
+// replica 1 refuses the upgrade, so a key's owner picks the carrier.
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"regexp"
+	"strings"
+	"testing"
+
+	"repro/internal/admit"
+	"repro/internal/core"
+	"repro/internal/serve"
+)
+
+// laneCluster is two one-worker, one-queue-slot replicas (so a queue can
+// be filled) whose runner parks IDs prefixed "slow", with tenant tB
+// declared; replica 1 is reached over POST.
+type laneCluster struct {
+	g     *gate
+	engs  [2]*serve.Engine
+	urls  [2]string
+	place *Router // answers Owner; placement depends only on the backend count
+}
+
+func newLaneCluster(t *testing.T) *laneCluster {
+	t.Helper()
+	c := &laneCluster{g: &gate{release: make(chan struct{})}}
+	for i := range c.engs {
+		eng := serve.NewEngine(serve.Config{Shards: 4, Workers: 1, Queue: 1,
+			RunnerWith: c.g.run, Tenants: []string{"tB"}})
+		h := eng.Handler()
+		if i == 1 {
+			h = noStream(h)
+		}
+		srv := httptest.NewServer(h)
+		t.Cleanup(srv.Close)
+		t.Cleanup(eng.Close)
+		c.engs[i], c.urls[i] = eng, srv.URL
+	}
+	t.Cleanup(func() { close(c.g.release) }) // LIFO: parked runners leave before Close drains
+	c.place = c.front(t, false)
+	return c
+}
+
+// front builds a fresh front-end over the cluster; primed warms both
+// scoreboards, which is what lets interactive traffic share a frame.
+// Hedging is off: a fresh backend's first exchange dials, a backup would
+// beat it, and these tests are about which replica and lane a request
+// takes, not about the race.
+func (c *laneCluster) front(t *testing.T, primed bool) *Router {
+	t.Helper()
+	r, err := New([]Backend{NewHTTPBackend(c.urls[0]), NewHTTPBackend(c.urls[1])}, Config{DisableHedge: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if primed {
+		primeScore(r, 0, 100e3)
+		primeScore(r, 1, 100e3)
+	}
+	return r
+}
+
+// owned returns the first request mk yields whose routing key owner owns.
+func (c *laneCluster) owned(t *testing.T, owner int, mk func(i int) (string, core.Params)) (string, core.Params) {
+	t.Helper()
+	for i := 0; i < 4096; i++ {
+		if id, p := mk(i); c.place.Owner(RouteKey(id, p)) == owner {
+			return id, p
+		}
+	}
+	t.Fatal("no key found for owner")
+	return "", nil
+}
+
+// fillQueues pins the one worker of each engine (one-worker,
+// one-queue-slot engines running g) and takes its one interactive queue
+// slot: the next cold interactive request to it sheds.
+func fillQueues(t *testing.T, g *gate, engs ...*serve.Engine) {
+	t.Helper()
+	for i, eng := range engs {
+		before := g.started.Load()
+		go eng.Serve(fmt.Sprintf("slowPin%d", i))
+		eventually(t, "the pinned run to start", func() bool { return g.started.Load() > before })
+		go eng.Serve(fmt.Sprintf("slowQueued%d", i))
+		eventually(t, "the queue to fill", func() bool {
+			return eng.Metrics().Classes[admit.Interactive.String()].QueueDepth >= 1
+		})
+	}
+}
+
+var latencyField = regexp.MustCompile(`"latency_ms": [0-9.e+-]+`)
+
+func TestOneTaxonomyAcrossLanes(t *testing.T) {
+	c := newLaneCluster(t)
+	kinds := []struct {
+		name   string
+		primed bool
+		shared bool // joins its owner's shared frame
+		header map[string]string
+	}{
+		{name: "shared frame", primed: true, shared: true},
+		{name: "cold scoreboard"},
+		{name: "deadline", primed: true, header: map[string]string{admit.HeaderDeadlineMS: "30000"}},
+		{name: "tenant", primed: true, header: map[string]string{admit.HeaderTenant: "tB"}},
+		{name: "batch class", shared: true, header: map[string]string{admit.HeaderClass: "batch"}},
+	}
+	type outcome struct {
+		name   string
+		status int
+		code   string // the error envelope's code; "" for a success
+		retry  string // Retry-After
+		// mk yields candidate requests; prep runs before every request to
+		// put the owner's engine in the state the outcome needs.
+		mk     func(i int) (string, core.Params)
+		prep   func(eng *serve.Engine, id string)
+		header map[string]string // on top of the kind's
+		only   string            // the one kind the outcome applies to; "" for all
+		skip   string            // a kind it cannot apply to
+		hit    bool
+		anyMsg bool // the message embeds a per-attempt figure: compare code and headers only
+	}
+	plain := func(prefix string) func(int) (string, core.Params) {
+		return func(i int) (string, core.Params) { return fmt.Sprintf("%s%d", prefix, i), nil }
+	}
+	outcomes := []outcome{
+		{name: "warm hit", status: 200, hit: true, mk: plain("W"),
+			prep: func(eng *serve.Engine, id string) { _, _ = eng.Serve(id) }},
+		{name: "cold miss", status: 200, mk: plain("C"),
+			prep: func(eng *serve.Engine, id string) { eng.Invalidate(id) }},
+		{name: "unknown experiment", status: 404, code: "not_found",
+			mk: func(i int) (string, core.Params) { return fmt.Sprintf("NOPE%d", i), core.Params{"x": 1} }},
+		{name: "bad param", status: 400, code: "bad_request",
+			mk: func(i int) (string, core.Params) { return "E7", core.Params{"f": float64(7 + i)} }},
+		// A budget the hop cannot survive: shed where the frame would have
+		// been sent, whichever carrier it would have taken.
+		{name: "deadline shed", status: 429, code: "deadline_unmeetable", retry: "1", only: "deadline",
+			header: map[string]string{admit.HeaderDeadlineMS: "1"}, mk: plain("W"), anyMsg: true},
+		// Every replica's queue is full (fillQueues, below): the shed fails
+		// over, sheds again, and the last replica's hint reaches the
+		// client. A batch request would block instead of shedding.
+		{name: "queue-full shed", status: 503, code: "queue_full", retry: "1", skip: "batch class",
+			mk: plain("S"), anyMsg: true},
+	}
+	for _, oc := range outcomes {
+		if oc.name == "queue-full shed" {
+			fillQueues(t, c.g, c.engs[:]...)
+		}
+		for owner, carrier := range []string{"stream", "http"} {
+			id, params := c.owned(t, owner, oc.mk)
+			path := "/v1/run/" + id + "?" + url.Values{"param": params.Assignments()}.Encode()
+			var refKind, refBody string
+			for _, k := range kinds {
+				if (oc.only != "" && oc.only != k.name) || oc.skip == k.name {
+					continue
+				}
+				what := fmt.Sprintf("%s / %s over %s", oc.name, k.name, carrier)
+				if oc.prep != nil {
+					oc.prep(c.engs[owner], id)
+				}
+				rt := c.front(t, k.primed)
+				req := httptest.NewRequest(http.MethodGet, path, nil)
+				for _, h := range []map[string]string{k.header, oc.header} {
+					for name, v := range h {
+						req.Header.Set(name, v)
+					}
+				}
+				rec := httptest.NewRecorder()
+				rt.Handler().ServeHTTP(rec, req)
+
+				if rec.Code != oc.status || rec.Header().Get("Retry-After") != oc.retry {
+					t.Fatalf("%s: status %d Retry-After %q, want %d %q\n%s", what, rec.Code,
+						rec.Header().Get("Retry-After"), oc.status, oc.retry, rec.Body.String())
+				}
+				// The request took the lane its kind names, on the carrier
+				// its owner names.
+				if shared := rt.batched.Load() == 1; oc.status == 200 && shared != k.shared {
+					t.Fatalf("%s: joined a shared frame = %v, want %v", what, shared, k.shared)
+				}
+				if oc.status != 429 {
+					if tr, _ := rt.backends[owner].(*HTTPBackend).Carrier(); tr != carrier {
+						t.Fatalf("%s: carrier %q", what, tr)
+					}
+				}
+				body := rec.Body.String()
+				if oc.code != "" {
+					env := decodeEnvelope(t, rec)
+					if env.Code != oc.code || (oc.retry != "") != (env.RetryAfterMS > 0) {
+						t.Fatalf("%s: envelope %+v, want code %s", what, env, oc.code)
+					}
+					if body = env.Message; oc.anyMsg {
+						body = ""
+					} else if want := "router: " + c.urls[owner] + " /batch entry " + id + ": HTTP "; !strings.HasPrefix(body, want) {
+						// The one wording an entry's error has, whichever lane
+						// carried the entry.
+						t.Fatalf("%s: message %q, want prefix %q", what, body, want)
+					}
+				} else {
+					var env struct {
+						CacheHit bool `json:"cache_hit"`
+					}
+					if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.CacheHit != oc.hit {
+						t.Fatalf("%s: cache_hit %v (%v), want %v\n%s", what, env.CacheHit, err, oc.hit, body)
+					}
+					body = latencyField.ReplaceAllString(body, `"latency_ms": 0`)
+					body = strings.Replace(body, `"class": "batch"`, `"class": "interactive"`, 1)
+				}
+				if refKind == "" {
+					refKind, refBody = k.name, body
+				} else if body != refBody {
+					t.Fatalf("%s differs from the %s lane:\n%s\n--- vs ---\n%s", what, refKind, body, refBody)
+				}
+			}
+		}
+	}
+}
+
+// A tenant tag survives coalescing's warm-up: a frame carries one
+// envelope, so a tenant-tagged request ships its own frame and is booked
+// under its tenant on the owner, while an untagged one still joins the
+// shared frame.
+func TestTenantTaggedRequestKeepsItsTenantAfterWarmup(t *testing.T) {
+	c := newLaneCluster(t)
+	for owner := range c.engs {
+		id, _ := c.owned(t, owner, func(i int) (string, core.Params) { return fmt.Sprintf("T%d", i), nil })
+		rt := c.front(t, true)
+		get := func(tenant string) {
+			t.Helper()
+			req := httptest.NewRequest(http.MethodGet, "/v1/run/"+id, nil)
+			if tenant != "" {
+				req.Header.Set(admit.HeaderTenant, tenant)
+			}
+			rec := httptest.NewRecorder()
+			if rt.Handler().ServeHTTP(rec, req); rec.Code != http.StatusOK {
+				t.Fatalf("owner %d tenant %q: status %d\n%s", owner, tenant, rec.Code, rec.Body.String())
+			}
+		}
+		books := func() (tB, other int64) {
+			tenants := c.engs[owner].Metrics().Tenants
+			return tenants["tB"].Requests, tenants["other"].Requests
+		}
+		tB0, other0 := books()
+		get("tB")
+		if tB1, other1 := books(); tB1 != tB0+1 || other1 != other0 || rt.batched.Load() != 0 {
+			t.Fatalf("owner %d: tagged request booked tB %d→%d, other %d→%d, batched %d; want tB +1 on a frame of its own",
+				owner, tB0, tB1, other0, other1, rt.batched.Load())
+		}
+		get("")
+		if tB2, other2 := books(); tB2 != tB0+1 || other2 != other0+1 || rt.batched.Load() != 1 {
+			t.Fatalf("owner %d: untagged request booked tB %d, other %d→%d, batched %d; want other +1 in a shared frame",
+				owner, tB2, other0, other2, rt.batched.Load())
+		}
+	}
+}

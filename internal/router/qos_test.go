@@ -10,7 +10,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -22,49 +21,46 @@ import (
 	"repro/internal/serve"
 )
 
-// TestHTTPBackendPropagatesClassAndDeadline pins the header contract: an
-// HTTPBackend forwards the context's class verbatim and its remaining
-// deadline decremented by the hop budget, so a replica works against the
-// caller's residual budget, not a fresh one.
+// TestHTTPBackendPropagatesClassAndDeadline pins the envelope contract
+// on both carriers: a frame of one carries the context's class verbatim,
+// its hedge marker, and its remaining deadline decremented by the hop
+// budget, so a replica works against the caller's residual budget, not a
+// fresh one.
 func TestHTTPBackendPropagatesClassAndDeadline(t *testing.T) {
-	var gotClass atomic.Value
-	var gotDeadlineMS atomic.Value
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		gotClass.Store(r.Header.Get(admit.HeaderClass))
-		gotDeadlineMS.Store(r.Header.Get(admit.HeaderDeadlineMS))
-		w.Header().Set(admit.HeaderClass, "batch")
-		w.Header().Set(httpapi.HeaderCacheHit, "1")
-		_, _ = w.Write(fakeResult(r.PathValue("id")).Encode())
-	}))
-	defer srv.Close()
+	g := &gate{}
+	eng := newGateEngine(g)
+	defer eng.Close()
+	streamSrv := httptest.NewServer(eng.Handler())
+	defer streamSrv.Close()
+	postSrv := httptest.NewServer(noStream(eng.Handler()))
+	defer postSrv.Close()
 
-	b := NewHTTPBackend(srv.URL)
+	b := NewHTTPBackend(streamSrv.URL)
 	budget := 500 * time.Millisecond
-	ctx, cancel := context.WithTimeout(
-		admit.WithClass(context.Background(), admit.Batch), budget)
-	defer cancel()
-	resp, err := b.Do(ctx, "E1", nil)
-	if err != nil {
-		t.Fatalf("Do: %v", err)
+	for id, hb := range map[string]*HTTPBackend{"viaStream": b, "viaPost": NewHTTPBackend(postSrv.URL)} {
+		ctx, cancel := context.WithTimeout(
+			httpapi.WithHedge(admit.WithClass(context.Background(), admit.Batch)), budget)
+		resp, err := hb.Do(ctx, id, nil)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: Do: %v", id, err)
+		}
+		if resp.Class != admit.Batch {
+			t.Fatalf("%s: response class = %v, want batch", id, resp.Class)
+		}
+		v, _ := g.seen.Load(id) // the cold run's own context
+		env, _ := v.(httpapi.Envelope)
+		if env.Class != admit.Batch || !env.Hedge {
+			t.Fatalf("%s: replica saw envelope %+v, want class batch and the hedge marker", id, env)
+		}
+		// The forwarded budget must be less than the original (decremented
+		// by the hop) but still most of it.
+		if env.Deadline >= budget || env.Deadline < budget/2 {
+			t.Fatalf("%s: forwarded budget %v not a decremented share of %v", id, env.Deadline, budget)
+		}
 	}
-	if resp.Class != admit.Batch {
-		t.Fatalf("response class = %v, want batch", resp.Class)
-	}
-	if got := gotClass.Load(); got != "batch" {
-		t.Fatalf("forwarded class header = %q, want batch", got)
-	}
-	h, _ := gotDeadlineMS.Load().(string)
-	if h == "" {
-		t.Fatal("no deadline header forwarded")
-	}
-	ms, err := strconv.ParseFloat(h, 64)
-	if err != nil {
-		t.Fatalf("forwarded deadline %q unparseable: %v", h, err)
-	}
-	// The forwarded budget must be less than the original (decremented by
-	// the hop) but still most of it.
-	if ms >= budget.Seconds()*1e3 || ms < budget.Seconds()*1e3/2 {
-		t.Fatalf("forwarded budget %vms not a decremented share of %v", ms, budget)
+	if tr, _ := b.Carrier(); tr != "stream" {
+		t.Fatalf("carrier = %q, want stream", tr)
 	}
 
 	// A budget that cannot survive the hop is shed at the front-end
@@ -72,7 +68,7 @@ func TestHTTPBackendPropagatesClassAndDeadline(t *testing.T) {
 	tiny, cancel2 := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel2()
 	time.Sleep(2 * time.Millisecond) // ensure it is already unmeetable
-	_, err = b.Do(tiny, "E1", nil)
+	_, err := b.Do(tiny, "E1", nil)
 	if err == nil {
 		t.Fatal("hop-doomed budget was forwarded instead of shed")
 	}
@@ -124,8 +120,8 @@ type backendFunc struct {
 	name string
 }
 
-func (b backendFunc) Do(ctx context.Context, id string, p core.Params) (serve.Response, error) {
-	return b.do(ctx, id, p)
+func (b backendFunc) DoBatch(ctx context.Context, items []serve.BatchItem) ([]serve.BatchOutcome, error) {
+	return perRequest(b.do).DoBatch(ctx, items)
 }
 func (b backendFunc) Check() error { return nil }
 func (b backendFunc) Name() string { return b.name }
@@ -221,15 +217,11 @@ func TestRouterHandlerQoSFace(t *testing.T) {
 	}
 }
 
-// A remote replica's shed (503 + Retry-After) keeps its backoff hint
-// through the front-end: the statusError carries the header and the
-// handler re-emits it.
+// A remote replica's shed (a 503 entry with a retry hint) keeps its
+// backoff hint through the front-end: the statusError carries it and the
+// handler re-emits it as Retry-After.
 func TestRouterHandlerForwardsReplicaRetryAfter(t *testing.T) {
-	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Retry-After", "7")
-		httpapi.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "shed"})
-	}))
-	defer replica.Close()
+	replica := shedReplica(t, 7*time.Second)
 	r, err := New([]Backend{NewHTTPBackend(replica.URL)}, Config{Retries: 1})
 	if err != nil {
 		t.Fatal(err)

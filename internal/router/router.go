@@ -138,11 +138,10 @@ type Router struct {
 	hedges    atomic.Int64
 	hedgeWins atomic.Int64
 
-	// co is the per-backend coalescing queue of the batched data plane
-	// (nil per slot when the backend lacks DoBatch); batched counts
-	// requests served through a coalesced flush, batchSize the per-flush
-	// entry counts, batchFlushes the flushes by reason (full, window,
-	// interactive).
+	// co is the per-backend coalescing queue of the batched data plane;
+	// batched counts requests served through a shared frame, batchSize
+	// the per-exchange entry counts, batchFlushes the exchanges by reason
+	// (full, window, interactive, direct).
 	co           []*coalescer
 	batched      atomic.Int64
 	batchSize    *stats.AtomicHistogram
@@ -175,12 +174,9 @@ func New(backends []Backend, cfg Config) (*Router, error) {
 	}
 	r.co = make([]*coalescer, len(backends))
 	for i, b := range backends {
-		if bb, ok := b.(BatchBackend); ok {
-			c := &coalescer{r: r, b: i, bb: bb, wake: make(chan struct{}, 1)}
-			if eb, isEng := b.(*EngineBackend); isEng {
-				c.direct, c.eng = true, eb.Engine()
-			}
-			r.co[i] = c
+		r.co[i] = &coalescer{r: r, b: i, wake: make(chan struct{}, 1)}
+		if eb, isEng := b.(*EngineBackend); isEng {
+			r.co[i].eng = eb.Engine()
 		}
 	}
 	return r, nil
@@ -254,33 +250,49 @@ func classify(err error) verdict {
 // ServeWith routes one request to the replica owning its cache key —
 // or, when the scoreboard shows the owner consistently slower than its
 // first successor, successor-first along the same chain — failing over
-// along the ring on error, ejection, or timeout. The first attempt of
-// an interactive request is hedge-protected: if it outlives the
-// scoreboard's adaptive budget, a backup fires to the next distinct
-// replica, first response wins, and the loser is canceled through its
-// context. Batch requests never hedge — a hedge buys tail latency with
-// duplicate work, and a backup racing a cold sweep point on a sibling
-// would execute it twice, breaking the sweep path's exactly-once
-// property. The context's QoS envelope
-// (class, deadline, cancellation) rides along to the backend — over HTTP
-// it travels as the X-Arch21-Class and budget-decremented
-// X-Arch21-Deadline-MS headers, with backups marked X-Arch21-Hedge. A
-// shed answered by a replica (429) is a client-visible QoS verdict, not
-// a replica failure: no ejection, no failover.
+// along the ring on error, ejection, or timeout, and decodes the winning
+// payload once at the edge. It walks the chain directly and never queues
+// behind a shared frame. The first attempt of an interactive request is
+// hedge-protected and batch requests never hedge (doHedged has the rule
+// and its reasons). Every attempt is a frame of one under the caller's
+// context, so its QoS envelope (class, tenant, hedge marker,
+// hop-decremented deadline, cancellation) rides to the backend exactly
+// as a shared frame's does. A shed answered by a replica (429) is a
+// client-visible QoS verdict, not a replica failure: no ejection, no
+// failover.
 func (r *Router) ServeWith(ctx context.Context, id string, p core.Params) (serve.Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	r.requests.Add(1)
-	return r.serveChainKeyed(ctx, id, p, RouteKey(id, p))
+	out := r.serveChainKeyed(ctx, itemOf(serve.IdentOf(id, p), admit.ClassFrom(ctx)))
+	if out.Err != nil {
+		return serve.Response{}, out.Err
+	}
+	return decodeResponse(out.RawResponse)
 }
 
-// serveChainKeyed is the classic per-request chain walk: the body of
-// ServeWith minus the top-level request count and with the routing key
-// already derived, so the batched data plane (falling back after a
-// coalesced miss) can reuse it without double-counting the request.
-func (r *Router) serveChainKeyed(ctx context.Context, id string, p core.Params, key string) (serve.Response, error) {
-	chain := r.ring.PlaceK(cluster.HashString(key), 1+r.cfg.Retries)
+// itemOf is the frame entry of an interned request served under class.
+func itemOf(ident *serve.Identity, class admit.Class) serve.BatchItem {
+	return serve.BatchItem{ID: ident.ID(), Params: ident.Params(), Class: class, Ident: ident}
+}
+
+// decodeResponse materializes an encoded outcome (one DecodeResult).
+func decodeResponse(rr serve.RawResponse) (serve.Response, error) {
+	res, err := rr.Result()
+	if err != nil {
+		return serve.Response{}, fmt.Errorf("router: bad result payload: %v", err)
+	}
+	return serve.Response{ID: rr.ID, Params: rr.Params, Key: rr.Key, Class: rr.Class,
+		Result: res, CacheHit: rr.CacheHit, Shared: rr.Shared, Latency: rr.Latency}, nil
+}
+
+// serveChainKeyed is the chain walk: the body of ServeWith minus the
+// top-level request count, so the batched data plane (after a shared
+// frame's entry comes back failover-worthy, or for a request that ships
+// its own frame) can reuse it without double-counting the request.
+func (r *Router) serveChainKeyed(ctx context.Context, it serve.BatchItem) serve.BatchOutcome {
+	chain := r.ring.PlaceK(it.Ident.Hash(), 1+r.cfg.Retries)
 	r.sb.prefer(chain)
 	var lastErr error
 	var tried []int // backends already consumed, by the loop or a hedge
@@ -297,7 +309,7 @@ func (r *Router) serveChainKeyed(ctx context.Context, id string, p core.Params, 
 			continue
 		}
 		if err := ctx.Err(); err != nil {
-			return serve.Response{}, err
+			return serve.BatchOutcome{Err: err}
 		}
 		if !r.admit(b) {
 			continue
@@ -307,44 +319,36 @@ func (r *Router) serveChainKeyed(ctx context.Context, id string, p core.Params, 
 		}
 		tried = append(tried, b)
 
-		var (
-			resp   serve.Response
-			err    error
-			winner = b
-		)
+		// Only the first admitted attempt hedges: one backup per request
+		// bounds the work amplification at 2x.
+		var rest []int
 		if len(tried) == 1 {
-			// Only the first admitted attempt hedges: one backup per
-			// request bounds the work amplification at 2x.
-			var hedgedOn int
-			resp, err, winner, hedgedOn = r.doHedged(ctx, b, chain[i+1:], id, p)
-			if hedgedOn >= 0 {
-				tried = append(tried, hedgedOn)
-			}
-		} else {
-			resp, err = r.do(ctx, b, id, p)
+			rest = chain[i+1:]
+		}
+		out, winner, hedgedOn := r.doHedged(ctx, b, rest, it)
+		if hedgedOn >= 0 {
+			tried = append(tried, hedgedOn)
 		}
 
-		switch classify(err) {
-		case verdictOK:
+		switch classify(out.Err) {
+		case verdictOK, verdictReturn:
 			r.noteSuccess(winner)
-			return resp, nil
+			return out
 		case verdictCtx:
-			return serve.Response{}, err
-		case verdictReturn:
-			r.noteSuccess(winner)
-			return serve.Response{}, err
+			return out
 		case verdictFailover:
-			lastErr = err
+			lastErr = out.Err
 		case verdictFailure:
 			r.noteFailure(winner)
-			lastErr = err
+			lastErr = out.Err
 		}
 	}
 	r.exhausted.Add(1)
 	if lastErr == nil {
-		return serve.Response{}, fmt.Errorf("%w for key %q (all ejected)", ErrNoBackends, key)
+		return serve.BatchOutcome{Err: fmt.Errorf("%w for key %q (all ejected)", ErrNoBackends, it.Ident.Key())}
 	}
-	return serve.Response{}, fmt.Errorf("router: key %q failed on all %d candidates: %w", key, len(chain), lastErr)
+	return serve.BatchOutcome{Err: fmt.Errorf("router: key %q failed on all %d candidates: %w",
+		it.Ident.Key(), len(chain), lastErr)}
 }
 
 // Serve routes a default-parameter interactive request.
@@ -352,74 +356,88 @@ func (r *Router) Serve(id string) (serve.Response, error) {
 	return r.ServeWith(context.Background(), id, nil)
 }
 
-type outcome struct {
-	resp serve.Response
-	err  error
+// exchange ships one frame to backend b — a coalesced flush, a
+// pre-assembled owner group, or a chain attempt's frame of one — and
+// keeps the books every exchange shares, here and nowhere else: the
+// flush-reason and frame-size metrics, the backend's request count, its
+// in-flight gauge, the outcome-count check, and the scoreboard's latency
+// sample (a completed exchange only: one cut short by its context says
+// nothing about serving latency). Bounding the exchange and judging what
+// its error means for the replica's health stay with the caller, who
+// knows whose context it runs under. A coalesced flush (every reason but
+// direct) to an in-process engine calls its buffer-reusing multi-get
+// directly, into the coalescer's scratch: flushes are serialized per
+// backend, which is what makes that buffer reusable.
+func (r *Router) exchange(ctx context.Context, b int, items []serve.BatchItem, reason int) (outs []serve.BatchOutcome, err error) {
+	n := int64(len(items))
+	r.batchFlushes[reason].Add(1)
+	r.batchSize.Observe(float64(n))
+	st := &r.state[b]
+	st.mu.Lock()
+	st.requests += n
+	st.mu.Unlock()
+	sc := &r.sb.scores[b]
+	sc.inflight.Add(n)
+	t0 := time.Now()
+	if c := r.co[b]; c.eng != nil && reason != flushDirect {
+		outs = c.eng.ServeEncodedBatchInto(ctx, items, c.outs[:0])
+		c.outs = outs[:0]
+	} else {
+		outs, err = r.backends[b].DoBatch(ctx, items)
+	}
+	elapsed := time.Since(t0)
+	sc.inflight.Add(-n)
+	if err == nil && len(outs) != len(items) {
+		err = fmt.Errorf("router: %s: batch returned %d outcomes for %d items",
+			r.backends[b].Name(), len(outs), len(items))
+	}
+	if err == nil && ctx.Err() == nil {
+		r.sb.observe(b, elapsed)
+	}
+	return outs, err
 }
 
-// launch starts one tracked attempt: in-flight accounting around the
-// call, the latency observed into the scoreboard on success — and on
-// abandonment (the returned cancel, used when a hedge wins or the
-// attempt timer expires): the elapsed time is a lower bound on the true
-// latency, folded in only when it raises the estimate (see
-// scoreboard.observeFloor), and without it a replica whose every
-// attempt is cut short by a winning backup would keep a stale fast
-// score forever. Organic failures feed health accounting instead; their
-// wall time says nothing about serving latency.
-func (r *Router) launch(ctx context.Context, b int, id string, p core.Params, hedge bool) (<-chan outcome, context.CancelFunc) {
+// launch starts one tracked attempt — a frame of one through exchange —
+// on a goroutine of its own, which is the price of hang protection: the
+// caller can abandon a backend that neither answers nor honors its
+// context. Abandonment (the returned cancel, used when a hedge wins or
+// the attempt timer expires) reaches a remote replica as the stream's
+// cancel message, and the elapsed time is then a lower bound on the true
+// latency, folded in only when it raises the estimate (why:
+// scoreboard.observeFloor). Organic failures feed health accounting
+// instead; their wall time says nothing about serving latency.
+func (r *Router) launch(ctx context.Context, b int, it serve.BatchItem, hedge bool) (<-chan serve.BatchOutcome, context.CancelFunc) {
 	actx, cancel := context.WithCancel(ctx)
 	if hedge {
 		actx = httpapi.WithHedge(actx)
 	}
-	ch := make(chan outcome, 1)
-	sc := &r.sb.scores[b]
-	sc.inflight.Add(1)
+	ch := make(chan serve.BatchOutcome, 1)
 	go func() {
 		t0 := time.Now()
-		resp, err := r.backends[b].Do(actx, id, p)
-		elapsed := time.Since(t0)
-		sc.inflight.Add(-1)
+		outs, err := r.exchange(actx, b, []serve.BatchItem{it}, flushDirect)
+		out := serve.BatchOutcome{Err: err}
 		if err == nil {
-			r.sb.observe(b, elapsed)
-		} else if errors.Is(err, context.Canceled) && ctx.Err() == nil {
-			// Abandoned by us (hedge win or attempt timer), not by the
-			// caller: the elapsed time is a lower bound on the true
-			// latency, folded in only when it raises the estimate.
-			r.sb.observeFloor(b, elapsed)
+			out = outs[0]
 		}
-		ch <- outcome{resp, err}
+		if errors.Is(out.Err, context.Canceled) && ctx.Err() == nil {
+			// Abandoned by us, not by the caller.
+			r.sb.observeFloor(b, time.Since(t0))
+		}
+		ch <- out
 	}()
 	return ch, cancel
 }
 
-// do runs one attempt under the per-attempt timeout. A backend that
-// neither answers nor errors within the window is treated as failed and
-// the attempt is canceled through its context — the PR 5 plumbing makes
-// the abandoned call unwind at its next iteration boundary instead of
-// draining in the background. The goroutine-per-attempt is the price of
-// hang protection for synchronous backends; the timer is stopped eagerly
-// so a fast hit does not leave a multi-minute timer live until GC.
-func (r *Router) do(ctx context.Context, b int, id string, p core.Params) (serve.Response, error) {
-	ch, cancel := r.launch(ctx, b, id, p, false)
-	defer cancel()
-	timer := time.NewTimer(r.cfg.Timeout)
-	defer timer.Stop()
-	select {
-	case out := <-ch:
-		return out.resp, out.err
-	case <-ctx.Done():
-		return serve.Response{}, ctx.Err()
-	case <-timer.C:
-		return serve.Response{}, fmt.Errorf("%w after %v on %s", errAttemptTimeout, r.cfg.Timeout, r.backends[b].Name())
-	}
-}
-
-// doHedged runs the hedge-protected first attempt: the primary launches
-// immediately; if it outlives the scoreboard's adaptive budget, one
-// backup fires to the next distinct untried replica in rest, and the
-// first usable answer (success, or a client/deadline verdict — identical
-// on every replica) wins while the loser is canceled through its
-// context. A primary that *fails* before the budget expires returns
+// doHedged runs one bounded attempt on b, hedge-protected when rest
+// offers a candidate: the primary launches immediately; if it outlives
+// the scoreboard's adaptive budget, one backup fires to the next distinct
+// untried replica in rest, and the first usable answer (success, or a
+// client/deadline verdict — identical on every replica) wins while the
+// loser is canceled through its context. With no candidate (a failover
+// attempt passes none) or no trusted budget the hedge timer never fires
+// and this is a plain attempt under Config.Timeout. The timers are
+// stopped eagerly so a fast hit does not leave a multi-minute timer live
+// until GC. A primary that *fails* before the budget expires returns
 // without hedging — failures belong to the failover path, hedging is for
 // slowness — and 4xx verdicts are never hedged: by the time one could
 // fire, the request's fate is already decided on every replica.
@@ -429,7 +447,7 @@ func (r *Router) do(ctx context.Context, b int, id string, p core.Params) (serve
 // one was launched (-1 otherwise; the caller marks it consumed). When
 // both attempts fail, the loser's health accounting is applied here and
 // the later outcome is returned for the caller's taxonomy.
-func (r *Router) doHedged(ctx context.Context, b int, rest []int, id string, p core.Params) (serve.Response, error, int, int) {
+func (r *Router) doHedged(ctx context.Context, b int, rest []int, it serve.BatchItem) (serve.BatchOutcome, int, int) {
 	// Only interactive traffic hedges. A hedge buys tail latency with
 	// duplicate work, which batch traffic by definition does not want —
 	// and a backup racing a cold run on a sibling would execute the same
@@ -437,7 +455,7 @@ func (r *Router) doHedged(ctx context.Context, b int, rest []int, id string, p c
 	// cluster-wide property. Batch still gets the failover chain and
 	// scoreboard demotion.
 	hb, delay := -1, time.Duration(0)
-	if !r.cfg.DisableHedge && admit.ClassFrom(ctx) == admit.Interactive {
+	if !r.cfg.DisableHedge && it.Class == admit.Interactive {
 		for _, c := range rest {
 			if c != b {
 				if d, ok := r.sb.hedgeDelay(b, c); ok {
@@ -448,29 +466,19 @@ func (r *Router) doHedged(ctx context.Context, b int, rest []int, id string, p c
 		}
 	}
 
-	pch, pcancel := r.launch(ctx, b, id, p, false)
+	pch, pcancel := r.launch(ctx, b, it, false)
 	defer pcancel()
-	if hb < 0 {
-		// No candidate or no trusted budget: plain bounded attempt.
-		timer := time.NewTimer(r.cfg.Timeout)
-		defer timer.Stop()
-		select {
-		case out := <-pch:
-			return out.resp, out.err, b, -1
-		case <-ctx.Done():
-			return serve.Response{}, ctx.Err(), b, -1
-		case <-timer.C:
-			return serve.Response{}, fmt.Errorf("%w after %v on %s", errAttemptTimeout, r.cfg.Timeout, r.backends[b].Name()), b, -1
-		}
-	}
-
 	overall := time.NewTimer(r.cfg.Timeout)
 	defer overall.Stop()
-	hedgeTimer := time.NewTimer(delay)
-	defer hedgeTimer.Stop()
+	var hedgeC <-chan time.Time // nil without a backup to fire: never ready
+	if hb >= 0 {
+		hedgeTimer := time.NewTimer(delay)
+		defer hedgeTimer.Stop()
+		hedgeC = hedgeTimer.C
+	}
 
 	var (
-		hch      <-chan outcome
+		hch      <-chan serve.BatchOutcome
 		hcancel  context.CancelFunc
 		hedged   = -1   // backup index once launched
 		pFailed  bool   // primary failed while the backup was still pending (accounted here)
@@ -486,17 +494,17 @@ func (r *Router) doHedged(ctx context.Context, b int, rest []int, id string, p c
 		case out := <-pch:
 			pch = nil
 			inFlight = false
-			switch v := classify(out.err); v {
+			switch v := classify(out.Err); v {
 			case verdictOK, verdictCtx, verdictReturn:
 				// First usable answer wins; the deferred cancel abandons a
 				// straggling backup.
-				return out.resp, out.err, b, hedged
+				return out, b, hedged
 			default:
 				if hch == nil {
 					// Failed with no backup pending (either none fired, or
 					// the backup already failed and was accounted): the
 					// caller's taxonomy owns this outcome.
-					return out.resp, out.err, b, hedged
+					return out, b, hedged
 				}
 				// The backup is in flight and now decides the request; the
 				// primary's failure is accounted here so it still counts
@@ -508,20 +516,20 @@ func (r *Router) doHedged(ctx context.Context, b int, rest []int, id string, p c
 			}
 		case out := <-hch:
 			hch = nil
-			switch v := classify(out.err); v {
+			switch v := classify(out.Err); v {
 			case verdictOK, verdictReturn:
 				r.hedgeWins.Add(1)
 				r.sb.scores[b].hedgeWins.Add(1)
-				return out.resp, out.err, hb, hedged
+				return out, hb, hedged
 			case verdictCtx:
 				// The backup observed the caller's cancellation; nothing
 				// to account and nothing left to win.
-				return out.resp, out.err, hb, hedged
+				return out, hb, hedged
 			default:
 				if pFailed {
 					// Both legs failed; the backup's outcome is the later
 					// word — hand it to the caller's taxonomy.
-					return out.resp, out.err, hb, hedged
+					return out, hb, hedged
 				}
 				// The backup failed first; the primary still owns the
 				// request, so account the backup here and keep waiting.
@@ -529,7 +537,7 @@ func (r *Router) doHedged(ctx context.Context, b int, rest []int, id string, p c
 					r.noteFailure(hb)
 				}
 			}
-		case <-hedgeTimer.C:
+		case <-hedgeC:
 			if hch != nil || hedged >= 0 || !inFlight {
 				continue
 			}
@@ -542,9 +550,9 @@ func (r *Router) doHedged(ctx context.Context, b int, rest []int, id string, p c
 			r.hedges.Add(1)
 			r.sb.scores[b].hedges.Add(1)
 			hedged = hb
-			hch, hcancel = r.launch(ctx, hb, id, p, true)
+			hch, hcancel = r.launch(ctx, hb, it, true)
 		case <-ctx.Done():
-			return serve.Response{}, ctx.Err(), b, hedged
+			return serve.BatchOutcome{Err: ctx.Err()}, b, hedged
 		case <-overall.C:
 			// Attribute the timeout to whichever leg is still pending: the
 			// primary normally, the backup when the primary already failed
@@ -554,19 +562,19 @@ func (r *Router) doHedged(ctx context.Context, b int, rest []int, id string, p c
 			if pFailed {
 				from = hb
 			}
-			return serve.Response{}, fmt.Errorf("%w after %v on %s", errAttemptTimeout, r.cfg.Timeout, r.backends[from].Name()), from, hedged
+			return serve.BatchOutcome{Err: fmt.Errorf("%w after %v on %s",
+				errAttemptTimeout, r.cfg.Timeout, r.backends[from].Name())}, from, hedged
 		}
 	}
 }
 
-// admit reports whether backend b may take a request now. Ejected
+// admit reports whether backend b may take an exchange now. Ejected
 // backends stay dark until ProbeAfter has elapsed, then one Check probe
 // decides: success re-admits, failure re-arms the probe timer.
 func (r *Router) admit(b int) bool {
 	st := &r.state[b]
 	st.mu.Lock()
 	if !st.ejected {
-		st.requests++
 		st.mu.Unlock()
 		return true
 	}
@@ -586,7 +594,6 @@ func (r *Router) admit(b int) bool {
 	st.mu.Lock()
 	st.ejected = false
 	st.consecFails = 0
-	st.requests++
 	st.mu.Unlock()
 	r.events.Record(obs.EventReadmit,
 		map[string]string{"backend": r.backends[b].Name()}, nil)

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/serve"
@@ -38,6 +39,42 @@ func newTestEngine(t *testing.T) *serve.Engine {
 	return e
 }
 
+// perRequest adapts a per-request serving function to Backend.DoBatch:
+// the one adapter every per-request double in this package (flakyBackend,
+// backendFunc, hangingBackend, errBackend) gets its DoBatch through. Each
+// item is served on its own under its own class, and a failure is that
+// item's outcome, never the frame's.
+type perRequest func(ctx context.Context, id string, p core.Params) (serve.Response, error)
+
+func (f perRequest) DoBatch(ctx context.Context, items []serve.BatchItem) ([]serve.BatchOutcome, error) {
+	outs := make([]serve.BatchOutcome, len(items))
+	for i, it := range items {
+		resp, err := f(admit.WithClass(ctx, it.Class), it.ID, it.Params)
+		if err != nil {
+			outs[i].Err = err
+			continue
+		}
+		outs[i].RawResponse = serve.RawResponse{ID: resp.ID, Params: resp.Params, Key: resp.Key,
+			Class: resp.Class, Raw: resp.Result.Encode(), CacheHit: resp.CacheHit, Shared: resp.Shared,
+			Latency: resp.Latency}
+	}
+	return outs, nil
+}
+
+// serveOne is the adapter's other direction: one request served on any
+// Backend as a frame of one and decoded, for doubles that wrap a real
+// backend and for tests that drive a backend directly.
+func serveOne(ctx context.Context, b Backend, id string, p core.Params) (serve.Response, error) {
+	outs, err := b.DoBatch(ctx, []serve.BatchItem{itemOf(serve.IdentOf(id, p), admit.ClassFrom(ctx))})
+	if err == nil {
+		err = outs[0].Err
+	}
+	if err != nil {
+		return serve.Response{}, err
+	}
+	return decodeResponse(outs[0].RawResponse)
+}
+
 // flakyBackend wraps an inner backend with injectable faults: fail the
 // next N calls, fail a fraction of calls, delay every call, or hang
 // outright until released. Check fails while the backend is "down" so
@@ -51,7 +88,7 @@ type flakyBackend struct {
 	errRate  float64       // fraction of calls failed at random
 	rng      *stats.RNG    // errRate draws
 	latency  time.Duration // added to every call (latency spike)
-	hung     chan struct{} // when non-nil, Do blocks until closed
+	hung     chan struct{} // when non-nil, every request blocks until closed
 	down     bool          // Check fails while set
 
 	calls  atomic.Int64
@@ -62,7 +99,11 @@ func newFlaky(inner Backend, name string) *flakyBackend {
 	return &flakyBackend{inner: inner, name: name, rng: stats.NewRNG(99)}
 }
 
-func (f *flakyBackend) Do(ctx context.Context, id string, p core.Params) (serve.Response, error) {
+func (f *flakyBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]serve.BatchOutcome, error) {
+	return perRequest(f.do).DoBatch(ctx, items)
+}
+
+func (f *flakyBackend) do(ctx context.Context, id string, p core.Params) (serve.Response, error) {
 	f.calls.Add(1)
 	f.mu.Lock()
 	hung := f.hung
@@ -84,7 +125,7 @@ func (f *flakyBackend) Do(ctx context.Context, id string, p core.Params) (serve.
 	if fail {
 		return serve.Response{}, errors.New("injected fault")
 	}
-	return f.inner.Do(ctx, id, p)
+	return serveOne(ctx, f.inner, id, p)
 }
 
 func (f *flakyBackend) Check() error {

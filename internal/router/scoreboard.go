@@ -2,8 +2,8 @@ package router
 
 // The per-replica latency scoreboard behind latency-aware routing
 // (ROADMAP item 3, after the shenfeng__proxies idiom: measure every
-// proxy, prefer the fastest). Every Backend.Do attempt feeds it: a
-// successful attempt contributes its latency, an attempt abandoned
+// proxy, prefer the fastest). Every exchange feeds it: a completed
+// exchange contributes its latency, a chain attempt abandoned
 // because a hedge beat it (or the per-attempt timer expired) contributes
 // its elapsed time as a lower bound — without that, a replica whose
 // every request is cut short by a winning hedge would keep a stale

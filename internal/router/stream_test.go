@@ -103,7 +103,8 @@ func balanced(e *serve.Engine) bool {
 	return true
 }
 
-// The same items over both carriers give the same outcomes, the stats
+// The same items over both carriers give the same outcomes — a frame of
+// one carries its whole envelope, a shed entry its retry hint — the stats
 // row names the carrier, and a hop-doomed budget never reaches the wire.
 func TestStreamAndPostFallbackAgree(t *testing.T) {
 	g := &gate{}
@@ -156,6 +157,39 @@ func TestStreamAndPostFallbackAgree(t *testing.T) {
 	if v, ok := g.seen.Load("E7"); !ok || v.(httpapi.Envelope).Tenant != "tB" ||
 		v.(httpapi.Envelope).Deadline <= 0 || v.(httpapi.Envelope).Deadline > time.Minute-hopBudget {
 		t.Fatalf("replica saw envelope %+v, want tenant tB and a hop-decremented deadline", v)
+	}
+	// A frame of one — what a chain attempt is — carries the same envelope
+	// on either carrier: deadline, tenant, and a backup's hedge marker.
+	for id, b := range map[string]*HTTPBackend{"oneOverStream": overStream, "oneOverPost": overPost} {
+		outs, err := b.DoBatch(httpapi.WithHedge(ctx), []serve.BatchItem{{ID: id, Class: admit.Interactive}})
+		if err != nil || outs[0].Err != nil {
+			t.Fatalf("%s: frame of one = (%+v, %v)", id, outs, err)
+		}
+		v, _ := g.seen.Load(id)
+		if env, _ := v.(httpapi.Envelope); env.Tenant != "tB" || !env.Hedge || env.Class != admit.Interactive ||
+			env.Deadline <= 0 || env.Deadline > time.Minute-hopBudget {
+			t.Fatalf("%s: replica saw envelope %+v, want tenant tB, the hedge marker and a hop-decremented deadline", id, env)
+		}
+	}
+	// A shed entry carries its retry hint on either carrier: a one-worker
+	// replica with its worker pinned and its one queue slot taken sheds
+	// the next cold interactive entry.
+	fg := &gate{release: make(chan struct{})}
+	full := serve.NewEngine(serve.Config{Shards: 4, Workers: 1, Queue: 1, RunnerWith: fg.run})
+	defer full.Close()
+	defer close(fg.release) // LIFO: the parked runs leave before Close drains
+	fullStream := httptest.NewServer(full.Handler())
+	defer fullStream.Close()
+	fullPost := httptest.NewServer(noStream(full.Handler()))
+	defer fullPost.Close()
+	fillQueues(t, fg, full)
+	for name, b := range map[string]*HTTPBackend{"stream": NewHTTPBackend(fullStream.URL), "POST": NewHTTPBackend(fullPost.URL)} {
+		outs, err := b.DoBatch(context.Background(), []serve.BatchItem{{ID: "shed", Class: admit.Interactive}})
+		var se *statusError
+		if err != nil || !errors.As(outs[0].Err, &se) || se.status != http.StatusServiceUnavailable ||
+			se.retryAfter <= 0 || classify(outs[0].Err) != verdictFailover {
+			t.Fatalf("%s: shed entry = (%+v, %v), want a 503 entry with a retry hint", name, outs, err)
+		}
 	}
 
 	r, err := New([]Backend{overStream, overPost}, Config{})

@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/admit"
 	"repro/internal/core"
@@ -248,6 +249,11 @@ func ServeBatchFrame(ctx context.Context, body, dst []byte,
 		}
 		if o.Err != nil {
 			results[i] = httpapi.BatchResult{Status: errStatus(o.Err), Msg: o.Err.Error()}
+			// The hint a lone response carries as Retry-After (rounded up from zero there too); shed escapes, hence here.
+			var shed *admit.ShedError
+			if errors.As(o.Err, &shed) {
+				results[i].RetryAfter = max(shed.RetryAfter, time.Millisecond)
+			}
 			continue
 		}
 		rr := o.RawResponse
