@@ -1,8 +1,7 @@
 GO ?= go
 
-.PHONY: all build fmt-check vet test race docs-check check bench bench-serve bench-sweep bench-wire \
-	bench-routed bench-batch bench-hop bench-engine \
-	loadtest loadtest-colocation bench-baseline bench-check cover size lint metrics-smoke \
+.PHONY: all build fmt-check vet test race docs-check check bench bench-compare bench-hop bench-engine \
+	loadtest loadtest-colocation cover size lint metrics-smoke \
 	fuzz fuzz-smoke chaos-smoke clean
 
 all: check
@@ -33,35 +32,46 @@ docs-check:
 # check is what CI runs.
 check: fmt-check vet build docs-check race
 
+# The repository benchmark (bench/, BENCHMARK.json) is the one perf
+# instrument. W names its workloads (default: all five); each run builds
+# into the git-ignored .bench_build/. The root harness's per-experiment
+# benchmarks are `go test -run xxx -bench . .`, not a make target.
+W ?= engine-warm wire-warm wire-routed wire-batch sweep-cold
+
+# bench is one quick 5 s reading of each workload in W: a level, not a
+# comparison (shared machines have fast and slow modes; compare commits
+# with bench-compare).
 bench:
-	$(GO) test -bench=. -benchmem .
+	@for w in $(W); do bash bench/run.sh --workload $$w --seconds 5 --trace 0 || exit 1; done
 
-bench-serve:
-	$(GO) test -run xxx -bench 'BenchmarkServe' -benchmem .
-
-# bench-sweep is the quick reading of POST /v1/sweep over a fresh 64-point
-# E7 grid per call: the workload the closed-form Hill-Marty optimum and the
-# flush-when-about-to-wait stream (DESIGN §5) are judged on; ops are
-# points. The root BenchmarkSweep* stay reachable through `make bench`.
-bench-sweep:
-	bash bench/run.sh --workload sweep-cold --seconds 5 --trace 0
-
-# bench-wire runs the repository benchmark's wire-warm workload (GET
-# /v1/run JSON over loopback; see bench/README.md) for a quick reading.
-bench-wire:
-	bash bench/run.sh --workload wire-warm --seconds 5 --trace 0
-
-# bench-routed is the same quick reading through the router front-end
-# over three HTTP replicas: the workload the replica stream (DESIGN §7)
-# is judged on.
-bench-routed:
-	bash bench/run.sh --workload wire-routed --seconds 5 --trace 0
-
-# bench-batch is the quick reading of POST /v1/batch 64-entry frames
-# through the same front-end: the workload the request identity (DESIGN
-# §7) is judged on; ops are entries.
-bench-batch:
-	bash bench/run.sh --workload wire-batch --seconds 5 --trace 0
+# bench-compare answers "did my change slow it down": BASE (a git
+# revision, default HEAD) is checked out into a temporary worktree, and
+# for each workload in W the benchmark runs three pairs of 5 s windows,
+# one on BASE and one on the working tree per pair, seeds 101-103, the
+# side that goes first flipping every pair. `bench -compare` then applies
+# BENCHMARK.json's bounds to the two sets and exits 1 only on a `worse`
+# row (`unresolved` means the runs spread wider than the bound). About
+# two minutes per workload.
+BASE ?= HEAD
+bench-compare:
+	@set -eu; \
+	tmp=$$(mktemp -d); wt="$$tmp/base"; \
+	trap 'rm -rf "$$tmp"; git worktree prune' EXIT; \
+	trap 'exit 130' INT TERM; \
+	git worktree add --quiet --detach "$$wt" "$(BASE)"; \
+	if [ ! -f "$$wt/bench/run.sh" ]; then \
+		echo "bench-compare: $(BASE) has no bench/run.sh, so there is nothing to compare against" >&2; exit 2; fi; \
+	mkdir "$$tmp/old" "$$tmp/new"; \
+	for w in $(W); do for seed in 101 102 103; do \
+		case $$seed in 102) order="new old";; *) order="old new";; esac; \
+		for side in $$order; do \
+			root=.; if [ $$side = old ]; then root="$$wt"; fi; \
+			echo "bench-compare: $$w seed $$seed on $$side" >&2; \
+			bash "$$root/bench/run.sh" --workload $$w --seed $$seed --seconds 5 --trace 0 \
+				-json "$$tmp/$$side/$$w-$$seed.json" >/dev/null; \
+		done; \
+	done; done; \
+	.bench_build/bench -compare "$$tmp/old" "$$tmp/new"
 
 # bench-hop times one front-end -> replica exchange three ways (net/http
 # POST /v1/batch, the frame stream, the stream eight deep): ns, cpu-us
@@ -85,32 +95,11 @@ loadtest:
 
 # loadtest-colocation runs the QoS colocation scenario (warmed
 # interactive hammer + concurrent batch sweep-storm) with the live
-# feedback controller attached and writes the per-class BENCH report —
-# its events field carries the controller's halve/reclaim timeline.
-# The artifact CI uploads (informational until a colocation baseline is
-# committed).
+# feedback controller attached and writes the per-class report to /tmp —
+# its events field carries the controller's halve/reclaim timeline. The
+# verdict itself is asserted by the TestColocation* acceptance tests.
 loadtest-colocation:
-	$(GO) run ./cmd/arch21 loadtest -scenario colocation -duration 2s -maxprocs 1 -lc-slo 50ms -json BENCH_colocation.json
-
-# bench-baseline refreshes the committed perf baseline CI's bench-smoke
-# job gates against: warm-hammer, warm-hammer-4c, and the routed
-# cluster-scatter scenario, merged into one three-report file
-# (-maxprocs 1 matches the CI measurement for the single-core pair;
-# warm-hammer-4c pins its own GOMAXPROCS=4 via the scenario's Cores
-# field, so its gate engages at equal core counts too). Run it on an
-# idle machine, eyeball the diff, and commit the result.
-bench-baseline:
-	$(GO) run ./cmd/arch21 loadtest -scenario warm-hammer -duration 2s -maxprocs 1 -json BENCH_baseline.json
-	$(GO) run ./cmd/arch21 loadtest -scenario warm-hammer-4c -duration 2s -json BENCH_baseline.json -append
-	$(GO) run ./cmd/arch21 loadtest -scenario cluster-scatter -replicas 3 -duration 2s -maxprocs 1 -json BENCH_baseline.json -append
-
-# bench-check mirrors CI's bench-smoke gate locally (all gated
-# scenarios).
-bench-check:
-	$(GO) run ./cmd/arch21 loadtest -scenario warm-hammer -duration 2s -maxprocs 1 -json /tmp/bench.json
-	$(GO) run ./cmd/arch21 loadtest -scenario warm-hammer-4c -duration 2s -json /tmp/bench-4c.json
-	$(GO) run ./cmd/arch21 loadtest -scenario cluster-scatter -replicas 3 -duration 2s -maxprocs 1 -json /tmp/bench-scatter.json
-	$(GO) run ./cmd/arch21 benchcmp -tolerance 0.25 BENCH_baseline.json /tmp/bench.json /tmp/bench-4c.json /tmp/bench-scatter.json
+	GOMAXPROCS=1 $(GO) run ./cmd/arch21 loadtest -scenario colocation -duration 2s -lc-slo 50ms -json /tmp/colocation.json
 
 # size prints non-test lines (wc -l) per serving-stack package and their
 # sum: the number ROADMAP's "least code" aim tracks. CI prints it in its

@@ -1,16 +1,19 @@
 // Package repro's root benchmark harness regenerates every paper
 // table/figure (one benchmark per experiment ID, matching DESIGN.md's
-// per-experiment index) and runs the ablation benchmarks for the design
-// choices DESIGN.md calls out. Run:
+// per-experiment index) and runs the ablation and substrate benchmarks
+// for the design choices DESIGN.md calls out. The serving stack is not
+// timed here: the repository benchmark (bench/) measures it end to end
+// and layer by layer, and the exact warm-path allocation pins are tests
+// (TestServeWarmJSONHandlerAllocs below, the AllocsPerRun tests in
+// internal/serve and internal/router). Run:
 //
-//	go test -bench=. -benchmem
+//	go test -run xxx -bench . -benchmem .
 package repro
 
 import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -26,7 +29,6 @@ import (
 	"repro/internal/reliability"
 	"repro/internal/serve"
 	"repro/internal/stats"
-	"repro/internal/sweep"
 	"repro/internal/tm"
 	"repro/internal/workload"
 )
@@ -207,72 +209,11 @@ func BenchmarkAblationQoSPolicies(b *testing.B) {
 	}
 }
 
-// --- Serving-engine benchmarks (DESIGN.md §4) ---
+// --- Serving-engine allocation pin (DESIGN.md §4) ---
 
-// serveBenchID is a representative mid-weight experiment for the serving
-// benchmarks (E11's sensor-filter simulation, ~20ms cold — heavy enough
-// that the cold/hit gap is unambiguous, light enough to iterate).
+// serveBenchID is a representative mid-weight experiment (E11's
+// sensor-filter simulation).
 const serveBenchID = "E11"
-
-// BenchmarkServeColdRun measures an uncached serve: full experiment
-// execution plus encode plus memoization. Contrast with
-// BenchmarkServeCacheHit — the acceptance bar is a >= 10x gap.
-func BenchmarkServeColdRun(b *testing.B) {
-	e := serve.NewEngine(serve.Config{Workers: 2})
-	defer e.Close()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.Reset()
-		if _, err := e.Serve(serveBenchID); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServeCacheHit measures a memoized serve: shard lookup, hit-count
-// bump, and payload decode.
-func BenchmarkServeCacheHit(b *testing.B) {
-	e := serve.NewEngine(serve.Config{Workers: 2})
-	defer e.Close()
-	if _, err := e.Serve(serveBenchID); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := e.Serve(serveBenchID)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.CacheHit {
-			b.Fatal("expected a cache hit")
-		}
-	}
-}
-
-// BenchmarkServeEncodedCacheHit measures the zero-copy warm path: shard
-// lookup, in-place hit-count bump, and the encoded payload returned
-// straight from the slab — no decode. The allocs/op column is the
-// tentpole's acceptance metric (near-zero per warm hit).
-func BenchmarkServeEncodedCacheHit(b *testing.B) {
-	e := serve.NewEngine(serve.Config{Workers: 2})
-	defer e.Close()
-	if _, err := e.Serve(serveBenchID); err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := e.ServeEncoded(ctx, serveBenchID, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.CacheHit {
-			b.Fatal("expected a cache hit")
-		}
-	}
-}
 
 // discardWriter is an http.ResponseWriter that keeps nothing.
 type discardWriter struct{ h http.Header }
@@ -304,145 +245,6 @@ func TestServeWarmJSONHandlerAllocs(t *testing.T) {
 		h.ServeHTTP(w, req) // first hit: renders and attaches the tail
 		if got := testing.AllocsPerRun(200, func() { h.ServeHTTP(w, req) }); got > tc.max {
 			t.Errorf("warm JSON %s: %.1f allocs per request, want <= %v", tc.target, got, tc.max)
-		}
-	}
-}
-
-// BenchmarkServeHandlerWarm times the warm GET /run/{id} handler per
-// format: json splices the per-request head onto the tail memoized in the
-// slab, bin writes the payload with the envelope in headers.
-func BenchmarkServeHandlerWarm(b *testing.B) {
-	e := serve.NewEngine(serve.Config{Workers: 2})
-	defer e.Close()
-	h := e.Handler()
-	for _, bc := range []struct{ name, target string }{
-		{"json", "/v1/run/E7"},
-		{"json-params", "/v1/run/E7?param=bces=512&param=f=0.9"},
-		{"bin", "/v1/run/E7?format=bin"},
-		{"bin-params", "/v1/run/E7?param=bces=512&param=f=0.9&format=bin"},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			req := httptest.NewRequest(http.MethodGet, bc.target, nil)
-			w := &discardWriter{h: http.Header{}}
-			h.ServeHTTP(w, req) // miss
-			h.ServeHTTP(w, req) // first hit: renders and attaches the tail
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				clear(w.h)
-				h.ServeHTTP(w, req)
-			}
-		})
-	}
-}
-
-// BenchmarkServeConcurrentSingleflight sends 16 simultaneous requests for
-// one uncached experiment per iteration and reports how many underlying
-// executions happened per iteration (singleflight should hold it at ~1).
-func BenchmarkServeConcurrentSingleflight(b *testing.B) {
-	const clients = 16
-	e := serve.NewEngine(serve.Config{Workers: 4})
-	defer e.Close()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.Reset()
-		var wg sync.WaitGroup
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if _, err := e.Serve(serveBenchID); err != nil {
-					b.Error(err)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	b.ReportMetric(float64(e.Executions())/float64(b.N), "execs/op")
-}
-
-// BenchmarkServeContentionCacheHot measures hot-cache serve throughput
-// under GOMAXPROCS-parallel clients hammering one key — the shard-mutex
-// contention path.
-func BenchmarkServeContentionCacheHot(b *testing.B) {
-	e := serve.NewEngine(serve.Config{Workers: 2})
-	defer e.Close()
-	if _, err := e.Serve(serveBenchID); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := e.Serve(serveBenchID); err != nil {
-				b.Error(err)
-			}
-		}
-	})
-}
-
-// --- Sweep benchmarks (DESIGN.md §5) ---
-
-// sweepBenchSpec is an 8-point E7 grid (pure closed-form math, so the
-// benchmark measures the sweep machinery, not simulation weight).
-func sweepBenchSpec(b *testing.B) sweep.Spec {
-	b.Helper()
-	sp, err := sweep.ParseSpec("E7", []string{"f=0.9:0.99:0.03", "bces=64,256"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sp
-}
-
-// BenchmarkSweepColdGrid measures a fully-cold 8-point sweep per
-// iteration: grid expansion, fan-out, 8 executions, aggregation.
-func BenchmarkSweepColdGrid(b *testing.B) {
-	e := serve.NewEngine(serve.Config{Workers: 4})
-	defer e.Close()
-	sp := sweepBenchSpec(b)
-	for i := 0; i < b.N; i++ {
-		e.Reset()
-		if _, err := sweep.Run(context.Background(), e, sp, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(e.Executions())/float64(b.N), "execs/op")
-}
-
-// BenchmarkSweepWarmGrid measures the same sweep fully memoized — pure
-// fan-out, cache-hit, and aggregation overhead. Each unique grid point
-// executes exactly once across the whole benchmark (execs/op -> 0).
-func BenchmarkSweepWarmGrid(b *testing.B) {
-	e := serve.NewEngine(serve.Config{Workers: 4})
-	defer e.Close()
-	sp := sweepBenchSpec(b)
-	if _, err := sweep.Run(context.Background(), e, sp, nil); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sum, err := sweep.Run(context.Background(), e, sp, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if sum.CacheHits != sum.Points {
-			b.Fatalf("warm sweep missed the cache: %d/%d", sum.CacheHits, sum.Points)
-		}
-	}
-	b.ReportMetric(float64(e.Executions())/float64(b.N), "execs/op")
-}
-
-// BenchmarkSweepGridExpansion measures axis parsing plus cross-product
-// expansion for a 3-axis, 125-point grid (no execution).
-func BenchmarkSweepGridExpansion(b *testing.B) {
-	axes := []string{"a=1:5:1", "b=1:5:1", "c=1:5:1"}
-	for i := 0; i < b.N; i++ {
-		sp, err := sweep.ParseSpec("E7", axes)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if g := sp.Grid(); len(g) != 125 {
-			b.Fatalf("grid size %d", len(g))
 		}
 	}
 }

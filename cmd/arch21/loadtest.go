@@ -1,11 +1,10 @@
 package main
 
-// arch21 loadtest / benchcmp: the CLI face of internal/load. loadtest
-// runs one catalog scenario against the in-process engine (or a live
-// arch21d via -http) and emits the versioned BENCH JSON report; benchcmp
-// diffs two report files with load.Compare and exits nonzero on a gated
-// regression — the check CI's bench-smoke job runs against the committed
-// BENCH_baseline.json.
+// arch21 loadtest: the CLI face of internal/load. It runs one catalog
+// scenario against the in-process engine (or a live arch21d via -http, or
+// an in-process replica set via -replicas) and emits the versioned JSON
+// report, or runs the chaos soak (-chaos). GOMAXPROCS is set, as for any
+// Go program, by the environment variable.
 
 import (
 	"context"
@@ -14,7 +13,6 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"runtime"
 	"strings"
 	"time"
 
@@ -37,13 +35,11 @@ func cmdLoadtest(args []string) {
 	httpAddr := fs.String("http", "", "load a live arch21d at this address instead of the in-process engine")
 	replicas := fs.Int("replicas", 0, "front N in-process engine replicas with a consistent-hash router and load that (0 = single engine)")
 	degrade := fs.Duration("degrade", 0, "with -replicas: inject this much service latency into replica 0 — the degraded-replica scenario's straggler the hedging scoreboard must route around (0 = all healthy)")
-	jsonOut := fs.String("json", "", "write the BENCH report JSON to this file")
-	appendOut := fs.Bool("append", false, "with -json: merge into an existing BENCH file (replacing a same-scenario report) instead of overwriting — how multi-scenario baselines are assembled")
+	jsonOut := fs.String("json", "", "write the report JSON to this file")
 	class := fs.String("class", "", "force the class of the scenario's primary request stream: interactive or batch (default: the catalog's per-variant classes)")
 	seed := fs.Uint64("seed", 0, "override the scenario seed")
 	workers := fs.Int("workers", 4, "in-process engine worker-pool size")
 	lcSLO := fs.Duration("lc-slo", 0, "attach the QoS feedback controller to the in-process engine at this interactive p99 SLO; its decisions land in the report's events timeline (0 = off)")
-	maxprocs := fs.Int("maxprocs", 0, "pin GOMAXPROCS for the run (0 = leave alone; CI pins 1 so baselines compare across machines)")
 	chaos := fs.Bool("chaos", false, "run a chaos soak instead of a catalog scenario: replica kills, hangs, and error bursts under live load, asserting conservation, goroutine, and heap invariants (exit 1 on any violation)")
 	soakDuration := fs.Duration("soak-duration", 30*time.Second, "with -chaos: the soak length")
 	eventsLog := fs.String("events-log", "", "with -chaos: append the router's control-plane events (ejections, re-admissions) to this file as NDJSON")
@@ -65,9 +61,6 @@ func cmdLoadtest(args []string) {
 		return
 	}
 	if *chaos {
-		if *maxprocs > 0 {
-			runtime.GOMAXPROCS(*maxprocs)
-		}
 		runChaos(*soakDuration, *replicas, *clients, *workers, *seed, *eventsLog, *jsonOut)
 		return
 	}
@@ -78,14 +71,6 @@ func cmdLoadtest(args []string) {
 	sc, ok := load.ScenarioByName(*scenario)
 	if !ok {
 		fatalf("unknown scenario %q (try 'arch21 loadtest -list')", *scenario)
-	}
-	if *maxprocs > 0 {
-		runtime.GOMAXPROCS(*maxprocs)
-	} else if sc.Cores > 0 {
-		// Core-pinned scenarios (warm-hammer-4c) fix their own
-		// parallelism so reports are comparable across machines; an
-		// explicit -maxprocs still wins.
-		runtime.GOMAXPROCS(sc.Cores)
 	}
 
 	if *httpAddr != "" && *replicas > 0 {
@@ -198,7 +183,6 @@ func cmdLoadtest(args []string) {
 			cls, cm.Requests, cm.ThroughputRPS,
 			fmtLatency(cm.Latency.P50), fmtLatency(cm.Latency.P99), cm.Errors)
 	}
-	fmt.Printf("  calibration %.3g hash-bytes/s\n", rep.CalibrationBPS)
 	if n := len(rep.Events); n > 0 {
 		byType := map[string]int{}
 		for _, ev := range rep.Events {
@@ -220,72 +204,11 @@ func cmdLoadtest(args []string) {
 	}
 
 	if *jsonOut != "" {
-		write := func() error { return load.WriteFile(*jsonOut, rep) }
-		if *appendOut {
-			write = func() error { return load.MergeFile(*jsonOut, rep) }
-		}
-		if err := write(); err != nil {
+		if err := load.WriteFile(*jsonOut, rep); err != nil {
 			fatalf("%v", err)
 		}
 		fmt.Printf("wrote %s\n", *jsonOut)
 	}
-}
-
-func cmdBenchcmp(args []string) {
-	fs := flag.NewFlagSet("benchcmp", flag.ExitOnError)
-	tolerance := fs.Float64("tolerance", 0.25, "fractional regression tolerance on gated metrics")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: arch21 benchcmp [-tolerance 0.25] old.json new.json [more-new.json ...]")
-		fs.PrintDefaults()
-	}
-	_ = fs.Parse(args)
-	if fs.NArg() < 2 {
-		fs.Usage()
-		os.Exit(2)
-	}
-	old, err := load.ReadReports(fs.Arg(0))
-	if err != nil {
-		fatalf("%v", err)
-	}
-	// Every file after the first contributes new-side reports, so a
-	// multi-scenario baseline can be checked against per-scenario
-	// measurement files in one invocation.
-	var cur []load.Report
-	for _, path := range fs.Args()[1:] {
-		reps, err := load.ReadReports(path)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		cur = append(cur, reps...)
-	}
-	cmp, err := load.Compare(old, cur, *tolerance)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	for _, s := range cmp.Skipped {
-		fmt.Fprintf(os.Stderr, "arch21: benchcmp: warning: skipped %s\n", s)
-	}
-	for _, d := range cmp.Deltas {
-		gate := "info "
-		if d.Gated {
-			gate = "gated"
-		}
-		status := "ok"
-		if d.Regression {
-			status = "REGRESSION"
-		}
-		fmt.Printf("%-12s %-16s %-5s old=%-12.6g new=%-12.6g %+6.1f%%  %s\n",
-			d.Scenario, d.Metric, gate, d.Old, d.New, d.Change*100, status)
-		if d.Note != "" {
-			fmt.Printf("             %s\n", d.Note)
-		}
-	}
-	if cmp.Regressed() {
-		fmt.Fprintf(os.Stderr, "arch21: benchcmp: %d gated metric(s) regressed past %.0f%% tolerance\n",
-			len(cmp.Regressions()), *tolerance*100)
-		os.Exit(1)
-	}
-	fmt.Printf("no gated regressions (tolerance %.0f%%)\n", *tolerance*100)
 }
 
 // runChaos runs the soak/chaos mode and exits nonzero on any failed

@@ -11,8 +11,7 @@
 //	arch21 run all                             # run every experiment
 //	arch21 sweep -id E7 -param f=0.9:0.99:0.03 # sweep a parameter grid
 //	arch21 sweep -id E7 -param f=0.9,0.99 -param bces=64,256 -v
-//	arch21 loadtest -scenario warm-hammer -duration 2s -json bench.json
-//	arch21 benchcmp -tolerance 0.25 BENCH_baseline.json bench.json
+//	arch21 loadtest -scenario warm-hammer -duration 2s -json report.json
 //	arch21 ctl -addr :8021 -batch-rate 64    # live retune a running arch21d
 //	arch21 ctl -addr :8021 -slo 50ms -policy strict-priority
 //	arch21 metricslint -addr :8021            # promlint-style check of a live /metrics
@@ -21,9 +20,9 @@
 // from: every unique grid point executes once, repeats come from cache,
 // and the output is a combined table (plus a figure for 1- and 2-axis
 // sweeps). loadtest replays catalog load scenarios against that engine
-// (or a live arch21d) and emits the BENCH JSON perf artifact; benchcmp
-// gates a new artifact against a baseline (what CI's bench-smoke job
-// does).
+// (or a live arch21d) and emits a JSON report; whether a change made the
+// serving stack slower is the repository benchmark's question (make
+// bench-compare).
 package main
 
 import (
@@ -54,8 +53,6 @@ func main() {
 		cmdSweep(os.Args[2:])
 	case "loadtest":
 		cmdLoadtest(os.Args[2:])
-	case "benchcmp":
-		cmdBenchcmp(os.Args[2:])
 	case "ctl":
 		cmdCtl(os.Args[2:])
 	case "metricslint":
@@ -236,8 +233,7 @@ func usage() {
   arch21 params <id>
   arch21 run <id|all> [-param name=value ...] [-csv]
   arch21 sweep -id <id> -param name=lo:hi:step [-param ...] [-csv] [-v]
-  arch21 loadtest -scenario <name> [-duration 5s] [-clients N] [-rate R] [-class interactive|batch] [-http addr] [-json out.json [-append]]
-  arch21 benchcmp [-tolerance 0.25] old.json new.json [more-new.json ...]
+  arch21 loadtest -scenario <name> [-duration 5s] [-clients N] [-rate R] [-class interactive|batch] [-http addr] [-json out.json]
   arch21 ctl -addr :8021 [-batch-rate R] [-slo 50ms] [-policy strict-priority|shared-fifo]
   arch21 metricslint [-addr :8021] [FILE]`)
 }

@@ -380,10 +380,10 @@ func TestObservabilityDocsCoverObs(t *testing.T) {
 }
 
 // The adversarial-workload docs cannot drift: DESIGN.md §6 must cover
-// the rate-schedule spec syntax, churn, the schema-3 report fields, the
-// Compare schema-mismatch skip, and the soak/chaos mode with its three
-// invariants; §8 must carry the tenant header contract; README must
-// document the chaos flags and the new scenarios. (The §6 scenario
+// the rate-schedule spec syntax, churn, the schema-3 report fields, and
+// the soak/chaos mode with its three invariants; §8 must carry the
+// tenant header contract; README must document the chaos flags and the
+// new scenarios. (The §6 scenario
 // table itself is pinned dynamically to load.Scenarios() by
 // TestReplicaDocsCoverRouter, so the diurnal/flash-crowd/multi-tenant
 // rows are already enforced there.)
@@ -402,7 +402,7 @@ func TestAdversarialWorkloadDocs(t *testing.T) {
 	for _, want := range []string{
 		"RateSchedule", "`rate@dur`", "`lo:hi@dur`", "FuzzParseRateSchedule",
 		"churn", "`schema: 3`", "`per_tenant`", "fairness_index",
-		"Jain", "`skipped`", "re-measure the baseline",
+		"Jain",
 		"-chaos", "-soak-duration", "RunChaos", "FaultBackend",
 		"hits + deduped + sheds + executions == requests",
 		"NumGoroutine", "heap growth", "chaos-smoke",
@@ -446,8 +446,9 @@ func TestAdversarialWorkloadDocs(t *testing.T) {
 // policy vocabulary (pinned to serve's ParseEvictionPolicy names), the
 // aliasing contract, the read-mostly Get and its alignment rule, the
 // zero-copy bin format, and the benchmark harness; §6 must carry the
-// allocs_per_request ratchet and the one latency instrument; README must
-// document the cache flags and the zero-alloc perf note.
+// report's allocs_per_request, the exact allocation ratchet and the one
+// latency instrument; README must document the cache flags and the
+// zero-alloc perf note.
 func TestSlabCacheDocs(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -467,7 +468,7 @@ func TestSlabCacheDocs(t *testing.T) {
 		"aliasing contract", "copy-on-read",
 		"format=bin", "application/octet-stream", "ServeEncoded",
 		"read-mostly `Get`", "alignment rule", "bench-engine",
-		"b.ReportAllocs()", "BenchmarkServeEncodedCacheHit",
+		"b.ReportAllocs()", "TestServeEncodedWarmHitAllocs",
 	} {
 		if !strings.Contains(sec4, want) {
 			t.Errorf("DESIGN.md §4 no longer documents %q", want)
@@ -506,7 +507,7 @@ func TestSlabCacheDocs(t *testing.T) {
 	rdoc := strings.Join(strings.Fields(string(readme)), " ")
 	for _, want := range []string{
 		"-cache-bytes", "-cache-policy", "zero-copy", "0 allocs/op",
-		"BenchmarkServeEncodedCacheHit", "allocs_per_request",
+		"TestServeEncodedWarmHitAllocs", "allocs_per_request",
 	} {
 		if !strings.Contains(rdoc, want) {
 			t.Errorf("README.md no longer documents %q", want)

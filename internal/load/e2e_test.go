@@ -41,9 +41,6 @@ func TestE2EWarmHammerAgainstEngine(t *testing.T) {
 	if rep.Metrics.CacheHitRatio < 0.99 {
 		t.Fatalf("hit ratio %v, want ~1 after warmup", rep.Metrics.CacheHitRatio)
 	}
-	if rep.CalibrationBPS <= 0 {
-		t.Fatal("calibration missing from report")
-	}
 }
 
 // The cluster-scatter scenario against a real 3-replica router cluster:
@@ -152,21 +149,6 @@ func TestE2ELoadtestAgainstHTTPDaemon(t *testing.T) {
 	// The Zipf mix repeats hot keys, so some traffic must hit the cache.
 	if rep.Metrics.CacheHitRatio == 0 {
 		t.Fatal("no cache hits under a Zipf mix")
-	}
-
-	// A second identical run against the now-warm daemon must not
-	// regress against the first at a generous tolerance (same machine,
-	// warmer cache) — exercising Compare on real reports.
-	rep2, err := Run(tgt, sc, Options{Duration: 300 * time.Millisecond, Rate: 150, Seed: 11})
-	if err != nil {
-		t.Fatalf("second Run: %v", err)
-	}
-	cmp, err := Compare([]Report{rep}, []Report{rep2}, 0.9)
-	if err != nil {
-		t.Fatalf("Compare: %v", err)
-	}
-	if regs := cmp.Regressions(); len(regs) > 0 {
-		t.Fatalf("warm rerun regressed vs cold run: %+v", regs)
 	}
 }
 

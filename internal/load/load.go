@@ -5,12 +5,16 @@
 // arch21d HTTP endpoint — using Zipf-keyed experiment/parameter mixes
 // built from internal/workload so cache hit ratios are realistic. Each run
 // records per-request latency into stats.LatencyRecorder and serializes a
-// versioned Report (the repo's BENCH_*.json perf-trajectory artifact):
-// achieved throughput, p50/p95/p99/p999, error rate, cache hit and dedup
-// ratios, plus a machine calibration figure so Compare can check two
-// reports from different hardware against a regression tolerance — the
-// closed-loop evaluation infrastructure the paper's agenda calls for,
-// applied to the serving stack itself and gated in CI.
+// versioned Report: achieved throughput, p50/p95/p99/p999, error rate,
+// cache hit and dedup ratios, per-class and per-tenant books, and the
+// target's control-plane events — the closed-loop evaluation
+// infrastructure the paper's agenda calls for, applied to the serving
+// stack itself. What it keeps is what the repository benchmark (bench/)
+// cannot do: open-loop schedules and the colocation, flash-crowd,
+// degraded-replica, multi-tenant and chaos scenarios, judged by their
+// acceptance tests on events and invariants. Whether a change made the
+// stack slower is bench/'s question (make bench-compare), not this
+// package's.
 package load
 
 import (
@@ -129,11 +133,6 @@ type Scenario struct {
 	// per class — the colocation experiment that proves (or disproves)
 	// that batch pressure moves interactive tail latency.
 	Batch *BatchStorm
-	// Cores, when positive, pins GOMAXPROCS for the run (unless an
-	// explicit -maxprocs overrides it), so the scenario measures a fixed
-	// parallelism and Compare gates it against baselines from the same
-	// core count instead of skipping the throughput check.
-	Cores int
 }
 
 // BatchStorm is the concurrent batch-class half of a colocation
@@ -248,11 +247,6 @@ func Scenarios() []Scenario {
 			Name: "warm-hammer",
 			Doc:  "closed-loop hammer on a small hot set, cache pre-warmed: steady-state hit-path throughput and tail",
 			Mode: ClosedLoop, Variants: warm, Skew: 1.1, Clients: 8, Warm: true, Seed: 1,
-		},
-		{
-			Name: "warm-hammer-4c",
-			Doc:  "the warm-hammer shape pinned to four cores: multi-core steady-state hit-path scaling, comparable across machines with >= 4 cores",
-			Mode: ClosedLoop, Variants: warm, Skew: 1.1, Clients: 8, Warm: true, Seed: 12, Cores: 4,
 		},
 		{
 			Name: "cold-storm",

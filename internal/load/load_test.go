@@ -1,7 +1,9 @@
 package load
 
 import (
+	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -58,8 +60,8 @@ func (s *stubTarget) count(k string) int {
 // the core registry.
 func TestScenarioCatalogResolves(t *testing.T) {
 	scs := Scenarios()
-	if len(scs) != 12 {
-		t.Fatalf("catalog has %d scenarios, want 12", len(scs))
+	if len(scs) != 11 {
+		t.Fatalf("catalog has %d scenarios, want 11", len(scs))
 	}
 	seen := map[string]bool{}
 	for _, sc := range scs {
@@ -259,16 +261,6 @@ func TestCacheHitRatioMeasured(t *testing.T) {
 	}
 }
 
-func TestCalibratePositive(t *testing.T) {
-	if bps := Calibrate(1); bps <= 0 {
-		t.Fatalf("Calibrate(1) = %v, want > 0", bps)
-	}
-	// Degenerate parallelism clamps rather than hangs or divides by zero.
-	if bps := Calibrate(0); bps <= 0 {
-		t.Fatalf("Calibrate(0) = %v, want > 0", bps)
-	}
-}
-
 // Open loop with Skew 0 must keep the round-robin contract: every
 // variant covered, counts within one cycle of each other.
 func TestOpenLoopSkewZeroRoundRobins(t *testing.T) {
@@ -297,36 +289,24 @@ func TestOpenLoopSkewZeroRoundRobins(t *testing.T) {
 
 func TestReportWriteReadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	one := filepath.Join(dir, "one.json")
-	many := filepath.Join(dir, "many.json")
-	r1 := sampleReport("warm-hammer", 1000, 0.0005)
-	r2 := sampleReport("herd", 50, 0.002)
-
-	if err := WriteFile(one, r1); err != nil {
-		t.Fatalf("WriteFile(one): %v", err)
+	path := filepath.Join(dir, "report.json")
+	r := sampleReport("warm-hammer", 1000, 0.0005)
+	if err := WriteFile(path, r); err != nil {
+		t.Fatalf("WriteFile: %v", err)
 	}
-	if err := WriteFile(many, r1, r2); err != nil {
-		t.Fatalf("WriteFile(many): %v", err)
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got1, err := ReadReports(one)
-	if err != nil || len(got1) != 1 {
-		t.Fatalf("ReadReports(one) = %v, %v", got1, err)
+	var got Report
+	if err := json.Unmarshal(buf, &got); err != nil {
+		t.Fatalf("the file is not one report object: %v", err)
 	}
-	if !reflect.DeepEqual(got1[0], r1) {
-		t.Fatalf("single round trip mismatch: %+v vs %+v", got1[0], r1)
+	if !reflect.DeepEqual(got, r) {
+		t.Fatalf("round trip mismatch: %+v vs %+v", got, r)
 	}
-	got2, err := ReadReports(many)
-	if err != nil || len(got2) != 2 {
-		t.Fatalf("ReadReports(many) = %v, %v", got2, err)
-	}
-	if !reflect.DeepEqual(got2[1], r2) {
-		t.Fatalf("array round trip mismatch")
-	}
-	if err := WriteFile(filepath.Join(dir, "none.json")); err == nil {
-		t.Fatal("WriteFile with no reports accepted")
-	}
-	if _, err := ReadReports(filepath.Join(dir, "missing.json")); err == nil {
-		t.Fatal("ReadReports on missing file succeeded")
+	if err := WriteFile(filepath.Join(dir, "missing", "report.json"), r); err == nil {
+		t.Fatal("WriteFile into a missing directory succeeded")
 	}
 }
 
@@ -355,14 +335,13 @@ func TestReportValidate(t *testing.T) {
 }
 
 // sampleReport builds a minimal valid report for serialization and
-// comparison tests.
+// validation tests.
 func sampleReport(scenario string, rps, p99 float64) Report {
 	return Report{
-		Schema:         SchemaVersion,
-		Scenario:       scenario,
-		GoVersion:      "go-test",
-		CalibrationBPS: 1e9,
-		Config:         Config{Target: "stub", Mode: "closed", DurationSeconds: 1, Clients: 4, Seed: 1, Variants: 3, Cores: 4},
+		Schema:    SchemaVersion,
+		Scenario:  scenario,
+		GoVersion: "go-test",
+		Config:    Config{Target: "stub", Mode: "closed", DurationSeconds: 1, Clients: 4, Seed: 1, Variants: 3, Cores: 4},
 		Metrics: Metrics{
 			Requests: 1000, DurationSeconds: 1, ThroughputRPS: rps,
 			CacheHitRatio: 0.9,

@@ -2,17 +2,14 @@ package load
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/obs"
 )
 
-// SchemaVersion is the BENCH_*.json artifact schema. Compare skips (and
-// names) scenarios whose reports carry another schema version; bump it
-// on any incompatible field change. Schema 2 added the control-plane
+// SchemaVersion is the report schema; Validate rejects any other. Bump
+// it on any incompatible field change. Schema 2 added the control-plane
 // event timeline (Events) so a colocation artifact carries the
 // controller's decisions alongside the latency verdict they produced.
 // Schema 3 added the adversarial-workload fields: the rate-schedule/
@@ -20,8 +17,8 @@ import (
 // fairness index.
 const SchemaVersion = 3
 
-// Config records the knobs a report was measured under, so a trajectory
-// of BENCH artifacts is self-describing.
+// Config records the knobs a report was measured under, so a report is
+// self-describing.
 type Config struct {
 	// Target is the target kind ("engine" or "http").
 	Target string `json:"target"`
@@ -54,8 +51,8 @@ type Config struct {
 	// that cannot reset (a live daemon), so "cold" artifacts measured
 	// warm are distinguishable.
 	Reset bool `json:"reset,omitempty"`
-	// Cores is GOMAXPROCS on the measuring machine. Compare only gates
-	// throughput between reports with equal core counts.
+	// Cores is GOMAXPROCS during the run: a recorded fact, not a knob
+	// (set it with the GOMAXPROCS environment variable).
 	Cores int `json:"cores,omitempty"`
 }
 
@@ -130,15 +127,15 @@ type Metrics struct {
 	// AllocsPerRequest is the heap allocation count per issued request
 	// over the measured window (runtime Mallocs delta / requests),
 	// covering the target's serving path plus the generator's own loop.
-	// The CI allocs gate ratchets on it: once a baseline records the
-	// figure, a regression past tolerance fails bench-smoke. Absent in
-	// reports measured before this field existed (the addition is
-	// schema-compatible, like PerClass).
+	// It is a reading, not a gate: the exact per-path pins are the
+	// AllocsPerRun tests in serve and router. Absent in reports measured
+	// before this field existed (the addition is schema-compatible, like
+	// PerClass).
 	AllocsPerRequest float64 `json:"allocs_per_request,omitempty"`
 }
 
-// Report is one scenario run — the versioned, machine-readable BENCH
-// artifact the repo's perf trajectory accumulates.
+// Report is one scenario run — the versioned, machine-readable artifact
+// `arch21 loadtest -json` writes.
 type Report struct {
 	// Schema is the artifact schema version (SchemaVersion).
 	Schema int `json:"schema"`
@@ -149,11 +146,6 @@ type Report struct {
 	Git string `json:"git,omitempty"`
 	// GoVersion is runtime.Version() of the measuring binary.
 	GoVersion string `json:"go_version"`
-	// CalibrationBPS is the machine's aggregate hash throughput (bytes/s;
-	// see Calibrate) measured at this run's own concurrency, letting
-	// Compare normalize throughput across machines of different per-core
-	// speeds and core counts.
-	CalibrationBPS float64 `json:"calibration_bps"`
 	// Config is the run configuration; Metrics the measured outcome.
 	Config  Config  `json:"config"`
 	Metrics Metrics `json:"metrics"`
@@ -164,7 +156,7 @@ type Report struct {
 	Events []obs.Event `json:"events,omitempty"`
 }
 
-// Validate checks that a report is a usable trajectory artifact: current
+// Validate checks that a report is a usable artifact: current
 // schema, named scenario, and nonzero measured traffic (throughput and
 // tail both present).
 func (r Report) Validate() error {
@@ -186,68 +178,11 @@ func (r Report) Validate() error {
 	return nil
 }
 
-// WriteFile serializes reports as indented JSON: a single object for one
-// report (the common CI artifact), an array for several.
-func WriteFile(path string, reports ...Report) error {
-	if len(reports) == 0 {
-		return fmt.Errorf("load: no reports to write")
-	}
-	var v interface{} = reports
-	if len(reports) == 1 {
-		v = reports[0]
-	}
-	buf, err := json.MarshalIndent(v, "", "  ")
+// WriteFile serializes one report as indented JSON.
+func WriteFile(path string, rep Report) error {
+	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		return fmt.Errorf("load: encode reports: %w", err)
+		return fmt.Errorf("load: encode report: %w", err)
 	}
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// MergeFile folds rep into the BENCH file at path: an existing report
-// for the same scenario is replaced, anything else is preserved, and a
-// missing file is created. This is how a multi-scenario baseline
-// (warm-hammer + cluster-scatter) is assembled from individual loadtest
-// runs.
-func MergeFile(path string, rep Report) error {
-	existing, err := ReadReports(path)
-	if err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			return err
-		}
-		existing = nil
-	}
-	replaced := false
-	for i, r := range existing {
-		if r.Scenario == rep.Scenario {
-			existing[i] = rep
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		existing = append(existing, rep)
-	}
-	return WriteFile(path, existing...)
-}
-
-// ReadReports parses a BENCH JSON file holding either a single report
-// object or an array of them.
-func ReadReports(path string) ([]Report, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("load: %w", err)
-	}
-	trimmed := strings.TrimSpace(string(buf))
-	if strings.HasPrefix(trimmed, "[") {
-		var many []Report
-		if err := json.Unmarshal(buf, &many); err != nil {
-			return nil, fmt.Errorf("load: parse %s: %w", path, err)
-		}
-		return many, nil
-	}
-	var one Report
-	if err := json.Unmarshal(buf, &one); err != nil {
-		return nil, fmt.Errorf("load: parse %s: %w", path, err)
-	}
-	return []Report{one}, nil
 }

@@ -255,11 +255,10 @@ func Run(tgt Target, sc Scenario, opt Options) (Report, error) {
 	}
 
 	// Bracket the measured window with allocator snapshots: the Mallocs
-	// delta divided by requests is the run's allocs-per-request figure —
-	// the metric the CI allocs gate ratchets. The bracket excludes warmup
-	// (above) and calibration (taken after the post-window snapshot), but
-	// includes the generator's own per-request overhead: the gate bounds
-	// the whole measured loop, which is exactly what throughput runs on.
+	// delta divided by requests is the run's allocs-per-request figure.
+	// The bracket excludes warmup (above) but includes the generator's
+	// own per-request overhead: the figure covers the whole measured
+	// loop, which is exactly what throughput runs on.
 	var memBefore runtime.MemStats
 	runtime.ReadMemStats(&memBefore)
 
@@ -483,17 +482,11 @@ func Run(tgt Target, sc Scenario, opt Options) (Report, error) {
 	if req > 0 {
 		m.AllocsPerRequest = float64(memAfter.Mallocs-memBefore.Mallocs) / float64(req)
 	}
-	// Calibrate at the run's own concurrency: closed-loop throughput
-	// scales with clients (up to the core count), open-loop fan-out with
-	// whatever the scheduler gives it, and the calibration figure must
-	// scale the same way for Compare's normalization to cancel hardware.
 	// Record only the pacing knob the mode actually used: clients is
 	// meaningless in open loop (one goroutine per in-flight arrival) and
 	// rate in closed loop.
-	calPar := clients
 	cfgClients, cfgRate := clients, 0.0
 	if sc.Mode == OpenLoop {
-		calPar = runtime.GOMAXPROCS(0)
 		cfgClients, cfgRate = 0, rate
 	}
 	nVariants := len(sc.Variants)
@@ -512,11 +505,10 @@ func Run(tgt Target, sc Scenario, opt Options) (Report, error) {
 		events = evRing.Since(evSince)
 	}
 	return Report{
-		Schema:         SchemaVersion,
-		Scenario:       sc.Name,
-		GoVersion:      runtime.Version(),
-		CalibrationBPS: Calibrate(calPar),
-		Events:         events,
+		Schema:    SchemaVersion,
+		Scenario:  sc.Name,
+		GoVersion: runtime.Version(),
+		Events:    events,
 		Config: Config{
 			Target:          tgt.Name(),
 			Mode:            sc.Mode.String(),
@@ -535,72 +527,4 @@ func Run(tgt Target, sc Scenario, opt Options) (Report, error) {
 		},
 		Metrics: m,
 	}, nil
-}
-
-// calSink publishes Calibrate's hash accumulator so the calibration loop
-// cannot be dead-code-eliminated.
-var calSink atomic.Uint64
-
-// Calibrate measures this machine's aggregate hash throughput (bytes/s
-// over a fixed FNV-1a loop) at the given concurrency. Reports embed the
-// figure measured at the run's own concurrency, so Compare's normalized
-// throughput cancels both per-core speed and core count — a 4-vCPU CI
-// runner and a 16-core workstation judge the same code change the same
-// way, which is what keeps the committed baseline meaningful across
-// machines. Each round runs `parallelism` goroutines for a short window;
-// the best round wins, so a background-noise stall in one window cannot
-// understate the machine.
-func Calibrate(parallelism int) float64 {
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	const (
-		rounds = 3
-		window = 30 * time.Millisecond
-	)
-	best := 0.0
-	for r := 0; r < rounds; r++ {
-		var total atomic.Int64
-		var wg sync.WaitGroup
-		t0 := time.Now()
-		for g := 0; g < parallelism; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				buf := make([]byte, 4096)
-				for i := range buf {
-					buf[i] = byte(i * 31)
-				}
-				var sink uint64
-				hashed := 0
-				for time.Since(t0) < window {
-					for i := 0; i < 16; i++ {
-						sink ^= fnv1a(buf)
-						hashed += len(buf)
-					}
-				}
-				calSink.Store(sink)
-				total.Add(int64(hashed))
-			}()
-		}
-		wg.Wait()
-		if bps := float64(total.Load()) / time.Since(t0).Seconds(); bps > best {
-			best = bps
-		}
-	}
-	return best
-}
-
-// fnv1a is the calibration hash (FNV-1a over the buffer).
-func fnv1a(b []byte) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime
-	}
-	return h
 }

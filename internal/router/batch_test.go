@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/admit"
+	"repro/internal/core"
 	"repro/internal/httpapi"
 	"repro/internal/serve"
 )
@@ -352,3 +353,41 @@ func TestCoalescedFlushFailsOverOnTransportError(t *testing.T) {
 
 // errorsIs helper kept out of the hot assertions for readability.
 var _ = errors.Is
+
+// A warm routed hit over in-process replicas allocates nothing, bare or
+// with params: the request is named by its interned identity, and once
+// the owner's scoreboard is trusted it joins the owner's queue and ships
+// the frame itself from a pooled call and reused queue slices. Each bound
+// is the measured count and only ratchets down.
+func TestRouterServeEncodedWarmHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	r, engines := newRegistryCluster(t, 3, "", Config{})
+	defer func() {
+		for _, e := range engines {
+			e.Close()
+		}
+	}()
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		p    core.Params
+		max  float64
+	}{
+		{"bare", nil, 0},
+		{"params", core.Params{"bces": 512, "f": 0.9}, 0},
+	} {
+		hit := func() {
+			if rr, err := r.ServeEncoded(ctx, "E7", tc.p); err != nil || len(rr.Raw) == 0 {
+				t.Fatalf("%s: routed ServeEncoded: %d bytes, err=%v", tc.name, len(rr.Raw), err)
+			}
+		}
+		for i := 0; i < 3*hedgeWarmup; i++ { // fill the cache, trust the owner
+			hit()
+		}
+		if got := testing.AllocsPerRun(200, hit); got > tc.max {
+			t.Errorf("%s: warm routed hit allocates %v times, want <= %v", tc.name, got, tc.max)
+		}
+	}
+}

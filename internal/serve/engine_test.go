@@ -324,3 +324,36 @@ func TestEngineServesRealRegistry(t *testing.T) {
 		t.Fatalf("memoized %s differs from cold run", id)
 	}
 }
+
+// The warm ServeEncoded hit's allocations, exactly: a bare ID is its own
+// cache key and is served from the slab without allocating; a caller
+// with params pays for resolving them and formatting their key. Each
+// bound is the measured count and only ratchets down.
+func TestServeEncodedWarmHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	e := NewEngine(Config{Workers: 2})
+	defer e.Close()
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		p    core.Params
+		max  float64
+	}{
+		{"bare", nil, 0},
+		{"params", core.Params{"bces": 512, "f": 0.9}, 3},
+	} {
+		if _, err := e.ServeEncoded(ctx, "E7", tc.p); err != nil {
+			t.Fatalf("%s: cold ServeEncoded: %v", tc.name, err)
+		}
+		got := testing.AllocsPerRun(200, func() {
+			if rr, err := e.ServeEncoded(ctx, "E7", tc.p); err != nil || !rr.CacheHit {
+				t.Fatalf("%s: warm ServeEncoded: hit=%v err=%v", tc.name, rr.CacheHit, err)
+			}
+		})
+		if got > tc.max {
+			t.Errorf("%s: warm ServeEncoded hit allocates %v times, want <= %v", tc.name, got, tc.max)
+		}
+	}
+}
