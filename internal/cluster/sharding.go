@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/stats"
@@ -98,32 +99,30 @@ func (ch *ConsistentHash) Place(key uint64) int {
 // Servers implements Sharder.
 func (ch *ConsistentHash) Servers() int { return ch.n }
 
-// PlaceK returns up to k distinct servers for a key, in ring order
-// starting at the key's owner: element 0 is Place(key), element 1 the
-// next distinct server clockwise, and so on. This is the failover chain a
-// router walks when the owner is unhealthy — successive ring positions,
-// so every router instance agrees on the retry order without
-// coordination. k is clamped to the server count.
-func (ch *ConsistentHash) PlaceK(key uint64, k int) []int {
+// PlaceK appends up to k distinct servers for a key to dst and returns
+// the extended slice, in ring order starting at the key's owner: the
+// first appended element is Place(key), the next the next distinct server
+// clockwise, and so on. This is the failover chain a router walks when
+// the owner is unhealthy — successive ring positions, so every router
+// instance agrees on the retry order without coordination. k is clamped
+// to the server count. With cap(dst)-len(dst) >= k it allocates nothing:
+// distinctness is a scan of the entries already appended (k is a handful).
+func (ch *ConsistentHash) PlaceK(dst []int, key uint64, k int) []int {
 	if k > ch.n {
 		k = ch.n
 	}
 	if k < 1 {
-		return nil
+		return dst
 	}
 	h := splitmix(key)
 	start := sort.Search(len(ch.points), func(i int) bool { return ch.points[i].hash >= h })
-	out := make([]int, 0, k)
-	seen := make([]bool, ch.n)
-	for i := 0; i < len(ch.points) && len(out) < k; i++ {
-		p := ch.points[(start+i)%len(ch.points)]
-		if seen[p.server] {
-			continue
+	base := len(dst)
+	for i := 0; i < len(ch.points) && len(dst)-base < k; i++ {
+		if p := ch.points[(start+i)%len(ch.points)]; !slices.Contains(dst[base:], p.server) {
+			dst = append(dst, p.server)
 		}
-		seen[p.server] = true
-		out = append(out, p.server)
 	}
-	return out
+	return dst
 }
 
 // LoadStats reports placement balance for a key workload.

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -77,7 +79,7 @@ func TestShardingPanics(t *testing.T) {
 func TestPlaceKStartsAtOwnerDistinctAndComplete(t *testing.T) {
 	ch := NewConsistentHash(5, 64)
 	for key := uint64(0); key < 2000; key++ {
-		chain := ch.PlaceK(key, 5)
+		chain := ch.PlaceK(nil, key, 5)
 		if len(chain) != 5 {
 			t.Fatalf("key %d: chain %v should cover all 5 servers", key, chain)
 		}
@@ -96,14 +98,58 @@ func TestPlaceKStartsAtOwnerDistinctAndComplete(t *testing.T) {
 
 func TestPlaceKClampsAndDegenerates(t *testing.T) {
 	ch := NewConsistentHash(3, 16)
-	if got := ch.PlaceK(42, 10); len(got) != 3 {
+	if got := ch.PlaceK(nil, 42, 10); len(got) != 3 {
 		t.Fatalf("k past server count should clamp to 3, got %v", got)
 	}
-	if got := ch.PlaceK(42, 0); got != nil {
+	if got := ch.PlaceK(nil, 42, 0); got != nil {
 		t.Fatalf("k=0 should yield nil, got %v", got)
 	}
-	if got := ch.PlaceK(42, 1); len(got) != 1 || got[0] != ch.Place(42) {
+	if got := ch.PlaceK(nil, 42, 1); len(got) != 1 || got[0] != ch.Place(42) {
 		t.Fatalf("k=1 should be exactly the owner, got %v", got)
+	}
+}
+
+// PlaceK appends exactly the chain the seen-slice construction it
+// replaced returned, for every k from 0 past the server count, and
+// allocates nothing into a buffer with room for k.
+func TestPlaceKAppendsTheSameChainWithoutAllocating(t *testing.T) {
+	const n = 5
+	ch := NewConsistentHash(n, 64)
+	reference := func(key uint64, k int) []int {
+		k = min(k, ch.n)
+		if k < 1 {
+			return nil
+		}
+		h := splitmix(key)
+		start := sort.Search(len(ch.points), func(i int) bool { return ch.points[i].hash >= h })
+		out := make([]int, 0, k)
+		seen := make([]bool, ch.n)
+		for i := 0; i < len(ch.points) && len(out) < k; i++ {
+			p := ch.points[(start+i)%len(ch.points)]
+			if !seen[p.server] {
+				seen[p.server] = true
+				out = append(out, p.server)
+			}
+		}
+		return out
+	}
+	buf := make([]int, 0, n+1)
+	prefix := []int{0, 1, 2, 3, 4} // every server: distinctness is among the appended entries only
+	for key := uint64(0); key < 10000; key++ {
+		for k := 0; k <= n+1; k++ {
+			want := reference(key, k)
+			if got := ch.PlaceK(buf[:0], key, k); !slices.Equal(got, want) {
+				t.Fatalf("key %d k %d: PlaceK %v, reference %v", key, k, got, want)
+			}
+			if got := ch.PlaceK(prefix, key, k); !slices.Equal(got[:n], prefix) || !slices.Equal(got[n:], want) {
+				t.Fatalf("key %d k %d: PlaceK after a prefix %v, reference %v", key, k, got, want)
+			}
+		}
+	}
+	for k := 0; k <= n+1; k++ {
+		if got := testing.AllocsPerRun(100, func() { buf = ch.PlaceK(buf[:0], 42, k) }); got != 0 {
+			t.Errorf("k %d: PlaceK into a buffer of cap %d allocates %v times", k, cap(buf), got)
+		}
 	}
 }
 
@@ -114,7 +160,7 @@ func TestPlaceKClampsAndDegenerates(t *testing.T) {
 func TestPlaceKPredictsFailover(t *testing.T) {
 	ch := NewConsistentHash(4, 64)
 	for key := uint64(0); key < 500; key++ {
-		chain := ch.PlaceK(key, 2)
+		chain := ch.PlaceK(nil, key, 2)
 		owner, next := chain[0], chain[1]
 		if owner == next {
 			t.Fatalf("key %d: owner and successor identical", key)

@@ -97,7 +97,7 @@ const (
 
 // bufPool recycles batch encode/decode scratch buffers across requests;
 // the routed hot loop would otherwise allocate a fresh frame buffer per
-// flush. Buffers are passed as *[]byte so the pool never allocates on
+// exchange. Buffers are passed as *[]byte so the pool never allocates on
 // Put (staticcheck SA6002).
 var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 

@@ -7,8 +7,7 @@ package httpapi
 //
 //	[u32 id][u8 kind][u32 len] + len body bytes   (big-endian)
 //
-// so a coalesced flush is one write and one read instead of a net/http
-// exchange. A request body is the QoS envelope POST /batch carries in
+// so a frame is one write and one read instead of a net/http exchange. A request body is the QoS envelope POST /batch carries in
 // X-Arch21-* headers — [u8 class][u8 hedge][uvarint deadline ms, 0 =
 // none][uvarint n][n tenant bytes] — then the A21B frame; a reply body is
 // the A21R frame, or [uvarint status][message] for a frame that failed as

@@ -20,8 +20,9 @@ import (
 )
 
 // Backend is one serve replica the router can place requests on. Every
-// request reaches it as a frame through DoBatch — a coalesced flush, a
-// pre-assembled owner group, or a chain attempt's frame of one.
+// request reaches it as a frame through DoBatch — a pre-assembled owner
+// group or a chain attempt's frame of one (a bare EngineBackend's frame
+// of one is served inline through its engine instead; Router.exchange).
 // Implementations must be safe for concurrent calls.
 type Backend interface {
 	// DoBatch serves many items against the replica in a single exchange

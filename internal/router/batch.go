@@ -1,0 +1,127 @@
+package router
+
+// The pre-assembled frames: a batch of items regrouped by owning replica
+// and shipped one exchange per owner — the sweep fan-out and the POST
+// /batch endpoint. A single routed request does not come through here:
+// it walks the chain as a frame of one (Router.ServeEncoded).
+
+import (
+	"context"
+	"sync"
+	"time"
+
+	"repro/internal/serve"
+)
+
+// batchSizeBounds are the arch21_batch_size bucket bounds: powers of
+// two through 64, then up to the wire frame cap.
+var batchSizeBounds = []float64{1, 2, 4, 8, 16, 32, 64, 256, 1024, 4096}
+
+// ServeEncodedBatch serves a pre-assembled frame of items: group by owning
+// replica, one exchange per owner (under the caller's context — the sweep
+// path needs its cancellation to propagate), and per-entry fallback
+// through the chain walk when an owner is ejected, loses the frame, or an
+// entry comes back failover-worthy. Outcomes are in item order. Placement
+// still follows the ring, so a sweep fanned out through frames executes
+// each grid point exactly once cluster-wide, on the same replica single
+// requests would pick. Items that arrive without an identity (in-process
+// callers holding a map) are annotated in place with it and its resolved
+// params (visible to the caller). Owners are served concurrently, a lone
+// owner on this goroutine, their exchanges under one bound — ctx, canceled
+// at the router's timeout — so a wedged replica costs a sweep one timeout,
+// not the sweep. A cancel, not a deadline: arming a timer is not free, and
+// a deadline would ride the envelope and arm one on every replica too.
+func (r *Router) ServeEncodedBatch(ctx context.Context, items []serve.BatchItem) []serve.BatchOutcome {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	r.requests.Add(int64(len(items)))
+	out := make([]serve.BatchOutcome, len(items))
+	groups := make([][]int, len(r.backends))
+	var owner int
+	for i := range items {
+		it := &items[i]
+		if it.Ident == nil {
+			it.Ident = serve.IdentOf(it.ID, it.Params)
+			it.Params = it.Ident.Params()
+		}
+		owner = r.ring.Place(it.Ident.Hash())
+		if groups[owner] == nil {
+			groups[owner] = make([]int, 0, len(items)-i)
+		}
+		groups[owner] = append(groups[owner], i)
+	}
+	xctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer time.AfterFunc(r.cfg.Timeout, cancel).Stop()
+	if n := len(items); n > 0 && len(groups[owner]) == n { // one owner: no goroutine
+		r.serveOwnerBatch(ctx, xctx, owner, groups[owner], items, out)
+		return out
+	}
+	var wg sync.WaitGroup
+	for owner, idxs := range groups {
+		if len(idxs) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(owner int, idxs []int) {
+			defer wg.Done()
+			r.serveOwnerBatch(ctx, xctx, owner, idxs, items, out)
+		}(owner, idxs)
+	}
+	wg.Wait()
+	return out
+}
+
+// serveOwnerBatch ships one owner's share of a frame, falling back to
+// the chain walk per entry when the owner is ejected, the exchange is
+// lost, or an entry's error warrants failover. An entry the owner
+// answered with a failover verdict walks on from its successor; the
+// entries of a lost frame walk from the owner again, which may have
+// executed them (a retry there can be a cache hit — what keeps a sweep
+// exactly-once). The exchange runs under xctx, ctx canceled at the
+// router's timeout; the fallbacks under ctx.
+func (r *Router) serveOwnerBatch(ctx, xctx context.Context, owner int, idxs []int, items []serve.BatchItem, out []serve.BatchOutcome) {
+	if r.admit(owner) {
+		sub := make([]serve.BatchItem, len(idxs))
+		for j, i := range idxs {
+			sub[j] = items[i]
+		}
+		outs, err := r.exchange(xctx, owner, sub, nil)
+		switch {
+		case err == nil:
+			r.noteSuccess(owner)
+			for j, i := range idxs {
+				o := outs[j]
+				if o.Err == nil {
+					r.batched.Add(1)
+					out[i] = o
+					continue
+				}
+				switch classify(o.Err) {
+				case verdictCtx, verdictReturn:
+					out[i] = o
+				case verdictFailure:
+					// The chain walk's rule for an attempt that failed.
+					r.noteFailure(owner)
+					fallthrough
+				default:
+					out[i] = r.serveChainKeyed(ctx, items[i], owner, o.Err)
+				}
+			}
+			return
+		case ctx.Err() != nil:
+			// The caller is gone: final for every entry, no health blame.
+			for _, i := range idxs {
+				out[i] = serve.BatchOutcome{Err: ctx.Err()}
+			}
+			return
+		}
+		// Transport failure, timeout or a malformed outcome count: blame
+		// the replica once and let each entry fail over through the chain.
+		r.noteFailure(owner)
+	}
+	for _, i := range idxs {
+		out[i] = r.serveChainKeyed(ctx, items[i], -1, nil)
+	}
+}

@@ -1,9 +1,9 @@
 package router
 
-// Tests for the batched data plane: coalescing (batch class always,
-// interactive only behind a warmed, fast scoreboard, deadlines never),
-// the wire client (HTTPBackend.DoBatch against a live replica handler),
-// and the front-end's POST /batch route.
+// Tests for the batched data plane: the routed request's books, the
+// pre-assembled frames of ServeEncodedBatch, the wire client
+// (HTTPBackend.DoBatch against a live replica handler), and the
+// front-end's POST /batch route.
 
 import (
 	"bytes"
@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,11 +24,10 @@ import (
 	"repro/internal/serve"
 )
 
-// Batch-class requests coalesce from the first request: concurrent
-// ServeEncoded calls are served through flushed frames, every outcome
-// is correct, and the engines' books balance (a coalesced request is
-// one engine request, nothing double-counted).
-func TestServeEncodedCoalescesBatchClass(t *testing.T) {
+// Concurrent batch-class ServeEncoded calls: every outcome is correct,
+// the engines' books balance (a routed request is one engine request,
+// nothing double-counted), and each request shipped one frame of one.
+func TestServeEncodedBatchClassBooksBalance(t *testing.T) {
 	r, engines := newRegistryCluster(t, 2, "", Config{})
 	defer func() {
 		for _, e := range engines {
@@ -60,9 +60,6 @@ func TestServeEncodedCoalescesBatchClass(t *testing.T) {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	if got := r.batched.Load(); got == 0 {
-		t.Fatal("no request was served through a coalesced flush")
-	}
 	if r.requests.Load() != n {
 		t.Fatalf("router counted %d requests, want %d", r.requests.Load(), n)
 	}
@@ -75,63 +72,49 @@ func TestServeEncodedCoalescesBatchClass(t *testing.T) {
 	if engReqs != n || engSum != n {
 		t.Fatalf("engine books: requests=%d balanced=%d, want %d/%d", engReqs, engSum, n, n)
 	}
-	var flushes int64
-	for i := 0; i < flushReasons; i++ {
-		flushes += r.batchFlushes[i].Load()
+	var shipped int64
+	for _, h := range r.Metrics().Health {
+		shipped += h.Requests
 	}
-	if flushes == 0 {
-		t.Fatal("no flush was recorded")
-	}
-	if snap := r.batchSize.Snapshot(); snap.Count != uint64(flushes) {
-		t.Fatalf("batch size histogram observed %d flushes, counters say %d", snap.Count, flushes)
+	if snap := r.batchSize.Snapshot(); snap.Count != n || snap.Sum != float64(shipped) || shipped != n {
+		t.Fatalf("batch size histogram observed %d frames of %v entries, backends counted %d; want %d frames of one",
+			snap.Count, snap.Sum, shipped, n)
 	}
 }
 
-// Interactive traffic must not coalesce against a cold scoreboard (the
-// hedged single-request path owns tail protection until the owner has
-// proven itself fast), must coalesce once it has, and must always
-// bypass coalescing when the caller carries a deadline.
-func TestInteractiveCoalescingNeedsWarmTrustedOwner(t *testing.T) {
-	r, engines := newRegistryCluster(t, 2, "", Config{})
-	defer func() {
-		for _, e := range engines {
-			e.Close()
-		}
-	}()
-	// Cold scoreboard: the first interactive request takes the classic
-	// chain.
-	if _, err := r.ServeEncoded(context.Background(), "E7", nil); err != nil {
+// An entry its owner answered with a failover verdict inside a
+// pre-assembled frame goes on to the successor, not back to the owner:
+// each replica sees it once, and that is one failover.
+func TestServeEncodedBatchAnsweredEntryFailsOverPastOwner(t *testing.T) {
+	eng := newTestEngine(t)
+	var calls [2]atomic.Int64
+	owner := -1
+	backends := make([]Backend, 2)
+	for i := range backends {
+		backends[i] = backendFunc{name: fmt.Sprintf("b%d", i),
+			do: func(ctx context.Context, id string, p core.Params) (serve.Response, error) {
+				calls[i].Add(1)
+				if i == owner {
+					return serve.Response{}, &admit.ShedError{Class: admit.ClassFrom(ctx), RetryAfter: time.Second}
+				}
+				return eng.ServeWith(ctx, id, p)
+			}}
+	}
+	r, err := New(backends, Config{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.batched.Load(); got != 0 {
-		t.Fatalf("cold-scoreboard interactive request coalesced (batched=%d)", got)
+	owner = r.Owner(RouteKey("E7", nil))
+	ctx := admit.WithClass(context.Background(), admit.Batch)
+	outs := r.ServeEncodedBatch(ctx, []serve.BatchItem{{ID: "E7", Class: admit.Batch}})
+	if outs[0].Err != nil || outs[0].RawResponse.ID != "E7" {
+		t.Fatalf("entry: id %q err %v, want E7 served by the successor", outs[0].RawResponse.ID, outs[0].Err)
 	}
-	// Warm the owner's score well past hedgeWarmup with sub-millisecond
-	// cache hits.
-	for i := 0; i < 3*hedgeWarmup; i++ {
-		if _, err := r.ServeWith(context.Background(), "E7", nil); err != nil {
-			t.Fatal(err)
-		}
+	if o, s := calls[owner].Load(), calls[1-owner].Load(); o != 1 || s != 1 {
+		t.Fatalf("owner saw the entry %d times, successor %d; want 1 and 1", o, s)
 	}
-	owner := r.Owner(RouteKey("E7", nil))
-	if _, _, n := r.sb.snapshot(owner); n < hedgeWarmup {
-		t.Fatalf("owner score has %d samples, want >= %d", n, hedgeWarmup)
-	}
-	if _, err := r.ServeEncoded(context.Background(), "E7", nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.batched.Load(); got != 1 {
-		t.Fatalf("warmed interactive request did not coalesce (batched=%d)", got)
-	}
-	// A deadline-carrying request bypasses the queue even though the
-	// owner is trusted: its flush would run detached from the deadline.
-	dctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	if _, err := r.ServeEncoded(dctx, "E7", nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.batched.Load(); got != 1 {
-		t.Fatalf("deadline-carrying request coalesced (batched=%d)", got)
+	if got := r.Metrics().Failovers; got != 1 {
+		t.Fatalf("failovers = %d, want 1", got)
 	}
 }
 
@@ -241,10 +224,11 @@ func TestRouterBatchEndpoint(t *testing.T) {
 	if r := results[3]; r.OK || r.Status != http.StatusNotFound {
 		t.Fatalf("unknown-ID entry: %+v, want 404", r)
 	}
-	// The direct fan-out was recorded, and each entry landed on its
-	// ring owner (books on the engines sum to the served entries).
-	if r.batchFlushes[flushDirect].Load() == 0 {
-		t.Fatal("no direct batch exchange was recorded")
+	// The three served entries were answered inside their owners' frames,
+	// and each landed on its ring owner (books on the engines sum to the
+	// served entries).
+	if got := r.batched.Load(); got != 3 {
+		t.Fatalf("%d entries answered inside a frame, want 3", got)
 	}
 	var engReqs int64
 	for _, e := range engines {
@@ -257,7 +241,7 @@ func TestRouterBatchEndpoint(t *testing.T) {
 
 // ServeEncodedBatch keeps its books whether a frame has one owner (served
 // on the caller's goroutine) or several (one goroutine each): outcomes in
-// item order, one direct flush and one batch-size observation per owner,
+// item order, one batch-size observation per owner,
 // every entry counted toward its owner, nothing left in flight.
 func TestServeEncodedBatchBooksPerOwner(t *testing.T) {
 	r, engines := newRegistryCluster(t, 3, "", Config{})
@@ -277,16 +261,13 @@ func TestServeEncodedBatchBooksPerOwner(t *testing.T) {
 		if (len(perOwner) == 1) != (frameIDs[0] == frameIDs[1]) {
 			t.Fatalf("frame %v spans %d owners", frameIDs, len(perOwner))
 		}
-		before, flushes, sizes := r.Metrics(), r.batchFlushes[flushDirect].Load(), r.batchSize.Snapshot()
+		before, sizes := r.Metrics(), r.batchSize.Snapshot()
 		for i, o := range r.ServeEncodedBatch(context.Background(), items) {
 			if o.Err != nil || o.RawResponse.ID != frameIDs[i] {
 				t.Fatalf("outcome %d: id %q err %v, want %s", i, o.RawResponse.ID, o.Err, frameIDs[i])
 			}
 		}
 		after, snap := r.Metrics(), r.batchSize.Snapshot()
-		if got := r.batchFlushes[flushDirect].Load() - flushes; got != int64(len(perOwner)) {
-			t.Errorf("%d owners: %d direct flushes", len(perOwner), got)
-		}
 		if snap.Count-sizes.Count != uint64(len(perOwner)) || snap.Sum-sizes.Sum != float64(len(items)) {
 			t.Errorf("%d owners: batch_size saw %d flushes of %v entries, want %d of %d",
 				len(perOwner), snap.Count-sizes.Count, snap.Sum-sizes.Sum, len(perOwner), len(items))
@@ -302,10 +283,9 @@ func TestServeEncodedBatchBooksPerOwner(t *testing.T) {
 	}
 }
 
-// A coalesced flush that fails as a whole (transport error) must fail
-// over: every queued request still completes through the classic chain
-// on a sibling, and the dead replica's health accounting sees the
-// failure.
+// An attempt whose frame fails as a whole (transport error) must fail
+// over: the request still completes through the chain on a sibling,
+// and the dead replica's health accounting sees the failure.
 func TestCoalescedFlushFailsOverOnTransportError(t *testing.T) {
 	engines := make([]*serve.Engine, 2)
 	killable := make([]*killableBackend, 2)
@@ -331,9 +311,6 @@ func TestCoalescedFlushFailsOverOnTransportError(t *testing.T) {
 	if _, err := rr.Result(); err != nil {
 		t.Fatalf("bad payload after failover: %v", err)
 	}
-	if r.batched.Load() != 0 {
-		t.Fatal("failed flush must not count as batched")
-	}
 	if !r.Metrics().Health[owner].Ejected {
 		t.Fatal("owner's flush failure should eject it at FailThreshold 1")
 	}
@@ -355,10 +332,10 @@ func TestCoalescedFlushFailsOverOnTransportError(t *testing.T) {
 var _ = errors.Is
 
 // A warm routed hit over in-process replicas allocates nothing, bare or
-// with params: the request is named by its interned identity, and once
-// the owner's scoreboard is trusted it joins the owner's queue and ships
-// the frame itself from a pooled call and reused queue slices. Each bound
-// is the measured count and only ratchets down.
+// with params: the request is named by its interned identity, its chain
+// is placed into a stack buffer, and the owner's engine serves it on the
+// caller's goroutine through a pooled frame of one. Each bound is the
+// measured count and only ratchets down.
 func TestRouterServeEncodedWarmHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -383,7 +360,7 @@ func TestRouterServeEncodedWarmHitAllocs(t *testing.T) {
 				t.Fatalf("%s: routed ServeEncoded: %d bytes, err=%v", tc.name, len(rr.Raw), err)
 			}
 		}
-		for i := 0; i < 3*hedgeWarmup; i++ { // fill the cache, trust the owner
+		for i := 0; i < 3*hedgeWarmup; i++ { // fill the cache, warm the pool
 			hit()
 		}
 		if got := testing.AllocsPerRun(200, hit); got > tc.max {

@@ -58,10 +58,8 @@ func (r *Router) Handler() http.Handler {
 			return
 		}
 		defer cancel()
-		// The batched data plane serves this: a coalesce-eligible request
-		// joins its owner's flush queue (one exchange per frame), anything
-		// else walks the hedged chain with a frame of its own — either way
-		// the payload arrives encoded, decoded once here at the edge.
+		// The chain walk serves this as a frame of one; the payload
+		// arrives encoded and is decoded once here at the edge.
 		rr, err := r.ServeEncoded(ctx, id, params)
 		if err != nil {
 			writeRoutedError(w, err)

@@ -157,16 +157,8 @@ func (r *Router) buildRegistry() *obs.Registry {
 			}
 			return out
 		})
-	reg.Counter("arch21_batched_requests_total", "Requests served through a coalesced or direct batch exchange.",
+	reg.Counter("arch21_batched_requests_total", "Entries answered inside an owner's pre-assembled frame (sweep fan-out, POST /batch).",
 		func() float64 { return float64(r.batched.Load()) })
-	reg.CounterVec("arch21_batch_flushes_total", "Batch frames shipped, by flush reason (full: frame hit the entry cap; window: a pure batch-class queue waited out its window; interactive: an interactive arrival flushed the queue at once; direct: a pre-assembled frame from the sweep fan-out or /batch endpoint).",
-		[]string{"reason"}, func() []obs.Sample {
-			out := make([]obs.Sample, 0, flushReasons)
-			for i, name := range flushReasonNames {
-				out = append(out, obs.Sample{Values: []string{name}, Value: float64(r.batchFlushes[i].Load())})
-			}
-			return out
-		})
 	reg.Histogram("arch21_batch_size", "Entries per batch frame shipped to a replica.",
 		nil, func() []obs.HistSample {
 			snap := r.batchSize.Snapshot()

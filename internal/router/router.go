@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,7 +61,8 @@ type Config struct {
 	// a replica failure: the router abandons the attempt, re-executes on
 	// the successor, and counts it toward ejection; the abandoned call's
 	// goroutine drains in the background when the backend eventually
-	// answers).
+	// answers). An attempt on a bare in-process engine runs inline on
+	// the caller's goroutine and is bounded by the caller's context only.
 	Timeout time.Duration
 	// FailThreshold is the consecutive-failure count that ejects a
 	// backend (default 3).
@@ -138,14 +140,14 @@ type Router struct {
 	hedges    atomic.Int64
 	hedgeWins atomic.Int64
 
-	// co is the per-backend coalescing queue of the batched data plane;
-	// batched counts requests served through a shared frame, batchSize
-	// the per-exchange entry counts, batchFlushes the exchanges by reason
-	// (full, window, interactive, direct).
-	co           []*coalescer
-	batched      atomic.Int64
-	batchSize    *stats.AtomicHistogram
-	batchFlushes [flushReasons]atomic.Int64
+	// engs[b] is backend b's engine when b is a bare in-process
+	// EngineBackend, nil otherwise: an attempt on one is served inline
+	// on the caller's goroutine (serveInline).
+	engs []*serve.Engine
+	// batched counts entries answered inside an owner's pre-assembled
+	// frame (ServeEncodedBatch); batchSize the entries per exchange.
+	batched   atomic.Int64
+	batchSize *stats.AtomicHistogram
 
 	// events records ejections, re-admissions, and control fan-outs.
 	events *obs.Events
@@ -172,11 +174,10 @@ func New(backends []Backend, cfg Config) (*Router, error) {
 		batchSize: stats.NewAtomicHistogram(batchSizeBounds),
 		events:    obs.NewEvents(0),
 	}
-	r.co = make([]*coalescer, len(backends))
+	r.engs = make([]*serve.Engine, len(backends))
 	for i, b := range backends {
-		r.co[i] = &coalescer{r: r, b: i, wake: make(chan struct{}, 1)}
 		if eb, isEng := b.(*EngineBackend); isEng {
-			r.co[i].eng = eb.Engine()
+			r.engs[i] = eb.Engine()
 		}
 	}
 	return r, nil
@@ -247,29 +248,37 @@ func classify(err error) verdict {
 	return verdictFailure
 }
 
-// ServeWith routes one request to the replica owning its cache key —
+// ServeEncoded routes one request to the replica owning its cache key —
 // or, when the scoreboard shows the owner consistently slower than its
 // first successor, successor-first along the same chain — failing over
-// along the ring on error, ejection, or timeout, and decodes the winning
-// payload once at the edge. It walks the chain directly and never queues
-// behind a shared frame. The first attempt of an interactive request is
-// hedge-protected and batch requests never hedge (doHedged has the rule
-// and its reasons). Every attempt is a frame of one under the caller's
-// context, so its QoS envelope (class, tenant, hedge marker,
-// hop-decremented deadline, cancellation) rides to the backend exactly
-// as a shared frame's does. A shed answered by a replica (429) is a
-// client-visible QoS verdict, not a replica failure: no ejection, no
-// failover.
-func (r *Router) ServeWith(ctx context.Context, id string, p core.Params) (serve.Response, error) {
+// along the ring on error, ejection, or timeout, and returns the
+// replica's encoded payload without a decode/re-encode at this hop.
+// Every attempt is a frame of one under the caller's context, so its QoS
+// envelope (class, tenant, hedge marker, hop-decremented deadline,
+// cancellation) rides to the backend. An attempt on a bare in-process
+// engine runs on this goroutine (serveInline); any other is launched,
+// bounded by Config.Timeout, and — the first attempt of an interactive
+// request only — hedge-protected (doHedged has the rule and its
+// reasons). A shed answered by a replica (429) is a client-visible QoS
+// verdict, not a replica failure: no ejection, no failover. Satisfies
+// load.Server, so in-process load generation measures exactly this path.
+func (r *Router) ServeEncoded(ctx context.Context, id string, p core.Params) (serve.RawResponse, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	r.requests.Add(1)
-	out := r.serveChainKeyed(ctx, itemOf(serve.IdentOf(id, p), admit.ClassFrom(ctx)))
-	if out.Err != nil {
-		return serve.Response{}, out.Err
+	out := r.serveChainKeyed(ctx, itemOf(serve.IdentOf(id, p), admit.ClassFrom(ctx)), -1, nil)
+	return out.RawResponse, out.Err
+}
+
+// ServeWith is ServeEncoded with the winning payload decoded once at the
+// edge.
+func (r *Router) ServeWith(ctx context.Context, id string, p core.Params) (serve.Response, error) {
+	rr, err := r.ServeEncoded(ctx, id, p)
+	if err != nil {
+		return serve.Response{}, err
 	}
-	return decodeResponse(out.RawResponse)
+	return decodeResponse(rr)
 }
 
 // itemOf is the frame entry of an interned request served under class.
@@ -287,25 +296,22 @@ func decodeResponse(rr serve.RawResponse) (serve.Response, error) {
 		Result: res, CacheHit: rr.CacheHit, Shared: rr.Shared, Latency: rr.Latency}, nil
 }
 
-// serveChainKeyed is the chain walk: the body of ServeWith minus the
-// top-level request count, so the batched data plane (after a shared
-// frame's entry comes back failover-worthy, or for a request that ships
-// its own frame) can reuse it without double-counting the request.
-func (r *Router) serveChainKeyed(ctx context.Context, it serve.BatchItem) serve.BatchOutcome {
-	chain := r.ring.PlaceK(it.Ident.Hash(), 1+r.cfg.Retries)
+// serveChainKeyed is the chain walk: ServeEncoded minus the request
+// count, so a pre-assembled frame's fallback reuses it without counting
+// the request twice. answeredBy >= 0 is a replica that already answered
+// this entry with prior, a failover-worthy error inside a frame: the walk
+// starts past it, and its next attempt is a failover.
+func (r *Router) serveChainKeyed(ctx context.Context, it serve.BatchItem, answeredBy int, prior error) serve.BatchOutcome {
+	var chainBuf, triedBuf [8]int // a chain is one entry per backend: no heap for a small cluster
+	chain := r.ring.PlaceK(chainBuf[:0], it.Ident.Hash(), 1+r.cfg.Retries)
 	r.sb.prefer(chain)
-	var lastErr error
-	var tried []int // backends already consumed, by the loop or a hedge
-	attempted := func(b int) bool {
-		for _, t := range tried {
-			if t == b {
-				return true
-			}
-		}
-		return false
+	lastErr := prior
+	tried := triedBuf[:0] // backends already consumed, by the loop, a hedge or the frame
+	if answeredBy >= 0 {
+		tried = append(tried, answeredBy)
 	}
 	for i, b := range chain {
-		if attempted(b) {
+		if slices.Contains(tried, b) {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
@@ -319,15 +325,22 @@ func (r *Router) serveChainKeyed(ctx context.Context, it serve.BatchItem) serve.
 		}
 		tried = append(tried, b)
 
-		// Only the first admitted attempt hedges: one backup per request
-		// bounds the work amplification at 2x.
-		var rest []int
-		if len(tried) == 1 {
-			rest = chain[i+1:]
-		}
-		out, winner, hedgedOn := r.doHedged(ctx, b, rest, it)
-		if hedgedOn >= 0 {
-			tried = append(tried, hedgedOn)
+		var out serve.BatchOutcome
+		winner := b
+		if r.engs[b] != nil {
+			out = r.serveInline(ctx, b, it)
+		} else {
+			// Only the first admitted attempt hedges: one backup per
+			// request bounds the work amplification at 2x.
+			var rest []int
+			if len(tried) == 1 {
+				rest = chain[i+1:]
+			}
+			var hedgedOn int
+			out, winner, hedgedOn = r.doHedged(ctx, b, rest, it)
+			if hedgedOn >= 0 {
+				tried = append(tried, hedgedOn)
+			}
 		}
 
 		switch classify(out.Err) {
@@ -351,26 +364,52 @@ func (r *Router) serveChainKeyed(ctx context.Context, it serve.BatchItem) serve.
 		it.Ident.Key(), len(chain), lastErr)}
 }
 
+// frameOfOne is the pooled one-entry frame an inline attempt is served
+// through, so a warm routed hit allocates neither the item nor its
+// outcome.
+type frameOfOne struct {
+	items [1]serve.BatchItem
+	outs  [1]serve.BatchOutcome
+}
+
+var framePool = sync.Pool{New: func() any { return new(frameOfOne) }}
+
+// serveInline is one attempt on a bare in-process engine, run on the
+// caller's goroutine under the caller's context: no goroutine, no timer,
+// no hedge. An in-process engine cannot transport-wedge, so there is
+// nothing to abandon, and a backup would run on the same cores. The
+// engine returns only once every entry is resolved, which is what makes
+// the pooled frame reusable.
+func (r *Router) serveInline(ctx context.Context, b int, it serve.BatchItem) serve.BatchOutcome {
+	f := framePool.Get().(*frameOfOne)
+	f.items[0] = it
+	outs, err := r.exchange(ctx, b, f.items[:], f.outs[:0])
+	out := serve.BatchOutcome{Err: err}
+	if err == nil {
+		out = outs[0]
+	}
+	*f = frameOfOne{}
+	framePool.Put(f)
+	return out
+}
+
 // Serve routes a default-parameter interactive request.
 func (r *Router) Serve(id string) (serve.Response, error) {
 	return r.ServeWith(context.Background(), id, nil)
 }
 
-// exchange ships one frame to backend b — a coalesced flush, a
-// pre-assembled owner group, or a chain attempt's frame of one — and
-// keeps the books every exchange shares, here and nowhere else: the
-// flush-reason and frame-size metrics, the backend's request count, its
-// in-flight gauge, the outcome-count check, and the scoreboard's latency
-// sample (a completed exchange only: one cut short by its context says
-// nothing about serving latency). Bounding the exchange and judging what
-// its error means for the replica's health stay with the caller, who
-// knows whose context it runs under. A coalesced flush (every reason but
-// direct) to an in-process engine calls its buffer-reusing multi-get
-// directly, into the coalescer's scratch: flushes are serialized per
-// backend, which is what makes that buffer reusable.
-func (r *Router) exchange(ctx context.Context, b int, items []serve.BatchItem, reason int) (outs []serve.BatchOutcome, err error) {
+// exchange ships one frame to backend b — a pre-assembled owner group
+// or a chain attempt's frame of one — and keeps the books every exchange
+// shares, here and nowhere else: the frame-size histogram, the backend's
+// request count, its in-flight gauge, the outcome-count check, and the
+// scoreboard's latency sample (a completed exchange only: one cut short
+// by its context says nothing about serving latency). Bounding the
+// exchange and judging what its error means for the replica's health
+// stay with the caller, who knows whose context it runs under. A bare
+// in-process engine is served through its buffer-reusing multi-get,
+// into buf (nil: a fresh slice).
+func (r *Router) exchange(ctx context.Context, b int, items []serve.BatchItem, buf []serve.BatchOutcome) (outs []serve.BatchOutcome, err error) {
 	n := int64(len(items))
-	r.batchFlushes[reason].Add(1)
 	r.batchSize.Observe(float64(n))
 	st := &r.state[b]
 	st.mu.Lock()
@@ -379,9 +418,8 @@ func (r *Router) exchange(ctx context.Context, b int, items []serve.BatchItem, r
 	sc := &r.sb.scores[b]
 	sc.inflight.Add(n)
 	t0 := time.Now()
-	if c := r.co[b]; c.eng != nil && reason != flushDirect {
-		outs = c.eng.ServeEncodedBatchInto(ctx, items, c.outs[:0])
-		c.outs = outs[:0]
+	if eng := r.engs[b]; eng != nil {
+		outs = eng.ServeEncodedBatchInto(ctx, items, buf)
 	} else {
 		outs, err = r.backends[b].DoBatch(ctx, items)
 	}
@@ -414,7 +452,7 @@ func (r *Router) launch(ctx context.Context, b int, it serve.BatchItem, hedge bo
 	ch := make(chan serve.BatchOutcome, 1)
 	go func() {
 		t0 := time.Now()
-		outs, err := r.exchange(actx, b, []serve.BatchItem{it}, flushDirect)
+		outs, err := r.exchange(actx, b, []serve.BatchItem{it}, nil)
 		out := serve.BatchOutcome{Err: err}
 		if err == nil {
 			out = outs[0]

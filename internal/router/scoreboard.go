@@ -153,7 +153,7 @@ func (s *scoreboard) hedgeDelay(b, hb int) (time.Duration, bool) {
 
 // prefer reorders the first two chain positions in place when the owner
 // is consistently slower than its successor (see the package comment on
-// demotion and canaries). The chain is PlaceK's fresh per-request slice.
+// demotion and canaries). The chain is the walk's own per-request slice.
 func (s *scoreboard) prefer(chain []int) {
 	if len(chain) < 2 {
 		return

@@ -362,7 +362,7 @@ func TestStreamStuckPeerWriteDeadline(t *testing.T) {
 	}
 }
 
-// The invariants hammer: coalesced /run, /batch and sweep traffic through
+// The invariants hammer: routed /run, /batch and sweep traffic through
 // a front-end over three HTTP replicas while one replica's engine is
 // closed and replaced. Every call gets exactly its own answer, every
 // engine's books balance per class, /batch callers' envelopes reach the

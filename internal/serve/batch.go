@@ -31,7 +31,7 @@ type BatchItem struct {
 	// Params is the parameter assignment (nil for defaults).
 	Params core.Params
 	// Class is the QoS class the item is served and accounted under
-	// (per item, not per batch: a coalesced flush can mix classes).
+	// (per item, not per batch: a pre-assembled frame can mix classes).
 	Class admit.Class
 	// Ident, when set, is the interned identity of (ID, Params) — only
 	// Intern and IdentOf hand one out. The frame routine and the router
@@ -62,8 +62,8 @@ func (e *Engine) ServeEncodedBatch(ctx context.Context, items []BatchItem) []Bat
 
 // ServeEncodedBatchInto is ServeEncodedBatch writing outcomes into a
 // caller-supplied buffer (reused when its capacity suffices, grown
-// otherwise) — the router's flush loop serves frame after frame through
-// one scratch slice instead of allocating outcomes per flush. The
+// otherwise) — the router serves an in-process attempt through a pooled
+// one-entry scratch instead of allocating its outcome per request. The
 // returned slice is valid until the caller's next reuse of buf.
 func (e *Engine) ServeEncodedBatchInto(ctx context.Context, items []BatchItem, buf []BatchOutcome) []BatchOutcome {
 	if ctx == nil {
@@ -80,7 +80,7 @@ func (e *Engine) ServeEncodedBatchInto(ctx context.Context, items []BatchItem, b
 	tb := e.tenantBook(ctx)
 	// One clock read serves the whole warm scan: items in one frame
 	// share an arrival time, and a slab read is microseconds — per-item
-	// Now calls were measurable on the flush path, the precision is not.
+	// Now calls were measurable on the routed hit path, the precision is not.
 	t0 := e.now()
 	for i := range items {
 		it := &items[i]
