@@ -3,18 +3,20 @@
 // can applications express Quality-of-Service targets and have the
 // underlying hardware ... ensure them?", §2.4). Work arrives in two
 // classes — interactive (latency-critical /run traffic) and batch (sweep
-// grid points) — and a bounded worker set serves them under a policy:
-// strict priority for the interactive class plus a token-bucket throttle
-// on batch admissions (the default), or a single shared FIFO (the no-QoS
-// baseline the scheduler replaced, kept selectable so the inversion it
-// removes stays demonstrable). Admission is deadline-aware: a request
+// grid points) — and a bounded number of slots is granted to it under a
+// policy: strict priority for the interactive class plus a token-bucket
+// throttle on batch admissions (the default), or a single shared FIFO (the
+// no-QoS baseline the scheduler replaced, kept selectable so the inversion
+// it removes stays demonstrable). Admission is deadline-aware: a request
 // whose projected queue wait already exceeds its context deadline is shed
 // immediately with a retry hint instead of occupying the queue, and a
 // full interactive queue sheds (fail fast) while a full batch queue
 // exerts backpressure (submitters block, holding no lock, so a stalled
-// queue never wedges unrelated submitters). The request class rides the
-// context.Context, so it propagates unchanged through the engine, the
-// sweep fan-out, and the cluster router.
+// queue never wedges unrelated submitters). The scheduler owns no
+// goroutines: a granted task runs on the goroutine that submitted it, and
+// a finishing task grants its slot to the next queued submission. The
+// request class rides the context.Context, so it propagates unchanged
+// through the engine, the sweep fan-out, and the cluster router.
 package admit
 
 import (
@@ -22,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -212,25 +215,29 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// item is one queued task.
+// item is one queued submission. grantLocked sets granted when it leaves
+// the queue holding a slot, or err if it was canceled while queued; ready,
+// made only when its submitter has to wait, is closed then.
 type item struct {
-	class Class
-	seq   uint64
-	ctx   context.Context
-	run   func() ([]byte, error)
-	done  chan struct{}
-	val   []byte
-	err   error
+	class   Class
+	seq     uint64
+	ctx     context.Context
+	granted bool
+	err     error
+	ready   chan struct{}
 }
 
-// Scheduler is the class-based admission scheduler. All state is guarded
-// by one mutex + condvar; no path holds the mutex across a blocking
-// channel send or task execution, so a full queue can never stall
-// unrelated submitters (the head-of-line bug the deleted serve.Pool had).
+// Scheduler is the class-based admission scheduler. It owns no
+// goroutines: Workers() counts slots, and a granted task runs on its
+// submitter's goroutine. grantLocked hands out every slot — to a
+// submission at once when one is free, by a finishing task to the next
+// queued one, by the token timer. One mutex guards all state and is never
+// held across a wait or a task, so a full queue cannot stall unrelated
+// submitters (the head-of-line bug the deleted serve.Pool had).
 type Scheduler struct {
 	cfg  Config
 	mu   sync.Mutex
-	cond *sync.Cond
+	cond *sync.Cond // wakes blocked batch submitters and a draining Close
 
 	queues [numClasses][]*item
 	seq    uint64
@@ -240,6 +247,8 @@ type Scheduler struct {
 	tokens  float64
 	rate    float64
 	refill  time.Time
+	// tokenTimer re-runs grantLocked once throttled batch work has a token.
+	tokenTimer *time.Timer
 
 	// svcEWMA is the per-class exponential moving average of observed
 	// service times (seconds) — what projected-wait admission estimates
@@ -249,11 +258,9 @@ type Scheduler struct {
 	started   [numClasses]int64
 	completed [numClasses]int64
 	sheds     [numClasses]int64
-
-	wg sync.WaitGroup
 }
 
-// NewScheduler starts a scheduler with cfg.Workers workers.
+// NewScheduler builds a scheduler with cfg.Workers slots.
 func NewScheduler(cfg Config) *Scheduler {
 	cfg.setDefaults()
 	s := &Scheduler{
@@ -263,10 +270,6 @@ func NewScheduler(cfg Config) *Scheduler {
 		refill: time.Now(),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go s.worker()
-	}
 	return s
 }
 
@@ -282,12 +285,12 @@ func (s *Scheduler) Policy() Policy {
 
 // SetPolicy switches the scheduling discipline live — the control
 // channel's admission knob. Queued work is not reshuffled; the new
-// discipline governs every dispatch decision from the next one on.
+// discipline governs every grant from the next one on.
 func (s *Scheduler) SetPolicy(p Policy) {
 	s.mu.Lock()
 	s.cfg.Policy = p
+	s.grantLocked()
 	s.mu.Unlock()
-	s.cond.Broadcast()
 }
 
 // SetBatchRate retunes the token-bucket rate live (tokens accrued so far
@@ -300,8 +303,8 @@ func (s *Scheduler) SetBatchRate(rate float64) {
 		rate = 0
 	}
 	s.rate = rate
+	s.grantLocked()
 	s.mu.Unlock()
-	s.cond.Broadcast()
 }
 
 // BatchRate returns the current token-bucket rate (0 = unthrottled).
@@ -311,11 +314,12 @@ func (s *Scheduler) BatchRate() float64 {
 	return s.rate
 }
 
-// Run submits task under ctx's class and blocks until it completes,
-// returning its outcome. Admission may reject instead: a ShedError when
-// the interactive queue is full or the projected wait exceeds ctx's
-// deadline, ctx.Err() when ctx is done before the task starts, ErrClosed
-// after Close. A task canceled while queued never runs.
+// Run submits task under ctx's class, runs it on the calling goroutine
+// once it is granted a slot, and returns its outcome. Admission may
+// reject instead: a ShedError when the interactive queue is full or the
+// projected wait exceeds ctx's deadline, ctx.Err() when ctx is done before
+// the task starts, ErrClosed after Close. A task canceled while queued
+// never runs.
 func (s *Scheduler) Run(ctx context.Context, task func() ([]byte, error)) ([]byte, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -329,9 +333,7 @@ func (s *Scheduler) Run(ctx context.Context, task func() ([]byte, error)) ([]byt
 		return nil, ErrClosed
 	}
 	if err := ctx.Err(); err != nil {
-		s.sheds[class]++
-		s.mu.Unlock()
-		return nil, err
+		return s.shedLocked(class, err)
 	}
 
 	// Deadline-aware admission: a request that provably cannot be served
@@ -341,9 +343,7 @@ func (s *Scheduler) Run(ctx context.Context, task func() ([]byte, error)) ([]byt
 	if dl, ok := ctx.Deadline(); ok && s.cfg.Policy != SharedFIFO {
 		wait := s.projectedWaitLocked(class)
 		if wait > 0 && time.Now().Add(wait).After(dl) {
-			s.sheds[class]++
-			s.mu.Unlock()
-			return nil, &ShedError{Class: class, Deadline: true, RetryAfter: wait}
+			return s.shedLocked(class, &ShedError{Class: class, Deadline: true, RetryAfter: wait})
 		}
 	}
 
@@ -354,10 +354,7 @@ func (s *Scheduler) Run(ctx context.Context, task func() ([]byte, error)) ([]byt
 	// both classes, like the pool it models.
 	for len(s.queues[class]) >= s.cfg.Queue {
 		if s.cfg.Policy != SharedFIFO && class == Interactive {
-			wait := s.projectedWaitLocked(class)
-			s.sheds[class]++
-			s.mu.Unlock()
-			return nil, &ShedError{Class: class, RetryAfter: wait}
+			return s.shedLocked(class, &ShedError{Class: class, RetryAfter: s.projectedWaitLocked(class)})
 		}
 		stop := context.AfterFunc(ctx, func() {
 			// Taking the mutex orders this broadcast after the Wait below
@@ -373,48 +370,97 @@ func (s *Scheduler) Run(ctx context.Context, task func() ([]byte, error)) ([]byt
 			return nil, ErrClosed
 		}
 		if err := ctx.Err(); err != nil {
-			s.sheds[class]++
-			s.mu.Unlock()
-			return nil, err
+			return s.shedLocked(class, err)
 		}
 	}
 
-	it := &item{class: class, seq: s.seq, ctx: ctx, run: task, done: make(chan struct{})}
+	it := &item{class: class, seq: s.seq, ctx: ctx}
 	s.seq++
 	s.queues[class] = append(s.queues[class], it)
-	s.mu.Unlock()
-	s.cond.Broadcast()
-
-	select {
-	case <-it.done:
-		return it.val, it.err
-	case <-ctx.Done():
-		// Withdraw from the queue if the task has not been dispatched;
-		// otherwise it is running (or about to) and we take its outcome.
-		s.mu.Lock()
-		if s.removeLocked(it) {
-			s.sheds[class]++
-			s.mu.Unlock()
-			s.cond.Broadcast() // queue space freed
-			return nil, ctx.Err()
-		}
-		s.mu.Unlock()
-		<-it.done
-		return it.val, it.err
+	s.grantLocked()
+	if !it.granted {
+		it.ready = make(chan struct{})
 	}
+	s.mu.Unlock()
+
+	if it.ready != nil {
+		select {
+		case <-it.ready:
+		case <-ctx.Done():
+			// Withdraw if not granted yet; a granted item goes on below.
+			s.mu.Lock()
+			if i := slices.Index(s.queues[class], it); i >= 0 {
+				s.queues[class] = slices.Delete(s.queues[class], i, i+1)
+				s.cond.Broadcast() // queue space freed
+				return s.shedLocked(class, ctx.Err())
+			}
+			s.mu.Unlock()
+		}
+	}
+	if it.err != nil {
+		return nil, it.err
+	}
+	t0 := time.Now()
+	val, err := runTask(task)
+	dur := time.Since(t0).Seconds()
+
+	s.mu.Lock()
+	s.running--
+	s.completed[class]++
+	const alpha = 0.2
+	if s.svcEWMA[class] == 0 {
+		s.svcEWMA[class] = dur
+	} else {
+		s.svcEWMA[class] = (1-alpha)*s.svcEWMA[class] + alpha*dur
+	}
+	s.grantLocked() // the slot goes to the next queued submission
+	s.mu.Unlock()
+	return val, err
 }
 
-// removeLocked withdraws a still-queued item; false means it was already
-// dispatched (or shed by a worker).
-func (s *Scheduler) removeLocked(it *item) bool {
-	q := s.queues[it.class]
-	for i, x := range q {
-		if x == it {
-			s.queues[it.class] = append(q[:i], q[i+1:]...)
-			return true
+// shedLocked books a submission turned away before it ran, releases the
+// mutex and returns err as Run's outcome.
+func (s *Scheduler) shedLocked(c Class, err error) ([]byte, error) {
+	s.sheds[c]++
+	s.mu.Unlock()
+	return nil, err
+}
+
+// grantLocked hands free slots to queued submissions in policy order; one
+// canceled while queued is shed and never runs.
+func (s *Scheduler) grantLocked() {
+	for s.running < s.cfg.Workers {
+		it := s.nextLocked()
+		if it == nil {
+			break
+		}
+		it.granted = true
+		if err := it.ctx.Err(); err != nil {
+			s.sheds[it.class]++
+			it.err = err
+		} else {
+			s.started[it.class]++
+			s.running++
+		}
+		if it.ready != nil {
+			close(it.ready)
 		}
 	}
-	return false
+	s.cond.Broadcast() // for blocked batch submitters and a draining Close
+	if s.running < s.cfg.Workers && len(s.queues[Batch]) > 0 {
+		// Only the bucket holds batch work back from a free slot: run this
+		// pass again once a whole token has accrued (never within 1ms).
+		d := max(time.Duration((1-s.tokens)/s.rate*float64(time.Second)), time.Millisecond)
+		if s.tokenTimer == nil {
+			s.tokenTimer = time.AfterFunc(d, func() {
+				s.mu.Lock()
+				s.grantLocked()
+				s.mu.Unlock()
+			})
+		} else {
+			s.tokenTimer.Reset(d)
+		}
+	}
 }
 
 // refillLocked accrues tokens since the last refill.
@@ -430,7 +476,7 @@ func (s *Scheduler) refillLocked() {
 
 // projectedWaitLocked estimates how long a new request of class c would
 // wait before starting: queued-ahead work at the class's observed service
-// time spread over the workers, plus — for throttled batch — the token
+// time spread over the slots, plus — for throttled batch — the token
 // wait. Zero when the class has no service history yet (admit
 // optimistically; the estimate sharpens as traffic flows).
 func (s *Scheduler) projectedWaitLocked(c Class) time.Duration {
@@ -460,10 +506,9 @@ func (s *Scheduler) projectedWaitLocked(c Class) time.Duration {
 	return time.Duration(wait * float64(time.Second))
 }
 
-// nextLocked pops the next dispatchable item under the policy, consuming
-// a token for throttled batch work. Nil means nothing is dispatchable
-// right now (empty queues, or batch gated on tokens — tokenWaitLocked
-// tells the worker how long until that changes). Draining after Close
+// nextLocked pops the next grantable item under the policy, consuming a
+// token for throttled batch work. Nil means nothing is grantable right
+// now: empty queues, or batch gated on tokens. Draining after Close
 // ignores the throttle: queued work finishes promptly.
 func (s *Scheduler) nextLocked() *item {
 	if s.cfg.Policy == SharedFIFO {
@@ -497,75 +542,8 @@ func (s *Scheduler) nextLocked() *item {
 	return nil
 }
 
-// tokenWaitLocked reports how long until the bucket holds a whole token,
-// when batch work is queued behind the throttle.
-func (s *Scheduler) tokenWaitLocked() (time.Duration, bool) {
-	if s.cfg.Policy == SharedFIFO || s.rate <= 0 || len(s.queues[Batch]) == 0 || s.closed {
-		return 0, false
-	}
-	s.refillLocked()
-	if s.tokens >= 1 {
-		return 0, false
-	}
-	d := time.Duration((1 - s.tokens) / s.rate * float64(time.Second))
-	if d < time.Millisecond {
-		d = time.Millisecond // floor: never spin on sub-ms refills
-	}
-	return d, true
-}
-
-func (s *Scheduler) worker() {
-	defer s.wg.Done()
-	s.mu.Lock()
-	for {
-		it := s.nextLocked()
-		if it == nil {
-			if s.closed {
-				s.mu.Unlock()
-				return
-			}
-			if d, ok := s.tokenWaitLocked(); ok {
-				s.timedWaitLocked(d)
-			} else {
-				s.cond.Wait()
-			}
-			continue
-		}
-		if err := it.ctx.Err(); err != nil {
-			// Canceled while queued: never run it. The submitter may have
-			// withdrawn already (then it is not here), but a worker can
-			// reach it first.
-			s.sheds[it.class]++
-			it.err = err
-			close(it.done)
-			s.cond.Broadcast() // queue space freed
-			continue
-		}
-		s.started[it.class]++
-		s.running++
-		s.mu.Unlock()
-		s.cond.Broadcast() // queue space freed: wake blocked batch submitters
-
-		t0 := time.Now()
-		it.val, it.err = runTask(it.run)
-		dur := time.Since(t0).Seconds()
-		close(it.done)
-
-		s.mu.Lock()
-		s.running--
-		s.completed[it.class]++
-		const alpha = 0.2
-		if s.svcEWMA[it.class] == 0 {
-			s.svcEWMA[it.class] = dur
-		} else {
-			s.svcEWMA[it.class] = (1-alpha)*s.svcEWMA[it.class] + alpha*dur
-		}
-	}
-}
-
-// runTask executes a submitted task, converting a panic into an error.
-// A panic on a worker goroutine would otherwise kill the whole process
-// — and it.done would never close, wedging the submitter forever.
+// runTask executes a task, converting a panic into an error: a panicking
+// task fails its own Run and still returns its slot.
 func runTask(run func() ([]byte, error)) (val []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -575,37 +553,27 @@ func runTask(run func() ([]byte, error)) (val []byte, err error) {
 	return run()
 }
 
-// timedWaitLocked waits on the condvar, waking after at most d (the next
-// token refill) even if nothing broadcasts.
-func (s *Scheduler) timedWaitLocked(d time.Duration) {
-	t := time.AfterFunc(d, func() {
-		// Taking the mutex orders this broadcast after the Wait below has
-		// parked, so the wakeup cannot be lost.
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	s.cond.Wait()
-	t.Stop()
-}
-
-// Close stops admissions and waits for queued work to drain (the batch
-// throttle is lifted for the drain). Blocked submitters return ErrClosed.
+// Close stops admissions and waits for queued and running work to drain
+// (the batch throttle is lifted for the drain). Blocked submitters return
+// ErrClosed.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.closed = true
+		s.grantLocked() // also wakes blocked submitters: they return ErrClosed
 	}
-	s.closed = true
-	s.mu.Unlock()
-	s.cond.Broadcast()
-	s.wg.Wait()
+	for s.running > 0 || len(s.queues[Interactive])+len(s.queues[Batch]) > 0 {
+		s.cond.Wait()
+	}
+	if s.tokenTimer != nil {
+		s.tokenTimer.Stop()
+	}
 }
 
 // ClassStats is one class's scheduler accounting.
 type ClassStats struct {
-	// Submitted counts Run calls; Started tasks dispatched to a worker;
+	// Submitted counts Run calls; Started tasks granted a slot;
 	// Completed tasks finished; Sheds admissions rejected (full
 	// interactive queue, deadline, or cancellation before start).
 	Submitted int64 `json:"submitted"`
@@ -620,7 +588,7 @@ type ClassStats struct {
 
 // Stats is a point-in-time scheduler snapshot.
 type Stats struct {
-	// Workers is the concurrency bound; Running how many are busy now.
+	// Workers is the concurrency bound; Running how many slots are held now.
 	Workers int `json:"workers"`
 	Running int `json:"running"`
 	// Policy is the discipline name.

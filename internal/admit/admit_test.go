@@ -3,6 +3,7 @@ package admit
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -40,6 +41,24 @@ func TestParseClass(t *testing.T) {
 	}
 	if _, err := ParseClass("bulk"); err == nil {
 		t.Fatal("ParseClass should reject unknown class names")
+	}
+}
+
+// The scheduler owns no goroutines: building one starts none, and a
+// completed Run leaves none behind — the task ran on the caller.
+func TestSchedulerOwnsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := NewScheduler(Config{Workers: 8})
+	defer s.Close()
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("NewScheduler started %d goroutines", n-before)
+	}
+	var ran bool
+	if _, err := s.Run(context.Background(), func() ([]byte, error) { ran = true; return nil, nil }); err != nil || !ran {
+		t.Fatalf("Run: ran=%v err=%v", ran, err)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines more after a completed Run", n-before)
 	}
 }
 

@@ -5,16 +5,17 @@ package serve
 // off the slab, misses dispatched concurrently through the same
 // singleflight + admission path single requests take — and the POST
 // /batch handler exposes it over the varint frame contract in
-// internal/httpapi. Per-item accounting is identical to ServeEncoded,
-// so the per-class conservation law (hits + deduped + sheds +
-// executions == requests) holds whether a request arrived alone or in
-// a frame of 64.
+// internal/httpapi. Every item is booked by the routines a single
+// request takes (serveHit, then serveMissRaw on a miss), so the
+// per-class conservation law (hits + deduped + sheds + executions ==
+// requests) holds whether a request arrived alone or in a frame of 64.
 
 import (
 	"context"
 	"errors"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,10 +50,8 @@ type BatchOutcome struct {
 }
 
 // ServeEncodedBatch serves every item and returns outcomes in item
-// order. Warm hits are served inline (one slab read each, no goroutine);
-// misses run concurrently through serveMissRaw (see serveMisses), so a
-// batch of cold points still deduplicates against concurrent single
-// requests and sheds under the same admission policy.
+// order: hits inline, one slab read each; misses concurrently, through
+// the singleflight and admission a single request takes (serveMisses).
 // One item's failure never fails its siblings. The context carries the
 // caller's tenant, deadline, and cancellation; each item's class comes
 // from the item itself.
@@ -69,13 +68,8 @@ func (e *Engine) ServeEncodedBatchInto(ctx context.Context, items []BatchItem, b
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var out []BatchOutcome
-	if cap(buf) >= len(items) {
-		out = buf[:len(items)]
-		clear(out)
-	} else {
-		out = make([]BatchOutcome, len(items))
-	}
+	out := slices.Grow(buf[:0], len(items))[:len(items)]
+	clear(out)
 	var missIdx []int
 	tb := e.tenantBook(ctx)
 	// One clock read serves the whole warm scan: items in one frame
@@ -93,22 +87,13 @@ func (e *Engine) ServeEncodedBatchInto(ctx context.Context, items []BatchItem, b
 			out[i].Err = id.err
 			continue
 		}
-		key, resolved := id.key, id.params
-		if tb != nil {
-			tb.requests.Add(1)
-		}
-		if raw, ok := e.cache.Get(key); ok {
-			if tb != nil {
-				tb.hits.Add(1)
-			}
-			lat := e.now() - t0
-			e.observe(it.Class, true, lat)
-			out[i].RawResponse = RawResponse{ID: it.ID, Params: resolved, Key: key,
-				Class: it.Class, Raw: raw, CacheHit: true, Latency: lat}
+		if raw, tail, lat, ok := e.serveHit(tb, it.Class, id.key, t0, nil); ok {
+			out[i].RawResponse = RawResponse{ID: it.ID, Params: id.params, Key: id.key,
+				Class: it.Class, Raw: raw, CacheHit: true, Latency: lat, tail: tail}
 			continue
 		}
 		// Stash the resolved key/params for the miss pass below.
-		out[i].RawResponse = RawResponse{Key: key, Params: resolved}
+		out[i].RawResponse = RawResponse{Key: id.key, Params: id.params}
 		missIdx = append(missIdx, i)
 	}
 	if len(missIdx) > 0 {
@@ -117,41 +102,45 @@ func (e *Engine) ServeEncodedBatchInto(ctx context.Context, items []BatchItem, b
 	return out
 }
 
-// serveMisses is the batch call's miss pass: min(len(misses), Workers())
-// goroutines each take the next miss off one counter and serve it through
-// serveMissRaw — singleflight, admission, shedding, books and cancellation
-// are a single request's. The scheduler runs Workers() tasks at once, so
-// more goroutines would only queue, and one per miss regrows its stack
-// through flight, scheduler and select each time where a reused one grows
-// once. out[i] carries in each miss's resolved key and params. A method of
-// its own, so an all-hit call allocates nothing for the goroutines' captures.
+// serveMisses is the batch call's miss pass: the caller and up to
+// Workers()-1 more goroutines each take the next miss off one counter and
+// serve it through serveMissRaw, with a single request's singleflight,
+// admission, shedding, books and cancellation. More would only queue for
+// the scheduler's Workers() slots, a reused goroutine grows its stack once
+// where one per miss regrows it every time, and a lone miss starts none.
+// out[i] carries in each miss's resolved key and params. A method of its
+// own, so an all-hit call allocates nothing for the goroutines' captures.
 func (e *Engine) serveMisses(ctx context.Context, items []BatchItem, out []BatchOutcome, misses []int) {
 	// The scheduler reads a miss's class from its context, so an item of
 	// another class than the call's gets a context of its own.
 	ctxClass := admit.ClassFrom(ctx)
 	var next atomic.Int64
+	work := func() {
+		for k := next.Add(1) - 1; k < int64(len(misses)); k = next.Add(1) - 1 {
+			i := misses[k]
+			it := &items[i]
+			ictx := ctx
+			if ctxClass != it.Class {
+				ictx = admit.WithClass(ctx, it.Class)
+			}
+			rr, err := e.serveMissRaw(ictx, it.Class, it.ID, out[i].RawResponse.Key,
+				out[i].RawResponse.Params, e.now())
+			if err != nil {
+				out[i] = BatchOutcome{Err: err}
+				continue
+			}
+			out[i].RawResponse = rr
+		}
+	}
 	var wg sync.WaitGroup
-	for g := min(len(misses), e.sched.Workers()); g > 0; g-- {
+	for g := min(len(misses), e.sched.Workers()) - 1; g > 0; g-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for k := next.Add(1) - 1; k < int64(len(misses)); k = next.Add(1) - 1 {
-				i := misses[k]
-				it := &items[i]
-				ictx := ctx
-				if ctxClass != it.Class {
-					ictx = admit.WithClass(ctx, it.Class)
-				}
-				rr, err := e.serveMissRaw(ictx, it.Class, it.ID, out[i].RawResponse.Key,
-					out[i].RawResponse.Params, e.now())
-				if err != nil {
-					out[i] = BatchOutcome{Err: err}
-					continue
-				}
-				out[i].RawResponse = rr
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 }
 

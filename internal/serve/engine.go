@@ -66,12 +66,9 @@ type Config struct {
 	// RunnerWith executes one experiment under a resolved parameter
 	// assignment, honoring ctx cancellation. Defaults to the core
 	// registry's RunWith (or to Runner, ignoring params and ctx, when
-	// only Runner is injected); injectable for tests. Note that injecting
-	// a runner does not replace parameter resolution: ServeWith still
-	// resolves non-empty assignments against the core registry's schema
-	// for the ID, so a runner-only ID (one not registered in core) serves
-	// default (nil-params) requests fine but fails with
-	// ErrUnknownExperiment as soon as params are passed.
+	// only Runner is injected); injectable for tests. Parameters still
+	// resolve against the core registry, so an ID only a runner knows
+	// fails with ErrUnknownExperiment as soon as params are passed.
 	RunnerWith func(ctx context.Context, id string, p core.Params) (core.Result, error)
 	// Tenants declares the per-tenant accounting vocabulary. When
 	// non-empty, the engine keeps per-tenant books (requests, cache
@@ -226,8 +223,8 @@ type RawResponse struct {
 	// Latency is the request's wall time inside the engine.
 	Latency time.Duration
 	// tail is the entry's memoized /run envelope tail (see runTail), nil
-	// when none is attached yet; set by ServeEncoded on a cache hit only,
-	// and aliasing slab memory like Raw.
+	// when none is attached yet; set by serveHit on a cache hit only, and
+	// aliasing slab memory like Raw.
 	tail []byte
 }
 
@@ -364,21 +361,53 @@ func (e *Engine) dropOrSaveSnapshot() {
 	}
 }
 
-// Serve returns the result for one experiment ID at its default
-// parameters and the interactive class: from the cache when memoized,
-// otherwise executed once (no matter how many callers arrive
-// concurrently) through the admission scheduler and memoized on the way
-// out.
+// Serve is ServeWith at default parameters and the interactive class.
 func (e *Engine) Serve(id string) (Response, error) {
 	return e.ServeWith(context.Background(), id, nil)
 }
 
-// ServeWith serves one experiment under a parameter assignment (nil or
-// empty means defaults). The assignment is resolved and validated against
-// the experiment's declared schema and folded into the cache key, so each
-// distinct grid point is memoized — and singleflight-deduplicated —
-// independently, while explicit-default assignments share the bare-ID
-// entry with Serve.
+// ServeWith is ServeEncoded plus one decode at the edge. The decode is
+// also the payload check serveHit takes: a cached entry that does not
+// decode is deleted, and the request is served — and booked — as the miss
+// it is. It takes ServeEncoded's steps instead of calling it because the
+// check must run before the hit is booked.
+func (e *Engine) ServeWith(ctx context.Context, id string, p core.Params) (Response, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	t0 := e.now()
+	class := admit.ClassFrom(ctx)
+	key, resolved, err := resolveKey(id, p)
+	if err != nil {
+		return Response{}, err
+	}
+	var res core.Result
+	if _, _, lat, ok := e.serveHit(e.tenantBook(ctx), class, key, t0, func(raw []byte) bool {
+		res, err = core.DecodeResult(raw)
+		return err == nil
+	}); ok {
+		return Response{ID: id, Params: resolved, Key: key, Class: class,
+			Result: res, CacheHit: true, Latency: lat}, nil
+	}
+	rr, err := e.serveMissRaw(ctx, class, id, key, resolved, t0)
+	if err == nil {
+		res, err = core.DecodeResult(rr.Raw)
+	}
+	if err != nil {
+		return Response{}, err
+	}
+	return Response{ID: id, Params: resolved, Key: key, Class: class,
+		Result: res, CacheHit: rr.CacheHit, Shared: rr.Shared, Latency: rr.Latency}, nil
+}
+
+// ServeEncoded serves one experiment under a parameter assignment (nil or
+// empty means defaults) as its encoded payload: from the cache when
+// memoized — the slab's own bytes, see RawResponse for their aliasing
+// rules — otherwise executed once, however many callers arrive at once,
+// through the admission scheduler and memoized on the way out. The
+// assignment is resolved against the experiment's schema and folded into
+// the cache key, so each grid point is memoized independently and
+// explicit defaults share the bare-ID entry.
 //
 // The context carries the request's QoS envelope: its class
 // (admit.WithClass; untagged requests are interactive), its deadline
@@ -386,87 +415,47 @@ func (e *Engine) Serve(id string) (Response, error) {
 // wait already exceeds it), and its cancellation (a canceled request
 // stops the underlying experiment at its next iteration boundary — cache
 // hits are served regardless, since they cost microseconds).
-func (e *Engine) ServeWith(ctx context.Context, id string, p core.Params) (Response, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	t0 := e.now()
-	class := admit.ClassFrom(ctx)
-
-	key, resolved, err := resolveKey(id, p)
-	if err != nil {
-		return Response{}, err
-	}
-	// Requests are counted — a hit here, or a miss in serveMissRaw — only
-	// once validation has passed, so the per-class conservation law holds
-	// over everything that was actually admitted to the serving path.
-	tb := e.tenantBook(ctx)
-	if tb != nil {
-		tb.requests.Add(1)
-	}
-
-	if raw, ok := e.cache.Get(key); ok {
-		res, err := core.DecodeResult(raw)
-		if err != nil {
-			// A corrupt entry is unservable; drop it and fall through
-			// to a fresh execution.
-			e.cache.Delete(key)
-		} else {
-			if tb != nil {
-				tb.hits.Add(1)
-			}
-			lat := e.now() - t0
-			e.observe(class, true, lat)
-			return Response{ID: id, Params: resolved, Key: key, Class: class,
-				Result: res, CacheHit: true, Latency: lat}, nil
-		}
-	}
-
-	rr, err := e.serveMissRaw(ctx, class, id, key, resolved, t0)
-	if err != nil {
-		return Response{}, err
-	}
-	res, err := core.DecodeResult(rr.Raw)
-	if err != nil {
-		return Response{}, err
-	}
-	return Response{ID: rr.ID, Params: rr.Params, Key: rr.Key, Class: rr.Class,
-		Result: res, CacheHit: rr.CacheHit, Shared: rr.Shared, Latency: rr.Latency}, nil
-}
-
-// ServeEncoded is ServeWith without the decode: the warm path returns
-// the memoized codec bytes straight from the slab (copy-on-read is the
-// caller's choice — the HTTP layer copies exactly once, into the
-// response writer). Semantics, accounting, and QoS envelope handling
-// are identical to ServeWith; only the Result materialization is
-// skipped. See RawResponse for the aliasing rules on the returned
-// bytes.
 func (e *Engine) ServeEncoded(ctx context.Context, id string, p core.Params) (RawResponse, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	t0 := e.now()
 	class := admit.ClassFrom(ctx)
-
 	key, resolved, err := resolveKey(id, p)
 	if err != nil {
 		return RawResponse{}, err
 	}
-	tb := e.tenantBook(ctx)
-	if tb != nil {
-		tb.requests.Add(1)
-	}
-
-	if raw, tail, ok := e.cache.GetWithAux(key); ok {
-		if tb != nil {
-			tb.hits.Add(1)
-		}
-		lat := e.now() - t0
-		e.observe(class, true, lat)
+	if raw, tail, lat, ok := e.serveHit(e.tenantBook(ctx), class, key, t0, nil); ok {
 		return RawResponse{ID: id, Params: resolved, Key: key, Class: class,
 			Raw: raw, CacheHit: true, Latency: lat, tail: tail}, nil
 	}
 	return e.serveMissRaw(ctx, class, id, key, resolved, t0)
+}
+
+// serveHit is where every entry point books a validated request, and
+// answers it when the cache holds its key: the tenant's requests, and on a
+// hit its hits and the hit observation, returning the entry's payload and
+// memoized /run tail and the request's latency since t0. A miss (false)
+// goes on to serveMissRaw. valid, when non-nil, checks the cached payload;
+// one that fails is deleted and the request is a miss. The response is
+// the caller's to build: returned whole, it costs the hit a copy.
+func (e *Engine) serveHit(tb *tenantCounters, class admit.Class, key string, t0 time.Duration, valid func([]byte) bool) (raw, tail []byte, lat time.Duration, ok bool) {
+	if tb != nil {
+		tb.requests.Add(1)
+	}
+	if raw, tail, ok = e.cache.GetWithAux(key); !ok {
+		return nil, nil, 0, false
+	}
+	if valid != nil && !valid(raw) {
+		e.cache.Delete(key)
+		return nil, nil, 0, false
+	}
+	if tb != nil {
+		tb.hits.Add(1)
+	}
+	lat = e.now() - t0
+	e.observe(class, true, lat)
+	return raw, tail, lat, true
 }
 
 // resolveKey maps (id, params) to the cache key: the bare ID for
@@ -549,18 +538,15 @@ func (e *Engine) serveMissRaw(ctx context.Context, class admit.Class, id, key st
 		return RawResponse{}, err
 	}
 	lat := e.now() - t0
-	if leaderHit && !shared {
+	if leaderHit { // served from the cache after all: a hit, not a miss
 		cc.misses.Add(-1)
 		if tb != nil {
 			tb.hits.Add(1)
 		}
-		e.observe(class, true, lat)
-		return RawResponse{ID: id, Params: p, Key: key, Class: class, Raw: raw,
-			CacheHit: true, Latency: lat}, nil
 	}
-	e.observe(class, false, lat)
+	e.observe(class, leaderHit, lat)
 	return RawResponse{ID: id, Params: p, Key: key, Class: class, Raw: raw,
-		Shared: shared, Latency: lat}, nil
+		CacheHit: leaderHit, Shared: shared, Latency: lat}, nil
 }
 
 // lanes hands out small integers that stick to the caller's processor:

@@ -82,18 +82,13 @@ func TestTenantBooksCountSheds(t *testing.T) {
 	defer close(release)
 
 	ctx := admit.WithTenant(context.Background(), "alpha")
-	// Wedge the worker, then fill the queue, asynchronously.
-	for _, id := range []string{"W1", "W2"} {
-		id := id
-		go func() { _, _ = e.ServeWith(ctx, id, core.Params{}) }()
-	}
-	// Wait until both occupy the scheduler (one running, one queued): a
-	// request counted but not yet queued would leave S1 the queue slot,
-	// and S1 would wait there for a release that comes after it returns.
-	waitFor(t, func() bool {
-		m := e.Metrics()
-		return m.Scheduler.Running >= 1 && m.Classes[admit.Interactive.String()].QueueDepth >= 1
-	})
+	// Wedge the one slot with W1, then fill the one queue place with W2 —
+	// in that order: a W2 that reached the queue before W1 held the slot
+	// would be shed, and the queue would never fill.
+	go func() { _, _ = e.ServeWith(ctx, "W1", core.Params{}) }()
+	waitFor(t, func() bool { return e.Metrics().Scheduler.Running == 1 })
+	go func() { _, _ = e.ServeWith(ctx, "W2", core.Params{}) }()
+	waitFor(t, func() bool { return e.Metrics().Classes[admit.Interactive.String()].QueueDepth == 1 })
 
 	var shed *admit.ShedError
 	sawShed := false
