@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: all build fmt-check vet test race docs-check check bench bench-compare bench-hop bench-engine \
-	loadtest loadtest-colocation cover size lint metrics-smoke \
+	loadtest loadtest-colocation loadtest-smoke cover size lint metrics-smoke \
 	fuzz fuzz-smoke chaos-smoke clean
 
 all: check
@@ -100,6 +100,25 @@ loadtest:
 # verdict itself is asserted by the TestColocation* acceptance tests.
 loadtest-colocation:
 	GOMAXPROCS=1 $(GO) run ./cmd/arch21 loadtest -scenario colocation -duration 2s -lc-slo 50ms -json /tmp/colocation.json
+
+# loadtest-smoke runs every catalog scenario (arch21 loadtest -list) for
+# 300 ms against the in-process engine, then colocation and
+# multi-tenant against an in-process 3-replica router, each writing its
+# -json report, and stops at the first run that exits nonzero. It
+# checks that every scenario still runs end to end and reports; the
+# scenarios' verdicts are their acceptance tests'. CI runs it in
+# bench-smoke.
+loadtest-smoke:
+	@set -eu; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/arch21" ./cmd/arch21; \
+	for sc in $$("$$tmp/arch21" loadtest -list | awk '{print $$1}'); do \
+		echo "loadtest-smoke: $$sc" >&2; \
+		"$$tmp/arch21" loadtest -scenario $$sc -duration 300ms -json "$$tmp/$$sc.json" >/dev/null; \
+	done; \
+	for sc in colocation multi-tenant; do \
+		echo "loadtest-smoke: $$sc -replicas 3" >&2; \
+		"$$tmp/arch21" loadtest -scenario $$sc -duration 300ms -replicas 3 -json "$$tmp/$$sc-replicas.json" >/dev/null; \
+	done
 
 # size prints non-test lines (wc -l) per serving-stack package and their
 # sum: the number ROADMAP's "least code" aim tracks. CI prints it in its

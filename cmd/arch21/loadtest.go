@@ -52,11 +52,7 @@ func cmdLoadtest(args []string) {
 
 	if *list {
 		for _, sc := range load.Scenarios() {
-			nv := len(sc.Variants)
-			for _, tm := range sc.Tenants {
-				nv += len(tm.Variants)
-			}
-			fmt.Printf("%-12s %s-loop, %d variants  %s\n", sc.Name, sc.Mode, nv, sc.Doc)
+			fmt.Printf("%-12s %s-loop, %d variants  %s\n", sc.Name, sc.Mode, sc.CatalogSize(), sc.Doc)
 		}
 		return
 	}
@@ -107,7 +103,7 @@ func cmdLoadtest(args []string) {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		tgt = load.NewServerTarget(rt, "router").WithReset(func() {
+		tgt = load.NewServerTarget(rt, "router", func() {
 			for _, eng := range engines {
 				eng.Reset()
 			}
@@ -133,7 +129,7 @@ func cmdLoadtest(args []string) {
 			defer cancel()
 			go sup.Run(ctx)
 		}
-		tgt = load.NewEngineTarget(eng)
+		tgt = load.NewServerTarget(eng, "engine", eng.Reset)
 	}
 
 	opts := load.Options{

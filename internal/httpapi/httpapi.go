@@ -118,6 +118,21 @@ func (env Envelope) Stamp(req *http.Request) {
 	}
 }
 
+// BaseURL normalizes an arch21d address into the base URL every client
+// of it (a routing front-end's backend, the load generator's HTTP
+// target) prefixes its paths with: ":8021" means localhost, a bare
+// "host:port" gets http://, and a trailing slash goes.
+func BaseURL(addr string) string {
+	base := strings.TrimSuffix(addr, "/")
+	if strings.HasPrefix(base, ":") {
+		base = "localhost" + base
+	}
+	if !strings.Contains(base, "://") {
+		base = "http://" + base
+	}
+	return base
+}
+
 // DrainClose consumes what remains of an HTTP response body (bounded)
 // and closes it. net/http only returns a connection to the keep-alive
 // pool when its body has been read to EOF — closing an undrained body

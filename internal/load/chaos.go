@@ -192,43 +192,34 @@ func RunChaos(opt ChaosOptions) (ChaosResult, error) {
 		rt.Events().SetSink(opt.EventsSink)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), duration)
+	until := time.Now().Add(duration)
+	ctx, cancel := context.WithDeadline(context.Background(), until)
 	defer cancel()
 
-	// Live load: half the clients interactive, half batch, each drawing
-	// uniformly from the mixed catalog with occasional tight deadlines so
-	// deadline sheds and mid-flight cancellations are part of the mix. A
-	// failed request backs off briefly — the soak measures survival under
-	// refusal, not a shed-retry busy-loop.
+	// Live load through the router's encoded path: half the clients
+	// interactive, half batch, each drawing uniformly from the mixed
+	// catalog with occasional tight deadlines so deadline sheds and
+	// mid-flight cancellations are part of the mix.
 	var wg sync.WaitGroup
 	var requests, errs atomic.Int64
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := stats.NewRNG(seed + uint64(c)*1000003 + 7)
-			class := admit.Interactive
-			if c%2 == 1 {
-				class = admit.Batch
+	runClients(&wg, clients, until, func(c int) func() bool {
+		rng := stats.NewRNG(seed + uint64(c)*1000003 + 7)
+		cctx := admit.WithClass(ctx, admit.Classes()[c%2]) // even clients interactive, odd batch
+		return func() bool {
+			v := variants[rng.Intn(len(variants))]
+			rctx, rcancel := cctx, context.CancelFunc(func() {})
+			if rng.Intn(4) == 0 {
+				rctx, rcancel = context.WithTimeout(cctx, time.Duration(1+rng.Intn(20))*time.Millisecond)
 			}
-			for ctx.Err() == nil {
-				v := variants[rng.Intn(len(variants))]
-				rctx := admit.WithClass(ctx, class)
-				rcancel := context.CancelFunc(func() {})
-				if rng.Intn(4) == 0 {
-					rctx, rcancel = context.WithTimeout(rctx,
-						time.Duration(1+rng.Intn(20))*time.Millisecond)
-				}
-				_, err := rt.ServeWith(rctx, v.ID, v.Params)
-				rcancel()
-				requests.Add(1)
-				if err != nil {
-					errs.Add(1)
-					time.Sleep(200 * time.Microsecond)
-				}
+			_, err := rt.ServeEncoded(rctx, v.ID, v.Params)
+			rcancel()
+			requests.Add(1)
+			if err != nil {
+				errs.Add(1)
 			}
-		}(c)
-	}
+			return err == nil
+		}
+	})
 
 	// The fault schedule: every tick, one replica takes one fault —
 	// kill+revive, hang+release, or an error burst — chosen round-robin

@@ -69,10 +69,10 @@ func colocScenario(withBatch bool) Scenario {
 		Variants: uniqueVariants("i", 4096, admit.Interactive),
 	}
 	if withBatch {
-		sc.Batch = &BatchStorm{
+		sc.Groups = []Group{{
 			Variants: uniqueVariants("b", 20000, admit.Batch),
 			Clients:  32,
-		}
+		}}
 	}
 	return sc
 }
@@ -80,7 +80,7 @@ func colocScenario(withBatch bool) Scenario {
 func runColoc(t *testing.T, policy admit.Policy, withBatch bool) Report {
 	t.Helper()
 	eng := newColocEngine(t, policy)
-	rep, err := Run(NewEngineTarget(eng), colocScenario(withBatch), Options{
+	rep, err := Run(engineTarget(eng), colocScenario(withBatch), Options{
 		Duration: 700 * time.Millisecond,
 	})
 	if err != nil {
@@ -159,7 +159,7 @@ func TestColocationCatalogScenarioReportsPerClass(t *testing.T) {
 	}
 	eng := serve.NewEngine(serve.Config{Workers: 2})
 	defer eng.Close()
-	rep, err := Run(NewEngineTarget(eng), sc, Options{Duration: 500 * time.Millisecond})
+	rep, err := Run(engineTarget(eng), sc, Options{Duration: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("load.Run(colocation): %v", err)
 	}

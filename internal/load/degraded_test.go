@@ -77,7 +77,7 @@ func TestDegradedReplicaHedgingHoldsP99(t *testing.T) {
 		out := make([]time.Duration, 0, len(ids))
 		for _, id := range ids {
 			t0 := time.Now()
-			if _, err := rt.ServeWith(context.Background(), id, nil); err != nil {
+			if _, err := rt.ServeEncoded(context.Background(), id, nil); err != nil {
 				t.Fatalf("routed %s: %v", id, err)
 			}
 			out = append(out, time.Since(t0))

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/httpapi"
 	"repro/internal/router"
 	"repro/internal/serve"
 	"repro/internal/sweep"
@@ -19,6 +20,12 @@ func newTestEngine(t *testing.T) *serve.Engine {
 	return eng
 }
 
+// engineTarget is the in-process target over one engine, its Reset
+// wired as the cache-reset hook.
+func engineTarget(eng *serve.Engine) *ServerTarget {
+	return NewServerTarget(eng, "engine", eng.Reset)
+}
+
 // End-to-end: the warm-hammer scenario against the real in-process
 // engine must produce a schema-valid report with warm-cache hit ratios.
 func TestE2EWarmHammerAgainstEngine(t *testing.T) {
@@ -26,7 +33,7 @@ func TestE2EWarmHammerAgainstEngine(t *testing.T) {
 	if !ok {
 		t.Fatal("warm-hammer missing from catalog")
 	}
-	rep, err := Run(NewEngineTarget(newTestEngine(t)), sc,
+	rep, err := Run(engineTarget(newTestEngine(t)), sc,
 		Options{Duration: 300 * time.Millisecond, Clients: 4})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -62,7 +69,7 @@ func TestE2EClusterScatterAgainstRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tgt := NewServerTarget(rt, "router").WithReset(func() {
+	tgt := NewServerTarget(rt, "router", func() {
 		for _, e := range engines {
 			e.Reset()
 		}
@@ -97,7 +104,7 @@ func TestE2EHerdAgainstEngine(t *testing.T) {
 	if !ok {
 		t.Fatal("herd missing from catalog")
 	}
-	rep, err := Run(NewEngineTarget(newTestEngine(t)), sc,
+	rep, err := Run(engineTarget(newTestEngine(t)), sc,
 		Options{Duration: 400 * time.Millisecond, Clients: 16})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -163,14 +170,22 @@ func TestHTTPTargetSurfacesServerErrors(t *testing.T) {
 	}
 }
 
+// One normaliser serves every client of an arch21d address: the helper
+// itself, the load generator's HTTP target and the front-end's backend.
 func TestNewHTTPTargetNormalizesAddr(t *testing.T) {
 	for addr, want := range map[string]string{
 		":8021":                  "http://localhost:8021",
 		"localhost:8021":         "http://localhost:8021",
 		"http://example.com:80/": "http://example.com:80",
 	} {
+		if got := httpapi.BaseURL(addr); got != want {
+			t.Fatalf("httpapi.BaseURL(%q) = %q, want %q", addr, got, want)
+		}
 		if got := NewHTTPTarget(addr).base; got != want {
 			t.Fatalf("NewHTTPTarget(%q).base = %q, want %q", addr, got, want)
+		}
+		if got := router.NewHTTPBackend(addr).Name(); got != want {
+			t.Fatalf("router.NewHTTPBackend(%q).Name() = %q, want %q", addr, got, want)
 		}
 	}
 }

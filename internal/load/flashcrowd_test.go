@@ -93,7 +93,7 @@ func TestFlashCrowdScheduleDrivesControllerHalveAndRecover(t *testing.T) {
 	}
 
 	t0 := time.Now() // trace replay anchors here (no warmup, no reset)
-	rep, err := Run(NewEngineTarget(eng), sc, Options{})
+	rep, err := Run(engineTarget(eng), sc, Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -43,7 +43,7 @@ type Variant struct {
 	// Tenant is the tenant identity the variant is issued under (empty
 	// for untenanted traffic). Carried like Class — context tag
 	// in-process, X-Arch21-Tenant over HTTP — and stamped by the runner
-	// from the owning TenantMix in multi-tenant scenarios.
+	// from the owning Group in multi-tenant scenarios.
 	Tenant string
 }
 
@@ -121,45 +121,45 @@ type Scenario struct {
 	// segment boundary, so a regime change moves the hot set as well as
 	// the rate.
 	Churn bool
-	// Tenants, when non-empty, makes the scenario multi-tenant: each mix
-	// runs its own closed-loop client group over its own catalog, every
-	// request stamped with the tenant identity, and the report carries
-	// per-tenant books plus Jain's fairness index. Closed loop only;
-	// Variants may be empty when Tenants is set.
-	Tenants []TenantMix
-	// Batch, when set, couples the scenario with a concurrent batch-class
-	// storm: closed-loop clients hammering Batch.Variants for the same
-	// measured window, recorded separately so the report splits latency
-	// per class — the colocation experiment that proves (or disproves)
-	// that batch pressure moves interactive tail latency.
-	Batch *BatchStorm
+	// Groups are closed-loop client groups run alongside the primary
+	// stream for the same measured window, each over its own catalog: a
+	// colocation storm, or the tenants of a multi-tenant scenario.
+	// Variants may be empty when Groups is set.
+	Groups []Group
 }
 
-// BatchStorm is the concurrent batch-class half of a colocation
-// scenario: a sweep-shaped flood of grid points issued round-robin by
-// closed-loop clients, all tagged admit.Batch.
-type BatchStorm struct {
-	// Variants is the batch request catalog, cycled round-robin. Their
-	// Class is forced to admit.Batch at scenario construction.
+// Group is one closed-loop client group: Clients clients (default 4)
+// drawing from Variants under Skew, with the same contract as the
+// scenario-level fields. A group with a Tenant stamps that identity on
+// every request, gets its own books in the report and a place in Jain's
+// fairness index, and is warmed with the primary variants when the
+// scenario is Warm; an unnamed group (the colocation storm) stays cold,
+// because cold work is the pressure it exists to apply. Offered-load skew between tenants is
+// expressed through Clients: a 10-client tenant offers 10x the demand of
+// a 1-client tenant.
+type Group struct {
+	Tenant   string
 	Variants []Variant
-	// Clients is the closed-loop batch concurrency (default 8).
-	Clients int
+	Skew     float64
+	Clients  int
 }
 
-// TenantMix is one tenant's slice of a multi-tenant scenario: its own
-// variant catalog and Zipf skew (the same contract as the scenario-level
-// fields) driven by its own closed-loop client group. Offered-load skew
-// between tenants is expressed through Clients — a 10-client tenant
-// offers 10x the demand of a 1-client tenant.
-type TenantMix struct {
-	// Name is the tenant identity stamped on every request.
-	Name string
-	// Variants is the tenant's request catalog, hottest first.
-	Variants []Variant
-	// Skew is the tenant's Zipf exponent (0 = round-robin).
-	Skew float64
-	// Clients is the tenant's closed-loop client count (default 2).
-	Clients int
+// stamp issues v under the group's tenant, if it has one.
+func (g *Group) stamp(v Variant) Variant {
+	if g.Tenant != "" {
+		v.Tenant = g.Tenant
+	}
+	return v
+}
+
+// CatalogSize counts the distinct requests a scenario can issue: its
+// primary variants and every group's.
+func (sc Scenario) CatalogSize() int {
+	n := len(sc.Variants)
+	for _, g := range sc.Groups {
+		n += len(g.Variants)
+	}
+	return n
 }
 
 // gridVariants expands a sweep-style parameter grid ("f=0.9:0.99:0.01")
@@ -282,7 +282,7 @@ func Scenarios() []Scenario {
 			Name: "colocation",
 			Doc:  "warm interactive hammer colocated with a concurrent batch sweep-storm: per-class report proves batch pressure is not moving interactive p99",
 			Mode: ClosedLoop, Variants: warm, Skew: 1.1, Clients: 8, Warm: true, Seed: 7,
-			Batch: &BatchStorm{Variants: batchStorm, Clients: 8},
+			Groups: []Group{{Variants: batchStorm, Clients: 8}},
 		},
 		{
 			Name: "diurnal",
@@ -298,10 +298,10 @@ func Scenarios() []Scenario {
 			Name: "multi-tenant",
 			Doc:  "three closed-loop tenants with distinct Zipf mixes, classes, and a 10:1 offered-load skew (anchor 10 clients vs tail 1): per-tenant books and Jain's fairness index land in the report",
 			Mode: ClosedLoop, Warm: true, Seed: 10,
-			Tenants: []TenantMix{
-				{Name: "anchor", Variants: warm, Skew: 1.1, Clients: 10},
-				{Name: "tail", Variants: mixed, Skew: 0.9, Clients: 1},
-				{Name: "bulk", Variants: asBatch(gridVariants("E1", "gens=1:12:1")), Skew: 0, Clients: 2},
+			Groups: []Group{
+				{Tenant: "anchor", Variants: warm, Skew: 1.1, Clients: 10},
+				{Tenant: "tail", Variants: mixed, Skew: 0.9, Clients: 1},
+				{Tenant: "bulk", Variants: asBatch(gridVariants("E1", "gens=1:12:1")), Skew: 0, Clients: 2},
 			},
 		},
 	}

@@ -1,6 +1,7 @@
 package load
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -12,9 +13,12 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
-// stubTarget is a deterministic in-memory target for runner tests.
+// stubTarget is a deterministic in-memory server for runner tests,
+// driven through the in-process target (target).
 type stubTarget struct {
 	mu    sync.Mutex
 	calls map[string]int
@@ -30,7 +34,8 @@ func newStubTarget() *stubTarget {
 	return &stubTarget{calls: map[string]int{}}
 }
 
-func (s *stubTarget) Do(v Variant) (Outcome, error) {
+func (s *stubTarget) ServeEncoded(_ context.Context, id string, p core.Params) (serve.RawResponse, error) {
+	v := Variant{ID: id, Params: p}
 	if s.delay > 0 {
 		time.Sleep(s.delay)
 	}
@@ -38,17 +43,20 @@ func (s *stubTarget) Do(v Variant) (Outcome, error) {
 	s.calls[v.String()]++
 	s.mu.Unlock()
 	if s.fail != nil && s.fail(v) {
-		return Outcome{}, errors.New("stub failure")
+		return serve.RawResponse{}, errors.New("stub failure")
 	}
-	out := Outcome{}
+	out := serve.RawResponse{}
 	if s.hit != nil {
 		out.CacheHit = s.hit(v)
 	}
 	return out, nil
 }
 
-func (s *stubTarget) Name() string { return "stub" }
-func (s *stubTarget) ResetCache()  { s.reset.Add(1) }
+func (s *stubTarget) Events() *obs.Events { return nil }
+func (s *stubTarget) ResetCache()         { s.reset.Add(1) }
+
+// target is the stub behind the in-process target, its reset counted.
+func (s *stubTarget) target() *ServerTarget { return NewServerTarget(s, "stub", s.ResetCache) }
 func (s *stubTarget) count(k string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -72,21 +80,15 @@ func TestScenarioCatalogResolves(t *testing.T) {
 		if sc.Doc == "" {
 			t.Errorf("%s: no doc line", sc.Name)
 		}
-		if len(sc.Variants) == 0 && len(sc.Tenants) == 0 {
+		if len(sc.Variants) == 0 && len(sc.Groups) == 0 {
 			t.Fatalf("%s: no variants", sc.Name)
 		}
 		variants := sc.Variants
-		if sc.Batch != nil {
-			if len(sc.Batch.Variants) == 0 {
-				t.Fatalf("%s: batch storm with no variants", sc.Name)
+		for _, g := range sc.Groups {
+			if len(g.Variants) == 0 {
+				t.Fatalf("%s: group %+v has no variants", sc.Name, g)
 			}
-			variants = append(append([]Variant{}, variants...), sc.Batch.Variants...)
-		}
-		for _, tm := range sc.Tenants {
-			if tm.Name == "" || len(tm.Variants) == 0 {
-				t.Fatalf("%s: tenant mix %+v lacks a name or variants", sc.Name, tm)
-			}
-			variants = append(append([]Variant{}, variants...), tm.Variants...)
+			variants = append(append([]Variant{}, variants...), g.Variants...)
 		}
 		if sc.Schedule != nil {
 			if err := sc.Schedule.Validate(); err != nil {
@@ -129,7 +131,7 @@ func TestClosedLoopRoundRobinCoversAllVariants(t *testing.T) {
 		Name: "rr", Mode: ClosedLoop, Skew: 0, Clients: 2,
 		Variants: []Variant{{ID: "a"}, {ID: "b"}, {ID: "c"}},
 	}
-	rep, err := Run(stub, sc, Options{Duration: 80 * time.Millisecond})
+	rep, err := Run(stub.target(), sc, Options{Duration: 80 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -157,7 +159,7 @@ func TestClosedLoopZipfSkewsTraffic(t *testing.T) {
 		Name: "zipf", Mode: ClosedLoop, Skew: 1.2, Clients: 4, Seed: 9,
 		Variants: []Variant{{ID: "hot"}, {ID: "mid"}, {ID: "cold1"}, {ID: "cold2"}, {ID: "cold3"}, {ID: "cold4"}},
 	}
-	if _, err := Run(stub, sc, Options{Duration: 100 * time.Millisecond}); err != nil {
+	if _, err := Run(stub.target(), sc, Options{Duration: 100 * time.Millisecond}); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if hot, tail := stub.count("hot"), stub.count("cold4"); hot <= tail {
@@ -171,7 +173,7 @@ func TestOpenLoopReplaysTrace(t *testing.T) {
 		Name: "open", Mode: OpenLoop, Skew: 0.9, Seed: 2,
 		Variants: []Variant{{ID: "a"}, {ID: "b"}},
 	}
-	rep, err := Run(stub, sc, Options{Duration: 150 * time.Millisecond, Rate: 1000})
+	rep, err := Run(stub.target(), sc, Options{Duration: 150 * time.Millisecond, Rate: 1000})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -197,7 +199,7 @@ func TestErrorsCountedNotTimed(t *testing.T) {
 		Name: "err", Mode: ClosedLoop, Skew: 0, Clients: 1,
 		Variants: []Variant{{ID: "good"}, {ID: "bad"}},
 	}
-	rep, err := Run(stub, sc, Options{Duration: 50 * time.Millisecond})
+	rep, err := Run(stub.target(), sc, Options{Duration: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -220,7 +222,7 @@ func TestWarmupFailureSurfaces(t *testing.T) {
 		Name: "warmfail", Mode: ClosedLoop, Warm: true,
 		Variants: []Variant{{ID: "x"}},
 	}
-	if _, err := Run(stub, sc, Options{Duration: 20 * time.Millisecond}); err == nil {
+	if _, err := Run(stub.target(), sc, Options{Duration: 20 * time.Millisecond}); err == nil {
 		t.Fatal("warmup failure did not surface")
 	}
 }
@@ -231,7 +233,7 @@ func TestResetInvokedForResetScenarios(t *testing.T) {
 		Name: "cold", Mode: ClosedLoop, Reset: true,
 		Variants: []Variant{{ID: "x"}},
 	}
-	if _, err := Run(stub, sc, Options{Duration: 10 * time.Millisecond}); err != nil {
+	if _, err := Run(stub.target(), sc, Options{Duration: 10 * time.Millisecond}); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if stub.reset.Load() != 1 {
@@ -239,8 +241,25 @@ func TestResetInvokedForResetScenarios(t *testing.T) {
 	}
 }
 
+// A target built without a reset hook cannot reset: the run goes ahead
+// as-is and the report records reset: false, as for an HTTP target.
+func TestResetWithoutHookRecordedFalse(t *testing.T) {
+	stub := newStubTarget()
+	sc := Scenario{
+		Name: "cold", Mode: ClosedLoop, Reset: true,
+		Variants: []Variant{{ID: "x"}},
+	}
+	rep, err := Run(NewServerTarget(stub, "stub", nil), sc, Options{Duration: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.Config.Reset || stub.reset.Load() != 0 {
+		t.Fatalf("reset recorded %v with %d resets, want false and 0", rep.Config.Reset, stub.reset.Load())
+	}
+}
+
 func TestRunRejectsEmptyScenario(t *testing.T) {
-	if _, err := Run(newStubTarget(), Scenario{Name: "empty"}, Options{}); err == nil {
+	if _, err := Run(newStubTarget().target(), Scenario{Name: "empty"}, Options{}); err == nil {
 		t.Fatal("empty scenario accepted")
 	}
 }
@@ -252,7 +271,7 @@ func TestCacheHitRatioMeasured(t *testing.T) {
 		Name: "hits", Mode: ClosedLoop, Clients: 2,
 		Variants: []Variant{{ID: "x"}},
 	}
-	rep, err := Run(stub, sc, Options{Duration: 30 * time.Millisecond})
+	rep, err := Run(stub.target(), sc, Options{Duration: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -269,7 +288,7 @@ func TestOpenLoopSkewZeroRoundRobins(t *testing.T) {
 		Name: "open-rr", Mode: OpenLoop, Skew: 0, Seed: 8,
 		Variants: []Variant{{ID: "a"}, {ID: "b"}, {ID: "c"}},
 	}
-	rep, err := Run(stub, sc, Options{Duration: 100 * time.Millisecond, Rate: 600})
+	rep, err := Run(stub.target(), sc, Options{Duration: 100 * time.Millisecond, Rate: 600})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -342,11 +361,11 @@ func sampleReport(scenario string, rps, p99 float64) Report {
 		Scenario:  scenario,
 		GoVersion: "go-test",
 		Config:    Config{Target: "stub", Mode: "closed", DurationSeconds: 1, Clients: 4, Seed: 1, Variants: 3, Cores: 4},
-		Metrics: Metrics{
+		Metrics: Metrics{ClassMetrics: ClassMetrics{
 			Requests: 1000, DurationSeconds: 1, ThroughputRPS: rps,
 			CacheHitRatio: 0.9,
 			Latency:       Latency{Mean: p99 / 2, P50: p99 / 3, P95: p99 * 0.8, P99: p99, P999: p99 * 1.5, Min: p99 / 10, Max: p99 * 2},
-		},
+		}},
 	}
 }
 
@@ -360,7 +379,7 @@ func TestOpenLoopMeasuresFromScheduledArrival(t *testing.T) {
 		Name: "lagged", Mode: OpenLoop, Seed: 4,
 		Variants: []Variant{{ID: "slow"}},
 	}
-	rep, err := Run(stub, sc, Options{Duration: 100 * time.Millisecond, Rate: 300})
+	rep, err := Run(stub.target(), sc, Options{Duration: 100 * time.Millisecond, Rate: 300})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -371,7 +390,7 @@ func TestOpenLoopMeasuresFromScheduledArrival(t *testing.T) {
 
 func TestRunRejectsUnknownMode(t *testing.T) {
 	sc := Scenario{Name: "bad", Mode: Mode(7), Variants: []Variant{{ID: "x"}}}
-	if _, err := Run(newStubTarget(), sc, Options{Duration: time.Millisecond}); err == nil {
+	if _, err := Run(newStubTarget().target(), sc, Options{Duration: time.Millisecond}); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 	if s := Mode(7).String(); s != "mode(7)" {

@@ -37,12 +37,13 @@ type Config struct {
 	// variant mapping permuted at segment boundaries.
 	Schedule string `json:"schedule,omitempty"`
 	Churn    bool   `json:"churn,omitempty"`
-	// Tenants names the scenario's tenant mixes, in catalog order;
+	// Tenants names the scenario's tenant groups, in catalog order;
 	// empty for single-tenant runs.
 	Tenants []string `json:"tenants,omitempty"`
 	// Seed drove trace generation and client key draws.
 	Seed uint64 `json:"seed"`
-	// Variants is the request catalog size.
+	// Variants is the request catalog size: the primary variants plus
+	// every group's.
 	Variants int `json:"variants"`
 	// Warm reports whether the cache was pre-warmed before measuring.
 	Warm bool `json:"warm,omitempty"`
@@ -89,25 +90,11 @@ type ClassMetrics struct {
 	Latency Latency `json:"latency_seconds"`
 }
 
-// Metrics is one run's measured outcome.
+// Metrics is one run's measured outcome: the cross-class aggregate
+// (latency measured from scheduled arrival in open loop, coordinated-
+// omission free, and from send in closed loop), then its splits.
 type Metrics struct {
-	// Requests counts issued requests in the measured window; Errors
-	// those that failed; ErrorRate their ratio.
-	Requests  int64   `json:"requests"`
-	Errors    int64   `json:"errors"`
-	ErrorRate float64 `json:"error_rate"`
-	// DurationSeconds is the achieved (wall-clock) window.
-	DurationSeconds float64 `json:"duration_seconds"`
-	// ThroughputRPS is successful requests per second of wall time.
-	ThroughputRPS float64 `json:"throughput_rps"`
-	// CacheHitRatio and DedupRatio are fractions of successful requests
-	// served from cache / piggybacked on an in-flight execution.
-	CacheHitRatio float64 `json:"cache_hit_ratio"`
-	DedupRatio    float64 `json:"dedup_ratio"`
-	// Latency is the successful-request latency distribution (seconds),
-	// measured from scheduled arrival in open loop (coordinated-omission
-	// free) and from send in closed loop.
-	Latency Latency `json:"latency_seconds"`
+	ClassMetrics
 	// PerClass splits the outcome by request class ("interactive",
 	// "batch") when the scenario issued more than the default class —
 	// colocation runs read their headline QoS verdict here. Absent for
@@ -122,7 +109,7 @@ type Metrics struct {
 	// (successful/issued): demand-normalized, so offered-load skew alone
 	// does not lower it, while a tenant starved by sheds does. 1 is
 	// perfectly fair, 1/n is one tenant taking everything; 0 when the
-	// run had no tenant mixes.
+	// run had no tenant groups.
 	FairnessIndex float64 `json:"fairness_index,omitempty"`
 	// AllocsPerRequest is the heap allocation count per issued request
 	// over the measured window (runtime Mallocs delta / requests),

@@ -3,6 +3,7 @@ package load
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,13 +43,55 @@ const (
 	sampleCap = 1 << 15
 )
 
-// classRec accumulates one class's (or one tenant's) measurements.
+// clientBackoff is how long a closed-loop client waits after a failed
+// request, so a fail-fast shed storm measures the target's refusal
+// policy instead of a retry busy-loop.
+const clientBackoff = 200 * time.Microsecond
+
+// runClients starts n closed-loop clients on wg — the one client loop
+// of this package. Client c issues requests through the function
+// issue(c) returns, think-time free, until the deadline passes, and
+// backs off clientBackoff after a request that failed.
+func runClients(wg *sync.WaitGroup, n int, until time.Time, issue func(c int) func() bool) {
+	for c := 0; c < n; c++ {
+		do := issue(c)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(until) {
+				if !do() {
+					time.Sleep(clientBackoff)
+				}
+			}
+		}()
+	}
+}
+
+// classRec accumulates one class's (or one tenant's, or the whole
+// run's) measurements.
 type classRec struct {
 	rec      *stats.LatencyRecorder
 	requests atomic.Int64
 	errs     atomic.Int64
 	hits     atomic.Int64
 	shared   atomic.Int64
+}
+
+// book records one request's outcome. A failed request counts toward
+// the error rate but not the latency distribution.
+func (cr *classRec) book(out Outcome, err error, lat float64) {
+	cr.requests.Add(1)
+	if err != nil {
+		cr.errs.Add(1)
+		return
+	}
+	cr.rec.Observe(lat)
+	if out.CacheHit {
+		cr.hits.Add(1)
+	}
+	if out.Shared {
+		cr.shared.Add(1)
+	}
 }
 
 // foldRec folds one record's books into report metrics over the
@@ -82,19 +125,18 @@ func foldRec(cr *classRec, elapsed time.Duration) ClassMetrics {
 
 // Run executes one scenario against the target and returns the measured
 // report (Git is left for the caller to stamp). Warmup requests run
-// before the measured window and are excluded from every metric. When
-// the scenario couples a BatchStorm, its batch-class clients hammer the
-// target for the same window and the report's PerClass section splits
-// every metric by class — the top-level Metrics stay the cross-class
-// aggregate. A Schedule drives open-loop arrivals through its ramps and
-// steps instead of a constant rate; Tenants adds per-tenant closed-loop
-// client groups, per-tenant books, and Jain's fairness index.
+// before the measured window and are excluded from every metric. The
+// primary stream follows the scenario's Mode, and every Group's clients
+// run for the same window; the report's PerClass and PerTenant sections
+// split every metric by class and by tenant, while the top-level Metrics
+// stay the cross-class aggregate. A Schedule drives open-loop arrivals
+// through its ramps and steps instead of a constant rate.
 func Run(tgt Target, sc Scenario, opt Options) (Report, error) {
-	if len(sc.Variants) == 0 && len(sc.Tenants) == 0 {
+	if len(sc.Variants) == 0 && len(sc.Groups) == 0 {
 		return Report{}, fmt.Errorf("load: scenario %q has no variants", sc.Name)
 	}
-	if len(sc.Tenants) > 0 && sc.Mode != ClosedLoop {
-		return Report{}, fmt.Errorf("load: scenario %q: tenant mixes need closed-loop pacing", sc.Name)
+	if sc.Mode != ClosedLoop && sc.Mode != OpenLoop {
+		return Report{}, fmt.Errorf("load: scenario %q has unknown mode %v", sc.Name, sc.Mode)
 	}
 	if sc.Schedule != nil {
 		if sc.Mode != OpenLoop {
@@ -104,15 +146,17 @@ func Run(tgt Target, sc Scenario, opt Options) (Report, error) {
 			return Report{}, fmt.Errorf("load: scenario %q: bad schedule: %v", sc.Name, err)
 		}
 	}
-	seenTenant := make(map[string]bool, len(sc.Tenants))
-	for _, tm := range sc.Tenants {
-		if tm.Name == "" || len(tm.Variants) == 0 {
-			return Report{}, fmt.Errorf("load: scenario %q: every tenant mix needs a name and variants", sc.Name)
+	var tenants []string
+	for _, g := range sc.Groups {
+		if len(g.Variants) == 0 {
+			return Report{}, fmt.Errorf("load: scenario %q: every group needs variants", sc.Name)
 		}
-		if seenTenant[tm.Name] {
-			return Report{}, fmt.Errorf("load: scenario %q: duplicate tenant %q", sc.Name, tm.Name)
+		if slices.Contains(tenants, g.Tenant) {
+			return Report{}, fmt.Errorf("load: scenario %q: duplicate tenant %q", sc.Name, g.Tenant)
 		}
-		seenTenant[tm.Name] = true
+		if g.Tenant != "" {
+			tenants = append(tenants, g.Tenant)
+		}
 	}
 	// The measured window: an explicit -duration wins (a schedule is
 	// stretched or compressed to fit it); otherwise a schedule runs its
@@ -137,6 +181,9 @@ func Run(tgt Target, sc Scenario, opt Options) (Report, error) {
 	if clients <= 0 {
 		clients = defaultClients
 	}
+	if len(sc.Variants) == 0 {
+		clients = 0 // the groups carry the whole scenario
+	}
 	rate := opt.Rate
 	if rate <= 0 {
 		rate = sc.Rate
@@ -160,29 +207,30 @@ func Run(tgt Target, sc Scenario, opt Options) (Report, error) {
 		sc.Variants = forced
 	}
 
-	// A reset that cannot be applied (HTTP targets) is recorded as such,
-	// so a "cold" artifact measured against a warm daemon is
-	// distinguishable from a genuinely cold run.
-	resetApplied := false
-	if sc.Reset {
-		if r, ok := tgt.(Resetter); ok {
-			r.ResetCache()
-			resetApplied = true
-		}
+	// Only an in-process target resets its cache or lends its server's
+	// event ring. A reset that cannot be applied (an HTTP target, a nil
+	// hook) is recorded as such, so a "cold" artifact measured against a
+	// warm daemon is distinguishable from a genuinely cold run.
+	st, _ := tgt.(*ServerTarget)
+	resetApplied := sc.Reset && st != nil && st.reset != nil
+	if resetApplied {
+		st.reset()
 	}
+	// Warmup touches the primary variants and the tenant groups, each
+	// request under its tenant identity (an engine keeping per-tenant
+	// books must not see warmup as anonymous traffic). Unnamed groups
+	// stay cold.
 	if sc.Warm {
-		for _, v := range sc.Variants {
-			if _, err := tgt.Do(v); err != nil {
-				return Report{}, fmt.Errorf("load: warmup %s: %w", v, err)
+		warm := []Group{{Variants: sc.Variants}}
+		for _, g := range sc.Groups {
+			if g.Tenant != "" {
+				warm = append(warm, g)
 			}
 		}
-		// Tenant warmup carries the tenant identity too: an engine keeping
-		// per-tenant books must not see warmup as anonymous traffic.
-		for _, tm := range sc.Tenants {
-			for _, v := range tm.Variants {
-				v.Tenant = tm.Name
-				if _, err := tgt.Do(v); err != nil {
-					return Report{}, fmt.Errorf("load: warmup %s (tenant %s): %w", v, tm.Name, err)
+		for _, g := range warm {
+			for _, v := range g.Variants {
+				if _, err := tgt.Do(g.stamp(v)); err != nil {
+					return Report{}, fmt.Errorf("load: warmup %s: %w", v, err)
 				}
 			}
 		}
@@ -192,15 +240,13 @@ func Run(tgt Target, sc Scenario, opt Options) (Report, error) {
 	for i, c := range admit.Classes() {
 		recs[c] = &classRec{rec: stats.NewLatencyRecorder(sampleCap, seed+uint64(i))}
 	}
-	// Per-tenant books mirror the per-class ones. The map is fully
-	// populated here, before any client goroutine starts, and only read
-	// afterwards — tenant identities come from the scenario, never from
-	// responses, so the book set is bounded by config.
-	tenantRecs := make(map[string]*classRec, len(sc.Tenants))
-	for i, tm := range sc.Tenants {
-		tenantRecs[tm.Name] = &classRec{rec: stats.NewLatencyRecorder(sampleCap, seed+200+uint64(i))}
+	// The map is fully populated before any client starts and only read
+	// afterwards.
+	tenantRecs := make(map[string]*classRec, len(tenants))
+	for i, name := range tenants {
+		tenantRecs[name] = &classRec{rec: stats.NewLatencyRecorder(sampleCap, seed+200+uint64(i))}
 	}
-	agg := stats.NewLatencyRecorder(sampleCap, seed+100)
+	all := &classRec{rec: stats.NewLatencyRecorder(sampleCap, seed+100)}
 
 	// Capture the target's control-plane event timeline over the measured
 	// window: everything recorded after this cursor lands in the report
@@ -208,50 +254,24 @@ func Run(tgt Target, sc Scenario, opt Options) (Report, error) {
 	// because the cursor is taken after warmup.
 	var evRing *obs.Events
 	var evSince uint64
-	if es, ok := tgt.(EventSource); ok {
-		if ev := es.Events(); ev != nil {
-			evRing, evSince = ev, ev.Total()
+	if st != nil {
+		if evRing = st.srv.Events(); evRing != nil {
+			evSince = evRing.Total()
 		}
 	}
 
 	// measure issues one request, timing it from started (the scheduled
-	// arrival in open loop, the send in closed loop) into the variant's
-	// class bucket and the cross-class aggregate. Failed requests count
-	// toward the class error rate but not its latency distribution.
+	// arrival in open loop, the send in closed loop) into the run's,
+	// the variant's class's and its tenant's books.
 	measure := func(v Variant, started time.Time) bool {
-		cr := recs[v.Class]
-		tr := tenantRecs[v.Tenant]
 		out, err := tgt.Do(v)
-		cr.requests.Add(1)
-		if tr != nil {
-			tr.requests.Add(1)
-		}
-		if err != nil {
-			cr.errs.Add(1)
-			if tr != nil {
-				tr.errs.Add(1)
-			}
-			return false
-		}
 		lat := time.Since(started).Seconds()
-		cr.rec.Observe(lat)
-		agg.Observe(lat)
-		if tr != nil {
-			tr.rec.Observe(lat)
-		}
-		if out.CacheHit {
-			cr.hits.Add(1)
-			if tr != nil {
-				tr.hits.Add(1)
+		for _, cr := range [...]*classRec{all, recs[v.Class], tenantRecs[v.Tenant]} {
+			if cr != nil {
+				cr.book(out, err, lat)
 			}
 		}
-		if out.Shared {
-			cr.shared.Add(1)
-			if tr != nil {
-				tr.shared.Add(1)
-			}
-		}
-		return true
+		return err == nil
 	}
 
 	// Bracket the measured window with allocator snapshots: the Mallocs
@@ -263,72 +283,41 @@ func Run(tgt Target, sc Scenario, opt Options) (Report, error) {
 	runtime.ReadMemStats(&memBefore)
 
 	t0 := time.Now()
-
-	// The colocated batch storm: closed-loop batch-class clients cycling
-	// the storm catalog for the same measured window.
-	var stormWG sync.WaitGroup
-	if sc.Batch != nil && len(sc.Batch.Variants) > 0 {
-		bclients := sc.Batch.Clients
-		if bclients <= 0 {
-			bclients = 8
+	// Closed-loop clients: the primary stream's (closed loop only) and
+	// every group's. Skewed groups give each client its own Zipf stream
+	// (deterministic per seed, group and client); skew 0 round-robins a
+	// counter the group's clients share, so every variant is touched in
+	// order.
+	groups := sc.Groups
+	if sc.Mode == ClosedLoop && len(sc.Variants) > 0 {
+		groups = append([]Group{{Variants: sc.Variants, Skew: sc.Skew, Clients: clients}}, groups...)
+	}
+	var wg sync.WaitGroup
+	for gi, g := range groups {
+		n := g.Clients
+		if n <= 0 {
+			n = defaultClients
 		}
-		deadline := t0.Add(duration)
-		var next atomic.Int64
-		for c := 0; c < bclients; c++ {
-			stormWG.Add(1)
-			go func() {
-				defer stormWG.Done()
-				for time.Now().Before(deadline) {
-					v := sc.Batch.Variants[int((next.Add(1)-1)%int64(len(sc.Batch.Variants)))]
-					measure(v, time.Now())
+		next := new(atomic.Int64)
+		runClients(&wg, n, t0.Add(duration), func(c int) func() bool {
+			var z *stats.Zipf
+			rng := stats.NewRNG(seed + uint64(gi)*2000003 + uint64(c)*1000003 + 1)
+			if g.Skew > 0 && len(g.Variants) > 1 {
+				z = stats.NewZipf(len(g.Variants), g.Skew)
+			}
+			return func() bool {
+				var i int
+				if z != nil {
+					i = z.Rank(rng) - 1
+				} else {
+					i = int((next.Add(1) - 1) % int64(len(g.Variants)))
 				}
-			}()
-		}
+				return measure(g.stamp(g.Variants[i]), time.Now())
+			}
+		})
 	}
 
-	// Tenant client groups: each mix drives its own closed-loop clients
-	// over its own catalog, every request stamped with the tenant
-	// identity. A failed request (most often a shed under contention)
-	// backs the client off briefly so a fail-fast shed storm measures
-	// the target's refusal policy instead of a retry busy-loop.
-	var tenantWG sync.WaitGroup
-	if len(sc.Tenants) > 0 {
-		deadline := t0.Add(duration)
-		for ti, tm := range sc.Tenants {
-			tclients := tm.Clients
-			if tclients <= 0 {
-				tclients = 2
-			}
-			next := &atomic.Int64{}
-			for c := 0; c < tclients; c++ {
-				tenantWG.Add(1)
-				go func(ti, c int, tm TenantMix, next *atomic.Int64) {
-					defer tenantWG.Done()
-					var z *stats.Zipf
-					var rng *stats.RNG
-					if tm.Skew > 0 && len(tm.Variants) > 1 {
-						z = stats.NewZipf(len(tm.Variants), tm.Skew)
-						rng = stats.NewRNG(seed + uint64(ti)*2000003 + uint64(c)*1000003 + 1)
-					}
-					for time.Now().Before(deadline) {
-						var v Variant
-						if z != nil {
-							v = tm.Variants[z.Rank(rng)-1]
-						} else {
-							v = tm.Variants[int((next.Add(1)-1)%int64(len(tm.Variants)))]
-						}
-						v.Tenant = tm.Name
-						if !measure(v, time.Now()) {
-							time.Sleep(200 * time.Microsecond)
-						}
-					}
-				}(ti, c, tm, next)
-			}
-		}
-	}
-
-	switch sc.Mode {
-	case OpenLoop:
+	if sc.Mode == OpenLoop && len(sc.Variants) > 0 {
 		n := maxOpenRequests
 		if sc.Schedule == nil {
 			n = int(rate * duration.Seconds())
@@ -361,7 +350,6 @@ func Run(tgt Target, sc Scenario, opt Options) (Report, error) {
 				idx[i] = i % len(sc.Variants)
 			}
 		}
-		var wg sync.WaitGroup
 		for i, rq := range trace {
 			due := t0.Add(time.Duration(rq.Arrival * float64(time.Second)))
 			if d := time.Until(due); d > 0 {
@@ -374,64 +362,17 @@ func Run(tgt Target, sc Scenario, opt Options) (Report, error) {
 				measure(v, due)
 			}()
 		}
-		wg.Wait()
-	case ClosedLoop:
-		deadline := t0.Add(duration)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		if len(sc.Variants) == 0 {
-			clients = 0 // tenant groups carry the whole scenario
-		}
-		for c := 0; c < clients; c++ {
-			c := c
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// Skewed scenarios give each client its own Zipf stream
-				// (deterministic per seed+client); skew 0 round-robins a
-				// shared counter so every variant is touched in order.
-				var z *stats.Zipf
-				var rng *stats.RNG
-				if sc.Skew > 0 && len(sc.Variants) > 1 {
-					z = stats.NewZipf(len(sc.Variants), sc.Skew)
-					rng = stats.NewRNG(seed + uint64(c)*1000003 + 1)
-				}
-				for time.Now().Before(deadline) {
-					var v Variant
-					if z != nil {
-						v = sc.Variants[z.Rank(rng)-1]
-					} else {
-						v = sc.Variants[int((next.Add(1)-1)%int64(len(sc.Variants)))]
-					}
-					measure(v, time.Now())
-				}
-			}()
-		}
-		wg.Wait()
-	default:
-		return Report{}, fmt.Errorf("load: scenario %q has unknown mode %v", sc.Name, sc.Mode)
 	}
-	stormWG.Wait()
-	tenantWG.Wait()
+	wg.Wait()
 	elapsed := time.Since(t0)
 	var memAfter runtime.MemStats
 	runtime.ReadMemStats(&memAfter)
 
-	// Fold per-class books into class metrics plus a cross-class
-	// aggregate (the top-level Metrics every existing consumer reads).
-	var req, errCount, hits, shared int64
 	perClass := make(map[string]ClassMetrics, len(recs))
 	for _, c := range admit.Classes() {
-		cr := recs[c]
-		r := cr.requests.Load()
-		if r == 0 {
-			continue
+		if cr := recs[c]; cr.requests.Load() > 0 {
+			perClass[c.String()] = foldRec(cr, elapsed)
 		}
-		perClass[c.String()] = foldRec(cr, elapsed)
-		req += r
-		errCount += cr.errs.Load()
-		hits += cr.hits.Load()
-		shared += cr.shared.Load()
 	}
 	// Per-tenant books fold the same way; fairness is Jain's index over
 	// each tenant's success ratio (successful/issued) — demand-
@@ -440,47 +381,28 @@ func Run(tgt Target, sc Scenario, opt Options) (Report, error) {
 	// requests shed while others' succeed) drags the index down.
 	var perTenant map[string]ClassMetrics
 	fairness := 0.0
-	if len(sc.Tenants) > 0 {
-		perTenant = make(map[string]ClassMetrics, len(sc.Tenants))
-		ratios := make([]float64, 0, len(sc.Tenants))
-		for _, tm := range sc.Tenants {
-			tr := tenantRecs[tm.Name]
+	if len(tenants) > 0 {
+		perTenant = make(map[string]ClassMetrics, len(tenants))
+		ratios := make([]float64, 0, len(tenants))
+		for _, name := range tenants {
+			tr := tenantRecs[name]
 			r := tr.requests.Load()
 			if r == 0 {
 				continue
 			}
-			perTenant[tm.Name] = foldRec(tr, elapsed)
+			perTenant[name] = foldRec(tr, elapsed)
 			ratios = append(ratios, float64(r-tr.errs.Load())/float64(r))
 		}
 		fairness = stats.JainFairness(ratios)
 	}
-	snap := agg.Snapshot()
-
-	ok := req - errCount
 	m := Metrics{
-		Requests:        req,
-		Errors:          errCount,
-		DurationSeconds: elapsed.Seconds(),
-		Latency: Latency{
-			Mean: snap.Mean, P50: snap.P50, P95: snap.P95,
-			P99: snap.P99, P999: snap.P999, Min: snap.Min, Max: snap.Max,
-		},
+		ClassMetrics:  foldRec(all, elapsed),
 		PerClass:      perClass,
 		PerTenant:     perTenant,
 		FairnessIndex: fairness,
 	}
-	if elapsed > 0 {
-		m.ThroughputRPS = float64(ok) / elapsed.Seconds()
-	}
-	if req > 0 {
-		m.ErrorRate = float64(errCount) / float64(req)
-	}
-	if ok > 0 {
-		m.CacheHitRatio = float64(hits) / float64(ok)
-		m.DedupRatio = float64(shared) / float64(ok)
-	}
-	if req > 0 {
-		m.AllocsPerRequest = float64(memAfter.Mallocs-memBefore.Mallocs) / float64(req)
+	if m.Requests > 0 {
+		m.AllocsPerRequest = float64(memAfter.Mallocs-memBefore.Mallocs) / float64(m.Requests)
 	}
 	// Record only the pacing knob the mode actually used: clients is
 	// meaningless in open loop (one goroutine per in-flight arrival) and
@@ -489,16 +411,10 @@ func Run(tgt Target, sc Scenario, opt Options) (Report, error) {
 	if sc.Mode == OpenLoop {
 		cfgClients, cfgRate = 0, rate
 	}
-	nVariants := len(sc.Variants)
 	cfgSchedule := ""
 	if sc.Schedule != nil {
 		cfgSchedule = sched.String() // the schedule as run, after scaling
 		cfgRate = 0                  // the schedule is the rate
-	}
-	var cfgTenants []string
-	for _, tm := range sc.Tenants {
-		cfgTenants = append(cfgTenants, tm.Name)
-		nVariants += len(tm.Variants)
 	}
 	var events []obs.Event
 	if evRing != nil {
@@ -518,9 +434,9 @@ func Run(tgt Target, sc Scenario, opt Options) (Report, error) {
 			Skew:            sc.Skew,
 			Schedule:        cfgSchedule,
 			Churn:           sc.Churn,
-			Tenants:         cfgTenants,
+			Tenants:         tenants,
 			Seed:            seed,
-			Variants:        nVariants,
+			Variants:        sc.CatalogSize(),
 			Warm:            sc.Warm,
 			Reset:           resetApplied,
 			Cores:           runtime.GOMAXPROCS(0),

@@ -40,37 +40,18 @@ type Target interface {
 	Name() string
 }
 
-// Resetter is implemented by targets whose cache can be dropped in place
-// (the in-process engine). Scenarios with Reset set are served cold when
-// the target supports it and as-is otherwise.
-type Resetter interface {
-	ResetCache()
-}
-
-// EngineTarget applies load to an in-process serve.Engine: a
-// ServerTarget with the engine's own cache reset wired up.
-type EngineTarget struct{ ResettableServerTarget }
-
-// NewEngineTarget wraps an engine. The caller keeps ownership (and must
-// Close it).
-func NewEngineTarget(eng *serve.Engine) *EngineTarget {
-	t := &EngineTarget{ResettableServerTarget{
-		ServerTarget: ServerTarget{srv: eng, name: "engine", reset: eng.Reset},
-	}}
-	t.init()
-	return t
-}
-
 // Server is any in-process serving surface (serve.Engine, router.Router)
 // a ServerTarget can drive — the zero-copy one: results stay encoded, so
 // a warm hit costs no decode and the generator measures the slab path
-// itself instead of its own decode allocations.
+// itself instead of its own decode allocations. Its event ring (nil when
+// it has none) is what Run captures into the report.
 type Server interface {
 	ServeEncoded(ctx context.Context, id string, p core.Params) (serve.RawResponse, error)
+	Events() *obs.Events
 }
 
-// ServerTarget applies load to any Server — how the router is measured
-// like any single engine.
+// ServerTarget applies load to any Server — the one in-process target,
+// and how the router is measured like any single engine.
 type ServerTarget struct {
 	srv   Server
 	name  string
@@ -83,38 +64,16 @@ type ServerTarget struct {
 }
 
 // NewServerTarget wraps a server under a target name for reports
-// ("router", "engine").
-func NewServerTarget(srv Server, name string) *ServerTarget {
-	t := &ServerTarget{srv: srv, name: name}
-	t.init()
-	return t
-}
-
-func (t *ServerTarget) init() {
+// ("engine", "router"). reset drops the cache behind the server (the
+// engine's Reset, or every replica's behind a router) for Reset
+// scenarios; with a nil reset the target cannot reset, and its reports
+// record reset: false as an HTTP target's do.
+func NewServerTarget(srv Server, name string, reset func()) *ServerTarget {
+	t := &ServerTarget{srv: srv, name: name, reset: reset}
 	for _, class := range admit.Classes() {
 		t.classCtx[class] = admit.WithClass(context.Background(), class)
 	}
-}
-
-// WithReset attaches a cache-reset hook (e.g. resetting every replica
-// engine behind a router), making the target satisfy Resetter.
-func (t *ServerTarget) WithReset(reset func()) *ResettableServerTarget {
-	rt := &ResettableServerTarget{ServerTarget: ServerTarget{srv: t.srv, name: t.name, reset: reset}}
-	rt.init()
-	return rt
-}
-
-// ctx returns the request context for a variant: the precomputed
-// per-class context unless a tenant tag forces a derived one.
-func (t *ServerTarget) ctx(v Variant) context.Context {
-	ctx := t.classCtx[v.Class]
-	if ctx == nil { // zero-value ServerTarget (tests)
-		ctx = admit.WithClass(context.Background(), v.Class)
-	}
-	if v.Tenant != "" {
-		ctx = admit.WithTenant(ctx, v.Tenant)
-	}
-	return ctx
+	return t
 }
 
 // Do serves one variant through the server under the variant's class
@@ -122,7 +81,11 @@ func (t *ServerTarget) ctx(v Variant) context.Context {
 // encoded path, so the measured request exercises exactly the bytes-out
 // path the HTTP layer serves.
 func (t *ServerTarget) Do(v Variant) (Outcome, error) {
-	rr, err := t.srv.ServeEncoded(t.ctx(v), v.ID, v.Params)
+	ctx := t.classCtx[v.Class]
+	if v.Tenant != "" {
+		ctx = admit.WithTenant(ctx, v.Tenant)
+	}
+	rr, err := t.srv.ServeEncoded(ctx, v.ID, v.Params)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -131,28 +94,6 @@ func (t *ServerTarget) Do(v Variant) (Outcome, error) {
 
 // Name identifies the target kind.
 func (t *ServerTarget) Name() string { return t.name }
-
-// Events exposes the wrapped server's control-plane event ring when it
-// has one (serve.Engine, router.Router), nil otherwise — how Run
-// captures the controller-decision timeline into the BENCH report.
-func (t *ServerTarget) Events() *obs.Events {
-	if es, ok := t.srv.(interface{ Events() *obs.Events }); ok {
-		return es.Events()
-	}
-	return nil
-}
-
-// EventSource is implemented by targets whose control-plane events can
-// be captured into a Report.
-type EventSource interface {
-	Events() *obs.Events
-}
-
-// ResettableServerTarget is a ServerTarget with a working cache reset.
-type ResettableServerTarget struct{ ServerTarget }
-
-// ResetCache implements Resetter.
-func (t *ResettableServerTarget) ResetCache() { t.reset() }
 
 // HTTPTarget applies load to a live arch21d endpoint via GET /run/{id}.
 type HTTPTarget struct {
@@ -177,18 +118,10 @@ type httpReqTemplate struct {
 	header http.Header
 }
 
-// NewHTTPTarget points at an arch21d base address ("localhost:8021",
-// ":8021", or a full http:// URL).
+// NewHTTPTarget points at an arch21d base address (see httpapi.BaseURL).
 func NewHTTPTarget(addr string) *HTTPTarget {
-	base := strings.TrimSuffix(addr, "/")
-	if strings.HasPrefix(base, ":") {
-		base = "localhost" + base
-	}
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
 	return &HTTPTarget{
-		base: base,
+		base: httpapi.BaseURL(addr),
 		client: &http.Client{
 			Timeout: 2 * time.Minute,
 			// The default transport keeps only 2 idle connections per

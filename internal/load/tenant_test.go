@@ -25,16 +25,16 @@ func TestMultiTenantScenarioFairnessAndBooks(t *testing.T) {
 	if !ok {
 		t.Fatal("multi-tenant scenario missing from catalog")
 	}
-	if len(sc.Tenants) != 3 {
-		t.Fatalf("multi-tenant scenario has %d mixes, want 3", len(sc.Tenants))
+	if len(sc.Groups) != 3 {
+		t.Fatalf("multi-tenant scenario has %d mixes, want 3", len(sc.Groups))
 	}
 	// The offered-load skew under test: anchor's client group must be
 	// 10x tail's.
 	var anchorClients, tailClients int
-	names := make([]string, 0, len(sc.Tenants))
-	for _, tm := range sc.Tenants {
-		names = append(names, tm.Name)
-		switch tm.Name {
+	names := make([]string, 0, len(sc.Groups))
+	for _, tm := range sc.Groups {
+		names = append(names, tm.Tenant)
+		switch tm.Tenant {
 		case "anchor":
 			anchorClients = tm.Clients
 		case "tail":
@@ -59,7 +59,7 @@ func TestMultiTenantScenarioFairnessAndBooks(t *testing.T) {
 	})
 	defer eng.Close()
 
-	rep, err := Run(NewEngineTarget(eng), sc, Options{Duration: 1200 * time.Millisecond})
+	rep, err := Run(engineTarget(eng), sc, Options{Duration: 1200 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

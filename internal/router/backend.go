@@ -126,18 +126,10 @@ type HTTPBackend struct {
 	redials  atomic.Int64
 }
 
-// NewHTTPBackend points at an arch21d base address ("localhost:8021",
-// ":8021", or a full http:// URL).
+// NewHTTPBackend points at an arch21d base address (see httpapi.BaseURL).
 func NewHTTPBackend(addr string) *HTTPBackend {
-	base := strings.TrimSuffix(addr, "/")
-	if strings.HasPrefix(base, ":") {
-		base = "localhost" + base
-	}
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
 	return &HTTPBackend{
-		base: base,
+		base: httpapi.BaseURL(addr),
 		client: &http.Client{
 			// Strictly above the router's per-attempt timeout: the router
 			// must be the layer that abandons a slow attempt (it knows how

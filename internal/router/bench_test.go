@@ -42,7 +42,7 @@ func BenchmarkServeEncodedRoutedWarm(b *testing.B) {
 	}
 	grid := sp.Grid()
 	for _, p := range grid {
-		if _, err := r.ServeWith(context.Background(), "E7", p); err != nil {
+		if _, err := serveDecoded(context.Background(), r, "E7", p); err != nil {
 			b.Fatal(err)
 		}
 	}

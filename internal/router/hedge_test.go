@@ -191,7 +191,7 @@ func TestHedgeFiresOnSlowPrimaryAndBackupWins(t *testing.T) {
 	primeScore(r, 1, 100*time.Microsecond)
 
 	t0 := time.Now()
-	resp, err := r.ServeWith(context.Background(), id, nil)
+	resp, err := serveDecoded(context.Background(), r, id, nil)
 	elapsed := time.Since(t0)
 	if err != nil {
 		t.Fatalf("ServeWith: %v", err)
@@ -232,7 +232,7 @@ func TestHedgeLoserCanceledNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 30; i++ {
 		id := keyOwnedBy(t, r, 0)
-		if _, err := r.ServeWith(context.Background(), id, core.Params{}); err != nil {
+		if _, err := serveDecoded(context.Background(), r, id, core.Params{}); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
@@ -282,7 +282,7 @@ func Test4xxNeverHedged(t *testing.T) {
 	primeScore(r, 1, 100*time.Microsecond)
 	id := keyOwnedBy(t, r, 0)
 
-	_, err = r.ServeWith(context.Background(), id, nil)
+	_, err = serveDecoded(context.Background(), r, id, nil)
 	if !errors.Is(err, serve.ErrUnknownExperiment) {
 		t.Fatalf("want the replica's 4xx verdict back, got %v", err)
 	}
@@ -305,7 +305,7 @@ func TestDisableHedgeHonored(t *testing.T) {
 	primeScore(r, 0, 100*time.Microsecond)
 	primeScore(r, 1, 100*time.Microsecond)
 	t0 := time.Now()
-	if _, err := r.ServeWith(context.Background(), id, nil); err != nil {
+	if _, err := serveDecoded(context.Background(), r, id, nil); err != nil {
 		t.Fatalf("ServeWith: %v", err)
 	}
 	if elapsed := time.Since(t0); elapsed < 30*time.Millisecond {
@@ -322,7 +322,7 @@ func TestHedgeSkippedDuringWarmup(t *testing.T) {
 	r, faults := newHedgeCluster(t, 2, Config{})
 	id := keyOwnedBy(t, r, 0)
 	faults[0].Degrade(20 * time.Millisecond)
-	if _, err := r.ServeWith(context.Background(), id, nil); err != nil {
+	if _, err := serveDecoded(context.Background(), r, id, nil); err != nil {
 		t.Fatalf("ServeWith: %v", err)
 	}
 	if m := r.Metrics(); m.Hedges != 0 {

@@ -30,7 +30,7 @@ func TestRouterMetricsExpositionClean(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 12; i++ {
-		if _, err := r.Serve(fmt.Sprintf("E%d", 1+i%3)); err != nil {
+		if _, err := serveDecoded(context.Background(), r, fmt.Sprintf("E%d", 1+i%3), nil); err != nil {
 			t.Fatalf("serve: %v", err)
 		}
 	}
@@ -220,7 +220,7 @@ func TestRouterConcurrentScrapeServeControl(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				ctx := admit.WithClass(context.Background(), admit.Interactive)
-				_, _ = r.ServeWith(ctx, fmt.Sprintf("E%d", 1+(g+i)%3), core.Params{})
+				_, _ = serveDecoded(ctx, r, fmt.Sprintf("E%d", 1+(g+i)%3), core.Params{})
 			}
 		}(g)
 	}

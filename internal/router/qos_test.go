@@ -96,7 +96,7 @@ func TestRouterDeadlineShedDoesNotFailOver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = r.ServeWith(context.Background(), "E1", nil)
+	_, err = serveDecoded(context.Background(), r, "E1", nil)
 	if !errors.Is(err, admit.ErrShed) {
 		t.Fatalf("ServeWith = %v, want the shed error", err)
 	}
@@ -148,7 +148,7 @@ func TestRouterQueueFullShedFailsOverWithoutEjection(t *testing.T) {
 	// Hammer well past FailThreshold: every attempt sheds, the request
 	// fails over once, and NOBODY gets ejected.
 	for i := 0; i < 10; i++ {
-		_, err := r.ServeWith(context.Background(), "E1", nil)
+		_, err := serveDecoded(context.Background(), r, "E1", nil)
 		if !errors.Is(err, admit.ErrShed) {
 			t.Fatalf("ServeWith = %v, want wrapped shed", err)
 		}

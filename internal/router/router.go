@@ -271,16 +271,6 @@ func (r *Router) ServeEncoded(ctx context.Context, id string, p core.Params) (se
 	return out.RawResponse, out.Err
 }
 
-// ServeWith is ServeEncoded with the winning payload decoded once at the
-// edge.
-func (r *Router) ServeWith(ctx context.Context, id string, p core.Params) (serve.Response, error) {
-	rr, err := r.ServeEncoded(ctx, id, p)
-	if err != nil {
-		return serve.Response{}, err
-	}
-	return decodeResponse(rr)
-}
-
 // itemOf is the frame entry of an interned request served under class.
 func itemOf(ident *serve.Identity, class admit.Class) serve.BatchItem {
 	return serve.BatchItem{ID: ident.ID(), Params: ident.Params(), Class: class, Ident: ident}
@@ -391,11 +381,6 @@ func (r *Router) serveInline(ctx context.Context, b int, it serve.BatchItem) ser
 	*f = frameOfOne{}
 	framePool.Put(f)
 	return out
-}
-
-// Serve routes a default-parameter interactive request.
-func (r *Router) Serve(id string) (serve.Response, error) {
-	return r.ServeWith(context.Background(), id, nil)
 }
 
 // exchange ships one frame to backend b — a pre-assembled owner group

@@ -34,7 +34,7 @@ func fakeResult(id string) core.Result {
 func newTestEngine(t *testing.T) *serve.Engine {
 	t.Helper()
 	e := serve.NewEngine(serve.Config{Shards: 4, Workers: 2,
-		Runner: func(id string) (core.Result, error) { return fakeResult(id), nil }})
+		RunnerWith: func(_ context.Context, id string, _ core.Params) (core.Result, error) { return fakeResult(id), nil }})
 	t.Cleanup(e.Close)
 	return e
 }
@@ -73,6 +73,16 @@ func serveOne(ctx context.Context, b Backend, id string, p core.Params) (serve.R
 		return serve.Response{}, err
 	}
 	return decodeResponse(outs[0].RawResponse)
+}
+
+// serveDecoded routes one request through ServeEncoded and decodes the
+// winning payload, as a client at the edge would.
+func serveDecoded(ctx context.Context, r *Router, id string, p core.Params) (serve.Response, error) {
+	rr, err := r.ServeEncoded(ctx, id, p)
+	if err != nil {
+		return serve.Response{}, err
+	}
+	return decodeResponse(rr)
 }
 
 // flakyBackend wraps an inner backend with injectable faults: fail the
@@ -173,14 +183,14 @@ func newTestCluster(t *testing.T, n int, cfg Config) (*Router, []*flakyBackend, 
 
 func TestRouterPlacementIsStableAndMemoizes(t *testing.T) {
 	r, flakies, _ := newTestCluster(t, 3, Config{})
-	resp1, err := r.Serve("X1")
+	resp1, err := serveDecoded(context.Background(), r, "X1", nil)
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
 	if resp1.CacheHit {
 		t.Fatal("first routed serve should be cold")
 	}
-	resp2, err := r.Serve("X1")
+	resp2, err := serveDecoded(context.Background(), r, "X1", nil)
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
@@ -233,7 +243,7 @@ func TestFailoverServesFromSuccessor(t *testing.T) {
 	r, flakies, _ := newTestCluster(t, 3, Config{FailThreshold: 100})
 	owner := r.Owner(RouteKey("X1", nil))
 	flakies[owner].failN(1)
-	resp, err := r.Serve("X1")
+	resp, err := serveDecoded(context.Background(), r, "X1", nil)
 	if err != nil {
 		t.Fatalf("Serve with failing owner: %v", err)
 	}
@@ -253,7 +263,7 @@ func TestEjectionStopsTrafficAndProbeReadmits(t *testing.T) {
 
 	// Three failed requests eject the owner.
 	for i := 0; i < 3; i++ {
-		if _, err := r.Serve("X1"); err != nil {
+		if _, err := serveDecoded(context.Background(), r, "X1", nil); err != nil {
 			t.Fatalf("failover should mask the flaky owner: %v", err)
 		}
 	}
@@ -265,7 +275,7 @@ func TestEjectionStopsTrafficAndProbeReadmits(t *testing.T) {
 	// traffic at all.
 	before := flakies[owner].calls.Load()
 	for i := 0; i < 5; i++ {
-		if _, err := r.Serve("X1"); err != nil {
+		if _, err := serveDecoded(context.Background(), r, "X1", nil); err != nil {
 			t.Fatalf("Serve during ejection: %v", err)
 		}
 	}
@@ -276,7 +286,7 @@ func TestEjectionStopsTrafficAndProbeReadmits(t *testing.T) {
 	// Past the probe window with the backend still down: one Check, still
 	// dark.
 	*now = now.Add(2 * time.Second)
-	if _, err := r.Serve("X1"); err != nil {
+	if _, err := serveDecoded(context.Background(), r, "X1", nil); err != nil {
 		t.Fatalf("Serve during failed probe: %v", err)
 	}
 	if flakies[owner].checks.Load() == 0 {
@@ -290,14 +300,14 @@ func TestEjectionStopsTrafficAndProbeReadmits(t *testing.T) {
 	flakies[owner].setDown(false)
 	flakies[owner].failN(0)
 	*now = now.Add(2 * time.Second)
-	if _, err := r.Serve("X1"); err != nil {
+	if _, err := serveDecoded(context.Background(), r, "X1", nil); err != nil {
 		t.Fatalf("Serve after recovery: %v", err)
 	}
 	if r.Metrics().Health[owner].Ejected {
 		t.Fatal("successful probe should re-admit")
 	}
 	before = flakies[owner].calls.Load()
-	if _, err := r.Serve("X1"); err != nil {
+	if _, err := serveDecoded(context.Background(), r, "X1", nil); err != nil {
 		t.Fatalf("Serve after re-admission: %v", err)
 	}
 	if flakies[owner].calls.Load() != before+1 {
@@ -315,7 +325,7 @@ func TestHardHangTimesOutAndFailsOver(t *testing.T) {
 	defer close(hang)
 
 	t0 := time.Now()
-	resp, err := r.Serve("X1")
+	resp, err := serveDecoded(context.Background(), r, "X1", nil)
 	if err != nil {
 		t.Fatalf("Serve with hung owner: %v", err)
 	}
@@ -331,7 +341,7 @@ func TestHardHangTimesOutAndFailsOver(t *testing.T) {
 	// Subsequent requests to the same key skip the wedged owner without
 	// waiting out the timeout.
 	t0 = time.Now()
-	if _, err := r.Serve("X1"); err != nil {
+	if _, err := serveDecoded(context.Background(), r, "X1", nil); err != nil {
 		t.Fatalf("Serve after ejection: %v", err)
 	}
 	if el := time.Since(t0); el > time.Second {
@@ -343,7 +353,7 @@ func TestClientErrorsDoNotFailOverOrEject(t *testing.T) {
 	r, flakies, _ := newTestCluster(t, 2, Config{FailThreshold: 1})
 	// Unknown param against a registered zero-param fake runner: the
 	// engine resolves against the core registry, which errors.
-	_, err := r.ServeWith(context.Background(), "E7", core.Params{"nope": 1})
+	_, err := serveDecoded(context.Background(), r, "E7", core.Params{"nope": 1})
 	if err == nil {
 		t.Fatal("bad params should error")
 	}
@@ -367,7 +377,7 @@ func TestAllBackendsFailingExhaustsWithError(t *testing.T) {
 	for _, f := range flakies {
 		f.failN(1000)
 	}
-	_, err := r.Serve("X1")
+	_, err := serveDecoded(context.Background(), r, "X1", nil)
 	if err == nil {
 		t.Fatal("all-failing cluster should error")
 	}
@@ -380,8 +390,8 @@ func TestAllBackendsFailingExhaustsWithError(t *testing.T) {
 		f.failN(1000)
 		f.setDown(true)
 	}
-	_, _ = r2.Serve("X1")
-	_, err = r2.Serve("X1")
+	_, _ = serveDecoded(context.Background(), r2, "X1", nil)
+	_, err = serveDecoded(context.Background(), r2, "X1", nil)
 	if !errors.Is(err, ErrNoBackends) {
 		t.Fatalf("want ErrNoBackends once every replica is ejected, got %v", err)
 	}
@@ -396,7 +406,7 @@ func TestErrorRateIsMaskedByRetries(t *testing.T) {
 	flakies[1].errRate = 0.3
 	flakies[1].mu.Unlock()
 	for i := 0; i < 200; i++ {
-		if _, err := r.ServeWith(context.Background(), fmt.Sprintf("X%d", i%17), nil); err != nil {
+		if _, err := serveDecoded(context.Background(), r, fmt.Sprintf("X%d", i%17), nil); err != nil {
 			t.Fatalf("request %d escaped the retry mask: %v", i, err)
 		}
 		*now = now.Add(time.Millisecond)
@@ -412,7 +422,7 @@ func TestLatencySpikeDoesNotFailRequests(t *testing.T) {
 	flakies[1].latency = 20 * time.Millisecond
 	flakies[1].mu.Unlock()
 	for i := 0; i < 5; i++ {
-		if _, err := r.ServeWith(context.Background(), fmt.Sprintf("S%d", i), nil); err != nil {
+		if _, err := serveDecoded(context.Background(), r, fmt.Sprintf("S%d", i), nil); err != nil {
 			t.Fatalf("slow-but-alive backend failed request: %v", err)
 		}
 	}
@@ -439,7 +449,7 @@ func TestHTTPBackendFailoverEjectionReadmission(t *testing.T) {
 	// path is exercised over the wire.
 	newEng := func() *serve.Engine {
 		e := serve.NewEngine(serve.Config{Shards: 4, Workers: 2,
-			Runner: func(id string) (core.Result, error) {
+			RunnerWith: func(_ context.Context, id string, _ core.Params) (core.Result, error) {
 				if len(id) >= 4 && id[:4] == "NOPE" {
 					return core.Result{}, fmt.Errorf("%w %q", serve.ErrUnknownExperiment, id)
 				}
@@ -474,7 +484,7 @@ func TestHTTPBackendFailoverEjectionReadmission(t *testing.T) {
 
 	fl.fail.Store(true)
 	for i := 0; i < 2; i++ {
-		if _, err := r.Serve(key); err != nil {
+		if _, err := serveDecoded(context.Background(), r, key, nil); err != nil {
 			t.Fatalf("failover over HTTP: %v", err)
 		}
 	}
@@ -485,7 +495,7 @@ func TestHTTPBackendFailoverEjectionReadmission(t *testing.T) {
 	// Recovery: probe /healthz re-admits.
 	fl.fail.Store(false)
 	now = now.Add(2 * time.Second)
-	if _, err := r.Serve(key); err != nil {
+	if _, err := serveDecoded(context.Background(), r, key, nil); err != nil {
 		t.Fatalf("Serve after HTTP recovery: %v", err)
 	}
 	if r.Metrics().Health[0].Ejected {
@@ -494,7 +504,7 @@ func TestHTTPBackendFailoverEjectionReadmission(t *testing.T) {
 
 	// A 404 from the replica is the caller's fault: surfaced as-is, no
 	// ejection.
-	if _, err := r.Serve("NOPE-unregistered"); err == nil {
+	if _, err := serveDecoded(context.Background(), r, "NOPE-unregistered", nil); err == nil {
 		t.Fatal("unknown experiment over HTTP should error")
 	} else if !isHTTPClientError(err) {
 		t.Fatalf("404 should surface as a client error, got %v", err)

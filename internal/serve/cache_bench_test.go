@@ -100,9 +100,9 @@ var benchHotIDs = func() []string {
 // bootBenchEngine is what a serving process does before its first
 // request: build the engine and fill the hot set.
 func bootBenchEngine(tb testing.TB) *Engine {
-	e := NewEngine(Config{Shards: 16, Workers: 2, Runner: func(id string) (core.Result, error) {
+	e := NewEngine(Config{Shards: 16, Workers: 2, RunnerWith: byID(func(id string) (core.Result, error) {
 		return fakeResult(id), nil
-	}})
+	})})
 	for _, id := range benchHotIDs {
 		if _, err := e.ServeEncoded(context.Background(), id, nil); err != nil {
 			tb.Fatal(err)

@@ -433,7 +433,7 @@ func TestWarmHitReadsSlabClockOnlyForTTL(t *testing.T) {
 		ttl  time.Duration
 		want int
 	}{{0, 0}, {time.Hour, 1}} {
-		e := NewEngine(Config{TTL: tc.ttl, Runner: func(id string) (core.Result, error) { return fakeResult(id), nil }})
+		e := NewEngine(Config{TTL: tc.ttl, RunnerWith: byID(func(id string) (core.Result, error) { return fakeResult(id), nil })})
 		if _, err := e.Serve("X"); err != nil {
 			t.Fatal(err)
 		}

@@ -60,13 +60,9 @@ type Config struct {
 	BatchRate float64
 	// BatchBurst is the token bucket depth (default max(1, Workers)).
 	BatchBurst float64
-	// Runner executes one experiment by ID at its default parameters.
-	// Defaults to the core registry; injectable for tests.
-	Runner func(id string) (core.Result, error)
 	// RunnerWith executes one experiment under a resolved parameter
 	// assignment, honoring ctx cancellation. Defaults to the core
-	// registry's RunWith (or to Runner, ignoring params and ctx, when
-	// only Runner is injected); injectable for tests. Parameters still
+	// registry's RunWith; injectable for tests. Parameters still
 	// resolve against the core registry, so an ID only a runner knows
 	// fails with ErrUnknownExperiment as soon as params are passed.
 	RunnerWith func(ctx context.Context, id string, p core.Params) (core.Result, error)
@@ -258,14 +254,7 @@ func NewEngine(cfg Config) *Engine {
 	}
 	run := cfg.RunnerWith
 	if run == nil {
-		if cfg.Runner != nil {
-			runner := cfg.Runner
-			run = func(_ context.Context, id string, _ core.Params) (core.Result, error) {
-				return runner(id)
-			}
-		} else {
-			run = runRegistry
-		}
+		run = runRegistry
 	}
 	e := &Engine{
 		cache: NewCacheSized(cfg.Shards, cfg.TTL, cfg.CacheBytes, cfg.CachePolicy),

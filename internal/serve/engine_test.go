@@ -20,8 +20,14 @@ func fakeResult(id string) core.Result {
 	return core.Result{Table: t, Findings: []string{"finding for " + id}}
 }
 
+// byID adapts a runner of default-parameter experiments to
+// Config.RunnerWith, ignoring params and ctx.
+func byID(run func(id string) (core.Result, error)) func(context.Context, string, core.Params) (core.Result, error) {
+	return func(_ context.Context, id string, _ core.Params) (core.Result, error) { return run(id) }
+}
+
 func newTestEngine(runner func(string) (core.Result, error)) *Engine {
-	return NewEngine(Config{Shards: 4, Workers: 2, Runner: runner})
+	return NewEngine(Config{Shards: 4, Workers: 2, RunnerWith: byID(runner)})
 }
 
 func TestEngineServeAndMemoize(t *testing.T) {
@@ -149,12 +155,12 @@ func TestEngineSingleflight(t *testing.T) {
 func TestEngineConcurrentDistinctIDs(t *testing.T) {
 	var mu sync.Mutex
 	runs := map[string]int{}
-	e := NewEngine(Config{Shards: 8, Workers: 4, Runner: func(id string) (core.Result, error) {
+	e := NewEngine(Config{Shards: 8, Workers: 4, RunnerWith: byID(func(id string) (core.Result, error) {
 		mu.Lock()
 		runs[id]++
 		mu.Unlock()
 		return fakeResult(id), nil
-	}})
+	})})
 	defer e.Close()
 
 	const ids, per = 10, 20

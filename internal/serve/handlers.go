@@ -198,16 +198,6 @@ func (e *Engine) writeRunJSON(w http.ResponseWriter, rr RawResponse) {
 	httpapi.PutBuffer(buf)
 }
 
-// WriteShedHeaders maps an admission error onto the HTTP response: 503
-// queue_full for a full queue, 429 deadline_unmeetable for a deadline
-// the projected wait cannot meet — both with a Retry-After hint (whole
-// seconds, minimum 1) — and 504 deadline_exceeded for a request whose
-// own deadline expired in flight, all in the shared envelope. It reports
-// whether err was a QoS outcome it handled.
-func WriteShedHeaders(w http.ResponseWriter, err error) bool {
-	return httpapi.WriteQoSError(w, err)
-}
-
 // Handler returns the engine's HTTP API, every route mounted under /v1
 // with the unversioned path kept as a legacy alias.
 func (e *Engine) Handler() http.Handler {
@@ -309,7 +299,7 @@ func (e *Engine) Handler() http.Handler {
 // their dedicated statuses (503/429/504 + Retry-After), unknown IDs 404,
 // bad params 400, everything else 500 — all in the shared envelope.
 func writeRunError(w http.ResponseWriter, err error) {
-	if WriteShedHeaders(w, err) {
+	if httpapi.WriteQoSError(w, err) {
 		return
 	}
 	status, code := http.StatusInternalServerError, httpapi.CodeInternal

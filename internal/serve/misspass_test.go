@@ -169,7 +169,7 @@ func TestMissPassDedupesARepeatedKey(t *testing.T) {
 // A frame of mixed classes books each item under its own class, whatever
 // class the call's context carries.
 func TestMissPassBooksEachItemUnderItsClass(t *testing.T) {
-	e := NewEngine(Config{Shards: 4, Workers: 2, Runner: func(id string) (core.Result, error) { return fakeResult(id), nil }})
+	e := NewEngine(Config{Shards: 4, Workers: 2, RunnerWith: byID(func(id string) (core.Result, error) { return fakeResult(id), nil })})
 	defer e.Close()
 	items := coldItems(10, admit.Batch)
 	for i := 0; i < 10; i += 3 { // items 0, 3, 6, 9
@@ -224,12 +224,12 @@ func TestMissPassCancelShedsWhatHasNotStarted(t *testing.T) {
 
 // A runner that panics fails its own item and nothing else.
 func TestMissPassPanicFailsOneItem(t *testing.T) {
-	e := NewEngine(Config{Shards: 4, Workers: 2, Runner: func(id string) (core.Result, error) {
+	e := NewEngine(Config{Shards: 4, Workers: 2, RunnerWith: byID(func(id string) (core.Result, error) {
 		if id == "K2" {
 			panic("model blew up")
 		}
 		return fakeResult(id), nil
-	}})
+	})})
 	defer e.Close()
 	for i, o := range e.ServeEncodedBatch(context.Background(), coldItems(5, admit.Interactive)) {
 		if bad := i == 2; (o.Err != nil) != bad || bad && !strings.Contains(o.Err.Error(), "model blew up") {

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/admit"
 	"repro/internal/core"
+	"repro/internal/httpapi"
 )
 
 // slowRunner sleeps for d per execution, honoring ctx.
@@ -381,8 +382,8 @@ func TestTakeClassWindowLosesNothing(t *testing.T) {
 	}
 }
 
-// WriteShedHeaders maps every QoS outcome; non-QoS errors are left for
-// the caller.
+// httpapi.WriteQoSError, what writeRunError answers sheds with, maps
+// every QoS outcome; non-QoS errors are left for the caller.
 func TestWriteShedHeadersMapping(t *testing.T) {
 	cases := []struct {
 		err        error
@@ -396,21 +397,21 @@ func TestWriteShedHeadersMapping(t *testing.T) {
 	}
 	for _, c := range cases {
 		rec := httptest.NewRecorder()
-		if !WriteShedHeaders(rec, c.err) {
-			t.Fatalf("WriteShedHeaders(%v) = false", c.err)
+		if !httpapi.WriteQoSError(rec, c.err) {
+			t.Fatalf("httpapi.WriteQoSError(%v) = false", c.err)
 		}
 		if rec.Code != c.wantStatus {
-			t.Fatalf("WriteShedHeaders(%v) status = %d, want %d", c.err, rec.Code, c.wantStatus)
+			t.Fatalf("httpapi.WriteQoSError(%v) status = %d, want %d", c.err, rec.Code, c.wantStatus)
 		}
 		if c.retryAfter && rec.Header().Get("Retry-After") == "" {
-			t.Fatalf("WriteShedHeaders(%v): no Retry-After", c.err)
+			t.Fatalf("httpapi.WriteQoSError(%v): no Retry-After", c.err)
 		}
 	}
 	rec := httptest.NewRecorder()
-	if WriteShedHeaders(rec, errors.New("boom")) {
-		t.Fatal("WriteShedHeaders claimed a non-QoS error")
+	if httpapi.WriteQoSError(rec, errors.New("boom")) {
+		t.Fatal("httpapi.WriteQoSError claimed a non-QoS error")
 	}
-	if WriteShedHeaders(httptest.NewRecorder(), ErrUnknownExperiment) {
-		t.Fatal("WriteShedHeaders claimed ErrUnknownExperiment")
+	if httpapi.WriteQoSError(httptest.NewRecorder(), ErrUnknownExperiment) {
+		t.Fatal("httpapi.WriteQoSError claimed ErrUnknownExperiment")
 	}
 }

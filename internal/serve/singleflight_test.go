@@ -78,7 +78,7 @@ func TestEnginePanickingRunRegression(t *testing.T) {
 	calls := 0
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	e := NewEngine(Config{Shards: 4, Workers: 2, Runner: func(id string) (core.Result, error) {
+	e := NewEngine(Config{Shards: 4, Workers: 2, RunnerWith: byID(func(id string) (core.Result, error) {
 		mu.Lock()
 		calls++
 		first := calls == 1
@@ -89,7 +89,7 @@ func TestEnginePanickingRunRegression(t *testing.T) {
 			panic("bad experiment state")
 		}
 		return fakeResult(id), nil
-	}})
+	})})
 	defer e.Close()
 
 	const callers = 4

@@ -27,12 +27,12 @@ func snapResult(id string) core.Result {
 
 func newSnapEngine(path string, runs *atomic.Int64) *Engine {
 	return NewEngine(Config{Shards: 4, Workers: 2, SnapshotPath: path,
-		Runner: func(id string) (core.Result, error) {
+		RunnerWith: byID(func(id string) (core.Result, error) {
 			if runs != nil {
 				runs.Add(1)
 			}
 			return snapResult(id), nil
-		}})
+		})})
 }
 
 func TestSnapshotCodecRoundTrip(t *testing.T) {
@@ -220,10 +220,10 @@ func TestSnapshotPreservesTTLAgeAcrossRestart(t *testing.T) {
 	mk := func() *Engine {
 		return NewEngine(Config{Shards: 4, Workers: 2, TTL: 50 * time.Millisecond,
 			SnapshotPath: path,
-			Runner: func(id string) (core.Result, error) {
+			RunnerWith: byID(func(id string) (core.Result, error) {
 				runs.Add(1)
 				return snapResult(id), nil
-			}})
+			})})
 	}
 	e := mk()
 	if _, err := e.Serve("X1"); err != nil {

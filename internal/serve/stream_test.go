@@ -129,7 +129,7 @@ func (g *gateRunner) run(ctx context.Context, id string, _ core.Params) (core.Re
 // timeout: arch21d runs with one, and the deadline it armed for the
 // upgrade request would otherwise kill the stream that long after.
 func TestStreamOutlivesServerReadTimeout(t *testing.T) {
-	e := NewEngine(Config{Shards: 4, Workers: 2, Runner: func(id string) (core.Result, error) { return fakeResult(id), nil }})
+	e := NewEngine(Config{Shards: 4, Workers: 2, RunnerWith: byID(func(id string) (core.Result, error) { return fakeResult(id), nil })})
 	defer e.Close()
 	srv := httptest.NewUnstartedServer(e.Handler())
 	srv.Config.ReadTimeout = 50 * time.Millisecond
@@ -150,7 +150,7 @@ func TestStreamOutlivesServerReadTimeout(t *testing.T) {
 // allocated for it; a malformed envelope or frame answers a whole-frame
 // error and leaves the connection up.
 func TestStreamRejectsOversizeAndMalformed(t *testing.T) {
-	e := NewEngine(Config{Shards: 4, Workers: 2, Runner: func(id string) (core.Result, error) { return fakeResult(id), nil }})
+	e := NewEngine(Config{Shards: 4, Workers: 2, RunnerWith: byID(func(id string) (core.Result, error) { return fakeResult(id), nil })})
 	defer e.Close()
 	srv := httptest.NewServer(e.Handler())
 	defer srv.Close()

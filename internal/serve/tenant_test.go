@@ -18,10 +18,10 @@ import (
 
 func newTenantEngine(tenants ...string) *Engine {
 	return NewEngine(Config{
-		Shards:  4,
-		Workers: 2,
-		Tenants: tenants,
-		Runner:  func(id string) (core.Result, error) { return fakeResult(id), nil },
+		Shards:     4,
+		Workers:    2,
+		Tenants:    tenants,
+		RunnerWith: byID(func(id string) (core.Result, error) { return fakeResult(id), nil }),
 	})
 }
 
@@ -168,7 +168,7 @@ func TestBadTenantVocabularyPanics(t *testing.T) {
 				}
 			}()
 			NewEngine(Config{Workers: 1, Tenants: bad,
-				Runner: func(id string) (core.Result, error) { return fakeResult(id), nil }}).Close()
+				RunnerWith: byID(func(id string) (core.Result, error) { return fakeResult(id), nil })}).Close()
 		}()
 	}
 }
