@@ -24,5 +24,5 @@ func main() {
 		fmt.Printf("paper claim: %s\n\n", e.PaperClaim)
 		fmt.Println(res.Render())
 	}
-	fmt.Println("Run `go run ./cmd/arch21 list` to see all twenty experiments.")
+	fmt.Printf("Run `go run ./cmd/arch21 list` to see all %d experiments.\n", len(core.Registry()))
 }

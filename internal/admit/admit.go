@@ -46,8 +46,8 @@ const (
 	numClasses = 2
 )
 
-// Classes lists every class, in priority order. The docs-drift gate pins
-// DESIGN.md §8 to exactly this list.
+// Classes lists every class, in priority order. `make docs-check` fails
+// when DESIGN.md §8 misses one.
 func Classes() []Class { return []Class{Interactive, Batch} }
 
 // String names the class as it appears in headers, flags, and /stats.
@@ -127,8 +127,8 @@ const (
 	SharedFIFO
 )
 
-// Policies lists every policy. The docs-drift gate pins DESIGN.md §8 to
-// exactly this list.
+// Policies lists every policy. `make docs-check` fails when DESIGN.md §8
+// misses one.
 func Policies() []Policy { return []Policy{StrictPriority, SharedFIFO} }
 
 // String names the policy.

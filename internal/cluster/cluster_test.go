@@ -196,4 +196,10 @@ func TestDefaultLeafShape(t *testing.T) {
 	if ratio < 3 {
 		t.Fatalf("p99/p50 = %v, want heavy tail", ratio)
 	}
+	// Quantile is the exact inverse of the closed-form CDF.
+	for _, p := range []float64{0.5, 0.95, 0.99, 0.999} {
+		if got := leaf.CDF(leaf.Quantile(p)); math.Abs(got-p) > 1e-9 {
+			t.Errorf("CDF(Quantile(%v)) = %v", p, got)
+		}
+	}
 }

@@ -64,7 +64,7 @@ func (r Result) Render() string {
 
 // Experiment is one registered paper-claim reproduction.
 type Experiment struct {
-	// ID is the experiment key (E1..E18, T1, T2).
+	// ID is the experiment key (E1..E23, T1, T2).
 	ID string
 	// Title summarizes the experiment.
 	Title string
@@ -118,7 +118,7 @@ func (e Experiment) defaultRun() func(context.Context) Result {
 	return func(ctx context.Context) Result { return runP(ctx, defaults()) }
 }
 
-// Registry returns all experiments sorted by ID (E1..E18 numerically, then
+// Registry returns all experiments sorted by ID (E1..E23 numerically, then
 // T1, T2).
 func Registry() []Experiment {
 	out := make([]Experiment, 0, len(registry))

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/multicore"
@@ -41,12 +43,22 @@ func TestByID(t *testing.T) {
 	}
 }
 
+// defaultResults runs every experiment once at its defaults. The tests
+// that only read a default Result share this one pass.
+var defaultResults = sync.OnceValue(func() map[string]Result {
+	out := map[string]Result{}
+	for _, e := range Registry() {
+		out[e.ID] = e.Run(context.Background())
+	}
+	return out
+})
+
 // Every experiment runs, produces output, and produces findings.
 func TestAllExperimentsRun(t *testing.T) {
 	for _, e := range Registry() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			res := e.Run(context.Background())
+			res := defaultResults()[e.ID]
 			if res.Table == nil && res.Figure == nil {
 				t.Fatal("no table or figure")
 			}
@@ -61,11 +73,12 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 }
 
-// Experiments are deterministic: two runs render identically.
+// Experiments are deterministic: a fresh run renders what the shared
+// pass rendered.
 func TestExperimentsDeterministic(t *testing.T) {
 	for _, id := range []string{"E2", "E3", "E9", "E12", "E15"} {
 		e, _ := ByID(id)
-		a := e.Run(context.Background()).Render()
+		a := defaultResults()[id].Render()
 		b := e.Run(context.Background()).Render()
 		if a != b {
 			t.Fatalf("%s renders differ across runs", id)
@@ -75,18 +88,15 @@ func TestExperimentsDeterministic(t *testing.T) {
 
 // Spot-check the headline numbers against the paper's claims.
 func TestHeadlineClaims(t *testing.T) {
-	e3, _ := ByID("E3")
-	out := e3.Run(context.Background()).Render()
+	out := defaultResults()["E3"].Render()
 	if !strings.Contains(out, "63.") {
 		t.Errorf("E3 should report ~63%%: %s", out)
 	}
-	e2, _ := ByID("E2")
-	out2 := e2.Run(context.Background()).Render()
+	out2 := defaultResults()["E2"].Render()
 	if !strings.Contains(out2, "architecture") {
 		t.Errorf("E2 missing architecture row")
 	}
-	e1, _ := ByID("E1")
-	out1 := e1.Run(context.Background()).Render()
+	out1 := defaultResults()["E1"].Render()
 	if !strings.Contains(out1, "64") { // 2^6 transistors at gen 6
 		t.Errorf("E1 should show 64x transistors: %s", out1)
 	}
@@ -97,9 +107,16 @@ func TestRunAll(t *testing.T) {
 	if len(outs) != len(Registry()) {
 		t.Fatalf("RunAll produced %d outputs", len(outs))
 	}
-	for _, o := range outs {
-		if !strings.Contains(o, "claim:") {
-			t.Fatal("output missing claim line")
+	for i, e := range Registry() {
+		head := fmt.Sprintf("=== %s: %s\nclaim: %s\n", e.ID, e.Title, e.PaperClaim)
+		body := defaultResults()[e.ID].Render()
+		if e.ID == "E19" {
+			// E19 reports wall-clock throughput, so only its header
+			// repeats from run to run.
+			body = strings.TrimPrefix(outs[i], head)
+		}
+		if outs[i] != head+body {
+			t.Errorf("RunAll's %s output is not its header plus its default run", e.ID)
 		}
 	}
 }

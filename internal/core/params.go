@@ -85,8 +85,8 @@ func (s ParamSpec) Check(v float64) error {
 
 // String renders the spec compactly, e.g. "gens:int[1..12]=6" (stepped
 // ranges read "n:int[32..256/32]=96"). DESIGN.md's per-experiment index
-// embeds exactly this form, and the docs-drift test asserts it, so
-// changing the format is a docs change too.
+// is generated with exactly this form, so changing the format changes
+// that block too.
 func (s ParamSpec) String() string {
 	rng := fmt.Sprintf("[%s..%s]", FormatParamValue(s.Min), FormatParamValue(s.Max))
 	if s.Step > 0 {

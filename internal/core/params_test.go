@@ -141,7 +141,7 @@ func TestRunWithDefaultsMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("RunWith(defaults): %v", err)
 			}
-			if res.Render() != e.Run(context.Background()).Render() {
+			if res.Render() != defaultResults()[e.ID].Render() {
 				t.Fatal("RunWith(defaults) differs from Run()")
 			}
 		})

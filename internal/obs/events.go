@@ -11,8 +11,8 @@ import (
 	"repro/internal/httpapi"
 )
 
-// Event types the serving stack records. The docs-drift gate pins
-// DESIGN.md §9's event-schema table to exactly this list.
+// Event types the serving stack records. DESIGN.md §9's list of event
+// types is generated from EventTypes.
 const (
 	// EventController is one QoS feedback-controller decision: labels
 	// action=halve|reclaim|hold, data rate_before/rate_after/p99/slo.

@@ -16,7 +16,6 @@ import (
 	"io"
 	"net/http"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -151,21 +150,8 @@ func (r *Registry) Histogram(name, help string, labels []string, fn func() []His
 	r.register(&metric{name: name, help: help, typ: TypeHistogram, labels: labels, collectH: fn})
 }
 
-// Names returns every registered family name, sorted — what the
-// docs-drift gate pins DESIGN.md §9's metric table to.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.metrics))
-	for _, m := range r.metrics {
-		names = append(names, m.name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Families returns (name, type, help, labels) rows in registration
-// order, for documentation generators and tests.
+// Family is one registered family's (name, type, help, labels) row;
+// DESIGN.md §9's metric table is generated from them.
 type Family struct {
 	Name   string
 	Type   MetricType

@@ -102,21 +102,45 @@ func DecodeSnapshot(buf []byte) ([]KV, error) {
 
 // WriteSnapshotFile writes entries atomically (temp file + rename), so a
 // crash mid-write leaves the previous snapshot intact rather than a torn
-// one.
+// one. The temp file is synced before the rename and the directory after
+// it, so a crash after the rename cannot leave an empty file in place.
 func WriteSnapshotFile(path string, kvs []KV) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".snap-*")
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, ".snap-*")
 	if err != nil {
 		return fmt.Errorf("serve: snapshot: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(EncodeSnapshot(kvs)); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(EncodeSnapshot(kvs))
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err == nil {
+		err = syncDir(dir)
+	}
+	if err != nil {
 		return fmt.Errorf("serve: snapshot: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("serve: snapshot: %w", err)
+	return nil
+}
+
+// syncDir makes a rename inside dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // ReadSnapshotFile loads a snapshot file. A missing file is (nil, nil) —

@@ -14,6 +14,8 @@ type Dist interface {
 	Mean() float64
 	// Quantile returns the value at cumulative probability p in (0,1).
 	Quantile(p float64) float64
+	// CDF returns P(X <= x), the inverse of Quantile.
+	CDF(x float64) float64
 	// String describes the distribution and its parameters.
 	String() string
 }
@@ -30,6 +32,14 @@ func (c Constant) Mean() float64 { return c.V }
 // Quantile implements Dist.
 func (c Constant) Quantile(float64) float64 { return c.V }
 
+// CDF implements Dist.
+func (c Constant) CDF(x float64) float64 {
+	if x < c.V {
+		return 0
+	}
+	return 1
+}
+
 func (c Constant) String() string { return fmt.Sprintf("Constant(%g)", c.V) }
 
 // Uniform is the uniform distribution on [Lo, Hi).
@@ -44,6 +54,11 @@ func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
 // Quantile implements Dist.
 func (u Uniform) Quantile(p float64) float64 { return u.Lo + (u.Hi-u.Lo)*p }
 
+// CDF implements Dist.
+func (u Uniform) CDF(x float64) float64 {
+	return math.Min(1, math.Max(0, (x-u.Lo)/(u.Hi-u.Lo)))
+}
+
 func (u Uniform) String() string { return fmt.Sprintf("Uniform[%g,%g)", u.Lo, u.Hi) }
 
 // Exponential is the exponential distribution with the given Rate (λ).
@@ -57,6 +72,14 @@ func (e Exponential) Mean() float64 { return 1 / e.Rate }
 
 // Quantile implements Dist.
 func (e Exponential) Quantile(p float64) float64 { return -math.Log(1-p) / e.Rate }
+
+// CDF implements Dist.
+func (e Exponential) CDF(x float64) float64 {
+	if x <= 0 {
+		return 0
+	}
+	return -math.Expm1(-e.Rate * x)
+}
 
 func (e Exponential) String() string { return fmt.Sprintf("Exp(rate=%g)", e.Rate) }
 
@@ -73,6 +96,9 @@ func (n Normal) Mean() float64 { return n.Mu }
 // the inverse normal CDF (max abs error ~1.15e-9).
 func (n Normal) Quantile(p float64) float64 { return n.Mu + n.Sigma*normQuantile(p) }
 
+// CDF implements Dist.
+func (n Normal) CDF(x float64) float64 { return normCDF((x - n.Mu) / n.Sigma) }
+
 func (n Normal) String() string { return fmt.Sprintf("Normal(mu=%g,sigma=%g)", n.Mu, n.Sigma) }
 
 // LogNormal is the log-normal distribution: exp(Normal(Mu, Sigma²)).
@@ -88,6 +114,14 @@ func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
 
 // Quantile implements Dist.
 func (l LogNormal) Quantile(p float64) float64 { return math.Exp(l.Mu + l.Sigma*normQuantile(p)) }
+
+// CDF implements Dist.
+func (l LogNormal) CDF(x float64) float64 {
+	if x <= 0 {
+		return 0
+	}
+	return normCDF((math.Log(x) - l.Mu) / l.Sigma)
+}
 
 func (l LogNormal) String() string { return fmt.Sprintf("LogNormal(mu=%g,sigma=%g)", l.Mu, l.Sigma) }
 
@@ -119,6 +153,14 @@ func (p Pareto) Mean() float64 {
 // Quantile implements Dist.
 func (p Pareto) Quantile(q float64) float64 { return p.Xm / math.Pow(1-q, 1/p.Alpha) }
 
+// CDF implements Dist.
+func (p Pareto) CDF(x float64) float64 {
+	if x <= p.Xm {
+		return 0
+	}
+	return 1 - math.Pow(p.Xm/x, p.Alpha)
+}
+
 func (p Pareto) String() string { return fmt.Sprintf("Pareto(xm=%g,alpha=%g)", p.Xm, p.Alpha) }
 
 // Weibull is the Weibull distribution with scale Lambda and shape K.
@@ -141,6 +183,14 @@ func (w Weibull) Quantile(p float64) float64 {
 	return w.Lambda * math.Pow(-math.Log(1-p), 1/w.K)
 }
 
+// CDF implements Dist.
+func (w Weibull) CDF(x float64) float64 {
+	if x <= 0 {
+		return 0
+	}
+	return -math.Expm1(-math.Pow(x/w.Lambda, w.K))
+}
+
 func (w Weibull) String() string { return fmt.Sprintf("Weibull(lambda=%g,k=%g)", w.Lambda, w.K) }
 
 // Shifted wraps a distribution and adds a constant offset, modelling a
@@ -159,6 +209,9 @@ func (s Shifted) Mean() float64 { return s.Offset + s.D.Mean() }
 
 // Quantile implements Dist.
 func (s Shifted) Quantile(p float64) float64 { return s.Offset + s.D.Quantile(p) }
+
+// CDF implements Dist.
+func (s Shifted) CDF(x float64) float64 { return s.D.CDF(x - s.Offset) }
 
 func (s Shifted) String() string { return fmt.Sprintf("%v+%g", s.D, s.Offset) }
 
@@ -184,52 +237,28 @@ func (b Bimodal) Mean() float64 {
 	return (1-b.PHeavy)*b.Base.Mean() + b.PHeavy*b.Heavy.Mean()
 }
 
-// Quantile implements Dist. Computed numerically by bisection on the mixture
-// CDF approximated via component quantile inversion; adequate for reporting.
+// Quantile implements Dist: one bisection over the mixture's closed-form
+// CDF, bracketed by the components' 0.999999 quantiles.
 func (b Bimodal) Quantile(p float64) float64 {
-	// Bisect on x where (1-ph)*F_base(x) + ph*F_heavy(x) = p.
-	// Component CDFs are themselves inverted numerically from quantiles.
 	lo, hi := 0.0, math.Max(b.Base.Quantile(0.999999), b.Heavy.Quantile(0.999999))
-	cdf := func(x float64) float64 {
-		return (1-b.PHeavy)*numCDF(b.Base, x) + b.PHeavy*numCDF(b.Heavy, x)
-	}
 	for i := 0; i < 100; i++ {
 		mid := (lo + hi) / 2
-		if cdf(mid) < p {
+		if b.CDF(mid) < p {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
 	return (lo + hi) / 2
+}
+
+// CDF implements Dist.
+func (b Bimodal) CDF(x float64) float64 {
+	return (1-b.PHeavy)*b.Base.CDF(x) + b.PHeavy*b.Heavy.CDF(x)
 }
 
 func (b Bimodal) String() string {
 	return fmt.Sprintf("Bimodal(%v | %v @%g)", b.Base, b.Heavy, b.PHeavy)
-}
-
-// numCDF numerically inverts d.Quantile by bisection to evaluate the CDF at
-// x. Assumes Quantile is monotone in p. Evaluation points are clamped away
-// from {0, 1}, where many quantile functions are undefined.
-func numCDF(d Dist, x float64) float64 {
-	const eps = 1e-12
-	lo, hi := 0.0, 1.0
-	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
-		p := mid
-		if p < eps {
-			p = eps
-		}
-		if p > 1-eps {
-			p = 1 - eps
-		}
-		if d.Quantile(p) < x {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
 }
 
 // Zipf samples ranks in [1, N] with probability proportional to 1/rank^S.
@@ -296,6 +325,9 @@ func gamma(x float64) float64 {
 	g, _ := math.Lgamma(x)
 	return math.Exp(g)
 }
+
+// normCDF is the standard normal CDF.
+func normCDF(z float64) float64 { return 0.5 * math.Erfc(-z/math.Sqrt2) }
 
 // normQuantile is the Acklam approximation to the standard normal inverse
 // CDF. Panics outside (0,1).

@@ -25,12 +25,22 @@ func checkDist(t *testing.T, d Dist, meanTol float64) {
 	if math.Abs(s.Median()-med) > 0.05*math.Max(1, math.Abs(med)) {
 		t.Errorf("%v: sampled median %v vs analytic %v", d, s.Median(), med)
 	}
+	// The CDF inverts Quantile and matches the sampled one.
+	for _, p := range []float64{0.05, 0.5, 0.9, 0.99} {
+		if got := d.CDF(d.Quantile(p)); math.Abs(got-p) > 1e-8 {
+			t.Errorf("%v: CDF(Quantile(%v)) = %v", d, p, got)
+		}
+		if got := d.CDF(s.Percentile(100 * p)); math.Abs(got-p) > 0.005 {
+			t.Errorf("%v: CDF at the sampled %v quantile = %v", d, p, got)
+		}
+	}
 }
 
 func TestConstant(t *testing.T) {
 	d := Constant{V: 3.5}
 	r := NewRNG(1)
-	if d.Sample(r) != 3.5 || d.Mean() != 3.5 || d.Quantile(0.99) != 3.5 {
+	if d.Sample(r) != 3.5 || d.Mean() != 3.5 || d.Quantile(0.99) != 3.5 ||
+		d.CDF(3.4) != 0 || d.CDF(3.5) != 1 {
 		t.Fatal("Constant distribution misbehaves")
 	}
 }
@@ -46,6 +56,9 @@ func TestShifted(t *testing.T) {
 	d := Shifted{D: Exponential{Rate: 1}, Offset: 10}
 	if math.Abs(d.Mean()-11) > 1e-12 {
 		t.Fatalf("shifted mean = %v, want 11", d.Mean())
+	}
+	if got := d.CDF(10 + math.Ln2); math.Abs(got-0.5) > 1e-12 || d.CDF(9.9) != 0 {
+		t.Fatalf("shifted CDF(10+ln2) = %v, want 0.5", got)
 	}
 	r := NewRNG(2)
 	for i := 0; i < 1000; i++ {
