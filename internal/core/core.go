@@ -88,7 +88,9 @@ type Experiment struct {
 	// RunP executes the experiment under a resolved parameter
 	// assignment (every declared knob present and validated), under the
 	// same context contract as Run. Use RunWith, which resolves and
-	// validates, rather than calling RunP directly.
+	// validates, rather than calling RunP directly. The assignment may be
+	// the caller's own map (RunWith passes a resolved one through), so
+	// RunP reads it and never writes it.
 	RunP func(ctx context.Context, p Params) Result
 }
 

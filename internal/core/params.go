@@ -176,27 +176,55 @@ func (e Experiment) Defaults() Params {
 }
 
 // ResolveParams validates an assignment against the schema and fills in
-// defaults for omitted knobs. Unknown names and out-of-range values are
-// errors; the input map is not modified.
+// defaults for omitted knobs, in one pass into one map. Unknown names and
+// out-of-range values are errors (an unknown name first, the first in
+// sorted order; then the first bad value in schema order); the input map
+// is not modified.
 func (e Experiment) ResolveParams(p Params) (Params, error) {
-	for name := range p {
-		if _, ok := e.Spec(name); !ok {
-			return nil, fmt.Errorf("core: experiment %s has no parameter %q (schema: %s)",
-				e.ID, name, e.SchemaString())
-		}
+	var resolved Params
+	if len(e.Params) > 0 {
+		resolved = make(Params, len(e.Params))
 	}
-	resolved := e.Defaults()
+	var bad error
+	named := 0
 	for _, s := range e.Params {
 		v, ok := p[s.Name]
 		if !ok {
-			continue
-		}
-		if err := s.Check(v); err != nil {
-			return nil, fmt.Errorf("core: experiment %s: %w", e.ID, err)
+			v = s.Default
+		} else {
+			named++
+			if bad == nil {
+				bad = s.Check(v)
+			}
 		}
 		resolved[s.Name] = v
 	}
+	if named < len(p) {
+		for _, name := range p.SortedNames() {
+			if _, ok := e.Spec(name); !ok {
+				return nil, fmt.Errorf("core: experiment %s has no parameter %q (schema: %s)",
+					e.ID, name, e.SchemaString())
+			}
+		}
+	}
+	if bad != nil {
+		return nil, fmt.Errorf("core: experiment %s: %w", e.ID, bad)
+	}
 	return resolved, nil
+}
+
+// complete reports whether p already is a resolved assignment: it names
+// every declared parameter, nothing else, each with a valid value.
+func (e Experiment) complete(p Params) bool {
+	if len(p) != len(e.Params) {
+		return false
+	}
+	for _, s := range e.Params {
+		if v, ok := p[s.Name]; !ok || s.Check(v) != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // SchemaString renders the whole schema, e.g. "gens:int[1..12]=6" or
@@ -215,7 +243,8 @@ func (e Experiment) SchemaString() string {
 // RunWith executes the experiment under the given assignment (nil or empty
 // means all defaults). Zero-parameter experiments accept only an empty
 // assignment. The resolved, validated assignment is returned alongside the
-// result so callers (the serve engine, sweep aggregation) can key on it.
+// result so callers (the serve engine, sweep aggregation) can key on it; an
+// assignment that is already resolved is used, and returned, as it is.
 //
 // The context is checked before the run and again after it: an experiment
 // that returns early because ctx fired mid-run (E5, E11 check at
@@ -239,9 +268,12 @@ func (e Experiment) RunWith(ctx context.Context, p Params) (Result, Params, erro
 		}
 		return res, nil, nil
 	}
-	resolved, err := e.ResolveParams(p)
-	if err != nil {
-		return Result{}, nil, err
+	resolved := p // an already-resolved assignment (the serve engine's) is not rebuilt
+	if !e.complete(p) {
+		var err error
+		if resolved, err = e.ResolveParams(p); err != nil {
+			return Result{}, nil, err
+		}
 	}
 	res := e.RunP(ctx, resolved)
 	if err := ctx.Err(); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"maps"
 	"strings"
 	"testing"
 )
@@ -145,6 +146,29 @@ func TestRunWithDefaultsMatchesRun(t *testing.T) {
 				t.Fatal("RunWith(defaults) differs from Run()")
 			}
 		})
+	}
+}
+
+// RunWith hands an assignment that is already resolved to RunP as it is,
+// and the serve engine's is an interned map shared by every request for
+// that pair: no experiment may write to its assignment. Each one runs at
+// its cheapest corner (every knob at its minimum) and must leave the map
+// as it was.
+func TestRunWithLeavesAResolvedAssignmentUnwritten(t *testing.T) {
+	for _, e := range Registry() {
+		if len(e.Params) == 0 {
+			continue
+		}
+		p := Params{}
+		for _, s := range e.Params {
+			p[s.Name] = s.Min
+		}
+		want := maps.Clone(p)
+		if _, resolved, err := e.RunWith(context.Background(), p); err != nil {
+			t.Errorf("%s: RunWith(%v): %v", e.ID, want, err)
+		} else if !maps.Equal(p, want) || !maps.Equal(resolved, want) {
+			t.Errorf("%s: RunWith(%v) left the assignment %v and resolved %v", e.ID, want, p, resolved)
+		}
 	}
 }
 

@@ -80,7 +80,8 @@ func (r *Router) ServeEncodedBatch(ctx context.Context, items []serve.BatchItem)
 // entries of a lost frame walk from the owner again, which may have
 // executed them (a retry there can be a cache hit — what keeps a sweep
 // exactly-once). The exchange runs under xctx, ctx canceled at the
-// router's timeout; the fallbacks under ctx.
+// router's timeout; the fallbacks under ctx, and never hedged: a backup
+// racing an owner that may be running the entry would run it twice.
 func (r *Router) serveOwnerBatch(ctx, xctx context.Context, owner int, idxs []int, items []serve.BatchItem, out []serve.BatchOutcome) {
 	if r.admit(owner) {
 		sub := make([]serve.BatchItem, len(idxs))
@@ -106,7 +107,7 @@ func (r *Router) serveOwnerBatch(ctx, xctx context.Context, owner int, idxs []in
 					r.noteFailure(owner)
 					fallthrough
 				default:
-					out[i] = r.serveChainKeyed(ctx, items[i], owner, o.Err)
+					out[i] = r.serveChainKeyed(ctx, items[i], owner, o.Err, true)
 				}
 			}
 			return
@@ -122,6 +123,6 @@ func (r *Router) serveOwnerBatch(ctx, xctx context.Context, owner int, idxs []in
 		r.noteFailure(owner)
 	}
 	for _, i := range idxs {
-		out[i] = r.serveChainKeyed(ctx, items[i], -1, nil)
+		out[i] = r.serveChainKeyed(ctx, items[i], -1, nil, true)
 	}
 }

@@ -118,6 +118,83 @@ func TestServeEncodedBatchAnsweredEntryFailsOverPastOwner(t *testing.T) {
 	}
 }
 
+// lostFrameOwner is an owner whose multi-entry frames are lost in transit
+// before it runs them, and whose single attempts hang until abandoned: the
+// slow primary a hedge is for.
+type lostFrameOwner struct{ Backend }
+
+func (b lostFrameOwner) DoBatch(ctx context.Context, items []serve.BatchItem) ([]serve.BatchOutcome, error) {
+	if len(items) > 1 {
+		return nil, errors.New("frame lost in transit")
+	}
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// When an owner loses an interactive frame, its entries walk the chain
+// from the owner again, and the owner hangs. A routed request on the same
+// scoreboard hedges at the 1 ms floor; the frame's entries must not (frame
+// entries never hedge, DESIGN §7): each is served past the owner and
+// executes exactly once. No sleep: the owner answers only its abandonment,
+// and the attempt bound ends the walk's wait.
+func TestLostFrameFallbackNeverHedges(t *testing.T) {
+	var mu sync.Mutex
+	executed := map[string]int{}
+	backends := make([]Backend, 3)
+	for i := range backends {
+		eng := serve.NewEngine(serve.Config{Shards: 2, Workers: 2,
+			RunnerWith: func(_ context.Context, id string, _ core.Params) (core.Result, error) {
+				mu.Lock()
+				executed[id]++
+				mu.Unlock()
+				return fakeResult(id), nil
+			}})
+		defer eng.Close()
+		backends[i] = plainBackend{NewEngineBackend(eng, fmt.Sprintf("engine[%d]", i))}
+	}
+	backends[0] = lostFrameOwner{backends[0]}
+	primed := func() *Router {
+		r, err := New(backends, Config{Timeout: 200 * time.Millisecond, ProbeAfter: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := range backends {
+			primeScore(r, b, time.Microsecond)
+		}
+		return r
+	}
+	control := primed()
+	var owned []string
+	for i := 0; len(owned) < 3; i++ {
+		if id := fmt.Sprintf("LF%d", i); control.Owner(RouteKey(id, nil)) == 0 {
+			owned = append(owned, id)
+		}
+	}
+	ctx := context.Background() // untagged: interactive
+	if _, err := control.ServeEncoded(ctx, owned[0], nil); err != nil || control.hedges.Load() != 1 {
+		t.Fatalf("routed request on the hanging owner: err %v, %d hedges; want a hedge to answer it", err, control.hedges.Load())
+	}
+
+	r := primed()
+	outs := r.ServeEncodedBatch(ctx, []serve.BatchItem{
+		{ID: owned[1], Class: admit.Interactive}, {ID: owned[2], Class: admit.Interactive}})
+	for i, o := range outs {
+		if o.Err != nil || o.RawResponse.ID != owned[1+i] {
+			t.Fatalf("entry %d: id %q err %v; want %s served past the owner", i, o.RawResponse.ID, o.Err, owned[1+i])
+		}
+	}
+	if h := r.hedges.Load(); h != 0 {
+		t.Fatalf("a lost frame's fallback fired %d hedges, want 0", h)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, id := range owned[1:] {
+		if executed[id] != 1 {
+			t.Fatalf("entry %s executed %d times, want exactly 1", id, executed[id])
+		}
+	}
+}
+
 // HTTPBackend.DoBatch against a live replica: one POST /v1/batch
 // exchange serves every entry, per-entry errors come back as
 // statusError values the router taxonomy classifies like single

@@ -267,7 +267,7 @@ func (r *Router) ServeEncoded(ctx context.Context, id string, p core.Params) (se
 		ctx = context.Background()
 	}
 	r.requests.Add(1)
-	out := r.serveChainKeyed(ctx, itemOf(serve.IdentOf(id, p), admit.ClassFrom(ctx)), -1, nil)
+	out := r.serveChainKeyed(ctx, itemOf(serve.IdentOf(id, p), admit.ClassFrom(ctx)), -1, nil, false)
 	return out.RawResponse, out.Err
 }
 
@@ -290,8 +290,9 @@ func decodeResponse(rr serve.RawResponse) (serve.Response, error) {
 // count, so a pre-assembled frame's fallback reuses it without counting
 // the request twice. answeredBy >= 0 is a replica that already answered
 // this entry with prior, a failover-worthy error inside a frame: the walk
-// starts past it, and its next attempt is a failover.
-func (r *Router) serveChainKeyed(ctx context.Context, it serve.BatchItem, answeredBy int, prior error) serve.BatchOutcome {
+// starts past it, and its next attempt is a failover. frame marks an
+// entry of a pre-assembled frame, which never hedges (DESIGN §7).
+func (r *Router) serveChainKeyed(ctx context.Context, it serve.BatchItem, answeredBy int, prior error, frame bool) serve.BatchOutcome {
 	var chainBuf, triedBuf [8]int // a chain is one entry per backend: no heap for a small cluster
 	chain := r.ring.PlaceK(chainBuf[:0], it.Ident.Hash(), 1+r.cfg.Retries)
 	r.sb.prefer(chain)
@@ -323,7 +324,7 @@ func (r *Router) serveChainKeyed(ctx context.Context, it serve.BatchItem, answer
 			// Only the first admitted attempt hedges: one backup per
 			// request bounds the work amplification at 2x.
 			var rest []int
-			if len(tried) == 1 {
+			if len(tried) == 1 && !frame {
 				rest = chain[i+1:]
 			}
 			var hedgedOn int

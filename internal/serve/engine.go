@@ -178,8 +178,8 @@ type Engine struct {
 type Response struct {
 	// ID is the experiment ID served.
 	ID string
-	// Params is the resolved parameter assignment the result was
-	// computed under (nil for zero-param requests).
+	// Params is the resolved assignment the result was computed under (nil
+	// for zero-param requests); an interned pair's map, shared: read-only.
 	Params core.Params
 	// Key is the cache key the result is memoized under (the bare ID
 	// for default assignments).
@@ -206,7 +206,7 @@ type Response struct {
 // cache only as Encode output or as snapshot payloads validated by
 // DecodeResult at load, so Raw always decodes.
 type RawResponse struct {
-	// ID, Params, Key, Class mirror Response.
+	// ID, Params, Key, Class mirror Response (Params is shared read-only).
 	ID     string
 	Params core.Params
 	Key    string
@@ -366,7 +366,7 @@ func (e *Engine) ServeWith(ctx context.Context, id string, p core.Params) (Respo
 	}
 	t0 := e.now()
 	class := admit.ClassFrom(ctx)
-	key, resolved, err := resolveKey(id, p)
+	key, resolved, err := identKey(id, p)
 	if err != nil {
 		return Response{}, err
 	}
@@ -410,7 +410,7 @@ func (e *Engine) ServeEncoded(ctx context.Context, id string, p core.Params) (Ra
 	}
 	t0 := e.now()
 	class := admit.ClassFrom(ctx)
-	key, resolved, err := resolveKey(id, p)
+	key, resolved, err := identKey(id, p)
 	if err != nil {
 		return RawResponse{}, err
 	}
@@ -445,6 +445,15 @@ func (e *Engine) serveHit(tb *tenantCounters, class admit.Class, key string, t0 
 	lat = e.now() - t0
 	e.observe(class, true, lat)
 	return raw, tail, lat, true
+}
+
+// identKey is resolveKey served from the identity table (IdentOf).
+func identKey(id string, p core.Params) (string, core.Params, error) {
+	if len(p) == 0 {
+		return id, nil, nil
+	}
+	ident := IdentOf(id, p)
+	return ident.key, ident.params, ident.err
 }
 
 // resolveKey maps (id, params) to the cache key: the bare ID for

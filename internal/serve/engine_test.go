@@ -348,7 +348,7 @@ func TestServeEncodedWarmHitAllocs(t *testing.T) {
 		max  float64
 	}{
 		{"bare", nil, 0},
-		{"params", core.Params{"bces": 512, "f": 0.9}, 3},
+		{"params", core.Params{"bces": 512, "f": 0.9}, 0},
 	} {
 		if _, err := e.ServeEncoded(ctx, "E7", tc.p); err != nil {
 			t.Fatalf("%s: cold ServeEncoded: %v", tc.name, err)

@@ -1,0 +1,72 @@
+package serve
+
+// Native Go fuzzing of the identity table's map door against the engine's
+// own resolution: IdentOf renders a caller's map into a row key and may
+// answer from a row, so for any ID (registered or junk) and any assignment
+// of up to three names with arbitrary float bits it must agree with
+// resolveKey on key, params and error, and its row's wire run must be the
+// assignment's canonical spelling.
+
+import (
+	"errors"
+	"math"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/httpapi"
+)
+
+func FuzzIdentOfMatchesResolveKey(f *testing.F) {
+	for _, v := range []float64{0, math.Copysign(0, -1), 999999, 1e6, -3, 0.9, 1e21,
+		math.NaN(), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64} {
+		bits := math.Float64bits(v)
+		f.Add("E7", uint8(1), "f", bits, "bces", uint64(0), "", uint64(0))
+		f.Add("E3", uint8(2), "trials", bits, "fanout", math.Float64bits(12), "", uint64(0))
+		f.Add("junk", uint8(3), "x", bits, " f", bits, "f ", bits)
+	}
+	f.Add("E3", uint8(3), "fanout", math.Float64bits(100), "trials", math.Float64bits(20000),
+		"hedge", math.Float64bits(0.95))
+	f.Add("E7", uint8(0), "", uint64(0), "", uint64(0), "", uint64(0))
+	f.Add("", uint8(1), "f=1", math.Float64bits(2), "", uint64(0), "", uint64(0))
+	f.Fuzz(func(t *testing.T, id string, n uint8, n1 string, b1 uint64, n2 string, b2 uint64, n3 string, b3 uint64) {
+		p := core.Params{}
+		for i, kv := range []struct {
+			name string
+			bits uint64
+		}{{n1, b1}, {n2, b2}, {n3, b3}} {
+			if i < int(n%4) {
+				p[kv.name] = math.Float64frombits(kv.bits)
+			}
+		}
+		wantKey, wantParams, wantErr := resolveKey(id, p)
+		ident := IdentOf(id, p)
+		if (wantErr == nil) != (ident.Err() == nil) {
+			t.Fatalf("IdentOf(%q, %v) err %v, resolveKey err %v", id, p, ident.Err(), wantErr)
+		}
+		if wantErr != nil {
+			if ident.Err().Error() != wantErr.Error() {
+				t.Fatalf("IdentOf(%q, %v) err %q, resolveKey err %q", id, p, ident.Err(), wantErr)
+			}
+			for _, target := range []error{ErrUnknownExperiment, ErrBadParams} {
+				if errors.Is(ident.Err(), target) != errors.Is(wantErr, target) {
+					t.Fatalf("IdentOf(%q, %v) err %v: errors.Is(%v) differs from resolveKey's", id, p, ident.Err(), target)
+				}
+			}
+		} else if ident.Key() != wantKey || !reflect.DeepEqual(ident.Params(), wantParams) {
+			t.Fatalf("IdentOf(%q, %v) = %q %v, resolveKey %q %v", id, p, ident.Key(), ident.Params(), wantKey, wantParams)
+		}
+		run, err := httpapi.ParamsOfRun(ident.Wire())
+		if err != nil || !slices.Equal(run, p.Assignments()) {
+			t.Fatalf("IdentOf(%q, %v) wire reads %q (%v), want the canonical %q", id, p, run, err, p.Assignments())
+		}
+		if wantErr != nil {
+			return
+		}
+		back, err := core.ParseParams(run)
+		if err != nil || len(back) != len(p) || (len(p) > 0 && !reflect.DeepEqual(back, p)) {
+			t.Fatalf("IdentOf(%q, %v) wire parses back to %v (%v)", id, p, back, err)
+		}
+	})
+}

@@ -236,3 +236,28 @@ func TestHandleBatchBodyReadErrors(t *testing.T) {
 		}
 	}
 }
+
+// ParseParams trims assignment names, so a frame entry spelled " f=0.9"
+// interns a row that resolved the name "f". A map that names " f" renders
+// those same bytes, and must still get resolveKey's unknown-parameter
+// error, from IdentOf and from the engine's map door alike.
+func TestIdentOfUntrimmedNameMissesTrimmedRow(t *testing.T) {
+	run := append([]byte{1, byte(len(" f=0.9"))}, " f=0.9"...)
+	row, err := Intern([]byte("E7"), run)
+	if err != nil || row.Err() != nil || row.Key() != "E7?f=0.9" {
+		t.Fatalf("Intern(E7, %q) = %v, %v; want the resolved row E7?f=0.9", run, row, err)
+	}
+	p := core.Params{" f": 0.9}
+	_, _, want := resolveKey("E7", p)
+	if want == nil {
+		t.Fatal("resolveKey accepted an untrimmed name")
+	}
+	if got := IdentOf("E7", p); got == row || got.Err() == nil || got.Err().Error() != want.Error() {
+		t.Fatalf("IdentOf(E7, %v) = row %p err %v; want resolveKey's %v", p, got, got.Err(), want)
+	}
+	e := NewEngine(Config{Workers: 1})
+	defer e.Close()
+	if _, err := e.ServeEncoded(context.Background(), "E7", p); !errors.Is(err, ErrBadParams) || err.Error() != want.Error() {
+		t.Fatalf("ServeEncoded(E7, %v) err %v; want %v", p, err, want)
+	}
+}
