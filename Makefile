@@ -169,6 +169,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzStreamMessage -fuzztime $(FUZZTIME) ./internal/httpapi
 	$(GO) test -run xxx -fuzz FuzzAppendJSONString -fuzztime $(FUZZTIME) ./internal/httpapi
 	$(GO) test -run xxx -fuzz FuzzIdentOfMatchesResolveKey -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run xxx -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run xxx -fuzz FuzzOptimalSymmetricR -fuzztime $(FUZZTIME) ./internal/multicore
 
 fuzz-smoke:

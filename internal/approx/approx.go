@@ -27,11 +27,14 @@ func Quantize(v float64, mantissaBits int) float64 {
 	}
 	drop := uint(52 - mantissaBits)
 	b := math.Float64bits(v)
+	mask := (uint64(1) << drop) - 1
 	// Round to nearest: add half-ULP of the truncated grid before masking.
-	half := uint64(1) << (drop - 1)
-	b += half
-	b &^= (uint64(1) << drop) - 1
-	return math.Float64frombits(b)
+	// Within half a grid step of ±MaxFloat64 that carries into the Inf
+	// exponent, so the value truncates instead.
+	if q := math.Float64frombits((b + 1<<(drop-1)) &^ mask); !math.IsInf(q, 0) {
+		return q
+	}
+	return math.Float64frombits(b &^ mask)
 }
 
 // MultEnergyRel returns the relative energy of a multiplier with the given

@@ -43,6 +43,14 @@ func TestQuantizeSpecials(t *testing.T) {
 	if Quantize(0, 8) != 0 {
 		t.Fatal("zero should pass through")
 	}
+	// Rounding up from near ±MaxFloat64 must not overflow to Inf (a
+	// TestQuickQuantize draw found -1.79e308 at 4 bits).
+	for _, v := range []float64{math.MaxFloat64, -1.792361127771882e+308} {
+		q := Quantize(v, 4)
+		if math.IsInf(q, 0) || Quantize(q, 4) != q || RelError(v, q) > math.Pow(2, -3) {
+			t.Fatalf("Quantize(%g, 4) = %g", v, q)
+		}
+	}
 }
 
 func TestQuantizePanics(t *testing.T) {

@@ -47,79 +47,79 @@ type ErrorEnvelope struct {
 
 // WriteError writes the shared envelope with the given status and code.
 func WriteError(w http.ResponseWriter, status int, code, msg string) {
-	writeEnvelope(w, status, ErrorDetail{Code: code, Message: msg})
+	WriteJSON(w, status, ErrorEnvelope{Error: ErrorDetail{Code: code, Message: msg}})
 }
 
-// WriteErrorRetry writes the shared envelope plus the Retry-After header
-// (whole seconds, minimum 1 — the HTTP-level contract) with the exact
-// hint preserved at millisecond precision in the body.
-func WriteErrorRetry(w http.ResponseWriter, status int, code, msg string, retryAfter time.Duration) {
-	secs := int(math.Ceil(retryAfter.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	ms := retryAfter.Milliseconds()
-	if ms < 1 {
-		ms = 1
-	}
-	writeEnvelope(w, status, ErrorDetail{Code: code, Message: msg, RetryAfterMS: ms})
+// StatusError is a serving error that carries its own wire answer: the
+// engine's and the router's sentinels, and a replica's answer relayed
+// through the front-end (with the backoff hint its frame carried).
+type StatusError struct {
+	Status     int
+	Code       string // the envelope code; "" is CodeForStatus(Status)
+	Msg        string
+	RetryAfter time.Duration // the backoff hint; 0 is none
 }
 
-func writeEnvelope(w http.ResponseWriter, status int, d ErrorDetail) {
+func (e *StatusError) Error() string { return e.Msg }
+
+// ErrorStatus is the one mapping from a serving error to its wire answer
+// (status, envelope code, retry hint; 0 is none) every face writes, every
+// batch entry carries and the router's verdict reads; an error no case
+// claims gets fallback (500 on a replica, 502 on the front-end).
+func ErrorStatus(err error, fallback int) (status int, code string, retryAfter time.Duration) {
+	var shed *admit.ShedError
+	var tooBig *http.MaxBytesError
+	var se *StatusError
+	switch status = fallback; {
+	case errors.As(err, &shed):
+		status, retryAfter = http.StatusServiceUnavailable, max(shed.RetryAfter, time.Millisecond)
+		if shed.Deadline {
+			status = http.StatusTooManyRequests
+		}
+	case errors.Is(err, context.DeadlineExceeded):
+		status = http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
+		status, code = http.StatusServiceUnavailable, CodeCanceled
+	case errors.As(err, &tooBig):
+		status = http.StatusRequestEntityTooLarge
+	case errors.As(err, &se):
+		status, code, retryAfter = se.Status, se.Code, se.RetryAfter
+	}
+	if code == "" {
+		code = CodeForStatus(status)
+	}
+	return status, code, retryAfter
+}
+
+// WriteServingError answers err in the shared envelope as ErrorStatus maps
+// it: Retry-After in whole seconds rounded up (the HTTP-level contract),
+// retry_after_ms to the millisecond (at least 1).
+func WriteServingError(w http.ResponseWriter, err error, fallback int) {
+	status, code, retryAfter := ErrorStatus(err, fallback)
+	d := ErrorDetail{Code: code, Message: err.Error()}
+	if retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(retryAfter.Seconds()))))
+		d.RetryAfterMS = max(retryAfter.Milliseconds(), 1)
+	}
 	WriteJSON(w, status, ErrorEnvelope{Error: d})
 }
 
-// WriteQoSError maps an admission or deadline outcome onto the HTTP
-// response: 503 queue_full for a full queue, 429 deadline_unmeetable for
-// a deadline the projected wait cannot meet — both with a Retry-After
-// hint — 504 deadline_exceeded for a request whose own deadline expired
-// in flight, and 503 canceled for a caller that is gone (the status is a
-// formality). It reports whether err was a QoS outcome it handled.
-func WriteQoSError(w http.ResponseWriter, err error) bool {
-	var shed *admit.ShedError
-	switch {
-	case errors.As(err, &shed):
-		status, code := http.StatusServiceUnavailable, CodeQueueFull
-		if shed.Deadline {
-			status, code = http.StatusTooManyRequests, CodeDeadlineUnmeetable
-		}
-		WriteErrorRetry(w, status, code, err.Error(), shed.RetryAfter)
-		return true
-	case errors.Is(err, context.DeadlineExceeded):
-		WriteError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded, err.Error())
-		return true
-	case errors.Is(err, context.Canceled):
-		WriteError(w, http.StatusServiceUnavailable, CodeCanceled, err.Error())
-		return true
-	}
-	return false
+// statusCodes is the envelope code each status carries unless its error
+// names another (503 canceled, 503 no_backends).
+var statusCodes = map[int]string{
+	http.StatusBadRequest: CodeBadRequest, http.StatusNotFound: CodeNotFound,
+	http.StatusMethodNotAllowed: CodeMethodNotAllowed, http.StatusRequestEntityTooLarge: CodePayloadTooLarge,
+	http.StatusTooManyRequests: CodeDeadlineUnmeetable, http.StatusServiceUnavailable: CodeQueueFull,
+	http.StatusGatewayTimeout: CodeDeadlineExceeded, http.StatusInternalServerError: CodeInternal,
 }
 
-// CodeForStatus maps an upstream replica's status onto the envelope code
-// the front-end re-emits, so a shed forwarded through the router carries
-// the same code a replica answers directly.
+// CodeForStatus is a status's envelope code (upstream_error if it has
+// none), so a replica's status relayed by the router keeps its code.
 func CodeForStatus(status int) string {
-	switch status {
-	case http.StatusBadRequest:
-		return CodeBadRequest
-	case http.StatusNotFound:
-		return CodeNotFound
-	case http.StatusMethodNotAllowed:
-		return CodeMethodNotAllowed
-	case http.StatusRequestEntityTooLarge:
-		return CodePayloadTooLarge
-	case http.StatusTooManyRequests:
-		return CodeDeadlineUnmeetable
-	case http.StatusServiceUnavailable:
-		return CodeQueueFull
-	case http.StatusGatewayTimeout:
-		return CodeDeadlineExceeded
-	case http.StatusInternalServerError:
-		return CodeInternal
-	default:
-		return CodeUpstream
+	if code, ok := statusCodes[status]; ok {
+		return code
 	}
+	return CodeUpstream
 }
 
 // WriteJSON writes v as an indented JSON response — shared by the

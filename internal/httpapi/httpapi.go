@@ -3,9 +3,9 @@
 // the routing front-end, and the load generator's HTTP target previously
 // each reimplemented, the hedged-attempt marker, the versioned-route
 // mounting helper (/v1 plus legacy aliases), and the one JSON error
-// envelope every error path answers with. Keeping it in one package
-// means a header or error-shape change lands on every face of the API at
-// once instead of drifting across three copies.
+// envelope and status mapping every error path answers with. Keeping it
+// in one package means a header or error-shape change lands on every
+// face of the API at once instead of drifting across three copies.
 package httpapi
 
 import (

@@ -184,32 +184,32 @@ func TestErrorEnvelopeTable(t *testing.T) {
 		{
 			name: "retry hint rounds the header up, keeps ms in the body",
 			write: func(w http.ResponseWriter) {
-				WriteErrorRetry(w, 503, CodeQueueFull, "full", 250*time.Millisecond)
+				WriteServingError(w, &StatusError{Status: 503, Msg: "full", RetryAfter: 250 * time.Millisecond}, 500)
 			},
 			wantStatus: 503, wantCode: CodeQueueFull, wantRetry: "1", wantMS: 250,
 		},
 		{
 			name: "queue shed",
 			write: func(w http.ResponseWriter) {
-				_ = WriteQoSError(w, &admit.ShedError{Class: admit.Interactive, RetryAfter: 1500 * time.Millisecond})
+				WriteServingError(w, &admit.ShedError{Class: admit.Interactive, RetryAfter: 1500 * time.Millisecond}, 500)
 			},
 			wantStatus: 503, wantCode: CodeQueueFull, wantRetry: "2", wantMS: 1500,
 		},
 		{
 			name: "deadline shed",
 			write: func(w http.ResponseWriter) {
-				_ = WriteQoSError(w, &admit.ShedError{Class: admit.Interactive, Deadline: true, RetryAfter: time.Second})
+				WriteServingError(w, &admit.ShedError{Class: admit.Interactive, Deadline: true, RetryAfter: time.Second}, 500)
 			},
 			wantStatus: 429, wantCode: CodeDeadlineUnmeetable, wantRetry: "1", wantMS: 1000,
 		},
 		{
 			name:       "deadline expired in flight",
-			write:      func(w http.ResponseWriter) { _ = WriteQoSError(w, context.DeadlineExceeded) },
+			write:      func(w http.ResponseWriter) { WriteServingError(w, context.DeadlineExceeded, 500) },
 			wantStatus: 504, wantCode: CodeDeadlineExceeded,
 		},
 		{
 			name:       "caller gone",
-			write:      func(w http.ResponseWriter) { _ = WriteQoSError(w, context.Canceled) },
+			write:      func(w http.ResponseWriter) { WriteServingError(w, context.Canceled, 500) },
 			wantStatus: 503, wantCode: CodeCanceled,
 		},
 	}
@@ -237,14 +237,6 @@ func TestErrorEnvelopeTable(t *testing.T) {
 				t.Fatalf("retry_after_ms = %d, want %d", env.Error.RetryAfterMS, tc.wantMS)
 			}
 		})
-	}
-}
-
-// WriteQoSError leaves non-QoS errors for the caller.
-func TestWriteQoSErrorIgnoresOtherErrors(t *testing.T) {
-	rec := httptest.NewRecorder()
-	if WriteQoSError(rec, errors.New("disk on fire")) {
-		t.Fatal("a plain error is not a QoS verdict")
 	}
 }
 

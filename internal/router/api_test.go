@@ -250,7 +250,7 @@ func TestHTTPBackendReusesConnections(t *testing.T) {
 	if _, err := b.Do(ctx, "E1", nil); err != nil {
 		t.Fatalf("first request: %v", err)
 	}
-	if _, err := b.Do(ctx, "E1", nil); !isHTTPStatus(err, http.StatusServiceUnavailable) {
+	if _, err := b.Do(ctx, "E1", nil); replicaStatus(err) != http.StatusServiceUnavailable {
 		t.Fatalf("error request = %v, want the 503", err)
 	}
 	if _, err := b.Do(ctx, "E1", nil); err != nil {

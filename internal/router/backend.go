@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -82,31 +81,12 @@ func (b *EngineBackend) Control(_ context.Context, body []byte) ([]byte, error) 
 	return json.Marshal(ack)
 }
 
-// statusError is an HTTP backend failure carrying the replica's status
-// code — so the router can tell client errors (no failover: every
-// replica would reject identically) from replica failures (fail over) —
-// plus the retry hint a shed entry carried, so the routing front-end can
-// re-emit Retry-After instead of swallowing the backoff signal DESIGN.md
-// §8 promises.
-type statusError struct {
-	status     int
-	msg        string
-	retryAfter time.Duration
-}
-
-func (e *statusError) Error() string { return fmt.Sprintf("HTTP %d: %s", e.status, e.msg) }
-
-// isHTTPClientError reports whether err is a remote replica's 4xx.
-func isHTTPClientError(err error) bool {
-	var se *statusError
-	return errors.As(err, &se) && se.status >= 400 && se.status < 500
-}
-
-// isHTTPStatus reports whether err is a remote replica's response with
-// exactly the given status.
-func isHTTPStatus(err error, status int) bool {
-	var se *statusError
-	return errors.As(err, &se) && se.status == status
+// replicaError is a replica's own answer — status, message and the retry
+// hint a shed entry carried — as an error the one mapping
+// (httpapi.ErrorStatus) passes through, so the router's verdict and the
+// front-end's answer on either face are the replica's (DESIGN.md §8).
+func replicaError(status int, msg string, retryAfter time.Duration) error {
+	return &httpapi.StatusError{Status: status, Msg: fmt.Sprintf("HTTP %d: %s", status, msg), RetryAfter: retryAfter}
 }
 
 // HTTPBackend is a remote arch21d replica: frames ride one upgraded
@@ -179,7 +159,7 @@ func (b *HTTPBackend) Do(ctx context.Context, id string, p core.Params) (serve.R
 // upgrade. The QoS envelope (class, tenant, hedge marker, deadline less
 // hopBudget) is read once and rides the stream message or the POST's
 // headers; a budget that cannot survive the hop is shed here without a
-// wire message. Entry-level errors surface as statusError values so the
+// wire message. Entry-level errors surface as replicaError values so the
 // router's verdict taxonomy (client error vs shed vs replica failure)
 // applies per entry whichever frame carried it.
 func (b *HTTPBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]serve.BatchOutcome, error) {
@@ -234,7 +214,7 @@ func (b *HTTPBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]s
 	for i, res := range results {
 		if !res.OK {
 			out[i].Err = fmt.Errorf("router: %s /batch entry %s: %w", b.base, items[i].ID,
-				&statusError{status: res.Status, msg: res.Msg, retryAfter: res.RetryAfter})
+				replicaError(res.Status, res.Msg, res.RetryAfter))
 			continue
 		}
 		out[i].RawResponse = serve.RawResponse{
@@ -267,7 +247,7 @@ func (b *HTTPBackend) postBatch(ctx context.Context, env httpapi.Envelope, frame
 	defer httpapi.DrainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, &statusError{status: resp.StatusCode, msg: strings.TrimSpace(string(body))}
+		return nil, replicaError(resp.StatusCode, strings.TrimSpace(string(body)), 0)
 	}
 	return io.ReadAll(resp.Body)
 }
@@ -299,7 +279,7 @@ func (b *HTTPBackend) Control(ctx context.Context, body []byte) ([]byte, error) 
 	out, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("router: %s /control: %w", b.base,
-			&statusError{status: resp.StatusCode, msg: strings.TrimSpace(string(out))})
+			replicaError(resp.StatusCode, strings.TrimSpace(string(out)), 0))
 	}
 	return out, nil
 }

@@ -197,7 +197,7 @@ func TestLostFrameFallbackNeverHedges(t *testing.T) {
 
 // HTTPBackend.DoBatch against a live replica: one POST /v1/batch
 // exchange serves every entry, per-entry errors come back as
-// statusError values the router taxonomy classifies like single
+// replica answers the router taxonomy classifies like single
 // requests, and payloads decode.
 func TestHTTPBackendDoBatch(t *testing.T) {
 	eng := serve.NewEngine(serve.Config{Shards: 4, Workers: 2})
@@ -233,7 +233,7 @@ func TestHTTPBackendDoBatch(t *testing.T) {
 	if outs[2].Err == nil {
 		t.Fatal("unknown experiment served without error")
 	}
-	if !isHTTPStatus(outs[2].Err, http.StatusNotFound) {
+	if replicaStatus(outs[2].Err) != http.StatusNotFound {
 		t.Fatalf("unknown experiment error = %v, want embedded 404", outs[2].Err)
 	}
 	if v := classify(outs[2].Err); v != verdictReturn {

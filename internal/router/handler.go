@@ -19,7 +19,6 @@ package router
 
 import (
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 
@@ -62,7 +61,7 @@ func (r *Router) Handler() http.Handler {
 		// arrives encoded and is decoded once here at the edge.
 		rr, err := r.ServeEncoded(ctx, id, params)
 		if err != nil {
-			writeRoutedError(w, err)
+			httpapi.WriteServingError(w, err, http.StatusBadGateway)
 			return
 		}
 		res, err := core.DecodeSummary(rr.Raw)
@@ -91,7 +90,7 @@ func (r *Router) Handler() http.Handler {
 	// exchange per owner; per-entry failures ride inside the response
 	// frame with the same status taxonomy the single-request route uses.
 	httpapi.MountFunc(mux, "POST /batch", func(w http.ResponseWriter, req *http.Request) {
-		serve.HandleBatch(w, req, r.ServeEncodedBatch, routedErrStatus)
+		serve.HandleBatch(w, req, r.ServeEncodedBatch, http.StatusBadGateway)
 	})
 	httpapi.MountFunc(mux, "GET /stats", func(w http.ResponseWriter, req *http.Request) {
 		httpapi.WriteJSON(w, http.StatusOK, r.Metrics())
@@ -125,51 +124,4 @@ func (r *Router) Handler() http.Handler {
 		httpapi.WriteJSON(w, status, map[string]interface{}{"replicas": acks})
 	})
 	return mux
-}
-
-// writeRoutedError maps a routed serving error onto the wire: QoS sheds
-// get their dedicated statuses, a replica's own HTTP verdict passes
-// through (with its Retry-After hint re-emitted), exhaustion answers
-// 503, everything else 502 — all in the shared envelope.
-func writeRoutedError(w http.ResponseWriter, err error) {
-	if httpapi.WriteQoSError(w, err) {
-		return
-	}
-	status, code := http.StatusBadGateway, httpapi.CodeUpstream
-	var se *statusError
-	switch {
-	case errors.Is(err, serve.ErrUnknownExperiment):
-		status, code = http.StatusNotFound, httpapi.CodeNotFound
-	case errors.Is(err, serve.ErrBadParams):
-		status, code = http.StatusBadRequest, httpapi.CodeBadRequest
-	case errors.As(err, &se):
-		status, code = se.status, httpapi.CodeForStatus(se.status)
-		// A replica's shed carried a backoff hint; re-emit it so the
-		// client behind the front-end sees the same contract a replica
-		// speaks directly.
-		if se.retryAfter > 0 {
-			httpapi.WriteErrorRetry(w, status, code, err.Error(), se.retryAfter)
-			return
-		}
-	case errors.Is(err, ErrNoBackends):
-		status, code = http.StatusServiceUnavailable, httpapi.CodeNoBackends
-	}
-	httpapi.WriteError(w, status, code, err.Error())
-}
-
-// routedErrStatus is writeRoutedError's taxonomy flattened to a status
-// code for a batch entry's outcome word: the engine's own taxonomy first,
-// then a replica's HTTP verdict, exhaustion, and 502 for the rest.
-func routedErrStatus(err error) int {
-	var se *statusError
-	switch s := serve.BatchErrStatus(err); {
-	case s != http.StatusInternalServerError:
-		return s
-	case errors.As(err, &se):
-		return se.status
-	case errors.Is(err, ErrNoBackends):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusBadGateway
-	}
 }

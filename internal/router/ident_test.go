@@ -204,7 +204,7 @@ func TestRequestIdentityMatchesUncachedDerivation(t *testing.T) {
 			t.Errorf("%s: RouteKey %q, want %q", name, RouteKey(en.ID, p), routeKeyRef(en.ID, p))
 		}
 		if rerr != nil {
-			status := serve.BatchErrStatus(rerr)
+			status, _, _ := httpapi.ErrorStatus(rerr, http.StatusInternalServerError)
 			if r := direct[i]; r.OK || r.Status != status || r.Msg != rerr.Error() {
 				t.Errorf("%s via engine: %+v, want %d %q", name, r, status, rerr)
 			}

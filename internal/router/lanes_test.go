@@ -4,22 +4,29 @@ package router
 // scoreboard, a deadline, a tenant, interactive or batch class — and
 // whether it rides the stream or the POST carrier, the client of
 // Router.Handler() sees the same status, Retry-After, error code and
-// envelope. A 2-replica HTTP cluster: replica 0 takes the stream,
-// replica 1 refuses the upgrade, so a key's owner picks the carrier.
+// envelope — and the same request as a POST /v1/batch entry the same
+// status and retry hint. A 2-replica HTTP cluster: replica 0 takes the
+// stream, replica 1 refuses the upgrade, so a key's owner picks the
+// carrier.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/admit"
 	"repro/internal/core"
+	"repro/internal/httpapi"
 	"repro/internal/serve"
 )
 
@@ -96,6 +103,31 @@ func fillQueues(t *testing.T, g *gate, engs ...*serve.Engine) {
 			return eng.Metrics().Classes[admit.Interactive.String()].QueueDepth >= 1
 		})
 	}
+}
+
+// postOne posts id as a one-entry frame to rt's /v1/batch with the given
+// headers, its class the one they name, and returns the entry's outcome.
+func postOne(t *testing.T, rt *Router, id string, p core.Params, headers ...map[string]string) httpapi.BatchResult {
+	t.Helper()
+	class := admit.Interactive
+	req := httptest.NewRequest(http.MethodPost, "/v1/batch", nil)
+	for _, h := range headers {
+		for name, v := range h {
+			req.Header.Set(name, v)
+			if name == admit.HeaderClass && v == "batch" {
+				class = admit.Batch
+			}
+		}
+	}
+	req.Body = io.NopCloser(bytes.NewReader(httpapi.AppendBatchRequest(nil,
+		[]httpapi.BatchEntry{{ID: id, Class: class, Params: p.Assignments()}})))
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, req)
+	res, err := httpapi.DecodeBatchResponse(rec.Body.Bytes())
+	if rec.Code != http.StatusOK || err != nil || len(res) != 1 {
+		t.Fatalf("POST /v1/batch %s: status %d, %v\n%s", id, rec.Code, err, rec.Body.String())
+	}
+	return res[0]
 }
 
 var latencyField = regexp.MustCompile(`"latency_ms": [0-9.e+-]+`)
@@ -213,6 +245,25 @@ func TestOneTaxonomyAcrossLanes(t *testing.T) {
 					refKind, refBody = k.name, body
 				} else if body != refBody {
 					t.Fatalf("%s differs from the %s kind:\n%s\n--- vs ---\n%s", what, refKind, body, refBody)
+				}
+
+				// The same request as a one-entry frame through the
+				// front-end's POST /v1/batch: the entry carries the status
+				// and retry hint the /v1/run answer did.
+				if oc.prep != nil {
+					oc.prep(c.engs[owner], id)
+				}
+				res := postOne(t, c.front(t, k.primed), id, params, k.header, oc.header)
+				status, retry := res.Status, ""
+				if res.OK {
+					status = http.StatusOK
+				}
+				if res.RetryAfter > 0 {
+					retry = strconv.Itoa(int(math.Ceil(res.RetryAfter.Seconds())))
+				}
+				if status != oc.status || retry != oc.retry || (res.OK && res.CacheHit != oc.hit) ||
+					(!res.OK && !oc.anyMsg && res.Msg != body) {
+					t.Fatalf("%s via /v1/batch: entry %+v (Retry-After %q), want %d %q", what, res, retry, oc.status, oc.retry)
 				}
 			}
 		}

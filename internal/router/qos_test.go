@@ -5,6 +5,7 @@ package router
 // failover attempts.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -218,8 +219,9 @@ func TestRouterHandlerQoSFace(t *testing.T) {
 }
 
 // A remote replica's shed (a 503 entry with a retry hint) keeps its
-// backoff hint through the front-end: the statusError carries it and the
-// handler re-emits it as Retry-After.
+// backoff hint through the front-end: the relayed answer (replicaError)
+// carries it, /run re-emits it as Retry-After and /batch as the entry's
+// retry hint.
 func TestRouterHandlerForwardsReplicaRetryAfter(t *testing.T) {
 	replica := shedReplica(t, 7*time.Second)
 	r, err := New([]Backend{NewHTTPBackend(replica.URL)}, Config{Retries: 1})
@@ -239,6 +241,18 @@ func TestRouterHandlerForwardsReplicaRetryAfter(t *testing.T) {
 	}
 	if got := resp.Header.Get("Retry-After"); got != "7" {
 		t.Fatalf("Retry-After through front-end = %q, want 7", got)
+	}
+	// The same shed as a POST /v1/batch entry keeps the hint in the frame.
+	frame := httpapi.AppendBatchRequest(nil, []httpapi.BatchEntry{{ID: "E1", Class: admit.Interactive}})
+	bresp, err := front.Client().Post(front.URL+"/v1/batch", "application/octet-stream", bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bresp.Body.Close()
+	body, _ := io.ReadAll(bresp.Body)
+	res, err := httpapi.DecodeBatchResponse(body)
+	if err != nil || len(res) != 1 || res[0].Status != http.StatusServiceUnavailable || res[0].RetryAfter != 7*time.Second {
+		t.Fatalf("front-end /v1/batch: %d %+v (%v), want one 503 entry with a 7s hint", bresp.StatusCode, res, err)
 	}
 	// And the shedding replica was not marked failed into ejection-land
 	// by its deliberate 503s... it does fail over (one retry against the

@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -34,8 +35,9 @@ import (
 )
 
 // ErrNoBackends is returned when every candidate replica for a key is
-// ejected or failing.
-var ErrNoBackends = errors.New("router: no healthy backend")
+// ejected or failing (503 no_backends).
+var ErrNoBackends error = &httpapi.StatusError{Status: http.StatusServiceUnavailable,
+	Code: httpapi.CodeNoBackends, Msg: "router: no healthy backend"}
 
 // errAttemptTimeout marks one attempt abandoned because the backend did
 // not answer within Config.Timeout (a wedged replica must not stall the
@@ -228,6 +230,9 @@ const (
 	verdictFailure
 )
 
+// classify judges an attempt's error on the status the one mapping
+// (httpapi.ErrorStatus) gives it, whichever frame or replica it came from:
+// 4xx is final, 503 fails over, anything else is a failure.
 func classify(err error) verdict {
 	switch {
 	case err == nil:
@@ -235,14 +240,10 @@ func classify(err error) verdict {
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return verdictCtx
 	}
-	var shed *admit.ShedError
-	if errors.As(err, &shed) && shed.Deadline {
+	switch status, _, _ := httpapi.ErrorStatus(err, http.StatusBadGateway); {
+	case status >= 400 && status < 500:
 		return verdictReturn
-	}
-	if errors.Is(err, serve.ErrUnknownExperiment) || errors.Is(err, serve.ErrBadParams) || isHTTPClientError(err) {
-		return verdictReturn
-	}
-	if errors.Is(err, admit.ErrShed) || isHTTPStatus(err, 503) {
+	case status == http.StatusServiceUnavailable:
 		return verdictFailover
 	}
 	return verdictFailure

@@ -506,7 +506,7 @@ func TestHTTPBackendFailoverEjectionReadmission(t *testing.T) {
 	// ejection.
 	if _, err := serveDecoded(context.Background(), r, "NOPE-unregistered", nil); err == nil {
 		t.Fatal("unknown experiment over HTTP should error")
-	} else if !isHTTPClientError(err) {
+	} else if s := replicaStatus(err); s < 400 || s >= 500 {
 		t.Fatalf("404 should surface as a client error, got %v", err)
 	}
 	if r.Metrics().Health[0].Ejected || r.Metrics().Health[1].Ejected {

@@ -100,7 +100,7 @@ func (b *HTTPBackend) streamFor(ctx context.Context) (*streamConn, error) {
 		resp.StatusCode == http.StatusUpgradeRequired:
 		b.httpOnly.Store(true)
 	default:
-		err = &statusError{status: resp.StatusCode, msg: "stream upgrade refused"}
+		err = replicaError(resp.StatusCode, "stream upgrade refused", 0)
 	}
 	_ = conn.Close()
 	return nil, err
@@ -123,9 +123,9 @@ func (sc *streamConn) readLoop(br *bufio.Reader) {
 		}
 		r := streamReply{body: body}
 		if kind == httpapi.StreamError {
-			var se statusError
-			if se.status, se.msg, r.err = httpapi.ParseStreamError(body); r.err == nil {
-				r.err = &se
+			status, msg, perr := httpapi.ParseStreamError(body)
+			if r.err = perr; perr == nil {
+				r.err = replicaError(status, msg, 0)
 			}
 		}
 		if ch := sc.take(id); ch != nil { // nil: a canceled caller has already left

@@ -12,13 +12,12 @@ package serve
 
 import (
 	"context"
-	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/admit"
 	"repro/internal/core"
@@ -144,49 +143,20 @@ func (e *Engine) serveMisses(ctx context.Context, items []BatchItem, out []Batch
 	wg.Wait()
 }
 
-// BatchErrStatus maps one item's serving error onto the HTTP status its
-// outcome word carries — the same taxonomy writeRunError applies to a
-// single /run request, so a batched caller can branch identically (500
-// is "none of the known outcomes": the front-end refines it).
-func BatchErrStatus(err error) int {
-	var shed *admit.ShedError
-	switch {
-	case errors.As(err, &shed):
-		if shed.Deadline {
-			return http.StatusTooManyRequests
-		}
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, ErrUnknownExperiment):
-		return http.StatusNotFound
-	case errors.Is(err, ErrBadParams):
-		return http.StatusBadRequest
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
 // HandleBatch is POST /batch on either face of the API — the engine's
 // (serveFn = Engine.ServeEncodedBatch) and the routing front-end's
 // (Router.ServeEncodedBatch): one frame in the request body, its response
 // frame in the reply. The whole-request error paths (unreadable body, bad
 // QoS headers, bad frame) use the shared JSON envelope like every other
 // endpoint; per-entry failures ride inside the frame as outcome words,
-// with the status errStatus gives them, so one bad entry cannot fail its
+// with the status httpapi.ErrorStatus gives them under fallback (500 on a
+// replica, 502 on the front-end), so one bad entry cannot fail its
 // siblings.
 func HandleBatch(w http.ResponseWriter, r *http.Request,
-	serveFn func(context.Context, []BatchItem) []BatchOutcome, errStatus func(error) int) {
+	serveFn func(context.Context, []BatchItem) []BatchOutcome, fallback int) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, httpapi.MaxBatchBytes))
 	if err != nil {
-		status, code := http.StatusBadRequest, httpapi.CodeBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status, code = http.StatusRequestEntityTooLarge, httpapi.CodePayloadTooLarge
-		}
-		httpapi.WriteError(w, status, code, "bad batch body: "+err.Error())
+		httpapi.WriteServingError(w, fmt.Errorf("bad batch body: %w", err), http.StatusBadRequest)
 		return
 	}
 	ctx, cancel, err := httpapi.RequestContext(r)
@@ -197,7 +167,7 @@ func HandleBatch(w http.ResponseWriter, r *http.Request,
 	defer cancel()
 	buf := httpapi.GetBuffer()
 	defer httpapi.PutBuffer(buf)
-	frame, err := ServeBatchFrame(ctx, body, (*buf)[:0], serveFn, errStatus)
+	frame, err := ServeBatchFrame(ctx, body, (*buf)[:0], serveFn, fallback)
 	if err != nil {
 		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
 		return
@@ -210,10 +180,12 @@ func HandleBatch(w http.ResponseWriter, r *http.Request,
 // ServeBatchFrame is the frame routine both carriers share (POST /batch
 // and the replica stream): walk the A21B request frame in body, naming each
 // entry by its own bytes (Intern), serve them through serveFn, append the
-// A21R response frame to dst. The error is a frame that does not decode —
-// the one failure that answers the whole frame instead of an entry.
+// A21R response frame to dst, an entry's error as the status and retry
+// hint httpapi.ErrorStatus gives it under fallback. The error is a frame
+// that does not decode — the one failure that answers the whole frame
+// instead of an entry.
 func ServeBatchFrame(ctx context.Context, body, dst []byte,
-	serveFn func(context.Context, []BatchItem) []BatchOutcome, errStatus func(error) int) ([]byte, error) {
+	serveFn func(context.Context, []BatchItem) []BatchOutcome, fallback int) ([]byte, error) {
 	w, err := httpapi.WalkBatchRequest(body)
 	if err != nil {
 		return dst, err
@@ -237,12 +209,8 @@ func ServeBatchFrame(ctx context.Context, body, dst []byte,
 		for i++; results[i].Status != 0; i++ { // on to the next entry not rejected above
 		}
 		if o.Err != nil {
-			results[i] = httpapi.BatchResult{Status: errStatus(o.Err), Msg: o.Err.Error()}
-			// The hint a lone response carries as Retry-After (rounded up from zero there too); shed escapes, hence here.
-			var shed *admit.ShedError
-			if errors.As(o.Err, &shed) {
-				results[i].RetryAfter = max(shed.RetryAfter, time.Millisecond)
-			}
+			status, _, retryAfter := httpapi.ErrorStatus(o.Err, fallback)
+			results[i] = httpapi.BatchResult{Status: status, Msg: o.Err.Error(), RetryAfter: retryAfter}
 			continue
 		}
 		rr := o.RawResponse

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -11,18 +12,18 @@ import (
 
 	"repro/internal/admit"
 	"repro/internal/core"
+	"repro/internal/httpapi"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
 // ErrUnknownExperiment is returned (wrapped) by Serve when the ID is not
-// registered, so servers can distinguish a missing resource from an
-// internal failure.
-var ErrUnknownExperiment = errors.New("serve: unknown experiment")
+// registered: a missing resource (404), not an internal failure.
+var ErrUnknownExperiment error = &httpapi.StatusError{Status: http.StatusNotFound, Msg: "serve: unknown experiment"}
 
 // ErrBadParams wraps parameter-resolution failures (unknown name, value
-// out of range) so servers can report them as client errors.
-var ErrBadParams = errors.New("serve: invalid parameters")
+// out of range): a client error (400).
+var ErrBadParams error = &httpapi.StatusError{Status: http.StatusBadRequest, Msg: "serve: invalid parameters"}
 
 // Config parameterizes an Engine.
 type Config struct {

@@ -8,6 +8,7 @@ package serve
 // assignment's canonical spelling.
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"reflect"
@@ -68,5 +69,49 @@ func FuzzIdentOfMatchesResolveKey(f *testing.F) {
 		if err != nil || len(back) != len(p) || (len(p) > 0 && !reflect.DeepEqual(back, p)) {
 			t.Fatalf("IdentOf(%q, %v) wire parses back to %v (%v)", id, p, back, err)
 		}
+	})
+}
+
+// Snapshot decoding never panics on any bytes, and a corrupt snapshot is
+// never fatal: the answer is the entries before the bad byte plus an
+// ErrSnapshotCorrupt-wrapped error. That prefix re-encodes and decodes to
+// itself, and every truncation of a valid snapshot decodes to a prefix of
+// its entries.
+func FuzzDecodeSnapshot(f *testing.F) {
+	for _, kvs := range [][]KV{
+		nil,
+		{{Key: "E7", Val: []byte{1, 2, 3}, AddedUnixNano: 1700000000000000000}},
+		{{Key: "", Val: nil, AddedUnixNano: -1}, {Key: "E3?trials=20000", Val: make([]byte, 300), AddedUnixNano: math.MaxInt64},
+			{Key: "E1", Val: []byte("x"), AddedUnixNano: math.MinInt64}},
+	} {
+		f.Add(EncodeSnapshot(kvs))
+	}
+	f.Add([]byte{})
+	f.Add(append(slices.Clone(snapshotMagic), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		kvs, err := DecodeSnapshot(buf)
+		if err != nil && !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Fatalf("error %v does not wrap ErrSnapshotCorrupt", err)
+		}
+		if again, err := DecodeSnapshot(EncodeSnapshot(kvs)); err != nil || len(again) != len(kvs) || !kvsPrefix(kvs, again) {
+			t.Fatalf("prefix of %d entries decodes back to %d (%v)", len(kvs), len(again), err)
+		}
+		if err != nil || len(buf) > 4096 {
+			return
+		}
+		for n := range len(buf) {
+			part, err := DecodeSnapshot(buf[:n])
+			if !errors.Is(err, ErrSnapshotCorrupt) || !kvsPrefix(kvs, part) {
+				t.Fatalf("truncation to %d of %d bytes: %d entries (%v), want a prefix of %d and ErrSnapshotCorrupt",
+					n, len(buf), len(part), err, len(kvs))
+			}
+		}
+	})
+}
+
+// kvsPrefix reports whether part is a prefix of kvs, entry for entry.
+func kvsPrefix(kvs, part []KV) bool {
+	return len(part) <= len(kvs) && slices.EqualFunc(part, kvs[:len(part)], func(a, b KV) bool {
+		return a.Key == b.Key && bytes.Equal(a.Val, b.Val) && a.AddedUnixNano == b.AddedUnixNano
 	})
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"strconv"
 
@@ -180,7 +179,7 @@ func (e *Engine) writeRunJSON(w http.ResponseWriter, rr RawResponse) {
 			err = je.Encode(runTail{Headline: res.Headline, Findings: res.Findings, Report: res.Render()})
 		}
 		if err != nil {
-			writeRunError(w, err)
+			httpapi.WriteServingError(w, err, http.StatusInternalServerError)
 			return
 		}
 		// "{\n  ...\n}\n" becomes ",\n  ...\n}\n", continuing the head.
@@ -232,7 +231,7 @@ func (e *Engine) Handler() http.Handler {
 		defer cancel()
 		rr, err := e.ServeEncoded(ctx, id, params)
 		if err != nil {
-			writeRunError(w, err)
+			httpapi.WriteServingError(w, err, http.StatusInternalServerError)
 			return
 		}
 		switch format {
@@ -263,7 +262,7 @@ func (e *Engine) Handler() http.Handler {
 		// text and csv decode at the edge.
 		res, err := rr.Result()
 		if err != nil {
-			writeRunError(w, err)
+			httpapi.WriteServingError(w, err, http.StatusInternalServerError)
 			return
 		}
 		if format == "text" {
@@ -282,7 +281,7 @@ func (e *Engine) Handler() http.Handler {
 	// POST /batch: the multi-get wire surface (varint frames in and out,
 	// per-entry outcome words, payloads served zero-copy from the slab).
 	httpapi.MountFunc(mux, "POST /batch", func(w http.ResponseWriter, r *http.Request) {
-		HandleBatch(w, r, e.ServeEncodedBatch, BatchErrStatus)
+		HandleBatch(w, r, e.ServeEncodedBatch, http.StatusInternalServerError)
 	})
 	// GET /stream: the same frames over one upgraded, pipelined connection.
 	httpapi.MountFunc(mux, "GET /stream", e.handleStream)
@@ -293,21 +292,4 @@ func (e *Engine) Handler() http.Handler {
 	httpapi.Mount(mux, "GET /events", e.Events().Handler())
 	httpapi.Mount(mux, "POST /control", e.ControlHandler())
 	return mux
-}
-
-// writeRunError maps a /run serving error onto the wire: QoS sheds get
-// their dedicated statuses (503/429/504 + Retry-After), unknown IDs 404,
-// bad params 400, everything else 500 — all in the shared envelope.
-func writeRunError(w http.ResponseWriter, err error) {
-	if httpapi.WriteQoSError(w, err) {
-		return
-	}
-	status, code := http.StatusInternalServerError, httpapi.CodeInternal
-	switch {
-	case errors.Is(err, ErrUnknownExperiment):
-		status, code = http.StatusNotFound, httpapi.CodeNotFound
-	case errors.Is(err, ErrBadParams):
-		status, code = http.StatusBadRequest, httpapi.CodeBadRequest
-	}
-	httpapi.WriteError(w, status, code, err.Error())
 }

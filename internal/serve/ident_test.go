@@ -104,7 +104,7 @@ func TestIdentityTableBoundedUnderConcurrentInterning(t *testing.T) {
 						Params: []string{"bces=16", "f=" + core.FormatParamValue(value(i+j))}}
 				}
 				frame, err := ServeBatchFrame(context.Background(), httpapi.AppendBatchRequest(nil, entries),
-					nil, e.ServeEncodedBatch, BatchErrStatus)
+					nil, e.ServeEncodedBatch, http.StatusInternalServerError)
 				if err != nil {
 					t.Errorf("frame at %d: %v", i, err)
 					return
@@ -194,7 +194,7 @@ func TestServeBatchFrameAllocsPerFrameNotPerEntry(t *testing.T) {
 		body := httpapi.AppendBatchRequest(nil, entries)
 		serveFn := e.ServeEncodedBatch
 		serve := func() {
-			frame, err := ServeBatchFrame(context.Background(), body, dst[:0], serveFn, BatchErrStatus)
+			frame, err := ServeBatchFrame(context.Background(), body, dst[:0], serveFn, http.StatusInternalServerError)
 			if err != nil || len(frame) == 0 {
 				t.Fatalf("ServeBatchFrame: %v", err)
 			}

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/admit"
 	"repro/internal/core"
-	"repro/internal/httpapi"
 )
 
 // slowRunner sleeps for d per execution, honoring ctx.
@@ -379,39 +378,5 @@ func TestTakeClassWindowLosesNothing(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, func() { e.TakeClassWindow(admit.Interactive) }); allocs != 0 {
 		t.Errorf("TakeClassWindow allocates %.0f times per tick, want 0", allocs)
-	}
-}
-
-// httpapi.WriteQoSError, what writeRunError answers sheds with, maps
-// every QoS outcome; non-QoS errors are left for the caller.
-func TestWriteShedHeadersMapping(t *testing.T) {
-	cases := []struct {
-		err        error
-		wantStatus int
-		retryAfter bool
-	}{
-		{&admit.ShedError{Class: admit.Interactive, RetryAfter: 1500 * time.Millisecond}, http.StatusServiceUnavailable, true},
-		{&admit.ShedError{Class: admit.Batch, Deadline: true}, http.StatusTooManyRequests, true},
-		{context.DeadlineExceeded, http.StatusGatewayTimeout, false},
-		{context.Canceled, http.StatusServiceUnavailable, false},
-	}
-	for _, c := range cases {
-		rec := httptest.NewRecorder()
-		if !httpapi.WriteQoSError(rec, c.err) {
-			t.Fatalf("httpapi.WriteQoSError(%v) = false", c.err)
-		}
-		if rec.Code != c.wantStatus {
-			t.Fatalf("httpapi.WriteQoSError(%v) status = %d, want %d", c.err, rec.Code, c.wantStatus)
-		}
-		if c.retryAfter && rec.Header().Get("Retry-After") == "" {
-			t.Fatalf("httpapi.WriteQoSError(%v): no Retry-After", c.err)
-		}
-	}
-	rec := httptest.NewRecorder()
-	if httpapi.WriteQoSError(rec, errors.New("boom")) {
-		t.Fatal("httpapi.WriteQoSError claimed a non-QoS error")
-	}
-	if httpapi.WriteQoSError(httptest.NewRecorder(), ErrUnknownExperiment) {
-		t.Fatal("httpapi.WriteQoSError claimed ErrUnknownExperiment")
 	}
 }

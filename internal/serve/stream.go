@@ -154,7 +154,7 @@ func (s *replicaStream) serveFrame(ctx context.Context, id uint32, body []byte) 
 	env, frame, err := httpapi.ParseStreamRequest(body)
 	if err == nil {
 		ectx, cancel := env.Context(ctx)
-		msg, err = ServeBatchFrame(ectx, frame, msg, s.e.ServeEncodedBatch, BatchErrStatus)
+		msg, err = ServeBatchFrame(ectx, frame, msg, s.e.ServeEncodedBatch, http.StatusInternalServerError)
 		cancel()
 	}
 	if err != nil {

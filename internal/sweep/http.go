@@ -15,7 +15,7 @@ package sweep
 
 import (
 	"encoding/json"
-	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 
@@ -125,12 +125,7 @@ func Handler(srv Server) http.Handler {
 		r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
 		var req Request
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			status, code := http.StatusBadRequest, httpapi.CodeBadRequest
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				status, code = http.StatusRequestEntityTooLarge, httpapi.CodePayloadTooLarge
-			}
-			httpapi.WriteError(w, status, code, "bad request body: "+err.Error())
+			httpapi.WriteServingError(w, fmt.Errorf("bad request body: %w", err), http.StatusBadRequest)
 			return
 		}
 		sp, err := ParseSpec(req.ID, req.Params)
