@@ -240,6 +240,18 @@ func TestErrorEnvelopeTable(t *testing.T) {
 	}
 }
 
+// A plain error is not a QoS verdict: the mapping leaves it to the
+// caller's fallback, with no retry hint.
+func TestWriteQoSErrorIgnoresOtherErrors(t *testing.T) {
+	for _, fallback := range []int{http.StatusInternalServerError, http.StatusBadGateway} {
+		rec := httptest.NewRecorder()
+		WriteServingError(rec, errors.New("disk on fire"), fallback)
+		if rec.Code != fallback || rec.Header().Get("Retry-After") != "" {
+			t.Fatalf("fallback %d: a plain error answered %d, Retry-After %q", fallback, rec.Code, rec.Header().Get("Retry-After"))
+		}
+	}
+}
+
 // Mount serves the same handler under the legacy path and its /v1 alias.
 func TestMountVersionedAliases(t *testing.T) {
 	mux := http.NewServeMux()

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/admit"
 	"repro/internal/core"
+	"repro/internal/httpapi"
 )
 
 // slowRunner sleeps for d per execution, honoring ctx.
@@ -378,5 +379,33 @@ func TestTakeClassWindowLosesNothing(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, func() { e.TakeClassWindow(admit.Interactive) }); allocs != 0 {
 		t.Errorf("TakeClassWindow allocates %.0f times per tick, want 0", allocs)
+	}
+}
+
+// httpapi.WriteServingError, what the engine's /run answers sheds with,
+// maps every QoS outcome; non-QoS errors keep the replica's fallback or
+// their own status, without a retry hint.
+func TestWriteShedHeadersMapping(t *testing.T) {
+	cases := []struct {
+		err        error
+		wantStatus int
+		retryAfter bool
+	}{
+		{&admit.ShedError{Class: admit.Interactive, RetryAfter: 1500 * time.Millisecond}, http.StatusServiceUnavailable, true},
+		{&admit.ShedError{Class: admit.Batch, Deadline: true}, http.StatusTooManyRequests, true},
+		{context.DeadlineExceeded, http.StatusGatewayTimeout, false},
+		{context.Canceled, http.StatusServiceUnavailable, false},
+		{errors.New("boom"), http.StatusInternalServerError, false},
+		{ErrUnknownExperiment, http.StatusNotFound, false},
+	}
+	for _, c := range cases {
+		rec := httptest.NewRecorder()
+		httpapi.WriteServingError(rec, c.err, http.StatusInternalServerError)
+		if rec.Code != c.wantStatus {
+			t.Fatalf("httpapi.WriteServingError(%v) status = %d, want %d", c.err, rec.Code, c.wantStatus)
+		}
+		if got := rec.Header().Get("Retry-After") != ""; got != c.retryAfter {
+			t.Fatalf("httpapi.WriteServingError(%v): Retry-After present = %v, want %v", c.err, got, c.retryAfter)
+		}
 	}
 }
