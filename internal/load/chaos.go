@@ -335,20 +335,17 @@ func RunChaos(opt ChaosOptions) (ChaosResult, error) {
 	return res, nil
 }
 
-// conservationHolds checks hits+deduped+sheds+executions == requests for
-// every engine and class, returning a book summary either way.
+// conservationHolds checks serve.ClassMetrics.Balance for every engine
+// and class, returning a book summary either way.
 func conservationHolds(engines []*serve.Engine) (bool, string) {
 	ok := true
 	detail := ""
 	for i, e := range engines {
 		m := e.Metrics()
 		for class, cm := range m.Classes {
-			sum := cm.CacheHits + cm.Deduped + cm.Sheds + cm.Executions
-			if sum != cm.Requests {
+			if err := cm.Balance(); err != nil {
 				ok = false
-				detail += fmt.Sprintf(
-					"engine[%d] %s: hits(%d)+deduped(%d)+sheds(%d)+executions(%d)=%d != requests(%d); ",
-					i, class, cm.CacheHits, cm.Deduped, cm.Sheds, cm.Executions, sum, cm.Requests)
+				detail += fmt.Sprintf("engine[%d] %s: %v; ", i, class, err)
 			}
 		}
 	}

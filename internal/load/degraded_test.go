@@ -138,10 +138,8 @@ func TestDegradedReplicaHedgingHoldsP99(t *testing.T) {
 	for i, eng := range engines {
 		em := eng.Metrics()
 		for class, cm := range em.Classes {
-			sum := cm.CacheHits + cm.Deduped + cm.Sheds + cm.Executions
-			if sum != cm.Requests {
-				t.Fatalf("engine[%d] class %s: hits %d + deduped %d + sheds %d + executions %d = %d != requests %d",
-					i, class, cm.CacheHits, cm.Deduped, cm.Sheds, cm.Executions, sum, cm.Requests)
+			if err := cm.Balance(); err != nil {
+				t.Fatalf("engine[%d] class %s: %v", i, class, err)
 			}
 		}
 	}

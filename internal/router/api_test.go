@@ -182,7 +182,7 @@ func TestRouterPassesThroughUpstreamShedEnvelope(t *testing.T) {
 	// the same status, the envelope, and the backoff header instead of
 	// swallowing them.
 	replica := shedReplica(t, 2*time.Second)
-	rt, err := New([]Backend{NewHTTPBackend(replica.URL)}, Config{Retries: 1})
+	rt, err := New([]Backend{NewHTTPBackend(replica.URL)}, Config{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

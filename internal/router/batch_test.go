@@ -63,14 +63,18 @@ func TestServeEncodedBatchClassBooksBalance(t *testing.T) {
 	if r.requests.Load() != n {
 		t.Fatalf("router counted %d requests, want %d", r.requests.Load(), n)
 	}
-	var engReqs, engSum int64
-	for _, e := range engines {
+	var engReqs int64
+	for i, e := range engines {
 		m := e.Metrics()
 		engReqs += m.Requests
-		engSum += m.CacheHits + m.Deduped + m.Sheds + m.Executions
+		for class, c := range m.Classes {
+			if err := c.Balance(); err != nil {
+				t.Fatalf("engine[%d] %s books: %v", i, class, err)
+			}
+		}
 	}
-	if engReqs != n || engSum != n {
-		t.Fatalf("engine books: requests=%d balanced=%d, want %d/%d", engReqs, engSum, n, n)
+	if engReqs != n {
+		t.Fatalf("engine books: requests=%d, want %d", engReqs, n)
 	}
 	var shipped int64
 	for _, h := range r.Metrics().Health {
@@ -171,8 +175,8 @@ func TestLostFrameFallbackNeverHedges(t *testing.T) {
 		}
 	}
 	ctx := context.Background() // untagged: interactive
-	if _, err := control.ServeEncoded(ctx, owned[0], nil); err != nil || control.hedges.Load() != 1 {
-		t.Fatalf("routed request on the hanging owner: err %v, %d hedges; want a hedge to answer it", err, control.hedges.Load())
+	if _, err := control.ServeEncoded(ctx, owned[0], nil); err != nil || control.Metrics().Hedges != 1 {
+		t.Fatalf("routed request on the hanging owner: err %v, %d hedges; want a hedge to answer it", err, control.Metrics().Hedges)
 	}
 
 	r := primed()
@@ -183,7 +187,7 @@ func TestLostFrameFallbackNeverHedges(t *testing.T) {
 			t.Fatalf("entry %d: id %q err %v; want %s served past the owner", i, o.RawResponse.ID, o.Err, owned[1+i])
 		}
 	}
-	if h := r.hedges.Load(); h != 0 {
+	if h := r.Metrics().Hedges; h != 0 {
 		t.Fatalf("a lost frame's fallback fired %d hedges, want 0", h)
 	}
 	mu.Lock()

@@ -95,68 +95,39 @@ func (r *Router) buildRegistry() *obs.Registry {
 		func() float64 { return float64(r.failovers.Load()) })
 	reg.Counter("arch21_router_exhausted_total", "Requests that failed on every candidate replica.",
 		func() float64 { return float64(r.exhausted.Load()) })
-	perBackend := func(get func(*backendState) float64) func() []obs.Sample {
+	perRow := func(get func(BackendStatus) float64) func() []obs.Sample {
 		return func() []obs.Sample {
 			out := make([]obs.Sample, 0, len(r.backends))
-			for i := range r.backends {
-				st := &r.state[i]
-				st.mu.Lock()
-				v := get(st)
-				st.mu.Unlock()
-				out = append(out, obs.Sample{Values: []string{r.backends[i].Name()}, Value: v})
+			for b := range r.backends {
+				row := r.status(b)
+				out = append(out, obs.Sample{Values: []string{row.Name}, Value: get(row)})
 			}
 			return out
 		}
 	}
 	reg.GaugeVec("arch21_backend_up", "Whether the replica is admitting requests (0 = ejected).",
-		[]string{"backend"}, perBackend(func(st *backendState) float64 {
-			if st.ejected {
+		[]string{"backend"}, perRow(func(row BackendStatus) float64 {
+			if row.Ejected {
 				return 0
 			}
 			return 1
 		}))
 	reg.CounterVec("arch21_backend_requests_total", "Requests admitted to the replica.",
-		[]string{"backend"}, perBackend(func(st *backendState) float64 { return float64(st.requests) }))
+		[]string{"backend"}, perRow(func(row BackendStatus) float64 { return float64(row.Requests) }))
 	reg.CounterVec("arch21_backend_failures_total", "Replica failures counted toward ejection.",
-		[]string{"backend"}, perBackend(func(st *backendState) float64 { return float64(st.failures) }))
+		[]string{"backend"}, perRow(func(row BackendStatus) float64 { return float64(row.Failures) }))
 	reg.CounterVec("arch21_backend_ejections_total", "Times the replica has been ejected.",
-		[]string{"backend"}, perBackend(func(st *backendState) float64 { return float64(st.ejections) }))
-	perScore := func(get func(*score) float64) func() []obs.Sample {
-		return func() []obs.Sample {
-			out := make([]obs.Sample, 0, len(r.backends))
-			for i := range r.backends {
-				out = append(out, obs.Sample{Values: []string{r.backends[i].Name()}, Value: get(&r.sb.scores[i])})
-			}
-			return out
-		}
-	}
+		[]string{"backend"}, perRow(func(row BackendStatus) float64 { return float64(row.Ejections) }))
 	reg.GaugeVec("arch21_backend_latency_seconds", "Per-replica attempt latency scoreboard (EWMA).",
-		[]string{"backend"}, func() []obs.Sample {
-			out := make([]obs.Sample, 0, len(r.backends))
-			for i := range r.backends {
-				mean, _, _ := r.sb.snapshot(i)
-				out = append(out, obs.Sample{Values: []string{r.backends[i].Name()}, Value: mean})
-			}
-			return out
-		})
+		[]string{"backend"}, perRow(func(row BackendStatus) float64 { return row.latency }))
 	reg.GaugeVec("arch21_backend_inflight", "Attempts currently outstanding against the replica.",
-		[]string{"backend"}, perScore(func(sc *score) float64 { return float64(sc.inflight.Load()) }))
+		[]string{"backend"}, perRow(func(row BackendStatus) float64 { return float64(row.Inflight) }))
 	reg.CounterVec("arch21_backend_hedges_total", "Hedged backups fired because the replica's primary attempt exceeded its latency budget.",
-		[]string{"backend"}, perScore(func(sc *score) float64 { return float64(sc.hedges.Load()) }))
+		[]string{"backend"}, perRow(func(row BackendStatus) float64 { return float64(row.Hedges) }))
 	reg.CounterVec("arch21_backend_hedge_wins_total", "Hedged backups that answered before the replica's primary attempt.",
-		[]string{"backend"}, perScore(func(sc *score) float64 { return float64(sc.hedgeWins.Load()) }))
+		[]string{"backend"}, perRow(func(row BackendStatus) float64 { return float64(row.HedgeWins) }))
 	reg.CounterVec("arch21_backend_stream_redials_total", "Times the replica's frame stream was re-established after the first dial (0 for backends without one).",
-		[]string{"backend"}, func() []obs.Sample {
-			out := make([]obs.Sample, 0, len(r.backends))
-			for _, b := range r.backends {
-				var redials int64
-				if c, ok := b.(carrier); ok {
-					_, redials = c.Carrier()
-				}
-				out = append(out, obs.Sample{Values: []string{b.Name()}, Value: float64(redials)})
-			}
-			return out
-		})
+		[]string{"backend"}, perRow(func(row BackendStatus) float64 { return float64(row.redials) }))
 	reg.Counter("arch21_batched_requests_total", "Entries answered inside an owner's pre-assembled frame (sweep fan-out, POST /batch).",
 		func() float64 { return float64(r.batched.Load()) })
 	reg.Histogram("arch21_batch_size", "Entries per batch frame shipped to a replica.",

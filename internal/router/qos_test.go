@@ -224,7 +224,7 @@ func TestRouterHandlerQoSFace(t *testing.T) {
 // retry hint.
 func TestRouterHandlerForwardsReplicaRetryAfter(t *testing.T) {
 	replica := shedReplica(t, 7*time.Second)
-	r, err := New([]Backend{NewHTTPBackend(replica.URL)}, Config{Retries: 1})
+	r, err := New([]Backend{NewHTTPBackend(replica.URL)}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,13 +50,13 @@ var errAttemptTimeout = errors.New("router: attempt timed out")
 // is always the layer that classifies slowness, not the HTTP client.
 const DefaultTimeout = 5 * time.Minute
 
-// Config parameterizes a Router.
+// vnodes is the ring points per backend.
+const vnodes = 64
+
+// Config parameterizes a Router. Failover walks every replica's ring
+// position in turn, so a chain is as long as the cluster; the hedge
+// delay never drops below DefaultHedgeFloor.
 type Config struct {
-	// VNodes is the ring points per backend (default 64).
-	VNodes int
-	// Retries bounds failover attempts after the first (default: one per
-	// remaining backend, i.e. len(backends)-1).
-	Retries int
 	// Timeout bounds one attempt's wall time (default 5m, matching the
 	// daemon's write timeout for slow cold runs — set it above the
 	// slowest legitimate cold execution, because an expiry is treated as
@@ -72,10 +72,6 @@ type Config struct {
 	// ProbeAfter is how long an ejected backend waits before the next
 	// request to it triggers a health probe for re-admission (default 1s).
 	ProbeAfter time.Duration
-	// HedgeFloor is the minimum hedge delay (default DefaultHedgeFloor,
-	// 1ms): the scoreboard's adaptive budget never drops below it, so
-	// warm microsecond traffic does not fire backups on scheduler noise.
-	HedgeFloor time.Duration
 	// DisableHedge turns hedged backup requests off entirely; the
 	// scoreboard still tracks latency and the failover chain still works.
 	DisableHedge bool
@@ -84,9 +80,6 @@ type Config struct {
 }
 
 func (c *Config) setDefaults() {
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
 	if c.Timeout <= 0 {
 		c.Timeout = DefaultTimeout
 	}
@@ -96,25 +89,9 @@ func (c *Config) setDefaults() {
 	if c.ProbeAfter <= 0 {
 		c.ProbeAfter = time.Second
 	}
-	if c.HedgeFloor <= 0 {
-		c.HedgeFloor = DefaultHedgeFloor
-	}
 	if c.now == nil {
 		c.now = time.Now
 	}
-}
-
-// backendState is one backend's health accounting, guarded by its own
-// mutex (health bookkeeping must not serialize request fan-out).
-type backendState struct {
-	mu          sync.Mutex
-	consecFails int
-	ejected     bool
-	nextProbe   time.Time
-
-	requests  int64
-	failures  int64
-	ejections int64
 }
 
 // Router routes requests to their owning replica by consistent hash.
@@ -122,30 +99,18 @@ type Router struct {
 	cfg      Config
 	backends []Backend
 	ring     *cluster.ConsistentHash
-	state    []backendState
 
-	// sb is the per-replica latency scoreboard feeding hedge budgets and
-	// latency-aware chain preference.
+	// sb holds one row per replica: its health, its latency score
+	// (feeding hedge budgets and chain preference) and its counters.
 	sb *scoreboard
 
 	// Request-path counters are atomics: a tier-1 hit on an in-process
 	// backend is sub-microsecond, so a shared mutex here would serialize
-	// exactly the traffic the router exists to spread.
+	// exactly the traffic the router exists to spread. Hedges are
+	// counted on the rows, apart from requests and failovers.
 	requests  atomic.Int64
 	failovers atomic.Int64
 	exhausted atomic.Int64
-	// hedges counts backup requests fired; hedgeWins those that answered
-	// first. Hedges are accounted here — separately from requests and
-	// failovers — so the engines' per-class conservation law still
-	// balances: a hedge is an extra backend attempt, not an extra client
-	// request.
-	hedges    atomic.Int64
-	hedgeWins atomic.Int64
-
-	// engs[b] is backend b's engine when b is a bare in-process
-	// EngineBackend, nil otherwise: an attempt on one is served inline
-	// on the caller's goroutine (serveInline).
-	engs []*serve.Engine
 	// batched counts entries answered inside an owner's pre-assembled
 	// frame (ServeEncodedBatch); batchSize the entries per exchange.
 	batched   atomic.Int64
@@ -164,22 +129,17 @@ func New(backends []Backend, cfg Config) (*Router, error) {
 		return nil, errors.New("router: need at least one backend")
 	}
 	cfg.setDefaults()
-	if cfg.Retries <= 0 {
-		cfg.Retries = len(backends) - 1
-	}
 	r := &Router{
 		cfg:       cfg,
 		backends:  backends,
-		ring:      cluster.NewConsistentHash(len(backends), cfg.VNodes),
-		state:     make([]backendState, len(backends)),
-		sb:        newScoreboard(len(backends), cfg.HedgeFloor, cfg.Timeout),
+		ring:      cluster.NewConsistentHash(len(backends), vnodes),
+		sb:        newScoreboard(len(backends), DefaultHedgeFloor, cfg.Timeout),
 		batchSize: stats.NewAtomicHistogram(batchSizeBounds),
 		events:    obs.NewEvents(0),
 	}
-	r.engs = make([]*serve.Engine, len(backends))
 	for i, b := range backends {
 		if eb, isEng := b.(*EngineBackend); isEng {
-			r.engs[i] = eb.Engine()
+			r.sb.scores[i].eng = eb.Engine()
 		}
 	}
 	return r, nil
@@ -295,7 +255,7 @@ func decodeResponse(rr serve.RawResponse) (serve.Response, error) {
 // entry of a pre-assembled frame, which never hedges (DESIGN §7).
 func (r *Router) serveChainKeyed(ctx context.Context, it serve.BatchItem, answeredBy int, prior error, frame bool) serve.BatchOutcome {
 	var chainBuf, triedBuf [8]int // a chain is one entry per backend: no heap for a small cluster
-	chain := r.ring.PlaceK(chainBuf[:0], it.Ident.Hash(), 1+r.cfg.Retries)
+	chain := r.ring.PlaceK(chainBuf[:0], it.Ident.Hash(), len(r.backends))
 	r.sb.prefer(chain)
 	lastErr := prior
 	tried := triedBuf[:0] // backends already consumed, by the loop, a hedge or the frame
@@ -319,7 +279,7 @@ func (r *Router) serveChainKeyed(ctx context.Context, it serve.BatchItem, answer
 
 		var out serve.BatchOutcome
 		winner := b
-		if r.engs[b] != nil {
+		if r.sb.scores[b].eng != nil {
 			out = r.serveInline(ctx, b, it)
 		} else {
 			// Only the first admitted attempt hedges: one backup per
@@ -398,14 +358,11 @@ func (r *Router) serveInline(ctx context.Context, b int, it serve.BatchItem) ser
 func (r *Router) exchange(ctx context.Context, b int, items []serve.BatchItem, buf []serve.BatchOutcome) (outs []serve.BatchOutcome, err error) {
 	n := int64(len(items))
 	r.batchSize.Observe(float64(n))
-	st := &r.state[b]
-	st.mu.Lock()
-	st.requests += n
-	st.mu.Unlock()
 	sc := &r.sb.scores[b]
+	sc.requests.Add(n)
 	sc.inflight.Add(n)
 	t0 := time.Now()
-	if eng := r.engs[b]; eng != nil {
+	if eng := sc.eng; eng != nil {
 		outs = eng.ServeEncodedBatchInto(ctx, items, buf)
 	} else {
 		outs, err = r.backends[b].DoBatch(ctx, items)
@@ -422,56 +379,70 @@ func (r *Router) exchange(ctx context.Context, b int, items []serve.BatchItem, b
 	return outs, err
 }
 
-// launch starts one tracked attempt — a frame of one through exchange —
-// on a goroutine of its own, which is the price of hang protection: the
-// caller can abandon a backend that neither answers nor honors its
-// context. Abandonment (the returned cancel, used when a hedge wins or
-// the attempt timer expires) reaches a remote replica as the stream's
-// cancel message, and the elapsed time is then a lower bound on the true
-// latency, folded in only when it raises the estimate (why:
-// scoreboard.observeFloor). Organic failures feed health accounting
-// instead; their wall time says nothing about serving latency.
-func (r *Router) launch(ctx context.Context, b int, it serve.BatchItem, hedge bool) (<-chan serve.BatchOutcome, context.CancelFunc) {
-	actx, cancel := context.WithCancel(ctx)
+// errAbandoned is the cause a hedged race cancels its legs with when it
+// is decided, so a leg can tell its abandonment from the caller's.
+var errAbandoned = errors.New("router: attempt abandoned")
+
+// legOutcome is one leg's answer in a hedged race, tagged with its backend.
+type legOutcome struct {
+	serve.BatchOutcome
+	b int
+}
+
+// launch starts one leg of a hedged race — a frame of one through
+// exchange — on a goroutine of its own, which is the price of hang
+// protection: the race can abandon a backend that neither answers nor
+// honors its context. The leg runs under the race's context; abandonment
+// (a winning answer or the attempt timer) reaches a remote replica as
+// the stream's cancel message, and the elapsed time is then a lower
+// bound on the true latency, folded in only when it raises the estimate
+// (why: scoreboard.observeFloor). Organic failures feed health
+// accounting instead; their wall time says nothing about serving latency.
+func (r *Router) launch(race context.Context, b int, it serve.BatchItem, hedge bool, legs chan<- legOutcome) {
+	actx := race
 	if hedge {
-		actx = httpapi.WithHedge(actx)
+		actx = httpapi.WithHedge(race)
 	}
-	ch := make(chan serve.BatchOutcome, 1)
 	go func() {
 		t0 := time.Now()
 		outs, err := r.exchange(actx, b, []serve.BatchItem{it}, nil)
-		out := serve.BatchOutcome{Err: err}
+		o := legOutcome{serve.BatchOutcome{Err: err}, b}
 		if err == nil {
-			out = outs[0]
+			o.BatchOutcome = outs[0]
 		}
-		if errors.Is(out.Err, context.Canceled) && ctx.Err() == nil {
-			// Abandoned by us, not by the caller.
+		if errors.Is(o.Err, context.Canceled) && context.Cause(race) == errAbandoned {
 			r.sb.observeFloor(b, time.Since(t0))
 		}
-		ch <- out
+		legs <- o
 	}()
-	return ch, cancel
 }
 
 // doHedged runs one bounded attempt on b, hedge-protected when rest
 // offers a candidate: the primary launches immediately; if it outlives
 // the scoreboard's adaptive budget, one backup fires to the next distinct
-// untried replica in rest, and the first usable answer (success, or a
-// client/deadline verdict — identical on every replica) wins while the
-// loser is canceled through its context. With no candidate (a failover
-// attempt passes none) or no trusted budget the hedge timer never fires
-// and this is a plain attempt under Config.Timeout. The timers are
-// stopped eagerly so a fast hit does not leave a multi-minute timer live
-// until GC. A primary that *fails* before the budget expires returns
-// without hedging — failures belong to the failover path, hedging is for
-// slowness — and 4xx verdicts are never hedged: by the time one could
-// fire, the request's fate is already decided on every replica.
+// untried replica in rest. Both legs answer on one channel, and the race
+// keeps two facts: how many legs are still out, and which failed first.
 //
-// Returns the deciding outcome, the backend it came from (so the caller
-// applies health accounting to the decider), and the backup's index when
-// one was launched (-1 otherwise; the caller marks it consumed). When
-// both attempts fail, the loser's health accounting is applied here and
-// the later outcome is returned for the caller's taxonomy.
+//   - The first usable answer (success, or a client/deadline verdict —
+//     identical on every replica) wins, and the other leg is canceled. A
+//     backup's is a hedge win.
+//   - A leg that fails while the other is still out is charged here, and
+//     the other leg decides.
+//   - The last leg's answer goes to the caller's taxonomy.
+//   - The overall timeout is charged to a leg that is still out.
+//
+// With no candidate (a failover attempt passes none) or no trusted
+// budget the hedge timer never fires and this is a plain attempt under
+// Config.Timeout. The timers are stopped eagerly so a fast hit does not
+// leave a multi-minute timer live until GC. A primary that *fails*
+// before the budget expires returns without hedging — failures belong to
+// the failover path, hedging is for slowness — and 4xx verdicts are
+// never hedged: by the time one could fire, the request's fate is
+// already decided on every replica.
+//
+// Returns the deciding outcome, the backend it is charged to (the caller
+// applies health accounting to it), and the backup's index when one was
+// launched (-1 otherwise; the caller marks it consumed).
 func (r *Router) doHedged(ctx context.Context, b int, rest []int, it serve.BatchItem) (serve.BatchOutcome, int, int) {
 	// Only interactive traffic hedges. A hedge buys tail latency with
 	// duplicate work, which batch traffic by definition does not want —
@@ -491,8 +462,10 @@ func (r *Router) doHedged(ctx context.Context, b int, rest []int, it serve.Batch
 		}
 	}
 
-	pch, pcancel := r.launch(ctx, b, it, false)
-	defer pcancel()
+	legs := make(chan legOutcome, 2) // room for both: a leg never blocks on a decided race
+	race, abandon := context.WithCancelCause(ctx)
+	defer abandon(errAbandoned)
+	r.launch(race, b, it, false, legs)
 	overall := time.NewTimer(r.cfg.Timeout)
 	defer overall.Stop()
 	var hedgeC <-chan time.Time // nil without a backup to fire: never ready
@@ -502,89 +475,38 @@ func (r *Router) doHedged(ctx context.Context, b int, rest []int, it serve.Batch
 		hedgeC = hedgeTimer.C
 	}
 
-	var (
-		hch      <-chan serve.BatchOutcome
-		hcancel  context.CancelFunc
-		hedged   = -1   // backup index once launched
-		pFailed  bool   // primary failed while the backup was still pending (accounted here)
-		inFlight = true // primary still pending
-	)
-	defer func() {
-		if hcancel != nil {
-			hcancel()
-		}
-	}()
+	out, failed, hedged := 1, -1, -1 // legs still out; the leg that failed first; the backup once fired
 	for {
 		select {
-		case out := <-pch:
-			pch = nil
-			inFlight = false
-			switch v := classify(out.Err); v {
-			case verdictOK, verdictCtx, verdictReturn:
-				// First usable answer wins; the deferred cancel abandons a
-				// straggling backup.
-				return out, b, hedged
-			default:
-				if hch == nil {
-					// Failed with no backup pending (either none fired, or
-					// the backup already failed and was accounted): the
-					// caller's taxonomy owns this outcome.
-					return out, b, hedged
+		case o := <-legs:
+			out--
+			v := classify(o.Err)
+			if v == verdictOK || v == verdictReturn {
+				if o.b != b {
+					r.sb.scores[b].hedgeWins.Add(1)
 				}
-				// The backup is in flight and now decides the request; the
-				// primary's failure is accounted here so it still counts
-				// toward ejection.
-				if v == verdictFailure {
-					r.noteFailure(b)
-				}
-				pFailed = true
+				return o.BatchOutcome, o.b, hedged
 			}
-		case out := <-hch:
-			hch = nil
-			switch v := classify(out.Err); v {
-			case verdictOK, verdictReturn:
-				r.hedgeWins.Add(1)
-				r.sb.scores[b].hedgeWins.Add(1)
-				return out, hb, hedged
-			case verdictCtx:
-				// The backup observed the caller's cancellation; nothing
-				// to account and nothing left to win.
-				return out, hb, hedged
-			default:
-				if pFailed {
-					// Both legs failed; the backup's outcome is the later
-					// word — hand it to the caller's taxonomy.
-					return out, hb, hedged
-				}
-				// The backup failed first; the primary still owns the
-				// request, so account the backup here and keep waiting.
-				if v == verdictFailure {
-					r.noteFailure(hb)
-				}
+			if v == verdictCtx || out == 0 {
+				return o.BatchOutcome, o.b, hedged
 			}
+			if v == verdictFailure {
+				r.noteFailure(o.b)
+			}
+			failed = o.b
 		case <-hedgeC:
-			if hch != nil || hedged >= 0 || !inFlight {
-				continue
+			// The timer fires once, while the primary is the only leg out.
+			// An ejected, unprobeable backup leaves the primary on its own.
+			if r.admit(hb) {
+				r.sb.scores[b].hedges.Add(1)
+				hedged, out = hb, out+1
+				r.launch(race, hb, it, true, legs)
 			}
-			if !r.admit(hb) {
-				// The backup target is ejected and not probeable: the
-				// primary stays on its own, still bounded by the overall
-				// timer.
-				continue
-			}
-			r.hedges.Add(1)
-			r.sb.scores[b].hedges.Add(1)
-			hedged = hb
-			hch, hcancel = r.launch(ctx, hb, it, true)
 		case <-ctx.Done():
 			return serve.BatchOutcome{Err: ctx.Err()}, b, hedged
 		case <-overall.C:
-			// Attribute the timeout to whichever leg is still pending: the
-			// primary normally, the backup when the primary already failed
-			// and was accounted above (charging b twice for one request
-			// would double-count toward ejection).
 			from := b
-			if pFailed {
+			if failed == b {
 				from = hb
 			}
 			return serve.BatchOutcome{Err: fmt.Errorf("%w after %v on %s",
@@ -597,55 +519,55 @@ func (r *Router) doHedged(ctx context.Context, b int, rest []int, it serve.Batch
 // backends stay dark until ProbeAfter has elapsed, then one Check probe
 // decides: success re-admits, failure re-arms the probe timer.
 func (r *Router) admit(b int) bool {
-	st := &r.state[b]
-	st.mu.Lock()
-	if !st.ejected {
-		st.mu.Unlock()
+	sc := &r.sb.scores[b]
+	sc.mu.Lock()
+	if !sc.ejected {
+		sc.mu.Unlock()
 		return true
 	}
 	now := r.cfg.now()
-	if now.Before(st.nextProbe) {
-		st.mu.Unlock()
+	if now.Before(sc.nextProbe) {
+		sc.mu.Unlock()
 		return false
 	}
 	// Re-arm before probing so concurrent callers don't stampede the
 	// sick backend with probes.
-	st.nextProbe = now.Add(r.cfg.ProbeAfter)
-	st.mu.Unlock()
+	sc.nextProbe = now.Add(r.cfg.ProbeAfter)
+	sc.mu.Unlock()
 
 	if err := r.backends[b].Check(); err != nil {
 		return false
 	}
-	st.mu.Lock()
-	st.ejected = false
-	st.consecFails = 0
-	st.mu.Unlock()
+	sc.mu.Lock()
+	sc.ejected = false
+	sc.consecFails = 0
+	sc.mu.Unlock()
 	r.events.Record(obs.EventReadmit,
 		map[string]string{"backend": r.backends[b].Name()}, nil)
 	return true
 }
 
 func (r *Router) noteSuccess(b int) {
-	st := &r.state[b]
-	st.mu.Lock()
-	st.consecFails = 0
-	st.mu.Unlock()
+	sc := &r.sb.scores[b]
+	sc.mu.Lock()
+	sc.consecFails = 0
+	sc.mu.Unlock()
 }
 
 func (r *Router) noteFailure(b int) {
-	st := &r.state[b]
-	st.mu.Lock()
-	st.failures++
-	st.consecFails++
+	sc := &r.sb.scores[b]
+	sc.mu.Lock()
+	sc.failures++
+	sc.consecFails++
 	ejectedNow := false
-	if !st.ejected && st.consecFails >= r.cfg.FailThreshold {
-		st.ejected = true
-		st.ejections++
-		st.nextProbe = r.cfg.now().Add(r.cfg.ProbeAfter)
+	if !sc.ejected && sc.consecFails >= r.cfg.FailThreshold {
+		sc.ejected = true
+		sc.ejections++
+		sc.nextProbe = r.cfg.now().Add(r.cfg.ProbeAfter)
 		ejectedNow = true
 	}
-	fails := st.consecFails
-	st.mu.Unlock()
+	fails := sc.consecFails
+	sc.mu.Unlock()
 	if ejectedNow {
 		r.events.Record(obs.EventEjection,
 			map[string]string{"backend": r.backends[b].Name()},
@@ -671,6 +593,10 @@ type BackendStatus struct {
 	// Transport is the carrier a wire backend ships batch frames over
 	// ("stream" or "http"; empty for in-process backends).
 	Transport string `json:"transport,omitempty"`
+
+	// latency (seconds) and redials are the row's /metrics-only readings.
+	latency float64
+	redials int64
 }
 
 // carrier is the optional backend capability the transport row and the
@@ -690,9 +616,10 @@ type Metrics struct {
 	Failovers int64 `json:"failovers"`
 	Exhausted int64 `json:"exhausted"`
 	// Hedges counts backup requests fired; HedgeWins those whose answer
-	// beat the primary attempt. Accounted separately from Requests and
-	// Failovers: a hedge is an extra backend attempt, not an extra
-	// client request, so the engines' conservation law still balances.
+	// beat the primary attempt: the sums of the Health rows. Accounted
+	// separately from Requests and Failovers: a hedge is an extra backend
+	// attempt, not an extra client request, so the engines' conservation
+	// law still balances.
 	Hedges    int64 `json:"hedges"`
 	HedgeWins int64 `json:"hedge_wins"`
 	// Health is per-backend status, in backend order.
@@ -703,34 +630,34 @@ type Metrics struct {
 func (r *Router) Metrics() Metrics {
 	m := Metrics{
 		Backends:  len(r.backends),
-		VNodes:    r.cfg.VNodes,
+		VNodes:    vnodes,
 		Requests:  r.requests.Load(),
 		Failovers: r.failovers.Load(),
 		Exhausted: r.exhausted.Load(),
-		Hedges:    r.hedges.Load(),
-		HedgeWins: r.hedgeWins.Load(),
 	}
-	for i := range r.backends {
-		st := &r.state[i]
-		st.mu.Lock()
-		row := BackendStatus{
-			Name:      r.backends[i].Name(),
-			Ejected:   st.ejected,
-			Requests:  st.requests,
-			Failures:  st.failures,
-			Ejections: st.ejections,
-		}
-		st.mu.Unlock()
-		mean, _, _ := r.sb.snapshot(i)
-		sc := &r.sb.scores[i]
-		row.LatencyEWMAMS = mean * 1e3
-		row.Inflight = sc.inflight.Load()
-		row.Hedges = sc.hedges.Load()
-		row.HedgeWins = sc.hedgeWins.Load()
-		if c, ok := r.backends[i].(carrier); ok {
-			row.Transport, _ = c.Carrier()
-		}
+	for b := range r.backends {
+		row := r.status(b)
+		m.Hedges += row.Hedges
+		m.HedgeWins += row.HedgeWins
 		m.Health = append(m.Health, row)
 	}
 	return m
+}
+
+// status reads backend b's row, the one source of /stats and /metrics.
+func (r *Router) status(b int) BackendStatus {
+	sc := &r.sb.scores[b]
+	sc.mu.Lock()
+	row := BackendStatus{Name: r.backends[b].Name(), Ejected: sc.ejected,
+		Failures: sc.failures, Ejections: sc.ejections, latency: sc.ewma.Mean()}
+	sc.mu.Unlock()
+	row.Requests = sc.requests.Load()
+	row.LatencyEWMAMS = row.latency * 1e3
+	row.Inflight = sc.inflight.Load()
+	row.Hedges = sc.hedges.Load()
+	row.HedgeWins = sc.hedgeWins.Load()
+	if c, ok := r.backends[b].(carrier); ok {
+		row.Transport, row.redials = c.Carrier()
+	}
+	return row
 }

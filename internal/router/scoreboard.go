@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/serve"
 	"repro/internal/stats"
 )
 
@@ -51,20 +52,30 @@ const (
 // on ordinary scheduling jitter and doubles warm-path load for nothing.
 const DefaultHedgeFloor = time.Millisecond
 
-// score is one replica's row: a latency EWMA (seconds, guarded by its
-// own mutex like the health accounting) plus lock-free in-flight and
-// hedge counters read on the hot path.
+// score is one replica's row: everything the router knows about it.
+// Health accounting and the latency EWMA (seconds) share the row's one
+// mutex; the counters every exchange or hedge touches are lock-free.
 type score struct {
-	mu   sync.Mutex
-	ewma *stats.EWMA
+	mu          sync.Mutex
+	ewma        *stats.EWMA
+	consecFails int
+	ejected     bool
+	nextProbe   time.Time // when an ejected replica may next be probed
+	failures    int64     // failures counted toward ejection
+	ejections   int64
 
+	// eng is the replica's engine when it is a bare in-process
+	// EngineBackend, nil otherwise: an attempt on one is served inline
+	// on the caller's goroutine (serveInline).
+	eng       *serve.Engine
+	requests  atomic.Int64 // entries shipped to the replica
 	inflight  atomic.Int64
 	hedges    atomic.Int64 // backups fired because this replica's primary attempt ran long
 	hedgeWins atomic.Int64 // backups that answered before this replica's primary attempt
 	canary    atomic.Int64 // demotion decisions, for canary scheduling
 }
 
-// scoreboard is the router's per-backend latency accounting.
+// scoreboard is the router's per-replica rows, in backend order.
 type scoreboard struct {
 	floor   time.Duration
 	ceiling time.Duration

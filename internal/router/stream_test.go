@@ -96,7 +96,7 @@ func eventually(t *testing.T, what string, cond func() bool) {
 
 func balanced(e *serve.Engine) bool {
 	for _, c := range e.Metrics().Classes {
-		if c.CacheHits+c.Deduped+c.Sheds+c.Executions != c.Requests {
+		if c.Balance() != nil {
 			return false
 		}
 	}

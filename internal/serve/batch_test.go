@@ -82,9 +82,8 @@ func TestServeEncodedBatchConservation(t *testing.T) {
 	var total int64
 	for _, class := range admit.Classes() {
 		cm := m.Classes[class.String()]
-		if sum := cm.CacheHits + cm.Deduped + cm.Sheds + cm.Executions; sum != cm.Requests {
-			t.Errorf("%s: hits(%d)+deduped(%d)+sheds(%d)+executions(%d)=%d != requests(%d)",
-				class, cm.CacheHits, cm.Deduped, cm.Sheds, cm.Executions, sum, cm.Requests)
+		if err := cm.Balance(); err != nil {
+			t.Errorf("%s: %v", class, err)
 		}
 		total += cm.Requests
 	}

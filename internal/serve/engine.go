@@ -618,6 +618,16 @@ type ClassMetrics struct {
 	AllLatency  stats.LatencySnapshot `json:"all_latency"`
 }
 
+// Balance checks the conservation law — every request was a hit, deduped,
+// shed or executed — naming each count when it fails (read at quiescence).
+func (c ClassMetrics) Balance() error {
+	if sum := c.CacheHits + c.Deduped + c.Sheds + c.Executions; sum != c.Requests {
+		return fmt.Errorf("hits(%d)+deduped(%d)+sheds(%d)+executions(%d)=%d != requests(%d)",
+			c.CacheHits, c.Deduped, c.Sheds, c.Executions, sum, c.Requests)
+	}
+	return nil
+}
+
 // TenantMetrics is one tenant's slice of the engine's books (see
 // tenantCounters for what the tenant plane does and does not promise).
 type TenantMetrics struct {

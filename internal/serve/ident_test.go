@@ -136,8 +136,8 @@ func TestIdentityTableBoundedUnderConcurrentInterning(t *testing.T) {
 	}
 	for _, class := range admit.Classes() {
 		cm := m.Classes[class.String()]
-		if sum := cm.CacheHits + cm.Deduped + cm.Sheds + cm.Executions; sum != cm.Requests {
-			t.Errorf("%s: hits+deduped+sheds+executions = %d != requests %d", class, sum, cm.Requests)
+		if err := cm.Balance(); err != nil {
+			t.Errorf("%s: %v", class, err)
 		}
 		total += cm.Requests
 	}

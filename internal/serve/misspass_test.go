@@ -67,9 +67,8 @@ func checkConservation(t *testing.T, e *Engine) map[string]ClassMetrics {
 	m := e.Metrics()
 	for _, class := range admit.Classes() {
 		cm := m.Classes[class.String()]
-		if sum := cm.CacheHits + cm.Deduped + cm.Sheds + cm.Executions; sum != cm.Requests {
-			t.Errorf("%s: hits(%d)+deduped(%d)+sheds(%d)+executions(%d)=%d != requests(%d)",
-				class, cm.CacheHits, cm.Deduped, cm.Sheds, cm.Executions, sum, cm.Requests)
+		if err := cm.Balance(); err != nil {
+			t.Errorf("%s: %v", class, err)
 		}
 	}
 	return m.Classes

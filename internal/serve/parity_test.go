@@ -38,9 +38,8 @@ func booksOf(t *testing.T, e *serve.Engine) map[string]books {
 	m := e.Metrics()
 	out := map[string]books{}
 	for name, c := range m.Classes {
-		if sum := c.CacheHits + c.Deduped + c.Sheds + c.Executions; sum != c.Requests {
-			t.Errorf("%s: hits(%d)+deduped(%d)+sheds(%d)+executions(%d)=%d != requests(%d)",
-				name, c.CacheHits, c.Deduped, c.Sheds, c.Executions, sum, c.Requests)
+		if err := c.Balance(); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 		out["class "+name] = books{c.Requests, c.CacheHits, c.Deduped, c.Executions, c.Sheds}
 	}

@@ -83,10 +83,8 @@ func TestEngineClassConservationLaw(t *testing.T) {
 	var total int64
 	for _, class := range admit.Classes() {
 		cm := m.Classes[class.String()]
-		sum := cm.CacheHits + cm.Deduped + cm.Sheds + cm.Executions
-		if sum != cm.Requests {
-			t.Errorf("%s: hits(%d)+deduped(%d)+sheds(%d)+executions(%d)=%d != requests(%d)",
-				class, cm.CacheHits, cm.Deduped, cm.Sheds, cm.Executions, sum, cm.Requests)
+		if err := cm.Balance(); err != nil {
+			t.Errorf("%s: %v", class, err)
 		}
 		if cc := &e.classes[class]; cm.CacheHits != int64(cm.HitLatency.Count) ||
 			cm.CacheHits != cc.hits() || cm.Requests != cc.requests() || cm.CacheHits == 0 {
@@ -99,8 +97,10 @@ func TestEngineClassConservationLaw(t *testing.T) {
 		t.Fatalf("total requests %d, want %d", total, want)
 	}
 	// The aggregate view must equal the class sums.
-	if m.Requests != total || m.CacheHits+m.Deduped+m.Sheds+m.Executions != total {
-		t.Fatalf("aggregate books unbalanced: %+v", m)
+	agg := ClassMetrics{Requests: m.Requests, CacheHits: m.CacheHits, Deduped: m.Deduped,
+		Sheds: m.Sheds, Executions: m.Executions}
+	if err := agg.Balance(); m.Requests != total || err != nil {
+		t.Fatalf("aggregate books unbalanced (%v): %+v", err, m)
 	}
 }
 

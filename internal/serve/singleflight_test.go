@@ -130,8 +130,8 @@ func TestEnginePanickingRunRegression(t *testing.T) {
 
 	m := e.Metrics()
 	for class, pc := range m.Classes {
-		if pc.Requests != pc.CacheHits+pc.Deduped+pc.Sheds+pc.Executions {
-			t.Fatalf("class %s books not conserved after panic: %+v", class, pc)
+		if err := pc.Balance(); err != nil {
+			t.Fatalf("class %s books not conserved after panic: %v", class, err)
 		}
 	}
 }

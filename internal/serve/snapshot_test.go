@@ -328,10 +328,10 @@ func TestSnapshotConcurrencyPreservesConservationLaw(t *testing.T) {
 	if m.Requests == 0 || m.Cache.Hits+m.Cache.Misses == 0 {
 		t.Fatal("no traffic measured")
 	}
-	if m.CacheHits+m.Deduped+m.Executions != m.Requests {
-		t.Fatalf("conservation broke under two-tier concurrency: hits %d + deduped %d + executions %d != requests %d",
-			m.CacheHits, m.Deduped, m.Executions, m.Requests)
+	if m.Sheds != 0 {
+		t.Fatalf("%d sheds under two-tier concurrency, want none", m.Sheds)
 	}
+	checkConservation(t, e)
 	kvs, err := ReadSnapshotFile(path)
 	if err != nil {
 		t.Fatalf("snapshot after concurrent writes must decode cleanly: %v", err)
@@ -387,8 +387,8 @@ func TestSnapshotRestartConservationLaw(t *testing.T) {
 	if m.CacheHits == 0 {
 		t.Fatal("warm-started entries produced no hits")
 	}
-	if m.CacheHits+m.Deduped+m.Executions != m.Requests {
-		t.Fatalf("request conservation broke: hits %d + deduped %d + executions %d != requests %d",
-			m.CacheHits, m.Deduped, m.Executions, m.Requests)
+	if m.Sheds != 0 {
+		t.Fatalf("%d sheds on a warm start, want none", m.Sheds)
 	}
+	checkConservation(t, e2)
 }

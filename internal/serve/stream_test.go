@@ -256,8 +256,8 @@ func TestStreamOutOfOrderAndCancel(t *testing.T) {
 
 	m := e.Metrics()
 	for class, c := range m.Classes {
-		if c.CacheHits+c.Deduped+c.Sheds+c.Executions != c.Requests {
-			t.Fatalf("class %s books do not balance: %+v", class, c)
+		if err := c.Balance(); err != nil {
+			t.Fatalf("class %s books do not balance: %v", class, err)
 		}
 	}
 }
