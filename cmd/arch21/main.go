@@ -174,7 +174,7 @@ func cmdSweep(args []string) {
 	csv := fs.Bool("csv", false, "emit the aggregated table as CSV")
 	verbose := fs.Bool("v", false, "print each grid point as it completes")
 	workers := fs.Int("workers", 4, "max concurrent cold experiment runs")
-	parallel := fs.Int("parallel", 0, "max in-flight grid points (default 8)")
+	parallel := fs.Int("parallel", 0, "grid points per batch call is twice this (default 32: waves of 64); -workers bounds the points in flight")
 	var params paramFlags
 	fs.Var(&params, "param",
 		"sweep axis name=lo:hi:step, name=a,b,c, or name=value (repeatable, order = grid order)")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -150,6 +151,29 @@ func TestIDOrdering(t *testing.T) {
 	}
 	if !idLess("E18", "T1") {
 		t.Fatal("E18 should sort before T1")
+	}
+}
+
+// e7FindingCases are the values where a hand-rounded %.0f or %.1f goes
+// wrong first: exact binary ties (k+0.25 and k+0.75 round to even, k+0.5
+// at %.0f too), carries into a new leading digit, neighbours of integers
+// and both ends of the fast path's range [1, 1e15).
+var e7FindingCases = []struct{ r, s float64 }{
+	{16, 2.25}, {64, 2.75}, {2.5, 3.5}, {3.5, 0.25}, {0.5, 1.5},
+	{1, 9.95}, {1, 9.96}, {1, 99.95}, {1, 999.96}, {9.5, 9.99999},
+	{99.5, 0.95}, {1, 1}, {1e15, 1e15}, {math.Nextafter(1e15, 0), math.Nextafter(1e15, 0)},
+	{math.Nextafter(1, 0), math.Nextafter(1, 0)}, {math.Nextafter(1, 2), math.Nextafter(1, 2)},
+	{math.Nextafter(8, 9), math.Nextafter(8, 7)}, {4503599627370495.5, 123456789012.35},
+	{999999999999999.5, 99999999999999.95}, {256, 79.45}, {0, -0.0}, {-3, -9.95},
+}
+
+// E7's first finding is fmt's %.0f/%.1f text at every case above; the
+// fuzz target FuzzE7OptimumFinding searches the rest of the float space.
+func TestE7OptimumFindingMatchesFmt(t *testing.T) {
+	for _, c := range e7FindingCases {
+		if got, want := e7OptimumFinding(c.r, c.s), fmt.Sprintf(e7OptimumFormat, c.r, c.s); got != want {
+			t.Errorf("e7OptimumFinding(%v, %v)\n got  %q\n want %q", c.r, c.s, got, want)
+		}
 	}
 }
 

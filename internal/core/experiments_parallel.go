@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/bits"
 	"strconv"
 	"sync"
@@ -80,13 +81,77 @@ func runE7(ctx context.Context, p Params) Result {
 	res := Result{
 		Figure: fig,
 		Findings: []string{
-			finding("symmetric optimum at r=%.0f with %.1fx (interior optimum: neither sea-of-small-cores nor one big core)", bestR, bestS),
+			e7OptimumFinding(bestR, bestS),
 			"asymmetric beats symmetric everywhere; dynamic bounds both (Hill-Marty shape)",
 			e7CommFinding(),
 		},
 	}
 	res.SetHeadline(bestS)
 	return res
+}
+
+// e7OptimumFinding is E7's first finding, the bytes of
+// finding("symmetric optimum at r=%.0f with %.1fx (interior optimum:
+// neither sea-of-small-cores nor one big core)", r, s), appended by hand:
+// a cold sweep formats one per point.
+func e7OptimumFinding(r, s float64) string {
+	var buf [128]byte
+	b := appendFixed(append(buf[:0], "symmetric optimum at r="...), r, 0)
+	b = appendFixed(append(b, " with "...), s, 1)
+	return string(append(b, "x (interior optimum: neither sea-of-small-cores nor one big core)"...))
+}
+
+// appendFixed appends v as fmt's %.0f (prec 0) or %.1f (prec 1) writes it.
+// Those take strconv's 'f' form, which rounds a fixed precision through
+// the multiprecision bigFtoa. For 1 <= v < 1e15 the digits through the
+// first decimal are at most 16 significant digits, which the 'e' form
+// rounds exactly — ties to even, as bigFtoa does — on its fast path; they
+// are asked for that way and laid out here. An integral v is written as
+// the integer it is; anything outside the range takes AppendFloat's 'f'.
+func appendFixed(dst []byte, v float64, prec int) []byte {
+	if !(v >= 1 && v < 1e15) {
+		return strconv.AppendFloat(dst, v, 'f', prec, 64)
+	}
+	if v == math.Trunc(v) {
+		dst = strconv.AppendInt(dst, int64(v), 10)
+		if prec > 0 {
+			dst = append(dst, '.', '0')
+		}
+		return dst
+	}
+	intDigits := 1
+	for p := 10.0; v >= p; p *= 10 { // every power of ten up to 1e15 is exact
+		intDigits++
+	}
+	var buf [32]byte
+	e := strconv.AppendFloat(buf[:0], v, 'e', intDigits+prec-1, 64) // d[.ddd]e+XX
+	var digits [24]byte
+	nd, exp := 0, 0
+	for i, c := range e {
+		if c == 'e' {
+			for _, c := range e[i+2:] { // past "e+": v >= 1
+				exp = exp*10 + int(c-'0')
+			}
+			break
+		}
+		if c != '.' {
+			digits[nd] = c
+			nd++
+		}
+	}
+	// Rounding up can carry into a new leading digit (9.96 -> "1.0e+01"):
+	// the integer part is then exp+1 digits, the last of them a padded 0.
+	for i := 0; i < exp+1+prec; i++ {
+		if i == exp+1 {
+			dst = append(dst, '.')
+		}
+		c := byte('0')
+		if i < nd {
+			c = digits[i]
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }
 
 func runT2(ctx context.Context) Result {

@@ -7,6 +7,8 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/report"
@@ -62,6 +64,27 @@ func FuzzDecodeResult(f *testing.F) {
 		}
 		if r.Render() != r2.Render() {
 			t.Fatal("round trip renders differently")
+		}
+	})
+}
+
+// e7OptimumFormat is the fmt format E7's first finding used to be written
+// with, and the reference e7OptimumFinding is held to.
+const e7OptimumFormat = "symmetric optimum at r=%.0f with %.1fx (interior optimum: neither sea-of-small-cores nor one big core)"
+
+// FuzzE7OptimumFinding: for any (r, s) — non-finite, negative, subnormal,
+// past 1e15 — the hand-appended finding is fmt's, byte for byte.
+func FuzzE7OptimumFinding(f *testing.F) {
+	for _, c := range e7FindingCases {
+		f.Add(c.r, c.s)
+	}
+	f.Add(math.NaN(), math.Inf(1))
+	f.Add(math.Inf(-1), -0.0)
+	f.Add(5e-324, -9.95)
+	f.Add(1e300, math.MaxFloat64)
+	f.Fuzz(func(t *testing.T, r, s float64) {
+		if got, want := e7OptimumFinding(r, s), fmt.Sprintf(e7OptimumFormat, r, s); got != want {
+			t.Fatalf("e7OptimumFinding(%v, %v)\n got  %q\n want %q", r, s, got, want)
 		}
 	})
 }

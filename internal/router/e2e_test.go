@@ -143,6 +143,8 @@ func TestClusterSweepSurvivesReplicaKillMidSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := e2eSpec(t)
+	// Waves of 16, so the kill below lands between waves.
+	sp.Parallelism = 8
 
 	// Kill replica 1 after the 16th point lands. Its unexecuted keys must
 	// fail over to ring successors; every grid point still completes.

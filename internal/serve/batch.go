@@ -1,14 +1,14 @@
 package serve
 
 // The engine's multi-get surface: ServeEncodedBatch serves many
-// (experiment, assignment, class) items in one call — warm hits inline
-// off the slab, misses dispatched concurrently through the same
-// singleflight + admission path single requests take — and the POST
-// /batch handler exposes it over the varint frame contract in
-// internal/httpapi. Every item is booked by the routines a single
-// request takes (serveHit, then serveMissRaw on a miss), so the
-// per-class conservation law (hits + deduped + sheds + executions ==
-// requests) holds whether a request arrived alone or in a frame of 64.
+// (experiment, assignment, class) items in one call — interned warm hits
+// inline off the slab; misses, and items named by a bare map, dispatched
+// concurrently through the same singleflight + admission path single
+// requests take — and the POST /batch handler exposes it over the varint
+// frame contract in internal/httpapi. Every item is booked by the
+// routines a single request takes (serveHit, then serveMissRaw on a miss),
+// so the per-class conservation law (hits + deduped + sheds + executions
+// == requests) holds whether a request arrived alone or in a frame of 64.
 
 import (
 	"context"
@@ -18,6 +18,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/admit"
 	"repro/internal/core"
@@ -49,8 +50,9 @@ type BatchOutcome struct {
 }
 
 // ServeEncodedBatch serves every item and returns outcomes in item
-// order: hits inline, one slab read each; misses concurrently, through
-// the singleflight and admission a single request takes (serveMisses).
+// order: interned hits inline, one slab read each; misses and map-only
+// items concurrently, through the cache check, singleflight and admission
+// a single request takes (serveMisses).
 // One item's failure never fails its siblings. The context carries the
 // caller's tenant, deadline, and cancellation; each item's class comes
 // from the item itself.
@@ -78,17 +80,15 @@ func (e *Engine) ServeEncodedBatchInto(ctx context.Context, items []BatchItem, b
 	for i := range items {
 		it := &items[i]
 		id := it.Ident
-		if id == nil { // a caller holding only a map: resolve it here, intern nothing
-			id = &Identity{}
-			id.key, id.params, id.err = resolveKey(it.ID, it.Params)
+		if id == nil { // a caller holding only a map: the miss pass resolves it
+			missIdx = append(missIdx, i)
+			continue
 		}
 		if id.err != nil {
 			out[i].Err = id.err
 			continue
 		}
-		if raw, tail, lat, ok := e.serveHit(tb, it.Class, id.key, t0, nil); ok {
-			out[i].RawResponse = RawResponse{ID: it.ID, Params: id.params, Key: id.key,
-				Class: it.Class, Raw: raw, CacheHit: true, Latency: lat, tail: tail}
+		if e.batchHit(tb, it, id.key, id.params, t0, &out[i]) {
 			continue
 		}
 		// Stash the resolved key/params for the miss pass below.
@@ -96,20 +96,34 @@ func (e *Engine) ServeEncodedBatchInto(ctx context.Context, items []BatchItem, b
 		missIdx = append(missIdx, i)
 	}
 	if len(missIdx) > 0 {
-		e.serveMisses(ctx, items, out, missIdx)
+		e.serveMisses(ctx, tb, items, out, missIdx)
 	}
 	return out
 }
 
+// batchHit answers item it from the cache when its key is there, booked
+// by serveHit, into o.
+func (e *Engine) batchHit(tb *tenantCounters, it *BatchItem, key string, p core.Params, t0 time.Duration, o *BatchOutcome) bool {
+	raw, tail, lat, ok := e.serveHit(tb, it.Class, key, t0, nil)
+	if ok {
+		o.RawResponse = RawResponse{ID: it.ID, Params: p, Key: key,
+			Class: it.Class, Raw: raw, CacheHit: true, Latency: lat, tail: tail}
+	}
+	return ok
+}
+
 // serveMisses is the batch call's miss pass: the caller and up to
-// Workers()-1 more goroutines each take the next miss off one counter and
+// Workers()-1 more goroutines each take the next item off one counter and
 // serve it through serveMissRaw, with a single request's singleflight,
 // admission, shedding, books and cancellation. More would only queue for
 // the scheduler's Workers() slots, a reused goroutine grows its stack once
 // where one per miss regrows it every time, and a lone miss starts none.
-// out[i] carries in each miss's resolved key and params. A method of its
-// own, so an all-hit call allocates nothing for the goroutines' captures.
-func (e *Engine) serveMisses(ctx context.Context, items []BatchItem, out []BatchOutcome, misses []int) {
+// out[i] carries in each interned miss's resolved key and params. A
+// map-only item (no Ident) comes here unresolved: its worker resolves it
+// and tries the cache (serveHit) first, so resolution runs on every worker
+// instead of serially on the caller's goroutine. A method of its own, so
+// an all-hit call allocates nothing for the goroutines' captures.
+func (e *Engine) serveMisses(ctx context.Context, tb *tenantCounters, items []BatchItem, out []BatchOutcome, misses []int) {
 	// The scheduler reads a miss's class from its context, so an item of
 	// another class than the call's gets a context of its own.
 	ctxClass := admit.ClassFrom(ctx)
@@ -118,12 +132,22 @@ func (e *Engine) serveMisses(ctx context.Context, items []BatchItem, out []Batch
 		for k := next.Add(1) - 1; k < int64(len(misses)); k = next.Add(1) - 1 {
 			i := misses[k]
 			it := &items[i]
+			key, params, t0 := out[i].RawResponse.Key, out[i].RawResponse.Params, e.now()
+			if it.Ident == nil {
+				var err error
+				if key, params, err = resolveKey(it.ID, it.Params); err != nil {
+					out[i].Err = err
+					continue
+				}
+				if e.batchHit(tb, it, key, params, t0, &out[i]) {
+					continue
+				}
+			}
 			ictx := ctx
 			if ctxClass != it.Class {
 				ictx = admit.WithClass(ctx, it.Class)
 			}
-			rr, err := e.serveMissRaw(ictx, it.Class, it.ID, out[i].RawResponse.Key,
-				out[i].RawResponse.Params, e.now())
+			rr, err := e.serveMissRaw(ictx, it.Class, it.ID, key, params, t0)
 			if err != nil {
 				out[i] = BatchOutcome{Err: err}
 				continue

@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -183,5 +184,128 @@ func TestBatchHandlerRoundTrip(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("junk body: HTTP %d, want 400", resp.StatusCode)
+	}
+}
+
+// A map-only frame books like an interned one. The same 64 items — warm
+// and cold points, a key repeated inside the frame, an unknown experiment,
+// bad params, both classes — are served once with Ident set (resolved and
+// served by the scan) and once as bare maps (resolved on the miss pass),
+// each on a fresh engine warmed the same way. Outcomes and books must
+// agree item for item. The repeated key's first run is held until its
+// repeat has joined the flight, so the repeat is deduped both times; no
+// wait is a sleep.
+func TestMapOnlyFrameBooksLikeInterned(t *testing.T) {
+	var items []BatchItem
+	for i := 0; len(items) < 60; i++ {
+		class := admit.Interactive
+		if i%3 == 0 {
+			class = admit.Batch
+		}
+		items = append(items, BatchItem{ID: "E7", Class: class,
+			Params: core.Params{"f": 0.5 + float64(i)*0.005, "bces": 64}})
+	}
+	items = append(items,
+		BatchItem{ID: "NOPE", Params: core.Params{"x": 1}, Class: admit.Batch}, // unknown experiment
+		BatchItem{ID: "E7", Params: core.Params{"f": 5}},                       // bad params
+		BatchItem{ID: "E1", Class: admit.Batch},                                // defaults
+		items[10])                                                              // a repeat of a cold point
+	heldF := items[10].Params["f"]
+	warm := func(i int) bool { return i < 60 && i%4 == 1 || i == 62 }
+
+	type booked struct{ requests, hits, deduped, executions, sheds int64 }
+	type outcome struct {
+		key         string
+		hit, shared bool
+		status      int
+		msg         string
+	}
+	serveFrame := func(intern bool) ([]outcome, map[string]booked) {
+		held, release := make(chan struct{}), make(chan struct{})
+		e := NewEngine(Config{Shards: 4, Workers: 2, Tenants: []string{"tA"},
+			RunnerWith: func(ctx context.Context, id string, p core.Params) (core.Result, error) {
+				if id == "E7" && p.Float("f") == heldF {
+					close(held)
+					select {
+					case <-release:
+					case <-ctx.Done():
+						return core.Result{}, ctx.Err()
+					}
+				}
+				return fakeResult(id), nil
+			}})
+		defer e.Close()
+		ctx := admit.WithTenant(context.Background(), "tA")
+		for i, it := range items {
+			if warm(i) {
+				if _, err := e.ServeEncoded(admit.WithClass(ctx, it.Class), it.ID, it.Params); err != nil {
+					t.Fatalf("warming item %d: %v", i, err)
+				}
+			}
+		}
+		frame := append([]BatchItem(nil), items...)
+		if intern {
+			for i := range frame {
+				frame[i].Ident = IdentOf(frame[i].ID, frame[i].Params)
+			}
+		}
+		var out []BatchOutcome
+		within(t, "the 64-item frame", func() {
+			done := make(chan struct{})
+			go func() {
+				out = e.ServeEncodedBatch(ctx, frame)
+				close(done)
+			}()
+			<-held
+			for flightFollowers() < 1 { // the repeat has joined the held flight
+				runtime.Gosched()
+			}
+			close(release)
+			<-done
+		})
+		outs := make([]outcome, len(out))
+		for i, o := range out {
+			if o.Err != nil {
+				outs[i].status, _, _ = httpapi.ErrorStatus(o.Err, http.StatusInternalServerError)
+				outs[i].msg = o.Err.Error()
+				continue
+			}
+			outs[i] = outcome{key: o.RawResponse.Key, hit: o.RawResponse.CacheHit, shared: o.RawResponse.Shared}
+		}
+		books := map[string]booked{}
+		for name, c := range checkConservation(t, e) {
+			books["class "+name] = booked{c.Requests, c.CacheHits, c.Deduped, c.Executions, c.Sheds}
+		}
+		for name, tm := range e.Metrics().Tenants {
+			books["tenant "+name] = booked{requests: tm.Requests, hits: tm.CacheHits, sheds: tm.Sheds}
+		}
+		return outs, books
+	}
+
+	interned, internedBooks := serveFrame(true)
+	mapOnly, mapOnlyBooks := serveFrame(false)
+	for i := range items {
+		if interned[i] != mapOnly[i] {
+			t.Errorf("item %d: interned %+v, map-only %+v", i, interned[i], mapOnly[i])
+		}
+	}
+	if fmt.Sprint(internedBooks) != fmt.Sprint(mapOnlyBooks) {
+		t.Errorf("books differ:\ninterned %v\nmap-only %v", internedBooks, mapOnlyBooks)
+	}
+	// The frame is what it claims to be: warm items hit, the repeat is
+	// deduped, the two bad items fail as 404 and 400.
+	if o := mapOnly[63]; !o.shared || o.hit || mapOnly[10].shared {
+		t.Errorf("repeat %+v, first %+v: want the repeat deduped onto the first", o, mapOnly[10])
+	}
+	if mapOnly[60].status != http.StatusNotFound || mapOnly[61].status != http.StatusBadRequest {
+		t.Errorf("unknown experiment %+v, bad params %+v", mapOnly[60], mapOnly[61])
+	}
+	for i := range items[:60] {
+		if mapOnly[i].hit != warm(i) {
+			t.Errorf("item %d: hit=%v, warmed=%v", i, mapOnly[i].hit, warm(i))
+		}
+	}
+	if b := mapOnlyBooks["tenant tA"]; b.requests != 62+15+1 {
+		t.Errorf("tenant tA books %+v, want the 62 valid items and 16 warm-ups", b)
 	}
 }

@@ -17,7 +17,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/httpapi"
@@ -31,7 +33,8 @@ type Request struct {
 	// "name=a,b,c", or "name=lo:hi:step" string per axis.
 	Params []string `json:"params"`
 	// Parallelism sizes the waves the grid is served in: 2*Parallelism
-	// points per batch call (default 8, at most 64).
+	// points per batch call (default 32, at most 64). It does not bound
+	// the points in flight; the server's workers do.
 	Parallelism int `json:"parallelism,omitempty"`
 }
 
@@ -60,6 +63,36 @@ func appendFindings(b []byte, findings []string) []byte {
 	return b
 }
 
+// paramsText is the point line's "params" object, formatted once per
+// sweep: each axis value's `"name":value` member, the axes in name order
+// (json's order for a map's keys). A point picks its members by its grid
+// index, row-major as Grid expands it.
+type paramsText []paramsAxis
+
+type paramsAxis struct {
+	name    string
+	stride  int      // grid points per step along this axis
+	members []string // `"name":value` per axis value
+}
+
+func newParamsText(axes []Axis) paramsText {
+	text := make(paramsText, len(axes))
+	stride := 1
+	for a := len(axes) - 1; a >= 0; a-- {
+		ax := &axes[a]
+		text[a] = paramsAxis{name: ax.Name, stride: stride, members: make([]string, len(ax.Values))}
+		stride *= len(ax.Values)
+		var b []byte
+		for k, v := range ax.Values {
+			b = append(httpapi.AppendJSONString(b[:0], ax.Name), ':')
+			b, _ = httpapi.AppendJSONFloat(b, v) // Validate let only finite values in
+			text[a].members[k] = string(b)
+		}
+	}
+	slices.SortFunc(text, func(x, y paramsAxis) int { return strings.Compare(x.name, y.name) })
+	return text
+}
+
 // appendPointLine appends one completed grid point as the NDJSON line
 // json.Encoder writes for its PointLine, or appends nothing and returns
 // json's own error when a number is not finite.
@@ -67,10 +100,8 @@ func appendPointLine(b []byte, pt *Point) ([]byte, error) {
 	line := len(b)
 	b = strconv.AppendInt(append(b, `{"point":`...), int64(pt.Index), 10)
 	b = append(b, `,"params":{`...)
-	for _, name := range pt.Params.SortedNames() {
-		b = append(httpapi.AppendJSONString(b, name), ':')
-		b, _ = httpapi.AppendJSONFloat(b, pt.Params[name]) // Validate let only finite values in
-		b = append(b, ',')
+	for _, ax := range pt.paramsText {
+		b = append(append(b, ax.members[pt.Index/ax.stride%len(ax.members)]...), ',')
 	}
 	b[len(b)-1] = '}' // over the last comma: a grid point has at least one axis
 	b = httpapi.AppendJSONString(append(b, `,"key":`...), pt.Key)

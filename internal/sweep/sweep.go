@@ -36,10 +36,11 @@ import (
 const MaxPoints = 4096
 
 // defaultParallelism is Spec.Parallelism when the caller sets none: waves
-// of 2*8 = 16 points per batch call. The engine's scheduler already bounds
-// cold compute; a wave only caps how many points one sweep has in front of
-// it at once.
-const defaultParallelism = 8
+// of 2*32 = 64 points per batch call, so a 64-point grid is one fan-out
+// and one join on the server. The engine's scheduler (its Workers) bounds
+// the points computing at once; a wave only sets how many one sweep hands
+// the server per call, and how many it waits for before the first streams.
+const defaultParallelism = 32
 
 // maxParallelism clamps Spec.Parallelism, which reaches Run straight from
 // the POST /sweep body and sizes each wave's batch call.
@@ -62,7 +63,8 @@ type Spec struct {
 	// Axes are the swept parameters.
 	Axes []Axis
 	// Parallelism sizes the waves the grid is served in: 2*Parallelism
-	// points per batch call (default 8, at most 64).
+	// points per batch call (default 32, at most 64). It does not bound
+	// the points in flight; the server's workers do.
 	Parallelism int
 }
 
@@ -285,6 +287,9 @@ type Point struct {
 	// line, its aggregate row and its figure point.
 	headline    float64
 	hasHeadline bool
+	// paramsText is Params as the point's line writes it, built once per
+	// sweep by Run (when it has an emit to hand the point to).
+	paramsText paramsText
 }
 
 // Summary is one completed sweep.
@@ -351,6 +356,10 @@ func Run(ctx context.Context, srv Server, sp Spec, emit func(Point) error) (Summ
 	sum := Summary{ID: sp.ID, Axes: sp.Axes, Points: len(grid)}
 	points := make([]Point, 0, len(grid))
 	items := make([]serve.BatchItem, 0, wave)
+	var text paramsText
+	if emit != nil {
+		text = newParamsText(sp.Axes)
+	}
 	for lo := 0; lo < len(grid); lo += wave {
 		hi := min(lo+wave, len(grid))
 		if err := ctx.Err(); err != nil {
@@ -382,6 +391,7 @@ func Run(ctx context.Context, srv Server, sp Spec, emit func(Point) error) (Summ
 				More:     i+1 < hi,
 			}
 			pt.headline, pt.hasHeadline = Headline(res)
+			pt.paramsText = text
 			if pt.CacheHit {
 				sum.CacheHits++
 			}
