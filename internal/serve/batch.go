@@ -81,6 +81,9 @@ func (e *Engine) ServeEncodedBatchInto(ctx context.Context, items []BatchItem, b
 		it := &items[i]
 		id := it.Ident
 		if id == nil { // a caller holding only a map: the miss pass resolves it
+			if missIdx == nil { // map-only items come many at once (a sweep's wave): size once
+				missIdx = make([]int, 0, len(items)-i)
+			}
 			missIdx = append(missIdx, i)
 			continue
 		}
@@ -96,7 +99,7 @@ func (e *Engine) ServeEncodedBatchInto(ctx context.Context, items []BatchItem, b
 		missIdx = append(missIdx, i)
 	}
 	if len(missIdx) > 0 {
-		e.serveMisses(ctx, tb, items, out, missIdx)
+		e.serveMisses(ctx, tb, t0, items, out, missIdx)
 	}
 	return out
 }
@@ -121,18 +124,24 @@ func (e *Engine) batchHit(tb *tenantCounters, it *BatchItem, key string, p core.
 // out[i] carries in each interned miss's resolved key and params. A
 // map-only item (no Ident) comes here unresolved: its worker resolves it
 // and tries the cache (serveHit) first, so resolution runs on every worker
-// instead of serially on the caller's goroutine. A method of its own, so
-// an all-hit call allocates nothing for the goroutines' captures.
-func (e *Engine) serveMisses(ctx context.Context, tb *tenantCounters, items []BatchItem, out []BatchOutcome, misses []int) {
+// instead of serially on the caller's goroutine; a hit there is timed
+// from the call's arrival t0, as the scan times its hits. The caller
+// starts the other goroutines only when it meets the first item that
+// truly misses, so a pass of map-only hits (a repeated sweep) runs on the
+// caller alone, as the scan would have. A method of its own, so an
+// all-hit interned call allocates nothing for the goroutines' captures.
+func (e *Engine) serveMisses(ctx context.Context, tb *tenantCounters, t0 time.Duration, items []BatchItem, out []BatchOutcome, misses []int) {
 	// The scheduler reads a miss's class from its context, so an item of
 	// another class than the call's gets a context of its own.
 	ctxClass := admit.ClassFrom(ctx)
 	var next atomic.Int64
-	work := func() {
+	var wg sync.WaitGroup
+	var work func(lead bool)
+	work = func(lead bool) {
 		for k := next.Add(1) - 1; k < int64(len(misses)); k = next.Add(1) - 1 {
 			i := misses[k]
 			it := &items[i]
-			key, params, t0 := out[i].RawResponse.Key, out[i].RawResponse.Params, e.now()
+			key, params := out[i].RawResponse.Key, out[i].RawResponse.Params
 			if it.Ident == nil {
 				var err error
 				if key, params, err = resolveKey(it.ID, it.Params); err != nil {
@@ -143,11 +152,21 @@ func (e *Engine) serveMisses(ctx context.Context, tb *tenantCounters, items []Ba
 					continue
 				}
 			}
+			if lead { // the first true miss: start helpers for what is left
+				lead = false
+				for g := min(int64(len(misses))-k, int64(e.sched.Workers())) - 1; g > 0; g-- {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						work(false)
+					}()
+				}
+			}
 			ictx := ctx
 			if ctxClass != it.Class {
 				ictx = admit.WithClass(ctx, it.Class)
 			}
-			rr, err := e.serveMissRaw(ictx, it.Class, it.ID, key, params, t0)
+			rr, err := e.serveMissRaw(ictx, it.Class, it.ID, key, params, e.now())
 			if err != nil {
 				out[i] = BatchOutcome{Err: err}
 				continue
@@ -155,15 +174,7 @@ func (e *Engine) serveMisses(ctx context.Context, tb *tenantCounters, items []Ba
 			out[i].RawResponse = rr
 		}
 	}
-	var wg sync.WaitGroup
-	for g := min(len(misses), e.sched.Workers()) - 1; g > 0; g-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
+	work(true)
 	wg.Wait()
 }
 
