@@ -177,6 +177,27 @@ func TestE7OptimumFindingMatchesFmt(t *testing.T) {
 	}
 }
 
+// E7 at a non-default point allocates exactly what its result keeps: the
+// figure with its series, one block of points, the title, the findings
+// list, the first finding and the headline. The assignment is complete,
+// so RunWith uses it as it is. The count is the measured one and only
+// ratchets down.
+func TestE7RunWithAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	exp, _ := ByID("E7")
+	p := Params{"f": 0.9, "bces": 1000}
+	got := testing.AllocsPerRun(100, func() {
+		if _, _, err := exp.RunWith(context.Background(), p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 6 {
+		t.Errorf("E7.RunWith at %v allocates %v times, want 6", p, got)
+	}
+}
+
 // TestE7MatchesLinearScan pins E7's encoded result to the bytes it has
 // when the symmetric optimum is found by scanning every integer r in
 // [1, n] — what multicore.OptimalSymmetricR did before it evaluated only

@@ -9,6 +9,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/report"
 )
@@ -23,53 +25,70 @@ const (
 	flagHeadline = 0x04
 )
 
-// Encode serializes the result to a compact binary payload.
+// Encode serializes the result to a compact binary payload, in a buffer
+// of exactly its length.
 func (r Result) Encode() []byte {
+	tl, fl, n := r.encodedLens()
+	return r.appendEncode(make([]byte, 0, n), tl, fl)
+}
+
+// AppendEncode appends the result's payload (Encode's bytes) to dst,
+// growing it at most once: the table and figure chunks are written in
+// place, after their length prefixes, never built apart and copied.
+func (r Result) AppendEncode(dst []byte) []byte {
+	tl, fl, n := r.encodedLens()
+	return r.appendEncode(slices.Grow(dst, n), tl, fl)
+}
+
+// encodedLens returns the table and figure chunks' lengths and the whole
+// payload's.
+func (r Result) encodedLens() (tl, fl, n int) {
+	n = 1 + uvarintLen(len(r.Findings))
+	if r.Headline != nil {
+		n += 8
+	}
+	if r.Table != nil {
+		tl = r.Table.EncodedLen()
+		n += uvarintLen(tl) + tl
+	}
+	if r.Figure != nil {
+		fl = r.Figure.EncodedLen()
+		n += uvarintLen(fl) + fl
+	}
+	for _, f := range r.Findings {
+		n += uvarintLen(len(f)) + len(f)
+	}
+	return tl, fl, n
+}
+
+func uvarintLen(v int) int { return (bits.Len64(uint64(v)|1) + 6) / 7 }
+
+func (r Result) appendEncode(dst []byte, tl, fl int) []byte {
 	var flags byte
-	var tbl, fig []byte
 	if r.Table != nil {
 		flags |= flagTable
-		tbl = r.Table.Encode()
 	}
 	if r.Figure != nil {
 		flags |= flagFigure
-		fig = r.Figure.Encode()
 	}
 	if r.Headline != nil {
 		flags |= flagHeadline
 	}
-	// Sized once: flags, headline, and a varint of at most 10 bytes before
-	// each chunk, the findings count and each finding.
-	size := 1 + 8 + len(tbl) + len(fig) + binary.MaxVarintLen64*(3+len(r.Findings))
-	for _, f := range r.Findings {
-		size += len(f)
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, flags)
+	dst = append(dst, flags)
 	if r.Headline != nil {
-		var w [8]byte
-		binary.LittleEndian.PutUint64(w[:], math.Float64bits(*r.Headline))
-		buf = append(buf, w[:]...)
-	}
-	var tmp [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		buf = append(buf, tmp[:n]...)
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(*r.Headline))
 	}
 	if r.Table != nil {
-		putUvarint(uint64(len(tbl)))
-		buf = append(buf, tbl...)
+		dst = r.Table.AppendEncode(binary.AppendUvarint(dst, uint64(tl)))
 	}
 	if r.Figure != nil {
-		putUvarint(uint64(len(fig)))
-		buf = append(buf, fig...)
+		dst = r.Figure.AppendEncode(binary.AppendUvarint(dst, uint64(fl)))
 	}
-	putUvarint(uint64(len(r.Findings)))
+	dst = binary.AppendUvarint(dst, uint64(len(r.Findings)))
 	for _, f := range r.Findings {
-		putUvarint(uint64(len(f)))
-		buf = append(buf, f...)
+		dst = append(binary.AppendUvarint(dst, uint64(len(f))), f...)
 	}
-	return buf
+	return dst
 }
 
 // DecodeResult parses a payload produced by Result.Encode.
@@ -141,15 +160,20 @@ func decodeResult(buf []byte, withReport bool) (Result, error) {
 	if err != nil {
 		return r, err
 	}
-	if nf > 0 { // sized once; a finding is at least its length byte, which bounds a corrupt count
+	// The findings are the rest of the payload: it is copied into one
+	// string, and each finding is sliced from it. The list is sized once; a
+	// finding is at least its length byte, which bounds a corrupt count.
+	var region string
+	if nf > 0 {
 		r.Findings = make([]string, 0, min(nf, uint64(len(buf)-off)))
+		region = string(buf[off:])
 	}
-	for i := uint64(0); i < nf; i++ {
+	for base := off; uint64(len(r.Findings)) < nf; {
 		c, err := chunk()
 		if err != nil {
 			return r, err
 		}
-		r.Findings = append(r.Findings, string(c))
+		r.Findings = append(r.Findings, region[off-base-len(c):off-base])
 	}
 	// Reject trailing bytes: a memoized payload that decodes but does not
 	// consume its whole buffer is corrupt, and silently accepting it

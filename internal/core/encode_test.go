@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"strconv"
 	"testing"
 
 	"repro/internal/report"
@@ -96,6 +99,103 @@ func referenceFigureEncode(f *report.Figure) []byte {
 		}
 	}
 	return b
+}
+
+// referenceResultEncode is Result.Encode as it was before AppendEncode:
+// each chunk encoded apart, then copied after its length prefix into a
+// buffer sized with a varint's worst case for every prefix.
+func referenceResultEncode(r Result) []byte {
+	var flags byte
+	var tbl, fig []byte
+	if r.Table != nil {
+		flags |= flagTable
+		tbl = referenceTableEncode(r.Table)
+	}
+	if r.Figure != nil {
+		flags |= flagFigure
+		fig = referenceFigureEncode(r.Figure)
+	}
+	if r.Headline != nil {
+		flags |= flagHeadline
+	}
+	size := 1 + 8 + len(tbl) + len(fig) + binary.MaxVarintLen64*(3+len(r.Findings))
+	for _, f := range r.Findings {
+		size += len(f)
+	}
+	buf := make([]byte, 0, size)
+	buf = append(buf, flags)
+	if r.Headline != nil {
+		var w [8]byte
+		binary.LittleEndian.PutUint64(w[:], math.Float64bits(*r.Headline))
+		buf = append(buf, w[:]...)
+	}
+	var tmp [binary.MaxVarintLen64]byte
+	putUvarint := func(v uint64) {
+		n := binary.PutUvarint(tmp[:], v)
+		buf = append(buf, tmp[:n]...)
+	}
+	if r.Table != nil {
+		putUvarint(uint64(len(tbl)))
+		buf = append(buf, tbl...)
+	}
+	if r.Figure != nil {
+		putUvarint(uint64(len(fig)))
+		buf = append(buf, fig...)
+	}
+	putUvarint(uint64(len(r.Findings)))
+	for _, f := range r.Findings {
+		putUvarint(uint64(len(f)))
+		buf = append(buf, f...)
+	}
+	return buf
+}
+
+// checkEncodeMatchesReference holds Encode and AppendEncode to the
+// reference bytes: Encode's buffer is exactly the payload's length, and
+// AppendEncode after a prefix (with and without spare capacity behind it)
+// leaves the prefix and appends the payload.
+func checkEncodeMatchesReference(t *testing.T, name string, r Result) {
+	t.Helper()
+	want := referenceResultEncode(r)
+	if enc := r.Encode(); !bytes.Equal(enc, want) || cap(enc) != len(enc) {
+		t.Fatalf("%s: Encode (%d bytes, cap %d) differs from the reference (%d bytes)", name, len(enc), cap(enc), len(want))
+	}
+	for _, prefix := range [][]byte{nil, []byte("prefix"), append(make([]byte, 0, len(want)+64), "roomy"...)} {
+		full := append(append([]byte(nil), prefix...), want...)
+		if got := r.AppendEncode(prefix); !bytes.Equal(got, full) {
+			t.Fatalf("%s: AppendEncode after %q is not the prefix and the reference", name, prefix)
+		}
+	}
+}
+
+// Every registry default (the shared pass) and E7 at its schema's four
+// corners encode to the reference bytes. bces 4096 is E7's longest
+// r-ladder; its title is report.FormatFloat's at every corner.
+func TestResultEncodeMatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reads the shared default pass; skipped in -short")
+	}
+	for _, e := range Registry() {
+		checkEncodeMatchesReference(t, e.ID, defaultResults()[e.ID])
+	}
+	exp, _ := ByID("E7")
+	for _, f := range []float64{0.5, 0.9999} {
+		for _, n := range []float64{16, 4096} {
+			p := Params{"f": f, "bces": n}
+			res, _, err := exp.RunWith(context.Background(), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("E7 %v", p)
+			checkEncodeMatchesReference(t, name, res)
+			if want := "E7: Hill-Marty speedup on a " + strconv.Itoa(int(n)) + "-BCE chip, f=" + report.FormatFloat(f); res.Figure.Title != want {
+				t.Fatalf("%s: title %q, want %q", name, res.Figure.Title, want)
+			}
+			if rungs := len(res.Figure.Series[0].Points); n == 4096 && rungs != 13 {
+				t.Fatalf("%s: %d rungs, want 13", name, rungs)
+			}
+		}
+	}
 }
 
 // TestEveryExperimentResultRoundTrips guards the serve-cache contract: each

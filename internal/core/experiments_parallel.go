@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"math/bits"
 	"strconv"
 	"sync"
 
@@ -50,28 +49,43 @@ var e7CommFinding = sync.OnceValue(func() string {
 		s1024, s64, ppwDrop)
 })
 
+// e7Figure is E7's figure in one allocation: the figure, its three series
+// and the list of them. A cold sweep runs E7 per point. The findings and
+// the headline stay apart, so a caller that keeps only those (a sweep's
+// summary, a verifier's golden copy) does not keep the figure alive.
+type e7Figure struct {
+	fig    report.Figure
+	series [3]report.Series
+	list   [3]*report.Series
+}
+
 func runE7(ctx context.Context, p Params) Result {
 	f := p.Float("f")
 	n := float64(p.Int("bces"))
-	fig := report.NewFigure(
-		"E7: Hill-Marty speedup on a "+strconv.Itoa(p.Int("bces"))+"-BCE chip, f="+report.FormatFloat(f),
-		"r (BCEs per big core)", "speedup")
-	fig.Series = make([]*report.Series, 0, 3)
-	sym := fig.AddSeries("symmetric")
-	asym := fig.AddSeries("asymmetric")
-	dyn := fig.AddSeries("dynamic")
-	// The powers of two up to n, then n itself: sized once, a cold sweep
-	// runs this per point.
-	rs := make([]float64, 0, bits.Len(uint(n))+1)
+	// The title and the r-ladder are built on the stack. f is in the
+	// schema's [0.5, 0.9999], where report.FormatFloat is 'g' with four
+	// digits. The ladder is the powers of two up to n, then n itself: at
+	// most 13 rungs for the schema's largest n, 4096.
+	var title [80]byte
+	t := append(title[:0], "E7: Hill-Marty speedup on a "...)
+	t = strconv.AppendInt(t, int64(p.Int("bces")), 10)
+	t = strconv.AppendFloat(append(t, "-BCE chip, f="...), f, 'g', 4, 64)
+	var ladder [13]float64
+	rs := ladder[:0]
 	for r := 1.0; r <= n; r *= 2 {
 		rs = append(rs, r)
 	}
 	if last := rs[len(rs)-1]; last != n {
 		rs = append(rs, n)
 	}
-	for _, s := range fig.Series {
-		s.Points = make([]report.Point, 0, len(rs))
+	ef := &e7Figure{}
+	ef.fig = report.Figure{Title: string(t), XLabel: "r (BCEs per big core)", YLabel: "speedup", Series: ef.list[:]}
+	points := make([]report.Point, 3*len(rs)) // the figure's second allocation: every series' points
+	for i, name := range [3]string{"symmetric", "asymmetric", "dynamic"} {
+		ef.series[i] = report.Series{Name: name, Points: points[i*len(rs) : i*len(rs) : (i+1)*len(rs)]}
+		ef.list[i] = &ef.series[i]
 	}
+	sym, asym, dyn := &ef.series[0], &ef.series[1], &ef.series[2]
 	for _, r := range rs {
 		sym.Add(r, multicore.SymmetricSpeedup(f, n, r))
 		asym.Add(r, multicore.AsymmetricSpeedup(f, n, r))
@@ -79,7 +93,7 @@ func runE7(ctx context.Context, p Params) Result {
 	}
 	bestR, bestS := multicore.OptimalSymmetricR(f, n)
 	res := Result{
-		Figure: fig,
+		Figure: &ef.fig,
 		Findings: []string{
 			e7OptimumFinding(bestR, bestS),
 			"asymmetric beats symmetric everywhere; dynamic bounds both (Hill-Marty shape)",

@@ -65,6 +65,12 @@ func FuzzDecodeResult(f *testing.F) {
 		if r.Render() != r2.Render() {
 			t.Fatal("round trip renders differently")
 		}
+		// AppendEncode writes the reference bytes after whatever dst holds,
+		// into its spare capacity when there is some.
+		prefix := append(make([]byte, 0, len(data)), data[:len(data)/2]...)
+		if got, want := r.AppendEncode(prefix), append(prefix[:len(prefix):len(prefix)], referenceResultEncode(r)...); !bytes.Equal(got, want) {
+			t.Fatalf("AppendEncode(%x) is not the prefix and the reference:\ngot:  %x\nwant: %x", prefix, got, want)
+		}
 	})
 }
 

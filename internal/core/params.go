@@ -213,9 +213,11 @@ func (e Experiment) ResolveParams(p Params) (Params, error) {
 	return resolved, nil
 }
 
-// complete reports whether p already is a resolved assignment: it names
+// Complete reports whether p already is a resolved assignment: it names
 // every declared parameter, nothing else, each with a valid value.
-func (e Experiment) complete(p Params) bool {
+// ResolveParams would return an equal map, so a caller that only reads the
+// assignment (RunWith, the serve engine's miss pass) can use p as it is.
+func (e Experiment) Complete(p Params) bool {
 	if len(p) != len(e.Params) {
 		return false
 	}
@@ -269,7 +271,7 @@ func (e Experiment) RunWith(ctx context.Context, p Params) (Result, Params, erro
 		return res, nil, nil
 	}
 	resolved := p // an already-resolved assignment (the serve engine's) is not rebuilt
-	if !e.complete(p) {
+	if !e.Complete(p) {
 		var err error
 		if resolved, err = e.ResolveParams(p); err != nil {
 			return Result{}, nil, err

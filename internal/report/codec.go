@@ -25,32 +25,16 @@ const (
 // ErrCorrupt reports a payload that cannot be decoded.
 var ErrCorrupt = errors.New("report: corrupt payload")
 
-type encoder struct {
-	buf []byte
-	tmp [binary.MaxVarintLen64]byte
+// appendStr, uvarintLen and strLen are the codec's string and count
+// words: strLen(s) is the bytes appendStr(dst, s) appends, so a payload's
+// length is known before a byte of it is written.
+func appendStr(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
 }
 
-func (e *encoder) uvarint(v uint64) {
-	n := binary.PutUvarint(e.tmp[:], v)
-	e.buf = append(e.buf, e.tmp[:n]...)
-}
-
-func (e *encoder) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-// uvarintLen and strLen are the bytes uvarint(v) and str(s) append, so
-// Encode can size its buffer once.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 func strLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
-
-func (e *encoder) float(f float64) {
-	var w [8]byte
-	binary.LittleEndian.PutUint64(w[:], math.Float64bits(f))
-	e.buf = append(e.buf, w[:]...)
-}
 
 type decoder struct {
 	buf []byte
@@ -88,34 +72,41 @@ func (d *decoder) float() (float64, error) {
 	return v, nil
 }
 
-// Encode serializes the table.
-func (t *Table) Encode() []byte {
-	size := 1 + strLen(t.Title) + strLen(t.Note) + uvarintLen(uint64(len(t.Headers))) + uvarintLen(uint64(len(t.Rows)))
+// EncodedLen is the length of the table's payload: what Encode returns
+// and AppendEncode appends.
+func (t *Table) EncodedLen() int {
+	n := 1 + strLen(t.Title) + strLen(t.Note) + uvarintLen(uint64(len(t.Headers))) + uvarintLen(uint64(len(t.Rows)))
 	for _, h := range t.Headers {
-		size += strLen(h)
+		n += strLen(h)
 	}
 	for _, r := range t.Rows {
-		size += uvarintLen(uint64(len(r)))
+		n += uvarintLen(uint64(len(r)))
 		for _, c := range r {
-			size += strLen(c)
+			n += strLen(c)
 		}
 	}
-	e := &encoder{buf: make([]byte, 0, size)}
-	e.buf = append(e.buf, kindTable)
-	e.str(t.Title)
-	e.str(t.Note)
-	e.uvarint(uint64(len(t.Headers)))
+	return n
+}
+
+// Encode serializes the table into a buffer of exactly its length.
+func (t *Table) Encode() []byte { return t.AppendEncode(make([]byte, 0, t.EncodedLen())) }
+
+// AppendEncode appends the table's payload (Encode's bytes) to dst.
+func (t *Table) AppendEncode(dst []byte) []byte {
+	dst = appendStr(append(dst, kindTable), t.Title)
+	dst = appendStr(dst, t.Note)
+	dst = binary.AppendUvarint(dst, uint64(len(t.Headers)))
 	for _, h := range t.Headers {
-		e.str(h)
+		dst = appendStr(dst, h)
 	}
-	e.uvarint(uint64(len(t.Rows)))
+	dst = binary.AppendUvarint(dst, uint64(len(t.Rows)))
 	for _, r := range t.Rows {
-		e.uvarint(uint64(len(r)))
+		dst = binary.AppendUvarint(dst, uint64(len(r)))
 		for _, c := range r {
-			e.str(c)
+			dst = appendStr(dst, c)
 		}
 	}
-	return e.buf
+	return dst
 }
 
 // DecodeTable parses a payload produced by Table.Encode.
@@ -173,28 +164,34 @@ func DecodeTable(buf []byte) (*Table, error) {
 	return t, nil
 }
 
-// Encode serializes the figure.
-func (f *Figure) Encode() []byte {
-	size := 1 + strLen(f.Title) + strLen(f.XLabel) + strLen(f.YLabel) + strLen(f.Note) + uvarintLen(uint64(len(f.Series)))
+// EncodedLen is the length of the figure's payload: what Encode returns
+// and AppendEncode appends.
+func (f *Figure) EncodedLen() int {
+	n := 1 + strLen(f.Title) + strLen(f.XLabel) + strLen(f.YLabel) + strLen(f.Note) + uvarintLen(uint64(len(f.Series)))
 	for _, s := range f.Series {
-		size += strLen(s.Name) + uvarintLen(uint64(len(s.Points))) + 16*len(s.Points)
+		n += strLen(s.Name) + uvarintLen(uint64(len(s.Points))) + 16*len(s.Points)
 	}
-	e := &encoder{buf: make([]byte, 0, size)}
-	e.buf = append(e.buf, kindFigure)
-	e.str(f.Title)
-	e.str(f.XLabel)
-	e.str(f.YLabel)
-	e.str(f.Note)
-	e.uvarint(uint64(len(f.Series)))
+	return n
+}
+
+// Encode serializes the figure into a buffer of exactly its length.
+func (f *Figure) Encode() []byte { return f.AppendEncode(make([]byte, 0, f.EncodedLen())) }
+
+// AppendEncode appends the figure's payload (Encode's bytes) to dst.
+func (f *Figure) AppendEncode(dst []byte) []byte {
+	dst = appendStr(append(dst, kindFigure), f.Title)
+	dst = appendStr(dst, f.XLabel)
+	dst = appendStr(dst, f.YLabel)
+	dst = appendStr(dst, f.Note)
+	dst = binary.AppendUvarint(dst, uint64(len(f.Series)))
 	for _, s := range f.Series {
-		e.str(s.Name)
-		e.uvarint(uint64(len(s.Points)))
+		dst = binary.AppendUvarint(appendStr(dst, s.Name), uint64(len(s.Points)))
 		for _, p := range s.Points {
-			e.float(p.X)
-			e.float(p.Y)
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.X))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Y))
 		}
 	}
-	return e.buf
+	return dst
 }
 
 // DecodeFigure parses a payload produced by Figure.Encode.

@@ -6,6 +6,7 @@ package report
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -62,6 +63,30 @@ func referenceTableString(t *Table) string {
 		b.WriteString("note: " + t.Note + "\n")
 	}
 	return b.String()
+}
+
+// encoder is the codec's writer as it was before AppendEncode: the
+// references below (and a hand-built corrupt payload in codec_test.go)
+// write through it.
+type encoder struct {
+	buf []byte
+	tmp [binary.MaxVarintLen64]byte
+}
+
+func (e *encoder) uvarint(v uint64) {
+	n := binary.PutUvarint(e.tmp[:], v)
+	e.buf = append(e.buf, e.tmp[:n]...)
+}
+
+func (e *encoder) str(s string) {
+	e.uvarint(uint64(len(s)))
+	e.buf = append(e.buf, s...)
+}
+
+func (e *encoder) float(f float64) {
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], math.Float64bits(f))
+	e.buf = append(e.buf, w[:]...)
 }
 
 func referenceTableEncode(t *Table) []byte {
@@ -159,6 +184,15 @@ func seededTable(rng *rand.Rand) *Table {
 	return tb
 }
 
+// seededPrefix is what AppendEncode may find in dst: nothing, a few bytes,
+// or bytes with spare capacity behind them (which it must write into, not
+// over the prefix).
+func seededPrefix(rng *rand.Rand) []byte {
+	p := make([]byte, rng.Intn(20), 20+rng.Intn(3000))
+	rng.Read(p)
+	return p
+}
+
 func TestTableStringAndEncodeMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	const n = 5000
@@ -167,12 +201,15 @@ func TestTableStringAndEncodeMatchReference(t *testing.T) {
 		if got, want := tb.String(), referenceTableString(tb); got != want {
 			t.Fatalf("table %d renders differently:\n--- got ---\n%s--- want ---\n%s", i, got, want)
 		}
-		enc := tb.Encode()
-		if !bytes.Equal(enc, referenceTableEncode(tb)) {
+		enc, want := tb.Encode(), referenceTableEncode(tb)
+		if !bytes.Equal(enc, want) {
 			t.Fatalf("table %d encodes differently", i)
 		}
-		if cap(enc) != len(enc) {
-			t.Fatalf("table %d: Encode sized its buffer %d for %d bytes", i, cap(enc), len(enc))
+		if cap(enc) != len(enc) || tb.EncodedLen() != len(enc) {
+			t.Fatalf("table %d: Encode sized its buffer %d (EncodedLen %d) for %d bytes", i, cap(enc), tb.EncodedLen(), len(enc))
+		}
+		if prefix := seededPrefix(rng); !bytes.Equal(tb.AppendEncode(prefix), append(prefix[:len(prefix):len(prefix)], want...)) {
+			t.Fatalf("table %d: AppendEncode after %d bytes is not the prefix and the reference", i, len(prefix))
 		}
 	}
 	t.Logf("%d seeded tables identical", n)
@@ -190,12 +227,15 @@ func TestFigureEncodeMatchesReference(t *testing.T) {
 				ser.Add(seededFloat(rng), seededFloat(rng))
 			}
 		}
-		enc := f.Encode()
-		if !bytes.Equal(enc, referenceFigureEncode(f)) {
+		enc, want := f.Encode(), referenceFigureEncode(f)
+		if !bytes.Equal(enc, want) {
 			t.Fatalf("figure %d encodes differently", i)
 		}
-		if cap(enc) != len(enc) {
-			t.Fatalf("figure %d: Encode sized its buffer %d for %d bytes", i, cap(enc), len(enc))
+		if cap(enc) != len(enc) || f.EncodedLen() != len(enc) {
+			t.Fatalf("figure %d: Encode sized its buffer %d (EncodedLen %d) for %d bytes", i, cap(enc), f.EncodedLen(), len(enc))
+		}
+		if prefix := seededPrefix(rng); !bytes.Equal(f.AppendEncode(prefix), append(prefix[:len(prefix):len(prefix)], want...)) {
+			t.Fatalf("figure %d: AppendEncode after %d bytes is not the prefix and the reference", i, len(prefix))
 		}
 		if got, want := f.String(), referenceTableString(f.Table()); got != want {
 			t.Fatalf("figure %d renders differently", i)

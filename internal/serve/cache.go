@@ -40,14 +40,15 @@ import (
 // rounded up to 8, so the hit word (offset 0) and state word (offset 36)
 // of every entry are aligned for sync/atomic.
 //
-// Aliasing contract: Get returns a slice aliasing slab memory. It is
-// stable across Gets (only the fixed header words mutate afterwards) and
-// across segment reclamation (reclaimed segments are dropped to the GC,
-// never reused, so outstanding aliases stay intact), but a Set of the
-// same key may overwrite the bytes in place — callers must consume the
-// slice before writing the same key, and must never modify it. The
-// engine's singleflight layer guarantees it never Sets a live key it is
-// concurrently reading.
+// Aliasing contract: Get, and store for the bytes it just wrote (the
+// engine's miss hands those out as its Raw), return slices of slab
+// memory. Such a slice is stable across Gets (only the fixed header words
+// mutate afterwards) and across segment reclamation (reclaimed segments
+// are dropped to the GC, never reused, so outstanding aliases stay
+// intact), but a Set of the same key may overwrite the bytes in place —
+// callers must consume the slice before writing the same key, and must
+// never modify it. The engine's singleflight layer guarantees it never
+// Sets a live key it is concurrently reading.
 //
 // An entry may carry an auxiliary byte region after its payload (AttachAux,
 // GetWithAux): bytes derived from the payload that live and die with it.
@@ -516,8 +517,9 @@ func (s *cacheShard) reclaimOldest(c *Cache, force bool) {
 	s.dead -= deadHere
 }
 
-// append writes a fresh entry into the slab and indexes it.
-func (s *cacheShard) append(c *Cache, h uint64, key string, val []byte, added int64) {
+// append writes a fresh entry into the slab and indexes it, returning the
+// entry's payload bytes.
+func (s *cacheShard) append(c *Cache, h uint64, key string, val []byte, added int64) []byte {
 	vc := valCapFor(len(val))
 	size := entrySize(len(key), vc, 0)
 	seg := s.head(c, size, true)
@@ -536,6 +538,7 @@ func (s *cacheShard) append(c *Cache, h uint64, key string, val []byte, added in
 	seg.used += size
 	seg.live += size
 	s.insert(h, ref(seg.seq, off))
+	return b[entryHdrLen+len(key) : entryHdrLen+len(key)+len(val) : entryHdrLen+len(key)+len(val)]
 }
 
 // Get returns the cached payload for key, bumping the entry's hit counter
@@ -642,9 +645,7 @@ func (c *Cache) AttachAux(key string, val, aux []byte) bool {
 }
 
 // Set stores a payload under key with the cache's TTL.
-func (c *Cache) Set(key string, val []byte) {
-	c.SetStamped(key, val, c.now().UnixNano())
-}
+func (c *Cache) Set(key string, val []byte) { c.store(key, val, c.now().UnixNano()) }
 
 // SetStamped stores a payload with an explicit insertion time — how a
 // tier-2 warm start preserves entry age so a configured TTL keeps its
@@ -653,9 +654,16 @@ func (c *Cache) Set(key string, val []byte) {
 // no index churn, no allocation); otherwise the old entry is tombstoned
 // and a fresh one appended.
 func (c *Cache) SetStamped(key string, val []byte, addedUnixNano int64) {
+	c.store(key, val, addedUnixNano)
+}
+
+// store is SetStamped returning the stored payload's slab bytes, under
+// the aliasing contract a Get's have.
+func (c *Cache) store(key string, val []byte, addedUnixNano int64) []byte {
 	h := fnv1a(key)
 	s := &c.shards[h&c.mask]
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if slot := s.find(h, key); slot >= 0 {
 		seg, off := s.at(s.idxRef[slot])
 		b := seg.buf[off:]
@@ -669,14 +677,13 @@ func (c *Cache) SetStamped(key string, val []byte, addedUnixNano int64) {
 			// value capacity so the entry's footprint is unchanged.
 			binary.LittleEndian.PutUint32(b[offValCap:], uint32(vc+al))
 			binary.LittleEndian.PutUint32(b[offAuxLen:], 0)
-			copy(b[entryHdrLen+kl:], val)
-			s.mu.Unlock()
-			return
+			lo := entryHdrLen + kl
+			copy(b[lo:], val)
+			return b[lo : lo+len(val) : lo+len(val)]
 		}
 		s.killSlot(slot)
 	}
-	s.append(c, h, key, val, addedUnixNano)
-	s.mu.Unlock()
+	return s.append(c, h, key, val, addedUnixNano)
 }
 
 // Hits returns the hit counter for key's entry (0 if absent), without

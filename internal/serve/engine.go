@@ -201,11 +201,12 @@ type Response struct {
 
 // RawResponse is one served result in its encoded (wire) form — the
 // zero-copy variant of Response. Raw is the core.Result codec bytes
-// exactly as memoized; on a cache hit it aliases slab memory (see the
-// Cache aliasing contract), so callers must consume it before issuing
-// any write for the same key and must never modify it. Entries enter the
-// cache only as Encode output or as snapshot payloads validated by
-// DecodeResult at load, so Raw always decodes.
+// exactly as memoized, and it aliases slab memory whether the request hit
+// or missed (a miss hands out the bytes it just stored; see the Cache
+// aliasing contract), so callers must consume it before issuing any write
+// for the same key and must never modify it. Entries enter the cache only
+// as Encode output or as snapshot payloads validated by DecodeResult at
+// load, so Raw always decodes.
 type RawResponse struct {
 	// ID, Params, Key, Class mirror Response (Params is shared read-only).
 	ID     string
@@ -459,7 +460,8 @@ func identKey(id string, p core.Params) (string, core.Params, error) {
 
 // resolveKey maps (id, params) to the cache key: the bare ID for
 // zero-param requests, the experiment's canonical grid-point key after
-// schema resolution otherwise.
+// schema resolution otherwise. A complete assignment comes back as it is:
+// the miss pass only reads it; newIdentity, whose row outlives it, copies.
 func resolveKey(id string, p core.Params) (string, core.Params, error) {
 	if len(p) == 0 {
 		return id, nil, nil
@@ -468,11 +470,13 @@ func resolveKey(id string, p core.Params) (string, core.Params, error) {
 	if !ok {
 		return "", nil, fmt.Errorf("%w %q", ErrUnknownExperiment, id)
 	}
-	resolved, err := exp.ResolveParams(p)
-	if err != nil {
-		return "", nil, fmt.Errorf("%w: %v", ErrBadParams, err)
+	if !exp.Complete(p) {
+		var err error
+		if p, err = exp.ResolveParams(p); err != nil {
+			return "", nil, fmt.Errorf("%w: %v", ErrBadParams, err)
+		}
 	}
-	return exp.CacheKey(resolved), resolved, nil
+	return exp.CacheKey(p), p, nil
 }
 
 // serveMissRaw is the path after a cache miss: singleflight-deduplicated
@@ -505,9 +509,7 @@ func (e *Engine) serveMissRaw(ctx context.Context, class admit.Class, id, key st
 			if err != nil {
 				return nil, err
 			}
-			enc := res.Encode()
-			e.cache.Set(key, enc)
-			return enc, nil
+			return e.memoize(key, res), nil
 		})
 	})
 	if shared {
@@ -547,6 +549,22 @@ func (e *Engine) serveMissRaw(ctx context.Context, class admit.Class, id, key st
 	return RawResponse{ID: id, Params: p, Key: key, Class: class, Raw: raw,
 		CacheHit: leaderHit, Shared: shared, Latency: lat}, nil
 }
+
+// memoize encodes res into pooled scratch and stores it, returning the
+// entry's slab bytes: the miss's Raw, under the aliasing contract a hit's
+// Raw has. The payload is written twice (scratch, slab) and kept once; a
+// scratch grown past maxScratch by a large result goes to the GC.
+func (e *Engine) memoize(key string, res core.Result) []byte {
+	buf := httpapi.GetBuffer()
+	*buf = res.AppendEncode((*buf)[:0])
+	raw := e.cache.store(key, *buf, e.cache.now().UnixNano())
+	if cap(*buf) <= maxScratch {
+		httpapi.PutBuffer(buf)
+	}
+	return raw
+}
+
+const maxScratch = 64 << 10
 
 // lanes hands out small integers that stick to the caller's processor:
 // sync.Pool keeps what a P Puts for that P's next Get, and a fresh value

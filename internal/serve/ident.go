@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/maphash"
+	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -158,6 +159,8 @@ func newIdentity(look uint64, id string, p core.Params, wire []byte) *Identity {
 	ident.key, ident.params, ident.err = resolveKey(id, p)
 	if ident.err != nil {
 		ident.key, ident.params = id+"?"+strings.Join(p.Assignments(), "&"), p
+	} else if len(p) > 0 && len(p) == len(ident.params) { // p was complete: resolveKey returned it
+		ident.params = maps.Clone(p)
 	}
 	ident.hash = cluster.HashString(ident.key)
 	if ident.err != nil || len(id)+len(wire) > identMaxBytes {
