@@ -96,8 +96,7 @@ func main() {
 	shards := flag.Int("shards", 16, "cache shard count (rounded up to a power of two)")
 	ttl := flag.Duration("ttl", 0, "cache entry TTL (0 = never expire)")
 	workers := flag.Int("workers", 4, "max concurrent cold experiment runs")
-	cacheBytes := flag.Int64("cache-bytes", 0, "tier-1 cache byte budget across shards (0 = unbounded; bounded shards evict per -cache-policy)")
-	cachePolicy := flag.String("cache-policy", "lru", "eviction policy for a bounded cache: lru (keep recently-read entries) or cost (keep entries that earn hits)")
+	cacheBytes := flag.Int64("cache-bytes", 0, "tier-1 cache byte budget across shards (0 = unbounded; bounded shards keep recently-read entries)")
 	snapshot := flag.String("snapshot", "", "tier-2 cache snapshot file: warm-start from it on boot, persist to it while serving")
 	snapshotEvery := flag.Duration("snapshot-every", 30*time.Second, "background snapshot save interval (0 = only on shutdown)")
 	batchRate := flag.Float64("batch-rate", 0, "token-bucket rate for batch-class admissions (grid points/s; 0 = unthrottled)")
@@ -134,9 +133,8 @@ func main() {
 		// dropping engine flags would let an operator believe they
 		// configured a cache that does not exist.
 		engineOnly := map[string]bool{"shards": true, "ttl": true, "workers": true,
-			"cache-bytes": true, "cache-policy": true,
-			"snapshot": true, "snapshot-every": true, "batch-rate": true, "lc-slo": true,
-			"tenants": true}
+			"cache-bytes": true, "snapshot": true, "snapshot-every": true,
+			"batch-rate": true, "lc-slo": true, "tenants": true}
 		flag.Visit(func(f *flag.Flag) {
 			if engineOnly[f.Name] {
 				fmt.Fprintf(os.Stderr, "arch21d: -%s configures the local engine and has no effect with -peers\n", f.Name)
@@ -169,16 +167,11 @@ func main() {
 				vocab = append(vocab, name)
 			}
 		}
-		policy, err := serve.ParseEvictionPolicy(*cachePolicy)
-		if err != nil {
-			log.Fatalf("arch21d: -cache-policy: %v", err)
-		}
 		engine := serve.NewEngine(serve.Config{
 			Shards:       *shards,
 			TTL:          *ttl,
 			Workers:      *workers,
 			CacheBytes:   *cacheBytes,
-			CachePolicy:  policy,
 			BatchRate:    *batchRate,
 			SnapshotPath: *snapshot,
 			Tenants:      vocab,

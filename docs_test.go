@@ -163,13 +163,13 @@ func docPins() []docPin {
 			"declared, not trusted"}},
 		{adv, "README.md", "", []string{"-chaos", "-soak-duration", "chaos-smoke", "-tenants", "flash-crowd",
 			"diurnal", "multi-tenant", "fairness"}},
-		{slab, "DESIGN.md", "§4", []string{"`lru`", "`cost`", "segment arenas", "open-addressed offset index",
-			"O(segments)", "8-byte hit word at offset 0", "in place", "aliasing contract", "copy-on-read",
+		{slab, "DESIGN.md", "§4", []string{"Eviction is CLOCK", "segment arenas", "open-addressed offset index",
+			"O(segments)", "36-byte header", "state word at offset 28", "in place", "aliasing contract", "copy-on-read",
 			"format=bin", "application/octet-stream", "ServeEncoded", "read-mostly `Get`", "alignment rule",
 			"bench-engine", "b.ReportAllocs()", "TestServeEncodedWarmHitAllocs"}},
 		{slab, "DESIGN.md", "§6", []string{"`allocs_per_request`", "Mallocs delta", "ratchet",
 			"One latency instrument", "stripes", "`HistogramSnapshot.Quantile`", "never frozen", "bench-engine"}},
-		{slab, "README.md", "", []string{"-cache-bytes", "-cache-policy", "zero-copy", "0 allocs/op",
+		{slab, "README.md", "", []string{"-cache-bytes", "zero-copy", "0 allocs/op",
 			"TestServeEncodedWarmHitAllocs", "allocs_per_request"}},
 		{batched, "DESIGN.md", "§4", append(magics, "POST /v1/batch", "httpapi.BatchVersion", "outcome word",
 			"httpapi.MaxBatchEntries", "httpapi.MaxBatchBytes", "ErrBatchFrame", "httpapi.GetBuffer",
@@ -216,15 +216,7 @@ func TestObservabilityDocsCoverObs(t *testing.T) { checkPins(t) }
 func TestAdversarialWorkloadDocs(t *testing.T)   { checkPins(t) }
 func TestBatchedDataPlaneDocs(t *testing.T)      { checkPins(t) }
 
-// The eviction names §4 pins are the ones the parser accepts.
-func TestSlabCacheDocs(t *testing.T) {
-	for _, name := range []string{"lru", "cost"} {
-		if p, err := serve.ParseEvictionPolicy(name); err != nil || p.String() != name {
-			t.Errorf("serve.ParseEvictionPolicy(%q) = %v, %v; the docs pin this vocabulary", name, p, err)
-		}
-	}
-	checkPins(t)
-}
+func TestSlabCacheDocs(t *testing.T) { checkPins(t) }
 
 // Every declared parameter default must pass its own spec's validation —
 // a default outside its range would make the experiment unrunnable at the

@@ -13,7 +13,6 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,7 +23,7 @@ import (
 // Cache is a sharded, memoizing byte cache backed by slab segments. Keys
 // hash to one of N power-of-two shards, each guarded by its own
 // read-write lock: Get holds it shared and writes only atomics (the
-// entry's hit word and CLOCK bit, the shard's hit/miss counters);
+// entry's CLOCK bit, once per sweep, and the shard's hit/miss counters);
 // everything that moves bytes or the index — Set, AttachAux, TTL expiry,
 // deletion, reclamation — holds it exclusively.
 //
@@ -33,17 +32,16 @@ import (
 // slices — no per-entry Go object anywhere, so the GC scans O(segments)
 // pointers no matter how many millions of entries are cached (the
 // paper's memory-wall argument applied to the serving tier itself).
-// Entry headers are fixed-width, so the per-entry hit counter is bumped
-// in place on Get and a Set whose new payload fits the entry's value
-// capacity overwrites in place with no index churn and no allocation.
-// Arenas come 8-aligned from the allocator and every entry's size is
-// rounded up to 8, so the hit word (offset 0) and state word (offset 36)
-// of every entry are aligned for sync/atomic.
+// Entry headers are fixed-width, so Get sets the CLOCK bit in place and
+// a Set whose new payload fits the entry's value capacity overwrites in
+// place with no index churn and no allocation. Arenas come 8-aligned
+// from the allocator and every entry's size is rounded up to 8, so the
+// state word (offset 28) of every entry is aligned for sync/atomic.
 //
 // Aliasing contract: Get, and store for the bytes it just wrote (the
 // engine's miss hands those out as its Raw), return slices of slab
-// memory. Such a slice is stable across Gets (only the fixed header words
-// mutate afterwards) and across segment reclamation (reclaimed segments
+// memory. Such a slice is stable across Gets (only the state word
+// mutates afterwards) and across segment reclamation (reclaimed segments
 // are dropped to the GC, never reused, so outstanding aliases stay
 // intact), but a Set of the same key may overwrite the bytes in place —
 // callers must consume the slice before writing the same key, and must
@@ -55,6 +53,10 @@ import (
 // Attaching re-appends the entry rather than writing in place, so the old
 // bytes stay intact for readers still holding them; every operation that
 // replaces or removes the payload drops the aux with it.
+//
+// A bounded cache evicts by CLOCK: an entry read since the previous sweep
+// of its segment is re-appended with its bit cleared, an unread one is
+// dropped.
 type Cache struct {
 	shards []cacheShard
 	mask   uint64
@@ -62,66 +64,38 @@ type Cache struct {
 	// maxShardBytes bounds each shard's segment bytes (0 = unbounded:
 	// segments are only compacted, never evicted).
 	maxShardBytes int64
-	policy        EvictionPolicy
 	// now is the clock; replaceable in tests (cf. freecache's custom
 	// timer).
 	now func() time.Time
 }
 
-// EvictionPolicy selects which live entries survive segment reclamation
-// when a bounded cache is out of space.
+// EvictionPolicy is a shim: CLOCK is the cache's one policy, and the type,
+// EvictLRU and NewCacheSized's policy argument stay only because the
+// bench/ module compiles against them. They go when it stops naming them.
 type EvictionPolicy uint8
 
-const (
-	// EvictLRU approximates least-recently-used with a CLOCK
-	// (second-chance) bit: an entry touched since the previous sweep is
-	// re-appended with its bit cleared; an untouched one is evicted.
-	EvictLRU EvictionPolicy = iota
-	// EvictCost is cost-aware: an entry with any recorded hits survives
-	// (its count is halved as it ages), so frequently re-derived results
-	// outlive one-shot ones regardless of recency.
-	EvictCost
-)
-
-// String names the policy for stats and logs.
-func (p EvictionPolicy) String() string {
-	if p == EvictCost {
-		return "cost"
-	}
-	return "lru"
-}
-
-// ParseEvictionPolicy resolves a policy name ("lru", "cost") — the
-// -cache-policy flag's parser.
-func ParseEvictionPolicy(s string) (EvictionPolicy, error) {
-	switch s {
-	case "lru":
-		return EvictLRU, nil
-	case "cost":
-		return EvictCost, nil
-	}
-	return EvictLRU, fmt.Errorf("serve: unknown eviction policy %q (want lru or cost)", s)
-}
+// EvictLRU is the only EvictionPolicy.
+const EvictLRU EvictionPolicy = 0
 
 const (
 	// segmentSize is the standard slab arena size; entries larger than a
 	// segment get a dedicated arena of their exact size.
 	segmentSize = 64 << 10
 
-	// entryHdrLen is the fixed entry header: hits u64 (bumped in place by
-	// Get), added i64, ttl i64, keyLen u32, valLen u32, valCap u32, state
-	// u32, auxLen u32. Everything is fixed-width so in-place mutation
+	// entryHdrLen is the fixed entry header: added i64, ttl i64, keyLen
+	// u32, valLen u32, valCap u32, state u32 (the CLOCK bit Get sets in
+	// place), auxLen u32. Everything is fixed-width so in-place mutation
 	// never moves a byte after it. The key, valCap payload bytes and
 	// auxLen aux bytes follow, then padding to the next 8-byte boundary.
-	entryHdrLen = 44
+	entryHdrLen = 36
 
-	offAdded  = 8
-	offTTL    = 16
-	offKeyLen = 24
-	offValLen = 28
-	offValCap = 32
-	offState  = 36
-	offAuxLen = 40
+	offAdded  = 0
+	offTTL    = 8
+	offKeyLen = 16
+	offValLen = 20
+	offValCap = 24
+	offState  = 28
+	offAuxLen = 32
 
 	stateLive     = 1 << 0
 	stateAccessed = 1 << 1 // the CLOCK second-chance bit
@@ -185,13 +159,14 @@ type cacheShard struct {
 	_       [64 - 136%64]byte
 }
 
-// A shard is whole cache lines (this fails to compile otherwise).
+// A shard is whole cache lines, and the state word sits 4-aligned in
+// every (8-aligned) entry (these fail to compile otherwise).
 var _ [0]struct{} = [unsafe.Sizeof(cacheShard{}) % 64]struct{}{}
+var _ [0]struct{} = [offState % 4]struct{}{}
 
-// hitWord and stateWord address the two words of the (8-aligned) entry at b
-// that Get mutates: holders of the shared lock go through these with
-// sync/atomic, holders of the exclusive lock may use plain loads and stores.
-func hitWord(b []byte) *uint64   { return (*uint64)(unsafe.Pointer(&b[0])) }
+// stateWord addresses the one word of the entry at b that Get mutates:
+// holders of the shared lock go through it with sync/atomic, holders of
+// the exclusive lock may use plain loads and stores.
 func stateWord(b []byte) *uint32 { return (*uint32)(unsafe.Pointer(&b[offState])) }
 
 // CacheStats aggregates shard counters. JSON tags let servers expose the
@@ -223,13 +198,13 @@ func NewCache(shards int, ttl time.Duration) *Cache {
 	return NewCacheSized(shards, ttl, 0, EvictLRU)
 }
 
-// NewCacheSized is NewCache with a byte budget and an eviction policy:
-// maxBytes bounds the total slab footprint (approximately — the budget
-// is split per shard and enforced at segment granularity), with policy
-// choosing which entries survive reclamation. maxBytes <= 0 means
-// unbounded (segments are compacted when dead bytes accumulate, never
-// evicted).
-func NewCacheSized(shards int, ttl time.Duration, maxBytes int64, policy EvictionPolicy) *Cache {
+// NewCacheSized is NewCache with a byte budget: maxBytes bounds the total
+// slab footprint (approximately — the budget is split per shard and
+// enforced at segment granularity), and CLOCK chooses which entries
+// survive reclamation. maxBytes <= 0 means unbounded (segments are
+// compacted when dead bytes accumulate, never evicted). The policy
+// argument is ignored (see EvictionPolicy).
+func NewCacheSized(shards int, ttl time.Duration, maxBytes int64, _ EvictionPolicy) *Cache {
 	if shards > maxCacheShards {
 		shards = maxCacheShards
 	}
@@ -241,7 +216,6 @@ func NewCacheSized(shards int, ttl time.Duration, maxBytes int64, policy Evictio
 		shards: make([]cacheShard, n),
 		mask:   uint64(n - 1),
 		ttl:    ttl,
-		policy: policy,
 		now:    time.Now,
 	}
 	if maxBytes > 0 {
@@ -458,10 +432,9 @@ func (s *cacheShard) head(c *Cache, size int, allowReclaim bool) *segment {
 }
 
 // reclaimOldest drops the oldest segment, re-appending the live entries
-// the eviction policy spares (all of them in unbounded/compaction mode;
-// none under force) and tombstoning the rest. The segment's buffer is
-// released to the GC untouched, so previously returned aliases into it
-// stay valid.
+// CLOCK spares (all of them in unbounded/compaction mode; none under
+// force) and tombstoning the rest. The segment's buffer is released to
+// the GC untouched, so previously returned aliases into it stay valid.
 func (s *cacheShard) reclaimOldest(c *Cache, force bool) {
 	seg := s.segs[0]
 	copy(s.segs, s.segs[1:])
@@ -482,28 +455,11 @@ func (s *cacheShard) reclaimOldest(c *Cache, force bool) {
 		}
 		h := fnv1a(string(b[entryHdrLen : entryHdrLen+kl]))
 		slot := s.findRef(h, ref(seg.seq, off))
-		survive := true
-		if force {
-			survive = false
-		} else if c.maxShardBytes > 0 {
-			switch c.policy {
-			case EvictCost:
-				survive = binary.LittleEndian.Uint64(b) > 0
-			default: // EvictLRU
-				survive = st&stateAccessed != 0
-			}
-		}
-		if survive {
+		if !force && (c.maxShardBytes == 0 || st&stateAccessed != 0) {
 			dst := s.head(c, size, false)
 			noff := dst.used
 			copy(dst.buf[noff:noff+size], seg.buf[off:off+size])
-			nb := dst.buf[noff:]
-			// Age the survivor so it must earn its next reprieve.
-			if c.policy == EvictCost {
-				binary.LittleEndian.PutUint64(nb, binary.LittleEndian.Uint64(nb)/2)
-			}
-			binary.LittleEndian.PutUint32(nb[offState:],
-				binary.LittleEndian.Uint32(nb[offState:])&^stateAccessed)
+			binary.LittleEndian.PutUint32(dst.buf[noff+offState:], st&^stateAccessed)
 			dst.used += size
 			dst.live += size
 			s.idxRef[slot] = ref(dst.seq, noff)
@@ -525,7 +481,6 @@ func (s *cacheShard) append(c *Cache, h uint64, key string, val []byte, added in
 	seg := s.head(c, size, true)
 	off := seg.used
 	b := seg.buf[off : off+size]
-	binary.LittleEndian.PutUint64(b, 0)
 	binary.LittleEndian.PutUint64(b[offAdded:], uint64(added))
 	binary.LittleEndian.PutUint64(b[offTTL:], uint64(c.ttl))
 	binary.LittleEndian.PutUint32(b[offKeyLen:], uint32(len(key)))
@@ -541,10 +496,10 @@ func (s *cacheShard) append(c *Cache, h uint64, key string, val []byte, added in
 	return b[entryHdrLen+len(key) : entryHdrLen+len(key)+len(val) : entryHdrLen+len(key)+len(val)]
 }
 
-// Get returns the cached payload for key, bumping the entry's hit counter
-// and CLOCK bit in place. Expired entries are evicted lazily on access.
-// The returned slice aliases slab memory — see the Cache aliasing
-// contract.
+// Get returns the cached payload for key, setting the entry's CLOCK bit
+// in place if a sweep has cleared it. Expired entries are evicted lazily
+// on access. The returned slice aliases slab memory — see the Cache
+// aliasing contract.
 func (c *Cache) Get(key string) ([]byte, bool) {
 	val, _, ok := c.GetWithAux(key)
 	return val, ok
@@ -573,7 +528,6 @@ func (c *Cache) GetWithAux(key string) (val, aux []byte, ok bool) {
 			return nil, nil, false
 		}
 	}
-	atomic.AddUint64(hitWord(b), 1)
 	if st := stateWord(b); atomic.LoadUint32(st)&stateAccessed == 0 {
 		atomic.OrUint32(st, stateAccessed)
 	}
@@ -606,8 +560,8 @@ func (c *Cache) expire(s *cacheShard, h uint64, key string, now int64) {
 // has no aux yet, and its payload is still val — the very slab bytes a Get
 // returned, so bytes derived from an entry that has since been replaced
 // or moved are never attached to its successor. The entry is re-appended
-// with hit count, CLOCK bit, stamp and TTL preserved and the old copy
-// retired, never written in place. It reports whether aux was attached;
+// with CLOCK bit, stamp and TTL preserved and the old copy retired, never
+// written in place. It reports whether aux was attached;
 // it counts as neither a hit nor a miss.
 func (c *Cache) AttachAux(key string, val, aux []byte) bool {
 	if len(val) == 0 || len(aux) == 0 {
@@ -650,7 +604,7 @@ func (c *Cache) Set(key string, val []byte) { c.store(key, val, c.now().UnixNano
 // SetStamped stores a payload with an explicit insertion time — how a
 // tier-2 warm start preserves entry age so a configured TTL keeps its
 // meaning across restarts. When the key's live entry has capacity for
-// the new payload, the entry is overwritten in place (hit counter reset,
+// the new payload, the entry is overwritten in place (CLOCK bit cleared,
 // no index churn, no allocation); otherwise the old entry is tombstoned
 // and a fresh one appended.
 func (c *Cache) SetStamped(key string, val []byte, addedUnixNano int64) {
@@ -668,7 +622,6 @@ func (c *Cache) store(key string, val []byte, addedUnixNano int64) []byte {
 		seg, off := s.at(s.idxRef[slot])
 		b := seg.buf[off:]
 		if kl, vc, al := entryLens(b); len(val) <= vc {
-			binary.LittleEndian.PutUint64(b, 0)
 			binary.LittleEndian.PutUint64(b[offAdded:], uint64(addedUnixNano))
 			binary.LittleEndian.PutUint64(b[offTTL:], uint64(c.ttl))
 			binary.LittleEndian.PutUint32(b[offValLen:], uint32(len(val)))
@@ -684,21 +637,6 @@ func (c *Cache) store(key string, val []byte, addedUnixNano int64) []byte {
 		s.killSlot(slot)
 	}
 	return s.append(c, h, key, val, addedUnixNano)
-}
-
-// Hits returns the hit counter for key's entry (0 if absent), without
-// counting as an access.
-func (c *Cache) Hits(key string) int64 {
-	h := fnv1a(key)
-	s := &c.shards[h&c.mask]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	slot := s.find(h, key)
-	if slot < 0 {
-		return 0
-	}
-	seg, off := s.at(s.idxRef[slot])
-	return int64(atomic.LoadUint64(hitWord(seg.buf[off:])))
 }
 
 // Delete removes key. It reports whether an entry was present.

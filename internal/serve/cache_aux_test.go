@@ -8,7 +8,7 @@ import (
 )
 
 // entryWords reads key's header words without counting as an access.
-func entryWords(t *testing.T, c *Cache, key string) (hits uint64, added int64, state uint32) {
+func entryWords(t *testing.T, c *Cache, key string) (added int64, state uint32) {
 	t.Helper()
 	h := fnv1a(key)
 	s := &c.shards[h&c.mask]
@@ -20,8 +20,7 @@ func entryWords(t *testing.T, c *Cache, key string) (hits uint64, added int64, s
 	}
 	seg, off := s.at(s.idxRef[slot])
 	b := seg.buf[off:]
-	return binary.LittleEndian.Uint64(b), int64(binary.LittleEndian.Uint64(b[offAdded:])),
-		binary.LittleEndian.Uint32(b[offState:])
+	return int64(binary.LittleEndian.Uint64(b[offAdded:])), binary.LittleEndian.Uint32(b[offState:])
 }
 
 // mustAttach Gets key and attaches aux to exactly those bytes.
@@ -42,7 +41,7 @@ func wantAux(t *testing.T, c *Cache, key, val, aux string) {
 }
 
 // Attaching re-appends the entry: one lookup then returns payload and aux,
-// the entry keeps its hit count, CLOCK bit and stamp, the bytes handed out
+// the entry keeps its CLOCK bit and stamp, the bytes handed out
 // before stay intact, and the cache's hit/miss books do not move.
 func TestAuxAttachPreservesEntry(t *testing.T) {
 	c := NewCache(1, time.Hour)
@@ -59,9 +58,9 @@ func TestAuxAttachPreservesEntry(t *testing.T) {
 	if after := c.Stats(); after.Hits != before.Hits || after.Misses != before.Misses || after.Entries != 1 {
 		t.Fatalf("attach moved the books: %+v -> %+v", before, after)
 	}
-	hits, added, state := entryWords(t, c, "k")
-	if hits != 3 || added != 12345 || state != stateLive|stateAccessed {
-		t.Fatalf("after attach: hits=%d added=%d state=%b, want 3, 12345, live|accessed", hits, added, state)
+	added, state := entryWords(t, c, "k")
+	if added != 12345 || state != stateLive|stateAccessed {
+		t.Fatalf("after attach: added=%d state=%b, want 12345, live|accessed", added, state)
 	}
 	wantAux(t, c, "k", "payload", "tail-bytes")
 	if v, ok := c.Get("k"); !ok || string(v) != "payload" {
@@ -93,7 +92,7 @@ func TestAuxAttachPreservesEntry(t *testing.T) {
 }
 
 // Compaction (unbounded) and an LRU second chance (bounded) both move the
-// whole entry, aux included, and keep its hit count and stamp.
+// whole entry, aux included, and keep its stamp.
 func TestAuxSurvivesReclamation(t *testing.T) {
 	filler := make([]byte, 1024)
 	t.Run("compaction", func(t *testing.T) {
@@ -109,8 +108,8 @@ func TestAuxSurvivesReclamation(t *testing.T) {
 		if st := c.Stats(); st.Bytes > 12*segmentSize {
 			t.Fatalf("slab bytes %d: compaction did not run", st.Bytes)
 		}
-		if hits, added, _ := entryWords(t, c, "keep"); hits != 1 || added != 777 {
-			t.Fatalf("after compaction: hits=%d added=%d, want 1, 777", hits, added)
+		if added, _ := entryWords(t, c, "keep"); added != 777 {
+			t.Fatalf("after compaction: added=%d, want 777", added)
 		}
 		wantAux(t, c, "keep", "payload", "tail")
 	})
@@ -125,9 +124,9 @@ func TestAuxSurvivesReclamation(t *testing.T) {
 		if c.Stats().Evicted == 0 {
 			t.Fatal("no eviction sweep ran")
 		}
-		hits, added, state := entryWords(t, c, "hot")
-		if hits != 5001 || added != 777 || state&stateAccessed == 0 {
-			t.Fatalf("after sweeps: hits=%d added=%d state=%b, want 5001, 777, accessed", hits, added, state)
+		added, state := entryWords(t, c, "hot")
+		if added != 777 || state&stateAccessed == 0 {
+			t.Fatalf("after sweeps: added=%d state=%b, want 777, accessed", added, state)
 		}
 		// Attaching into a full bounded shard reclaims first; the entry is
 		// then found where the sweep left it, or not attached at all.

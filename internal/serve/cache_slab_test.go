@@ -43,23 +43,20 @@ func TestShardCountClampsAdversarialValues(t *testing.T) {
 }
 
 // A Set whose payload fits the entry's capacity must overwrite in place:
-// same slab footprint, hit counter reset, no new bytes consumed.
+// same slab footprint, CLOCK bit cleared, no new bytes consumed.
 func TestSlabInPlaceUpdate(t *testing.T) {
 	c := NewCache(1, 0)
 	c.Set("k", []byte("12345678"))
 	for i := 0; i < 3; i++ {
 		c.Get("k")
 	}
-	if got := c.Hits("k"); got != 3 {
-		t.Fatalf("hits = %d, want 3", got)
-	}
 	before := c.Stats().Bytes
 	c.Set("k", []byte("1234")) // shorter: fits capacity
 	if got := c.Stats().Bytes; got != before {
 		t.Fatalf("in-place update changed slab bytes: %d -> %d", before, got)
 	}
-	if got := c.Hits("k"); got != 0 {
-		t.Fatalf("in-place update kept hits = %d, want reset to 0", got)
+	if _, state := entryWords(t, c, "k"); state != stateLive {
+		t.Fatalf("in-place update left state %b, want live only", state)
 	}
 	if v, ok := c.Get("k"); !ok || string(v) != "1234" {
 		t.Fatalf("Get after in-place update = %q, %v", v, ok)
@@ -107,37 +104,33 @@ func TestSlabOversizeEntries(t *testing.T) {
 // sustained insertion, evicting old entries rather than failing, and
 // every surviving entry must still read back correctly.
 func TestSlabBoundedEviction(t *testing.T) {
-	for _, policy := range []EvictionPolicy{EvictLRU, EvictCost} {
-		t.Run(policy.String(), func(t *testing.T) {
-			const budget = 4 * segmentSize
-			c := NewCacheSized(1, 0, budget, policy)
-			val := make([]byte, 1024)
-			for i := 0; i < 2000; i++ {
-				key := fmt.Sprintf("key-%05d", i)
-				copy(val, key)
-				c.Set(key, val)
+	const budget = 4 * segmentSize
+	c := NewCacheSized(1, 0, budget, EvictLRU)
+	val := make([]byte, 1024)
+	for i := 0; i < 2000; i++ {
+		key := fmt.Sprintf("key-%05d", i)
+		copy(val, key)
+		c.Set(key, val)
+	}
+	st := c.Stats()
+	if st.Evicted == 0 {
+		t.Fatalf("no evictions after writing %d x 1KiB into %d budget", 2000, budget)
+	}
+	if st.Bytes > budget+segmentSize {
+		t.Fatalf("slab bytes %d exceed budget %d by more than one segment", st.Bytes, budget)
+	}
+	found := 0
+	for i := 0; i < 2000; i++ {
+		key := fmt.Sprintf("key-%05d", i)
+		if v, ok := c.Get(key); ok {
+			found++
+			if string(v[:len(key)]) != key {
+				t.Fatalf("surviving entry %s corrupt: %q", key, v[:len(key)])
 			}
-			st := c.Stats()
-			if st.Evicted == 0 {
-				t.Fatalf("no evictions after writing %d x 1KiB into %d budget", 2000, budget)
-			}
-			if st.Bytes > budget+segmentSize {
-				t.Fatalf("slab bytes %d exceed budget %d by more than one segment", st.Bytes, budget)
-			}
-			found := 0
-			for i := 0; i < 2000; i++ {
-				key := fmt.Sprintf("key-%05d", i)
-				if v, ok := c.Get(key); ok {
-					found++
-					if string(v[:len(key)]) != key {
-						t.Fatalf("surviving entry %s corrupt: %q", key, v[:len(key)])
-					}
-				}
-			}
-			if found == 0 || found == 2000 {
-				t.Fatalf("survivors = %d, want some but not all", found)
-			}
-		})
+		}
+	}
+	if found == 0 || found == 2000 {
+		t.Fatalf("survivors = %d, want some but not all", found)
 	}
 }
 
@@ -153,28 +146,6 @@ func TestSlabLRUKeepsHotEntry(t *testing.T) {
 	}
 	if _, ok := c.Get("hot"); !ok {
 		t.Fatalf("hot entry evicted despite constant access")
-	}
-}
-
-// Cost-aware eviction keeps entries with recorded hits over never-hit
-// ones. Hit counts halve on every survival sweep, so the entry must keep
-// earning hits to stay — a one-time burst ages out by design.
-func TestSlabCostPolicyKeepsHitEntries(t *testing.T) {
-	c := NewCacheSized(1, 0, 2*segmentSize, EvictCost)
-	val := make([]byte, 512)
-	c.Set("earned", val)
-	for i := 0; i < 5000; i++ {
-		c.Set(fmt.Sprintf("oneshot-%05d", i), val)
-		if i%32 == 0 {
-			c.Get("earned") // keeps hits > 0 across halving sweeps
-		}
-	}
-	if _, ok := c.Get("earned"); !ok {
-		t.Fatalf("frequently-hit entry evicted under cost policy")
-	}
-	st := c.Stats()
-	if st.Evicted == 0 {
-		t.Fatal("expected one-shot entries to be evicted")
 	}
 }
 
@@ -309,28 +280,25 @@ func pattern(tag string, n int) []byte {
 // past their TTL, Delete, DeletePrefix (Invalidate's shape), read Stats,
 // and AttachAux onto the hot entries, forcing compaction or eviction to
 // move live entries under the readers. Afterwards Stats().Hits and .Misses
-// are the goroutines' own tallies, each hot entry's hit word is the number
-// of times it was served, and no alias ever showed another key's bytes (the
-// hot keys are never Set again, so reading their aliases is within the
-// aliasing contract). Run under -race in CI.
+// are the goroutines' own tallies, each hot entry still carries the stamp
+// it was Set with (the header moved with the bytes), and no alias ever
+// showed another key's bytes (the hot keys are never Set again, so reading
+// their aliases is within the aliasing contract). Run under -race in CI.
 func TestSlabReadersKeepExactBooksUnderWriters(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		maxBytes int64
-		policy   EvictionPolicy
-	}{{"unbounded", 0, EvictLRU}, {"bounded-lru", 512 << 10, EvictLRU}, {"bounded-cost", 512 << 10, EvictCost}} {
+	}{{"unbounded", 0}, {"bounded-lru", 512 << 10}} {
 		t.Run(tc.name, func(t *testing.T) {
 			const readers, writers, lookups, nHot = 8, 2, 20000, 16
-			c := NewCacheSized(4, time.Hour, tc.maxBytes, tc.policy)
+			c := NewCacheSized(4, time.Hour, tc.maxBytes, EvictLRU)
 			hot := make([]string, nHot)
+			stamp := time.Now().UnixNano()
 			for i := range hot {
 				hot[i] = fmt.Sprintf("hot/%02d", i)
-				c.Set(hot[i], pattern(hot[i], 200+17*i))
+				c.SetStamped(hot[i], pattern(hot[i], 200+17*i), stamp+int64(i))
 			}
-			type tally struct {
-				hits, misses uint64
-				perHot       [nHot]int64
-			}
+			type tally struct{ hits, misses uint64 }
 			tallies := make([]tally, readers+writers)
 			// lookup is one tallied Get of hot key i, its bytes checked.
 			lookup := func(tl *tally, i int) (val []byte, ok bool) {
@@ -340,7 +308,6 @@ func TestSlabReadersKeepExactBooksUnderWriters(t *testing.T) {
 					return nil, false
 				}
 				tl.hits++
-				tl.perHot[i]++
 				if !bytes.Equal(val, pattern(hot[i], 200+17*i)) ||
 					(aux != nil && !bytes.Equal(aux, pattern("aux:"+hot[i], 64))) {
 					t.Errorf("Get(%s) returned %q with aux %q", hot[i], val, aux)
@@ -400,9 +367,6 @@ func TestSlabReadersKeepExactBooksUnderWriters(t *testing.T) {
 			for i := range tallies {
 				want.hits += tallies[i].hits
 				want.misses += tallies[i].misses
-				for k, n := range tallies[i].perHot {
-					want.perHot[k] += n
-				}
 			}
 			st := c.Stats()
 			if st.Hits != want.hits || st.Misses != want.misses || want.hits == 0 || want.misses == 0 || st.Expired == 0 {
@@ -415,10 +379,10 @@ func TestSlabReadersKeepExactBooksUnderWriters(t *testing.T) {
 				}
 				return
 			}
-			// Unbounded: compaction and AttachAux carry the hit word along.
+			// Unbounded: compaction and AttachAux carry the header along.
 			for i, k := range hot {
-				if got := c.Hits(k); got != want.perHot[i] {
-					t.Errorf("Hits(%s) = %d, it was served %d times", k, got, want.perHot[i])
+				if added, _ := entryWords(t, c, k); added != stamp+int64(i) {
+					t.Errorf("%s: added = %d after moves, it was Set with %d", k, added, stamp+int64(i))
 				}
 			}
 		})

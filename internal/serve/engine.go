@@ -36,12 +36,9 @@ type Config struct {
 	TTL time.Duration
 	// CacheBytes bounds the tier-1 slab cache's total arena footprint
 	// (default 0: unbounded — dead bytes are compacted but live entries
-	// are never evicted). When set, CachePolicy picks the survivors.
+	// are never evicted). When set, CLOCK picks the survivors: entries
+	// read since their segment's last sweep.
 	CacheBytes int64
-	// CachePolicy selects the eviction policy for a bounded cache
-	// (default EvictLRU; EvictCost keeps frequently-hit entries over
-	// recent ones).
-	CachePolicy EvictionPolicy
 	// Workers bounds concurrent cold experiment runs (default 4).
 	Workers int
 	// Queue is the per-class scheduler queue depth (default 16*Workers).
@@ -259,7 +256,7 @@ func NewEngine(cfg Config) *Engine {
 		run = runRegistry
 	}
 	e := &Engine{
-		cache: NewCacheSized(cfg.Shards, cfg.TTL, cfg.CacheBytes, cfg.CachePolicy),
+		cache: NewCacheSized(cfg.Shards, cfg.TTL, cfg.CacheBytes, EvictLRU),
 		sched: admit.NewScheduler(admit.Config{
 			Workers:    cfg.Workers,
 			Queue:      cfg.Queue,

@@ -200,78 +200,3 @@ func (s *Sample) Values() []float64 {
 	copy(out, s.xs)
 	return out
 }
-
-// Histogram counts observations into equal-width or log-spaced buckets.
-type Histogram struct {
-	lo, hi  float64
-	log     bool
-	counts  []int
-	under   int
-	over    int
-	samples int
-}
-
-// NewHistogram builds a linear histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{lo: lo, hi: hi, counts: make([]int, n)}
-}
-
-// NewLogHistogram builds a log-spaced histogram with n buckets spanning
-// [lo, hi), lo > 0.
-func NewLogHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo || lo <= 0 {
-		panic("stats: invalid log histogram bounds")
-	}
-	return &Histogram{lo: lo, hi: hi, log: true, counts: make([]int, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.samples++
-	var idx int
-	if h.log {
-		if x < h.lo {
-			h.under++
-			return
-		}
-		idx = int(math.Log(x/h.lo) / math.Log(h.hi/h.lo) * float64(len(h.counts)))
-	} else {
-		if x < h.lo {
-			h.under++
-			return
-		}
-		idx = int((x - h.lo) / (h.hi - h.lo) * float64(len(h.counts)))
-	}
-	if idx >= len(h.counts) {
-		h.over++
-		return
-	}
-	h.counts[idx]++
-}
-
-// Buckets returns per-bucket (lowEdge, count) pairs.
-func (h *Histogram) Buckets() ([]float64, []int) {
-	edges := make([]float64, len(h.counts))
-	for i := range edges {
-		if h.log {
-			edges[i] = h.lo * math.Pow(h.hi/h.lo, float64(i)/float64(len(h.counts)))
-		} else {
-			edges[i] = h.lo + (h.hi-h.lo)*float64(i)/float64(len(h.counts))
-		}
-	}
-	counts := make([]int, len(h.counts))
-	copy(counts, h.counts)
-	return edges, counts
-}
-
-// N returns total observations including under/overflow.
-func (h *Histogram) N() int { return h.samples }
-
-// Overflow returns the count of observations >= hi.
-func (h *Histogram) Overflow() int { return h.over }
-
-// Underflow returns the count of observations < lo.
-func (h *Histogram) Underflow() int { return h.under }

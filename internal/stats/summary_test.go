@@ -190,57 +190,6 @@ func TestQuickPercentileMonotone(t *testing.T) {
 	}
 }
 
-func TestHistogramLinear(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1) // underflow
-	h.Add(11) // overflow
-	edges, counts := h.Buckets()
-	if len(edges) != 10 || len(counts) != 10 {
-		t.Fatal("bucket count wrong")
-	}
-	for i, c := range counts {
-		if c != 1 {
-			t.Errorf("bucket %d count = %d, want 1", i, c)
-		}
-	}
-	if h.Underflow() != 1 || h.Overflow() != 1 {
-		t.Errorf("under/over = %d/%d", h.Underflow(), h.Overflow())
-	}
-	if h.N() != 12 {
-		t.Errorf("N = %d", h.N())
-	}
-}
-
-func TestHistogramLog(t *testing.T) {
-	h := NewLogHistogram(1, 1000, 3)
-	h.Add(5)    // decade [1,10)
-	h.Add(50)   // decade [10,100)
-	h.Add(500)  // decade [100,1000)
-	h.Add(0.5)  // underflow
-	h.Add(2000) // overflow
-	_, counts := h.Buckets()
-	for i, c := range counts {
-		if c != 1 {
-			t.Errorf("log bucket %d = %d, want 1", i, c)
-		}
-	}
-	if h.Underflow() != 1 || h.Overflow() != 1 {
-		t.Error("log under/overflow wrong")
-	}
-}
-
-func TestHistogramPanicsOnBadBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad bounds did not panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
 func TestSampleValuesCopy(t *testing.T) {
 	s := NewSample(3)
 	s.Add(3)
