@@ -104,34 +104,36 @@ func TestSlabOversizeEntries(t *testing.T) {
 // sustained insertion, evicting old entries rather than failing, and
 // every surviving entry must still read back correctly.
 func TestSlabBoundedEviction(t *testing.T) {
-	const budget = 4 * segmentSize
-	c := NewCacheSized(1, 0, budget, EvictLRU)
-	val := make([]byte, 1024)
-	for i := 0; i < 2000; i++ {
-		key := fmt.Sprintf("key-%05d", i)
-		copy(val, key)
-		c.Set(key, val)
-	}
-	st := c.Stats()
-	if st.Evicted == 0 {
-		t.Fatalf("no evictions after writing %d x 1KiB into %d budget", 2000, budget)
-	}
-	if st.Bytes > budget+segmentSize {
-		t.Fatalf("slab bytes %d exceed budget %d by more than one segment", st.Bytes, budget)
-	}
-	found := 0
-	for i := 0; i < 2000; i++ {
-		key := fmt.Sprintf("key-%05d", i)
-		if v, ok := c.Get(key); ok {
-			found++
-			if string(v[:len(key)]) != key {
-				t.Fatalf("surviving entry %s corrupt: %q", key, v[:len(key)])
+	t.Run("lru", func(t *testing.T) {
+		const budget = 4 * segmentSize
+		c := NewCacheSized(1, 0, budget, EvictLRU)
+		val := make([]byte, 1024)
+		for i := 0; i < 2000; i++ {
+			key := fmt.Sprintf("key-%05d", i)
+			copy(val, key)
+			c.Set(key, val)
+		}
+		st := c.Stats()
+		if st.Evicted == 0 {
+			t.Fatalf("no evictions after writing %d x 1KiB into %d budget", 2000, budget)
+		}
+		if st.Bytes > budget+segmentSize {
+			t.Fatalf("slab bytes %d exceed budget %d by more than one segment", st.Bytes, budget)
+		}
+		found := 0
+		for i := 0; i < 2000; i++ {
+			key := fmt.Sprintf("key-%05d", i)
+			if v, ok := c.Get(key); ok {
+				found++
+				if string(v[:len(key)]) != key {
+					t.Fatalf("surviving entry %s corrupt: %q", key, v[:len(key)])
+				}
 			}
 		}
-	}
-	if found == 0 || found == 2000 {
-		t.Fatalf("survivors = %d, want some but not all", found)
-	}
+		if found == 0 || found == 2000 {
+			t.Fatalf("survivors = %d, want some but not all", found)
+		}
+	})
 }
 
 // Under LRU, a hot entry that keeps getting touched must outlive cold
