@@ -83,8 +83,11 @@ bench-hop:
 
 # bench-engine is the in-tree core-scaling evidence (DESIGN §6): the warm
 # engine hit and the slab Get from 1, 2 and 4 goroutines (ns/op falls as
-# cores are added only if the hit path shares nothing it writes), and the
-# boot-and-fill cost the repository benchmark's setup_s is sensitive to.
+# cores are added only if the hit path shares nothing it writes), among
+# them BenchmarkEngineWarmHit/mix, the repository benchmark's engine-warm
+# in-tree (its hot set on the real registry, Zipf draws per goroutine),
+# and the boot-and-fill cost the repository benchmark's setup_s is
+# sensitive to.
 bench-engine:
 	$(GO) test -run xxx -bench 'BenchmarkEngineWarmHit|BenchmarkEngineBoot|BenchmarkCacheGetHotParallel' -benchmem -cpu 1,2,4 ./internal/serve
 

@@ -520,15 +520,14 @@ func (s *Scheduler) nextLocked() *item {
 			}
 		}
 		if best != nil {
-			s.queues[bc] = s.queues[bc][1:]
+			s.popLocked(bc)
 		}
 		return best
 	}
-	if q := s.queues[Interactive]; len(q) > 0 {
-		s.queues[Interactive] = q[1:]
-		return q[0]
+	if len(s.queues[Interactive]) > 0 {
+		return s.popLocked(Interactive)
 	}
-	if q := s.queues[Batch]; len(q) > 0 {
+	if len(s.queues[Batch]) > 0 {
 		if s.rate > 0 && !s.closed {
 			s.refillLocked()
 			if s.tokens < 1 {
@@ -536,10 +535,21 @@ func (s *Scheduler) nextLocked() *item {
 			}
 			s.tokens--
 		}
-		s.queues[Batch] = q[1:]
-		return q[0]
+		return s.popLocked(Batch)
 	}
 	return nil
+}
+
+// popLocked removes and returns the head of class c's queue, shifting the
+// rest down so the backing array keeps its capacity and the next append
+// does not reallocate (a queue holds at most Queue items).
+func (s *Scheduler) popLocked(c Class) *item {
+	q := s.queues[c]
+	it := q[0]
+	n := copy(q, q[1:])
+	q[n] = nil
+	s.queues[c] = q[:n]
+	return it
 }
 
 // runTask executes a task, converting a panic into an error: a panicking

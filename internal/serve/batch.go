@@ -128,54 +128,70 @@ func (e *Engine) batchHit(tb *tenantCounters, it *BatchItem, key string, p core.
 // from the call's arrival t0, as the scan times its hits. The caller
 // starts the other goroutines only when it meets the first item that
 // truly misses, so a pass of map-only hits (a repeated sweep) runs on the
-// caller alone, as the scan would have. A method of its own, so an
-// all-hit interned call allocates nothing for the goroutines' captures.
+// caller alone, as the scan would have.
 func (e *Engine) serveMisses(ctx context.Context, tb *tenantCounters, t0 time.Duration, items []BatchItem, out []BatchOutcome, misses []int) {
-	// The scheduler reads a miss's class from its context, so an item of
-	// another class than the call's gets a context of its own.
-	ctxClass := admit.ClassFrom(ctx)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var work func(lead bool)
-	work = func(lead bool) {
-		for k := next.Add(1) - 1; k < int64(len(misses)); k = next.Add(1) - 1 {
-			i := misses[k]
-			it := &items[i]
-			key, params := out[i].RawResponse.Key, out[i].RawResponse.Params
-			if it.Ident == nil {
-				var err error
-				if key, params, err = resolveKey(it.ID, it.Params); err != nil {
-					out[i].Err = err
-					continue
-				}
-				if e.batchHit(tb, it, key, params, t0, &out[i]) {
-					continue
-				}
-			}
-			if lead { // the first true miss: start helpers for what is left
-				lead = false
-				for g := min(int64(len(misses))-k, int64(e.sched.Workers())) - 1; g > 0; g-- {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						work(false)
-					}()
-				}
-			}
-			ictx := ctx
-			if ctxClass != it.Class {
-				ictx = admit.WithClass(ctx, it.Class)
-			}
-			rr, err := e.serveMissRaw(ictx, it.Class, it.ID, key, params, e.now())
-			if err != nil {
-				out[i] = BatchOutcome{Err: err}
+	m := missPass{e: e, ctx: ctx, ctxClass: admit.ClassFrom(ctx), tb: tb, t0: t0,
+		items: items, out: out, misses: misses}
+	m.work(true)
+}
+
+// missPass is one serveMisses call; work serves items off next until none
+// is left. It lives on the caller's stack, so a pass that starts no helper
+// allocates nothing: at its first true miss the caller (lead) moves the
+// rest of the pass to a heap copy, which the helpers share.
+type missPass struct {
+	e        *Engine
+	ctx      context.Context
+	ctxClass admit.Class // ctx's: an item of another class gets a context of its own
+	tb       *tenantCounters
+	t0       time.Duration
+	items    []BatchItem
+	out      []BatchOutcome
+	misses   []int
+	next     atomic.Int64
+	wg       sync.WaitGroup
+}
+
+func (m *missPass) work(lead bool) {
+	for k := m.next.Add(1) - 1; k < int64(len(m.misses)); k = m.next.Add(1) - 1 {
+		i := m.misses[k]
+		it := &m.items[i]
+		key, params := m.out[i].RawResponse.Key, m.out[i].RawResponse.Params
+		if it.Ident == nil {
+			var err error
+			if key, params, err = resolveKey(it.ID, it.Params); err != nil {
+				m.out[i].Err = err
 				continue
 			}
-			out[i].RawResponse = rr
+			if m.e.batchHit(m.tb, it, key, params, m.t0, &m.out[i]) {
+				continue
+			}
 		}
+		if lead { // the first true miss: the rest of the pass goes on a heap copy
+			lead = false
+			if g := min(int64(len(m.misses))-k, int64(m.e.sched.Workers())) - 1; g > 0 {
+				h := &missPass{e: m.e, ctx: m.ctx, ctxClass: m.ctxClass, tb: m.tb, t0: m.t0,
+					items: m.items, out: m.out, misses: m.misses}
+				h.next.Store(k + 1)
+				h.wg.Add(int(g))
+				for ; g > 0; g-- {
+					go func() { defer h.wg.Done(); h.work(false) }()
+				}
+				defer h.wg.Wait()
+				m = h
+			}
+		}
+		ictx := m.ctx
+		if m.ctxClass != it.Class {
+			ictx = admit.WithClass(m.ctx, it.Class)
+		}
+		rr, err := m.e.serveMissRaw(ictx, it.Class, it.ID, key, params, m.e.now())
+		if err != nil {
+			m.out[i] = BatchOutcome{Err: err}
+			continue
+		}
+		m.out[i].RawResponse = rr
 	}
-	work(true)
-	wg.Wait()
 }
 
 // HandleBatch is POST /batch on either face of the API — the engine's

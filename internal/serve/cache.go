@@ -13,6 +13,8 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,11 +23,11 @@ import (
 )
 
 // Cache is a sharded, memoizing byte cache backed by slab segments. Keys
-// hash to one of N power-of-two shards, each guarded by its own
-// read-write lock: Get holds it shared and writes only atomics (the
-// entry's CLOCK bit, once per sweep, and the shard's hit/miss counters);
-// everything that moves bytes or the index — Set, AttachAux, TTL expiry,
-// deletion, reclamation — holds it exclusively.
+// hash to one of N power-of-two shards, each guarded by per-processor
+// reader stripes: Get read-locks its processor's and writes only atomics
+// (the entry's CLOCK bit, once per sweep, and the stripe's hit/miss
+// counter); everything that moves bytes or the index — Set, AttachAux, TTL
+// expiry, deletion, reclamation — holds every stripe exclusively.
 //
 // Inside a shard, entries live packed inside fixed-size []byte segment
 // arenas, located through an open-addressed index of two scalar []uint64
@@ -124,15 +126,21 @@ type segment struct {
 	seq  uint64
 }
 
-// cacheShard's first cache line holds the only shard words a Get writes;
-// what a Get reads sits on the lines after it, and the padding keeps the
-// next shard's hot line off this shard's last one.
-type cacheShard struct {
+// readerStripe is one processor's line of a shard's lock and books: a Get
+// read-locks and books on its own processor's stripe, so a hit writes no
+// line another core writes; a writer takes every stripe (lock).
+type readerStripe struct {
 	mu sync.RWMutex
-	// hits and misses count Get outcomes, under the shared lock.
+	// hits and misses count Get outcomes, under the stripe's shared lock.
 	hits   atomic.Uint64
 	misses atomic.Uint64
 	_      [64 - 40]byte
+}
+
+// cacheShard holds nothing a Get writes; the padding keeps its lines,
+// written under the exclusive lock, off its neighbours'.
+type cacheShard struct {
+	stripes []readerStripe // GOMAXPROCS rounded up to a power of two, <= 16
 
 	// segs is oldest-first; appends go to the last segment. segBase is
 	// segs[0]'s sequence number — index refs address segments by
@@ -156,13 +164,43 @@ type cacheShard struct {
 
 	expired uint64
 	evicted uint64
-	_       [64 - 136%64]byte
+	_       [64 - 160%64]byte
 }
 
-// A shard is whole cache lines, and the state word sits 4-aligned in
-// every (8-aligned) entry (these fail to compile otherwise).
+// A shard is whole cache lines, a reader stripe exactly one, and the state
+// word sits 4-aligned in every 8-aligned entry (else these fail to build).
 var _ [0]struct{} = [unsafe.Sizeof(cacheShard{}) % 64]struct{}{}
+var _ [0]struct{} = [unsafe.Sizeof(readerStripe{}) - 64]struct{}{}
 var _ [0]struct{} = [offState % 4]struct{}{}
+
+// lock takes every reader stripe exclusively, in index order: what every
+// writer holds, and what shuts out every Get.
+func (s *cacheShard) lock() {
+	for i := range s.stripes {
+		s.stripes[i].mu.Lock()
+	}
+}
+
+func (s *cacheShard) unlock() {
+	for i := range s.stripes {
+		s.stripes[i].mu.Unlock()
+	}
+}
+
+// procID is the id of the processor (the runtime's P) the caller runs on:
+// it picks the stripes a hit writes. Only locality rests on it. procPin is
+// what sync.Pool is built on; the runtime keeps it for linkname users.
+func procID() int {
+	p := procPin()
+	procUnpin()
+	return p
+}
+
+//go:linkname procPin runtime.procPin
+func procPin() int
+
+//go:linkname procUnpin runtime.procUnpin
+func procUnpin()
 
 // stateWord addresses the one word of the entry at b that Get mutates:
 // holders of the shared lock go through it with sync/atomic, holders of
@@ -217,6 +255,12 @@ func NewCacheSized(shards int, ttl time.Duration, maxBytes int64, _ EvictionPoli
 		mask:   uint64(n - 1),
 		ttl:    ttl,
 		now:    time.Now,
+	}
+	k := 1 << bits.Len(uint(min(runtime.GOMAXPROCS(0), 16)-1))
+	// A power-of-two size, aligned to it: no two stripes share a line.
+	stripes := make([]readerStripe, n*k)
+	for i := range c.shards {
+		c.shards[i].stripes = stripes[i*k : (i+1)*k : (i+1)*k]
 	}
 	if maxBytes > 0 {
 		per := maxBytes / int64(n)
@@ -506,24 +550,30 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 }
 
 // GetWithAux is Get that also returns the entry's aux region (nil when
-// none is attached) from the same lookup under the shard's shared lock: a
+// none is attached) from the same lookup, under its processor's stripe: a
 // hit writes only atomics, and reads the clock only if the entry has a TTL.
 func (c *Cache) GetWithAux(key string) (val, aux []byte, ok bool) {
+	return c.getWithAux(key, procID())
+}
+
+// getWithAux is GetWithAux on reader stripe p (masked to the shard's).
+func (c *Cache) getWithAux(key string, p int) (val, aux []byte, ok bool) {
 	h := fnv1a(key)
 	s := &c.shards[h&c.mask]
-	s.mu.RLock()
+	r := &s.stripes[p&(len(s.stripes)-1)]
+	r.mu.RLock()
 	slot := s.find(h, key)
 	if slot < 0 {
-		s.misses.Add(1)
-		s.mu.RUnlock()
+		r.misses.Add(1)
+		r.mu.RUnlock()
 		return nil, nil, false
 	}
 	seg, off := s.at(s.idxRef[slot])
 	b := seg.buf[off:]
 	if binary.LittleEndian.Uint64(b[offTTL:]) != 0 {
 		if now := c.now().UnixNano(); lapsed(b, now) {
-			s.misses.Add(1)
-			s.mu.RUnlock()
+			r.misses.Add(1)
+			r.mu.RUnlock()
 			c.expire(s, h, key, now)
 			return nil, nil, false
 		}
@@ -531,7 +581,7 @@ func (c *Cache) GetWithAux(key string) (val, aux []byte, ok bool) {
 	if st := stateWord(b); atomic.LoadUint32(st)&stateAccessed == 0 {
 		atomic.OrUint32(st, stateAccessed)
 	}
-	s.hits.Add(1)
+	r.hits.Add(1)
 	kl, vc, al := entryLens(b)
 	vl := int(binary.LittleEndian.Uint32(b[offValLen:]))
 	lo := off + entryHdrLen + kl
@@ -539,15 +589,15 @@ func (c *Cache) GetWithAux(key string) (val, aux []byte, ok bool) {
 	if al > 0 {
 		aux = seg.buf[lo+vc : lo+vc+al : lo+vc+al]
 	}
-	s.mu.RUnlock()
+	r.mu.RUnlock()
 	return val, aux, true
 }
 
 // expire is the exclusive half of a Get that found key's entry past its
 // TTL under the shared lock: drop it, unless a Set got there first.
 func (c *Cache) expire(s *cacheShard, h uint64, key string, now int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	if slot := s.find(h, key); slot >= 0 {
 		if seg, off := s.at(s.idxRef[slot]); lapsed(seg.buf[off:], now) {
 			s.killSlot(slot)
@@ -571,8 +621,8 @@ func (c *Cache) AttachAux(key string, val, aux []byte) bool {
 	s := &c.shards[h&c.mask]
 	vc := valCapFor(len(val))
 	size := entrySize(len(key), vc, len(aux))
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	// Make room before the lookup: reclamation may move or evict the entry.
 	dst := s.head(c, size, true)
 	slot := s.find(h, key)
@@ -616,8 +666,8 @@ func (c *Cache) SetStamped(key string, val []byte, addedUnixNano int64) {
 func (c *Cache) store(key string, val []byte, addedUnixNano int64) []byte {
 	h := fnv1a(key)
 	s := &c.shards[h&c.mask]
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	if slot := s.find(h, key); slot >= 0 {
 		seg, off := s.at(s.idxRef[slot])
 		b := seg.buf[off:]
@@ -643,8 +693,8 @@ func (c *Cache) store(key string, val []byte, addedUnixNano int64) []byte {
 func (c *Cache) Delete(key string) bool {
 	h := fnv1a(key)
 	s := &c.shards[h&c.mask]
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	slot := s.find(h, key)
 	if slot < 0 {
 		return false
@@ -661,7 +711,7 @@ func (c *Cache) DeletePrefix(prefix string) int {
 	n := 0
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.mu.Lock()
+		s.lock()
 		for slot, v := range s.idxHash {
 			if v == idxEmpty || v == idxTombstone {
 				continue
@@ -674,7 +724,7 @@ func (c *Cache) DeletePrefix(prefix string) int {
 				n++
 			}
 		}
-		s.mu.Unlock()
+		s.unlock()
 	}
 	return n
 }
@@ -690,16 +740,16 @@ type KV struct {
 }
 
 // Dump copies every live entry's key and payload (shard by shard, each
-// under its own lock — a consistent-enough point-in-time view for
-// snapshotting; entries are sorted by key so dumps are deterministic).
-// Expired-but-uncollected entries are skipped. The returned values are
-// copies and safe to retain.
+// under one reader stripe, which shuts out its writers — a
+// consistent-enough point-in-time view for snapshotting; entries are
+// sorted by key so dumps are deterministic). Expired-but-uncollected
+// entries are skipped. The returned values are copies and safe to retain.
 func (c *Cache) Dump() []KV {
 	now := c.now().UnixNano()
 	var out []KV
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.mu.RLock()
+		s.stripes[0].mu.RLock()
 		for slot, v := range s.idxHash {
 			if v == idxEmpty || v == idxTombstone {
 				continue
@@ -719,7 +769,7 @@ func (c *Cache) Dump() []KV {
 				AddedUnixNano: int64(binary.LittleEndian.Uint64(b[offAdded:])),
 			})
 		}
-		s.mu.RUnlock()
+		s.stripes[0].mu.RUnlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
@@ -729,29 +779,32 @@ func (c *Cache) Dump() []KV {
 func (c *Cache) Clear() {
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.mu.Lock()
+		s.lock()
 		s.segBase += uint64(len(s.segs))
 		s.segs = nil
 		s.idxHash, s.idxRef, s.idxMask = nil, nil, 0
 		s.idxLive, s.idxUsed = 0, 0
 		s.bytes, s.dead = 0, 0
-		s.mu.Unlock()
+		s.unlock()
 	}
 }
 
-// Stats aggregates counters across shards.
+// Stats aggregates counters across shards and their reader stripes, each
+// shard under one stripe, which shuts out its writers.
 func (c *Cache) Stats() CacheStats {
 	st := CacheStats{Shards: len(c.shards)}
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.mu.RLock()
+		s.stripes[0].mu.RLock()
 		st.Entries += s.idxLive
-		st.Hits += s.hits.Load()
-		st.Misses += s.misses.Load()
+		for j := range s.stripes {
+			st.Hits += s.stripes[j].hits.Load()
+			st.Misses += s.stripes[j].misses.Load()
+		}
 		st.Expired += s.expired
 		st.Evicted += s.evicted
 		st.Bytes += s.bytes
-		s.mu.RUnlock()
+		s.stripes[0].mu.RUnlock()
 	}
 	return st
 }

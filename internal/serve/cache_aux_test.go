@@ -12,8 +12,8 @@ func entryWords(t *testing.T, c *Cache, key string) (added int64, state uint32) 
 	t.Helper()
 	h := fnv1a(key)
 	s := &c.shards[h&c.mask]
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	slot := s.find(h, key)
 	if slot < 0 {
 		t.Fatalf("entry %q missing", key)

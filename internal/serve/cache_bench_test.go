@@ -9,11 +9,13 @@ package serve
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/stats"
 )
 
 const benchEntries = 4096
@@ -111,11 +113,31 @@ func bootBenchEngine(tb testing.TB) *Engine {
 	return e
 }
 
+// benchMixSet is the repository benchmark's engine-warm hot set, hottest
+// first: ten registry defaults and six parameterized points, so a hit
+// names its pair through IdentOf as a client's does.
+var benchMixSet = []struct {
+	id string
+	p  core.Params
+}{
+	{"E7", nil}, {"E5", nil}, {"E1", nil}, {"E2", nil}, {"E4", nil},
+	{"E10", nil}, {"E14", nil}, {"E17", nil}, {"E22", nil}, {"T1", nil},
+	{"E7", core.Params{"f": 0.9}},
+	{"E7", core.Params{"bces": 1024}},
+	{"E7", core.Params{"f": 0.99, "bces": 64}},
+	{"E5", core.Params{"tile": 1024}},
+	{"E5", core.Params{"operands": 6}},
+	{"E1", core.Params{"gens": 12}},
+}
+
 // The engine's warm path end to end, both materializations: ServeEncoded
 // (the zero-copy path the HTTP layer and the load generator drive), every
 // goroutine of a RunParallel walking the hot set from its own offset — run
 // with -cpu 1,2,4 for the scaling curve — and ServeWith (the decode path
 // in-process callers get). The gap between the two is the decode cost.
+// mix is the repository benchmark's engine-warm in-tree: its hot set on
+// the real registry, through a default engine, each goroutine on its own
+// pre-drawn Zipf(1.1) sequence.
 func BenchmarkEngineWarmHit(b *testing.B) {
 	e := bootBenchEngine(b)
 	defer e.Close()
@@ -141,6 +163,38 @@ func BenchmarkEngineWarmHit(b *testing.B) {
 				b.Fatalf("warm ServeWith: hit=%v err=%v", r.CacheHit, err)
 			}
 		}
+	})
+	b.Run("mix", func(b *testing.B) {
+		e := NewEngine(Config{})
+		defer e.Close()
+		for _, v := range benchMixSet {
+			if _, err := e.ServeEncoded(ctx, v.id, v.p); err != nil {
+				b.Fatal(err)
+			}
+		}
+		const drawLen = 1 << 12
+		draws := make([][]uint8, runtime.GOMAXPROCS(0))
+		z := stats.NewZipf(len(benchMixSet), 1.1)
+		for g := range draws {
+			rng := stats.NewRNG(uint64(g + 1))
+			draws[g] = make([]uint8, drawLen)
+			for i := range draws[g] {
+				draws[g][i] = uint8(z.Rank(rng) - 1)
+			}
+		}
+		var clients atomic.Int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			d := draws[int(clients.Add(1)-1)%len(draws)]
+			for i := 0; pb.Next(); i++ {
+				v := &benchMixSet[d[i%drawLen]]
+				if rr, err := e.ServeEncoded(ctx, v.id, v.p); err != nil || !rr.CacheHit {
+					b.Errorf("warm ServeEncoded(%s): hit=%v err=%v", v.id, rr.CacheHit, err)
+					return
+				}
+			}
+		})
 	})
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -388,6 +389,68 @@ func TestSlabReadersKeepExactBooksUnderWriters(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Each shard has one reader stripe per processor (GOMAXPROCS rounded up to
+// a power of two, at most 16); cache.go's compile-time checks hold
+// a stripe at exactly one cache line. A writer's lock holds every stripe,
+// so no Get can start on any processor, and the books are the sum over
+// stripes: driven by hand on every stripe index, and past them (a
+// processor id wraps onto the stripes), each stripe counts exactly the
+// Gets made on it.
+func TestSlabReaderStripes(t *testing.T) {
+	c := NewCache(4, 0)
+	k := 1
+	for k < runtime.GOMAXPROCS(0) && k < 16 {
+		k <<= 1
+	}
+	for i := range c.shards {
+		s := &c.shards[i]
+		if len(s.stripes) != k {
+			t.Fatalf("shard %d has %d reader stripes, want %d", i, len(s.stripes), k)
+		}
+		s.lock()
+		for j := range s.stripes {
+			if s.stripes[j].mu.TryRLock() {
+				t.Errorf("shard %d: a reader took stripe %d under the writer's lock", i, j)
+				s.stripes[j].mu.RUnlock()
+			}
+		}
+		s.unlock()
+		for j := range s.stripes {
+			if !s.stripes[j].mu.TryRLock() {
+				t.Errorf("shard %d: stripe %d stayed locked after unlock", i, j)
+				continue
+			}
+			s.stripes[j].mu.RUnlock()
+		}
+	}
+
+	c.Set("k", []byte("v"))
+	s := &c.shards[fnv1a("k")&c.mask]
+	wantHits := make([]uint64, k)
+	var hits, misses uint64
+	for p := 0; p < 32; p++ {
+		for n := 0; n <= p%3; n++ {
+			if _, _, ok := c.getWithAux("k", p); !ok {
+				t.Fatalf("stripe %d: Get(k) missed", p)
+			}
+			wantHits[p&(k-1)]++
+			hits++
+		}
+		if _, _, ok := c.getWithAux("absent", p); ok {
+			t.Fatalf("stripe %d: Get(absent) hit", p)
+		}
+		misses++
+	}
+	for j := range s.stripes {
+		if got := s.stripes[j].hits.Load(); got != wantHits[j] {
+			t.Errorf("stripe %d booked %d hits, want %d", j, got, wantHits[j])
+		}
+	}
+	if st := c.Stats(); st.Hits != hits || st.Misses != misses {
+		t.Errorf("Stats: %d hits %d misses, want %d and %d", st.Hits, st.Misses, hits, misses)
 	}
 }
 

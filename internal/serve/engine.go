@@ -431,7 +431,8 @@ func (e *Engine) serveHit(tb *tenantCounters, class admit.Class, key string, t0 
 	if tb != nil {
 		tb.requests.Add(1)
 	}
-	if raw, tail, ok = e.cache.GetWithAux(key); !ok {
+	p := procID() // one read picks both the slab's reader stripe and the histogram's
+	if raw, tail, ok = e.cache.getWithAux(key, p); !ok {
 		return nil, nil, 0, false
 	}
 	if valid != nil && !valid(raw) {
@@ -442,7 +443,7 @@ func (e *Engine) serveHit(tb *tenantCounters, class admit.Class, key string, t0 
 		tb.hits.Add(1)
 	}
 	lat = e.now() - t0
-	e.observe(class, true, lat)
+	e.observe(class, true, lat, p)
 	return raw, tail, lat, true
 }
 
@@ -542,7 +543,7 @@ func (e *Engine) serveMissRaw(ctx context.Context, class admit.Class, id, key st
 			tb.hits.Add(1)
 		}
 	}
-	e.observe(class, leaderHit, lat)
+	e.observe(class, leaderHit, lat, procID())
 	return RawResponse{ID: id, Params: p, Key: key, Class: class, Raw: raw,
 		CacheHit: leaderHit, Shared: shared, Latency: lat}, nil
 }
@@ -563,28 +564,18 @@ func (e *Engine) memoize(key string, res core.Result) []byte {
 
 const maxScratch = 64 << 10
 
-// lanes hands out small integers that stick to the caller's processor:
-// sync.Pool keeps what a P Puts for that P's next Get, and a fresh value
-// takes the next number. Picking the histogram stripe with one keeps that
-// stripe's cache lines on one core. Only locality rests on this.
-var (
-	lanes   = sync.Pool{New: func() any { id := laneSeq.Add(1); return &id }}
-	laneSeq atomic.Uint64
-)
-
 // now is the engine's clock, monotonic time since it started: one clock
 // read where time.Now is two (wall and monotonic).
 func (e *Engine) now() time.Duration { return time.Since(e.started) }
 
-// observe records one served request — a hit's only write to the books.
-func (e *Engine) observe(class admit.Class, hit bool, lat time.Duration) {
+// observe records one served request — a hit's only write to the books —
+// on processor p's histogram stripe (procID), whose lines stay on one core.
+func (e *Engine) observe(class admit.Class, hit bool, lat time.Duration, p int) {
 	h := e.classes[class].cold
 	if hit {
 		h = e.classes[class].hit
 	}
-	ln := lanes.Get().(*uint64)
-	h.ObserveDuration(lat, *ln)
-	lanes.Put(ln)
+	h.ObserveDuration(lat, uint64(p))
 }
 
 // TakeClassWindow returns the class's latency snapshot over the window

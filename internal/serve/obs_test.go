@@ -310,13 +310,13 @@ func TestMetricsHistogramMatchesReference(t *testing.T) {
 	d := stats.LogNormal{Mu: math.Log(20e-6), Sigma: 2.5} // 100 ns .. seconds, and a few past 10 s
 	for i := 0; i < 5000; i++ {
 		lat := time.Duration(d.Sample(rng) * 1e9)
-		e.observe(admit.Batch, true, lat)
+		e.observe(admit.Batch, true, lat, i) // every stripe, as every processor would
 		ref.Observe(lat.Seconds())
 	}
 	// Land exactly on bounds too: upper bounds are inclusive.
 	for _, le := range stats.DefaultLatencyBuckets() {
 		lat := time.Duration(math.Round(le * 1e9))
-		e.observe(admit.Batch, true, lat)
+		e.observe(admit.Batch, true, lat, 0)
 		ref.Observe(lat.Seconds())
 	}
 	want := ref.Snapshot()

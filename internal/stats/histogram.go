@@ -189,10 +189,9 @@ func (h *AtomicHistogram) Observe(x float64) {
 
 // ObserveDuration records one latency: two atomic adds on the stripe
 // lane's low bits pick. Any value will do — uint64(d) spreads well — but a
-// caller that has a small integer which sticks to its processor (the
-// engine's lanes) keeps each stripe's cache lines on one core. Negative
-// durations count as zero. On a histogram with explicit bounds it is
-// Observe(d.Seconds()).
+// caller that passes its processor's id (the engine does) keeps each
+// stripe's cache lines on one core. Negative durations count as zero. On a
+// histogram with explicit bounds it is Observe(d.Seconds()).
 func (h *AtomicHistogram) ObserveDuration(d time.Duration, lane uint64) {
 	if !h.fine {
 		h.Observe(d.Seconds())
