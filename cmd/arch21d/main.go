@@ -19,7 +19,7 @@
 //
 // Usage:
 //
-//	arch21d [-addr :8021] [-shards 16] [-ttl 0] [-workers 4]
+//	arch21d [-addr :8021] [-shards 16] [-workers 4]
 //	        [-snapshot cache.snap] [-snapshot-every 30s]
 //	        [-batch-rate 0] [-lc-slo 0] [-events-log events.ndjson]
 //	arch21d -peers :8022,:8023,:8024 [-addr :8021] [-events-log events.ndjson]
@@ -94,7 +94,6 @@ func openEventsLog(path string) *os.File {
 func main() {
 	addr := flag.String("addr", ":8021", "listen address")
 	shards := flag.Int("shards", 16, "cache shard count (rounded up to a power of two)")
-	ttl := flag.Duration("ttl", 0, "cache entry TTL (0 = never expire)")
 	workers := flag.Int("workers", 4, "max concurrent cold experiment runs")
 	cacheBytes := flag.Int64("cache-bytes", 0, "tier-1 cache byte budget across shards (0 = unbounded; bounded shards keep recently-read entries)")
 	snapshot := flag.String("snapshot", "", "tier-2 cache snapshot file: warm-start from it on boot, persist to it while serving")
@@ -132,7 +131,7 @@ func main() {
 		// A routing front-end has no local engine: accepting and silently
 		// dropping engine flags would let an operator believe they
 		// configured a cache that does not exist.
-		engineOnly := map[string]bool{"shards": true, "ttl": true, "workers": true,
+		engineOnly := map[string]bool{"shards": true, "workers": true,
 			"cache-bytes": true, "snapshot": true, "snapshot-every": true,
 			"batch-rate": true, "lc-slo": true, "tenants": true}
 		flag.Visit(func(f *flag.Flag) {
@@ -169,7 +168,6 @@ func main() {
 		}
 		engine := serve.NewEngine(serve.Config{
 			Shards:       *shards,
-			TTL:          *ttl,
 			Workers:      *workers,
 			CacheBytes:   *cacheBytes,
 			BatchRate:    *batchRate,
@@ -226,8 +224,8 @@ func main() {
 				}
 			}
 		}
-		log.Printf("arch21d: serving %d experiments on %s (shards=%d ttl=%v workers=%d snapshot=%q)",
-			len(core.Registry()), *addr, *shards, *ttl, *workers, *snapshot)
+		log.Printf("arch21d: serving %d experiments on %s (shards=%d workers=%d snapshot=%q)",
+			len(core.Registry()), *addr, *shards, *workers, *snapshot)
 	}
 
 	srv := &http.Server{

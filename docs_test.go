@@ -134,7 +134,7 @@ func docPins() []docPin {
 	const walk = "Running a replica set"
 	return []docPin{
 		{replica, "DESIGN.md", "§7", []string{"internal/router", "ConsistentHash", "PlaceK", "SnapshotPath",
-			"RouteKey", "FuzzDecodeResult", "FuzzParseAxis", "cluster-scatter"}},
+			"serve.IdentOf(id, params).Key()", "FuzzDecodeResult", "FuzzParseAxis", "cluster-scatter"}},
 		{replica, "README.md", walk, []string{"-peers", "-snapshot", "/healthz", "/experiments", "/run/", "/sweep",
 			"/stats", "cluster-scatter", "-replicas"}},
 		{routing, "DESIGN.md", "§7", []string{"scoreboard", "EWMA mean + 3σ", httpapi.HeaderHedge,
@@ -164,7 +164,7 @@ func docPins() []docPin {
 		{adv, "README.md", "", []string{"-chaos", "-soak-duration", "chaos-smoke", "-tenants", "flash-crowd",
 			"diurnal", "multi-tenant", "fairness"}},
 		{slab, "DESIGN.md", "§4", []string{"Eviction is CLOCK", "segment arenas", "open-addressed offset index",
-			"O(segments)", "36-byte header", "state word at offset 28", "in place", "aliasing contract", "copy-on-read",
+			"O(segments)", "20-byte header", "state word at offset 12", "in place", "aliasing contract", "copy-on-read",
 			"format=bin", "application/octet-stream", "ServeEncoded", "read-mostly `Get`", "alignment rule",
 			"bench-engine", "b.ReportAllocs()", "TestServeEncodedWarmHitAllocs"}},
 		{slab, "DESIGN.md", "§6", []string{"`allocs_per_request`", "Mallocs delta", "ratchet",

@@ -10,6 +10,8 @@ package load
 
 import (
 	"context"
+	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -48,9 +50,6 @@ func TestFlashCrowdScheduleDrivesControllerHalveAndRecover(t *testing.T) {
 		// controller sees, not as a shed flood that evicts the controller
 		// timeline from the event ring.
 		Queue: 4096,
-		// A 1ns TTL expires every entry before its first Get: each arrival
-		// pays real service time, so offered load maps to execution load.
-		TTL: time.Nanosecond,
 		RunnerWith: func(ctx context.Context, id string, _ core.Params) (core.Result, error) {
 			select {
 			case <-ctx.Done():
@@ -93,7 +92,10 @@ func TestFlashCrowdScheduleDrivesControllerHalveAndRecover(t *testing.T) {
 	}
 
 	t0 := time.Now() // trace replay anchors here (no warmup, no reset)
-	rep, err := Run(engineTarget(eng), sc, Options{})
+	// Every arrival is served under a fresh ID (freshIDs), so none is a
+	// cache hit: each pays real service time, and offered load maps to
+	// execution load.
+	rep, err := Run(NewServerTarget(&freshIDs{eng: eng}, "engine", eng.Reset), sc, Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -105,6 +107,9 @@ func TestFlashCrowdScheduleDrivesControllerHalveAndRecover(t *testing.T) {
 	}
 	if !rep.Config.Churn {
 		t.Fatal("report does not record churn")
+	}
+	if hits := eng.Metrics().CacheHits; hits != 0 {
+		t.Fatalf("%d arrivals were cache hits, want every one executed", hits)
 	}
 
 	// The verdict comes from the report's recorded event timeline — the
@@ -155,3 +160,17 @@ func TestFlashCrowdScheduleDrivesControllerHalveAndRecover(t *testing.T) {
 		t.Logf("restored >=80%% of pre-storm batch rate %v after step end", rec)
 	}
 }
+
+// freshIDs serves each arrival under a bare ID that no earlier request
+// used and only the runner knows (the variant's ID plus "#n"), so the
+// engine's cache never answers one.
+type freshIDs struct {
+	eng *serve.Engine
+	n   atomic.Int64
+}
+
+func (f *freshIDs) ServeEncoded(ctx context.Context, id string, _ core.Params) (serve.RawResponse, error) {
+	return f.eng.ServeEncoded(ctx, id+"#"+strconv.FormatInt(f.n.Add(1), 10), nil)
+}
+
+func (f *freshIDs) Events() *obs.Events { return f.eng.Events() }

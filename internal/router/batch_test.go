@@ -108,7 +108,7 @@ func TestServeEncodedBatchAnsweredEntryFailsOverPastOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner = r.Owner(RouteKey("E7", nil))
+	owner = ownerOf(r, "E7", nil)
 	ctx := admit.WithClass(context.Background(), admit.Batch)
 	outs := r.ServeEncodedBatch(ctx, []serve.BatchItem{{ID: "E7", Class: admit.Batch}})
 	if outs[0].Err != nil || outs[0].RawResponse.ID != "E7" {
@@ -170,7 +170,7 @@ func TestLostFrameFallbackNeverHedges(t *testing.T) {
 	control := primed()
 	var owned []string
 	for i := 0; len(owned) < 3; i++ {
-		if id := fmt.Sprintf("LF%d", i); control.Owner(RouteKey(id, nil)) == 0 {
+		if id := fmt.Sprintf("LF%d", i); ownerOf(control, id, nil) == 0 {
 			owned = append(owned, id)
 		}
 	}
@@ -337,7 +337,7 @@ func TestServeEncodedBatchBooksPerOwner(t *testing.T) {
 		perOwner := map[int]int64{}
 		for i, id := range frameIDs {
 			items[i] = serve.BatchItem{ID: id, Class: admit.Batch}
-			perOwner[r.Owner(RouteKey(id, nil))]++
+			perOwner[ownerOf(r, id, nil)]++
 		}
 		if (len(perOwner) == 1) != (frameIDs[0] == frameIDs[1]) {
 			t.Fatalf("frame %v spans %d owners", frameIDs, len(perOwner))
@@ -382,7 +382,7 @@ func TestCoalescedFlushFailsOverOnTransportError(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := admit.WithClass(context.Background(), admit.Batch)
-	owner := r.Owner(RouteKey("E7", nil))
+	owner := ownerOf(r, "E7", nil)
 	killable[owner].dead.Store(true)
 
 	rr, err := r.ServeEncoded(ctx, "E7", nil)

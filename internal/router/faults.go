@@ -92,9 +92,6 @@ func (f *FaultBackend) ErrorBurst(n int) { f.burst.Store(int64(n)) }
 // pass — the replica is slow, not dead.
 func (f *FaultBackend) Degrade(d time.Duration) { f.degrade.Store(int64(d)) }
 
-// Faults reports the frames that failed injected.
-func (f *FaultBackend) Faults() int64 { return f.faults.Load() }
-
 // DoBatch implements Backend with the configured faults applied.
 func (f *FaultBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]serve.BatchOutcome, error) {
 	if f.killed.Load() {

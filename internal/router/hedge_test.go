@@ -32,7 +32,7 @@ func keyOwnedBy(t *testing.T, r *Router, owner int) string {
 	t.Helper()
 	for i := 0; i < 4096; i++ {
 		id := fmt.Sprintf("HK%d", i)
-		if r.Owner(RouteKey(id, nil)) == owner {
+		if ownerOf(r, id, nil) == owner {
 			return id
 		}
 	}
@@ -218,7 +218,7 @@ func TestHedgeFiresOnSlowPrimaryAndBackupWins(t *testing.T) {
 	waitInflightDrain(t, r)
 	// The canceled primary never reached its engine: Degrade's
 	// context-aware sleep unwound first, so no duplicate execution.
-	if calls := faults[0].Faults(); calls != 1 {
+	if calls := faults[0].faults.Load(); calls != 1 {
 		t.Fatalf("primary faults=%d, want 1 (the canceled degraded attempt)", calls)
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"testing"
 
 	"repro/internal/admit"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/httpapi"
 	"repro/internal/serve"
@@ -45,8 +46,8 @@ func resolveRef(id string, p core.Params) (string, core.Params, error) {
 	return exp.CacheKey(resolved), resolved, nil
 }
 
-// routeKeyRef is the placement key as RouteKey derived it before it
-// became the identity's Key.
+// routeKeyRef is the placement key derived from the registry directly,
+// the reference an identity's Key must equal.
 func routeKeyRef(id string, p core.Params) string {
 	if key, _, err := resolveRef(id, p); err == nil {
 		return key
@@ -188,7 +189,7 @@ func TestRequestIdentityMatchesUncachedDerivation(t *testing.T) {
 		key, resolved, rerr := resolveRef(en.ID, p)
 		for how, id := range map[string]*serve.Identity{"Intern": ident, "IdentOf": serve.IdentOf(en.ID, p)} {
 			if id.ID() != en.ID || id.Key() != routeKeyRef(en.ID, p) ||
-				ring.ring.Place(id.Hash()) != ring.Owner(routeKeyRef(en.ID, p)) {
+				ring.ring.Place(id.Hash()) != ring.ring.Place(cluster.HashString(routeKeyRef(en.ID, p))) {
 				t.Errorf("%s: %s names it (%q, %q), want key %q", name, how, id.ID(), id.Key(), routeKeyRef(en.ID, p))
 			}
 			if rerr != nil {
@@ -199,9 +200,6 @@ func TestRequestIdentityMatchesUncachedDerivation(t *testing.T) {
 			} else if id.Err() != nil || !maps.Equal(id.Params(), resolved) {
 				t.Errorf("%s: %s resolved %v (err %v), want %v", name, how, id.Params(), id.Err(), resolved)
 			}
-		}
-		if RouteKey(en.ID, p) != routeKeyRef(en.ID, p) {
-			t.Errorf("%s: RouteKey %q, want %q", name, RouteKey(en.ID, p), routeKeyRef(en.ID, p))
 		}
 		if rerr != nil {
 			status, _, _ := httpapi.ErrorStatus(rerr, http.StatusInternalServerError)

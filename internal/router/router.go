@@ -148,17 +148,6 @@ func New(backends []Backend, cfg Config) (*Router, error) {
 // Events returns the front-end's control-plane event ring (never nil).
 func (r *Router) Events() *obs.Events { return r.events }
 
-// RouteKey derives the placement key for one (experiment, assignment)
-// pair — the Key of its interned request identity: the engine's cache key
-// when the pair resolves (so placement agrees with memoization, and
-// explicit-default assignments route with the bare-ID traffic), otherwise
-// the ID plus sorted assignments, leaving the schema error to the owner.
-func RouteKey(id string, p core.Params) string { return serve.IdentOf(id, p).Key() }
-
-// Owner returns the backend index that owns a routing key (ignoring
-// health) — what placement tests and rebalancing math inspect.
-func (r *Router) Owner(key string) int { return r.ring.Place(cluster.HashString(key)) }
-
 // verdict classifies one attempt's outcome; it encodes the router's
 // whole error taxonomy in one place so the plain failover path and the
 // hedged race apply identical semantics.

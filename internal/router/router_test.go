@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/admit"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/serve"
@@ -214,6 +215,13 @@ func TestRouterPlacementIsStableAndMemoizes(t *testing.T) {
 	}
 }
 
+// ownerOf is the backend index placement gives (id, p), health ignored:
+// the ring's pick for the pair's identity key.
+func ownerOf(r *Router, id string, p core.Params) int {
+	return r.ring.Place(cluster.HashString(serve.IdentOf(id, p).Key()))
+}
+
+// The placement key is the engine's cache key.
 func TestRouteKeyAgreesWithEngineCacheKey(t *testing.T) {
 	// Registered experiment: explicit defaults collapse onto the bare ID,
 	// so default-param traffic routes with zero-param traffic.
@@ -222,26 +230,26 @@ func TestRouteKeyAgreesWithEngineCacheKey(t *testing.T) {
 		t.Skip("E7 not registered")
 	}
 	defaults := exp.Defaults()
-	if got := RouteKey("E7", defaults); got != "E7" {
-		t.Fatalf("explicit-default RouteKey = %q, want bare E7", got)
+	if got := serve.IdentOf("E7", defaults).Key(); got != "E7" {
+		t.Fatalf("explicit-default placement key = %q, want bare E7", got)
 	}
 	p := core.Params{"f": 0.99}
 	resolved, err := exp.ResolveParams(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := RouteKey("E7", p), exp.CacheKey(resolved); got != want {
-		t.Fatalf("RouteKey = %q, want engine cache key %q", got, want)
+	if got, want := serve.IdentOf("E7", p).Key(), exp.CacheKey(resolved); got != want {
+		t.Fatalf("placement key = %q, want engine cache key %q", got, want)
 	}
 	// Unregistered IDs fall back to the ad-hoc sorted form.
-	if got := RouteKey("ZZ", core.Params{"b": 2, "a": 1}); got != "ZZ?a=1&b=2" {
-		t.Fatalf("ad-hoc RouteKey = %q", got)
+	if got := serve.IdentOf("ZZ", core.Params{"b": 2, "a": 1}).Key(); got != "ZZ?a=1&b=2" {
+		t.Fatalf("ad-hoc placement key = %q", got)
 	}
 }
 
 func TestFailoverServesFromSuccessor(t *testing.T) {
 	r, flakies, _ := newTestCluster(t, 3, Config{FailThreshold: 100})
-	owner := r.Owner(RouteKey("X1", nil))
+	owner := ownerOf(r, "X1", nil)
 	flakies[owner].failN(1)
 	resp, err := serveDecoded(context.Background(), r, "X1", nil)
 	if err != nil {
@@ -257,7 +265,7 @@ func TestFailoverServesFromSuccessor(t *testing.T) {
 
 func TestEjectionStopsTrafficAndProbeReadmits(t *testing.T) {
 	r, flakies, now := newTestCluster(t, 3, Config{FailThreshold: 3, ProbeAfter: time.Second})
-	owner := r.Owner(RouteKey("X1", nil))
+	owner := ownerOf(r, "X1", nil)
 	flakies[owner].failN(1000)
 	flakies[owner].setDown(true)
 
@@ -317,7 +325,7 @@ func TestEjectionStopsTrafficAndProbeReadmits(t *testing.T) {
 
 func TestHardHangTimesOutAndFailsOver(t *testing.T) {
 	r, flakies, _ := newTestCluster(t, 3, Config{Timeout: 50 * time.Millisecond, FailThreshold: 1})
-	owner := r.Owner(RouteKey("X1", nil))
+	owner := ownerOf(r, "X1", nil)
 	hang := make(chan struct{})
 	flakies[owner].mu.Lock()
 	flakies[owner].hung = hang
@@ -476,7 +484,7 @@ func TestHTTPBackendFailoverEjectionReadmission(t *testing.T) {
 	key := ""
 	for i := 0; ; i++ {
 		k := fmt.Sprintf("X%d", i)
-		if r.Owner(k) == 0 {
+		if r.ring.Place(cluster.HashString(k)) == 0 {
 			key = k
 			break
 		}

@@ -11,7 +11,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math/bits"
 	"runtime"
@@ -26,8 +25,10 @@ import (
 // hash to one of N power-of-two shards, each guarded by per-processor
 // reader stripes: Get read-locks its processor's and writes only atomics
 // (the entry's CLOCK bit, once per sweep, and the stripe's hit/miss
-// counter); everything that moves bytes or the index — Set, AttachAux, TTL
-// expiry, deletion, reclamation — holds every stripe exclusively.
+// counter); everything that moves bytes or the index — Set, AttachAux,
+// deletion, reclamation — holds every stripe exclusively. The cache has no
+// clock: a result is a function of its key, so an entry lives until it is
+// replaced, deleted or evicted.
 //
 // Inside a shard, entries live packed inside fixed-size []byte segment
 // arenas, located through an open-addressed index of two scalar []uint64
@@ -38,7 +39,7 @@ import (
 // a Set whose new payload fits the entry's value capacity overwrites in
 // place with no index churn and no allocation. Arenas come 8-aligned
 // from the allocator and every entry's size is rounded up to 8, so the
-// state word (offset 28) of every entry is aligned for sync/atomic.
+// state word (offset 12) of every entry is aligned for sync/atomic.
 //
 // Aliasing contract: Get, and store for the bytes it just wrote (the
 // engine's miss hands those out as its Raw), return slices of slab
@@ -62,13 +63,9 @@ import (
 type Cache struct {
 	shards []cacheShard
 	mask   uint64
-	ttl    time.Duration
 	// maxShardBytes bounds each shard's segment bytes (0 = unbounded:
 	// segments are only compacted, never evicted).
 	maxShardBytes int64
-	// now is the clock; replaceable in tests (cf. freecache's custom
-	// timer).
-	now func() time.Time
 }
 
 // EvictionPolicy is a shim: CLOCK is the cache's one policy, and the type,
@@ -84,20 +81,18 @@ const (
 	// segment get a dedicated arena of their exact size.
 	segmentSize = 64 << 10
 
-	// entryHdrLen is the fixed entry header: added i64, ttl i64, keyLen
-	// u32, valLen u32, valCap u32, state u32 (the CLOCK bit Get sets in
-	// place), auxLen u32. Everything is fixed-width so in-place mutation
-	// never moves a byte after it. The key, valCap payload bytes and
-	// auxLen aux bytes follow, then padding to the next 8-byte boundary.
-	entryHdrLen = 36
+	// entryHdrLen is the fixed entry header: keyLen u32, valLen u32,
+	// valCap u32, state u32 (the CLOCK bit Get sets in place), auxLen u32.
+	// Everything is fixed-width so in-place mutation never moves a byte
+	// after it. The key, valCap payload bytes and auxLen aux bytes follow,
+	// then padding to the next 8-byte boundary.
+	entryHdrLen = 20
 
-	offAdded  = 0
-	offTTL    = 8
-	offKeyLen = 16
-	offValLen = 20
-	offValCap = 24
-	offState  = 28
-	offAuxLen = 32
+	offKeyLen = 0
+	offValLen = 4
+	offValCap = 8
+	offState  = 12
+	offAuxLen = 16
 
 	stateLive     = 1 << 0
 	stateAccessed = 1 << 1 // the CLOCK second-chance bit
@@ -162,9 +157,8 @@ type cacheShard struct {
 	bytes int64 // total allocated segment bytes
 	dead  int64 // bytes occupied by dead (deleted/superseded) entries
 
-	expired uint64
 	evicted uint64
-	_       [64 - 160%64]byte
+	_       [64 - 152%64]byte
 }
 
 // A shard is whole cache lines, a reader stripe exactly one, and the state
@@ -210,14 +204,11 @@ func stateWord(b []byte) *uint32 { return (*uint32)(unsafe.Pointer(&b[offState])
 // CacheStats aggregates shard counters. JSON tags let servers expose the
 // stats directly.
 type CacheStats struct {
-	// Entries is the number of live (possibly expired but uncollected)
-	// entries.
+	// Entries is the number of live entries.
 	Entries int `json:"entries"`
-	// Hits and Misses count Get outcomes; Expired counts entries
-	// dropped because their TTL lapsed.
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
-	Expired uint64 `json:"expired"`
+	// Hits and Misses count Get outcomes.
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
 	// Evicted counts live entries dropped by capacity pressure (always 0
 	// for an unbounded cache).
 	Evicted uint64 `json:"evicted"`
@@ -230,8 +221,9 @@ type CacheStats struct {
 
 // NewCache builds an unbounded cache with at least the requested number
 // of shards (rounded up to a power of two, minimum 1, clamped to
-// maxCacheShards) and the given TTL. A zero or negative TTL means
-// entries never expire.
+// maxCacheShards). The ttl argument is ignored: entries never expire, and
+// the argument stays only because the bench/ module compiles against it,
+// like NewCacheSized's policy argument (see EvictionPolicy).
 func NewCache(shards int, ttl time.Duration) *Cache {
 	return NewCacheSized(shards, ttl, 0, EvictLRU)
 }
@@ -240,9 +232,9 @@ func NewCache(shards int, ttl time.Duration) *Cache {
 // slab footprint (approximately — the budget is split per shard and
 // enforced at segment granularity), and CLOCK chooses which entries
 // survive reclamation. maxBytes <= 0 means unbounded (segments are
-// compacted when dead bytes accumulate, never evicted). The policy
-// argument is ignored (see EvictionPolicy).
-func NewCacheSized(shards int, ttl time.Duration, maxBytes int64, _ EvictionPolicy) *Cache {
+// compacted when dead bytes accumulate, never evicted). The ttl and policy
+// arguments are ignored (see NewCache and EvictionPolicy).
+func NewCacheSized(shards int, _ time.Duration, maxBytes int64, _ EvictionPolicy) *Cache {
 	if shards > maxCacheShards {
 		shards = maxCacheShards
 	}
@@ -253,8 +245,6 @@ func NewCacheSized(shards int, ttl time.Duration, maxBytes int64, _ EvictionPoli
 	c := &Cache{
 		shards: make([]cacheShard, n),
 		mask:   uint64(n - 1),
-		ttl:    ttl,
-		now:    time.Now,
 	}
 	k := 1 << bits.Len(uint(min(runtime.GOMAXPROCS(0), 16)-1))
 	// A power-of-two size, aligned to it: no two stripes share a line.
@@ -290,12 +280,6 @@ func fnv1a(s string) uint64 {
 // entry starts 8-aligned.
 func entrySize(keyLen, valCap, auxLen int) int {
 	return (entryHdrLen + keyLen + valCap + auxLen + 7) &^ 7
-}
-
-// lapsed reports whether the entry at b has outlived its TTL at now.
-func lapsed(b []byte, now int64) bool {
-	ttl := int64(binary.LittleEndian.Uint64(b[offTTL:]))
-	return ttl > 0 && now-int64(binary.LittleEndian.Uint64(b[offAdded:])) > ttl
 }
 
 // entryLens reads the three length words of the entry starting at b.
@@ -519,14 +503,12 @@ func (s *cacheShard) reclaimOldest(c *Cache, force bool) {
 
 // append writes a fresh entry into the slab and indexes it, returning the
 // entry's payload bytes.
-func (s *cacheShard) append(c *Cache, h uint64, key string, val []byte, added int64) []byte {
+func (s *cacheShard) append(c *Cache, h uint64, key string, val []byte) []byte {
 	vc := valCapFor(len(val))
 	size := entrySize(len(key), vc, 0)
 	seg := s.head(c, size, true)
 	off := seg.used
 	b := seg.buf[off : off+size]
-	binary.LittleEndian.PutUint64(b[offAdded:], uint64(added))
-	binary.LittleEndian.PutUint64(b[offTTL:], uint64(c.ttl))
 	binary.LittleEndian.PutUint32(b[offKeyLen:], uint32(len(key)))
 	binary.LittleEndian.PutUint32(b[offValLen:], uint32(len(val)))
 	binary.LittleEndian.PutUint32(b[offValCap:], uint32(vc))
@@ -541,9 +523,8 @@ func (s *cacheShard) append(c *Cache, h uint64, key string, val []byte, added in
 }
 
 // Get returns the cached payload for key, setting the entry's CLOCK bit
-// in place if a sweep has cleared it. Expired entries are evicted lazily
-// on access. The returned slice aliases slab memory — see the Cache
-// aliasing contract.
+// in place if a sweep has cleared it. The returned slice aliases slab
+// memory — see the Cache aliasing contract.
 func (c *Cache) Get(key string) ([]byte, bool) {
 	val, _, ok := c.GetWithAux(key)
 	return val, ok
@@ -551,7 +532,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 
 // GetWithAux is Get that also returns the entry's aux region (nil when
 // none is attached) from the same lookup, under its processor's stripe: a
-// hit writes only atomics, and reads the clock only if the entry has a TTL.
+// hit writes only atomics.
 func (c *Cache) GetWithAux(key string) (val, aux []byte, ok bool) {
 	return c.getWithAux(key, procID())
 }
@@ -570,14 +551,6 @@ func (c *Cache) getWithAux(key string, p int) (val, aux []byte, ok bool) {
 	}
 	seg, off := s.at(s.idxRef[slot])
 	b := seg.buf[off:]
-	if binary.LittleEndian.Uint64(b[offTTL:]) != 0 {
-		if now := c.now().UnixNano(); lapsed(b, now) {
-			r.misses.Add(1)
-			r.mu.RUnlock()
-			c.expire(s, h, key, now)
-			return nil, nil, false
-		}
-	}
 	if st := stateWord(b); atomic.LoadUint32(st)&stateAccessed == 0 {
 		atomic.OrUint32(st, stateAccessed)
 	}
@@ -593,25 +566,12 @@ func (c *Cache) getWithAux(key string, p int) (val, aux []byte, ok bool) {
 	return val, aux, true
 }
 
-// expire is the exclusive half of a Get that found key's entry past its
-// TTL under the shared lock: drop it, unless a Set got there first.
-func (c *Cache) expire(s *cacheShard, h uint64, key string, now int64) {
-	s.lock()
-	defer s.unlock()
-	if slot := s.find(h, key); slot >= 0 {
-		if seg, off := s.at(s.idxRef[slot]); lapsed(seg.buf[off:], now) {
-			s.killSlot(slot)
-			s.expired++
-		}
-	}
-}
-
 // AttachAux stores aux beside key's payload, provided the entry is live,
 // has no aux yet, and its payload is still val — the very slab bytes a Get
 // returned, so bytes derived from an entry that has since been replaced
 // or moved are never attached to its successor. The entry is re-appended
-// with CLOCK bit, stamp and TTL preserved and the old copy retired, never
-// written in place. It reports whether aux was attached;
+// with its CLOCK bit preserved and the old copy retired, never written in
+// place. It reports whether aux was attached;
 // it counts as neither a hit nor a miss.
 func (c *Cache) AttachAux(key string, val, aux []byte) bool {
 	if len(val) == 0 || len(aux) == 0 {
@@ -648,22 +608,15 @@ func (c *Cache) AttachAux(key string, val, aux []byte) bool {
 	return true
 }
 
-// Set stores a payload under key with the cache's TTL.
-func (c *Cache) Set(key string, val []byte) { c.store(key, val, c.now().UnixNano()) }
+// Set stores a payload under key. When the key's live entry has capacity
+// for the new payload, the entry is overwritten in place (CLOCK bit
+// cleared, no index churn, no allocation); otherwise the old entry is
+// tombstoned and a fresh one appended.
+func (c *Cache) Set(key string, val []byte) { c.store(key, val) }
 
-// SetStamped stores a payload with an explicit insertion time — how a
-// tier-2 warm start preserves entry age so a configured TTL keeps its
-// meaning across restarts. When the key's live entry has capacity for
-// the new payload, the entry is overwritten in place (CLOCK bit cleared,
-// no index churn, no allocation); otherwise the old entry is tombstoned
-// and a fresh one appended.
-func (c *Cache) SetStamped(key string, val []byte, addedUnixNano int64) {
-	c.store(key, val, addedUnixNano)
-}
-
-// store is SetStamped returning the stored payload's slab bytes, under
-// the aliasing contract a Get's have.
-func (c *Cache) store(key string, val []byte, addedUnixNano int64) []byte {
+// store is Set returning the stored payload's slab bytes, under the
+// aliasing contract a Get's have.
+func (c *Cache) store(key string, val []byte) []byte {
 	h := fnv1a(key)
 	s := &c.shards[h&c.mask]
 	s.lock()
@@ -672,8 +625,6 @@ func (c *Cache) store(key string, val []byte, addedUnixNano int64) []byte {
 		seg, off := s.at(s.idxRef[slot])
 		b := seg.buf[off:]
 		if kl, vc, al := entryLens(b); len(val) <= vc {
-			binary.LittleEndian.PutUint64(b[offAdded:], uint64(addedUnixNano))
-			binary.LittleEndian.PutUint64(b[offTTL:], uint64(c.ttl))
 			binary.LittleEndian.PutUint32(b[offValLen:], uint32(len(val)))
 			binary.LittleEndian.PutUint32(b[offState:], stateLive)
 			// A new payload invalidates the aux; its bytes fold into the
@@ -686,7 +637,7 @@ func (c *Cache) store(key string, val []byte, addedUnixNano int64) []byte {
 		}
 		s.killSlot(slot)
 	}
-	return s.append(c, h, key, val, addedUnixNano)
+	return s.append(c, h, key, val)
 }
 
 // Delete removes key. It reports whether an entry was present.
@@ -703,49 +654,18 @@ func (c *Cache) Delete(key string) bool {
 	return true
 }
 
-// DeletePrefix removes every entry whose key starts with prefix and
-// returns how many were removed. It walks all shards, so it is an
-// administrative operation, not a hot-path one.
-func (c *Cache) DeletePrefix(prefix string) int {
-	pfx := []byte(prefix)
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.lock()
-		for slot, v := range s.idxHash {
-			if v == idxEmpty || v == idxTombstone {
-				continue
-			}
-			seg, off := s.at(s.idxRef[slot])
-			b := seg.buf[off:]
-			kl := int(binary.LittleEndian.Uint32(b[offKeyLen:]))
-			if bytes.HasPrefix(b[entryHdrLen:entryHdrLen+kl], pfx) {
-				s.killSlot(slot)
-				n++
-			}
-		}
-		s.unlock()
-	}
-	return n
-}
-
-// KV is one cache entry's key, payload, and insertion time, as returned
-// by Dump. The timestamp rides into tier-2 snapshots so a warm-started
-// entry keeps its age — a TTL bounds an entry's total life, not its life
-// since the latest restart.
+// KV is one cache entry's key and payload, as returned by Dump.
 type KV struct {
-	Key           string
-	Val           []byte
-	AddedUnixNano int64
+	Key string
+	Val []byte
 }
 
 // Dump copies every live entry's key and payload (shard by shard, each
 // under one reader stripe, which shuts out its writers — a
 // consistent-enough point-in-time view for snapshotting; entries are
-// sorted by key so dumps are deterministic). Expired-but-uncollected
-// entries are skipped. The returned values are copies and safe to retain.
+// sorted by key so dumps are deterministic). The returned values are
+// copies and safe to retain.
 func (c *Cache) Dump() []KV {
-	now := c.now().UnixNano()
 	var out []KV
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -756,18 +676,11 @@ func (c *Cache) Dump() []KV {
 			}
 			seg, off := s.at(s.idxRef[slot])
 			b := seg.buf[off:]
-			if lapsed(b, now) {
-				continue
-			}
 			kl := int(binary.LittleEndian.Uint32(b[offKeyLen:]))
 			vl := int(binary.LittleEndian.Uint32(b[offValLen:]))
 			val := make([]byte, vl)
 			copy(val, b[entryHdrLen+kl:entryHdrLen+kl+vl])
-			out = append(out, KV{
-				Key:           string(b[entryHdrLen : entryHdrLen+kl]),
-				Val:           val,
-				AddedUnixNano: int64(binary.LittleEndian.Uint64(b[offAdded:])),
-			})
+			out = append(out, KV{Key: string(b[entryHdrLen : entryHdrLen+kl]), Val: val})
 		}
 		s.stripes[0].mu.RUnlock()
 	}
@@ -801,7 +714,6 @@ func (c *Cache) Stats() CacheStats {
 			st.Hits += s.stripes[j].hits.Load()
 			st.Misses += s.stripes[j].misses.Load()
 		}
-		st.Expired += s.expired
 		st.Evicted += s.evicted
 		st.Bytes += s.bytes
 		s.stripes[0].mu.RUnlock()

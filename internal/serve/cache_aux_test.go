@@ -4,11 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"testing"
-	"time"
 )
 
-// entryWords reads key's header words without counting as an access.
-func entryWords(t *testing.T, c *Cache, key string) (added int64, state uint32) {
+// entryWords reads key's payload, as far as its header's valLen word says,
+// and its state word, without counting as an access.
+func entryWords(t *testing.T, c *Cache, key string) (val []byte, state uint32) {
 	t.Helper()
 	h := fnv1a(key)
 	s := &c.shards[h&c.mask]
@@ -20,7 +20,9 @@ func entryWords(t *testing.T, c *Cache, key string) (added int64, state uint32) 
 	}
 	seg, off := s.at(s.idxRef[slot])
 	b := seg.buf[off:]
-	return int64(binary.LittleEndian.Uint64(b[offAdded:])), binary.LittleEndian.Uint32(b[offState:])
+	lo := entryHdrLen + int(binary.LittleEndian.Uint32(b[offKeyLen:]))
+	vl := int(binary.LittleEndian.Uint32(b[offValLen:]))
+	return append([]byte(nil), b[lo:lo+vl]...), binary.LittleEndian.Uint32(b[offState:])
 }
 
 // mustAttach Gets key and attaches aux to exactly those bytes.
@@ -41,12 +43,11 @@ func wantAux(t *testing.T, c *Cache, key, val, aux string) {
 }
 
 // Attaching re-appends the entry: one lookup then returns payload and aux,
-// the entry keeps its CLOCK bit and stamp, the bytes handed out
+// the entry keeps its CLOCK bit and payload, the bytes handed out
 // before stay intact, and the cache's hit/miss books do not move.
 func TestAuxAttachPreservesEntry(t *testing.T) {
-	c := NewCache(1, time.Hour)
-	c.now = func() time.Time { return time.Unix(0, 20000) }
-	c.SetStamped("k", []byte("payload"), 12345)
+	c := NewCache(1, 0)
+	c.Set("k", []byte("payload"))
 	var old []byte
 	for i := 0; i < 3; i++ {
 		old, _ = c.Get("k")
@@ -58,9 +59,9 @@ func TestAuxAttachPreservesEntry(t *testing.T) {
 	if after := c.Stats(); after.Hits != before.Hits || after.Misses != before.Misses || after.Entries != 1 {
 		t.Fatalf("attach moved the books: %+v -> %+v", before, after)
 	}
-	added, state := entryWords(t, c, "k")
-	if added != 12345 || state != stateLive|stateAccessed {
-		t.Fatalf("after attach: added=%d state=%b, want 12345, live|accessed", added, state)
+	val, state := entryWords(t, c, "k")
+	if string(val) != "payload" || state != stateLive|stateAccessed {
+		t.Fatalf("after attach: val=%q state=%b, want payload, live|accessed", val, state)
 	}
 	wantAux(t, c, "k", "payload", "tail-bytes")
 	if v, ok := c.Get("k"); !ok || string(v) != "payload" {
@@ -92,12 +93,12 @@ func TestAuxAttachPreservesEntry(t *testing.T) {
 }
 
 // Compaction (unbounded) and an LRU second chance (bounded) both move the
-// whole entry, aux included, and keep its stamp.
+// whole entry, aux included, header and payload with it.
 func TestAuxSurvivesReclamation(t *testing.T) {
 	filler := make([]byte, 1024)
 	t.Run("compaction", func(t *testing.T) {
 		c := NewCache(1, 0)
-		c.SetStamped("keep", []byte("payload"), 777)
+		c.Set("keep", []byte("payload"))
 		mustAttach(t, c, "keep", "tail")
 		for i := 0; i < 3000; i++ {
 			c.Set(fmt.Sprintf("churn-%05d", i), filler)
@@ -108,14 +109,14 @@ func TestAuxSurvivesReclamation(t *testing.T) {
 		if st := c.Stats(); st.Bytes > 12*segmentSize {
 			t.Fatalf("slab bytes %d: compaction did not run", st.Bytes)
 		}
-		if added, _ := entryWords(t, c, "keep"); added != 777 {
-			t.Fatalf("after compaction: added=%d, want 777", added)
+		if val, _ := entryWords(t, c, "keep"); string(val) != "payload" {
+			t.Fatalf("after compaction: val=%q, want payload", val)
 		}
 		wantAux(t, c, "keep", "payload", "tail")
 	})
 	t.Run("lru-second-chance", func(t *testing.T) {
 		c := NewCacheSized(1, 0, 2*segmentSize, EvictLRU)
-		c.SetStamped("hot", []byte("payload"), 777)
+		c.Set("hot", []byte("payload"))
 		mustAttach(t, c, "hot", "tail")
 		for i := 0; i < 5000; i++ {
 			c.Set(fmt.Sprintf("cold-%05d", i), filler)
@@ -124,9 +125,9 @@ func TestAuxSurvivesReclamation(t *testing.T) {
 		if c.Stats().Evicted == 0 {
 			t.Fatal("no eviction sweep ran")
 		}
-		added, state := entryWords(t, c, "hot")
-		if added != 777 || state&stateAccessed == 0 {
-			t.Fatalf("after sweeps: added=%d state=%b, want 777, accessed", added, state)
+		val, state := entryWords(t, c, "hot")
+		if string(val) != "payload" || state&stateAccessed == 0 {
+			t.Fatalf("after sweeps: val=%q state=%b, want payload, accessed", val, state)
 		}
 		// Attaching into a full bounded shard reclaims first; the entry is
 		// then found where the sweep left it, or not attached at all.
@@ -142,9 +143,7 @@ func TestAuxSurvivesReclamation(t *testing.T) {
 // slab still walks correctly afterwards (an in-place Set folds the aux
 // bytes into the value capacity rather than leaving a hole).
 func TestAuxDroppedWithPayload(t *testing.T) {
-	now := time.Unix(1000, 0)
-	c := NewCache(1, time.Minute)
-	c.now = func() time.Time { return now }
+	c := NewCache(1, 0)
 	gone := func(key, wantVal string) {
 		t.Helper()
 		v, a, ok := c.GetWithAux(key)
@@ -152,7 +151,7 @@ func TestAuxDroppedWithPayload(t *testing.T) {
 			t.Fatalf("GetWithAux(%q) = %q, %q, %v; want %q and no aux", key, v, a, ok, wantVal)
 		}
 	}
-	for _, k := range []string{"inplace", "grown", "deleted", "E9?n=1", "expired", "cleared"} {
+	for _, k := range []string{"inplace", "grown", "deleted", "cleared"} {
 		c.Set(k, []byte("payload-"+k))
 		mustAttach(t, c, k, "tail-"+k)
 	}
@@ -162,10 +161,6 @@ func TestAuxDroppedWithPayload(t *testing.T) {
 	gone("grown", string(make([]byte, 100)))
 	c.Delete("deleted")
 	gone("deleted", "")
-	if n := c.DeletePrefix("E9?"); n != 1 {
-		t.Fatalf("DeletePrefix = %d, want 1", n)
-	}
-	gone("E9?n=1", "")
 	// A fresh payload under a killed key starts without aux.
 	c.Set("deleted", []byte("again"))
 	gone("deleted", "again")
@@ -179,13 +174,6 @@ func TestAuxDroppedWithPayload(t *testing.T) {
 	}
 	gone("inplace", "short")
 	wantAux(t, c, "cleared", "payload-cleared", "tail-cleared")
-
-	now = now.Add(2 * time.Minute)
-	before := c.Stats().Expired
-	gone("expired", "")
-	if c.Stats().Expired != before+1 {
-		t.Fatal("TTL expiry of an entry with aux not counted")
-	}
 	c.Clear()
 	gone("cleared", "")
 }
@@ -193,11 +181,11 @@ func TestAuxDroppedWithPayload(t *testing.T) {
 // Dump — and so every snapshot — carries payloads only.
 func TestAuxNotDumped(t *testing.T) {
 	c := NewCache(2, 0)
-	c.SetStamped("a", []byte("payload-a"), 1)
-	c.SetStamped("b", []byte("payload-b"), 2)
+	c.Set("a", []byte("payload-a"))
+	c.Set("b", []byte("payload-b"))
 	mustAttach(t, c, "a", "tail-a")
 	d := c.Dump()
-	if len(d) != 2 || string(d[0].Val) != "payload-a" || d[0].AddedUnixNano != 1 || string(d[1].Val) != "payload-b" {
-		t.Fatalf("Dump = %+v, want the two payloads and their stamps", d)
+	if len(d) != 2 || string(d[0].Val) != "payload-a" || string(d[1].Val) != "payload-b" {
+		t.Fatalf("Dump = %+v, want the two payloads", d)
 	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -11,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -200,28 +198,27 @@ func TestSlabAliasSurvivesReclamation(t *testing.T) {
 	}
 }
 
-// Dump / SetStamped round-trip across cache generations — the snapshot
-// path the engine's tier-2 warm start depends on.
+// Dump / Set round-trip across cache generations — the snapshot path the
+// engine's tier-2 warm start depends on.
 func TestSlabDumpRoundTripIntoFreshCache(t *testing.T) {
-	src := NewCache(4, time.Hour)
-	base := time.Now().Add(-30 * time.Minute).UnixNano()
+	src := NewCache(4, 0)
 	for i := 0; i < 100; i++ {
-		src.SetStamped(fmt.Sprintf("snap-%03d", i), []byte(fmt.Sprintf("val-%03d", i)), base+int64(i))
+		src.Set(fmt.Sprintf("snap-%03d", i), []byte(fmt.Sprintf("val-%03d", i)))
 	}
 	dump := src.Dump()
 	if len(dump) != 100 {
 		t.Fatalf("dump = %d entries, want 100", len(dump))
 	}
-	dst := NewCache(4, time.Hour)
+	dst := NewCache(4, 0)
 	for _, kv := range dump {
-		dst.SetStamped(kv.Key, kv.Val, kv.AddedUnixNano)
+		dst.Set(kv.Key, kv.Val)
 	}
 	redump := dst.Dump()
 	if len(redump) != 100 {
 		t.Fatalf("re-dump = %d entries, want 100", len(redump))
 	}
 	for i, kv := range redump {
-		if kv.Key != dump[i].Key || string(kv.Val) != string(dump[i].Val) || kv.AddedUnixNano != dump[i].AddedUnixNano {
+		if kv.Key != dump[i].Key || string(kv.Val) != string(dump[i].Val) {
 			t.Fatalf("entry %d drifted across round-trip: %+v vs %+v", i, kv, dump[i])
 		}
 	}
@@ -248,29 +245,6 @@ func TestSlabClearReleasesArenas(t *testing.T) {
 	}
 }
 
-// DeletePrefix coherence carries over: prefix kills must hit slab
-// entries across shards and report an exact count.
-func TestSlabDeletePrefixAcrossSegments(t *testing.T) {
-	c := NewCache(8, 0)
-	val := make([]byte, 700)
-	for i := 0; i < 400; i++ {
-		c.Set(fmt.Sprintf("E9?n=%03d", i), val)
-		c.Set(fmt.Sprintf("E7?n=%03d", i), val)
-	}
-	if n := c.DeletePrefix("E9?"); n != 400 {
-		t.Fatalf("DeletePrefix = %d, want 400", n)
-	}
-	if _, ok := c.Get("E9?n=123"); ok {
-		t.Fatal("prefix-deleted entry still readable")
-	}
-	if _, ok := c.Get("E7?n=123"); !ok {
-		t.Fatal("unrelated prefix deleted")
-	}
-	if got := c.Stats().Entries; got != 400 {
-		t.Fatalf("entries = %d, want 400", got)
-	}
-}
-
 // pattern is n bytes that could only be tag's: the tag repeated.
 func pattern(tag string, n int) []byte {
 	return bytes.Repeat([]byte(tag), n/len(tag)+1)[:n]
@@ -279,14 +253,14 @@ func pattern(tag string, n int) []byte {
 // Get runs under the shard's shared lock and writes only atomics, so its
 // books must stay exact with readers racing each other and the writers:
 // eight readers hammer a Zipf hot set (and now and then a churned key)
-// while writers Set — in place and relocating — SetStamped entries already
-// past their TTL, Delete, DeletePrefix (Invalidate's shape), read Stats,
-// and AttachAux onto the hot entries, forcing compaction or eviction to
-// move live entries under the readers. Afterwards Stats().Hits and .Misses
-// are the goroutines' own tallies, each hot entry still carries the stamp
-// it was Set with (the header moved with the bytes), and no alias ever
-// showed another key's bytes (the hot keys are never Set again, so reading
-// their aliases is within the aliasing contract). Run under -race in CI.
+// while writers Set — in place and relocating — Delete, read Stats, and
+// AttachAux onto the hot entries, forcing compaction or eviction to move
+// live entries under the readers. Afterwards Stats().Hits and .Misses are
+// the goroutines' own tallies, each hot entry's header still gives the
+// length of the payload it was Set with and that payload follows it (the
+// header moved with the bytes), and no alias ever showed another key's
+// bytes (the hot keys are never Set again, so reading their aliases is
+// within the aliasing contract). Run under -race in CI.
 func TestSlabReadersKeepExactBooksUnderWriters(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -294,12 +268,11 @@ func TestSlabReadersKeepExactBooksUnderWriters(t *testing.T) {
 	}{{"unbounded", 0}, {"bounded-lru", 512 << 10}} {
 		t.Run(tc.name, func(t *testing.T) {
 			const readers, writers, lookups, nHot = 8, 2, 20000, 16
-			c := NewCacheSized(4, time.Hour, tc.maxBytes, EvictLRU)
+			c := NewCacheSized(4, 0, tc.maxBytes, EvictLRU)
 			hot := make([]string, nHot)
-			stamp := time.Now().UnixNano()
 			for i := range hot {
 				hot[i] = fmt.Sprintf("hot/%02d", i)
-				c.SetStamped(hot[i], pattern(hot[i], 200+17*i), stamp+int64(i))
+				c.Set(hot[i], pattern(hot[i], 200+17*i))
 			}
 			type tally struct{ hits, misses uint64 }
 			tallies := make([]tally, readers+writers)
@@ -340,17 +313,12 @@ func TestSlabReadersKeepExactBooksUnderWriters(t *testing.T) {
 				go func(tl *tally, seed uint64) {
 					defer writersDone.Done()
 					for rng := stats.NewRNG(seed); !stop.Load(); {
-						group := rng.Intn(8)
-						key := fmt.Sprintf("churn/%d/%d", group, rng.Intn(64))
+						key := fmt.Sprintf("churn/%d/%d", rng.Intn(8), rng.Intn(64))
 						switch op := rng.Intn(16); {
-						case op < 8:
-							c.Set(key, pattern(key, 100+rng.Intn(3000)))
 						case op < 10:
-							c.SetStamped(key, pattern(key, 300), time.Now().Add(-2*time.Hour).UnixNano())
-						case op < 12:
-							c.Delete(key)
+							c.Set(key, pattern(key, 100+rng.Intn(3000)))
 						case op < 13:
-							c.DeletePrefix(fmt.Sprintf("churn/%d/", group))
+							c.Delete(key)
 						case op < 14:
 							c.Stats()
 						default:
@@ -372,9 +340,9 @@ func TestSlabReadersKeepExactBooksUnderWriters(t *testing.T) {
 				want.misses += tallies[i].misses
 			}
 			st := c.Stats()
-			if st.Hits != want.hits || st.Misses != want.misses || want.hits == 0 || want.misses == 0 || st.Expired == 0 {
-				t.Errorf("Stats: %d hits %d misses %d expired; the goroutines counted %d hits and %d misses (each must be > 0)",
-					st.Hits, st.Misses, st.Expired, want.hits, want.misses)
+			if st.Hits != want.hits || st.Misses != want.misses || want.hits == 0 || want.misses == 0 {
+				t.Errorf("Stats: %d hits %d misses; the goroutines counted %d hits and %d misses (each must be > 0)",
+					st.Hits, st.Misses, want.hits, want.misses)
 			}
 			if tc.maxBytes > 0 {
 				if st.Evicted == 0 {
@@ -384,8 +352,9 @@ func TestSlabReadersKeepExactBooksUnderWriters(t *testing.T) {
 			}
 			// Unbounded: compaction and AttachAux carry the header along.
 			for i, k := range hot {
-				if added, _ := entryWords(t, c, k); added != stamp+int64(i) {
-					t.Errorf("%s: added = %d after moves, it was Set with %d", k, added, stamp+int64(i))
+				if val, _ := entryWords(t, c, k); !bytes.Equal(val, pattern(k, 200+17*i)) {
+					t.Errorf("%s: after moves the header gives %d payload bytes, not the %d-byte pattern it was Set with",
+						k, len(val), 200+17*i)
 				}
 			}
 		})
@@ -451,32 +420,5 @@ func TestSlabReaderStripes(t *testing.T) {
 	}
 	if st := c.Stats(); st.Hits != hits || st.Misses != misses {
 		t.Errorf("Stats: %d hits %d misses, want %d and %d", st.Hits, st.Misses, hits, misses)
-	}
-}
-
-// A hit reads the cache's clock only when the entry has a TTL to check:
-// with the engine's own two reads (arrival and completion), that is the
-// whole clock cost of a warm hit.
-func TestWarmHitReadsSlabClockOnlyForTTL(t *testing.T) {
-	for _, tc := range []struct {
-		ttl  time.Duration
-		want int
-	}{{0, 0}, {time.Hour, 1}} {
-		e := NewEngine(Config{TTL: tc.ttl, RunnerWith: byID(func(id string) (core.Result, error) { return fakeResult(id), nil })})
-		if _, err := e.Serve("X"); err != nil {
-			t.Fatal(err)
-		}
-		reads := 0
-		e.cache.now = func() time.Time { reads++; return time.Now() }
-		const hits = 10
-		for i := 0; i < hits; i++ {
-			if rr, err := e.ServeEncoded(context.Background(), "X", nil); err != nil || !rr.CacheHit {
-				t.Fatalf("warm ServeEncoded: hit=%v err=%v", rr.CacheHit, err)
-			}
-		}
-		if reads != tc.want*hits {
-			t.Errorf("ttl %v: %d hits read the cache clock %d times, want %d", tc.ttl, hits, reads, tc.want*hits)
-		}
-		e.Close()
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCacheSetGetRoundTrip(t *testing.T) {
@@ -38,43 +37,6 @@ func TestCacheShardCountRoundsUp(t *testing.T) {
 		if got := c.Stats().Shards; got != tc.want {
 			t.Fatalf("NewCache(%d): got %d shards, want %d", tc.ask, got, tc.want)
 		}
-	}
-}
-
-func TestCacheTTLExpiry(t *testing.T) {
-	c := NewCache(4, time.Second)
-	now := time.Unix(1000, 0)
-	c.now = func() time.Time { return now }
-
-	c.Set("k", []byte("v"))
-	if _, ok := c.Get("k"); !ok {
-		t.Fatal("fresh entry should hit")
-	}
-	now = now.Add(999 * time.Millisecond)
-	if _, ok := c.Get("k"); !ok {
-		t.Fatal("entry inside TTL should hit")
-	}
-	now = now.Add(2 * time.Millisecond)
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("entry past TTL should miss")
-	}
-	st := c.Stats()
-	if st.Expired != 1 {
-		t.Fatalf("expired counter: got %d want 1", st.Expired)
-	}
-	if st.Entries != 0 {
-		t.Fatalf("expired entry should be evicted, have %d entries", st.Entries)
-	}
-}
-
-func TestCacheZeroTTLNeverExpires(t *testing.T) {
-	c := NewCache(1, 0)
-	now := time.Unix(1000, 0)
-	c.now = func() time.Time { return now }
-	c.Set("k", []byte("v"))
-	now = now.Add(100 * 365 * 24 * time.Hour)
-	if _, ok := c.Get("k"); !ok {
-		t.Fatal("zero-TTL entry must never expire")
 	}
 }
 
@@ -153,30 +115,10 @@ func TestCacheStatsConservedUnderConcurrency(t *testing.T) {
 		t.Fatalf("hits(%d)+misses(%d) = %d, want %d gets",
 			st.Hits, st.Misses, st.Hits+st.Misses, gets)
 	}
-	if st.Expired != 0 {
-		t.Fatalf("expired = %d with zero TTL, want 0", st.Expired)
-	}
 	if st.Entries == 0 || st.Entries > 64 {
 		t.Fatalf("entries = %d, want (0, 64]", st.Entries)
 	}
 	if st.Shards != 8 {
 		t.Fatalf("shards = %d, want 8", st.Shards)
-	}
-}
-
-// Expired entries must count as both an expiry and a miss, preserving the
-// hits+misses == gets identity.
-func TestCacheStatsExpiryCountsAsMiss(t *testing.T) {
-	c := NewCache(1, 10*time.Millisecond)
-	now := time.Unix(0, 0)
-	c.now = func() time.Time { return now }
-	c.Set("k", []byte("v"))
-	now = now.Add(time.Hour)
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("expired entry served")
-	}
-	st := c.Stats()
-	if st.Expired != 1 || st.Misses != 1 || st.Hits != 0 {
-		t.Fatalf("expiry counters wrong: %+v", st)
 	}
 }

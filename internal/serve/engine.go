@@ -30,14 +30,11 @@ type Config struct {
 	// Shards is the cache shard count (rounded up to a power of two;
 	// default 16).
 	Shards int
-	// TTL is the cache entry lifetime (default 0: entries never expire —
-	// experiments are deterministic, so staleness is impossible; a TTL
-	// only bounds memory).
-	TTL time.Duration
 	// CacheBytes bounds the tier-1 slab cache's total arena footprint
 	// (default 0: unbounded — dead bytes are compacted but live entries
 	// are never evicted). When set, CLOCK picks the survivors: entries
-	// read since their segment's last sweep.
+	// read since their segment's last sweep. No clock drops an entry:
+	// experiments are deterministic, so a memoized result cannot go stale.
 	CacheBytes int64
 	// Workers bounds concurrent cold experiment runs (default 4).
 	Workers int
@@ -76,9 +73,9 @@ type Config struct {
 	// SnapshotPath, when set, enables the tier-2 disk cache: NewEngine
 	// loads the snapshot file into the in-memory tier (a warm start —
 	// entries that fail to decode as Results are skipped), SaveSnapshot
-	// rewrites it, and Invalidate/Reset rewrite or remove it so the disk
-	// tier stays invalidation-coherent with the memory tier. A missing or
-	// corrupt file is never fatal.
+	// rewrites it, and Reset rewrites or removes it so the disk tier
+	// never resurrects what the memory tier dropped. A missing or corrupt
+	// file is never fatal.
 	SnapshotPath string
 }
 
@@ -256,7 +253,7 @@ func NewEngine(cfg Config) *Engine {
 		run = runRegistry
 	}
 	e := &Engine{
-		cache: NewCacheSized(cfg.Shards, cfg.TTL, cfg.CacheBytes, EvictLRU),
+		cache: NewCacheSized(cfg.Shards, 0, cfg.CacheBytes, EvictLRU),
 		sched: admit.NewScheduler(admit.Config{
 			Workers:    cfg.Workers,
 			Queue:      cfg.Queue,
@@ -305,9 +302,7 @@ func (e *Engine) loadSnapshot() {
 			e.snapSkipped.Add(1)
 			continue
 		}
-		// Preserve the entry's original insertion time: a TTL bounds an
-		// entry's total life, and a restart must not renew it.
-		e.cache.SetStamped(kv.Key, kv.Val, kv.AddedUnixNano)
+		e.cache.Set(kv.Key, kv.Val)
 		e.snapLoaded.Add(1)
 	}
 }
@@ -555,7 +550,7 @@ func (e *Engine) serveMissRaw(ctx context.Context, class admit.Class, id, key st
 func (e *Engine) memoize(key string, res core.Result) []byte {
 	buf := httpapi.GetBuffer()
 	*buf = res.AppendEncode((*buf)[:0])
-	raw := e.cache.store(key, *buf, e.cache.now().UnixNano())
+	raw := e.cache.store(key, *buf)
 	if cap(*buf) <= maxScratch {
 		httpapi.PutBuffer(buf)
 	}
@@ -765,20 +760,6 @@ func (e *Engine) Executions() int64 {
 		n += e.classes[i].executions.Load()
 	}
 	return n
-}
-
-// Invalidate drops an experiment's memoized results: the bare-ID entry
-// and every parameterized variant (keys "id?...") — from both tiers: the
-// tier-2 snapshot is rewritten from the post-delete memory tier, so a
-// restart cannot resurrect invalidated entries. It reports whether any
-// entry was present.
-func (e *Engine) Invalidate(id string) bool {
-	n := e.cache.DeletePrefix(id + "?")
-	present := e.cache.Delete(id) || n > 0
-	if present {
-		e.dropOrSaveSnapshot()
-	}
-	return present
 }
 
 // Reset drops every memoized result from both tiers (the tier-2 snapshot

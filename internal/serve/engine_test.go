@@ -247,58 +247,29 @@ func TestEngineRecoversFromCorruptCacheEntry(t *testing.T) {
 	}
 }
 
-func TestEngineInvalidateAndReset(t *testing.T) {
+// Reset drops every memoized result, bare and parameterized: each one
+// re-executes on its next request.
+func TestEngineReset(t *testing.T) {
 	var runs int
 	e := newTestEngine(func(id string) (core.Result, error) {
 		runs++
 		return fakeResult(id), nil
 	})
 	defer e.Close()
-	e.Serve("A")
+	p := core.Params{"bces": 512}
 	e.Serve("B")
-	if !e.Invalidate("A") || e.Invalidate("A") {
-		t.Fatal("Invalidate should report presence exactly once")
-	}
-	e.Serve("A")
-	if runs != 3 {
-		t.Fatalf("runs after invalidate: got %d want 3", runs)
-	}
-	e.Reset()
-	e.Serve("B")
-	if runs != 4 {
-		t.Fatalf("runs after reset: got %d want 4", runs)
-	}
-}
-
-// Invalidate must drop an experiment's parameterized cache entries too —
-// ServeWith folds assignments into keys like "E7?bces=512", which a bare
-// Delete(id) would leave stale — without crossing experiment boundaries
-// (E1 must not invalidate E11).
-func TestEngineInvalidateCoversParameterizedEntries(t *testing.T) {
-	e := newTestEngine(func(id string) (core.Result, error) {
-		return fakeResult(id), nil
-	})
-	defer e.Close()
-	if _, err := e.ServeWith(context.Background(), "E7", core.Params{"bces": 512}); err != nil {
+	if _, err := e.ServeWith(context.Background(), "E7", p); err != nil {
 		t.Fatal(err)
 	}
-	e.Serve("E7")
-	e.Serve("E11")
-	if !e.Invalidate("E7") {
-		t.Fatal("Invalidate found nothing")
+	e.Reset()
+	if r, _ := e.Serve("B"); r.CacheHit {
+		t.Fatal("bare entry survived Reset")
 	}
-	if r, _ := e.ServeWith(context.Background(), "E7", core.Params{"bces": 512}); r.CacheHit {
-		t.Fatal("parameterized E7 entry survived Invalidate")
+	if r, _ := e.ServeWith(context.Background(), "E7", p); r.CacheHit {
+		t.Fatal("parameterized entry survived Reset")
 	}
-	if r, _ := e.Serve("E7"); r.CacheHit {
-		t.Fatal("bare E7 entry survived Invalidate")
-	}
-	if r, _ := e.Serve("E11"); !r.CacheHit {
-		t.Fatal("Invalidate(E7) must not touch other experiments")
-	}
-	e.Invalidate("E1")
-	if r, _ := e.Serve("E11"); !r.CacheHit {
-		t.Fatal("Invalidate(E1) crossed the experiment-ID boundary into E11")
+	if runs != 4 {
+		t.Fatalf("runs after reset: got %d want 4", runs)
 	}
 }
 

@@ -104,7 +104,7 @@ func query(p core.Params) string {
 // hit served from it: the body is the old whole-envelope encoding.
 func TestRunEnvelopeByteIdentity(t *testing.T) {
 	var mu sync.Mutex
-	ran := map[string]core.Result{} // by cache key; a re-run after Invalidate reuses it
+	ran := map[string]core.Result{} // by cache key; a re-run after Delete reuses it
 	e := NewEngine(Config{Workers: 2, RunnerWith: func(ctx context.Context, id string, p core.Params) (core.Result, error) {
 		ex, _ := core.ByID(id)
 		mu.Lock()
@@ -129,7 +129,6 @@ func TestRunEnvelopeByteIdentity(t *testing.T) {
 			variants = append(variants, core.Params{first.Name: first.Default}, nonDefault(ex))
 		}
 		for _, asked := range variants {
-			e.Invalidate(ex.ID) // the explicit default would otherwise hit the no-param entry
 			var resolved core.Params
 			if asked != nil {
 				var err error
@@ -138,6 +137,7 @@ func TestRunEnvelopeByteIdentity(t *testing.T) {
 				}
 			}
 			key := ex.CacheKey(resolved)
+			e.cache.Delete(key) // the explicit default would otherwise hit the no-param entry
 			sawAmpersand = sawAmpersand || bytes.ContainsRune([]byte(key), '&')
 			target := "/v1/run/" + ex.ID + query(asked)
 			for phase, wantTailAfter := range []bool{false, true, true} {
@@ -290,7 +290,7 @@ func TestTailBuiltOnlyByJSONHit(t *testing.T) {
 }
 
 // JSON, bin, text and /batch requests race from cold at the same keys
-// while Invalidate keeps dropping entries under them: every JSON body is
+// while Delete keeps dropping entries under them: every JSON body is
 // still the reference envelope (a tail never outlives or mismatches its
 // payload) and the per-class books balance. Run under -race in CI.
 func TestEnvelopeHammerConservation(t *testing.T) {
@@ -359,7 +359,7 @@ func TestEnvelopeHammerConservation(t *testing.T) {
 					}
 				}
 				if i%16 == g {
-					e.Invalidate(tg.id)
+					e.cache.Delete(tg.want.Key)
 				}
 			}
 		}(g)

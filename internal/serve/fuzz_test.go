@@ -9,6 +9,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"reflect"
@@ -78,14 +79,10 @@ func FuzzIdentOfMatchesResolveKey(f *testing.F) {
 // itself, and every truncation of a valid snapshot decodes to a prefix of
 // its entries.
 func FuzzDecodeSnapshot(f *testing.F) {
-	for _, kvs := range [][]KV{
-		nil,
-		{{Key: "E7", Val: []byte{1, 2, 3}, AddedUnixNano: 1700000000000000000}},
-		{{Key: "", Val: nil, AddedUnixNano: -1}, {Key: "E3?trials=20000", Val: make([]byte, 300), AddedUnixNano: math.MaxInt64},
-			{Key: "E1", Val: []byte("x"), AddedUnixNano: math.MinInt64}},
-	} {
-		f.Add(EncodeSnapshot(kvs))
-	}
+	f.Add(stamped(nil))
+	f.Add(stamped([]KV{{Key: "E7", Val: []byte{1, 2, 3}}}, 1700000000000000000))
+	f.Add(stamped([]KV{{Key: "", Val: nil}, {Key: "E3?trials=20000", Val: make([]byte, 300)}, {Key: "E1", Val: []byte("x")}},
+		-1, math.MaxInt64, math.MinInt64))
 	f.Add([]byte{})
 	f.Add(append(slices.Clone(snapshotMagic), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
 	f.Fuzz(func(t *testing.T, buf []byte) {
@@ -112,6 +109,20 @@ func FuzzDecodeSnapshot(f *testing.F) {
 // kvsPrefix reports whether part is a prefix of kvs, entry for entry.
 func kvsPrefix(kvs, part []KV) bool {
 	return len(part) <= len(kvs) && slices.EqualFunc(part, kvs[:len(part)], func(a, b KV) bool {
-		return a.Key == b.Key && bytes.Equal(a.Val, b.Val) && a.AddedUnixNano == b.AddedUnixNano
+		return a.Key == b.Key && bytes.Equal(a.Val, b.Val)
 	})
+}
+
+// stamped encodes kvs as a snapshot whose reserved varints hold stamps[i],
+// as files that stored each entry's insertion time there do.
+func stamped(kvs []KV, stamps ...int64) []byte {
+	buf := binary.AppendUvarint(slices.Clone(snapshotMagic), uint64(len(kvs)))
+	for i, kv := range kvs {
+		buf = binary.AppendUvarint(buf, uint64(len(kv.Key)))
+		buf = append(buf, kv.Key...)
+		buf = binary.AppendUvarint(buf, uint64(len(kv.Val)))
+		buf = append(buf, kv.Val...)
+		buf = binary.AppendVarint(buf, stamps[i])
+	}
+	return buf
 }

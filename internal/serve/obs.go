@@ -113,11 +113,9 @@ func (e *Engine) buildRegistry() *obs.Registry {
 		func() float64 { return float64(e.cache.Stats().Hits) })
 	r.Counter("arch21_cache_lookup_misses_total", "Cache lookups that found nothing servable.",
 		func() float64 { return float64(e.cache.Stats().Misses) })
-	r.Counter("arch21_cache_expired_total", "Cache entries dropped by TTL expiry.",
-		func() float64 { return float64(e.cache.Stats().Expired) })
 	r.Gauge("arch21_cache_bytes", "Resident slab-arena bytes across shards (headers plus payloads, dead space included until compaction).",
 		func() float64 { return float64(e.cache.Stats().Bytes) })
-	r.Counter("arch21_cache_evicted_total", "Live cache entries evicted by the byte-budget reclaimer (distinct from TTL expiry).",
+	r.Counter("arch21_cache_evicted_total", "Live cache entries evicted by the byte-budget reclaimer.",
 		func() float64 { return float64(e.cache.Stats().Evicted) })
 	r.Gauge("arch21_snapshot_enabled", "Whether the tier-2 disk cache is configured (0 or 1).",
 		func() float64 {

@@ -4,10 +4,13 @@ package serve
 // with the same varint framing the result codec uses. An engine
 // configured with a SnapshotPath loads the snapshot on boot (warm start:
 // previously computed results serve as cache hits across restarts) and
-// rewrites it on SaveSnapshot, Invalidate, and Reset, so the disk tier
-// can never resurrect an entry the in-memory tier dropped on purpose. A
-// corrupt or truncated snapshot is not fatal: the readable prefix loads,
-// the rest is skipped, and the next save rewrites the file whole.
+// rewrites it on SaveSnapshot and Reset, so the disk tier can never
+// resurrect an entry the in-memory tier dropped on purpose. A corrupt or
+// truncated snapshot is not fatal: the readable prefix loads, the rest is
+// skipped, and the next save rewrites the file whole. Each record ends in
+// a reserved varint, written 0 and ignored on read: it once held the
+// entry's insertion time, and keeping it keeps the format byte-compatible
+// until the next format version drops it.
 
 import (
 	"encoding/binary"
@@ -27,8 +30,7 @@ var ErrSnapshotCorrupt = errors.New("serve: corrupt snapshot")
 
 // EncodeSnapshot serializes cache entries: magic, uvarint count, then
 // per entry a length-prefixed key, a length-prefixed payload, and the
-// entry's insertion timestamp (varint unix nanos — preserved so TTLs
-// span restarts).
+// reserved varint (0).
 func EncodeSnapshot(kvs []KV) []byte {
 	buf := append([]byte(nil), snapshotMagic...)
 	var tmp [binary.MaxVarintLen64]byte
@@ -42,8 +44,7 @@ func EncodeSnapshot(kvs []KV) []byte {
 		buf = append(buf, kv.Key...)
 		put(uint64(len(kv.Val)))
 		buf = append(buf, kv.Val...)
-		n := binary.PutVarint(tmp[:], kv.AddedUnixNano)
-		buf = append(buf, tmp[:n]...)
+		buf = append(buf, 0) // the reserved varint
 	}
 	return buf
 }
@@ -87,12 +88,13 @@ func DecodeSnapshot(buf []byte) ([]KV, error) {
 		if !ok {
 			return kvs, fmt.Errorf("%w: truncated at entry %d of %d", ErrSnapshotCorrupt, i, count)
 		}
-		added, n := binary.Varint(buf[off:])
+		// The reserved varint: parsed so a cut inside it is still seen.
+		_, n := binary.Varint(buf[off:])
 		if n <= 0 {
 			return kvs, fmt.Errorf("%w: truncated at entry %d of %d", ErrSnapshotCorrupt, i, count)
 		}
 		off += n
-		kvs = append(kvs, KV{Key: string(key), Val: append([]byte(nil), val...), AddedUnixNano: added})
+		kvs = append(kvs, KV{Key: string(key), Val: append([]byte(nil), val...)})
 	}
 	if off != len(buf) {
 		return kvs, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, len(buf)-off)

@@ -3,7 +3,7 @@ package serve
 // Tier-2 snapshot tests: codec round-trips, corrupt/truncated files are
 // skipped rather than fatal, invalidation coherence across tiers, and
 // race tests driving concurrent snapshot writes against serve traffic
-// and Invalidate while the hits+misses==gets conservation law must keep
+// and deletions while the hits+misses==gets conservation law must keep
 // holding.
 
 import (
@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/report"
@@ -37,8 +36,8 @@ func newSnapEngine(path string, runs *atomic.Int64) *Engine {
 
 func TestSnapshotCodecRoundTrip(t *testing.T) {
 	kvs := []KV{
-		{Key: "E1", Val: snapResult("E1").Encode(), AddedUnixNano: 1234567890},
-		{Key: "E7?bces=64&f=0.99", Val: snapResult("E7").Encode(), AddedUnixNano: -5},
+		{Key: "E1", Val: snapResult("E1").Encode()},
+		{Key: "E7?bces=64&f=0.99", Val: snapResult("E7").Encode()},
 		{Key: "empty", Val: []byte{}},
 	}
 	got, err := DecodeSnapshot(EncodeSnapshot(kvs))
@@ -49,14 +48,18 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost entries: %d vs %d", len(got), len(kvs))
 	}
 	for i := range kvs {
-		if got[i].Key != kvs[i].Key || string(got[i].Val) != string(kvs[i].Val) ||
-			got[i].AddedUnixNano != kvs[i].AddedUnixNano {
+		if got[i].Key != kvs[i].Key || string(got[i].Val) != string(kvs[i].Val) {
 			t.Fatalf("entry %d mismatch: %+v vs %+v", i, got[i], kvs[i])
 		}
 	}
 	// Empty snapshot round-trips too.
 	if got, err := DecodeSnapshot(EncodeSnapshot(nil)); err != nil || len(got) != 0 {
 		t.Fatalf("empty round trip: %v %v", got, err)
+	}
+	// Records whose reserved varint is not 0 (files that stored an
+	// insertion time there) decode all the same.
+	if got, err := DecodeSnapshot(stamped(kvs, 1234567890, -5, 0)); err != nil || !kvsPrefix(kvs, got) || len(got) != len(kvs) {
+		t.Fatalf("records with non-zero reserved fields: %+v %v", got, err)
 	}
 }
 
@@ -167,10 +170,14 @@ func TestSnapshotInvalidationCoherence(t *testing.T) {
 	if err := e.SaveSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	// Invalidate X1: both tiers must forget it — a restart cannot
-	// resurrect the invalidated entry from disk.
-	if !e.Invalidate("X1") {
-		t.Fatal("Invalidate should report the entry was present")
+	// Reset: both tiers must forget X1 — a restart cannot resurrect the
+	// dropped entry from disk. X2 is served again and saved after it.
+	e.Reset()
+	if _, err := e.Serve("X2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SaveSnapshot(); err != nil {
+		t.Fatal(err)
 	}
 	e.Close()
 
@@ -185,7 +192,7 @@ func TestSnapshotInvalidationCoherence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resp.CacheHit {
-		t.Fatal("invalidated X1 resurrected from the tier-2 snapshot")
+		t.Fatal("X1, dropped by Reset, resurrected from the tier-2 snapshot")
 	}
 	if runs.Load() != 1 {
 		t.Fatalf("X1 should re-execute exactly once, ran %d", runs.Load())
@@ -211,50 +218,9 @@ func TestSnapshotResetCoherence(t *testing.T) {
 	}
 }
 
-// A warm start must preserve entry age: with a TTL configured, an entry
-// snapshot at age A and restored after the TTL has lapsed is expired on
-// first access, not granted a fresh lease.
-func TestSnapshotPreservesTTLAgeAcrossRestart(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.snap")
-	var runs atomic.Int64
-	mk := func() *Engine {
-		return NewEngine(Config{Shards: 4, Workers: 2, TTL: 50 * time.Millisecond,
-			SnapshotPath: path,
-			RunnerWith: byID(func(id string) (core.Result, error) {
-				runs.Add(1)
-				return snapResult(id), nil
-			})})
-	}
-	e := mk()
-	if _, err := e.Serve("X1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SaveSnapshot(); err != nil {
-		t.Fatal(err)
-	}
-	e.Close()
-
-	time.Sleep(80 * time.Millisecond) // TTL lapses while "down"
-	e2 := mk()
-	defer e2.Close()
-	if m := e2.Metrics(); m.Snapshot.Loaded != 1 {
-		t.Fatalf("warm start loaded %d entries, want 1", m.Snapshot.Loaded)
-	}
-	resp, err := e2.Serve("X1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.CacheHit {
-		t.Fatal("entry older than its TTL was served as a hit after restart — restart renewed the lease")
-	}
-	if runs.Load() != 2 {
-		t.Fatalf("expired warm entry should re-execute, ran %d", runs.Load())
-	}
-}
-
 // A failing snapshot write must be surfaced (error + SaveFails counter),
-// and an invalidation whose coherence rewrite fails must still succeed
-// in-memory — with the disk tier dropped rather than left stale.
+// and a Reset whose coherence rewrite fails must still succeed in memory
+// — with the disk tier dropped rather than left stale.
 func TestSnapshotSaveFailureIsCountedAndCoherent(t *testing.T) {
 	dir := t.TempDir()
 	// The snapshot's parent "directory" is a plain file, so every write
@@ -271,8 +237,9 @@ func TestSnapshotSaveFailureIsCountedAndCoherent(t *testing.T) {
 	if err := e.SaveSnapshot(); err == nil {
 		t.Fatal("save into a non-directory should error")
 	}
-	if !e.Invalidate("X1") {
-		t.Fatal("Invalidate must still drop the memory tier when the disk tier is unwritable")
+	e.Reset()
+	if r, err := e.Serve("X1"); err != nil || r.CacheHit {
+		t.Fatalf("Reset must still drop the memory tier when the disk tier is unwritable: %v %+v", err, r)
 	}
 	m := e.Metrics()
 	if m.Snapshot.SaveFails < 2 {
@@ -283,7 +250,7 @@ func TestSnapshotSaveFailureIsCountedAndCoherent(t *testing.T) {
 	}
 }
 
-// The two-tier race: serve traffic, snapshot saves, and Invalidate all
+// The two-tier race: serve traffic, snapshot saves, and deletions all
 // run concurrently; afterwards the cache conservation law hits+misses ==
 // gets must still hold, and the snapshot file must be a clean decode.
 func TestSnapshotConcurrencyPreservesConservationLaw(t *testing.T) {
@@ -309,7 +276,7 @@ func TestSnapshotConcurrencyPreservesConservationLaw(t *testing.T) {
 						return
 					}
 				case g == 1 && i%25 == 0:
-					e.Invalidate(fmt.Sprintf("K%d", i%7))
+					e.cache.Delete(fmt.Sprintf("K%d", i%7))
 				default:
 					if _, err := e.Serve(fmt.Sprintf("K%d", i%7)); err != nil {
 						t.Errorf("Serve: %v", err)
@@ -322,7 +289,7 @@ func TestSnapshotConcurrencyPreservesConservationLaw(t *testing.T) {
 	wg.Wait()
 
 	// The engine-level conservation law must survive snapshot writes and
-	// invalidations racing with traffic: every request is classified into
+	// deletions racing with traffic: every request is classified into
 	// exactly one of hit, deduped, or execution.
 	m := e.Metrics()
 	if m.Requests == 0 || m.Cache.Hits+m.Cache.Misses == 0 {
