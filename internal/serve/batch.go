@@ -73,9 +73,9 @@ func (e *Engine) ServeEncodedBatchInto(ctx context.Context, items []BatchItem, b
 	clear(out)
 	var missIdx []int
 	tb := e.tenantBook(ctx)
-	// One clock read serves the whole warm scan: items in one frame
-	// share an arrival time, and a slab read is microseconds — per-item
-	// Now calls were measurable on the routed hit path, the precision is not.
+	// One clock read at the frame's arrival and one at each hit's end: a
+	// held value, as the single-request door keeps (clockIn), would mix
+	// latencies from different frame positions; a read is ~1 % of an entry.
 	t0 := e.now()
 	for i := range items {
 		it := &items[i]
@@ -107,7 +107,7 @@ func (e *Engine) ServeEncodedBatchInto(ctx context.Context, items []BatchItem, b
 // batchHit answers item it from the cache when its key is there, booked
 // by serveHit, into o.
 func (e *Engine) batchHit(tb *tenantCounters, it *BatchItem, key string, p core.Params, t0 time.Duration, o *BatchOutcome) bool {
-	raw, tail, lat, ok := e.serveHit(tb, it.Class, key, t0, nil)
+	raw, tail, lat, ok := e.serveHit(tb, it.Class, key, procID(), nil, t0, nil)
 	if ok {
 		o.RawResponse = RawResponse{ID: it.ID, Params: p, Key: key,
 			Class: it.Class, Raw: raw, CacheHit: true, Latency: lat, tail: tail}
@@ -185,7 +185,7 @@ func (m *missPass) work(lead bool) {
 		if m.ctxClass != it.Class {
 			ictx = admit.WithClass(m.ctx, it.Class)
 		}
-		rr, err := m.e.serveMissRaw(ictx, it.Class, it.ID, key, params, m.e.now())
+		rr, err := m.e.serveMissRaw(ictx, it.Class, it.ID, key, params, untimed)
 		if err != nil {
 			m.out[i] = BatchOutcome{Err: err}
 			continue

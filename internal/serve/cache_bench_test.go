@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/admit"
 	"repro/internal/core"
 	"repro/internal/stats"
 )
@@ -137,7 +138,8 @@ var benchMixSet = []struct {
 // in-process callers get). The gap between the two is the decode cost.
 // mix is the repository benchmark's engine-warm in-tree: its hot set on
 // the real registry, through a default engine, each goroutine on its own
-// pre-drawn Zipf(1.1) sequence.
+// pre-drawn Zipf(1.1) sequence; tenant is mix with Config.Tenants set and
+// one tenant on every request.
 func BenchmarkEngineWarmHit(b *testing.B) {
 	e := bootBenchEngine(b)
 	defer e.Close()
@@ -164,37 +166,45 @@ func BenchmarkEngineWarmHit(b *testing.B) {
 			}
 		}
 	})
-	b.Run("mix", func(b *testing.B) {
-		e := NewEngine(Config{})
-		defer e.Close()
-		for _, v := range benchMixSet {
-			if _, err := e.ServeEncoded(ctx, v.id, v.p); err != nil {
-				b.Fatal(err)
+	b.Run("mix", func(b *testing.B) { benchWarmMix(ctx, b, Config{}) })
+	b.Run("tenant", func(b *testing.B) {
+		benchWarmMix(admit.WithTenant(ctx, "tA"), b, Config{Tenants: []string{"tA"}})
+	})
+}
+
+// benchWarmMix serves the engine-warm hot set through an engine built from
+// cfg, every request under ctx (tenant: the same mix with one tenant on
+// every request).
+func benchWarmMix(ctx context.Context, b *testing.B, cfg Config) {
+	e := NewEngine(cfg)
+	defer e.Close()
+	for _, v := range benchMixSet {
+		if _, err := e.ServeEncoded(ctx, v.id, v.p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const drawLen = 1 << 12
+	draws := make([][]uint8, runtime.GOMAXPROCS(0))
+	z := stats.NewZipf(len(benchMixSet), 1.1)
+	for g := range draws {
+		rng := stats.NewRNG(uint64(g + 1))
+		draws[g] = make([]uint8, drawLen)
+		for i := range draws[g] {
+			draws[g][i] = uint8(z.Rank(rng) - 1)
+		}
+	}
+	var clients atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		d := draws[int(clients.Add(1)-1)%len(draws)]
+		for i := 0; pb.Next(); i++ {
+			v := &benchMixSet[d[i%drawLen]]
+			if rr, err := e.ServeEncoded(ctx, v.id, v.p); err != nil || !rr.CacheHit {
+				b.Errorf("warm ServeEncoded(%s): hit=%v err=%v", v.id, rr.CacheHit, err)
+				return
 			}
 		}
-		const drawLen = 1 << 12
-		draws := make([][]uint8, runtime.GOMAXPROCS(0))
-		z := stats.NewZipf(len(benchMixSet), 1.1)
-		for g := range draws {
-			rng := stats.NewRNG(uint64(g + 1))
-			draws[g] = make([]uint8, drawLen)
-			for i := range draws[g] {
-				draws[g][i] = uint8(z.Rank(rng) - 1)
-			}
-		}
-		var clients atomic.Int64
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			d := draws[int(clients.Add(1)-1)%len(draws)]
-			for i := 0; pb.Next(); i++ {
-				v := &benchMixSet[d[i%drawLen]]
-				if rr, err := e.ServeEncoded(ctx, v.id, v.p); err != nil || !rr.CacheHit {
-					b.Errorf("warm ServeEncoded(%s): hit=%v err=%v", v.id, rr.CacheHit, err)
-					return
-				}
-			}
-		})
 	})
 }
 

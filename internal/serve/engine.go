@@ -112,10 +112,23 @@ func (c *classCounters) requests() int64 { return c.hits() + c.misses.Load() }
 // deduped/executed requests are accounted under its class; the tenant
 // plane answers "who is driving the traffic and who is being shed".
 type tenantCounters struct {
-	requests atomic.Int64
-	hits     atomic.Int64
-	sheds    atomic.Int64
+	hits   atomic.Int64
+	misses atomic.Int64 // as classCounters': requests is hits + misses
+	sheds  atomic.Int64
 }
+
+func (t *tenantCounters) requests() int64 { return t.hits.Load() + t.misses.Load() }
+
+// hitClock is one processor's clock line: an arrival count and the last
+// measured hit latency in ns (0: none yet). About one arrival in hitSample
+// reads the clock (clockIn): a read, ~50 ns, is a sixth of a warm hit.
+type hitClock struct {
+	n    atomic.Uint64
+	last atomic.Int64
+	_    [64 - 16]byte
+}
+
+const hitSample, untimed = 16, time.Duration(-1) // untimed: the t0 of an arrival that read no clock
 
 // Engine serves experiment results concurrently: cache first, then
 // singleflight-deduplicated execution on the class-based admission
@@ -140,6 +153,7 @@ type Engine struct {
 	snapLastSave  atomic.Int64 // unix nanos
 
 	classes [2]classCounters
+	clocks  []hitClock // one per processor, sized and indexed like the slab's reader stripes
 
 	// tenants/tenantBooks are the per-tenant accounting plane: nil/empty
 	// unless Config.Tenants was set. Books are indexed by the bounded
@@ -189,7 +203,8 @@ type Response struct {
 	// Shared reports whether this request piggybacked on another
 	// caller's in-flight execution (singleflight).
 	Shared bool
-	// Latency is the request's wall time inside the engine.
+	// Latency is the request's wall time inside the engine; a warm hit is
+	// timed once in 16 per processor, the rest report its last measured hit.
 	Latency time.Duration
 }
 
@@ -212,7 +227,8 @@ type RawResponse struct {
 	// CacheHit and Shared mirror Response.
 	CacheHit bool
 	Shared   bool
-	// Latency is the request's wall time inside the engine.
+	// Latency is the request's wall time inside the engine; a warm hit is
+	// timed once in 16 per processor, the rest report its last measured hit.
 	Latency time.Duration
 	// tail is the entry's memoized /run envelope tail (see runTail), nil
 	// when none is attached yet; set by serveHit on a cache hit only, and
@@ -266,6 +282,7 @@ func NewEngine(cfg Config) *Engine {
 		started:  time.Now(),
 		events:   obs.NewEvents(0),
 	}
+	e.clocks = make([]hitClock, len(e.cache.shards[0].stripes))
 	for i := range e.classes {
 		e.classes[i].hit = stats.NewAtomicHistogram(nil)
 		e.classes[i].cold = stats.NewAtomicHistogram(nil)
@@ -352,34 +369,22 @@ func (e *Engine) Serve(id string) (Response, error) {
 // ServeWith is ServeEncoded plus one decode at the edge. The decode is
 // also the payload check serveHit takes: a cached entry that does not
 // decode is deleted, and the request is served — and booked — as the miss
-// it is. It takes ServeEncoded's steps instead of calling it because the
-// check must run before the hit is booked.
+// it is.
 func (e *Engine) ServeWith(ctx context.Context, id string, p core.Params) (Response, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	t0 := e.now()
-	class := admit.ClassFrom(ctx)
-	key, resolved, err := identKey(id, p)
-	if err != nil {
-		return Response{}, err
-	}
 	var res core.Result
-	if _, _, lat, ok := e.serveHit(e.tenantBook(ctx), class, key, t0, func(raw []byte) bool {
-		res, err = core.DecodeResult(raw)
-		return err == nil
-	}); ok {
-		return Response{ID: id, Params: resolved, Key: key, Class: class,
-			Result: res, CacheHit: true, Latency: lat}, nil
-	}
-	rr, err := e.serveMissRaw(ctx, class, id, key, resolved, t0)
-	if err == nil {
+	decoded := false
+	rr, err := e.serveEncoded(ctx, id, p, func(raw []byte) bool {
+		r, derr := core.DecodeResult(raw)
+		res, decoded = r, derr == nil
+		return decoded
+	})
+	if err == nil && !decoded {
 		res, err = core.DecodeResult(rr.Raw)
 	}
 	if err != nil {
 		return Response{}, err
 	}
-	return Response{ID: id, Params: resolved, Key: key, Class: class,
+	return Response{ID: id, Params: rr.Params, Key: rr.Key, Class: rr.Class,
 		Result: res, CacheHit: rr.CacheHit, Shared: rr.Shared, Latency: rr.Latency}, nil
 }
 
@@ -399,34 +404,47 @@ func (e *Engine) ServeWith(ctx context.Context, id string, p core.Params) (Respo
 // stops the underlying experiment at its next iteration boundary — cache
 // hits are served regardless, since they cost microseconds).
 func (e *Engine) ServeEncoded(ctx context.Context, id string, p core.Params) (RawResponse, error) {
+	return e.serveEncoded(ctx, id, p, nil)
+}
+
+// serveEncoded is ServeEncoded with serveHit's payload check valid.
+func (e *Engine) serveEncoded(ctx context.Context, id string, p core.Params, valid func([]byte) bool) (RawResponse, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	t0 := e.now()
+	proc, hc, t0 := e.clockIn()
 	class := admit.ClassFrom(ctx)
 	key, resolved, err := identKey(id, p)
 	if err != nil {
 		return RawResponse{}, err
 	}
-	if raw, tail, lat, ok := e.serveHit(e.tenantBook(ctx), class, key, t0, nil); ok {
+	if raw, tail, lat, ok := e.serveHit(e.tenantBook(ctx), class, key, proc, hc, t0, valid); ok {
 		return RawResponse{ID: id, Params: resolved, Key: key, Class: class,
 			Raw: raw, CacheHit: true, Latency: lat, tail: tail}, nil
 	}
 	return e.serveMissRaw(ctx, class, id, key, resolved, t0)
 }
 
-// serveHit is where every entry point books a validated request, and
-// answers it when the cache holds its key: the tenant's requests, and on a
-// hit its hits and the hit observation, returning the entry's payload and
-// memoized /run tail and the request's latency since t0. A miss (false)
-// goes on to serveMissRaw. valid, when non-nil, checks the cached payload;
-// one that fails is deleted and the request is a miss. The response is
-// the caller's to build: returned whole, it costs the hit a copy.
-func (e *Engine) serveHit(tb *tenantCounters, class admit.Class, key string, t0 time.Duration, valid func([]byte) bool) (raw, tail []byte, lat time.Duration, ok bool) {
-	if tb != nil {
-		tb.requests.Add(1)
+// clockIn ticks its processor's clock line and returns the processor, the
+// line and t0: the clock for the line's first arrival, each hitSample-th
+// after it and any while the line has no measured hit, else untimed.
+func (e *Engine) clockIn() (int, *hitClock, time.Duration) {
+	p := procID()
+	hc := &e.clocks[p&(len(e.clocks)-1)]
+	if (hc.n.Add(1)-1)%hitSample == 0 || hc.last.Load() == 0 {
+		return p, hc, e.now()
 	}
-	p := procID() // one read picks both the slab's reader stripe and the histogram's
+	return p, hc, untimed
+}
+
+// serveHit answers a validated request when the cache holds its key,
+// booking the tenant's hit and the hit observation on processor p's
+// stripes, and returns the entry's payload and /run tail and the latency:
+// since t0 (stored on the clock line hc, if any), or hc's when untimed. A
+// miss (false) goes on to serveMissRaw. valid, when non-nil, checks the
+// payload; one that fails is deleted and the request is a miss. The
+// response is the caller's to build: returned whole, it costs the hit a copy.
+func (e *Engine) serveHit(tb *tenantCounters, class admit.Class, key string, p int, hc *hitClock, t0 time.Duration, valid func([]byte) bool) (raw, tail []byte, lat time.Duration, ok bool) {
 	if raw, tail, ok = e.cache.getWithAux(key, p); !ok {
 		return nil, nil, 0, false
 	}
@@ -437,7 +455,11 @@ func (e *Engine) serveHit(tb *tenantCounters, class admit.Class, key string, t0 
 	if tb != nil {
 		tb.hits.Add(1)
 	}
-	lat = e.now() - t0
+	if t0 == untimed {
+		lat = time.Duration(hc.last.Load())
+	} else if lat = e.now() - t0; hc != nil {
+		hc.last.Store(int64(lat))
+	}
 	e.observe(class, true, lat, p)
 	return raw, tail, lat, true
 }
@@ -480,11 +502,17 @@ func resolveKey(id string, p core.Params) (string, core.Params, error) {
 // (leader whose task ran, even to an error), or shed (leader rejected at
 // admission or canceled before start). class is ctx's class, which every
 // caller has already read: the scheduler takes it from ctx, the books from
-// the argument.
+// the argument. An untimed t0 reads the clock here.
 func (e *Engine) serveMissRaw(ctx context.Context, class admit.Class, id, key string, p core.Params, t0 time.Duration) (RawResponse, error) {
+	if t0 == untimed {
+		t0 = e.now()
+	}
 	cc := &e.classes[class]
 	cc.misses.Add(1)
 	tb := e.tenantBook(ctx)
+	if tb != nil {
+		tb.misses.Add(1)
+	}
 	var leaderHit, executed bool
 	raw, err, shared := e.fg.Do(key, func() ([]byte, error) {
 		// A caller can become flight leader just after the previous
@@ -535,6 +563,7 @@ func (e *Engine) serveMissRaw(ctx context.Context, class admit.Class, id, key st
 	if leaderHit { // served from the cache after all: a hit, not a miss
 		cc.misses.Add(-1)
 		if tb != nil {
+			tb.misses.Add(-1)
 			tb.hits.Add(1)
 		}
 	}
@@ -563,8 +592,8 @@ const maxScratch = 64 << 10
 // read where time.Now is two (wall and monotonic).
 func (e *Engine) now() time.Duration { return time.Since(e.started) }
 
-// observe records one served request — a hit's only write to the books —
-// on processor p's histogram stripe (procID), whose lines stay on one core.
+// observe records one served request on processor p's histogram stripe
+// (procID), whose lines stay on one core.
 func (e *Engine) observe(class admit.Class, hit bool, lat time.Duration, p int) {
 	h := e.classes[class].cold
 	if hit {
@@ -743,7 +772,7 @@ func (e *Engine) Metrics() Metrics {
 		for i := range e.tenantBooks {
 			tb := &e.tenantBooks[i]
 			m.Tenants[e.tenants.Value(i)] = TenantMetrics{
-				Requests:  tb.requests.Load(),
+				Requests:  tb.requests(),
 				CacheHits: tb.hits.Load(),
 				Sheds:     tb.sheds.Load(),
 			}

@@ -75,7 +75,7 @@ func (e *Engine) buildRegistry() *obs.Registry {
 		e.classCounterVec(func(c *classCounters) int64 { return c.sheds.Load() }))
 	le, outcomes := stats.DefaultLatencyBuckets(), []string{"hit", "cold"}
 	r.Histogram("arch21_request_duration_seconds",
-		"Request latency by class and outcome (hit: served from cache; cold: executed or deduplicated).",
+		"Request latency by class and outcome (hit: served from cache; cold: executed or deduplicated). Counts are exact; hit latencies are sampled: a single request's warm hit is timed once in 16 per processor, and the hits between repeat that processor's last measured hit.",
 		[]string{"class", "outcome"}, func() []obs.HistSample {
 			out := make([]obs.HistSample, 0, 2*len(e.classes))
 			for _, class := range admit.Classes() {
@@ -140,7 +140,7 @@ func (e *Engine) buildRegistry() *obs.Registry {
 		r.Gauge("arch21_tenants", "Configured tenant vocabulary size, including the \"other\" overflow bucket.",
 			func() float64 { return float64(e.tenants.Len()) })
 		r.CounterVec("arch21_tenant_requests_total", "Validated requests by tenant (unlisted and untagged tenants fold into \"other\").", []string{"tenant"},
-			e.tenantCounterVec(func(t *tenantCounters) int64 { return t.requests.Load() }))
+			e.tenantCounterVec(func(t *tenantCounters) int64 { return t.requests() }))
 		r.CounterVec("arch21_tenant_cache_hits_total", "Requests answered from cache, by tenant.", []string{"tenant"},
 			e.tenantCounterVec(func(t *tenantCounters) int64 { return t.hits.Load() }))
 		r.CounterVec("arch21_tenant_sheds_total", "Requests rejected at admission, by tenant.", []string{"tenant"},
