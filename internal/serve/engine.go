@@ -203,8 +203,8 @@ type Response struct {
 	// Shared reports whether this request piggybacked on another
 	// caller's in-flight execution (singleflight).
 	Shared bool
-	// Latency is the request's wall time inside the engine; a warm hit is
-	// timed once in 16 per processor, the rest report its last measured hit.
+	// Latency is the request's wall time inside the engine, except that an
+	// untimed warm hit (about 15 in 16) reports its processor's last measured hit.
 	Latency time.Duration
 }
 
@@ -227,8 +227,9 @@ type RawResponse struct {
 	// CacheHit and Shared mirror Response.
 	CacheHit bool
 	Shared   bool
-	// Latency is the request's wall time inside the engine; a warm hit is
-	// timed once in 16 per processor, the rest report its last measured hit.
+	// Latency is the request's wall time inside the engine, except that an
+	// untimed ServeEncoded hit (about 15 in 16; a batch times every hit)
+	// reports its processor's last measured hit.
 	Latency time.Duration
 	// tail is the entry's memoized /run envelope tail (see runTail), nil
 	// when none is attached yet; set by serveHit on a cache hit only, and
