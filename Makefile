@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check vet test race docs-check check bench bench-compare bench-hop bench-engine \
+.PHONY: all build fmt-check vet test race docs-check deadcode check bench bench-compare bench-hop bench-engine \
 	loadtest loadtest-colocation loadtest-smoke cover size lint metrics-smoke \
 	fuzz fuzz-smoke chaos-smoke clean
 
@@ -31,8 +31,14 @@ race:
 docs-check:
 	$(GO) test -run '^Test(RegistryMatchesDesignDoc|ParamDefaultsValidate|EveryPackageHasGodoc|\w+Docs\w*)$$' -v .
 
+# deadcode fails, naming each one, on any top-level declaration that only
+# tests reach: the module is type-checked from source with the standard
+# library, and bench/ and the root harness count as callers.
+deadcode:
+	$(GO) test -run '^TestNoDeadCode$$' -v .
+
 # check is what CI runs.
-check: fmt-check vet build docs-check race
+check: fmt-check vet build docs-check deadcode race
 
 # The repository benchmark (bench/, BENCHMARK.json) is the one perf
 # instrument. W names its workloads (default: all five); each run builds

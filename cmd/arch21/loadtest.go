@@ -260,7 +260,7 @@ func runChaos(duration time.Duration, replicas, clients, workers int, seed uint6
 		}
 		fmt.Printf("wrote %s\n", jsonOut)
 	}
-	if failed > 0 {
+	if !res.Passed() {
 		fmt.Fprintf(os.Stderr, "arch21: chaos: %d invariant check(s) failed\n", failed)
 		os.Exit(1)
 	}

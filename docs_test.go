@@ -234,7 +234,7 @@ func TestParamDefaultsValidate(t *testing.T) {
 			seen[s.Name] = true
 		}
 		// Resolution of the empty assignment must succeed for every
-		// experiment (this is what Serve(id) runs).
+		// experiment (this is what a bare-ID request runs).
 		if _, err := e.ResolveParams(nil); err != nil {
 			t.Errorf("%s: ResolveParams(nil): %v", e.ID, err)
 		}

@@ -1,8 +1,7 @@
-// Package accel models hardware specialization: accelerator
-// speedup/efficiency specs, coverage-limited chip-level gains (Amdahl for
-// accelerators), non-recurring-engineering (NRE) amortization across
-// ASIC/FPGA/CGRA implementation points, and a dark-silicon area/power
-// allocator.
+// Package accel models hardware specialization: the specialization factor,
+// coverage-limited chip-level energy gains (Amdahl for accelerators),
+// non-recurring-engineering (NRE) crossovers between ASIC/FPGA/CGRA
+// implementation points, and a dark-silicon area/power allocator.
 //
 // It quantifies the paper's §2.2 "Enabling Specialization" claims: ~100×
 // energy efficiency from stripping general-purpose overheads, limited today
@@ -17,21 +16,6 @@ import (
 	"repro/internal/units"
 )
 
-// Accelerator describes a fixed-function or semi-programmable unit.
-type Accelerator struct {
-	// Name identifies the unit.
-	Name string
-	// Kernel is the workload kernel it accelerates.
-	Kernel string
-	// Speedup is throughput versus one general-purpose core on Kernel.
-	Speedup float64
-	// EnergyEff is energy-efficiency gain versus the GP core on Kernel
-	// (ops/J ratio).
-	EnergyEff float64
-	// AreaBCE is area in base-core equivalents.
-	AreaBCE float64
-}
-
 // SpecializationFactor computes the energy-efficiency gain of a hardwired
 // datapath over a general-purpose instruction for an op of the given
 // datapath energy, from the shared energy table: everything the pipeline
@@ -40,19 +24,9 @@ func SpecializationFactor(tbl energy.Table, op units.Energy) float64 {
 	return float64(tbl.GPInstruction(op)) / float64(tbl.AccelOp(op))
 }
 
-// CoveredSpeedup is the accelerator-Amdahl law: with coverage c of the
-// workload accelerated at factor s (rest on the GP core at 1), overall
-// speedup is 1/((1-c) + c/s).
-func CoveredSpeedup(c, s float64) float64 {
-	checkCoverage(c)
-	if s <= 0 {
-		panic("accel: non-positive speedup")
-	}
-	return 1 / ((1 - c) + c/s)
-}
-
-// CoveredEnergyGain is the chip-level energy-efficiency gain with coverage
-// c accelerated at energy-efficiency factor e.
+// CoveredEnergyGain is the accelerator-Amdahl law for energy: with coverage
+// c of the workload accelerated at energy-efficiency factor e (rest on the
+// GP core at 1), the chip-level gain is 1/((1-c) + c/e).
 func CoveredEnergyGain(c, e float64) float64 {
 	checkCoverage(c)
 	if e <= 0 {
@@ -92,27 +66,6 @@ func StandardImplPoints() []ImplPoint {
 		{Name: "fpga", NRE: 2e5, UnitCost: 30, EnergyEff: 10},
 		{Name: "gp", NRE: 0, UnitCost: 20, EnergyEff: 1},
 	}
-}
-
-// CostPerUnit amortizes NRE over a production volume.
-func (p ImplPoint) CostPerUnit(volume float64) float64 {
-	if volume <= 0 {
-		panic("accel: non-positive volume")
-	}
-	return p.NRE/volume + p.UnitCost
-}
-
-// CheapestAt returns the implementation point with the lowest per-unit cost
-// at the given volume (ties break toward higher efficiency).
-func CheapestAt(points []ImplPoint, volume float64) ImplPoint {
-	best := points[0]
-	for _, p := range points[1:] {
-		c, bc := p.CostPerUnit(volume), best.CostPerUnit(volume)
-		if c < bc || (c == bc && p.EnergyEff > best.EnergyEff) {
-			best = p
-		}
-	}
-	return best
 }
 
 // CrossoverVolume returns the volume at which a's per-unit cost drops to

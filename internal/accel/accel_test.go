@@ -16,21 +16,6 @@ func TestSpecializationFactorIs100xClass(t *testing.T) {
 	}
 }
 
-func TestCoveredSpeedupLimits(t *testing.T) {
-	// Full coverage: the accelerator's raw factor.
-	if s := CoveredSpeedup(1, 100); math.Abs(s-100) > 1e-9 {
-		t.Fatalf("full coverage = %v", s)
-	}
-	// No coverage: 1.
-	if s := CoveredSpeedup(0, 100); math.Abs(s-1) > 1e-9 {
-		t.Fatalf("no coverage = %v", s)
-	}
-	// 90% coverage at infinite-ish speedup caps at 10x: coverage rules.
-	if s := CoveredSpeedup(0.9, 1e9); math.Abs(s-10) > 1e-3 {
-		t.Fatalf("90%% coverage cap = %v, want ~10", s)
-	}
-}
-
 func TestCoveredEnergyGain(t *testing.T) {
 	// The paper's coverage problem: a 100x-efficient accelerator covering
 	// half the work yields barely 2x chip-level gain.
@@ -38,13 +23,25 @@ func TestCoveredEnergyGain(t *testing.T) {
 	if g < 1.9 || g > 2.1 {
 		t.Fatalf("half-coverage energy gain = %v, want ~2", g)
 	}
+	// Full coverage: the accelerator's raw factor.
+	if g := CoveredEnergyGain(1, 100); math.Abs(g-100) > 1e-9 {
+		t.Fatalf("full coverage = %v", g)
+	}
+	// No coverage: 1.
+	if g := CoveredEnergyGain(0, 100); math.Abs(g-1) > 1e-9 {
+		t.Fatalf("no coverage = %v", g)
+	}
+	// 90% coverage at infinite-ish efficiency caps at 10x: coverage rules.
+	if g := CoveredEnergyGain(0.9, 1e9); math.Abs(g-10) > 1e-3 {
+		t.Fatalf("90%% coverage cap = %v, want ~10", g)
+	}
 }
 
 func TestCoverageChecks(t *testing.T) {
 	for i, f := range []func(){
-		func() { CoveredSpeedup(-0.1, 10) },
-		func() { CoveredSpeedup(1.1, 10) },
-		func() { CoveredSpeedup(0.5, 0) },
+		func() { CoveredEnergyGain(-0.1, 10) },
+		func() { CoveredEnergyGain(1.1, 10) },
+		func() { CoveredEnergyGain(0.5, 0) },
 		func() { CoveredEnergyGain(0.5, -1) },
 	} {
 		func() {
@@ -68,38 +65,12 @@ func TestQuickCoveredMonotone(t *testing.T) {
 			c1, c2 = c2, c1
 		}
 		s := 1 + float64(sRaw)
-		g1, g2 := CoveredSpeedup(c1, s), CoveredSpeedup(c2, s)
+		g1, g2 := CoveredEnergyGain(c1, s), CoveredEnergyGain(c2, s)
 		return g1 <= g2+1e-9 && g2 <= s+1e-9 && g1 >= 1-1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestNREAmortization(t *testing.T) {
-	pts := StandardImplPoints()
-	// At tiny volume, GP (zero NRE) or FPGA wins; at huge volume, ASIC.
-	low := CheapestAt(pts, 100)
-	if low.Name == "asic" {
-		t.Fatalf("ASIC should not win at volume 100 (got %s)", low.Name)
-	}
-	high := CheapestAt(pts, 1e7)
-	if high.Name != "asic" {
-		t.Fatalf("ASIC should win at volume 1e7 (got %s)", high.Name)
-	}
-}
-
-func TestCostPerUnitShape(t *testing.T) {
-	asic := StandardImplPoints()[0]
-	if asic.CostPerUnit(1e3) <= asic.CostPerUnit(1e6) {
-		t.Fatal("per-unit cost must fall with volume")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("volume 0 did not panic")
-		}
-	}()
-	asic.CostPerUnit(0)
 }
 
 func TestCrossoverVolume(t *testing.T) {
@@ -109,12 +80,14 @@ func TestCrossoverVolume(t *testing.T) {
 	if v <= 0 || math.IsInf(v, 1) {
 		t.Fatalf("asic/fpga crossover = %v", v)
 	}
+	// Per-unit cost: NRE amortized over the volume plus the part.
+	cost := func(p ImplPoint, volume float64) float64 { return p.NRE/volume + p.UnitCost }
 	// At the crossover the costs match.
-	if math.Abs(asic.CostPerUnit(v)-fpga.CostPerUnit(v)) > 1e-6 {
+	if math.Abs(cost(asic, v)-cost(fpga, v)) > 1e-6 {
 		t.Fatal("costs should match at crossover")
 	}
 	// Crossover in the right direction: below it FPGA cheaper.
-	if asic.CostPerUnit(v/2) <= fpga.CostPerUnit(v/2) {
+	if cost(asic, v/2) <= cost(fpga, v/2) {
 		t.Fatal("FPGA should be cheaper below crossover")
 	}
 }

@@ -276,13 +276,6 @@ func NewScheduler(cfg Config) *Scheduler {
 // Workers returns the concurrency bound.
 func (s *Scheduler) Workers() int { return s.cfg.Workers }
 
-// Policy returns the scheduling discipline.
-func (s *Scheduler) Policy() Policy {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cfg.Policy
-}
-
 // SetPolicy switches the scheduling discipline live — the control
 // channel's admission knob. Queued work is not reshuffled; the new
 // discipline governs every grant from the next one on.

@@ -525,8 +525,8 @@ func TestNamesAndAccessors(t *testing.T) {
 	}
 	s := NewScheduler(Config{Workers: 3, Policy: SharedFIFO})
 	defer s.Close()
-	if s.Workers() != 3 || s.Policy() != SharedFIFO {
-		t.Fatalf("accessors: workers=%d policy=%v", s.Workers(), s.Policy())
+	if s.Workers() != 3 || s.Stats().Policy != SharedFIFO.String() {
+		t.Fatalf("accessors: workers=%d policy=%v", s.Workers(), s.Stats().Policy)
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package approx implements approximate-computing techniques the paper
 // motivates for inherently-noisy sensor data (§2.1) and for the
 // "approximate data types" interface direction (§2.4): reduced-precision
-// arithmetic with energy models, loop perforation, and approximate (drowsy
-// refresh) memory with bit-flip injection — plus the quality metrics needed
+// arithmetic with an energy model and approximate (drowsy refresh) memory with bit-flip injection — plus the quality metrics needed
 // to report energy/quality Pareto points.
 package approx
 
@@ -43,29 +42,6 @@ func Quantize(v float64, mantissaBits int) float64 {
 func MultEnergyRel(mantissaBits int) float64 {
 	w := float64(mantissaBits)
 	return (w * w) / (52 * 52)
-}
-
-// AddEnergyRel returns relative adder energy: linear in width.
-func AddEnergyRel(mantissaBits int) float64 {
-	return float64(mantissaBits) / 52
-}
-
-// Perforate runs an aggregation over data processing only every stride-th
-// element, the classic loop-perforation transform. It returns the
-// approximate mean and the fraction of work performed.
-func Perforate(data []float64, stride int) (mean float64, workFrac float64) {
-	if stride < 1 {
-		panic("approx: stride must be >= 1")
-	}
-	if len(data) == 0 {
-		return 0, 0
-	}
-	sum, n := 0.0, 0
-	for i := 0; i < len(data); i += stride {
-		sum += data[i]
-		n++
-	}
-	return sum / float64(n), float64(n) / float64(len(data))
 }
 
 // DrowsyMemory models an approximate SRAM/DRAM whose refresh (or retention
@@ -109,15 +85,6 @@ func (d DrowsyMemory) Store(data []float64, r *stats.RNG) []float64 {
 		out[i] = math.Float64frombits(b)
 	}
 	return out
-}
-
-// RelError returns |approx-exact| / max(|exact|, eps).
-func RelError(exact, approx float64) float64 {
-	den := math.Abs(exact)
-	if den < 1e-30 {
-		den = 1e-30
-	}
-	return math.Abs(approx-exact) / den
 }
 
 // RMSE returns the root-mean-square error between two equal-length series.

@@ -9,6 +9,11 @@ import (
 	"repro/internal/workload"
 )
 
+// relError is |approx-exact| / max(|exact|, 1e-30).
+func relError(exact, approx float64) float64 {
+	return math.Abs(approx-exact) / math.Max(math.Abs(exact), 1e-30)
+}
+
 func TestQuantizeExactAtFullPrecision(t *testing.T) {
 	for _, v := range []float64{0, 1, -3.7, 1e-12, 9.87e20} {
 		if Quantize(v, 52) != v {
@@ -21,14 +26,14 @@ func TestQuantizeErrorShrinksWithBits(t *testing.T) {
 	v := math.Pi
 	prev := math.Inf(1)
 	for _, bits := range []int{4, 8, 16, 24, 40} {
-		e := RelError(v, Quantize(v, bits))
+		e := relError(v, Quantize(v, bits))
 		if e > prev+1e-18 {
 			t.Fatalf("error grew with more bits at %d", bits)
 		}
 		prev = e
 	}
 	// 8-bit mantissa error bounded by 2^-8ish.
-	if e := RelError(v, Quantize(v, 8)); e > math.Pow(2, -8) {
+	if e := relError(v, Quantize(v, 8)); e > math.Pow(2, -8) {
 		t.Fatalf("8-bit error = %v too large", e)
 	}
 }
@@ -47,7 +52,7 @@ func TestQuantizeSpecials(t *testing.T) {
 	// TestQuickQuantize draw found -1.79e308 at 4 bits).
 	for _, v := range []float64{math.MaxFloat64, -1.792361127771882e+308} {
 		q := Quantize(v, 4)
-		if math.IsInf(q, 0) || Quantize(q, 4) != q || RelError(v, q) > math.Pow(2, -3) {
+		if math.IsInf(q, 0) || Quantize(q, 4) != q || relError(v, q) > math.Pow(2, -3) {
 			t.Fatalf("Quantize(%g, 4) = %g", v, q)
 		}
 	}
@@ -74,7 +79,7 @@ func TestQuickQuantize(t *testing.T) {
 		if Quantize(q, bits) != q {
 			return false
 		}
-		return RelError(v, q) <= math.Pow(2, -float64(bits-1))
+		return relError(v, q) <= math.Pow(2, -float64(bits-1))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -82,46 +87,13 @@ func TestQuickQuantize(t *testing.T) {
 }
 
 func TestEnergyModels(t *testing.T) {
-	if MultEnergyRel(52) != 1 || AddEnergyRel(52) != 1 {
+	if MultEnergyRel(52) != 1 {
 		t.Fatal("full precision should be 1.0")
 	}
-	// Halving width quarters multiplier energy, halves adder energy.
+	// Halving width quarters multiplier energy.
 	if math.Abs(MultEnergyRel(26)-0.25) > 1e-12 {
 		t.Fatalf("26-bit mult = %v", MultEnergyRel(26))
 	}
-	if math.Abs(AddEnergyRel(26)-0.5) > 1e-12 {
-		t.Fatalf("26-bit add = %v", AddEnergyRel(26))
-	}
-}
-
-func TestPerforate(t *testing.T) {
-	data := make([]float64, 1000)
-	for i := range data {
-		data[i] = float64(i % 10)
-	}
-	exact, wf := Perforate(data, 1)
-	if wf != 1 {
-		t.Fatal("stride 1 should do all work")
-	}
-	approxMean, wf4 := Perforate(data, 4)
-	if math.Abs(wf4-0.25) > 0.01 {
-		t.Fatalf("stride 4 work = %v", wf4)
-	}
-	if RelError(exact, approxMean) > 0.2 {
-		t.Fatalf("perforated mean error = %v", RelError(exact, approxMean))
-	}
-}
-
-func TestPerforateEdges(t *testing.T) {
-	if m, w := Perforate(nil, 2); m != 0 || w != 0 {
-		t.Fatal("empty perforation should be zeros")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("stride 0 did not panic")
-		}
-	}()
-	Perforate([]float64{1}, 0)
 }
 
 func TestDrowsyPointShape(t *testing.T) {

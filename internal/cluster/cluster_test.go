@@ -65,7 +65,7 @@ func TestQuickDistributionFree(t *testing.T) {
 		stats.Exponential{Rate: 3},
 		stats.LogNormal{Mu: 0, Sigma: 1},
 		stats.Pareto{Xm: 1, Alpha: 2.5},
-		stats.Weibull{Lambda: 2, K: 0.7},
+		stats.Shifted{D: stats.Exponential{Rate: 1}, Offset: 5},
 	}
 	f := func(seed uint64) bool {
 		r := stats.NewRNG(seed)
@@ -189,7 +189,7 @@ func TestDefaultLeafShape(t *testing.T) {
 		s.Add(leaf.Sample(r))
 	}
 	// p99/p50 should be heavy (several x), and all latencies above floor.
-	if s.Min() < 0.001 {
+	if s.Percentile(0) < 0.001 {
 		t.Fatal("latency below RTT floor")
 	}
 	ratio := s.Percentile(99) / s.Percentile(50)

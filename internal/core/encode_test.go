@@ -217,11 +217,11 @@ func TestEveryExperimentResultRoundTrips(t *testing.T) {
 				t.Fatalf("%s: render mismatch across codec round trip", e.ID)
 			}
 			// The sized-once encoders write the bytes the growing ones wrote.
-			if res.Table != nil && !bytes.Equal(res.Table.Encode(), referenceTableEncode(res.Table)) {
-				t.Fatalf("%s: Table.Encode differs from the reference encoding", e.ID)
+			if res.Table != nil && !bytes.Equal(res.Table.AppendEncode(nil), referenceTableEncode(res.Table)) {
+				t.Fatalf("%s: Table.AppendEncode differs from the reference encoding", e.ID)
 			}
-			if res.Figure != nil && !bytes.Equal(res.Figure.Encode(), referenceFigureEncode(res.Figure)) {
-				t.Fatalf("%s: Figure.Encode differs from the reference encoding", e.ID)
+			if res.Figure != nil && !bytes.Equal(res.Figure.AppendEncode(nil), referenceFigureEncode(res.Figure)) {
+				t.Fatalf("%s: Figure.AppendEncode differs from the reference encoding", e.ID)
 			}
 		})
 	}

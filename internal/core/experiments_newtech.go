@@ -44,7 +44,7 @@ func runE8(ctx context.Context) Result {
 	vMin, eMin := m.MinEnergyPoint()
 	eNom := m.EnergyPerOp(m.Node.Vdd)
 	// Resilience cost: protect NTV operation with a 12.5% ECC-style
-	// overhead (reliability.OverheadBits) and compare.
+	// overhead (SECDED's 8 check bits per 64 data bits) and compare.
 	protected := eMin * 1.125
 	return Result{
 		Figure: fig,

@@ -2,7 +2,6 @@ package energy
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/tech"
@@ -86,19 +85,6 @@ func TestForNode45IsIdentityForLogic(t *testing.T) {
 	}
 }
 
-func TestWireEnergy(t *testing.T) {
-	tb := Table45()
-	e := tb.WireEnergy(64, 10) // 64 bits over 10mm
-	want := 64 * 10 * float64(tb.WirePerBitMM)
-	if math.Abs(float64(e)-want) > 1e-18 {
-		t.Fatalf("wire energy = %v", e)
-	}
-	// Moving a word 10mm on chip should rival or exceed the FP op itself.
-	if float64(e) < float64(tb.FPOp) {
-		t.Fatalf("10mm move (%v) should cost at least an FP op (%v)", e, tb.FPOp)
-	}
-}
-
 func TestOperandFetchLevels(t *testing.T) {
 	tb := Table45()
 	levels := []string{"reg", "l1", "l2", "l3", "dram"}
@@ -139,74 +125,5 @@ func TestLadderTargets(t *testing.T) {
 				t.Errorf("%s gap = %v, want within [100,1000]", p.Name, p.Gap())
 			}
 		}
-	}
-}
-
-func TestAchievableOps(t *testing.T) {
-	p := Platform{Name: "x", TargetOpsPerSec: units.TeraOp,
-		PowerBudget: 10 * units.Watt, TodayOpsPerWatt: 1e10}
-	got := p.AchievableOpsPerSec()
-	if math.Abs(float64(got)-1e11) > 1 {
-		t.Fatalf("achievable = %v, want 1e11", got)
-	}
-}
-
-func TestMeterBasics(t *testing.T) {
-	var m Meter
-	m.Add("compute", 2*units.Joule)
-	m.Add("comm", 1*units.Joule)
-	m.Add("compute", 1*units.Joule)
-	if m.Total() != 4*units.Joule {
-		t.Fatalf("total = %v", m.Total())
-	}
-	if m.Component("compute") != 3*units.Joule {
-		t.Fatalf("compute = %v", m.Component("compute"))
-	}
-	if m.Component("absent") != 0 {
-		t.Fatal("absent component should be 0")
-	}
-	names := m.Components()
-	if len(names) != 2 || names[0] != "comm" || names[1] != "compute" {
-		t.Fatalf("components = %v", names)
-	}
-}
-
-func TestMeterAddN(t *testing.T) {
-	var m Meter
-	m.AddN("ops", 1000, units.Picojoule)
-	if math.Abs(float64(m.Total())-1e-9) > 1e-18 {
-		t.Fatalf("AddN total = %v", m.Total())
-	}
-}
-
-func TestMeterMerge(t *testing.T) {
-	var a, b Meter
-	a.Add("x", 1)
-	b.Add("x", 2)
-	b.Add("y", 3)
-	a.Merge(&b)
-	if a.Component("x") != 3 || a.Component("y") != 3 {
-		t.Fatal("merge wrong")
-	}
-}
-
-func TestMeterReport(t *testing.T) {
-	var m Meter
-	m.Add("radio", 3*units.Joule)
-	m.Add("cpu", 1*units.Joule)
-	out := m.Report("Sensor energy").String()
-	if !strings.Contains(out, "radio") || !strings.Contains(out, "TOTAL") {
-		t.Fatalf("report missing rows: %s", out)
-	}
-	if !strings.Contains(out, "75%") {
-		t.Fatalf("report missing share: %s", out)
-	}
-}
-
-func TestMeterEmptyReport(t *testing.T) {
-	var m Meter
-	out := m.Report("empty").String()
-	if !strings.Contains(out, "TOTAL") {
-		t.Fatal("empty meter report should still have a total row")
 	}
 }

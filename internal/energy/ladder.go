@@ -43,9 +43,3 @@ func (p Platform) TargetOpsPerWatt() float64 {
 func (p Platform) Gap() float64 {
 	return p.TargetOpsPerWatt() / p.TodayOpsPerWatt
 }
-
-// AchievableOpsPerSec returns the throughput today's efficiency delivers in
-// the rung's power budget.
-func (p Platform) AchievableOpsPerSec() units.Ops {
-	return units.Ops(p.TodayOpsPerWatt * float64(p.PowerBudget))
-}

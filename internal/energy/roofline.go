@@ -2,43 +2,15 @@ package energy
 
 import "math"
 
-// Roofline is the classic performance roofline extended with the energy
-// view the paper's memory-hierarchy direction implies: a kernel's
-// achievable throughput is min(peak compute, bandwidth × intensity), and
-// its energy per op is the datapath op plus the amortized memory energy
-// per byte over its arithmetic intensity.
+// Roofline is the energy view of the classic performance roofline that the
+// paper's memory-hierarchy direction implies: a kernel's energy per op is
+// the datapath op plus the amortized memory energy per byte over its
+// arithmetic intensity.
 type Roofline struct {
-	// PeakOpsPerSec is the compute roof.
-	PeakOpsPerSec float64
-	// MemBytesPerSec is the bandwidth roof.
-	MemBytesPerSec float64
 	// OpEnergy is datapath energy per operation (joules).
 	OpEnergy float64
 	// MemEnergyPerByte is memory-system energy per byte moved (joules).
 	MemEnergyPerByte float64
-}
-
-// AttainableOps returns achievable ops/s at the given arithmetic intensity
-// (ops/byte).
-func (r Roofline) AttainableOps(intensity float64) float64 {
-	if intensity <= 0 {
-		return 0
-	}
-	return math.Min(r.PeakOpsPerSec, r.MemBytesPerSec*intensity)
-}
-
-// RidgeIntensity returns the ops/byte at which a kernel turns
-// compute-bound.
-func (r Roofline) RidgeIntensity() float64 {
-	if r.MemBytesPerSec == 0 {
-		return math.Inf(1)
-	}
-	return r.PeakOpsPerSec / r.MemBytesPerSec
-}
-
-// MemoryBound reports whether the intensity sits under the bandwidth roof.
-func (r Roofline) MemoryBound(intensity float64) bool {
-	return intensity < r.RidgeIntensity()
 }
 
 // EnergyPerOp returns total energy per operation at the given intensity:
@@ -62,12 +34,10 @@ func (r Roofline) EnergyBalanceIntensity() float64 {
 }
 
 // StandardRoofline returns a 45nm server-class roofline from the shared
-// energy table: 100 Gops/s peak, 25 GB/s DRAM bandwidth.
+// energy table.
 func StandardRoofline() Roofline {
 	t := Table45()
 	return Roofline{
-		PeakOpsPerSec:    1e11,
-		MemBytesPerSec:   25e9,
 		OpEnergy:         float64(t.FPOp),
 		MemEnergyPerByte: float64(t.DRAM) / 8,
 	}

@@ -2,8 +2,7 @@
 // arch21 toolkit: pJ-level per-operation and per-access energy tables
 // (calibrated to the 45 nm figures of Keckler's Micro 2011 keynote, which
 // the paper cites), communication energy models spanning on-chip wires to
-// radios, the paper's sensor→datacenter efficiency ladder, and composable
-// energy meters.
+// radios, and the paper's sensor→datacenter efficiency ladder.
 //
 // Having one table shared by every experiment keeps cross-experiment
 // comparisons consistent: the specialization factor of E4, the operand-fetch
@@ -126,11 +125,6 @@ func (t Table) GPInstruction(op units.Energy) units.Energy {
 // ratio is the specialization factor of E4.
 func (t Table) AccelOp(op units.Energy) units.Energy {
 	return op + op/20
-}
-
-// WireEnergy returns on-chip transport energy for bits over mm of wire.
-func (t Table) WireEnergy(bits float64, mm float64) units.Energy {
-	return t.WirePerBitMM * units.Energy(bits*mm)
 }
 
 // OperandFetch returns the energy to fetch one 64-bit operand from the

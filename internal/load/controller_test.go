@@ -113,7 +113,7 @@ func TestColocationControllerRecoversBatchRateAfterStorm(t *testing.T) {
 
 	// Phase 1 — calm: let the controller reclaim toward its ceiling.
 	time.Sleep(400 * time.Millisecond)
-	preRate := eng.BatchRate()
+	preRate := eng.Metrics().Scheduler.BatchRate
 	if preRate <= 0 {
 		t.Fatalf("pre-storm batch rate %g; controller never engaged", preRate)
 	}
@@ -128,7 +128,7 @@ func TestColocationControllerRecoversBatchRateAfterStorm(t *testing.T) {
 	interactiveLat.Store(int64(calmLat))
 	target := 0.8 * preRate
 	deadline := stormEnd.Add(5 * time.Second)
-	for time.Now().Before(deadline) && eng.BatchRate() < target {
+	for time.Now().Before(deadline) && eng.Metrics().Scheduler.BatchRate < target {
 		time.Sleep(25 * time.Millisecond)
 	}
 
@@ -167,7 +167,7 @@ func TestColocationControllerRecoversBatchRateAfterStorm(t *testing.T) {
 	}
 	if recoveredAt.IsZero() {
 		t.Fatalf("event timeline never shows the batch rate recovering to %.0f (80%% of pre-storm %.0f); final rate %.1f",
-			target, preRate, eng.BatchRate())
+			target, preRate, eng.Metrics().Scheduler.BatchRate)
 	}
 	if rec := recoveredAt.Sub(stormEnd); rec > 5*time.Second {
 		t.Fatalf("controller took %v to restore 80%% of the pre-storm batch rate (limit 5s)", rec)

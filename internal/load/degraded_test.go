@@ -106,7 +106,7 @@ func TestDegradedReplicaHedgingHoldsP99(t *testing.T) {
 
 	execBefore := int64(0)
 	for _, eng := range engines {
-		execBefore += eng.Executions()
+		execBefore += eng.Metrics().Executions
 	}
 	hedgesBefore := rt.Metrics().Hedges
 
@@ -126,7 +126,7 @@ func TestDegradedReplicaHedgingHoldsP99(t *testing.T) {
 	}
 	execAfter := int64(0)
 	for _, eng := range engines {
-		execAfter += eng.Executions()
+		execAfter += eng.Metrics().Executions
 	}
 	if execAfter != execBefore {
 		t.Fatalf("measured window executed %d experiments; every hedged or demoted request must be a warm cache hit",

@@ -1,8 +1,6 @@
 // Package mem implements the memory-hierarchy substrate: set-associative
 // caches with pluggable replacement, a multi-level hierarchy with latency
-// and energy accounting against the shared energy tables, a sequential
-// prefetcher, frequent-value line compression, and a MESI snooping
-// coherence model.
+// and energy accounting against the shared energy tables.
 //
 // The paper's "Energy-Efficient Memory Hierarchies" direction (§2.2) argues
 // memory systems must be optimized for energy, not just performance; this
@@ -50,7 +48,6 @@ type line struct {
 // Cache is a set-associative cache with write-back, write-allocate
 // semantics.
 type Cache struct {
-	name      string
 	lineBytes uint64
 	sets      [][]line
 	setMask   uint64
@@ -81,7 +78,6 @@ func NewCache(name string, sizeBytes, lineBytes, ways int, policy Policy) *Cache
 		sets[i] = make([]line, ways)
 	}
 	return &Cache{
-		name:      name,
 		lineBytes: uint64(lineBytes),
 		sets:      sets,
 		setMask:   uint64(nSets - 1),
@@ -89,12 +85,6 @@ func NewCache(name string, sizeBytes, lineBytes, ways int, policy Policy) *Cache
 		rng:       stats.NewRNG(0xcac4e ^ uint64(len(name))),
 	}
 }
-
-// Name returns the cache's label.
-func (c *Cache) Name() string { return c.name }
-
-// LineBytes returns the line size.
-func (c *Cache) LineBytes() int { return int(c.lineBytes) }
 
 // AccessResult describes the outcome of one cache access.
 type AccessResult struct {
@@ -110,7 +100,7 @@ func (c *Cache) Access(addr uint64, write bool) AccessResult {
 	c.clock++
 	lineAddr := addr / c.lineBytes
 	set := lineAddr & c.setMask
-	tag := lineAddr // full line address as tag keeps Contains simple
+	tag := lineAddr // the full line address is the tag
 	ways := c.sets[set]
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
@@ -168,19 +158,6 @@ func (c *Cache) pickVictim(ways []line) int {
 	}
 }
 
-// Contains reports whether the address's line is currently resident
-// (without touching replacement state).
-func (c *Cache) Contains(addr uint64) bool {
-	lineAddr := addr / c.lineBytes
-	set := lineAddr & c.setMask
-	for _, w := range c.sets[set] {
-		if w.valid && w.tag == lineAddr {
-			return true
-		}
-	}
-	return false
-}
-
 // MissRate returns misses/(hits+misses), 0 when idle.
 func (c *Cache) MissRate() float64 {
 	tot := c.Hits + c.Misses
@@ -188,15 +165,4 @@ func (c *Cache) MissRate() float64 {
 		return 0
 	}
 	return float64(c.Misses) / float64(tot)
-}
-
-// Reset clears contents and statistics.
-func (c *Cache) Reset() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = line{}
-		}
-	}
-	c.Hits, c.Misses, c.Evictions, c.Writebacks = 0, 0, 0, 0
-	c.clock = 0
 }

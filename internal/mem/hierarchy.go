@@ -102,20 +102,3 @@ func (h *Hierarchy) AMAT() units.Time {
 	}
 	return h.TotalLatency / units.Time(float64(h.TotalAccesses))
 }
-
-// EnergyPerAccess returns mean energy per access so far.
-func (h *Hierarchy) EnergyPerAccess() units.Energy {
-	if h.TotalAccesses == 0 {
-		return 0
-	}
-	return h.TotalEnergy / units.Energy(float64(h.TotalAccesses))
-}
-
-// Reset clears all caches and counters.
-func (h *Hierarchy) Reset() {
-	for i := range h.Levels {
-		h.Levels[i].Cache.Reset()
-	}
-	h.DRAMAccesses, h.TotalAccesses = 0, 0
-	h.TotalLatency, h.TotalEnergy = 0, 0
-}

@@ -37,26 +37,6 @@ type RunStats struct {
 	WorkPerWorker []float64
 }
 
-// Imbalance returns max/mean of WorkPerWorker (1.0 = perfect balance; 0
-// when no work ran).
-func (s RunStats) Imbalance() float64 {
-	if len(s.WorkPerWorker) == 0 {
-		return 0
-	}
-	mean, maxW := 0.0, 0.0
-	for _, w := range s.WorkPerWorker {
-		mean += w
-		if w > maxW {
-			maxW = w
-		}
-	}
-	mean /= float64(len(s.WorkPerWorker))
-	if mean == 0 {
-		return 0
-	}
-	return maxW / mean
-}
-
 // deque is a mutex-guarded work queue. Owners pop LIFO (cache locality),
 // thieves steal FIFO (largest remaining subtrees first) — the classic
 // work-stealing discipline.
@@ -203,15 +183,4 @@ func SpinWork(work float64) {
 		x ^= x << 17
 	}
 	spinSink.Add(x)
-}
-
-// MeasureSpeedup runs the DAG on 1 and on p workers and returns
-// T1/Tp. The grain must be CPU-bound for the ratio to be meaningful.
-func MeasureSpeedup(d *workload.DAG, p int, steal bool, grain func(float64)) float64 {
-	t1 := Runner{Workers: 1, Steal: steal}.Run(d, grain).Elapsed
-	tp := Runner{Workers: p, Steal: steal}.Run(d, grain).Elapsed
-	if tp <= 0 {
-		return 0
-	}
-	return float64(t1) / float64(tp)
 }

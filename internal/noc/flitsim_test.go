@@ -1,8 +1,23 @@
 package noc
 
 import (
+	"math"
 	"testing"
 )
+
+// meanHops is the mean dimension-ordered hop count over every ordered
+// src≠dst pair: the zero-load latency in cycles.
+func meanHops(m *Mesh) float64 {
+	n := m.Nodes()
+	sum := 0.0
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			a, b := m.NodeCoord(s), m.NodeCoord(d)
+			sum += math.Abs(float64(a.X-b.X)) + math.Abs(float64(a.Y-b.Y)) + math.Abs(float64(a.Z-b.Z))
+		}
+	}
+	return sum / float64(n*(n-1))
+}
 
 func TestFlitSimLowLoadLatencyNearHops(t *testing.T) {
 	m := NewMesh2D(4, 4)
@@ -18,7 +33,7 @@ func TestFlitSimLowLoadLatencyNearHops(t *testing.T) {
 	}
 	// At 2% load the mesh is uncontended: a flit advances one hop per
 	// cycle, so mean latency approximates the mean hop count.
-	zeroLoad := m.MeanHops()
+	zeroLoad := meanHops(m)
 	if res.MeanLatency < zeroLoad*0.8 || res.MeanLatency > zeroLoad*2.5 {
 		t.Fatalf("low-load latency = %v cycles, zero-load bound %v", res.MeanLatency, zeroLoad)
 	}

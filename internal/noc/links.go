@@ -30,7 +30,7 @@ func (k LinkKind) String() string {
 	}
 }
 
-// Link models energy and latency of moving bits over a distance.
+// Link models the energy of moving bits over a distance.
 type Link struct {
 	Kind LinkKind
 	// PerBitPerMM is distance-proportional energy (electrical only).
@@ -38,8 +38,6 @@ type Link struct {
 	// PerBitFixed is distance-independent per-bit energy (modulator/laser
 	// for photonic, SerDes for board).
 	PerBitFixed units.Energy
-	// VelocityMMPerNs is signal propagation speed.
-	VelocityMMPerNs float64
 	// MaxMM is the practical reach (0 = unlimited).
 	MaxMM float64
 }
@@ -49,20 +47,15 @@ type Link struct {
 // board SerDes ~10 pJ/bit flat.
 func StandardLinks() []Link {
 	return []Link{
-		{Kind: Electrical, PerBitPerMM: 0.2 * units.Picojoule, VelocityMMPerNs: 100, MaxMM: 0},
-		{Kind: Photonic, PerBitFixed: 1 * units.Picojoule, VelocityMMPerNs: 200, MaxMM: 0},
-		{Kind: Board, PerBitFixed: 10 * units.Picojoule, VelocityMMPerNs: 150, MaxMM: 500},
+		{Kind: Electrical, PerBitPerMM: 0.2 * units.Picojoule, MaxMM: 0},
+		{Kind: Photonic, PerBitFixed: 1 * units.Picojoule, MaxMM: 0},
+		{Kind: Board, PerBitFixed: 10 * units.Picojoule, MaxMM: 500},
 	}
 }
 
 // EnergyPerBit returns transport energy for one bit over mm.
 func (l Link) EnergyPerBit(mm float64) units.Energy {
 	return l.PerBitFixed + l.PerBitPerMM*units.Energy(mm)
-}
-
-// Latency returns flight time over mm.
-func (l Link) Latency(mm float64) units.Time {
-	return units.Time(mm/l.VelocityMMPerNs) * units.Nanosecond
 }
 
 // ElectricalPhotonicCrossoverMM returns the distance beyond which the
@@ -96,13 +89,6 @@ func CommComputeCrossoverMM(elec Link, opEnergy units.Energy) float64 {
 		return 0
 	}
 	return x
-}
-
-// RentPins returns the Rent's-rule pin estimate k·G^p for G gates.
-// Table 1 cites Rent's rule as the structural reason inter-chip
-// communication stays restricted: pins grow sublinearly in logic.
-func RentPins(k float64, gates float64, p float64) float64 {
-	return k * math.Pow(gates, p)
 }
 
 // PinBandwidthGap returns the ratio of on-chip aggregate demand to off-chip

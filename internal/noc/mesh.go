@@ -92,69 +92,6 @@ func (m *Mesh) NodeCoord(id int) Coord {
 	}
 }
 
-// Hops returns planar and vertical hop counts between two nodes under
-// dimension-ordered routing.
-func (m *Mesh) Hops(src, dst int) (planar, vertical int) {
-	a, b := m.NodeCoord(src), m.NodeCoord(dst)
-	planar = abs(a.X-b.X) + abs(a.Y-b.Y)
-	vertical = abs(a.Z - b.Z)
-	return planar, vertical
-}
-
-// Latency returns the head latency of a 64-bit flit from src to dst:
-// router traversals (hops+1) plus wire/TSV flight time (wire flight is
-// folded into router latency at these scales).
-func (m *Mesh) Latency(src, dst int) units.Time {
-	p, v := m.Hops(src, dst)
-	return units.Time(float64(p+v+1))*m.RouterLatency + units.Time(float64(v))*m.TSVLatency
-}
-
-// Energy returns transport energy for bits bits from src to dst.
-func (m *Mesh) Energy(src, dst int, bits float64) units.Energy {
-	p, v := m.Hops(src, dst)
-	routers := float64(p+v+1) * float64(m.RouterEnergyPerFlit) * bits / 64
-	wires := float64(p) * m.TileMM * float64(m.WirePerBitMM) * bits
-	tsvs := float64(v) * float64(m.TSVPerBit) * bits
-	return units.Energy(routers + wires + tsvs)
-}
-
-// MeanHops returns the exact mean planar+vertical hop count over all
-// ordered src≠dst pairs under uniform random traffic.
-func (m *Mesh) MeanHops() float64 {
-	n := m.Nodes()
-	if n < 2 {
-		return 0
-	}
-	total := 0.0
-	// Mean |a-b| over a dimension of size k (uniform independent) equals
-	// (k²-1)/(3k); summing per-dimension means and correcting for the
-	// excluded self-pairs keeps this O(1).
-	dims := []int{m.W, m.H, m.Layers}
-	for _, k := range dims {
-		total += (float64(k)*float64(k) - 1) / (3 * float64(k))
-	}
-	// Uniform over all pairs including self; excluding self scales by
-	// n/(n-1).
-	return total * float64(n) / float64(n-1)
-}
-
-// MeanLatency returns mean flit latency under uniform random traffic at low
-// load (no contention).
-func (m *Mesh) MeanLatency() units.Time {
-	// Approximate: treat mean hops as planar unless the mesh is stacked,
-	// in which case apportion by expected per-dimension distances.
-	n := float64(m.Nodes())
-	if n < 2 {
-		return m.RouterLatency
-	}
-	planar := ((float64(m.W)*float64(m.W)-1)/(3*float64(m.W)) +
-		(float64(m.H)*float64(m.H)-1)/(3*float64(m.H))) * n / (n - 1)
-	vertical := ((float64(m.Layers)*float64(m.Layers) - 1) /
-		(3 * float64(m.Layers))) * n / (n - 1)
-	return units.Time(planar+vertical+1)*m.RouterLatency +
-		units.Time(vertical)*m.TSVLatency
-}
-
 // MeanEnergyPerFlit returns mean 64-bit-flit transport energy under uniform
 // random traffic.
 func (m *Mesh) MeanEnergyPerFlit() units.Energy {
@@ -170,21 +107,4 @@ func (m *Mesh) MeanEnergyPerFlit() units.Energy {
 	wires := planar * m.TileMM * float64(m.WirePerBitMM) * 64
 	tsvs := vertical * float64(m.TSVPerBit) * 64
 	return units.Energy(routers + wires + tsvs)
-}
-
-// BisectionLinks returns the number of links crossing the mesh's narrowest
-// bisection, the first-order throughput limit.
-func (m *Mesh) BisectionLinks() int {
-	// Cut across the larger planar dimension.
-	if m.W >= m.H {
-		return m.H * m.Layers
-	}
-	return m.W * m.Layers
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -1,7 +1,7 @@
 // Package nvm models non-volatile memory technologies and the
 // memory/storage-stack rethinking the paper calls for (§2.3 "Rethinking the
-// Memory/Storage Stack"): device parameter models for DRAM, PCM, STT-RAM,
-// NAND flash, memristor and disk; endurance/wear tracking with start-gap and
+// Memory/Storage Stack"): device parameter models for DRAM, PCM, NAND
+// flash and disk; endurance/wear tracking with start-gap and
 // table-based wear leveling; and hybrid DRAM+NVM organizations.
 //
 // The architectural claims carried by these models are the ones the paper
@@ -65,19 +65,6 @@ var (
 		DensityRel:      3,
 		CostPerGBRel:    0.5,
 	}
-	// STTRAM is spin-transfer-torque MRAM: fast, high write energy,
-	// effectively unlimited endurance.
-	STTRAM = Device{
-		Name:            "sttram",
-		ReadLatency:     20 * units.Nanosecond,
-		WriteLatency:    40 * units.Nanosecond,
-		ReadEnergy:      1 * units.Nanojoule,
-		WriteEnergy:     10 * units.Nanojoule,
-		IdlePowerPerGB:  5 * units.Milliwatt,
-		EnduranceWrites: 1e15,
-		DensityRel:      1,
-		CostPerGBRel:    2,
-	}
 	// Flash is NAND flash (block-erase granularity folded into the write
 	// figures), the technology "already starting to replace rotating
 	// disks".
@@ -92,18 +79,6 @@ var (
 		DensityRel:      8,
 		CostPerGBRel:    0.1,
 	}
-	// Memristor is a ReRAM-class projection.
-	Memristor = Device{
-		Name:            "memristor",
-		ReadLatency:     30 * units.Nanosecond,
-		WriteLatency:    100 * units.Nanosecond,
-		ReadEnergy:      1 * units.Nanojoule,
-		WriteEnergy:     5 * units.Nanojoule,
-		IdlePowerPerGB:  5 * units.Milliwatt,
-		EnduranceWrites: 1e10,
-		DensityRel:      4,
-		CostPerGBRel:    0.4,
-	}
 	// Disk is a rotating hard drive.
 	Disk = Device{
 		Name:           "disk",
@@ -116,14 +91,3 @@ var (
 		CostPerGBRel:   0.03,
 	}
 )
-
-// Devices returns the full library.
-func Devices() []Device {
-	return []Device{DRAM, PCM, STTRAM, Flash, Memristor, Disk}
-}
-
-// WriteAsymmetry returns WriteLatency/ReadLatency — the property that
-// forces NVM-aware memory controllers.
-func (d Device) WriteAsymmetry() float64 {
-	return float64(d.WriteLatency) / float64(d.ReadLatency)
-}

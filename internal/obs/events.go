@@ -55,9 +55,6 @@ type Event struct {
 	Data map[string]float64 `json:"data,omitempty"`
 }
 
-// Time returns the event's timestamp.
-func (e Event) Time() time.Time { return time.Unix(0, e.TimeUnixNano) }
-
 // Events is a bounded ring of structured events plus an optional NDJSON
 // sink. All methods are safe for concurrent use and safe on a nil
 // receiver (recording into a nil *Events is a no-op), so subsystems can

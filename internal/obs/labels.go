@@ -68,7 +68,3 @@ func (b *BoundedLabels) Index(v string) int {
 
 // Value returns the label value for slot i.
 func (b *BoundedLabels) Value(i int) string { return b.values[i] }
-
-// Values returns the full vocabulary, declared order then overflow.
-// The slice is shared; callers must not mutate it.
-func (b *BoundedLabels) Values() []string { return b.values }

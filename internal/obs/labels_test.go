@@ -24,7 +24,7 @@ func TestBoundedLabels(t *testing.T) {
 			t.Errorf("%q -> %q, want other", v, b.Value(i))
 		}
 	}
-	if got := b.Values(); len(got) != 3 || got[2] != "other" {
+	if got := b.values; len(got) != 3 || got[2] != "other" {
 		t.Errorf("Values = %v", got)
 	}
 }

@@ -134,8 +134,8 @@ func TestEventsHandlerAndSink(t *testing.T) {
 	if ev.Type != EventController || ev.Labels["action"] != "halve" || ev.Data["rate_after"] != 50 {
 		t.Fatalf("event = %+v", ev)
 	}
-	if ev.Time().After(time.Now().Add(time.Second)) {
-		t.Fatalf("bad timestamp: %v", ev.Time())
+	if ts := time.Unix(0, ev.TimeUnixNano); ts.After(time.Now().Add(time.Second)) {
+		t.Fatalf("bad timestamp: %v", ts)
 	}
 	// NDJSON sink got the same event as one line.
 	line := strings.TrimSpace(sink.String())

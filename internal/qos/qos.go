@@ -298,13 +298,6 @@ func NewRateController(slo, initial, min, max float64) *RateController {
 // Rate returns the current batch rate.
 func (c *RateController) Rate() float64 { return c.rate }
 
-// Update feeds one observed LC p99 (seconds) and returns the new batch
-// rate. Non-positive observations (no traffic yet) leave the rate alone.
-// Decide is the same step with the full decision attached.
-func (c *RateController) Update(p99 float64) float64 {
-	return c.Decide(p99).RateAfter
-}
-
 func (c *RateController) clamp(r float64) float64 {
 	return math.Min(c.Max, math.Max(c.Min, r))
 }

@@ -124,33 +124,33 @@ func TestPolicyStrings(t *testing.T) {
 // bounds always clamp.
 func TestRateController(t *testing.T) {
 	c := NewRateController(0.010, 100, 1, 200)
-	if got := c.Update(0.020); got != 50 {
+	if got := c.Decide(0.020).RateAfter; got != 50 {
 		t.Fatalf("violating p99 should halve the rate: got %v", got)
 	}
-	if got := c.Update(0.050); got != 25 {
+	if got := c.Decide(0.050).RateAfter; got != 25 {
 		t.Fatalf("second violation: got %v, want 25", got)
 	}
 	// Dead band: between 0.7*SLO and SLO nothing moves.
-	if got := c.Update(0.009); got != 25 {
+	if got := c.Decide(0.009).RateAfter; got != 25 {
 		t.Fatalf("dead band moved the rate: got %v", got)
 	}
 	// Headroom: reclaim 20%.
-	if got := c.Update(0.002); got != 30 {
+	if got := c.Decide(0.002).RateAfter; got != 30 {
 		t.Fatalf("reclaim: got %v, want 30", got)
 	}
 	// No observation leaves the rate alone.
-	if got := c.Update(0); got != 30 {
+	if got := c.Decide(0).RateAfter; got != 30 {
 		t.Fatalf("zero p99 moved the rate: got %v", got)
 	}
 	// Clamping: repeated reclaim saturates at Max, repeated violation at Min.
 	for i := 0; i < 50; i++ {
-		c.Update(0.001)
+		c.Decide(0.001)
 	}
 	if got := c.Rate(); got != 200 {
 		t.Fatalf("rate should clamp at Max: got %v", got)
 	}
 	for i := 0; i < 50; i++ {
-		c.Update(1)
+		c.Decide(1)
 	}
 	if got := c.Rate(); got != 1 {
 		t.Fatalf("rate should clamp at Min: got %v", got)
@@ -168,7 +168,7 @@ func TestRateControllerClampedConstruction(t *testing.T) {
 	}
 	// A controller with no SLO never moves.
 	z := NewRateController(0, 10, 1, 100)
-	if got := z.Update(5); got != 10 {
+	if got := z.Decide(5).RateAfter; got != 10 {
 		t.Fatalf("SLO-less controller moved the rate: %v", got)
 	}
 }

@@ -84,13 +84,6 @@ func (s *Supervisor) SetSLO(slo time.Duration) error {
 	return nil
 }
 
-// SLO returns the current p99 target.
-func (s *Supervisor) SLO() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return time.Duration(s.Ctrl.SLO * float64(time.Second))
-}
-
 // Tick runs one supervision step and returns the decision taken (Action
 // "hold" with zero P99 when the window was too thin to steer on).
 func (s *Supervisor) Tick() Decision {

@@ -4,15 +4,6 @@ import (
 	"math"
 )
 
-// Availability returns steady-state availability MTTF/(MTTF+MTTR) of a
-// repairable component.
-func Availability(mttf, mttr float64) float64 {
-	if mttf <= 0 {
-		return 0
-	}
-	return mttf / (mttf + mttr)
-}
-
 // ParallelAvailability returns the availability of n redundant components
 // of individual availability a where one suffices (1-of-n).
 func ParallelAvailability(a float64, n int) float64 {

@@ -6,10 +6,6 @@
 // arithmetic for the paper's five-nines "Always Online" attribute.
 package reliability
 
-import (
-	"math/bits"
-)
-
 // Codeword is a SECDED-protected 64-bit word: 64 data bits plus 8 check
 // bits (7 Hamming parity bits and one overall parity bit).
 type Codeword struct {
@@ -152,12 +148,4 @@ func Decode(c Codeword) (uint64, DecodeStatus) {
 		data |= uint64(c.bit(pos)) << i
 	}
 	return data, status
-}
-
-// OverheadBits returns ECC storage overhead: check bits per data bit.
-func OverheadBits() float64 { return 8.0 / 64.0 }
-
-// HammingDistance counts differing bits between two codewords.
-func HammingDistance(a, b Codeword) int {
-	return bits.OnesCount64(a.lo^b.lo) + bits.OnesCount8(a.hi^b.hi)
 }

@@ -44,15 +44,3 @@ func (s Scheme) EnergyPerDetectedError(baseEnergy float64, nErrors float64) floa
 	}
 	return baseEnergy * s.EnergyOverhead / detected
 }
-
-// RecoveryEnergyFactor returns the total energy multiplier including
-// re-execution for detect-only schemes: detected-but-uncorrected errors
-// force a rollback that re-runs the (checkpoint) interval, costing
-// retryFrac of the base energy per event.
-func (s Scheme) RecoveryEnergyFactor(errorRate, retryFrac float64) float64 {
-	base := 1 + s.EnergyOverhead
-	if s.Corrects {
-		return base
-	}
-	return base + errorRate*s.DetectCoverage*retryFrac
-}

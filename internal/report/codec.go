@@ -72,8 +72,8 @@ func (d *decoder) float() (float64, error) {
 	return v, nil
 }
 
-// EncodedLen is the length of the table's payload: what Encode returns
-// and AppendEncode appends.
+// EncodedLen is the length of the table's payload: what AppendEncode
+// appends.
 func (t *Table) EncodedLen() int {
 	n := 1 + strLen(t.Title) + strLen(t.Note) + uvarintLen(uint64(len(t.Headers))) + uvarintLen(uint64(len(t.Rows)))
 	for _, h := range t.Headers {
@@ -88,10 +88,7 @@ func (t *Table) EncodedLen() int {
 	return n
 }
 
-// Encode serializes the table into a buffer of exactly its length.
-func (t *Table) Encode() []byte { return t.AppendEncode(make([]byte, 0, t.EncodedLen())) }
-
-// AppendEncode appends the table's payload (Encode's bytes) to dst.
+// AppendEncode appends the table's payload to dst.
 func (t *Table) AppendEncode(dst []byte) []byte {
 	dst = appendStr(append(dst, kindTable), t.Title)
 	dst = appendStr(dst, t.Note)
@@ -109,7 +106,7 @@ func (t *Table) AppendEncode(dst []byte) []byte {
 	return dst
 }
 
-// DecodeTable parses a payload produced by Table.Encode.
+// DecodeTable parses a payload produced by Table.AppendEncode.
 func DecodeTable(buf []byte) (*Table, error) {
 	if len(buf) == 0 || buf[0] != kindTable {
 		return nil, fmt.Errorf("%w: not a table payload", ErrCorrupt)
@@ -164,8 +161,8 @@ func DecodeTable(buf []byte) (*Table, error) {
 	return t, nil
 }
 
-// EncodedLen is the length of the figure's payload: what Encode returns
-// and AppendEncode appends.
+// EncodedLen is the length of the figure's payload: what AppendEncode
+// appends.
 func (f *Figure) EncodedLen() int {
 	n := 1 + strLen(f.Title) + strLen(f.XLabel) + strLen(f.YLabel) + strLen(f.Note) + uvarintLen(uint64(len(f.Series)))
 	for _, s := range f.Series {
@@ -174,10 +171,7 @@ func (f *Figure) EncodedLen() int {
 	return n
 }
 
-// Encode serializes the figure into a buffer of exactly its length.
-func (f *Figure) Encode() []byte { return f.AppendEncode(make([]byte, 0, f.EncodedLen())) }
-
-// AppendEncode appends the figure's payload (Encode's bytes) to dst.
+// AppendEncode appends the figure's payload to dst.
 func (f *Figure) AppendEncode(dst []byte) []byte {
 	dst = appendStr(append(dst, kindFigure), f.Title)
 	dst = appendStr(dst, f.XLabel)
@@ -194,7 +188,7 @@ func (f *Figure) AppendEncode(dst []byte) []byte {
 	return dst
 }
 
-// DecodeFigure parses a payload produced by Figure.Encode.
+// DecodeFigure parses a payload produced by Figure.AppendEncode.
 func DecodeFigure(buf []byte) (*Figure, error) {
 	if len(buf) == 0 || buf[0] != kindFigure {
 		return nil, fmt.Errorf("%w: not a figure payload", ErrCorrupt)

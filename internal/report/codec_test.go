@@ -14,7 +14,7 @@ func TestTableCodecRoundTrip(t *testing.T) {
 	tb.AddRow("x", "y", "z", "extra-cell")
 	tb.AddRow()
 
-	got, err := DecodeTable(tb.Encode())
+	got, err := DecodeTable(tb.AppendEncode(nil))
 	if err != nil {
 		t.Fatalf("DecodeTable: %v", err)
 	}
@@ -45,7 +45,7 @@ func TestTableCodecRoundTrip(t *testing.T) {
 
 func TestEmptyTableRoundTrip(t *testing.T) {
 	tb := &Table{}
-	got, err := DecodeTable(tb.Encode())
+	got, err := DecodeTable(tb.AppendEncode(nil))
 	if err != nil {
 		t.Fatalf("DecodeTable: %v", err)
 	}
@@ -66,7 +66,7 @@ func TestFigureCodecRoundTrip(t *testing.T) {
 	s2.Add(-3, 1e-300)
 	f.AddSeries("empty")
 
-	got, err := DecodeFigure(f.Encode())
+	got, err := DecodeFigure(f.AppendEncode(nil))
 	if err != nil {
 		t.Fatalf("DecodeFigure: %v", err)
 	}
@@ -97,7 +97,7 @@ func TestFloatBitExactness(t *testing.T) {
 	for i, v := range specials {
 		s.Add(float64(i), v)
 	}
-	got, err := DecodeFigure(f.Encode())
+	got, err := DecodeFigure(f.AppendEncode(nil))
 	if err != nil {
 		t.Fatalf("DecodeFigure: %v", err)
 	}
@@ -118,7 +118,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 	tb := NewTable("t", "h")
 	tb.AddRow("v")
-	enc := tb.Encode()
+	enc := tb.AppendEncode(nil)
 	for _, cut := range []int{1, 2, len(enc) / 2, len(enc) - 1} {
 		if _, err := DecodeTable(enc[:cut]); err == nil {
 			t.Fatalf("truncated payload (%d bytes) should fail", cut)

@@ -201,12 +201,12 @@ func TestTableStringAndEncodeMatchReference(t *testing.T) {
 		if got, want := tb.String(), referenceTableString(tb); got != want {
 			t.Fatalf("table %d renders differently:\n--- got ---\n%s--- want ---\n%s", i, got, want)
 		}
-		enc, want := tb.Encode(), referenceTableEncode(tb)
+		enc, want := tb.AppendEncode(nil), referenceTableEncode(tb)
 		if !bytes.Equal(enc, want) {
 			t.Fatalf("table %d encodes differently", i)
 		}
-		if cap(enc) != len(enc) || tb.EncodedLen() != len(enc) {
-			t.Fatalf("table %d: Encode sized its buffer %d (EncodedLen %d) for %d bytes", i, cap(enc), tb.EncodedLen(), len(enc))
+		if tb.EncodedLen() != len(enc) {
+			t.Fatalf("table %d: EncodedLen %d for %d bytes", i, tb.EncodedLen(), len(enc))
 		}
 		if prefix := seededPrefix(rng); !bytes.Equal(tb.AppendEncode(prefix), append(prefix[:len(prefix):len(prefix)], want...)) {
 			t.Fatalf("table %d: AppendEncode after %d bytes is not the prefix and the reference", i, len(prefix))
@@ -227,12 +227,12 @@ func TestFigureEncodeMatchesReference(t *testing.T) {
 				ser.Add(seededFloat(rng), seededFloat(rng))
 			}
 		}
-		enc, want := f.Encode(), referenceFigureEncode(f)
+		enc, want := f.AppendEncode(nil), referenceFigureEncode(f)
 		if !bytes.Equal(enc, want) {
 			t.Fatalf("figure %d encodes differently", i)
 		}
-		if cap(enc) != len(enc) || f.EncodedLen() != len(enc) {
-			t.Fatalf("figure %d: Encode sized its buffer %d (EncodedLen %d) for %d bytes", i, cap(enc), f.EncodedLen(), len(enc))
+		if f.EncodedLen() != len(enc) {
+			t.Fatalf("figure %d: EncodedLen %d for %d bytes", i, f.EncodedLen(), len(enc))
 		}
 		if prefix := seededPrefix(rng); !bytes.Equal(f.AppendEncode(prefix), append(prefix[:len(prefix):len(prefix)], want...)) {
 			t.Fatalf("figure %d: AppendEncode after %d bytes is not the prefix and the reference", i, len(prefix))

@@ -1,6 +1,5 @@
 // Package report renders experiment outputs as aligned ASCII tables,
-// multi-series figures (printed as columnar data plus an optional ASCII
-// chart), and CSV. Every arch21 experiment produces a report.Table or
+// multi-series figures (printed as columnar data), and CSV. Every arch21 experiment produces a report.Table or
 // report.Figure so that cmd/arch21, the examples, and the benchmark harness
 // all share one presentation path.
 package report
@@ -165,8 +164,7 @@ type Series struct {
 }
 
 // Figure is a titled set of series sharing x/y axes. It renders as a
-// columnar data table (x followed by one column per series) and can also
-// render a coarse ASCII chart.
+// columnar data table (x followed by one column per series).
 type Figure struct {
 	Title  string
 	XLabel string
@@ -238,59 +236,4 @@ func (f *Figure) String() string {
 // CSV renders the figure's data table as CSV.
 func (f *Figure) CSV() string {
 	return f.Table().CSV()
-}
-
-// Chart renders a coarse ASCII scatter of the first series (width x height
-// characters), useful for eyeballing shapes in terminal output.
-func (f *Figure) Chart(width, height int) string {
-	if len(f.Series) == 0 || len(f.Series[0].Points) == 0 || width < 2 || height < 2 {
-		return ""
-	}
-	minX, maxX := f.Series[0].Points[0].X, f.Series[0].Points[0].X
-	minY, maxY := f.Series[0].Points[0].Y, f.Series[0].Points[0].Y
-	for _, s := range f.Series {
-		for _, p := range s.Points {
-			if p.X < minX {
-				minX = p.X
-			}
-			if p.X > maxX {
-				maxX = p.X
-			}
-			if p.Y < minY {
-				minY = p.Y
-			}
-			if p.Y > maxY {
-				maxY = p.Y
-			}
-		}
-	}
-	if maxX == minX {
-		maxX = minX + 1
-	}
-	if maxY == minY {
-		maxY = minY + 1
-	}
-	grid := make([][]byte, height)
-	for i := range grid {
-		grid[i] = []byte(strings.Repeat(" ", width))
-	}
-	marks := "*o+x#@"
-	for si, s := range f.Series {
-		m := marks[si%len(marks)]
-		for _, p := range s.Points {
-			cx := int((p.X - minX) / (maxX - minX) * float64(width-1))
-			cy := int((p.Y - minY) / (maxY - minY) * float64(height-1))
-			grid[height-1-cy][cx] = m
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s  [%s vs %s]\n", f.Title, f.YLabel, f.XLabel)
-	for _, row := range grid {
-		b.WriteString("|" + string(row) + "\n")
-	}
-	b.WriteString("+" + strings.Repeat("-", width) + "\n")
-	for si, s := range f.Series {
-		fmt.Fprintf(&b, "  %c = %s\n", marks[si%len(marks)], s.Name)
-	}
-	return b.String()
 }

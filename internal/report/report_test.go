@@ -126,35 +126,6 @@ func TestFigureString(t *testing.T) {
 	}
 }
 
-func TestChart(t *testing.T) {
-	f := NewFigure("C", "x", "y")
-	s := f.AddSeries("s")
-	for i := 0; i <= 10; i++ {
-		s.Add(float64(i), float64(i*i))
-	}
-	out := f.Chart(40, 10)
-	if !strings.Contains(out, "*") {
-		t.Error("chart has no marks")
-	}
-	if !strings.Contains(out, "s") {
-		t.Error("chart legend missing")
-	}
-	// Degenerate cases do not panic.
-	if empty := NewFigure("E", "x", "y").Chart(40, 10); empty != "" {
-		t.Error("empty figure should render empty chart")
-	}
-}
-
-func TestChartConstantSeries(t *testing.T) {
-	f := NewFigure("C", "x", "y")
-	s := f.AddSeries("flat")
-	s.Add(1, 5)
-	s.Add(2, 5)
-	if out := f.Chart(20, 5); out == "" {
-		t.Error("constant series should still render")
-	}
-}
-
 func TestTableRaggedRows(t *testing.T) {
 	tb := NewTable("T", "a", "b", "c")
 	tb.AddRow("only-one")

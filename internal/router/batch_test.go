@@ -395,7 +395,7 @@ func TestCoalescedFlushFailsOverOnTransportError(t *testing.T) {
 	if !r.Metrics().Health[owner].Ejected {
 		t.Fatal("owner's flush failure should eject it at FailThreshold 1")
 	}
-	if got := engines[1-owner].Executions() + engines[owner].Executions(); got != 1 {
+	if got := engines[1-owner].Metrics().Executions + engines[owner].Metrics().Executions; got != 1 {
 		t.Fatalf("cluster executed %d times, want exactly 1", got)
 	}
 	var hadError bool

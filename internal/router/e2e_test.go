@@ -60,7 +60,7 @@ func newRegistryCluster(t *testing.T, n int, snapDir string, cfg Config) (*Route
 func totalExecutions(engines []*serve.Engine) int64 {
 	var n int64
 	for _, e := range engines {
-		n += e.Executions()
+		n += e.Metrics().Executions
 	}
 	return n
 }
@@ -85,7 +85,7 @@ func TestClusterSweepExecutesEachPointExactlyOnce(t *testing.T) {
 		t.Fatalf("cluster-wide executions = %d, want exactly 64 (one per unique grid point)", got)
 	}
 	for i, e := range engines {
-		if e.Executions() == 0 {
+		if e.Metrics().Executions == 0 {
 			t.Fatalf("replica %d executed nothing — placement is not scattering", i)
 		}
 	}
@@ -251,8 +251,8 @@ func TestWedgedReplicaCannotStallSweep(t *testing.T) {
 	// live replicas did all the work (the wedged engine may still drain
 	// abandoned attempts later, so only assert the live total covers the
 	// grid).
-	if got := engines[0].Executions() + engines[1].Executions(); got < 64-int64(engines[2].Executions()) {
-		t.Fatalf("live replicas executed %d points, wedged %d — lost work", got, engines[2].Executions())
+	if got := engines[0].Metrics().Executions + engines[1].Metrics().Executions; got < 64-int64(engines[2].Metrics().Executions) {
+		t.Fatalf("live replicas executed %d points, wedged %d — lost work", got, engines[2].Metrics().Executions)
 	}
 }
 

@@ -96,9 +96,9 @@ func fillQueues(t *testing.T, g *gate, engs ...*serve.Engine) {
 	t.Helper()
 	for i, eng := range engs {
 		before := g.started.Load()
-		go eng.Serve(fmt.Sprintf("slowPin%d", i))
+		go eng.ServeWith(context.Background(), fmt.Sprintf("slowPin%d", i), nil)
 		eventually(t, "the pinned run to start", func() bool { return g.started.Load() > before })
-		go eng.Serve(fmt.Sprintf("slowQueued%d", i))
+		go eng.ServeWith(context.Background(), fmt.Sprintf("slowQueued%d", i), nil)
 		eventually(t, "the queue to fill", func() bool {
 			return eng.Metrics().Classes[admit.Interactive.String()].QueueDepth >= 1
 		})
@@ -165,7 +165,7 @@ func TestOneTaxonomyAcrossLanes(t *testing.T) {
 	}
 	outcomes := []outcome{
 		{name: "warm hit", status: 200, hit: true, mk: plain("W"),
-			prep: func(eng *serve.Engine, id string) { _, _ = eng.Serve(id) }},
+			prep: func(eng *serve.Engine, id string) { _, _ = eng.ServeWith(context.Background(), id, nil) }},
 		{name: "cold miss", status: 200, mk: plain("C"),
 			prep: func(eng *serve.Engine, _ string) { eng.Reset() }},
 		{name: "unknown experiment", status: 404, code: "not_found",

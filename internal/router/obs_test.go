@@ -87,7 +87,7 @@ func TestControlFanOutInProcess(t *testing.T) {
 		if !byName[name].OK {
 			t.Errorf("%s: ack not OK: %+v", name, byName[name])
 		}
-		if got := e.BatchRate(); got != 48 {
+		if got := e.Metrics().Scheduler.BatchRate; got != 48 {
 			t.Errorf("%s batch rate = %g, want 48", name, got)
 		}
 	}
@@ -163,7 +163,7 @@ func TestControlRetunesThreeNodeHTTPCluster(t *testing.T) {
 	}
 	// The knobs actually moved on every engine, live.
 	for i, e := range engines {
-		if got := e.BatchRate(); got != 96 {
+		if got := e.Metrics().Scheduler.BatchRate; got != 96 {
 			t.Errorf("replica %d batch rate = %g, want 96", i, got)
 		}
 	}

@@ -362,11 +362,6 @@ func (e *Engine) dropOrSaveSnapshot() {
 	}
 }
 
-// Serve is ServeWith at default parameters and the interactive class.
-func (e *Engine) Serve(id string) (Response, error) {
-	return e.ServeWith(context.Background(), id, nil)
-}
-
 // ServeWith is ServeEncoded plus one decode at the edge. The decode is
 // also the payload check serveHit takes: a cached entry that does not
 // decode is deleted, and the request is served — and booked — as the miss
@@ -624,9 +619,6 @@ func (e *Engine) TakeClassWindow(class admit.Class) stats.LatencySnapshot {
 // the throttle) — the qos feedback controller's actuator.
 func (e *Engine) SetBatchRate(rate float64) { e.sched.SetBatchRate(rate) }
 
-// BatchRate returns the scheduler's current batch token-bucket rate.
-func (e *Engine) BatchRate() float64 { return e.sched.BatchRate() }
-
 // ClassMetrics is one request class's slice of the engine's books: the
 // conservation counters (hits + deduped + sheds + executions == requests
 // at quiescence) plus the class's own latency distributions.
@@ -780,16 +772,6 @@ func (e *Engine) Metrics() Metrics {
 		}
 	}
 	return m
-}
-
-// Executions returns how many underlying experiment runs have happened
-// (the number singleflight and the cache exist to minimize).
-func (e *Engine) Executions() int64 {
-	var n int64
-	for i := range e.classes {
-		n += e.classes[i].executions.Load()
-	}
-	return n
 }
 
 // Reset drops every memoized result from both tiers (the tier-2 snapshot

@@ -20,6 +20,11 @@ func fakeResult(id string) core.Result {
 	return core.Result{Table: t, Findings: []string{"finding for " + id}}
 }
 
+// serveDefault serves id at default parameters and the interactive class.
+func serveDefault(e *Engine, id string) (Response, error) {
+	return e.ServeWith(context.Background(), id, nil)
+}
+
 // byID adapts a runner of default-parameter experiments to
 // Config.RunnerWith, ignoring params and ctx.
 func byID(run func(id string) (core.Result, error)) func(context.Context, string, core.Params) (core.Result, error) {
@@ -38,14 +43,14 @@ func TestEngineServeAndMemoize(t *testing.T) {
 	})
 	defer e.Close()
 
-	r1, err := e.Serve("X1")
+	r1, err := serveDefault(e, "X1")
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
 	if r1.CacheHit || r1.Shared {
 		t.Fatalf("first serve should be cold: %+v", r1)
 	}
-	r2, err := e.Serve("X1")
+	r2, err := serveDefault(e, "X1")
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
@@ -71,7 +76,7 @@ func TestEngineServeAndMemoize(t *testing.T) {
 func TestEngineUnknownExperiment(t *testing.T) {
 	e := NewEngine(Config{Workers: 1})
 	defer e.Close()
-	if _, err := e.Serve("NOPE"); err == nil {
+	if _, err := serveDefault(e, "NOPE"); err == nil {
 		t.Fatal("Serve of unknown ID should fail")
 	}
 }
@@ -86,10 +91,10 @@ func TestEngineErrorsNotMemoized(t *testing.T) {
 		return fakeResult(id), nil
 	})
 	defer e.Close()
-	if _, err := e.Serve("X1"); err == nil {
+	if _, err := serveDefault(e, "X1"); err == nil {
 		t.Fatal("first serve should surface the runner error")
 	}
-	r, err := e.Serve("X1")
+	r, err := serveDefault(e, "X1")
 	if err != nil {
 		t.Fatalf("second serve should retry and succeed: %v", err)
 	}
@@ -122,7 +127,7 @@ func TestEngineSingleflight(t *testing.T) {
 		go func() {
 			started.Done()
 			defer done.Done()
-			responses[i], errs[i] = e.Serve("HOT")
+			responses[i], errs[i] = serveDefault(e, "HOT")
 		}()
 	}
 	started.Wait()
@@ -132,7 +137,7 @@ func TestEngineSingleflight(t *testing.T) {
 	close(release)
 	done.Wait()
 
-	if got := e.Executions(); got != 1 {
+	if got := e.Metrics().Executions; got != 1 {
 		t.Fatalf("executions: got %d want 1 for %d simultaneous requests", got, m)
 	}
 	want := responses[0].Result.Render()
@@ -171,7 +176,7 @@ func TestEngineConcurrentDistinctIDs(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, err := e.Serve(id); err != nil {
+				if _, err := serveDefault(e, id); err != nil {
 					t.Errorf("Serve(%s): %v", id, err)
 				}
 			}()
@@ -200,7 +205,7 @@ func TestEngineLateLeaderServedFromCache(t *testing.T) {
 		return fakeResult(id), nil
 	})
 	defer e.Close()
-	if _, err := e.Serve("X1"); err != nil {
+	if _, err := serveDefault(e, "X1"); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate the stale miss: the entry exists, but this caller enters
@@ -231,7 +236,7 @@ func TestEngineRecoversFromCorruptCacheEntry(t *testing.T) {
 	})
 	defer e.Close()
 	e.cache.Set("X1", []byte("not a result payload"))
-	r, err := e.Serve("X1")
+	r, err := serveDefault(e, "X1")
 	if err != nil {
 		t.Fatalf("Serve over corrupt entry: %v", err)
 	}
@@ -241,7 +246,7 @@ func TestEngineRecoversFromCorruptCacheEntry(t *testing.T) {
 	if runs != 1 {
 		t.Fatalf("runner executions: got %d want 1", runs)
 	}
-	r2, _ := e.Serve("X1")
+	r2, _ := serveDefault(e, "X1")
 	if !r2.CacheHit {
 		t.Fatal("re-execution should repopulate the cache")
 	}
@@ -257,12 +262,12 @@ func TestEngineReset(t *testing.T) {
 	})
 	defer e.Close()
 	p := core.Params{"bces": 512}
-	e.Serve("B")
+	serveDefault(e, "B")
 	if _, err := e.ServeWith(context.Background(), "E7", p); err != nil {
 		t.Fatal(err)
 	}
 	e.Reset()
-	if r, _ := e.Serve("B"); r.CacheHit {
+	if r, _ := serveDefault(e, "B"); r.CacheHit {
 		t.Fatal("bare entry survived Reset")
 	}
 	if r, _ := e.ServeWith(context.Background(), "E7", p); r.CacheHit {
@@ -286,14 +291,14 @@ func TestEngineServesRealRegistry(t *testing.T) {
 	id := reg[0].ID
 	e := NewEngine(Config{Workers: 2})
 	defer e.Close()
-	r, err := e.Serve(id)
+	r, err := serveDefault(e, id)
 	if err != nil {
 		t.Fatalf("Serve(%s): %v", id, err)
 	}
 	if r.Result.Render() == "" {
 		t.Fatalf("Serve(%s) produced empty output", id)
 	}
-	r2, err := e.Serve(id)
+	r2, err := serveDefault(e, id)
 	if err != nil || !r2.CacheHit {
 		t.Fatalf("second Serve(%s): err=%v hit=%v", id, err, r2.CacheHit)
 	}

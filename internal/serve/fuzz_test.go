@@ -44,16 +44,16 @@ func FuzzIdentOfMatchesResolveKey(f *testing.F) {
 		}
 		wantKey, wantParams, wantErr := resolveKey(id, p)
 		ident := IdentOf(id, p)
-		if (wantErr == nil) != (ident.Err() == nil) {
-			t.Fatalf("IdentOf(%q, %v) err %v, resolveKey err %v", id, p, ident.Err(), wantErr)
+		if (wantErr == nil) != (ident.err == nil) {
+			t.Fatalf("IdentOf(%q, %v) err %v, resolveKey err %v", id, p, ident.err, wantErr)
 		}
 		if wantErr != nil {
-			if ident.Err().Error() != wantErr.Error() {
-				t.Fatalf("IdentOf(%q, %v) err %q, resolveKey err %q", id, p, ident.Err(), wantErr)
+			if ident.err.Error() != wantErr.Error() {
+				t.Fatalf("IdentOf(%q, %v) err %q, resolveKey err %q", id, p, ident.err, wantErr)
 			}
 			for _, target := range []error{ErrUnknownExperiment, ErrBadParams} {
-				if errors.Is(ident.Err(), target) != errors.Is(wantErr, target) {
-					t.Fatalf("IdentOf(%q, %v) err %v: errors.Is(%v) differs from resolveKey's", id, p, ident.Err(), target)
+				if errors.Is(ident.err, target) != errors.Is(wantErr, target) {
+					t.Fatalf("IdentOf(%q, %v) err %v: errors.Is(%v) differs from resolveKey's", id, p, ident.err, target)
 				}
 			}
 		} else if ident.Key() != wantKey || !reflect.DeepEqual(ident.Params(), wantParams) {

@@ -87,8 +87,8 @@ func TestRunEndpointJSON(t *testing.T) {
 	if !env2.CacheHit {
 		t.Fatal("second request should be served from cache")
 	}
-	if e.Executions() != 1 {
-		t.Fatalf("executions: got %d want 1", e.Executions())
+	if e.Metrics().Executions != 1 {
+		t.Fatalf("executions: got %d want 1", e.Metrics().Executions)
 	}
 }
 

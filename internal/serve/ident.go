@@ -41,7 +41,6 @@ type Identity struct {
 // The accessors return the fields documented above.
 func (i *Identity) ID() string          { return i.id }
 func (i *Identity) Key() string         { return i.key }
-func (i *Identity) Err() error          { return i.err }
 func (i *Identity) Params() core.Params { return i.params }
 func (i *Identity) Hash() uint64        { return i.hash }
 func (i *Identity) Wire() []byte        { return i.wire }

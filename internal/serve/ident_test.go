@@ -91,8 +91,8 @@ func TestIdentityTableBoundedUnderConcurrentInterning(t *testing.T) {
 				if g >= 4 {
 					for j := i; j < i+frameLen; j++ {
 						ident := IdentOf("E7", core.Params{"f": value(j), "bces": 16})
-						if ident.Err() != nil || ident.Key() != wantKey(j) {
-							t.Errorf("IdentOf point %d: key %q err %v, want %q", j, ident.Key(), ident.Err(), wantKey(j))
+						if ident.err != nil || ident.Key() != wantKey(j) {
+							t.Errorf("IdentOf point %d: key %q err %v, want %q", j, ident.Key(), ident.err, wantKey(j))
 							return
 						}
 					}
@@ -155,8 +155,8 @@ func TestIdentityTooLongIsNotInterned(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		a, err := Intern([]byte(long), []byte{0})
 		b := IdentOf(long, nil)
-		if err != nil || a.Key() != long || b.Key() != long || a.Err() != nil || b.Err() != nil {
-			t.Fatalf("long ID named (%q..., %v) and (%q..., %v)", a.Key()[:4], err, b.Key()[:4], b.Err())
+		if err != nil || a.Key() != long || b.Key() != long || a.err != nil || b.err != nil {
+			t.Fatalf("long ID named (%q..., %v) and (%q..., %v)", a.Key()[:4], err, b.Key()[:4], b.err)
 		}
 	}
 	if rows := identTabLen(); rows != 0 || identCount.Load() != 0 {
@@ -244,7 +244,7 @@ func TestHandleBatchBodyReadErrors(t *testing.T) {
 func TestIdentOfUntrimmedNameMissesTrimmedRow(t *testing.T) {
 	run := append([]byte{1, byte(len(" f=0.9"))}, " f=0.9"...)
 	row, err := Intern([]byte("E7"), run)
-	if err != nil || row.Err() != nil || row.Key() != "E7?f=0.9" {
+	if err != nil || row.err != nil || row.Key() != "E7?f=0.9" {
 		t.Fatalf("Intern(E7, %q) = %v, %v; want the resolved row E7?f=0.9", run, row, err)
 	}
 	p := core.Params{" f": 0.9}
@@ -252,8 +252,8 @@ func TestIdentOfUntrimmedNameMissesTrimmedRow(t *testing.T) {
 	if want == nil {
 		t.Fatal("resolveKey accepted an untrimmed name")
 	}
-	if got := IdentOf("E7", p); got == row || got.Err() == nil || got.Err().Error() != want.Error() {
-		t.Fatalf("IdentOf(E7, %v) = row %p err %v; want resolveKey's %v", p, got, got.Err(), want)
+	if got := IdentOf("E7", p); got == row || got.err == nil || got.err.Error() != want.Error() {
+		t.Fatalf("IdentOf(E7, %v) = row %p err %v; want resolveKey's %v", p, got, got.err, want)
 	}
 	e := NewEngine(Config{Workers: 1})
 	defer e.Close()

@@ -109,7 +109,7 @@ func TestMetricsScrapeDoesNotConsumeWindow(t *testing.T) {
 
 	const n = 12
 	for i := 0; i < n; i++ {
-		if _, err := e.Serve(fmt.Sprintf("W%d", i)); err != nil {
+		if _, err := serveDefault(e, fmt.Sprintf("W%d", i)); err != nil {
 			t.Fatalf("serve: %v", err)
 		}
 	}
@@ -135,7 +135,7 @@ func TestApplyControl(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ApplyControl(batch_rate): %v", err)
 	}
-	if got := e.BatchRate(); got != 64 {
+	if got := e.sched.BatchRate(); got != 64 {
 		t.Fatalf("BatchRate after control: %g want 64", got)
 	}
 	if ack.Applied["batch_rate"] != "64" {
@@ -146,7 +146,7 @@ func TestApplyControl(t *testing.T) {
 	if _, err := e.ApplyControl(ControlRequest{Policy: &pol}); err != nil {
 		t.Fatalf("ApplyControl(policy): %v", err)
 	}
-	if got := e.sched.Policy(); got != admit.SharedFIFO {
+	if got := e.sched.Stats().Policy; got != admit.SharedFIFO.String() {
 		t.Fatalf("policy after control: %v", got)
 	}
 
@@ -181,7 +181,7 @@ func TestApplyControl(t *testing.T) {
 	if _, err := e.ApplyControl(bad); err == nil {
 		t.Fatal("mixed good/bad request should fail whole")
 	}
-	if got := e.BatchRate(); got != 64 {
+	if got := e.sched.BatchRate(); got != 64 {
 		t.Fatalf("failed control mutated batch rate to %g", got)
 	}
 
@@ -221,8 +221,8 @@ func TestControlHandlerHTTP(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil {
 		t.Fatalf("bad ack: %v", err)
 	}
-	if ack.Applied["batch_rate"] != "32" || e.BatchRate() != 32 {
-		t.Fatalf("ack %+v, rate %g", ack, e.BatchRate())
+	if ack.Applied["batch_rate"] != "32" || e.sched.BatchRate() != 32 {
+		t.Fatalf("ack %+v, rate %g", ack, e.sched.BatchRate())
 	}
 
 	if rec := post(`{"batch_rate": 32, "bogus": 1}`); rec.Code != http.StatusBadRequest {

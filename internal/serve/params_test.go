@@ -73,7 +73,7 @@ func TestServeWithDefaultsSharesBareIDEntry(t *testing.T) {
 	e := newParamTestEngine(&execs)
 	defer e.Close()
 
-	if _, err := e.Serve("E1"); err != nil {
+	if _, err := serveDefault(e, "E1"); err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
 	r, err := e.ServeWith(context.Background(), "E1", core.Params{"gens": 6})

@@ -131,14 +131,14 @@ func TestEngineInteractiveShedsBatchBackpressures(t *testing.T) {
 	// singleflight cannot collapse them). Q1 must only be submitted once
 	// PIN is *running* — while PIN is still queued it occupies the one
 	// queue slot and Q1 would be shed instead of queued.
-	go e.Serve("PIN")
+	go serveDefault(e, "PIN")
 	<-pinned
-	go e.Serve("Q1")
+	go serveDefault(e, "Q1")
 	waitFor(t, func() bool {
 		return e.Metrics().Classes[admit.Interactive.String()].QueueDepth >= 1
 	})
 
-	_, err := e.Serve("SHED-ME")
+	_, err := serveDefault(e, "SHED-ME")
 	if !errors.Is(err, admit.ErrShed) {
 		t.Fatalf("interactive over full queue = %v, want a shed", err)
 	}
@@ -235,9 +235,9 @@ func TestHandlerShedStatusAndRetryAfter(t *testing.T) {
 	// Now pin the worker, then fill the interactive queue (Q1 only once
 	// PIN is running — a still-queued PIN would occupy the one slot and
 	// shed Q1 instead).
-	go e.Serve("PIN")
+	go serveDefault(e, "PIN")
 	<-pinned
-	go e.Serve("Q1")
+	go serveDefault(e, "Q1")
 	waitFor(t, func() bool {
 		return e.Metrics().Classes[admit.Interactive.String()].QueueDepth >= 1
 	})
@@ -272,7 +272,7 @@ func TestHandlerShedStatusAndRetryAfter(t *testing.T) {
 func TestEngineHitsServeUnderCanceledContext(t *testing.T) {
 	e := newTestEngine(func(id string) (core.Result, error) { return fakeResult(id), nil })
 	defer e.Close()
-	if _, err := e.Serve("X1"); err != nil {
+	if _, err := serveDefault(e, "X1"); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -290,11 +290,11 @@ func TestEngineHitsServeUnderCanceledContext(t *testing.T) {
 func TestEngineSetBatchRate(t *testing.T) {
 	e := NewEngine(Config{Workers: 1, BatchRate: 10})
 	defer e.Close()
-	if got := e.BatchRate(); got != 10 {
+	if got := e.sched.BatchRate(); got != 10 {
 		t.Fatalf("BatchRate = %v, want 10", got)
 	}
 	e.SetBatchRate(3)
-	if got := e.BatchRate(); got != 3 {
+	if got := e.sched.BatchRate(); got != 3 {
 		t.Fatalf("BatchRate after SetBatchRate = %v, want 3", got)
 	}
 }
@@ -316,7 +316,7 @@ func TestEngineTakeClassWindow(t *testing.T) {
 	e := newTestEngine(func(id string) (core.Result, error) { return fakeResult(id), nil })
 	defer e.Close()
 	for i := 0; i < 5; i++ {
-		if _, err := e.Serve(fmt.Sprintf("W%d", i)); err != nil {
+		if _, err := serveDefault(e, fmt.Sprintf("W%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -332,7 +332,7 @@ func TestEngineTakeClassWindow(t *testing.T) {
 		t.Fatalf("fresh window count = %d, want 0", win.Count)
 	}
 	// New traffic lands in the new window only.
-	if _, err := e.Serve("W0"); err != nil { // a hit now
+	if _, err := serveDefault(e, "W0"); err != nil { // a hit now
 		t.Fatal(err)
 	}
 	if win := e.TakeClassWindow(admit.Interactive); win.Count != 1 {

@@ -96,7 +96,7 @@ func TestEnginePanickingRunRegression(t *testing.T) {
 	errCh := make(chan error, callers)
 	for i := 0; i < callers; i++ {
 		go func() {
-			_, err := e.Serve("E9-panic")
+			_, err := serveDefault(e, "E9-panic")
 			errCh <- err
 		}()
 	}
@@ -117,14 +117,14 @@ func TestEnginePanickingRunRegression(t *testing.T) {
 	}
 
 	// The flight and the worker pool must both still be alive.
-	r, err := e.Serve("E9-panic")
+	r, err := serveDefault(e, "E9-panic")
 	if err != nil {
 		t.Fatalf("Serve after panicking run: %v", err)
 	}
 	if r.CacheHit {
 		t.Fatal("retry after failed run should execute, not hit")
 	}
-	if r2, err := e.Serve("E9-panic"); err != nil || !r2.CacheHit {
+	if r2, err := serveDefault(e, "E9-panic"); err != nil || !r2.CacheHit {
 		t.Fatalf("memoization after recovery: hit=%v err=%v", r2.CacheHit, err)
 	}
 

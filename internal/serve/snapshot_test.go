@@ -68,7 +68,7 @@ func TestSnapshotWarmStartServesHits(t *testing.T) {
 	var coldRuns atomic.Int64
 	e := newSnapEngine(path, &coldRuns)
 	for i := 0; i < 5; i++ {
-		if _, err := e.Serve(fmt.Sprintf("X%d", i)); err != nil {
+		if _, err := serveDefault(e, fmt.Sprintf("X%d", i)); err != nil {
 			t.Fatalf("Serve: %v", err)
 		}
 	}
@@ -84,7 +84,7 @@ func TestSnapshotWarmStartServesHits(t *testing.T) {
 		t.Fatalf("warm start loaded %d entries, want 5", m.Snapshot.Loaded)
 	}
 	for i := 0; i < 5; i++ {
-		resp, err := e2.Serve(fmt.Sprintf("X%d", i))
+		resp, err := serveDefault(e2, fmt.Sprintf("X%d", i))
 		if err != nil {
 			t.Fatalf("Serve after restart: %v", err)
 		}
@@ -115,7 +115,7 @@ func TestSnapshotCorruptAndTruncatedAreSkippedNotFatal(t *testing.T) {
 	if m := e.Metrics(); m.Snapshot.Loaded != 0 {
 		t.Fatalf("garbage snapshot loaded %d entries", m.Snapshot.Loaded)
 	}
-	if _, err := e.Serve("X1"); err != nil {
+	if _, err := serveDefault(e, "X1"); err != nil {
 		t.Fatalf("engine with garbage snapshot cannot serve: %v", err)
 	}
 	e.Close()
@@ -137,7 +137,7 @@ func TestSnapshotCorruptAndTruncatedAreSkippedNotFatal(t *testing.T) {
 	if m.Snapshot.Loaded == 0 || m.Snapshot.Loaded >= 3 {
 		t.Fatalf("truncated snapshot should load a strict prefix, loaded %d", m.Snapshot.Loaded)
 	}
-	if resp, err := e2.Serve("A"); err != nil || !resp.CacheHit {
+	if resp, err := serveDefault(e2, "A"); err != nil || !resp.CacheHit {
 		t.Fatalf("prefix entry A should warm-hit: %v %+v", err, resp)
 	}
 
@@ -161,10 +161,10 @@ func TestSnapshotCorruptAndTruncatedAreSkippedNotFatal(t *testing.T) {
 func TestSnapshotInvalidationCoherence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.snap")
 	e := newSnapEngine(path, nil)
-	if _, err := e.Serve("X1"); err != nil {
+	if _, err := serveDefault(e, "X1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Serve("X2"); err != nil {
+	if _, err := serveDefault(e, "X2"); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.SaveSnapshot(); err != nil {
@@ -173,7 +173,7 @@ func TestSnapshotInvalidationCoherence(t *testing.T) {
 	// Reset: both tiers must forget X1 — a restart cannot resurrect the
 	// dropped entry from disk. X2 is served again and saved after it.
 	e.Reset()
-	if _, err := e.Serve("X2"); err != nil {
+	if _, err := serveDefault(e, "X2"); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.SaveSnapshot(); err != nil {
@@ -184,10 +184,10 @@ func TestSnapshotInvalidationCoherence(t *testing.T) {
 	var runs atomic.Int64
 	e2 := newSnapEngine(path, &runs)
 	defer e2.Close()
-	if resp, err := e2.Serve("X2"); err != nil || !resp.CacheHit {
+	if resp, err := serveDefault(e2, "X2"); err != nil || !resp.CacheHit {
 		t.Fatalf("X2 should survive as a warm hit: %v %+v", err, resp)
 	}
-	resp, err := e2.Serve("X1")
+	resp, err := serveDefault(e2, "X1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestSnapshotInvalidationCoherence(t *testing.T) {
 func TestSnapshotResetCoherence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.snap")
 	e := newSnapEngine(path, nil)
-	if _, err := e.Serve("X1"); err != nil {
+	if _, err := serveDefault(e, "X1"); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.SaveSnapshot(); err != nil {
@@ -231,14 +231,14 @@ func TestSnapshotSaveFailureIsCountedAndCoherent(t *testing.T) {
 	}
 	e := newSnapEngine(filepath.Join(parent, "cache.snap"), nil)
 	defer e.Close()
-	if _, err := e.Serve("X1"); err != nil {
+	if _, err := serveDefault(e, "X1"); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.SaveSnapshot(); err == nil {
 		t.Fatal("save into a non-directory should error")
 	}
 	e.Reset()
-	if r, err := e.Serve("X1"); err != nil || r.CacheHit {
+	if r, err := serveDefault(e, "X1"); err != nil || r.CacheHit {
 		t.Fatalf("Reset must still drop the memory tier when the disk tier is unwritable: %v %+v", err, r)
 	}
 	m := e.Metrics()
@@ -278,7 +278,7 @@ func TestSnapshotConcurrencyPreservesConservationLaw(t *testing.T) {
 				case g == 1 && i%25 == 0:
 					e.cache.Delete(fmt.Sprintf("K%d", i%7))
 				default:
-					if _, err := e.Serve(fmt.Sprintf("K%d", i%7)); err != nil {
+					if _, err := serveDefault(e, fmt.Sprintf("K%d", i%7)); err != nil {
 						t.Errorf("Serve: %v", err)
 						return
 					}
@@ -316,7 +316,7 @@ func TestSnapshotRestartConservationLaw(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.snap")
 	e := newSnapEngine(path, nil)
 	for i := 0; i < 4; i++ {
-		if _, err := e.Serve(fmt.Sprintf("K%d", i)); err != nil {
+		if _, err := serveDefault(e, fmt.Sprintf("K%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -334,7 +334,7 @@ func TestSnapshotRestartConservationLaw(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				// K0..K3 warm-hit, K4..K7 miss then hit.
-				if _, err := e2.Serve(fmt.Sprintf("K%d", i%8)); err != nil {
+				if _, err := serveDefault(e2, fmt.Sprintf("K%d", i%8)); err != nil {
 					t.Errorf("Serve: %v", err)
 					return
 				}

@@ -42,25 +42,6 @@ func (c Constant) CDF(x float64) float64 {
 
 func (c Constant) String() string { return fmt.Sprintf("Constant(%g)", c.V) }
 
-// Uniform is the uniform distribution on [Lo, Hi).
-type Uniform struct{ Lo, Hi float64 }
-
-// Sample implements Dist.
-func (u Uniform) Sample(r *RNG) float64 { return u.Lo + (u.Hi-u.Lo)*r.Float64() }
-
-// Mean implements Dist.
-func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-
-// Quantile implements Dist.
-func (u Uniform) Quantile(p float64) float64 { return u.Lo + (u.Hi-u.Lo)*p }
-
-// CDF implements Dist.
-func (u Uniform) CDF(x float64) float64 {
-	return math.Min(1, math.Max(0, (x-u.Lo)/(u.Hi-u.Lo)))
-}
-
-func (u Uniform) String() string { return fmt.Sprintf("Uniform[%g,%g)", u.Lo, u.Hi) }
-
 // Exponential is the exponential distribution with the given Rate (λ).
 type Exponential struct{ Rate float64 }
 
@@ -82,24 +63,6 @@ func (e Exponential) CDF(x float64) float64 {
 }
 
 func (e Exponential) String() string { return fmt.Sprintf("Exp(rate=%g)", e.Rate) }
-
-// Normal is the normal distribution N(Mu, Sigma²).
-type Normal struct{ Mu, Sigma float64 }
-
-// Sample implements Dist.
-func (n Normal) Sample(r *RNG) float64 { return n.Mu + n.Sigma*r.NormFloat64() }
-
-// Mean implements Dist.
-func (n Normal) Mean() float64 { return n.Mu }
-
-// Quantile implements Dist. It uses the Acklam rational approximation of
-// the inverse normal CDF (max abs error ~1.15e-9).
-func (n Normal) Quantile(p float64) float64 { return n.Mu + n.Sigma*normQuantile(p) }
-
-// CDF implements Dist.
-func (n Normal) CDF(x float64) float64 { return normCDF((x - n.Mu) / n.Sigma) }
-
-func (n Normal) String() string { return fmt.Sprintf("Normal(mu=%g,sigma=%g)", n.Mu, n.Sigma) }
 
 // LogNormal is the log-normal distribution: exp(Normal(Mu, Sigma²)).
 // Service-time tails in warehouse systems are commonly log-normal-ish,
@@ -162,36 +125,6 @@ func (p Pareto) CDF(x float64) float64 {
 }
 
 func (p Pareto) String() string { return fmt.Sprintf("Pareto(xm=%g,alpha=%g)", p.Xm, p.Alpha) }
-
-// Weibull is the Weibull distribution with scale Lambda and shape K.
-// K < 1 gives heavy tails; K = 1 reduces to Exponential(1/Lambda).
-type Weibull struct {
-	Lambda float64
-	K      float64
-}
-
-// Sample implements Dist.
-func (w Weibull) Sample(r *RNG) float64 {
-	return w.Lambda * math.Pow(r.ExpFloat64(), 1/w.K)
-}
-
-// Mean implements Dist.
-func (w Weibull) Mean() float64 { return w.Lambda * gamma(1+1/w.K) }
-
-// Quantile implements Dist.
-func (w Weibull) Quantile(p float64) float64 {
-	return w.Lambda * math.Pow(-math.Log(1-p), 1/w.K)
-}
-
-// CDF implements Dist.
-func (w Weibull) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return -math.Expm1(-math.Pow(x/w.Lambda, w.K))
-}
-
-func (w Weibull) String() string { return fmt.Sprintf("Weibull(lambda=%g,k=%g)", w.Lambda, w.K) }
 
 // Shifted wraps a distribution and adds a constant offset, modelling a
 // deterministic minimum (e.g. network RTT floor under a stochastic service
@@ -267,7 +200,6 @@ func (b Bimodal) String() string {
 type Zipf struct {
 	cdf []float64
 	n   int
-	s   float64
 }
 
 // NewZipf builds a Zipf sampler over n items with exponent s > 0.
@@ -284,7 +216,7 @@ func NewZipf(n int, s float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{cdf: cdf, n: n, s: s}
+	return &Zipf{cdf: cdf, n: n}
 }
 
 // Rank draws a rank in [1, N].
@@ -302,12 +234,6 @@ func (z *Zipf) Rank(r *RNG) int {
 	return lo + 1
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return z.n }
-
-// S returns the skew exponent.
-func (z *Zipf) S() float64 { return z.s }
-
 // Prob returns the probability mass of the given rank in [1, N].
 func (z *Zipf) Prob(rank int) float64 {
 	if rank < 1 || rank > z.n {
@@ -317,13 +243,6 @@ func (z *Zipf) Prob(rank int) float64 {
 		return z.cdf[0]
 	}
 	return z.cdf[rank-1] - z.cdf[rank-2]
-}
-
-// gamma is the Gamma function via the Lanczos approximation, sufficient for
-// Weibull moments.
-func gamma(x float64) float64 {
-	g, _ := math.Lgamma(x)
-	return math.Exp(g)
 }
 
 // normCDF is the standard normal CDF.

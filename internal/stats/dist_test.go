@@ -22,8 +22,8 @@ func checkDist(t *testing.T, d Dist, meanTol float64) {
 	}
 	// Median check via quantile.
 	med := d.Quantile(0.5)
-	if math.Abs(s.Median()-med) > 0.05*math.Max(1, math.Abs(med)) {
-		t.Errorf("%v: sampled median %v vs analytic %v", d, s.Median(), med)
+	if got := s.Percentile(50); math.Abs(got-med) > 0.05*math.Max(1, math.Abs(med)) {
+		t.Errorf("%v: sampled median %v vs analytic %v", d, got, med)
 	}
 	// The CDF inverts Quantile and matches the sampled one.
 	for _, p := range []float64{0.05, 0.5, 0.9, 0.99} {
@@ -45,11 +45,8 @@ func TestConstant(t *testing.T) {
 	}
 }
 
-func TestUniform(t *testing.T)     { checkDist(t, Uniform{Lo: 2, Hi: 10}, 0.02) }
 func TestExponential(t *testing.T) { checkDist(t, Exponential{Rate: 0.5}, 0.02) }
-func TestNormal(t *testing.T)      { checkDist(t, Normal{Mu: 5, Sigma: 2}, 0.02) }
 func TestLogNormal(t *testing.T)   { checkDist(t, LogNormal{Mu: 0, Sigma: 0.5}, 0.03) }
-func TestWeibull(t *testing.T)     { checkDist(t, Weibull{Lambda: 2, K: 1.5}, 0.03) }
 func TestPareto(t *testing.T)      { checkDist(t, Pareto{Xm: 1, Alpha: 3}, 0.05) }
 
 func TestShifted(t *testing.T) {
@@ -113,11 +110,8 @@ func TestNormQuantilePanics(t *testing.T) {
 func TestQuickQuantileMonotone(t *testing.T) {
 	dists := []Dist{
 		Exponential{Rate: 1.3},
-		Normal{Mu: 0, Sigma: 2},
 		LogNormal{Mu: 1, Sigma: 0.7},
 		Pareto{Xm: 2, Alpha: 1.5},
-		Weibull{Lambda: 1, K: 0.8},
-		Uniform{Lo: -1, Hi: 4},
 	}
 	f := func(aRaw, bRaw float64) bool {
 		a := math.Mod(math.Abs(aRaw), 1)
@@ -144,17 +138,9 @@ func TestQuickQuantileMonotone(t *testing.T) {
 func TestQuickSupportBounds(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := NewRNG(seed)
-		u := Uniform{Lo: 3, Hi: 9}
 		p := Pareto{Xm: 2, Alpha: 2}
-		w := Weibull{Lambda: 1, K: 2}
 		for i := 0; i < 100; i++ {
-			if v := u.Sample(r); v < 3 || v >= 9 {
-				return false
-			}
 			if v := p.Sample(r); v < 2 {
-				return false
-			}
-			if v := w.Sample(r); v < 0 {
 				return false
 			}
 		}
@@ -167,9 +153,6 @@ func TestQuickSupportBounds(t *testing.T) {
 
 func TestZipfBasics(t *testing.T) {
 	z := NewZipf(100, 1.0)
-	if z.N() != 100 || z.S() != 1.0 {
-		t.Fatal("Zipf accessors wrong")
-	}
 	r := NewRNG(31)
 	counts := make([]int, 101)
 	const n = 200000

@@ -160,9 +160,10 @@ func TestHistogramQuantileWithinStatedError(t *testing.T) {
 		if lat.Count != n || math.Abs(lat.Mean-sum/n) > 1e-6*lat.Mean {
 			t.Errorf("%v: Latency count %d mean %g, want %d and %g", d, lat.Count, lat.Mean, n, sum/n)
 		}
-		if lat.Min > exact.Min() || lat.Min < 0.9*exact.Min()-10e-9 || lat.Max < exact.Max() || lat.Max > 1.1*exact.Max() {
+		lo, hi := exact.Percentile(0), exact.Percentile(100)
+		if lat.Min > lo || lat.Min < 0.9*lo-10e-9 || lat.Max < hi || lat.Max > 1.1*hi {
 			t.Errorf("%v: Latency min/max %g/%g do not bracket the exact %g/%g at bucket resolution",
-				d, lat.Min, lat.Max, exact.Min(), exact.Max())
+				d, lat.Min, lat.Max, lo, hi)
 		}
 	}
 }

@@ -5,8 +5,7 @@
 // Determinism contract: all randomness in the toolkit flows through RNG,
 // which is a SplitMix64 generator. Two RNGs constructed with the same seed
 // produce identical streams on every platform, making every experiment
-// reproducible bit-for-bit. RNG.Split derives an independent child stream so
-// concurrent simulator components never contend on a shared source.
+// reproducible bit-for-bit.
 package stats
 
 import "math"
@@ -29,12 +28,6 @@ func (r *RNG) Uint64() uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// Split returns a new RNG whose stream is independent of r's future output.
-// It advances r by one draw.
-func (r *RNG) Split() *RNG {
-	return &RNG{state: r.Uint64()}
 }
 
 // Float64 returns a uniform float in [0, 1).
@@ -77,19 +70,6 @@ func (r *RNG) ExpFloat64() float64 {
 		}
 		return -math.Log(u)
 	}
-}
-
-// Perm returns a random permutation of [0, n) (Fisher-Yates).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Shuffle randomizes the order of n elements using the provided swap

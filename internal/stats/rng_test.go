@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -25,21 +24,6 @@ func TestRNGSeedsDiffer(t *testing.T) {
 	}
 	if same > 0 {
 		t.Fatalf("different seeds produced %d identical draws", same)
-	}
-}
-
-func TestRNGSplitIndependence(t *testing.T) {
-	r := NewRNG(7)
-	child := r.Split()
-	// Child and parent streams should not be identical.
-	match := 0
-	for i := 0; i < 64; i++ {
-		if r.Uint64() == child.Uint64() {
-			match++
-		}
-	}
-	if match > 1 {
-		t.Fatalf("split stream overlaps parent: %d matches", match)
 	}
 }
 
@@ -110,40 +94,6 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 	if math.Abs(s.Mean()-1) > 0.02 {
 		t.Errorf("exp mean = %v, want ~1", s.Mean())
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(19)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm produced invalid/duplicate element %d", v)
-		}
-		seen[v] = true
-	}
-}
-
-// Property: Perm always yields a permutation for any n in [1, 100].
-func TestQuickPerm(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw)%100 + 1
-		p := NewRNG(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -56,41 +56,6 @@ func (s *Summary) Min() float64 { return s.min }
 // Max returns the largest observation (0 for empty).
 func (s *Summary) Max() float64 { return s.max }
 
-// Sum returns n*mean, the total of all observations.
-func (s *Summary) Sum() float64 { return s.mean * float64(s.n) }
-
-// CI95 returns the half-width of the 95% normal-approximation confidence
-// interval of the mean.
-func (s *Summary) CI95() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return 1.96 * s.Std() / math.Sqrt(float64(s.n))
-}
-
-// Merge folds other into s as if all of other's observations had been Added.
-func (s *Summary) Merge(other *Summary) {
-	if other.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *other
-		return
-	}
-	n1, n2 := float64(s.n), float64(other.n)
-	delta := other.mean - s.mean
-	tot := n1 + n2
-	s.m2 += other.m2 + delta*delta*n1*n2/tot
-	s.mean += delta * n2 / tot
-	s.n += other.n
-	if other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
-}
-
 func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g max=%.4g",
 		s.n, s.Mean(), s.Std(), s.min, s.max)
@@ -159,44 +124,4 @@ func (s *Sample) Percentile(p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
-}
-
-// Median returns the 50th percentile.
-func (s *Sample) Median() float64 { return s.Percentile(50) }
-
-// Max returns the largest observation (0 for empty).
-func (s *Sample) Max() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.xs[len(s.xs)-1]
-}
-
-// Min returns the smallest observation (0 for empty).
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.xs[0]
-}
-
-// FracAbove returns the fraction of observations strictly greater than x.
-func (s *Sample) FracAbove(x float64) float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	// First index with value > x.
-	i := sort.Search(len(s.xs), func(i int) bool { return s.xs[i] > x })
-	return float64(len(s.xs)-i) / float64(len(s.xs))
-}
-
-// Values returns a copy of the observations in insertion-then-sorted order
-// (sorted if any percentile query has run).
-func (s *Sample) Values() []float64 {
-	out := make([]float64, len(s.xs))
-	copy(out, s.xs)
-	return out
 }

@@ -71,7 +71,7 @@ func TestDroppedSweepStreamCancelsInFlightPoints(t *testing.T) {
 	// the server waits for the handler, so once it returns the sweep is
 	// over and the books are final.
 	returnsWithin(t, "the dropped sweep's handler", srv.Close)
-	if got := eng.Executions(); got < 5 || got > 4+2 {
+	if got := eng.Metrics().Executions; got < 5 || got > 4+2 {
 		t.Fatalf("%d executions, want wave 1's four plus the one or two points the two workers held", got)
 	}
 }
@@ -106,7 +106,7 @@ func TestRunCanceledContextAbortsInFlight(t *testing.T) {
 	if !errors.Is(err, context.Canceled) && !errors.Is(err, errAborted) {
 		t.Fatalf("canceled sweep error = %v", err)
 	}
-	if got := eng.Executions(); got < 5 || got > 4+2 {
+	if got := eng.Metrics().Executions; got < 5 || got > 4+2 {
 		t.Fatalf("%d executions, want wave 1's four plus the one or two points the two workers held", got)
 	}
 }

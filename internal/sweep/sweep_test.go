@@ -330,7 +330,7 @@ func TestSweepRealExperiment(t *testing.T) {
 		t.Fatalf("aggregate missing title:\n%s", ren)
 	}
 	// Default point (gens=6) must share the zero-param cache entry.
-	if resp, err := eng.Serve("E1"); err != nil || !resp.CacheHit {
+	if resp, err := eng.ServeWith(context.Background(), "E1", nil); err != nil || !resp.CacheHit {
 		t.Fatalf("Serve(E1) after sweep: hit=%v err=%v", resp.CacheHit, err)
 	}
 	if sum.Aggregate.Figure == nil {

@@ -8,14 +8,6 @@ var inf = math.Inf(1)
 
 func pow(x, y float64) float64 { return math.Pow(x, y) }
 
-// MooreTransistors returns the transistor budget after t years of scaling
-// from a base count, doubling every doublingMonths months. The paper's
-// Table 1 keeps this row alive in the "new reality": transistor count still
-// doubles every 18–24 months.
-func MooreTransistors(base float64, years float64, doublingMonths float64) float64 {
-	return base * math.Pow(2, years*12/doublingMonths)
-}
-
 // ScalingRegime selects between classic Dennard scaling and the post-2005
 // "new reality".
 type ScalingRegime int
@@ -97,11 +89,4 @@ func PowerGapAtGen(g int) float64 {
 	d := Trajectory(Dennard, g)[g]
 	pd := Trajectory(PostDennard, g)[g]
 	return pd.PowerChip / d.PowerChip
-}
-
-// DarkSiliconFraction returns the fraction of transistors that cannot be
-// powered at generation g under a fixed power budget in the post-Dennard
-// regime.
-func DarkSiliconFraction(g int) float64 {
-	return Trajectory(PostDennard, g)[g].DarkFrac
 }

@@ -84,17 +84,6 @@ func TestDynamicEnergyRel(t *testing.T) {
 	}
 }
 
-func TestMooreTransistors(t *testing.T) {
-	// 2x every 24 months: after 4 years, 4x.
-	if got := MooreTransistors(1e9, 4, 24); math.Abs(got-4e9) > 1 {
-		t.Fatalf("Moore 4yr = %v, want 4e9", got)
-	}
-	// 2x every 18 months: after 3 years, 4x.
-	if got := MooreTransistors(1e9, 3, 18); math.Abs(got-4e9) > 1 {
-		t.Fatalf("Moore 3yr@18mo = %v, want 4e9", got)
-	}
-}
-
 func TestDennardTrajectoryConstantPower(t *testing.T) {
 	traj := Trajectory(Dennard, 6)
 	for _, p := range traj {
@@ -143,10 +132,10 @@ func TestPowerGap(t *testing.T) {
 }
 
 func TestDarkSiliconFraction(t *testing.T) {
-	if d := DarkSiliconFraction(0); d != 0 {
+	if d := Trajectory(PostDennard, 0)[0].DarkFrac; d != 0 {
 		t.Fatalf("gen0 dark = %v", d)
 	}
-	if d := DarkSiliconFraction(4); d < 0.5 || d >= 1 {
+	if d := Trajectory(PostDennard, 4)[4].DarkFrac; d < 0.5 || d >= 1 {
 		t.Fatalf("gen4 dark = %v, want in (0.5, 1)", d)
 	}
 }
@@ -279,50 +268,4 @@ func TestNTVThroughputFalls(t *testing.T) {
 	if math.Abs(m.ThroughputRel(m.Node.Vdd)-1) > 1e-9 {
 		t.Fatal("nominal throughput should be 1")
 	}
-}
-
-func TestVariationGrowsWithScaling(t *testing.T) {
-	old := NewVariationModel(mustNode(t, "90nm"))
-	newer := NewVariationModel(mustNode(t, "14nm"))
-	if newer.FreqSigma <= old.FreqSigma {
-		t.Fatal("frequency variation should grow as features shrink")
-	}
-	if newer.LeakSigma <= old.LeakSigma {
-		t.Fatal("leakage variation should grow as features shrink")
-	}
-}
-
-func TestVariationSampleSane(t *testing.T) {
-	m := NewVariationModel(Node45())
-	r := stats.NewRNG(5)
-	var s stats.Summary
-	for i := 0; i < 20000; i++ {
-		c := m.Sample(r)
-		if c.FreqRel <= 0 || c.LeakRel <= 0 {
-			t.Fatal("non-positive sample")
-		}
-		s.Add(c.FreqRel)
-	}
-	if math.Abs(s.Mean()-1) > 0.01 {
-		t.Fatalf("mean freq = %v, want ~1", s.Mean())
-	}
-}
-
-func TestChipYieldFallsWithCoreCount(t *testing.T) {
-	m := NewVariationModel(mustNode(t, "14nm"))
-	r := stats.NewRNG(6)
-	y4 := m.ChipYield(4, 0.9, 3000, r)
-	y64 := m.ChipYield(64, 0.9, 3000, r)
-	if y64 >= y4 {
-		t.Fatalf("yield should fall with core count: y4=%v y64=%v", y4, y64)
-	}
-}
-
-func mustNode(t *testing.T, name string) Node {
-	t.Helper()
-	n, ok := NodeByName(name)
-	if !ok {
-		t.Fatalf("node %s missing", name)
-	}
-	return n
 }

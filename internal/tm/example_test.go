@@ -24,6 +24,15 @@ func ExampleAtomic() {
 		tx.Write(savings, s+40)
 		return nil
 	}, nil, 0)
-	fmt.Println(err, checking.Load(), savings.Load())
+	// Reading both back in one transaction sees a consistent snapshot.
+	var c, s int64
+	_ = tm.Atomic(func(tx *tm.Txn) (rerr error) {
+		if c, rerr = tx.Read(checking); rerr != nil {
+			return rerr
+		}
+		s, rerr = tx.Read(savings)
+		return rerr
+	}, nil, 0)
+	fmt.Println(err, c, s)
 	// Output: <nil> 60 40
 }

@@ -34,10 +34,6 @@ func NewVar(v int64) *Var {
 	return nv
 }
 
-// Load reads the variable non-transactionally (a consistent single-word
-// read; fine for monitoring, not for multi-variable invariants).
-func (v *Var) Load() int64 { return v.val.Load() }
-
 // errConflict aborts the current attempt; Atomic retries.
 var errConflict = errors.New("tm: conflict")
 

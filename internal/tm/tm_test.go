@@ -21,8 +21,8 @@ func TestSingleThreadReadWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Load() != 20 {
-		t.Fatalf("value = %d, want 20", v.Load())
+	if v.val.Load() != 20 {
+		t.Fatalf("value = %d, want 20", v.val.Load())
 	}
 }
 
@@ -54,7 +54,7 @@ func TestUserErrorPropagatesWithoutCommit(t *testing.T) {
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
 	}
-	if v.Load() != 1 {
+	if v.val.Load() != 1 {
 		t.Fatal("aborted transaction must not publish writes")
 	}
 }
@@ -64,13 +64,13 @@ func TestTransferPrecondition(t *testing.T) {
 	if err := Transfer(a, b, 100, nil); !errors.Is(err, ErrInsufficient) {
 		t.Fatalf("err = %v, want ErrInsufficient", err)
 	}
-	if a.Load() != 50 || b.Load() != 0 {
+	if a.val.Load() != 50 || b.val.Load() != 0 {
 		t.Fatal("failed transfer mutated state")
 	}
 	if err := Transfer(a, b, 30, nil); err != nil {
 		t.Fatal(err)
 	}
-	if a.Load() != 20 || b.Load() != 30 {
+	if a.val.Load() != 20 || b.val.Load() != 30 {
 		t.Fatal("transfer arithmetic wrong")
 	}
 }
@@ -102,8 +102,8 @@ func TestConcurrentCounter(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if v.Load() != goroutines*perG {
-		t.Fatalf("counter = %d, want %d", v.Load(), goroutines*perG)
+	if v.val.Load() != goroutines*perG {
+		t.Fatalf("counter = %d, want %d", v.val.Load(), goroutines*perG)
 	}
 	if st.Commits != goroutines*perG {
 		t.Fatalf("commits = %d", st.Commits)
@@ -181,7 +181,7 @@ func TestBankConservation(t *testing.T) {
 	auditors.Wait()
 	var sum int64
 	for _, acc := range accounts {
-		sum += acc.Load()
+		sum += acc.val.Load()
 	}
 	if sum != total {
 		t.Fatalf("final total = %d, want %d", sum, total)

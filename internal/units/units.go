@@ -1,9 +1,9 @@
 // Package units provides physical quantities used throughout the arch21
-// toolkit: energy, power, time, operation counts, and data sizes, together
-// with SI-prefixed construction helpers and human-readable formatting.
+// toolkit: energy, power, time and operation counts, together with
+// SI-prefixed construction helpers and human-readable formatting.
 //
 // All quantities are float64 wrappers in base SI units (joules, watts,
-// seconds, operations, bytes). Arithmetic between compatible quantities is
+// seconds, operations). Arithmetic between compatible quantities is
 // ordinary float arithmetic; the named types exist to keep interfaces
 // self-documenting and to catch unit confusion at compile time.
 package units
@@ -26,99 +26,36 @@ type Time float64
 // Ops is a count of operations (may be fractional for rate math).
 type Ops float64
 
-// Bytes is a data size in bytes.
-type Bytes float64
-
-// Frequency is a rate in hertz.
-type Frequency float64
-
 // Energy constructors.
 const (
-	Joule      Energy = 1
 	Millijoule Energy = 1e-3
-	Microjoule Energy = 1e-6
 	Nanojoule  Energy = 1e-9
 	Picojoule  Energy = 1e-12
-	Femtojoule Energy = 1e-15
 )
 
 // Power constructors.
 const (
 	Watt      Power = 1
-	Gigawatt  Power = 1e9
 	Megawatt  Power = 1e6
 	Kilowatt  Power = 1e3
 	Milliwatt Power = 1e-3
 	Microwatt Power = 1e-6
-	Nanowatt  Power = 1e-9
 )
 
 // Time constructors.
 const (
-	Second      Time = 1
 	Millisecond Time = 1e-3
 	Microsecond Time = 1e-6
 	Nanosecond  Time = 1e-9
-	Picosecond  Time = 1e-12
-	Minute      Time = 60
-	Hour        Time = 3600
-	Day         Time = 86400
-	Year        Time = 365.25 * 86400
 )
 
 // Ops constructors.
 const (
-	Op     Ops = 1
-	KiloOp Ops = 1e3
-	MegaOp Ops = 1e6
 	GigaOp Ops = 1e9
 	TeraOp Ops = 1e12
 	PetaOp Ops = 1e15
 	ExaOp  Ops = 1e18
 )
-
-// Bytes constructors (decimal SI, as used for bandwidth/storage trends).
-const (
-	Byte     Bytes = 1
-	Kilobyte Bytes = 1e3
-	Megabyte Bytes = 1e6
-	Gigabyte Bytes = 1e9
-	Terabyte Bytes = 1e12
-	Petabyte Bytes = 1e15
-)
-
-// Frequency constructors.
-const (
-	Hertz     Frequency = 1
-	Kilohertz Frequency = 1e3
-	Megahertz Frequency = 1e6
-	Gigahertz Frequency = 1e9
-)
-
-// Div returns the power required to spend e over duration t.
-func (e Energy) Div(t Time) Power {
-	return Power(float64(e) / float64(t))
-}
-
-// Times returns the energy spent at power p over duration t.
-func (p Power) Times(t Time) Energy {
-	return Energy(float64(p) * float64(t))
-}
-
-// PerOp divides total energy by an operation count, yielding energy per op.
-func (e Energy) PerOp(n Ops) Energy {
-	return Energy(float64(e) / float64(n))
-}
-
-// OpsPerJoule returns the energy-efficiency metric ops/J for n ops in e.
-func OpsPerJoule(n Ops, e Energy) float64 {
-	return float64(n) / float64(e)
-}
-
-// OpsPerSecond returns throughput for n ops in t.
-func OpsPerSecond(n Ops, t Time) float64 {
-	return float64(n) / float64(t)
-}
 
 var siPrefixes = []struct {
 	exp  float64
@@ -154,14 +91,3 @@ func (t Time) String() string { return SI(float64(t), "s") }
 
 // String renders the op count with an SI prefix.
 func (o Ops) String() string { return SI(float64(o), "op") }
-
-// String renders the size with an SI prefix.
-func (b Bytes) String() string { return SI(float64(b), "B") }
-
-// String renders the frequency with an SI prefix.
-func (f Frequency) String() string { return SI(float64(f), "Hz") }
-
-// Period returns the cycle time of frequency f.
-func (f Frequency) Period() Time {
-	return Time(1 / float64(f))
-}

@@ -14,41 +14,6 @@ func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*math.Max(math.Abs(a), math.Abs(b))
 }
 
-func TestEnergyPowerRoundTrip(t *testing.T) {
-	e := 10 * Joule
-	p := e.Div(2 * Second)
-	if p != 5*Watt {
-		t.Fatalf("10J / 2s = %v, want 5W", p)
-	}
-	back := p.Times(2 * Second)
-	if back != e {
-		t.Fatalf("round trip %v != %v", back, e)
-	}
-}
-
-func TestPerOp(t *testing.T) {
-	e := Energy(1) // 1 J
-	per := e.PerOp(1e12)
-	if !almostEqual(float64(per), 1e-12, 1e-12) {
-		t.Fatalf("1J over 1e12 ops = %v, want 1pJ", per)
-	}
-}
-
-func TestOpsPerJoule(t *testing.T) {
-	// The paper's ladder target: 1 giga-op/s in 10 mW = 100 GOPS/W.
-	got := OpsPerJoule(GigaOp, (10 * Milliwatt).Times(Second))
-	if !almostEqual(got, 1e11, 1e-9) {
-		t.Fatalf("GOPS at 10mW = %v ops/J, want 1e11", got)
-	}
-}
-
-func TestOpsPerSecond(t *testing.T) {
-	got := OpsPerSecond(100, 4)
-	if got != 25 {
-		t.Fatalf("ops/s = %v, want 25", got)
-	}
-}
-
 func TestSIFormatting(t *testing.T) {
 	cases := []struct {
 		v    float64
@@ -81,36 +46,8 @@ func TestStringers(t *testing.T) {
 	if s := (3 * Nanosecond).String(); !strings.Contains(s, "ns") {
 		t.Errorf("Time.String() = %q, want ns suffix", s)
 	}
-	if s := (5 * Terabyte).String(); !strings.Contains(s, "TB") {
-		t.Errorf("Bytes.String() = %q, want TB suffix", s)
-	}
-	if s := (2 * Gigahertz).String(); !strings.Contains(s, "GHz") {
-		t.Errorf("Frequency.String() = %q, want GHz suffix", s)
-	}
-}
-
-func TestFrequencyPeriod(t *testing.T) {
-	p := (1 * Gigahertz).Period()
-	if !almostEqual(float64(p), 1e-9, 1e-12) {
-		t.Fatalf("period of 1GHz = %v, want 1ns", p)
-	}
-}
-
-// Property: Div and Times are inverses for positive values.
-func TestQuickEnergyPowerInverse(t *testing.T) {
-	f := func(e float64, tRaw float64) bool {
-		e = math.Abs(e)
-		dt := math.Abs(tRaw)
-		if e == 0 || dt == 0 || math.IsInf(e, 0) || math.IsInf(dt, 0) ||
-			e > 1e100 || dt > 1e100 || e < 1e-100 || dt < 1e-100 {
-			return true // skip degenerate inputs
-		}
-		p := Energy(e).Div(Time(dt))
-		back := p.Times(Time(dt))
-		return almostEqual(float64(back), e, 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	if s := (7 * GigaOp).String(); !strings.Contains(s, "Gop") {
+		t.Errorf("Ops.String() = %q, want Gop suffix", s)
 	}
 }
 

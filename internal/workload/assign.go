@@ -28,17 +28,3 @@ func (tr RequestTrace) Assignments(n int) []int {
 	}
 	return out
 }
-
-// DistinctAssignments counts how many distinct catalog entries a trace
-// touches under Assignments(n) — the compulsory-miss count a cold cache
-// keyed by assignment would pay.
-func (tr RequestTrace) DistinctAssignments(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	seen := make(map[int]struct{}, n)
-	for _, k := range tr.Assignments(n) {
-		seen[k] = struct{}{}
-	}
-	return len(seen)
-}

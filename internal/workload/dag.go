@@ -80,62 +80,6 @@ func Fork(n int, work stats.Dist, r *stats.RNG) *DAG {
 	return d
 }
 
-// Chain creates a fully serial DAG of n tasks.
-func Chain(n int, work stats.Dist, r *stats.RNG) *DAG {
-	d := &DAG{Tasks: make([]Task, n)}
-	for i := 0; i < n; i++ {
-		w := work.Sample(r)
-		if w < 0 {
-			w = 0
-		}
-		t := Task{ID: i, Work: w}
-		if i > 0 {
-			t.Deps = []int{i - 1}
-		}
-		d.Tasks[i] = t
-	}
-	return d
-}
-
-// TotalWork returns the sum of task work.
-func (d *DAG) TotalWork() float64 {
-	sum := 0.0
-	for _, t := range d.Tasks {
-		sum += t.Work
-	}
-	return sum
-}
-
-// CriticalPath returns the longest work-weighted path through the DAG (the
-// span, T_inf in work/span terminology).
-func (d *DAG) CriticalPath() float64 {
-	finish := make([]float64, len(d.Tasks))
-	longest := 0.0
-	for i, t := range d.Tasks {
-		start := 0.0
-		for _, dep := range t.Deps {
-			if finish[dep] > start {
-				start = finish[dep]
-			}
-		}
-		finish[i] = start + t.Work
-		if finish[i] > longest {
-			longest = finish[i]
-		}
-	}
-	return longest
-}
-
-// MaxParallelism returns TotalWork / CriticalPath, the average parallelism
-// available in the DAG.
-func (d *DAG) MaxParallelism() float64 {
-	cp := d.CriticalPath()
-	if cp == 0 {
-		return 0
-	}
-	return d.TotalWork() / cp
-}
-
 // Validate checks topological ordering and dependency bounds.
 func (d *DAG) Validate() error {
 	for i, t := range d.Tasks {

@@ -105,16 +105,6 @@ func Kernels() []Kernel {
 	return []Kernel{GEMM, FFT, Stencil, SpMV, Sort, Crypto, Conv}
 }
 
-// KernelByName returns the named standard kernel.
-func KernelByName(name string) (Kernel, bool) {
-	for _, k := range Kernels() {
-		if k.Name == name {
-			return k, true
-		}
-	}
-	return Kernel{}, false
-}
-
 func log2(x float64) float64 {
 	if x <= 1 {
 		return 1

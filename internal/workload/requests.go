@@ -46,24 +46,3 @@ func ZipfTrace(n int, rate float64, service stats.Dist, nKeys int, skew float64,
 	}
 	return trace
 }
-
-// Duration returns the arrival span of the trace.
-func (tr RequestTrace) Duration() float64 {
-	if len(tr) == 0 {
-		return 0
-	}
-	return tr[len(tr)-1].Arrival - tr[0].Arrival
-}
-
-// OfferedLoad returns mean service demand times arrival rate — the
-// utilization a single server would see.
-func (tr RequestTrace) OfferedLoad() float64 {
-	if len(tr) < 2 {
-		return 0
-	}
-	sum := 0.0
-	for _, rq := range tr {
-		sum += rq.Service
-	}
-	return sum / tr.Duration()
-}

@@ -80,20 +80,6 @@ func GenerateStream(cfg StreamConfig, n int, r *stats.RNG) []StreamSample {
 	return out
 }
 
-// AnomalyFraction returns the fraction of samples marked anomalous.
-func AnomalyFraction(ss []StreamSample) float64 {
-	if len(ss) == 0 {
-		return 0
-	}
-	n := 0
-	for _, s := range ss {
-		if s.Anomalous {
-			n++
-		}
-	}
-	return float64(n) / float64(len(ss))
-}
-
 // EWMADetector is a simple exponentially-weighted moving-average anomaly
 // detector suitable for on-sensor filtering: it flags samples whose
 // deviation from the EWMA exceeds Threshold times the running deviation
@@ -142,10 +128,6 @@ func (d *EWMADetector) Observe(v float64) bool {
 	}
 	return flag
 }
-
-// OpsPerSample returns the approximate arithmetic cost of Observe, used for
-// on-sensor energy accounting.
-func (d *EWMADetector) OpsPerSample() float64 { return 8 }
 
 // DetectorScore summarizes detector accuracy against ground truth.
 type DetectorScore struct {
