@@ -23,6 +23,12 @@ func TestCoveredEnergyGain(t *testing.T) {
 	if g < 1.9 || g > 2.1 {
 		t.Fatalf("half-coverage energy gain = %v, want ~2", g)
 	}
+}
+
+// TestCoveredSpeedupLimits checks the accelerator-Amdahl law at its
+// limits. Speedup and energy gain obey the same law; CoveredEnergyGain
+// is its one door.
+func TestCoveredSpeedupLimits(t *testing.T) {
 	// Full coverage: the accelerator's raw factor.
 	if g := CoveredEnergyGain(1, 100); math.Abs(g-100) > 1e-9 {
 		t.Fatalf("full coverage = %v", g)

@@ -55,7 +55,8 @@ const vnodes = 64
 
 // Config parameterizes a Router. Failover walks every replica's ring
 // position in turn, so a chain is as long as the cluster; the hedge
-// delay never drops below DefaultHedgeFloor.
+// delay never drops below DefaultHedgeFloor, save behind a primary known
+// slower than its backup, where the backup fires at once.
 type Config struct {
 	// Timeout bounds one attempt's wall time (default 5m, matching the
 	// daemon's write timeout for slow cold runs — set it above the
@@ -408,9 +409,10 @@ func (r *Router) launch(race context.Context, b int, it serve.BatchItem, hedge b
 
 // doHedged runs one bounded attempt on b, hedge-protected when rest
 // offers a candidate: the primary launches immediately; if it outlives
-// the scoreboard's adaptive budget, one backup fires to the next distinct
-// untried replica in rest. Both legs answer on one channel, and the race
-// keeps two facts: how many legs are still out, and which failed first.
+// the scoreboard's adaptive budget, one backup fires to the first
+// replica in rest that is not slower than it (scoreboard.slower) — at
+// once when the primary is the slower one. Both legs answer on one
+// channel, and the race keeps two facts: how many legs are still out, and which failed first.
 //
 //   - The first usable answer (success, or a client/deadline verdict —
 //     identical on every replica) wins, and the other leg is canceled. A
@@ -442,12 +444,15 @@ func (r *Router) doHedged(ctx context.Context, b int, rest []int, it serve.Batch
 	hb, delay := -1, time.Duration(0)
 	if !r.cfg.DisableHedge && it.Class == admit.Interactive {
 		for _, c := range rest {
-			if c != b {
-				if d, ok := r.sb.hedgeDelay(b, c); ok {
-					hb, delay = c, d
-				}
-				break
+			// A backup slower than the primary cannot win the race: hedge
+			// to the next replica on the chain instead.
+			if c == b || r.sb.slower(c, b) {
+				continue
 			}
+			if d, ok := r.sb.hedgeDelay(b, c); ok {
+				hb, delay = c, d
+			}
+			break
 		}
 	}
 
