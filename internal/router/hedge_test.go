@@ -206,17 +206,18 @@ func TestScoreboardDemotionHysteresis(t *testing.T) {
 	}
 }
 
-func TestHedgeDelaySlowerPrimaryFiresAtOnce(t *testing.T) {
+func TestHedgeDelaySlowerPrimaryUsesFloor(t *testing.T) {
 	sb := newScoreboard(2, time.Millisecond, time.Minute)
-	observeN(sb, 0, hedgeWarmup, 80*time.Millisecond)
-	observeN(sb, 1, hedgeWarmup, time.Millisecond)
-	// A demoted owner's canary: the backup fires at once.
-	if d, ok := sb.hedgeDelay(0, 1); !ok || d != 0 {
-		t.Fatalf("slower primary: hedge delay %v ok=%v, want 0 true", d, ok)
+	observeN(sb, 0, hedgeWarmup, 800*time.Millisecond)
+	observeN(sb, 1, hedgeWarmup, 10*time.Millisecond)
+	// A demoted owner's canary: the backup fires at the 1ms floor, not
+	// at the straggler's budget or the backup's.
+	if d, ok := sb.hedgeDelay(0, 1); !ok || d != time.Millisecond {
+		t.Fatalf("slower primary: hedge delay %v ok=%v, want the 1ms floor", d, ok)
 	}
-	// A healthy primary keeps its own budget (here the 1ms floor).
-	if d, ok := sb.hedgeDelay(1, 0); !ok || d != time.Millisecond {
-		t.Fatalf("healthy primary: hedge delay %v ok=%v, want the 1ms floor", d, ok)
+	// A healthy primary keeps its own budget (a constant 10ms stream).
+	if d, ok := sb.hedgeDelay(1, 0); !ok || d < 9*time.Millisecond || d > 11*time.Millisecond {
+		t.Fatalf("healthy primary: hedge delay %v ok=%v, want its ~10ms budget", d, ok)
 	}
 }
 

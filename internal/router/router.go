@@ -55,8 +55,7 @@ const vnodes = 64
 
 // Config parameterizes a Router. Failover walks every replica's ring
 // position in turn, so a chain is as long as the cluster; the hedge
-// delay never drops below DefaultHedgeFloor, save behind a primary known
-// slower than its backup, where the backup fires at once.
+// delay never drops below DefaultHedgeFloor.
 type Config struct {
 	// Timeout bounds one attempt's wall time (default 5m, matching the
 	// daemon's write timeout for slow cold runs — set it above the
@@ -411,7 +410,7 @@ func (r *Router) launch(race context.Context, b int, it serve.BatchItem, hedge b
 // offers a candidate: the primary launches immediately; if it outlives
 // the scoreboard's adaptive budget, one backup fires to the first
 // replica in rest that is not slower than it (scoreboard.slower) — at
-// once when the primary is the slower one. Both legs answer on one
+// the floor when the primary is the slower one. Both legs answer on one
 // channel, and the race keeps two facts: how many legs are still out, and which failed first.
 //
 //   - The first usable answer (success, or a client/deadline verdict —
@@ -490,7 +489,13 @@ func (r *Router) doHedged(ctx context.Context, b int, rest []int, it serve.Batch
 			failed = o.b
 		case <-hedgeC:
 			// The timer fires once, while the primary is the only leg out.
-			// An ejected, unprobeable backup leaves the primary on its own.
+			// An answer already waiting beats it (select picks at random
+			// among ready cases): the loop takes the answer, and the
+			// primary's answer always ends the race. An ejected,
+			// unprobeable backup leaves the primary on its own.
+			if len(legs) > 0 {
+				continue
+			}
 			if r.admit(hb) {
 				r.sb.scores[b].hedges.Add(1)
 				hedged, out = hb, out+1

@@ -19,7 +19,7 @@ package router
 //     (placement falls back along the same PlaceK chain failover uses,
 //     so cache locality degrades to the successor's tier instead of
 //     scattering). Every canaryEvery-th such request still goes
-//     owner-first, its backup fired at once, so a healed replica's score
+//     owner-first, its backup fired at the floor, so a healed replica's score
 //     recovers instead of being frozen by its own demotion. A demoted
 //     replica stays demoted until its score falls under recoverRatio.
 
@@ -154,7 +154,7 @@ func (s *scoreboard) budget(b int) (time.Duration, bool) {
 // EWMA more than demoteRatio × b's, or, once a is demoted, more than
 // recoverRatio × b's. Both rows must be warm. The verdict becomes a's
 // demoted state. It is the one bar behind demotion (prefer), a sick
-// primary's zero hedge delay (hedgeDelay) and the backup a hedge skips
+// primary's floor hedge delay (hedgeDelay) and the backup a hedge skips
 // (doHedged).
 func (s *scoreboard) slower(a, b int) bool {
 	ma, _, na := s.snapshot(a)
@@ -177,19 +177,19 @@ func (s *scoreboard) slower(a, b int) bool {
 
 // hedgeDelay picks when a backup to hb should fire behind a primary
 // attempt on b: normally b's own budget (hedge on the primary's p99),
-// but at once when b is slower than hb — a demoted owner's canary. Any
-// wait there is pure tail: the straggler's own budget is runaway, and
-// even the backup's budget plus the backup's answer costs the canary
-// about twice a healthy request. A healed owner, launched first, still
-// answers first and is observed; a sick one is cut short. ok is false
-// while b is still warming up.
+// but at the floor when b is slower than hb — a demoted owner's canary.
+// Any longer wait there is pure tail: the straggler's own budget is
+// runaway, and even the backup's budget plus the backup's answer costs
+// the canary about twice a healthy request. A healed owner, a floor's
+// head start ahead, still answers first and is observed; a sick one is
+// cut short. ok is false while b is still warming up.
 func (s *scoreboard) hedgeDelay(b, hb int) (time.Duration, bool) {
 	d, ok := s.budget(b)
 	if !ok {
 		return 0, false
 	}
 	if s.slower(b, hb) {
-		return 0, true
+		return s.floor, true
 	}
 	return d, true
 }
