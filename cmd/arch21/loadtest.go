@@ -261,7 +261,11 @@ func runChaos(duration time.Duration, replicas, clients, workers int, seed uint6
 		fmt.Printf("wrote %s\n", jsonOut)
 	}
 	if !res.Passed() {
-		fmt.Fprintf(os.Stderr, "arch21: chaos: %d invariant check(s) failed\n", failed)
+		if len(res.Checks) == 0 {
+			fmt.Fprintln(os.Stderr, "arch21: chaos: no invariant checks ran")
+		} else {
+			fmt.Fprintf(os.Stderr, "arch21: chaos: %d invariant check(s) failed\n", failed)
+		}
 		os.Exit(1)
 	}
 }

@@ -160,103 +160,6 @@ func TestScoreboardPreferNeedsWarmthAndRatio(t *testing.T) {
 	}
 }
 
-// observeN folds n copies of d into replica b's score: enough of them
-// pull the EWMA to d from wherever it stood.
-func observeN(sb *scoreboard, b, n int, d time.Duration) {
-	for i := 0; i < n; i++ {
-		sb.observe(b, d)
-	}
-}
-
-func TestScoreboardDemotionHysteresis(t *testing.T) {
-	sb := newScoreboard(2, time.Millisecond, time.Minute)
-	observeN(sb, 0, hedgeWarmup, 80*time.Millisecond) // owner: 80x slower
-	observeN(sb, 1, hedgeWarmup, time.Millisecond)
-	demoted := func() bool {
-		chain := []int{0, 1}
-		sb.prefer(chain)
-		return chain[0] == 1
-	}
-	if !demoted() {
-		t.Fatal("an 80x owner was not demoted")
-	}
-	// Partly healed to 6x: under the demotion bar, over the recovery bar.
-	// A demoted owner stays demoted...
-	observeN(sb, 0, 60, 6*time.Millisecond)
-	if !demoted() {
-		t.Fatal("a demoted owner at 6x was re-trusted above the 4x recovery bar")
-	}
-	// ...where a never-demoted one at the same 6x is not demoted at all.
-	fresh := newScoreboard(2, time.Millisecond, time.Minute)
-	observeN(fresh, 0, hedgeWarmup, 6*time.Millisecond)
-	observeN(fresh, 1, hedgeWarmup, time.Millisecond)
-	chain := []int{0, 1}
-	fresh.prefer(chain)
-	if chain[0] != 0 {
-		t.Fatal("a 6x owner was demoted without first crossing 8x")
-	}
-	// Healed under 4x: owner-first again, and the 8x bar is back.
-	observeN(sb, 0, 60, 3*time.Millisecond)
-	if demoted() {
-		t.Fatal("an owner healed to 3x stayed demoted")
-	}
-	observeN(sb, 0, 60, 6*time.Millisecond)
-	if demoted() {
-		t.Fatal("a recovered owner at 6x was demoted again under the 8x bar")
-	}
-}
-
-func TestHedgeDelaySlowerPrimaryUsesFloor(t *testing.T) {
-	sb := newScoreboard(2, time.Millisecond, time.Minute)
-	observeN(sb, 0, hedgeWarmup, 800*time.Millisecond)
-	observeN(sb, 1, hedgeWarmup, 10*time.Millisecond)
-	// A demoted owner's canary: the backup fires at the 1ms floor, not
-	// at the straggler's budget or the backup's.
-	if d, ok := sb.hedgeDelay(0, 1); !ok || d != time.Millisecond {
-		t.Fatalf("slower primary: hedge delay %v ok=%v, want the 1ms floor", d, ok)
-	}
-	// A healthy primary keeps its own budget (a constant 10ms stream).
-	if d, ok := sb.hedgeDelay(1, 0); !ok || d < 9*time.Millisecond || d > 11*time.Millisecond {
-		t.Fatalf("healthy primary: hedge delay %v ok=%v, want its ~10ms budget", d, ok)
-	}
-}
-
-func TestHedgeSkipsSlowerBackup(t *testing.T) {
-	r, faults := newHedgeCluster(t, 3, Config{})
-	// A key owned by 1 whose chain falls back to 0 before 2.
-	id := ""
-	for i := 0; i < 4096 && id == ""; i++ {
-		cand := fmt.Sprintf("HK%d", i)
-		if chain := r.ring.PlaceK(nil, serve.IdentOf(cand, nil).Hash(), 3); chain[0] == 1 && chain[1] == 0 {
-			id = cand
-		}
-	}
-	if id == "" {
-		t.Fatal("no key with chain [1 0 2]")
-	}
-	primeScore(r, 0, 80*time.Millisecond) // the chain's next replica is known slow
-	primeScore(r, 1, 100*time.Microsecond)
-	primeScore(r, 2, 100*time.Microsecond)
-	faults[1].Degrade(150 * time.Millisecond)
-
-	t0 := time.Now()
-	if _, err := serveDecoded(context.Background(), r, id, nil); err != nil {
-		t.Fatalf("ServeWith: %v", err)
-	}
-	if elapsed := time.Since(t0); elapsed > 100*time.Millisecond {
-		t.Fatalf("hedged request took %v, the backup did not win", elapsed)
-	}
-	waitInflightDrain(t, r)
-	m := r.Metrics()
-	if m.Hedges != 1 || m.HedgeWins != 1 {
-		t.Fatalf("hedges=%d wins=%d, want 1/1", m.Hedges, m.HedgeWins)
-	}
-	if m.Health[0].Requests != 0 || m.Health[2].Requests != 1 {
-		t.Fatalf("backup went to %d/%d requests on replicas 0/2, want 0/1 (skip the slower replica)",
-			m.Health[0].Requests, m.Health[2].Requests)
-	}
-}
-
 // newHedgeCluster builds n engine replicas wrapped in FaultBackends
 // behind a router with test-friendly hedging (1ms floor, short attempt
 // timeout).

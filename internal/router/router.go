@@ -408,10 +408,9 @@ func (r *Router) launch(race context.Context, b int, it serve.BatchItem, hedge b
 
 // doHedged runs one bounded attempt on b, hedge-protected when rest
 // offers a candidate: the primary launches immediately; if it outlives
-// the scoreboard's adaptive budget, one backup fires to the first
-// replica in rest that is not slower than it (scoreboard.slower) — at
-// the floor when the primary is the slower one. Both legs answer on one
-// channel, and the race keeps two facts: how many legs are still out, and which failed first.
+// the scoreboard's adaptive budget, one backup fires to the next distinct
+// untried replica in rest. Both legs answer on one channel, and the race
+// keeps two facts: how many legs are still out, and which failed first.
 //
 //   - The first usable answer (success, or a client/deadline verdict —
 //     identical on every replica) wins, and the other leg is canceled. A
@@ -443,15 +442,12 @@ func (r *Router) doHedged(ctx context.Context, b int, rest []int, it serve.Batch
 	hb, delay := -1, time.Duration(0)
 	if !r.cfg.DisableHedge && it.Class == admit.Interactive {
 		for _, c := range rest {
-			// A backup slower than the primary cannot win the race: hedge
-			// to the next replica on the chain instead.
-			if c == b || r.sb.slower(c, b) {
-				continue
+			if c != b {
+				if d, ok := r.sb.hedgeDelay(b, c); ok {
+					hb, delay = c, d
+				}
+				break
 			}
-			if d, ok := r.sb.hedgeDelay(b, c); ok {
-				hb, delay = c, d
-			}
-			break
 		}
 	}
 
@@ -489,13 +485,7 @@ func (r *Router) doHedged(ctx context.Context, b int, rest []int, it serve.Batch
 			failed = o.b
 		case <-hedgeC:
 			// The timer fires once, while the primary is the only leg out.
-			// An answer already waiting beats it (select picks at random
-			// among ready cases): the loop takes the answer, and the
-			// primary's answer always ends the race. An ejected,
-			// unprobeable backup leaves the primary on its own.
-			if len(legs) > 0 {
-				continue
-			}
+			// An ejected, unprobeable backup leaves the primary on its own.
 			if r.admit(hb) {
 				r.sb.scores[b].hedges.Add(1)
 				hedged, out = hb, out+1

@@ -19,9 +19,8 @@ package router
 //     (placement falls back along the same PlaceK chain failover uses,
 //     so cache locality degrades to the successor's tier instead of
 //     scattering). Every canaryEvery-th such request still goes
-//     owner-first, its backup fired at the floor, so a healed replica's score
-//     recovers instead of being frozen by its own demotion. A demoted
-//     replica stays demoted until its score falls under recoverRatio.
+//     owner-first, hedge-protected, so a healed replica's score recovers
+//     instead of being frozen by its own demotion.
 
 import (
 	"sync"
@@ -47,14 +46,6 @@ const (
 	// owner-first (hedged): frequent enough to notice recovery within
 	// tens of requests, rare enough to stay out of the cluster p99.
 	canaryEvery = 64
-	// recoverRatio is the bar (×) a demoted replica's EWMA must fall back
-	// under before it is trusted again. The gap to demoteRatio is
-	// hysteresis: a demoted straggler's score stops moving (its canaries
-	// are cut short, and a cut-short attempt only ever raises it), while
-	// the healthy peer's score wanders with scheduler noise — with one bar
-	// that noise flaps the straggler back to owner-first, where it waits
-	// out its own runaway budget.
-	recoverRatio = demoteRatio / 2
 )
 
 // DefaultHedgeFloor is the minimum hedge delay: below it, a backup fires
@@ -82,7 +73,6 @@ type score struct {
 	hedges    atomic.Int64 // backups fired because this replica's primary attempt ran long
 	hedgeWins atomic.Int64 // backups that answered before this replica's primary attempt
 	canary    atomic.Int64 // demotion decisions, for canary scheduling
-	demoted   atomic.Bool  // the last slower verdict on this replica
 }
 
 // scoreboard is the router's per-replica rows, in backend order.
@@ -150,46 +140,24 @@ func (s *scoreboard) budget(b int) (time.Duration, bool) {
 	return d, true
 }
 
-// slower reports whether replica a is consistently slower than b: its
-// EWMA more than demoteRatio × b's, or, once a is demoted, more than
-// recoverRatio × b's. Both rows must be warm. The verdict becomes a's
-// demoted state. It is the one bar behind demotion (prefer), a sick
-// primary's floor hedge delay (hedgeDelay) and the backup a hedge skips
-// (doHedged).
-func (s *scoreboard) slower(a, b int) bool {
-	ma, _, na := s.snapshot(a)
-	mb, _, nb := s.snapshot(b)
-	if na < hedgeWarmup || nb < hedgeWarmup {
-		return false
-	}
-	sc := &s.scores[a]
-	was := sc.demoted.Load()
-	ratio := demoteRatio
-	if was {
-		ratio = recoverRatio
-	}
-	v := ma > ratio*mb
-	if v != was {
-		sc.demoted.Store(v) // a write only on a change: the row is read on every request
-	}
-	return v
-}
-
 // hedgeDelay picks when a backup to hb should fire behind a primary
 // attempt on b: normally b's own budget (hedge on the primary's p99),
-// but at the floor when b is slower than hb — a demoted owner's canary.
-// Any longer wait there is pure tail: the straggler's own budget is
-// runaway, and even the backup's budget plus the backup's answer costs
-// the canary about twice a healthy request. A healed owner, a floor's
-// head start ahead, still answers first and is observed; a sick one is
-// cut short. ok is false while b is still warming up.
+// but when b is known sick relative to hb — the same bar demotion uses —
+// the backup's budget instead. A demoted owner's canary request would
+// otherwise inherit the straggler's runaway budget and fire its backup
+// far too late to protect the request. ok is false while either side of
+// the decision is still warming up.
 func (s *scoreboard) hedgeDelay(b, hb int) (time.Duration, bool) {
 	d, ok := s.budget(b)
 	if !ok {
 		return 0, false
 	}
-	if s.slower(b, hb) {
-		return s.floor, true
+	mb, _, _ := s.snapshot(b)
+	mh, _, nh := s.snapshot(hb)
+	if nh >= hedgeWarmup && mb > demoteRatio*mh {
+		if dh, ok := s.budget(hb); ok {
+			return dh, true
+		}
 	}
 	return d, true
 }
@@ -201,7 +169,9 @@ func (s *scoreboard) prefer(chain []int) {
 	if len(chain) < 2 {
 		return
 	}
-	if !s.slower(chain[0], chain[1]) {
+	ma, _, na := s.snapshot(chain[0])
+	mb, _, nb := s.snapshot(chain[1])
+	if na < hedgeWarmup || nb < hedgeWarmup || ma <= demoteRatio*mb {
 		return
 	}
 	if s.scores[chain[0]].canary.Add(1)%canaryEvery == 0 {
