@@ -32,8 +32,9 @@ docs-check:
 	$(GO) test -run '^Test(RegistryMatchesDesignDoc|ParamDefaultsValidate|EveryPackageHasGodoc|\w+Docs\w*)$$' -v .
 
 # deadcode fails, naming each one, on any top-level declaration that only
-# tests reach: the module is type-checked from source with the standard
-# library, and bench/ and the root harness count as callers.
+# tests reach and on any struct field that only tests read: the module is
+# type-checked from source with the standard library, and bench/ and the
+# root harness count as callers.
 deadcode:
 	$(GO) test -run '^TestNoDeadCode$$' -v .
 
@@ -132,13 +133,17 @@ loadtest-smoke:
 	done
 
 # size prints non-test lines (wc -l) per serving-stack package and their
-# sum: the number ROADMAP's "least code" aim tracks. CI prints it in its
-# summary next to the coverage figure; nothing gates on it.
+# sum: the number ROADMAP's "least code" aim tracks, then the module's
+# non-test Go lines outside bench/ (and outside dot-directories such as
+# .bench_build/). CI prints it in its summary next to the coverage figure;
+# nothing gates on it.
 size:
 	@total=0; for p in serve router load httpapi obs admit sweep qos; do \
 		n=$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l); \
 		printf '%-8s %6d\n' $$p $$n; total=$$((total + n)); done; \
-	printf '%-8s %6d\n' total $$total
+	printf '%-8s %6d\n' total $$total; \
+	n=$$(find . \( -path ./bench -o -name '.?*' \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
+	printf '%-8s %6d  (non-test Go lines outside bench/)\n' module $$n
 
 # cover prints total statement coverage (CI enforces the floor).
 cover:

@@ -44,7 +44,10 @@ func benchExperiment(b *testing.B, id string) {
 	var sink int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := e.Run(context.Background())
+		res, _, err := e.RunWith(context.Background(), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		sink += len(res.Render())
 	}
 	if sink == 0 {

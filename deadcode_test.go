@@ -3,9 +3,10 @@ package repro
 // The dead-code gate, run by `make deadcode` and tier-1: a model or a
 // helper that no command, example, experiment or benchmark calls checks
 // nothing the reproduction reports, so a top-level declaration that only
-// tests reach fails the build. It type-checks the module from source with
-// the standard library alone (go/parser, go/types and the "source"
-// importer for std), so nothing is downloaded.
+// tests reach fails the build, and so does a struct field that only tests
+// read. It type-checks the module from source with the standard library
+// alone (go/parser, go/types and the "source" importer for std), so
+// nothing is downloaded.
 
 import (
 	"cmp"
@@ -26,10 +27,21 @@ import (
 )
 
 // deadAllow is the gate's one allowlist: an import path, or an import path
-// and a name ("repro/internal/x.Type.Method"), mapped to why what it
-// matches may stay unreached. An entry that matches nothing fails the gate.
+// and a name ("repro/internal/x.Type.Method", "repro/internal/x.Type.Field"),
+// mapped to why what it matches may stay unreached or unread. An entry that
+// matches nothing fails the gate.
 var deadAllow = map[string]string{
 	"repro/internal/des": "the discrete-event kernel keeps its whole API for the sim cluster ROADMAP item 1(c) builds on it",
+	"repro/internal/serve.Response": "the return type of Engine.ServeWith, which bench/ pins; it goes with ServeWith " +
+		"(ROADMAP items 5 and 11)",
+	"repro/internal/multicore.RunStats.TasksRun": "the runner tests check that it equals len(dag.Tasks) " +
+		"(every task runs, on an empty DAG none)",
+	"repro/internal/multicore.RunStats.WorkPerWorker": "TestParallelSpeedupReal and TestStealingBalancesSkewedWork " +
+		"read stealing's load balance from it, which wall-clock time on a shared host cannot show",
+	"repro/internal/cluster.QueueingResult.Completed": "the queueing tests check from it that no request is lost " +
+		"near saturation; nothing else counts the simulation's completions",
+	"repro/internal/noc.FlitResult.DroppedAtSource": "TestFlitSimSaturationThroughputCaps checks from it that a " +
+		"saturated mesh refuses injections; nothing else shows the source queue's back-pressure",
 }
 
 // deadConsumers are the code outside the module's non-test packages whose
@@ -49,7 +61,7 @@ func TestNoDeadCode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range dead {
-		t.Errorf("only tests reach %s", d)
+		t.Errorf("only tests reach or read %s", d)
 	}
 	for _, s := range stale {
 		t.Errorf("allowlist entry %q matches nothing; delete it", s)
@@ -58,8 +70,11 @@ func TestNoDeadCode(t *testing.T) {
 
 // The gate's core on a small module: what only tests or nothing reach is
 // flagged by name, transitively; a method a live type needs for a std
-// interface and a function a consumer calls are not; an allowlist entry
-// silences its match and one that matches nothing is reported.
+// interface and a function a consumer calls are not. A live type's field
+// that nothing, only a test, or only a write of itself (a rescale or a
+// running maximum) reads is flagged; a json-tagged, an embedded and a
+// consumer-read field are not. An allowlist entry silences its match and
+// one that matches nothing is reported.
 func TestNoDeadCodeSelfTest(t *testing.T) {
 	root := t.TempDir()
 	for name, src := range map[string]string{
@@ -81,12 +96,35 @@ func ChainA() { ChainB() }
 func ChainB() {}
 
 func ForConsumer() {}
+
+type Rec struct {
+	T
+	Read     int
+	Unread   int
+	TestRead int
+	Scaled   int
+	Max      int
+	Tagged   int ` + "`json:\"tagged\"`" + `
+	Consumed int
+}
+
+func NewRec() Rec {
+	base := Rec{Scaled: 3}
+	r := Rec{Read: 1, Unread: 2, TestRead: 3, Scaled: base.Scaled * 2, Tagged: 4, Consumed: 5}
+	r.Scaled = r.Scaled + 1
+	for _, v := range []int{1, 2} {
+		if v > r.Max {
+			r.Max = v
+		}
+	}
+	return r
+}
 `,
 		"lib/lib_test.go": `package lib
 
 import "testing"
 
-func TestLib(t *testing.T) { TestOnly(); ChainA() }
+func TestLib(t *testing.T) { TestOnly(); ChainA(); _ = NewRec().TestRead }
 `,
 		"cmd/main.go": `package main
 
@@ -96,14 +134,14 @@ import (
 	"example/lib"
 )
 
-func main() { fmt.Println(lib.New()) }
+func main() { fmt.Println(lib.New(), lib.NewRec().Read) }
 `,
 		"consumer/go.mod": "module example/consumer\n",
 		"consumer/main.go": `package main
 
 import "example/lib"
 
-func main() { lib.ForConsumer() }
+func main() { lib.ForConsumer(); _ = lib.NewRec().Consumed }
 `,
 	} {
 		path := filepath.Join(root, name)
@@ -120,17 +158,20 @@ func main() { lib.ForConsumer() }
 		t.Fatal(err)
 	}
 	want := []string{"lib/lib.go:9 lib.Unused", "lib/lib.go:11 lib.TestOnly", "lib/lib.go:13 lib.ChainA",
-		"lib/lib.go:15 lib.ChainB"}
+		"lib/lib.go:15 lib.ChainB", "lib/lib.go:22 lib.Rec.Unread", "lib/lib.go:23 lib.Rec.TestRead",
+		"lib/lib.go:24 lib.Rec.Scaled", "lib/lib.go:25 lib.Rec.Max"}
 	if !slices.Equal(dead, want) || len(stale) != 0 {
 		t.Errorf("dead %q, stale %q; want dead %q and no stale entry", dead, stale, want)
 	}
-	allow := map[string]string{"example/lib.Unused": "kept", "example/gone": "matches nothing"}
+	allow := map[string]string{"example/lib.Unused": "kept", "example/lib.Rec.Unread": "kept",
+		"example/gone": "matches nothing"}
 	dead, stale, err = deadCode(root, consumers, allow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(dead, want[1:]) || !slices.Equal(stale, []string{"example/gone"}) {
-		t.Errorf("with an allowlist: dead %q, stale %q; want dead %q and stale [example/gone]", dead, stale, want[1:])
+	want = slices.Concat(want[1:4], want[5:])
+	if !slices.Equal(dead, want) || !slices.Equal(stale, []string{"example/gone"}) {
+		t.Errorf("with an allowlist: dead %q, stale %q; want dead %q and stale [example/gone]", dead, stale, want)
 	}
 }
 
@@ -233,7 +274,10 @@ func parseDir(fset *token.FileSet, dir string, names []string) ([]*ast.File, err
 // and a live type keeps the methods through which it implements any
 // interface the checked code declares or imports. It returns each
 // unreached top-level declaration outside allow as "file:line pkg.Name",
-// and the allow entries that matched nothing.
+// then, of every reached struct type, each field that neither the module's
+// non-test code nor a consumer reads (see fieldReads), less the embedded
+// and json-tagged ones, as "file:line pkg.Type.Field"; and the allow
+// entries that matched nothing.
 func deadCode(root string, consumers map[string][]string, allow map[string]string) (dead, stale []string, err error) {
 	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -293,8 +337,10 @@ func deadCode(root string, consumers map[string][]string, allow map[string]strin
 	}
 	decls := map[types.Object]*decl{}
 	var roots []ast.Node
-	for _, files := range m.files {
-		for _, f := range files {
+	var files []*ast.File // the module's non-test files and the consumers'
+	for _, pkgFiles := range m.files {
+		files = append(files, pkgFiles...)
+		for _, f := range pkgFiles {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
@@ -331,16 +377,17 @@ func deadCode(root string, consumers map[string][]string, allow map[string]strin
 		checked = append(checked, p)
 	}
 	for dir, names := range consumers {
-		files, err := parseDir(fset, filepath.Join(root, dir), names)
+		cfiles, err := parseDir(fset, filepath.Join(root, dir), names)
 		if err != nil {
 			return nil, nil, err
 		}
-		p, err := m.check(module+"/"+dir+" (consumer)", files)
+		p, err := m.check(module+"/"+dir+" (consumer)", cfiles)
 		if err != nil {
 			return nil, nil, err
 		}
 		checked = append(checked, p)
-		for _, f := range files {
+		files = append(files, cfiles...)
+		for _, f := range cfiles {
 			roots = append(roots, f)
 		}
 	}
@@ -433,28 +480,38 @@ func deadCode(root string, consumers map[string][]string, allow map[string]strin
 	}
 	var hits []hit
 	used := map[string]bool{}
-	for o, d := range decls {
-		if live[o] {
-			continue
-		}
-		full := o.Pkg().Path() + "." + d.name
-		allowed := false
+	flag := func(pkg *types.Package, name string, pos token.Pos) {
+		full, allowed := pkg.Path()+"."+name, false
 		for key := range allow {
 			if full == key || strings.HasPrefix(full, key+".") {
 				allowed, used[key] = true, true
 			}
 		}
 		if allowed {
-			continue
+			return
 		}
-		p := fset.Position(d.pos)
+		p := fset.Position(pos)
 		file := p.Filename
 		if rel, err := filepath.Rel(root, file); err == nil {
 			file = filepath.ToSlash(rel)
 		}
-		hits = append(hits, hit{file, o.Pkg().Name() + "." + d.name, p.Line})
+		hits = append(hits, hit{file, pkg.Name() + "." + name, p.Line})
 	}
-	slices.SortFunc(hits, func(a, b hit) int { return cmp.Or(strings.Compare(a.file, b.file), a.line-b.line) })
+	read := fieldReads(m.info, files)
+	for o, d := range decls {
+		if !live[o] {
+			flag(o.Pkg(), d.name, d.pos)
+			continue
+		}
+		if ts, ok := d.node.(*ast.TypeSpec); ok {
+			if st, ok := ts.Type.(*ast.StructType); ok {
+				unreadFields(m.info, read, d.name, st, func(name string, pos token.Pos) { flag(o.Pkg(), name, pos) })
+			}
+		}
+	}
+	slices.SortFunc(hits, func(a, b hit) int {
+		return cmp.Or(strings.Compare(a.file, b.file), a.line-b.line, strings.Compare(a.name, b.name))
+	})
 	for _, h := range hits {
 		dead = append(dead, fmt.Sprintf("%s:%d %s", h.file, h.line, h.name))
 	}
@@ -465,6 +522,126 @@ func deadCode(root string, consumers map[string][]string, allow map[string]strin
 	}
 	sort.Strings(stale)
 	return dead, stale, nil
+}
+
+// fieldReads returns the struct fields that files read. The key of a keyed
+// composite literal and the field an assignment or ++/-- stores to are
+// writes, and so is a read of a field inside the value stored to that same
+// field (`T{F: base.F * k}`, `x.F = x.F + d`): it only rescales the field.
+// A read in the condition of an if whose body only stores that field (a
+// running maximum, `if w > x.F { x.F = w }`) is a write too.
+func fieldReads(info *types.Info, files []*ast.File) map[*types.Var]bool {
+	fieldOf := func(id *ast.Ident) *types.Var {
+		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+			return v.Origin()
+		}
+		return nil
+	}
+	writes := map[*ast.Ident]bool{}
+	write := func(id *ast.Ident, val ast.Expr) {
+		writes[id] = true
+		if v := fieldOf(id); v != nil && val != nil {
+			ast.Inspect(val, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && fieldOf(id) == v {
+					writes[id] = true
+				}
+				return true
+			})
+		}
+	}
+	stored := func(x ast.Expr, val ast.Expr) {
+		if sel, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
+			write(sel.Sel, val)
+		}
+	}
+	// onlyStores is the one field that every statement of an if without
+	// init or else assigns to, or nil.
+	onlyStores := func(n *ast.IfStmt) *types.Var {
+		if n.Init != nil || n.Else != nil {
+			return nil
+		}
+		var only *types.Var
+		for _, st := range n.Body.List {
+			as, ok := st.(*ast.AssignStmt)
+			if !ok {
+				return nil
+			}
+			for _, lhs := range as.Lhs {
+				sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+				if !ok {
+					return nil
+				}
+				v := fieldOf(sel.Sel)
+				if v == nil || only != nil && v != only {
+					return nil
+				}
+				only = v
+			}
+		}
+		return only
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					var val ast.Expr
+					if len(n.Rhs) == len(n.Lhs) {
+						val = n.Rhs[i]
+					}
+					stored(lhs, val)
+				}
+			case *ast.IncDecStmt:
+				stored(n.X, nil)
+			case *ast.IfStmt:
+				if v := onlyStores(n); v != nil {
+					ast.Inspect(n.Cond, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok && fieldOf(id) == v {
+							writes[id] = true
+						}
+						return true
+					})
+				}
+			case *ast.CompositeLit:
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							write(id, kv.Value)
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	read := map[*types.Var]bool{}
+	for id := range info.Uses {
+		if v := fieldOf(id); v != nil && !writes[id] {
+			read[v] = true
+		}
+	}
+	return read
+}
+
+// unreadFields calls flag with the name (prefix.Field, and
+// prefix.Field.Sub inside an anonymous struct) and position of every field
+// of st that read lacks, less the embedded, blank (padding) and
+// json-tagged ones.
+func unreadFields(info *types.Info, read map[*types.Var]bool, prefix string, st *ast.StructType, flag func(string, token.Pos)) {
+	for _, f := range st.Fields.List {
+		if f.Tag != nil && strings.Contains(f.Tag.Value, `json:"`) {
+			continue
+		}
+		for _, n := range f.Names {
+			name := prefix + "." + n.Name
+			if v, ok := info.Defs[n].(*types.Var); ok && n.Name != "_" && !read[v] {
+				flag(name, n.Pos())
+			}
+			if sub, ok := f.Type.(*ast.StructType); ok {
+				unreadFields(info, read, name, sub, flag)
+			}
+		}
+	}
 }
 
 // stdUnnamed declares the interfaces the errors package asserts without

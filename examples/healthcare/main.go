@@ -48,10 +48,10 @@ func main() {
 	// 4. When an anomaly fires, the follow-up analysis pipeline splits
 	//    between the phone and the cloud depending on connectivity.
 	stages := []edge.Stage{
-		{Name: "ecg-window", Ops: 1e6, OutBytes: 30e3},
-		{Name: "beat-features", Ops: 5e7, OutBytes: 2e3},
-		{Name: "arrhythmia-model", Ops: 5e9, OutBytes: 100},
-		{Name: "alert", Ops: 1e5, OutBytes: 100},
+		{Ops: 1e6, OutBytes: 30e3}, // ecg-window
+		{Ops: 5e7, OutBytes: 2e3},  // beat-features
+		{Ops: 5e9, OutBytes: 100},  // arrhythmia-model
+		{Ops: 1e5, OutBytes: 100},  // alert
 	}
 	d, c := edge.StandardDevice(), edge.StandardCloud()
 	fmt.Println("follow-up analysis placement (energy-optimal under 500ms):")

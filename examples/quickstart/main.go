@@ -19,7 +19,10 @@ func main() {
 		if !ok {
 			panic("experiment missing: " + id)
 		}
-		res := e.Run(context.Background())
+		res, _, err := e.RunWith(context.Background(), nil)
+		if err != nil {
+			panic(err)
+		}
 		fmt.Printf("=== %s: %s\n", e.ID, e.Title)
 		fmt.Printf("paper claim: %s\n\n", e.PaperClaim)
 		fmt.Println(res.Render())

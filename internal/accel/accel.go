@@ -49,8 +49,6 @@ type ImplPoint struct {
 	NRE float64
 	// UnitCost is the marginal manufacturing cost per part in dollars.
 	UnitCost float64
-	// EnergyEff is energy efficiency versus the GP core (ops/J ratio).
-	EnergyEff float64
 }
 
 // StandardImplPoints returns the modelled implementation points. The
@@ -61,10 +59,10 @@ type ImplPoint struct {
 // sit between; the GP core is the zero-NRE baseline.
 func StandardImplPoints() []ImplPoint {
 	return []ImplPoint{
-		{Name: "asic", NRE: 3e7, UnitCost: 5, EnergyEff: 100},
-		{Name: "cgra", NRE: 3e6, UnitCost: 8, EnergyEff: 40},
-		{Name: "fpga", NRE: 2e5, UnitCost: 30, EnergyEff: 10},
-		{Name: "gp", NRE: 0, UnitCost: 20, EnergyEff: 1},
+		{Name: "asic", NRE: 3e7, UnitCost: 5},
+		{Name: "cgra", NRE: 3e6, UnitCost: 8},
+		{Name: "fpga", NRE: 2e5, UnitCost: 30},
+		{Name: "gp", NRE: 0, UnitCost: 20},
 	}
 }
 

@@ -48,8 +48,6 @@ func MultEnergyRel(mantissaBits int) float64 {
 // voltage) is reduced to save energy at the cost of random bit flips in
 // stored values.
 type DrowsyMemory struct {
-	// RefreshRel is refresh energy relative to nominal (1.0 = full).
-	RefreshRel float64
 	// FlipProbPerBit is the resulting per-bit flip probability per
 	// retention period.
 	FlipProbPerBit float64
@@ -64,10 +62,7 @@ func DrowsyPoint(refreshRel float64) DrowsyMemory {
 	}
 	// 1e-15 at refreshRel=1 rising to ~1e-3 at refreshRel=0.25.
 	exponent := -15 + 16*(1-refreshRel)
-	return DrowsyMemory{
-		RefreshRel:     refreshRel,
-		FlipProbPerBit: math.Pow(10, exponent),
-	}
+	return DrowsyMemory{FlipProbPerBit: math.Pow(10, exponent)}
 }
 
 // Store writes data through the drowsy memory, flipping mantissa bits with

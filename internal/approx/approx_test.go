@@ -119,7 +119,7 @@ func TestDrowsyStoreInjectsFlips(t *testing.T) {
 	for i := range data {
 		data[i] = 1.0
 	}
-	noisy := DrowsyMemory{RefreshRel: 0.3, FlipProbPerBit: 1e-3}.Store(data, r)
+	noisy := DrowsyMemory{FlipProbPerBit: 1e-3}.Store(data, r)
 	changed := 0
 	for i := range data {
 		if noisy[i] != data[i] {

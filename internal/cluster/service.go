@@ -24,8 +24,8 @@ type QueueingConfig struct {
 
 // QueueingResult summarizes the DES run.
 type QueueingResult struct {
-	// P50, P99, Mean are root (join) response times including queueing.
-	P50, P99, Mean float64
+	// P99 is the root (join) response time including queueing.
+	P99 float64
 	// MeanLeafUtilization is the average leaf busy fraction.
 	MeanLeafUtilization float64
 	// Completed counts finished root requests.
@@ -79,9 +79,7 @@ func SimulateQueueing(cfg QueueingConfig) QueueingResult {
 		util += r.Utilization()
 	}
 	return QueueingResult{
-		P50:                 lat.Percentile(50),
 		P99:                 lat.Percentile(99),
-		Mean:                lat.Mean(),
 		MeanLeafUtilization: util / float64(cfg.Leaves),
 		Completed:           lat.N(),
 	}

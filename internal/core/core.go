@@ -10,9 +10,10 @@
 // Experiments may declare a typed parameter schema (ParamSpec) exposing
 // the model's knobs — Dennard generations, fork-join fanout, Hill-Marty
 // chip budgets. RunWith resolves an assignment against the schema and
-// runs the experiment at that design point; Run is the all-defaults
-// point, and results are deterministic per (ID, assignment), which is
-// what lets the serve cache memoize each grid point of a sweep.
+// runs the experiment at that design point (RunWith(ctx, nil) is the
+// all-defaults point), and results are deterministic per (ID,
+// assignment), which is what lets the serve cache memoize each grid point
+// of a sweep.
 package core
 
 import (
@@ -73,9 +74,12 @@ type Experiment struct {
 	// Params declares the experiment's knobs, in presentation/cache-key
 	// order. Empty for fixed-point experiments.
 	Params []ParamSpec
-	// Run executes the experiment deterministically at its default
-	// parameter assignment. For parameterized experiments register
-	// synthesizes it from RunP, so registrations set one or the other.
+	// Run executes the experiment deterministically under a resolved
+	// parameter assignment: every declared knob present and validated,
+	// nil for an experiment that declares none. Use RunWith, which
+	// resolves and validates, rather than calling Run directly. The
+	// assignment may be the caller's own map (RunWith passes a resolved
+	// one through), so Run reads it and never writes it.
 	//
 	// The context is the caller's cancellation signal: most experiments
 	// finish in microseconds and may ignore it, but long-loop experiments
@@ -84,14 +88,7 @@ type Experiment struct {
 	// partial result and surfaces ctx.Err(), which is how a disconnected
 	// client's abandoned work actually stops mid-run instead of grinding
 	// to completion unobserved.
-	Run func(ctx context.Context) Result
-	// RunP executes the experiment under a resolved parameter
-	// assignment (every declared knob present and validated), under the
-	// same context contract as Run. Use RunWith, which resolves and
-	// validates, rather than calling RunP directly. The assignment may be
-	// the caller's own map (RunWith passes a resolved one through), so
-	// RunP reads it and never writes it.
-	RunP func(ctx context.Context, p Params) Result
+	Run func(ctx context.Context, p Params) Result
 }
 
 var registry = map[string]Experiment{}
@@ -101,23 +98,7 @@ func register(e Experiment) {
 		panic("core: duplicate experiment " + e.ID)
 	}
 	validateSpecs(e.ID, e.Params)
-	if len(e.Params) > 0 && e.RunP == nil {
-		panic("core: experiment " + e.ID + " declares parameters but no RunP")
-	}
-	if e.Run == nil && e.RunP != nil {
-		e.Run = e.defaultRun()
-	}
 	registry[e.ID] = e
-}
-
-// defaultRun synthesizes the zero-param entry point from RunP — the
-// compat shim that keeps parameterized experiments runnable through the
-// plain Run path. Each call builds a fresh defaults map — a RunP that
-// mutated a shared map would corrupt every later default-parameter run
-// (and what the serve cache memoizes).
-func (e Experiment) defaultRun() func(context.Context) Result {
-	runP, defaults := e.RunP, e.Defaults
-	return func(ctx context.Context) Result { return runP(ctx, defaults()) }
 }
 
 // Registry returns all experiments sorted by ID (E1..E23 numerically, then
@@ -162,10 +143,10 @@ func ByID(id string) (Experiment, bool) {
 func RunAll(ctx context.Context) []string {
 	var out []string
 	for _, e := range Registry() {
-		if ctx.Err() != nil {
+		res, _, err := e.RunWith(ctx, nil)
+		if err != nil { // ctx is done: a default run fails for no other reason
 			break
 		}
-		res := e.Run(ctx)
 		out = append(out, fmt.Sprintf("=== %s: %s\nclaim: %s\n%s",
 			e.ID, e.Title, e.PaperClaim, res.Render()))
 	}

@@ -49,7 +49,11 @@ func TestByID(t *testing.T) {
 var defaultResults = sync.OnceValue(func() map[string]Result {
 	out := map[string]Result{}
 	for _, e := range Registry() {
-		out[e.ID] = e.Run(context.Background())
+		res, _, err := e.RunWith(context.Background(), nil)
+		if err != nil {
+			panic(err)
+		}
+		out[e.ID] = res
 	}
 	return out
 })
@@ -79,9 +83,11 @@ func TestAllExperimentsRun(t *testing.T) {
 func TestExperimentsDeterministic(t *testing.T) {
 	for _, id := range []string{"E2", "E3", "E9", "E12", "E15"} {
 		e, _ := ByID(id)
-		a := defaultResults()[id].Render()
-		b := e.Run(context.Background()).Render()
-		if a != b {
+		res, _, err := e.RunWith(context.Background(), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if defaultResults()[id].Render() != res.Render() {
 			t.Fatalf("%s renders differ across runs", id)
 		}
 	}
@@ -140,7 +146,11 @@ func TestRunWithCanceledContext(t *testing.T) {
 	// Mid-run cancellation: the experiment returns a partial result at an
 	// iteration boundary, which RunWith must discard in favor of the error.
 	e, _ := ByID("E5")
-	if res := e.Run(ctx); res.Table != nil || len(res.Findings) > 0 {
+	defaults, err := e.ResolveParams(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := e.Run(ctx, defaults); res.Table != nil || len(res.Findings) > 0 {
 		t.Errorf("E5 under a canceled ctx should return an empty partial result, got %+v", res)
 	}
 }

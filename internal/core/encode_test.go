@@ -3,10 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/report"
@@ -195,6 +198,45 @@ func TestResultEncodeMatchesReference(t *testing.T) {
 				t.Fatalf("%s: %d rungs, want 13", name, rungs)
 			}
 		}
+	}
+}
+
+// Every experiment's default Encode() bytes hash to the sha256 committed in
+// testdata/default_encode.sha256, so a change meant to leave the models'
+// outputs alone shows that it did. E19 is left out: it reports wall-clock
+// throughput. On a mismatch the test names the experiments that moved and
+// prints the table the code now produces.
+func TestDefaultEncodeHashes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reads the shared default pass; skipped in -short")
+	}
+	raw, err := os.ReadFile("testdata/default_encode.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if id, sum, ok := strings.Cut(line, " "); ok {
+			want[id] = sum
+		}
+	}
+	var table strings.Builder
+	for _, e := range Registry() {
+		if e.ID == "E19" {
+			continue
+		}
+		sum := fmt.Sprintf("%x", sha256.Sum256(defaultResults()[e.ID].Encode()))
+		fmt.Fprintf(&table, "%s %s\n", e.ID, sum)
+		if want[e.ID] != sum {
+			t.Errorf("%s: default Encode() hashes to %s, the table holds %q", e.ID, sum, want[e.ID])
+		}
+		delete(want, e.ID)
+	}
+	for id := range want {
+		t.Errorf("the table names %s, which is not a registered experiment (or is E19)", id)
+	}
+	if t.Failed() {
+		t.Logf("the table for this code:\n%s", table.String())
 	}
 }
 

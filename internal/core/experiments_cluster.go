@@ -24,7 +24,7 @@ func init() {
 			{Name: "hedge", Kind: FloatParam, Default: 0.95, Min: 0.5, Max: 0.999,
 				Doc: "quantile after which a hedged duplicate request is issued"},
 		},
-		RunP: runE3,
+		Run: runE3,
 	})
 	register(Experiment{
 		ID:    "E15",
@@ -95,7 +95,7 @@ func runE3(ctx context.Context, p Params) Result {
 	return res
 }
 
-func runE15(ctx context.Context) Result {
+func runE15(ctx context.Context, _ Params) Result {
 	base := qos.Config{
 		LCRate:           100,
 		LCService:        stats.Exponential{Rate: 1000},

@@ -31,7 +31,7 @@ func init() {
 			{Name: "tile", Kind: IntParam, Default: 4096, Min: 256, Max: 65536,
 				Doc: "problem-size argument for kernel arithmetic intensity"},
 		},
-		RunP: runE5,
+		Run: runE5,
 	})
 	register(Experiment{
 		ID:    "E6",
@@ -50,7 +50,7 @@ func init() {
 	})
 }
 
-func runE4(ctx context.Context) Result {
+func runE4(ctx context.Context, _ Params) Result {
 	tbl45 := energy.Table45()
 	out := report.NewTable("E4: specialization per kernel (45nm)",
 		"kernel", "gp energy/op", "accel energy/op", "raw factor", "coverage", "chip-level gain")
@@ -141,7 +141,7 @@ func runE5(ctx context.Context, p Params) Result {
 	return res
 }
 
-func runE6(ctx context.Context) Result {
+func runE6(ctx context.Context, _ Params) Result {
 	out := report.NewTable("E6: the paper's efficiency ladder",
 		"platform", "target", "budget", "target ops/W", "today ops/W", "gap")
 	var maxGap, minGap float64
@@ -171,7 +171,7 @@ func runE6(ctx context.Context) Result {
 	}
 }
 
-func runE10(ctx context.Context) Result {
+func runE10(ctx context.Context, _ Params) Result {
 	links := noc.StandardLinks()
 	elec, phot, board := links[0], links[1], links[2]
 	tbl45 := energy.Table45()

@@ -24,7 +24,7 @@ func init() {
 			{Name: "layers", Kind: IntParam, Default: 4, Min: 2, Max: 4, Step: 2,
 				Doc: "stacked layers the same node count folds into"},
 		},
-		RunP: runE21,
+		Run: runE21,
 	})
 	register(Experiment{
 		ID:    "E22",
@@ -82,7 +82,7 @@ func runE21(ctx context.Context, p Params) Result {
 	return res
 }
 
-func runE22(ctx context.Context) Result {
+func runE22(ctx context.Context, _ Params) Result {
 	nodeMTTF := 5.0 * 365 * 86400 // 5-year node MTTF
 	tbl := report.NewTable("E22: checkpoint/restart efficiency vs machine scale",
 		"nodes", "system MTTF (h)", "Young interval (min)", "useful-work efficiency")

@@ -19,7 +19,7 @@ func init() {
 	})
 }
 
-func runE23(ctx context.Context) Result {
+func runE23(ctx context.Context, _ Params) Result {
 	d := tech.StandardDVFS()
 	const ops = 1e9 // a 0.5s-at-nominal work chunk
 	tbl := report.NewTable("E23: energy for a 1-Gop task vs expressed deadline (45nm mobile core)",

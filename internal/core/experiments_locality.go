@@ -22,7 +22,7 @@ func init() {
 			{Name: "n", Kind: IntParam, Default: 96, Min: 32, Max: 256, Step: 32,
 				Doc: "matrix dimension (n x n matmul)"},
 		},
-		RunP: runE20,
+		Run: runE20,
 	})
 }
 

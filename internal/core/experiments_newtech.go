@@ -26,7 +26,7 @@ func init() {
 	})
 }
 
-func runE8(ctx context.Context) Result {
+func runE8(ctx context.Context, _ Params) Result {
 	m := tech.NewNTVModel(tech.Node45(), 100e-12)
 	fig := report.NewFigure("E8: energy per op vs supply voltage (45nm)",
 		"vdd (V)", "energy per op (pJ) / error rate")
@@ -60,7 +60,7 @@ func runE8(ctx context.Context) Result {
 	}
 }
 
-func runE9(ctx context.Context) Result {
+func runE9(ctx context.Context, _ Params) Result {
 	w := nvm.TxnWorkload{ReadsPerTxn: 20, PersistsPerTxn: 2}
 	tbl := report.NewTable("E9: memory/storage stacks on a persistence-bound transaction",
 		"stack", "read latency", "persist latency", "txn latency", "txn energy", "idle power (64GB+1TB)")

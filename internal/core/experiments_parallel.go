@@ -26,7 +26,7 @@ func init() {
 			{Name: "bces", Kind: IntParam, Default: 256, Min: 16, Max: 4096,
 				Doc: "chip budget in base-core equivalents (Hill-Marty n)"},
 		},
-		RunP: runE7,
+		Run: runE7,
 	})
 	register(Experiment{
 		ID:    "T2",
@@ -168,7 +168,7 @@ func appendFixed(dst []byte, v float64, prec int) []byte {
 	return dst
 }
 
-func runT2(ctx context.Context) Result {
+func runT2(ctx context.Context, _ Params) Result {
 	// Row 1: single-chip performance -> infrastructure (tail latency is a
 	// system property, not a chip property).
 	deanFrac := cluster.FractionAboveQuantile(100, 0.99)

@@ -34,7 +34,7 @@ func init() {
 	})
 }
 
-func runE13(ctx context.Context) Result {
+func runE13(ctx context.Context, _ Params) Result {
 	tbl := report.NewTable("E13: soft errors across nodes and protection costs",
 		"node", "FIT/Mb", "flips/day in 1GB", "ECC-uncorrectable/day (1h scrub)")
 	for _, n := range []string{"90nm", "45nm", "22nm", "7nm"} {
@@ -75,7 +75,7 @@ func runE13(ctx context.Context) Result {
 	}
 }
 
-func runE14(ctx context.Context) Result {
+func runE14(ctx context.Context, _ Params) Result {
 	s := security.BuildOverflowVictim(16)
 	noIFT := s.Run(s.ExploitPayload(), false, false)
 	detect := s.Run(s.ExploitPayload(), true, false)
@@ -116,7 +116,7 @@ func boolStr(b bool) string {
 	return "no"
 }
 
-func runE17(ctx context.Context) Result {
+func runE17(ctx context.Context, _ Params) Result {
 	tbl := report.NewTable("E17: reaching five nines (99.999%)",
 		"single-box availability", "replicas needed", "achieved nines", "downtime (min/yr)", "cost at $1k/box")
 	for _, a := range []float64{0.9, 0.99, 0.999} {

@@ -44,7 +44,7 @@ func init() {
 	})
 }
 
-func runE11(ctx context.Context) Result {
+func runE11(ctx context.Context, _ Params) Result {
 	node := sensor.StandardNode()
 	// Calibrate the flagged fraction from the real detector. This scoring
 	// pass over the generated sample stream is E11's long loop, so check
@@ -90,7 +90,7 @@ func runE11(ctx context.Context) Result {
 	}
 }
 
-func runE12(ctx context.Context) Result {
+func runE12(ctx context.Context, _ Params) Result {
 	cfg := workload.DefaultStreamConfig()
 	cfg.AnomalyRate = 0.1
 	r := stats.NewRNG(31)
@@ -151,7 +151,7 @@ func streamValues(ss []workload.StreamSample) []float64 {
 	return out
 }
 
-func runE16(ctx context.Context) Result {
+func runE16(ctx context.Context, _ Params) Result {
 	stages := edge.VisionPipeline()
 	d, c := edge.StandardDevice(), edge.StandardCloud()
 	tbl := report.NewTable("E16: AR vision pipeline split across device and cloud",
@@ -171,7 +171,7 @@ func runE16(ctx context.Context) Result {
 	}
 }
 
-func runE18(ctx context.Context) Result {
+func runE18(ctx context.Context, _ Params) Result {
 	// A fleet of sensors: ship raw samples to the datacenter vs filter at
 	// the source vs hybrid (filter + daily summaries). Costs charge sensor
 	// radio, network transport, and datacenter ingest compute.

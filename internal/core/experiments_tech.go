@@ -21,7 +21,7 @@ func init() {
 			{Name: "gens", Kind: IntParam, Default: 6, Min: 1, Max: 12,
 				Doc: "process generations projected beyond gen 0"},
 		},
-		RunP: runE1,
+		Run: runE1,
 	})
 	register(Experiment{
 		ID:    "E2",
@@ -67,7 +67,7 @@ func runE1(ctx context.Context, p Params) Result {
 	return res
 }
 
-func runE2(ctx context.Context) Result {
+func runE2(ctx context.Context, _ Params) Result {
 	cfg := tech.DefaultCPUDBConfig()
 	db := tech.GenerateCPUDB(cfg, stats.NewRNG(1985))
 	d := tech.DecomposePerformance(db)
@@ -88,7 +88,7 @@ func runE2(ctx context.Context) Result {
 	}
 }
 
-func runT1(ctx context.Context) Result {
+func runT1(ctx context.Context, _ Params) Result {
 	gens := 5
 	post := tech.Trajectory(tech.PostDennard, gens)
 	nodes := tech.Nodes()

@@ -75,7 +75,7 @@ func bankWorkload(p, nAccounts, opsPerThread int, useSTM bool) (float64, tm.Stat
 	return float64(p*opsPerThread) / elapsed, st
 }
 
-func runE19(ctx context.Context) Result {
+func runE19(ctx context.Context, _ Params) Result {
 	maxP := runtime.NumCPU()
 	if maxP > 8 {
 		maxP = 8

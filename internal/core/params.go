@@ -162,19 +162,6 @@ func (e Experiment) Spec(name string) (ParamSpec, bool) {
 	return ParamSpec{}, false
 }
 
-// Defaults returns the experiment's default assignment (nil when the
-// experiment declares no parameters).
-func (e Experiment) Defaults() Params {
-	if len(e.Params) == 0 {
-		return nil
-	}
-	p := make(Params, len(e.Params))
-	for _, s := range e.Params {
-		p[s.Name] = s.Default
-	}
-	return p
-}
-
 // ResolveParams validates an assignment against the schema and fills in
 // defaults for omitted knobs, in one pass into one map. Unknown names and
 // out-of-range values are errors (an unknown name first, the first in
@@ -260,15 +247,11 @@ func (e Experiment) RunWith(ctx context.Context, p Params) (Result, Params, erro
 	if err := ctx.Err(); err != nil {
 		return Result{}, nil, err
 	}
-	if e.RunP == nil {
+	if len(e.Params) == 0 {
 		if len(p) > 0 {
 			return Result{}, nil, fmt.Errorf("core: experiment %s takes no parameters", e.ID)
 		}
-		res := e.Run(ctx)
-		if err := ctx.Err(); err != nil {
-			return Result{}, nil, err
-		}
-		return res, nil, nil
+		p = nil
 	}
 	resolved := p // an already-resolved assignment (the serve engine's) is not rebuilt
 	if !e.Complete(p) {
@@ -277,7 +260,7 @@ func (e Experiment) RunWith(ctx context.Context, p Params) (Result, Params, erro
 			return Result{}, nil, err
 		}
 	}
-	res := e.RunP(ctx, resolved)
+	res := e.Run(ctx, resolved)
 	if err := ctx.Err(); err != nil {
 		return Result{}, nil, err
 	}

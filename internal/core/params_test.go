@@ -15,7 +15,7 @@ func specExperiment() Experiment {
 			{Name: "gens", Kind: IntParam, Default: 6, Min: 1, Max: 12, Doc: "generations"},
 			{Name: "f", Kind: FloatParam, Default: 0.975, Min: 0.5, Max: 0.9999, Doc: "parallel fraction"},
 		},
-		RunP: func(_ context.Context, p Params) Result {
+		Run: func(_ context.Context, p Params) Result {
 			return Result{Findings: []string{
 				finding("gens=%d f=%s", p.Int("gens"), FormatParamValue(p.Float("f"))),
 			}}
@@ -41,22 +41,25 @@ func TestResolveParamsDefaultsAndOverrides(t *testing.T) {
 	}
 }
 
-// The synthesized zero-param Run must hand RunP a fresh defaults map each
-// call: a RunP that mutates its assignment must not corrupt later
-// default-parameter runs (which the serve cache would then memoize).
+// RunWith(ctx, nil) must hand Run a fresh defaults map each call: a Run
+// that mutated its assignment must not corrupt later default-parameter
+// runs (which the serve cache would then memoize).
 func TestDefaultRunBuildsFreshDefaultsPerCall(t *testing.T) {
 	e := Experiment{
 		ID:     "EX",
 		Params: []ParamSpec{{Name: "k", Kind: FloatParam, Default: 2, Min: 0, Max: 1000}},
-		RunP: func(_ context.Context, p Params) Result {
+		Run: func(_ context.Context, p Params) Result {
 			v := p.Float("k")
 			p["k"] = v + 100
 			return Result{Findings: []string{FormatParamValue(v)}}
 		},
 	}
-	run := e.defaultRun()
 	for i := 0; i < 3; i++ {
-		if got := run(context.Background()).Findings[0]; got != "2" {
+		res, _, err := e.RunWith(context.Background(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Findings[0]; got != "2" {
 			t.Fatalf("run %d saw k=%s, want the default 2 (shared defaults map leaked a mutation)", i, got)
 		}
 	}
@@ -120,13 +123,13 @@ func TestRunWithZeroParamExperiment(t *testing.T) {
 	if resolved != nil {
 		t.Fatalf("resolved should be nil, got %v", resolved)
 	}
-	if res.Render() != e.Run(context.Background()).Render() {
-		t.Fatal("RunWith(nil) differs from Run()")
+	if res.Render() != e.Run(context.Background(), nil).Render() {
+		t.Fatal("RunWith(nil) differs from Run(nil)")
 	}
 }
 
-// Every parameterized experiment must render identically via Run() and via
-// RunWith at explicit defaults — the zero-param path is the default grid
+// Every parameterized experiment must render identically via RunWith(nil)
+// and via RunWith at explicit defaults — the bare ID is the default grid
 // point.
 func TestRunWithDefaultsMatchesRun(t *testing.T) {
 	if testing.Short() {
@@ -138,18 +141,22 @@ func TestRunWithDefaultsMatchesRun(t *testing.T) {
 		}
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			res, _, err := e.RunWith(context.Background(), e.Defaults())
+			defaults, err := e.ResolveParams(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, _, err := e.RunWith(context.Background(), defaults)
 			if err != nil {
 				t.Fatalf("RunWith(defaults): %v", err)
 			}
 			if res.Render() != defaultResults()[e.ID].Render() {
-				t.Fatal("RunWith(defaults) differs from Run()")
+				t.Fatal("RunWith(defaults) differs from RunWith(nil)")
 			}
 		})
 	}
 }
 
-// RunWith hands an assignment that is already resolved to RunP as it is,
+// RunWith hands an assignment that is already resolved to Run as it is,
 // and the serve engine's is an interned map shared by every request for
 // that pair: no experiment may write to its assignment. Each one runs at
 // its cheapest corner (every knob at its minimum) and must leave the map

@@ -13,8 +13,6 @@ import (
 // Stage is one step of a processing pipeline (e.g. capture → features →
 // classify → render).
 type Stage struct {
-	// Name identifies the stage.
-	Name string
 	// Ops is the computational work.
 	Ops float64
 	// OutBytes is the size of the stage's output (input to the next
@@ -194,10 +192,10 @@ func AdaptationGain(stages []Stage, d Device, c Cloud, bound float64) (se, ae, s
 // rendering consumes the result.
 func VisionPipeline() []Stage {
 	return []Stage{
-		{Name: "capture", Ops: 2e6, OutBytes: 200e3},
-		{Name: "features", Ops: 2e8, OutBytes: 20e3},
-		{Name: "classify", Ops: 2e9, OutBytes: 200},
-		{Name: "render", Ops: 5e7, OutBytes: 200},
+		{Ops: 2e6, OutBytes: 200e3}, // capture
+		{Ops: 2e8, OutBytes: 20e3},  // features
+		{Ops: 2e9, OutBytes: 200},   // classify
+		{Ops: 5e7, OutBytes: 200},   // render
 	}
 }
 

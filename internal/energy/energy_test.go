@@ -62,10 +62,6 @@ func TestForNodeScaling(t *testing.T) {
 	if float64(t7.FPOp) >= float64(t45.FPOp)*0.5 {
 		t.Fatalf("7nm FPOp = %v, want well below 45nm %v", t7.FPOp, t45.FPOp)
 	}
-	// Radio does not scale.
-	if t7.RadioPerBit != t45.RadioPerBit {
-		t.Fatal("radio energy should not scale with node")
-	}
 	// Communication scales slower than logic: DRAM/FPOp ratio grows.
 	r45 := float64(t45.DRAM) / float64(t45.FPOp)
 	r7 := float64(t7.DRAM) / float64(t7.FPOp)

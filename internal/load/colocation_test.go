@@ -35,7 +35,7 @@ func uniqueVariants(prefix string, n int, class admit.Class) []Variant {
 }
 
 // newColocEngine builds an engine whose runner takes exactly colocService
-// per request (honoring cancellation), under the given policy.
+// per request (honoring cancellation), switched to the given policy.
 func newColocEngine(t *testing.T, policy admit.Policy) *serve.Engine {
 	t.Helper()
 	e := serve.NewEngine(serve.Config{
@@ -43,8 +43,7 @@ func newColocEngine(t *testing.T, policy admit.Policy) *serve.Engine {
 		Workers: 4,
 		// Deep queues, as a live sweep's fan-out would produce: the FIFO
 		// inversion needs the backlog the old pool accumulated.
-		Queue:  64,
-		Policy: policy,
+		Queue: 64,
 		RunnerWith: func(ctx context.Context, id string, _ core.Params) (core.Result, error) {
 			select {
 			case <-ctx.Done():
@@ -54,6 +53,7 @@ func newColocEngine(t *testing.T, policy admit.Policy) *serve.Engine {
 			return core.Result{Findings: []string{"served " + id}}, nil
 		},
 	})
+	e.SetPolicy(policy)
 	t.Cleanup(e.Close)
 	return e
 }

@@ -328,11 +328,10 @@ func Run(tgt Target, sc Scenario, opt Options) (Report, error) {
 				n = maxOpenRequests
 			}
 		}
-		// Service demand is the target's to determine, so the trace's
-		// service distribution is irrelevant — only arrivals and keys are
-		// replayed. Skew 0 keeps the same round-robin contract as closed
-		// loop: Poisson arrivals, but variants cycle in order so a grid
-		// catalog gets full coverage.
+		// Service demand is the target's to determine, so only arrivals
+		// and keys are replayed. Skew 0 keeps the same round-robin
+		// contract as closed loop: Poisson arrivals, but variants cycle in
+		// order so a grid catalog gets full coverage.
 		rng := stats.NewRNG(seed)
 		var trace workload.RequestTrace
 		var idx []int
@@ -340,11 +339,10 @@ func Run(tgt Target, sc Scenario, opt Options) (Report, error) {
 			trace = workload.ScheduledZipfTrace(sched, n, len(sc.Variants), sc.Skew, sc.Churn, rng)
 			idx = trace.Assignments(len(sc.Variants))
 		} else if sc.Skew > 0 {
-			trace = workload.ZipfTrace(n, rate, stats.Constant{V: 0},
-				len(sc.Variants), sc.Skew, rng)
+			trace = workload.ZipfTrace(n, rate, len(sc.Variants), sc.Skew, rng)
 			idx = trace.Assignments(len(sc.Variants))
 		} else {
-			trace = workload.PoissonTrace(n, rate, stats.Constant{V: 0}, rng)
+			trace = workload.PoissonTrace(n, rate, rng)
 			idx = make([]int, len(trace))
 			for i := range idx {
 				idx[i] = i % len(sc.Variants)

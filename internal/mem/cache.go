@@ -55,8 +55,8 @@ type Cache struct {
 	clock     uint64
 	rng       *stats.RNG
 
-	// Hits, Misses, Evictions and Writebacks count accesses since creation.
-	Hits, Misses, Evictions, Writebacks uint64
+	// Hits and Misses count accesses since creation.
+	Hits, Misses uint64
 }
 
 // NewCache builds a cache of sizeBytes capacity with the given line size,
@@ -123,11 +123,9 @@ func (c *Cache) Access(addr uint64, write bool) AccessResult {
 	}
 	if victim < 0 {
 		victim = c.pickVictim(ways)
-		c.Evictions++
 	}
 	res := AccessResult{}
 	if ways[victim].valid && ways[victim].dirty {
-		c.Writebacks++
 		res.WroteBack = true
 	}
 	ways[victim] = line{tag: tag, valid: true, dirty: write,

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -25,10 +24,6 @@ type Runner struct {
 
 // RunStats reports one execution.
 type RunStats struct {
-	// Elapsed is the wall-clock execution time.
-	Elapsed time.Duration
-	// Steals counts successful steals.
-	Steals uint64
 	// TasksRun counts executed tasks (must equal len(dag.Tasks)).
 	TasksRun uint64
 	// WorkPerWorker is the total task work each worker executed; its
@@ -104,7 +99,6 @@ func (r Runner) Run(d *workload.DAG, grain func(work float64)) RunStats {
 		queues[i] = &deque{}
 	}
 	var tasksDone atomic.Uint64
-	var steals atomic.Uint64
 	var rrCounter atomic.Uint64 // round-robin target for ready tasks
 
 	enqueue := func(task, worker int) {
@@ -123,7 +117,6 @@ func (r Runner) Run(d *workload.DAG, grain func(work float64)) RunStats {
 		}
 	}
 
-	start := time.Now()
 	workPer := make([]float64, r.Workers)
 	var wg sync.WaitGroup
 	for w := 0; w < r.Workers; w++ {
@@ -141,7 +134,6 @@ func (r Runner) Run(d *workload.DAG, grain func(work float64)) RunStats {
 							continue
 						}
 						if task, ok = queues[victim].stealFront(); ok {
-							steals.Add(1)
 							break
 						}
 					}
@@ -163,8 +155,6 @@ func (r Runner) Run(d *workload.DAG, grain func(work float64)) RunStats {
 	}
 	wg.Wait()
 	return RunStats{
-		Elapsed:       time.Since(start),
-		Steals:        steals.Load(),
 		TasksRun:      tasksDone.Load(),
 		WorkPerWorker: workPer,
 	}

@@ -6,50 +6,24 @@ import (
 	"repro/internal/units"
 )
 
-// LinkKind selects a physical-layer technology for a point-to-point link.
-type LinkKind int
-
-// The modelled link technologies.
-const (
-	// Electrical is an on-chip/package copper wire with repeaters.
-	Electrical LinkKind = iota
-	// Photonic is a silicon-photonic waveguide/fiber link.
-	Photonic
-	// Board is SerDes-based chip-to-chip signaling.
-	Board
-)
-
-func (k LinkKind) String() string {
-	switch k {
-	case Electrical:
-		return "electrical"
-	case Photonic:
-		return "photonic"
-	default:
-		return "board"
-	}
-}
-
 // Link models the energy of moving bits over a distance.
 type Link struct {
-	Kind LinkKind
 	// PerBitPerMM is distance-proportional energy (electrical only).
 	PerBitPerMM units.Energy
 	// PerBitFixed is distance-independent per-bit energy (modulator/laser
 	// for photonic, SerDes for board).
 	PerBitFixed units.Energy
-	// MaxMM is the practical reach (0 = unlimited).
-	MaxMM float64
 }
 
 // StandardLinks returns the three modelled technologies with 45nm-class
-// constants: electrical wires cost ~0.2 pJ/bit/mm, photonics ~1 pJ/bit flat,
-// board SerDes ~10 pJ/bit flat.
+// constants, in this order: electrical wires (copper with repeaters) cost
+// ~0.2 pJ/bit/mm, silicon photonics ~1 pJ/bit flat, board SerDes ~10
+// pJ/bit flat.
 func StandardLinks() []Link {
 	return []Link{
-		{Kind: Electrical, PerBitPerMM: 0.2 * units.Picojoule, MaxMM: 0},
-		{Kind: Photonic, PerBitFixed: 1 * units.Picojoule, MaxMM: 0},
-		{Kind: Board, PerBitFixed: 10 * units.Picojoule, MaxMM: 500},
+		{PerBitPerMM: 0.2 * units.Picojoule},
+		{PerBitFixed: 1 * units.Picojoule},
+		{PerBitFixed: 10 * units.Picojoule},
 	}
 }
 

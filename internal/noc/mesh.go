@@ -20,16 +20,12 @@ type Mesh struct {
 	W, H, Layers int
 	// TileMM is the side length of one tile in millimetres (link length).
 	TileMM float64
-	// RouterLatency is per-router traversal time.
-	RouterLatency units.Time
 	// RouterEnergyPerFlit is per-router energy for one 64-bit flit.
 	RouterEnergyPerFlit units.Energy
 	// WirePerBitMM is planar link energy per bit per mm.
 	WirePerBitMM units.Energy
 	// TSVPerBit is vertical hop energy per bit.
 	TSVPerBit units.Energy
-	// TSVLatency is vertical hop time.
-	TSVLatency units.Time
 }
 
 // NewMesh2D returns a W×H planar mesh with default 45nm-class parameters.
@@ -37,11 +33,9 @@ func NewMesh2D(w, h int) *Mesh {
 	return &Mesh{
 		W: w, H: h, Layers: 1,
 		TileMM:              1.5,
-		RouterLatency:       1 * units.Nanosecond,
 		RouterEnergyPerFlit: 5 * units.Picojoule,
 		WirePerBitMM:        0.2 * units.Picojoule,
 		TSVPerBit:           0.05 * units.Picojoule,
-		TSVLatency:          0.1 * units.Nanosecond,
 	}
 }
 

@@ -130,9 +130,9 @@ func TestPinBandwidthGap(t *testing.T) {
 }
 
 func TestEnergyPerBitZeroDistance(t *testing.T) {
-	for _, l := range StandardLinks() {
+	for i, l := range StandardLinks() {
 		if l.EnergyPerBit(0) != l.PerBitFixed {
-			t.Fatalf("%v: zero-distance energy should be the fixed cost", l.Kind)
+			t.Fatalf("link %d: zero-distance energy should be the fixed cost", i)
 		}
 	}
 }

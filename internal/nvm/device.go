@@ -15,8 +15,6 @@ import (
 
 // Device is a first-order memory/storage device model.
 type Device struct {
-	// Name identifies the technology.
-	Name string
 	// ReadLatency and WriteLatency are per-access (64B line or sector as
 	// appropriate to the level; the asymmetry matters, not the block size).
 	ReadLatency  units.Time
@@ -26,14 +24,6 @@ type Device struct {
 	WriteEnergy units.Energy
 	// IdlePowerPerGB is background power (refresh for DRAM, ~0 for NVM).
 	IdlePowerPerGB units.Power
-	// EnduranceWrites is writes per cell before wear-out (0 = unlimited).
-	EnduranceWrites float64
-	// Volatile is true when the device loses data without power.
-	Volatile bool
-	// DensityRel is capacity per unit area relative to DRAM.
-	DensityRel float64
-	// CostPerGBRel is cost per GB relative to DRAM.
-	CostPerGBRel float64
 }
 
 // The modelled device library. Values are mid-2010s literature consensus
@@ -42,52 +32,37 @@ type Device struct {
 var (
 	// DRAM is commodity DDR-class memory.
 	DRAM = Device{
-		Name:           "dram",
 		ReadLatency:    50 * units.Nanosecond,
 		WriteLatency:   50 * units.Nanosecond,
 		ReadEnergy:     2 * units.Nanojoule,
 		WriteEnergy:    2 * units.Nanojoule,
 		IdlePowerPerGB: 375 * units.Milliwatt, // refresh + background
-		Volatile:       true,
-		DensityRel:     1,
-		CostPerGBRel:   1,
 	}
 	// PCM is phase-change memory: denser, non-volatile, slow asymmetric
 	// writes, limited endurance.
 	PCM = Device{
-		Name:            "pcm",
-		ReadLatency:     80 * units.Nanosecond,
-		WriteLatency:    400 * units.Nanosecond,
-		ReadEnergy:      2 * units.Nanojoule,
-		WriteEnergy:     30 * units.Nanojoule,
-		IdlePowerPerGB:  10 * units.Milliwatt,
-		EnduranceWrites: 1e8,
-		DensityRel:      3,
-		CostPerGBRel:    0.5,
+		ReadLatency:    80 * units.Nanosecond,
+		WriteLatency:   400 * units.Nanosecond,
+		ReadEnergy:     2 * units.Nanojoule,
+		WriteEnergy:    30 * units.Nanojoule,
+		IdlePowerPerGB: 10 * units.Milliwatt,
 	}
 	// Flash is NAND flash (block-erase granularity folded into the write
 	// figures), the technology "already starting to replace rotating
 	// disks".
 	Flash = Device{
-		Name:            "flash",
-		ReadLatency:     50 * units.Microsecond,
-		WriteLatency:    500 * units.Microsecond,
-		ReadEnergy:      30 * units.Nanojoule,
-		WriteEnergy:     300 * units.Nanojoule,
-		IdlePowerPerGB:  1 * units.Milliwatt,
-		EnduranceWrites: 1e5,
-		DensityRel:      8,
-		CostPerGBRel:    0.1,
+		ReadLatency:    50 * units.Microsecond,
+		WriteLatency:   500 * units.Microsecond,
+		ReadEnergy:     30 * units.Nanojoule,
+		WriteEnergy:    300 * units.Nanojoule,
+		IdlePowerPerGB: 1 * units.Milliwatt,
 	}
 	// Disk is a rotating hard drive.
 	Disk = Device{
-		Name:           "disk",
 		ReadLatency:    5 * units.Millisecond,
 		WriteLatency:   5 * units.Millisecond,
 		ReadEnergy:     1 * units.Millijoule,
 		WriteEnergy:    1 * units.Millijoule,
 		IdlePowerPerGB: 10 * units.Milliwatt,
-		DensityRel:     20,
-		CostPerGBRel:   0.03,
 	}
 )

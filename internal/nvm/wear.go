@@ -147,10 +147,6 @@ type WearResult struct {
 	WritesUntilFailure int
 	// Failed is true when a cell wore out before the demand stream ended.
 	Failed bool
-	// MaxWear and MeanWear are per-slot write counts at the end.
-	MaxWear, MeanWear float64
-	// MoveWrites counts extra writes the leveler itself performed.
-	MoveWrites int
 }
 
 // LifetimeFraction returns achieved demand writes over the ideal
@@ -181,7 +177,6 @@ func SimulateWear(m Mapper, endurance float64, maxWrites int, pattern func() int
 			break
 		}
 		for _, slot := range m.OnWrite(logical) {
-			res.MoveWrites++
 			if bump(slot) {
 				res.Failed = true
 				res.WritesUntilFailure = i
@@ -195,13 +190,5 @@ func SimulateWear(m Mapper, endurance float64, maxWrites int, pattern func() int
 	if !res.Failed {
 		res.WritesUntilFailure = maxWrites
 	}
-	sum := 0.0
-	for _, w := range wear {
-		sum += w
-		if w > res.MaxWear {
-			res.MaxWear = w
-		}
-	}
-	res.MeanWear = sum / float64(len(wear))
 	return res
 }

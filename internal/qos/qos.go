@@ -63,8 +63,8 @@ type Config struct {
 
 // Result summarizes one run.
 type Result struct {
-	// LCP50, LCP99 and LCMean are latency-critical response times (s).
-	LCP50, LCP99, LCMean float64
+	// LCP50 and LCP99 are latency-critical response times (s).
+	LCP50, LCP99 float64
 	// LCCompleted counts finished LC requests.
 	LCCompleted int
 	// BatchThroughput is batch completions/s.
@@ -182,7 +182,6 @@ func Simulate(cfg Config) Result {
 	res := Result{
 		LCP50:       lcLat.Percentile(50),
 		LCP99:       lcLat.Percentile(99),
-		LCMean:      lcLat.Mean(),
 		LCCompleted: lcLat.N(),
 	}
 	if cfg.Duration > 0 {

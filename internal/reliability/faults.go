@@ -42,19 +42,16 @@ func UncorrectableRate(lambdaWord, scrubSeconds float64) float64 {
 // InjectionResult summarizes a fault-injection campaign over ECC-protected
 // memory.
 type InjectionResult struct {
-	WordsInjected  int
 	SingleFlips    int
 	DoubleFlips    int
 	CorrectedOK    int // single flips corrected with right data
 	DetectedDouble int // double flips flagged uncorrectable
-	SilentWrong    int // decode returned wrong data without flagging
 }
 
 // InjectAndDecode runs a Monte-Carlo fault-injection campaign: for each of
 // n words it injects one flip with pSingle, a second flip with pDouble
-// (given a first), then decodes and scores the outcome. It validates the
-// SECDED contract: all singles corrected, all doubles detected, nothing
-// silent.
+// (given a first), then decodes and scores the outcome against the SECDED
+// contract: singles corrected, doubles detected.
 func InjectAndDecode(n int, pSingle, pDouble float64, r *stats.RNG) InjectionResult {
 	var res InjectionResult
 	for i := 0; i < n; i++ {
@@ -67,7 +64,6 @@ func InjectAndDecode(n int, pSingle, pDouble float64, r *stats.RNG) InjectionRes
 				flips = 2
 			}
 		}
-		res.WordsInjected++
 		first := -1
 		for f := 0; f < flips; f++ {
 			idx := r.Intn(codewordBits)
@@ -79,23 +75,15 @@ func InjectAndDecode(n int, pSingle, pDouble float64, r *stats.RNG) InjectionRes
 		}
 		got, status := Decode(cw)
 		switch flips {
-		case 0:
-			if status != OK || got != data {
-				res.SilentWrong++
-			}
 		case 1:
 			res.SingleFlips++
 			if status == Corrected && got == data {
 				res.CorrectedOK++
-			} else {
-				res.SilentWrong++
 			}
 		case 2:
 			res.DoubleFlips++
 			if status == Uncorrectable {
 				res.DetectedDouble++
-			} else if got != data {
-				res.SilentWrong++
 			}
 		}
 	}

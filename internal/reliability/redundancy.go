@@ -14,9 +14,6 @@ type Scheme struct {
 	EnergyOverhead float64
 	// DetectCoverage is the fraction of errors detected.
 	DetectCoverage float64
-	// Corrects is true when detected errors are also masked/corrected
-	// without a rollback.
-	Corrects bool
 }
 
 // StandardSchemes returns the modelled protection points: dual- and
@@ -26,7 +23,7 @@ func StandardSchemes() []Scheme {
 	return []Scheme{
 		{Name: "none", EnergyOverhead: 0, DetectCoverage: 0},
 		{Name: "dmr", EnergyOverhead: 1.05, DetectCoverage: 0.99},
-		{Name: "tmr", EnergyOverhead: 2.15, DetectCoverage: 0.999, Corrects: true},
+		{Name: "tmr", EnergyOverhead: 2.15, DetectCoverage: 0.999},
 		{Name: "ecc-mem", EnergyOverhead: 0.125, DetectCoverage: 0.90},
 		{Name: "invariant-coproc", EnergyOverhead: 0.10, DetectCoverage: 0.85},
 	}

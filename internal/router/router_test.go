@@ -229,7 +229,10 @@ func TestRouteKeyAgreesWithEngineCacheKey(t *testing.T) {
 	if !ok {
 		t.Skip("E7 not registered")
 	}
-	defaults := exp.Defaults()
+	defaults, err := exp.ResolveParams(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := serve.IdentOf("E7", defaults).Key(); got != "E7" {
 		t.Fatalf("explicit-default placement key = %q, want bare E7", got)
 	}

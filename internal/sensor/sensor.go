@@ -188,8 +188,6 @@ type IntermittentResult struct {
 	UptimeFrac float64
 	// Outages counts separate dead intervals.
 	Outages int
-	// EnergyHarvested is total joules captured.
-	EnergyHarvested float64
 }
 
 // SimulateIntermittent runs a day of harvested operation with a storage
@@ -209,7 +207,6 @@ func SimulateIntermittent(h Harvester, demandPower units.Power, capJoules float6
 	operating := true
 	for t := 0.0; t < 86400; t += dtSeconds {
 		in := float64(h.Power(t)) * dtSeconds
-		res.EnergyHarvested += in
 		stored = math.Min(capJoules, stored+in)
 		need := float64(demandPower) * dtSeconds
 		if operating {

@@ -123,9 +123,6 @@ func TestIntermittentOperation(t *testing.T) {
 	if heavy.Outages == 0 {
 		t.Fatal("heavy demand should cause outages")
 	}
-	if light.EnergyHarvested <= 0 {
-		t.Fatal("no energy harvested")
-	}
 }
 
 func TestIntermittentPanics(t *testing.T) {

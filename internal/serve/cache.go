@@ -117,7 +117,6 @@ const (
 type segment struct {
 	buf  []byte
 	used int
-	live int // bytes occupied by live entries
 	seq  uint64
 }
 
@@ -412,7 +411,6 @@ func (s *cacheShard) retire(slot int) {
 	size := entrySize(entryLens(b))
 	st := binary.LittleEndian.Uint32(b[offState:])
 	binary.LittleEndian.PutUint32(b[offState:], st&^stateLive)
-	seg.live -= size
 	s.dead += int64(size)
 }
 
@@ -489,7 +487,6 @@ func (s *cacheShard) reclaimOldest(c *Cache, force bool) {
 			copy(dst.buf[noff:noff+size], seg.buf[off:off+size])
 			binary.LittleEndian.PutUint32(dst.buf[noff+offState:], st&^stateAccessed)
 			dst.used += size
-			dst.live += size
 			s.idxRef[slot] = ref(dst.seq, noff)
 		} else {
 			s.idxHash[slot] = idxTombstone
@@ -517,7 +514,6 @@ func (s *cacheShard) append(c *Cache, h uint64, key string, val []byte) []byte {
 	copy(b[entryHdrLen:], key)
 	copy(b[entryHdrLen+len(key):], val)
 	seg.used += size
-	seg.live += size
 	s.insert(h, ref(seg.seq, off))
 	return b[entryHdrLen+len(key) : entryHdrLen+len(key)+len(val) : entryHdrLen+len(key)+len(val)]
 }
@@ -604,7 +600,6 @@ func (c *Cache) AttachAux(key string, val, aux []byte) bool {
 	s.retire(slot)
 	s.idxRef[slot] = ref(dst.seq, dst.used)
 	dst.used += size
-	dst.live += size
 	return true
 }
 

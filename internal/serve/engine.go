@@ -17,8 +17,8 @@ import (
 	"repro/internal/stats"
 )
 
-// ErrUnknownExperiment is returned (wrapped) by Serve when the ID is not
-// registered: a missing resource (404), not an internal failure.
+// ErrUnknownExperiment is returned (wrapped) by the engine's doors when the
+// ID is not registered: a missing resource (404), not an internal failure.
 var ErrUnknownExperiment error = &httpapi.StatusError{Status: http.StatusNotFound, Msg: "serve: unknown experiment"}
 
 // ErrBadParams wraps parameter-resolution failures (unknown name, value
@@ -44,17 +44,10 @@ type Config struct {
 	// distinct cold keys — while a full batch queue backpressures
 	// submitters.
 	Queue int
-	// Policy is the scheduling discipline (default admit.StrictPriority:
-	// interactive ahead of batch plus the token-bucket batch throttle).
-	// admit.SharedFIFO reproduces the old single-FIFO pool — the no-QoS
-	// baseline that lets batch pressure invert interactive latency.
-	Policy admit.Policy
 	// BatchRate throttles batch admissions to this rate (tokens/s; 0 =
 	// unthrottled). Tunable live via SetBatchRate — the knob the qos
 	// feedback controller turns to hold the interactive p99 at its SLO.
 	BatchRate float64
-	// BatchBurst is the token bucket depth (default max(1, Workers)).
-	BatchBurst float64
 	// RunnerWith executes one experiment under a resolved parameter
 	// assignment, honoring ctx cancellation. Defaults to the core
 	// registry's RunWith; injectable for tests. Parameters still
@@ -272,11 +265,9 @@ func NewEngine(cfg Config) *Engine {
 	e := &Engine{
 		cache: NewCacheSized(cfg.Shards, 0, cfg.CacheBytes, EvictLRU),
 		sched: admit.NewScheduler(admit.Config{
-			Workers:    cfg.Workers,
-			Queue:      cfg.Queue,
-			Policy:     cfg.Policy,
-			BatchRate:  cfg.BatchRate,
-			BatchBurst: cfg.BatchBurst,
+			Workers:   cfg.Workers,
+			Queue:     cfg.Queue,
+			BatchRate: cfg.BatchRate,
 		}),
 		run:      run,
 		snapPath: cfg.SnapshotPath,
@@ -663,7 +654,7 @@ type TenantMetrics struct {
 type Metrics struct {
 	// UptimeSeconds is time since NewEngine.
 	UptimeSeconds float64 `json:"uptime_seconds"`
-	// Requests counts validated Serve calls across classes; CacheHits
+	// Requests counts validated requests across classes; CacheHits
 	// those answered from cache; Deduped those that piggybacked on an
 	// in-flight execution; Executions the underlying experiment runs
 	// actually performed; Sheds requests rejected at admission.
@@ -785,7 +776,7 @@ func (e *Engine) Reset() {
 // Close ends the live replica streams — their in-flight frames are
 // canceled and waited for, and a front-end on the other end sees a
 // transport failure — then shuts down the scheduler, draining queued
-// work. Serve must not be called after Close.
+// work. The engine must not serve a request after Close.
 func (e *Engine) Close() {
 	e.streams.close()
 	e.sched.Close()

@@ -20,11 +20,12 @@ import (
 
 // pointLine and summaryLine are the reference the handler's hand-appended
 // lines are held to: the structs bench/ and clients decode into, filled
-// the way the handler filled them when json.Encoder wrote its lines.
-func pointLine(pt Point) PointLine {
+// the way the handler filled them when json.Encoder wrote its lines. A
+// point's params are its row of the spec's grid.
+func pointLine(grid []core.Params, pt Point) PointLine {
 	pl := PointLine{
 		Point:     pt.Index,
-		Params:    pt.Params,
+		Params:    grid[pt.Index],
 		Key:       pt.Key,
 		CacheHit:  pt.CacheHit,
 		Shared:    pt.Shared,
@@ -60,11 +61,12 @@ func runBothWays(t *testing.T, srv Server, id string, axes ...string) (got, want
 	}
 	var ref bytes.Buffer
 	enc := json.NewEncoder(&ref)
+	grid := sp.Grid()
 	sum, err := Run(context.Background(), srv, sp, func(pt Point) error {
 		if got, err = appendPointLine(got, &pt); err != nil {
 			return err
 		}
-		return enc.Encode(pointLine(pt))
+		return enc.Encode(pointLine(grid, pt))
 	})
 	if err != nil {
 		t.Fatalf("%s %v: %v", id, axes, err)
@@ -375,7 +377,8 @@ func TestSweepFlushesPerWaveNotPerLine(t *testing.T) {
 	}
 	var want bytes.Buffer
 	enc := json.NewEncoder(&want)
-	sum, err := Run(context.Background(), ref, sp, func(pt Point) error { return enc.Encode(pointLine(pt)) })
+	grid := sp.Grid()
+	sum, err := Run(context.Background(), ref, sp, func(pt Point) error { return enc.Encode(pointLine(grid, pt)) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -265,8 +265,6 @@ type Server interface {
 type Point struct {
 	// Index is the point's position in row-major grid order.
 	Index int
-	// Params is the point's axis assignment (swept axes only).
-	Params core.Params
 	// Key is the engine cache key the point is memoized under.
 	Key string
 	// Result is the experiment output at this point, as far as a sweep
@@ -287,8 +285,9 @@ type Point struct {
 	// line, its aggregate row and its figure point.
 	headline    float64
 	hasHeadline bool
-	// paramsText is Params as the point's line writes it, built once per
-	// sweep by Run (when it has an emit to hand the point to).
+	// paramsText is the point's axis assignment as its line writes it,
+	// built once per sweep by Run (when it has an emit to hand the point
+	// to).
 	paramsText paramsText
 }
 
@@ -296,8 +295,6 @@ type Point struct {
 type Summary struct {
 	// ID is the swept experiment.
 	ID string
-	// Axes are the swept parameters, in grid order.
-	Axes []Axis
 	// Points is the grid size.
 	Points int
 	// CacheHits counts points served straight from the memoizing cache.
@@ -353,7 +350,7 @@ func Run(ctx context.Context, srv Server, sp Spec, emit func(Point) error) (Summ
 	// Twice the parallelism: enough batching to amortize the exchange,
 	// small enough that a doomed sweep stops within one wave.
 	wave := min(2*par, len(grid))
-	sum := Summary{ID: sp.ID, Axes: sp.Axes, Points: len(grid)}
+	sum := Summary{ID: sp.ID, Points: len(grid)}
 	points := make([]Point, 0, len(grid))
 	items := make([]serve.BatchItem, 0, wave)
 	var text paramsText
@@ -382,7 +379,6 @@ func Run(ctx context.Context, srv Server, sp Spec, emit func(Point) error) (Summ
 			}
 			pt := Point{
 				Index:    i,
-				Params:   grid[i],
 				Key:      out.RawResponse.Key,
 				Result:   res,
 				CacheHit: out.RawResponse.CacheHit,

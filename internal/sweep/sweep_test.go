@@ -400,7 +400,10 @@ func TestSweepClampsParallelism(t *testing.T) {
 // declared headline is the measured fraction.
 func TestHeadlinePrefersDeclaredMetric(t *testing.T) {
 	e, _ := core.ByID("E1")
-	res := e.Run(context.Background())
+	res, _, err := e.RunWith(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Headline == nil {
 		t.Fatal("E1 should declare a headline")
 	}

@@ -34,14 +34,11 @@ func (r ScalingRegime) String() string {
 // GenPoint is one generation of a scaling trajectory. All values are
 // relative to generation 0.
 type GenPoint struct {
-	Gen         int
-	FeatureRel  float64 // feature size (1.0 at gen 0, ×0.7/gen)
 	Transistors float64 // transistor count (×2/gen)
 	Vdd         float64 // supply voltage relative
 	Freq        float64 // achievable frequency relative
 	CapPerTr    float64 // capacitance per transistor relative
 	PowerChip   float64 // full-chip power at full frequency, relative
-	EnergyPerOp float64 // switching energy per operation, relative
 	// DarkFrac is the fraction of the chip that must stay idle to fit the
 	// generation-0 power budget (0 under Dennard scaling).
 	DarkFrac float64
@@ -59,8 +56,6 @@ func Trajectory(regime ScalingRegime, gens int) []GenPoint {
 	for g := 0; g <= gens; g++ {
 		fg := float64(g)
 		p := GenPoint{
-			Gen:         g,
-			FeatureRel:  math.Pow(shrink, fg),
 			Transistors: math.Pow(2, fg),
 			CapPerTr:    math.Pow(shrink, fg),
 			Freq:        math.Pow(1/shrink, fg),
@@ -72,7 +67,6 @@ func Trajectory(regime ScalingRegime, gens int) []GenPoint {
 			// Empirically V fell only ~2%/gen after 2005; model as 0.98.
 			p.Vdd = math.Pow(0.98, fg)
 		}
-		p.EnergyPerOp = p.CapPerTr * p.Vdd * p.Vdd
 		p.PowerChip = p.Transistors * p.CapPerTr * p.Vdd * p.Vdd * p.Freq
 		if p.PowerChip > 1+1e-9 { // epsilon guards float noise at exact Dennard
 			p.DarkFrac = 1 - 1/p.PowerChip

@@ -86,12 +86,12 @@ func TestDynamicEnergyRel(t *testing.T) {
 
 func TestDennardTrajectoryConstantPower(t *testing.T) {
 	traj := Trajectory(Dennard, 6)
-	for _, p := range traj {
+	for g, p := range traj {
 		if math.Abs(p.PowerChip-1) > 0.02 {
-			t.Fatalf("Dennard gen %d power = %v, want ~1", p.Gen, p.PowerChip)
+			t.Fatalf("Dennard gen %d power = %v, want ~1", g, p.PowerChip)
 		}
 		if p.DarkFrac != 0 {
-			t.Fatalf("Dennard gen %d dark = %v, want 0", p.Gen, p.DarkFrac)
+			t.Fatalf("Dennard gen %d dark = %v, want 0", g, p.DarkFrac)
 		}
 	}
 	// Transistors double every generation.
@@ -154,15 +154,15 @@ func TestQuickTrajectoryInvariants(t *testing.T) {
 		}
 		for i, p := range traj {
 			if p.Transistors <= 0 || p.Freq <= 0 || p.PowerChip <= 0 ||
-				p.EnergyPerOp <= 0 || p.DarkFrac < 0 || p.DarkFrac >= 1 {
+				p.CapPerTr*p.Vdd*p.Vdd <= 0 || p.DarkFrac < 0 || p.DarkFrac >= 1 {
 				return false
 			}
 			if i > 0 {
 				if p.Transistors <= traj[i-1].Transistors {
 					return false
 				}
-				if p.EnergyPerOp >= traj[i-1].EnergyPerOp {
-					return false // energy per op must improve in both regimes
+				if q := traj[i-1]; p.CapPerTr*p.Vdd*p.Vdd >= q.CapPerTr*q.Vdd*q.Vdd {
+					return false // switching energy per op (C·V²) must improve in both regimes
 				}
 			}
 		}

@@ -10,8 +10,6 @@ func mathLog2(x float64) float64 { return math.Log2(x) }
 
 // StreamSample is one reading from a sensor stream.
 type StreamSample struct {
-	// T is the sample time in seconds from stream start.
-	T float64
 	// V is the measured value (arbitrary biometric units).
 	V float64
 	// Anomalous marks ground-truth injected anomalies, used to score
@@ -75,7 +73,7 @@ func GenerateStream(cfg StreamConfig, n int, r *stats.RNG) []StreamSample {
 		if anomalous {
 			v += cfg.AnomalyMagnitude * cfg.BaseAmplitude
 		}
-		out[i] = StreamSample{T: t, V: v, Anomalous: anomalous}
+		out[i] = StreamSample{V: v, Anomalous: anomalous}
 	}
 	return out
 }

@@ -83,11 +83,11 @@ func TestScoreDetectorAllAnomalySaturates(t *testing.T) {
 	// flagged, recall = flagged fraction.
 	base := make([]StreamSample, 150)
 	for i := range base {
-		base[i] = StreamSample{T: float64(i), V: 1, Anomalous: false}
+		base[i] = StreamSample{V: 1, Anomalous: false}
 	}
 	burst := make([]StreamSample, 150)
 	for i := range burst {
-		burst[i] = StreamSample{T: float64(150 + i), V: 50, Anomalous: true}
+		burst[i] = StreamSample{V: 50, Anomalous: true}
 	}
 	d := NewEWMADetector(0.1, 5)
 	d.Warmup = 50

@@ -31,9 +31,6 @@ func TestKernelOpsPositive(t *testing.T) {
 				t.Errorf("%s Bytes(%d) = %v", k.Name, n, k.Bytes(n))
 			}
 		}
-		if k.ParallelFrac <= 0 || k.ParallelFrac > 1 {
-			t.Errorf("%s ParallelFrac = %v", k.Name, k.ParallelFrac)
-		}
 		if k.AccelFrac < 0 || k.AccelFrac > 1 {
 			t.Errorf("%s AccelFrac = %v", k.Name, k.AccelFrac)
 		}
@@ -53,12 +50,6 @@ func TestGenerateStream(t *testing.T) {
 	// allow generous MC slack.
 	if frac <= 0 || frac > 0.15 {
 		t.Fatalf("anomaly fraction = %v", frac)
-	}
-	// Times increase.
-	for i := 1; i < len(ss); i++ {
-		if ss[i].T <= ss[i-1].T {
-			t.Fatal("times not increasing")
-		}
 	}
 }
 
@@ -165,7 +156,7 @@ func TestQuickDAGInvariants(t *testing.T) {
 
 func TestPoissonTrace(t *testing.T) {
 	r := stats.NewRNG(19)
-	tr := PoissonTrace(50000, 100, stats.Exponential{Rate: 200}, r)
+	tr := PoissonTrace(50000, 100, r)
 	if len(tr) != 50000 {
 		t.Fatal("trace length wrong")
 	}
@@ -174,14 +165,6 @@ func TestPoissonTrace(t *testing.T) {
 	rate := float64(len(tr)-1) / span
 	if math.Abs(rate-100) > 5 {
 		t.Fatalf("arrival rate = %v, want ~100", rate)
-	}
-	// Offered load = lambda/mu = 0.5.
-	service := 0.0
-	for _, rq := range tr {
-		service += rq.Service
-	}
-	if ol := service / span; math.Abs(ol-0.5) > 0.05 {
-		t.Fatalf("offered load = %v, want ~0.5", ol)
 	}
 	// Arrivals sorted.
 	for i := 1; i < len(tr); i++ {
@@ -193,7 +176,7 @@ func TestPoissonTrace(t *testing.T) {
 
 func TestZipfTraceKeys(t *testing.T) {
 	r := stats.NewRNG(23)
-	tr := ZipfTrace(20000, 10, stats.Constant{V: 0.01}, 100, 1.0, r)
+	tr := ZipfTrace(20000, 10, 100, 1.0, r)
 	counts := map[int]int{}
 	for _, rq := range tr {
 		if rq.Key < 1 || rq.Key > 100 {
@@ -208,7 +191,7 @@ func TestZipfTraceKeys(t *testing.T) {
 
 func TestAssignmentsMapping(t *testing.T) {
 	r := stats.NewRNG(5)
-	tr := ZipfTrace(5000, 100, stats.Constant{V: 0.01}, 8, 1.1, r)
+	tr := ZipfTrace(5000, 100, 8, 1.1, r)
 	idx := tr.Assignments(8)
 	if len(idx) != len(tr) {
 		t.Fatalf("got %d assignments for %d requests", len(idx), len(tr))
@@ -234,7 +217,7 @@ func TestAssignmentsMapping(t *testing.T) {
 
 func TestAssignmentsFoldsWiderKeySpace(t *testing.T) {
 	r := stats.NewRNG(6)
-	tr := ZipfTrace(1000, 100, stats.Constant{V: 0.01}, 40, 1.0, r)
+	tr := ZipfTrace(1000, 100, 40, 1.0, r)
 	idx := tr.Assignments(8)
 	for i, k := range idx {
 		if want := (tr[i].Key - 1) % 8; k != want {
