@@ -111,6 +111,23 @@ func GetBuffer() *[]byte { return bufPool.Get().(*[]byte) }
 // aliases it.
 func PutBuffer(buf *[]byte) { bufPool.Put(buf) }
 
+// replyPool recycles replica reply bodies apart from bufPool, whose small
+// buffers would all grow to reply size. A reply's payloads alias it, so
+// only the front-end's frame routine (serve.ServeBatchFrame) returns one,
+// after copying them out; a body nobody returns goes to the GC.
+var replyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// GetReplyBuffer takes a reply-body buffer from its pool.
+func GetReplyBuffer() *[]byte { return replyPool.Get().(*[]byte) }
+
+// PutReplyBuffer returns a reply body nothing aliases any more to its
+// pool, unless it is over 64 KiB (a rare sweep wave's: not worth pinning).
+func PutReplyBuffer(buf *[]byte) {
+	if cap(*buf) <= 64<<10 {
+		replyPool.Put(buf)
+	}
+}
+
 func appendUvarint(dst []byte, v uint64) []byte {
 	var tmp [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(tmp[:], v)
@@ -247,16 +264,6 @@ func (fr *frameReader) header(magic string) (int, error) {
 	return int(count), nil
 }
 
-// clampPrealloc bounds a pre-allocation by what the remaining bytes
-// could possibly encode (every entry costs at least minBytes), so a
-// hostile count cannot allocate ahead of the data backing it.
-func (fr *frameReader) clampPrealloc(count, minBytes int) int {
-	if rem := (len(fr.buf) - fr.off) / minBytes; count > rem {
-		return rem
-	}
-	return count
-}
-
 // params reads one params run (a uvarint count, then that many chunks) and
 // returns a view of it; a non-nil into also receives the chunks as strings.
 func (fr *frameReader) params(entry int, into *[]string) ([]byte, error) {
@@ -283,15 +290,42 @@ func (fr *frameReader) params(entry int, into *[]string) ([]byte, error) {
 	return fr.buf[start:fr.off], nil
 }
 
-// BatchWalker walks a request frame entry by entry without copying;
-// DecodeBatchRequest is built on it, so both reject the same frames. A frame
-// is only known good once Next has returned false with Err nil.
-type BatchWalker struct {
+// frameWalk is what the two frame walkers share: a frame is walked entry
+// by entry without copying, and is only known good once Next has returned
+// false with Err nil.
+type frameWalk struct {
 	fr   frameReader
 	n, i int
-	into *[]string // DecodeBatchRequest's: also receives each entry's assignments
 	// Err is the error that ended the walk, nil for a frame walked to its end.
 	Err error
+}
+
+// walk checks buf's prologue: magic, version and entry count.
+func (w *frameWalk) walk(buf []byte, magic string) (err error) {
+	w.fr.buf = buf
+	w.n, err = w.fr.header(magic)
+	return err
+}
+
+// Len is the frame's entry count clamped by what its remaining bytes could
+// encode (an entry is at least three bytes), so a hostile count cannot
+// pre-allocate ahead of the data backing it.
+func (w *frameWalk) Len() int { return min(w.n, (len(w.fr.buf)-w.fr.off)/3) }
+
+// more reports whether an entry is left to read: none after an error, or
+// after the last one, where bytes left over become the error.
+func (w *frameWalk) more() bool {
+	if rest := len(w.fr.buf) - w.fr.off; w.Err == nil && w.i == w.n && rest != 0 {
+		w.Err = fmt.Errorf("%w: %d trailing bytes after %d entries", ErrBatchFrame, rest, w.n)
+	}
+	return w.Err == nil && w.i < w.n
+}
+
+// BatchWalker walks a request frame; DecodeBatchRequest is built on it, so
+// both reject the same frames.
+type BatchWalker struct {
+	frameWalk
+	into *[]string // DecodeBatchRequest's: also receives each entry's assignments
 	// ID, Class and Run are the current entry after Next; ID and Run alias
 	// the frame, Run being the params run as it sits there (AppendBatchEntry).
 	ID    []byte
@@ -301,37 +335,34 @@ type BatchWalker struct {
 
 // WalkBatchRequest checks a request frame's prologue and returns its walker.
 func WalkBatchRequest(buf []byte) (w BatchWalker, err error) {
-	w.fr.buf = buf
-	w.n, err = w.fr.header(BatchRequestMagic)
+	err = w.walk(buf, BatchRequestMagic)
 	return w, err
 }
-
-// Len is the frame's entry count clamped by what its remaining bytes could
-// encode (an entry is at least three bytes): safe to pre-allocate by.
-func (w *BatchWalker) Len() int { return w.fr.clampPrealloc(w.n, 3) }
 
 // Next advances to the next entry, reporting false at the end of the
 // frame or at the first malformed byte (Err tells which).
 func (w *BatchWalker) Next() bool {
-	if w.Err != nil || w.i == w.n {
-		if rest := len(w.fr.buf) - w.fr.off; w.Err == nil && rest != 0 {
-			w.Err = fmt.Errorf("%w: %d trailing bytes after %d entries", ErrBatchFrame, rest, w.n)
-		}
+	if !w.more() {
 		return false
 	}
-	var cb byte
-	if w.ID, w.Err = w.fr.chunk(); w.Err == nil {
-		cb, w.Err = w.fr.byte()
-	}
-	if w.Err == nil && int(cb) >= len(admit.Classes()) {
-		w.Err = fmt.Errorf("%w: entry %d: unknown class byte %d", ErrBatchFrame, w.i, cb)
-	}
-	if w.Err == nil {
-		w.Class = admit.Class(cb)
-		w.Run, w.Err = w.fr.params(w.i, w.into)
-	}
+	w.Err = w.entry()
 	w.i++
 	return w.Err == nil
+}
+
+func (w *BatchWalker) entry() (err error) {
+	var cb byte
+	if w.ID, err = w.fr.chunk(); err == nil {
+		cb, err = w.fr.byte()
+	}
+	if err == nil && int(cb) >= len(admit.Classes()) {
+		return fmt.Errorf("%w: entry %d: unknown class byte %d", ErrBatchFrame, w.i, cb)
+	}
+	if err == nil {
+		w.Class = admit.Class(cb)
+		w.Run, err = w.fr.params(w.i, w.into)
+	}
+	return err
 }
 
 // ParamsOfRun copies a params run's assignments out as strings (nil for
@@ -364,66 +395,83 @@ func DecodeBatchRequest(buf []byte) ([]BatchEntry, error) {
 	return entries, nil
 }
 
+// ResponseWalker is BatchWalker's twin for a response frame, and
+// DecodeBatchResponse is built on it. After Next its fields are the
+// current entry's BatchResult, Key, Payload and Msg aliasing the frame.
+type ResponseWalker struct {
+	frameWalk
+	OK, CacheHit, Shared bool
+	Key, Payload         []byte
+	Status               int
+	Msg                  []byte
+	RetryAfter           time.Duration
+}
+
+// WalkBatchResponse checks a response frame's prologue and returns its walker.
+func WalkBatchResponse(buf []byte) (w ResponseWalker, err error) {
+	err = w.walk(buf, BatchResponseMagic)
+	return w, err
+}
+
+// Next is BatchWalker.Next for a response entry.
+func (w *ResponseWalker) Next() bool {
+	if !w.more() {
+		return false
+	}
+	w.Err = w.entry()
+	w.i++
+	return w.Err == nil
+}
+
+// entry reads the outcome word and the fields it announces.
+func (w *ResponseWalker) entry() error {
+	word, err := w.fr.byte()
+	if err != nil {
+		return err
+	}
+	w.OK, w.CacheHit, w.Shared = word&batchOK != 0, word&batchCacheHit != 0, word&batchShared != 0
+	w.Key, w.Payload, w.Status, w.Msg, w.RetryAfter = nil, nil, 0, nil, 0
+	if w.OK {
+		if word&batchRetry != 0 {
+			return fmt.Errorf("%w: entry %d: retry hint on an OK entry", ErrBatchFrame, w.i)
+		}
+		if w.Key, err = w.fr.chunk(); err == nil {
+			w.Payload, err = w.fr.chunk()
+		}
+		return err
+	}
+	status, err := w.fr.uvarint()
+	if err != nil {
+		return err
+	}
+	if status < 400 || status > 599 {
+		return fmt.Errorf("%w: entry %d: error status %d outside 400..599", ErrBatchFrame, w.i, status)
+	}
+	w.Status = int(status)
+	if w.Msg, err = w.fr.chunk(); err != nil || word&batchRetry == 0 {
+		return err
+	}
+	if ms, err := w.fr.uvarint(); err == nil && ms <= math.MaxInt64/uint64(time.Millisecond) {
+		w.RetryAfter = time.Duration(ms) * time.Millisecond
+		return nil
+	}
+	return fmt.Errorf("%w: entry %d: bad retry hint", ErrBatchFrame, w.i)
+}
+
 // DecodeBatchResponse parses a response frame. Key and Msg are copies;
-// Payload aliases buf, so buf must outlive every use of the results (the
-// HTTP client path reads the body into a fresh, non-pooled buffer for
-// exactly this reason).
+// Payload aliases buf, so buf must outlive every use of the results.
 func DecodeBatchResponse(buf []byte) ([]BatchResult, error) {
-	fr := &frameReader{buf: buf}
-	count, err := fr.header(BatchResponseMagic)
+	w, err := WalkBatchResponse(buf)
 	if err != nil {
 		return nil, err
 	}
-	// Minimum entry: 1-byte word + two 1-byte varints.
-	results := make([]BatchResult, 0, fr.clampPrealloc(count, 3))
-	for i := 0; i < count; i++ {
-		word, err := fr.byte()
-		if err != nil {
-			return nil, err
-		}
-		r := BatchResult{
-			OK:       word&batchOK != 0,
-			CacheHit: word&batchCacheHit != 0,
-			Shared:   word&batchShared != 0,
-		}
-		if r.OK {
-			if word&batchRetry != 0 {
-				return nil, fmt.Errorf("%w: entry %d: retry hint on an OK entry", ErrBatchFrame, i)
-			}
-			key, err := fr.chunk()
-			if err != nil {
-				return nil, err
-			}
-			payload, err := fr.chunk()
-			if err != nil {
-				return nil, err
-			}
-			r.Key, r.Payload = string(key), payload
-		} else {
-			status, err := fr.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if status < 400 || status > 599 {
-				return nil, fmt.Errorf("%w: entry %d: error status %d outside 400..599", ErrBatchFrame, i, status)
-			}
-			msg, err := fr.chunk()
-			if err != nil {
-				return nil, err
-			}
-			r.Status, r.Msg = int(status), string(msg)
-			if word&batchRetry != 0 {
-				ms, err := fr.uvarint()
-				if err != nil || ms > math.MaxInt64/uint64(time.Millisecond) {
-					return nil, fmt.Errorf("%w: entry %d: bad retry hint", ErrBatchFrame, i)
-				}
-				r.RetryAfter = time.Duration(ms) * time.Millisecond
-			}
-		}
-		results = append(results, r)
+	results := make([]BatchResult, 0, w.Len())
+	for w.Next() {
+		results = append(results, BatchResult{OK: w.OK, CacheHit: w.CacheHit, Shared: w.Shared,
+			Key: string(w.Key), Payload: w.Payload, Status: w.Status, Msg: string(w.Msg), RetryAfter: w.RetryAfter})
 	}
-	if fr.off != len(buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after %d entries", ErrBatchFrame, len(buf)-fr.off, count)
+	if w.Err != nil {
+		return nil, w.Err
 	}
 	return results, nil
 }

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -201,6 +202,103 @@ func decodeBatchRequestRef(buf []byte) ([]BatchEntry, error) {
 	return entries, nil
 }
 
+// decodeBatchResponseRef is the response decoder as it stood before
+// DecodeBatchResponse was rebuilt on ResponseWalker, kept as the
+// independent reference FuzzBatchFrame holds both to.
+func decodeBatchResponseRef(buf []byte) ([]BatchResult, error) {
+	fr := &frameReader{buf: buf}
+	count, err := fr.header(BatchResponseMagic)
+	if err != nil {
+		return nil, err
+	}
+	results := make([]BatchResult, 0, min(count, (len(buf)-fr.off)/3))
+	for i := 0; i < count; i++ {
+		word, err := fr.byte()
+		if err != nil {
+			return nil, err
+		}
+		r := BatchResult{OK: word&batchOK != 0, CacheHit: word&batchCacheHit != 0, Shared: word&batchShared != 0}
+		if r.OK {
+			if word&batchRetry != 0 {
+				return nil, ErrBatchFrame
+			}
+			key, err := fr.chunk()
+			if err != nil {
+				return nil, err
+			}
+			if r.Payload, err = fr.chunk(); err != nil {
+				return nil, err
+			}
+			r.Key = string(key)
+		} else {
+			status, err := fr.uvarint()
+			if err != nil {
+				return nil, err
+			}
+			if status < 400 || status > 599 {
+				return nil, ErrBatchFrame
+			}
+			msg, err := fr.chunk()
+			if err != nil {
+				return nil, err
+			}
+			r.Status, r.Msg = int(status), string(msg)
+			if word&batchRetry != 0 {
+				ms, err := fr.uvarint()
+				if err != nil || ms > math.MaxInt64/uint64(time.Millisecond) {
+					return nil, ErrBatchFrame
+				}
+				r.RetryAfter = time.Duration(ms) * time.Millisecond
+			}
+		}
+		results = append(results, r)
+	}
+	if fr.off != len(buf) {
+		return nil, ErrBatchFrame
+	}
+	return results, nil
+}
+
+func sameResult(a, b BatchResult) bool {
+	return a.OK == b.OK && a.CacheHit == b.CacheHit && a.Shared == b.Shared && a.Key == b.Key &&
+		bytes.Equal(a.Payload, b.Payload) && a.Status == b.Status && a.Msg == b.Msg && a.RetryAfter == b.RetryAfter
+}
+
+// checkResponseWalkerAgrees holds DecodeBatchResponse to the reference
+// decoder, and the walker to DecodeBatchResponse entry by entry: the same
+// frames accepted and rejected, the same fields.
+func checkResponseWalkerAgrees(t *testing.T, data []byte) {
+	t.Helper()
+	want, wantErr := decodeBatchResponseRef(data)
+	got, gotErr := DecodeBatchResponse(data)
+	if (wantErr == nil) != (gotErr == nil) || len(got) != len(want) {
+		t.Fatalf("DecodeBatchResponse = (%d results, %v), reference (%d, %v)", len(got), gotErr, len(want), wantErr)
+	}
+	for i := range want {
+		if !sameResult(got[i], want[i]) {
+			t.Fatalf("result %d: DecodeBatchResponse %+v, reference %+v", i, got[i], want[i])
+		}
+	}
+	w, err := WalkBatchResponse(data)
+	if err == nil && gotErr == nil && w.Len() != len(got) {
+		t.Fatalf("walker claims %d entries, DecodeBatchResponse decoded %d", w.Len(), len(got))
+	}
+	i := 0
+	for ; err == nil && w.Next(); i++ {
+		r := BatchResult{OK: w.OK, CacheHit: w.CacheHit, Shared: w.Shared, Key: string(w.Key), Payload: w.Payload,
+			Status: w.Status, Msg: string(w.Msg), RetryAfter: w.RetryAfter}
+		if gotErr == nil && !sameResult(r, got[i]) {
+			t.Fatalf("walker entry %d = %+v, DecodeBatchResponse %+v", i, r, got[i])
+		}
+	}
+	if err == nil {
+		err = w.Err
+	}
+	if (err == nil) != (gotErr == nil) || (err == nil && i != len(got)) {
+		t.Fatalf("walker walked %d entries, err %v; DecodeBatchResponse %d, err %v", i, err, len(got), gotErr)
+	}
+}
+
 func sameEntries(a, b []BatchEntry) bool {
 	if len(a) != len(b) {
 		return false
@@ -281,7 +379,8 @@ func TestBatchWalkerAgreesWithDecoder(t *testing.T) {
 // that decodes must survive an encode/decode round trip unchanged.
 // (Byte-exact canonicality is not asserted: binary.Uvarint accepts
 // non-minimal varints the encoder never emits.) On every input the
-// zero-copy request walker must agree with the decoders.
+// zero-copy request walker must agree with the decoders, and the
+// response walker with DecodeBatchResponse and the reference decoder.
 func FuzzBatchFrame(f *testing.F) {
 	f.Add(AppendBatchRequest(nil, []BatchEntry{
 		{ID: "E7", Class: admit.Interactive, Params: []string{"f=0.95", "bces=64"}},
@@ -299,6 +398,7 @@ func FuzzBatchFrame(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkWalkerAgrees(t, data)
+		checkResponseWalkerAgrees(t, data)
 		if entries, err := DecodeBatchRequest(data); err == nil {
 			again, err := DecodeBatchRequest(AppendBatchRequest(nil, entries))
 			if err != nil {

@@ -16,12 +16,14 @@ package httpapi
 // FuzzStreamMessage drives the parsers.
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/admit"
@@ -74,18 +76,22 @@ func ParseStreamHeader(hdr []byte, maxLen int) (id uint32, kind byte, n int, err
 	return id, kind, int(size), nil
 }
 
-// ReadStreamMessage reads one message, allocating its body only after the
-// header passed ParseStreamHeader's checks.
-func ReadStreamMessage(r io.Reader, maxLen int) (id uint32, kind byte, body []byte, err error) {
-	var hdr [StreamHeaderLen]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+// ReadStreamMessage reads one message. Its header is checked in br's own
+// buffer (ParseStreamHeader), and only then is the body read into a buffer
+// from get — a pool's, so a reader waiting between messages holds none.
+func ReadStreamMessage(br *bufio.Reader, maxLen int, get func() *[]byte) (id uint32, kind byte, body *[]byte, err error) {
+	hdr, err := br.Peek(StreamHeaderLen)
+	var n int
+	if err == nil {
+		id, kind, n, err = ParseStreamHeader(hdr, maxLen)
+	}
+	if err != nil {
 		return 0, 0, nil, err
 	}
-	id, kind, n, err := ParseStreamHeader(hdr[:], maxLen)
-	if err == nil {
-		body = make([]byte, n)
-		_, err = io.ReadFull(r, body)
-	}
+	_, _ = br.Discard(StreamHeaderLen) // Peek has buffered them
+	body = get()
+	*body = slices.Grow((*body)[:0], n)[:n]
+	_, err = io.ReadFull(br, *body)
 	return id, kind, body, err
 }
 

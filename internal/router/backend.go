@@ -162,13 +162,18 @@ func (b *HTTPBackend) Do(ctx context.Context, id string, p core.Params) (serve.R
 // wire message. Entry-level errors surface as replicaError values so the
 // router's verdict taxonomy (client error vs shed vs replica failure)
 // applies per entry whichever frame carried it.
+//
+// The reply is walked straight into the outcomes, an entry answered
+// under its identity's key taking the identity's string. Its body is a
+// pooled buffer that every OK outcome's Raw aliases; the first outcome
+// carries it (BatchOutcome.Reply) for the frame routine to recycle.
 func (b *HTTPBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]serve.BatchOutcome, error) {
 	t0 := time.Now()
 	env, err := httpapi.EnvelopeFrom(ctx, hopBudget)
 	if err != nil {
 		return nil, err
 	}
-	var raw []byte // never a pooled buffer: every OK entry's payload aliases it
+	var reply *[]byte
 	sc, err := b.streamFor(ctx)
 	if err == nil {
 		// An entry is its identity's wire bytes: nothing is rendered here.
@@ -186,9 +191,9 @@ func (b *HTTPBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]s
 			msg = httpapi.AppendBatchEntry(msg, items[i].ID, items[i].Class, ident.Wire())
 		}
 		if sc != nil {
-			raw, err = sc.exchange(ctx, msg)
+			reply, err = sc.exchange(ctx, msg)
 		} else {
-			raw, err = b.postBatch(ctx, env, msg)
+			reply, err = b.postBatch(ctx, env, msg)
 		}
 		*fb = msg
 		// Both carriers return only after the request bytes are consumed
@@ -201,39 +206,46 @@ func (b *HTTPBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]s
 		}
 		return nil, fmt.Errorf("router: %s batch: %w", b.base, err)
 	}
-	results, err := httpapi.DecodeBatchResponse(raw)
-	if err != nil {
-		return nil, fmt.Errorf("router: %s: bad batch frame: %v", b.base, err)
-	}
-	if len(results) != len(items) {
-		return nil, fmt.Errorf("router: %s: batch returned %d outcomes for %d items",
-			b.base, len(results), len(items))
-	}
 	elapsed := time.Since(t0)
+	w, err := httpapi.WalkBatchResponse(*reply)
+	if err == nil && w.Len() != len(items) {
+		httpapi.PutReplyBuffer(reply)
+		return nil, fmt.Errorf("router: %s: batch returned %d outcomes for %d items", b.base, w.Len(), len(items))
+	}
 	out := make([]serve.BatchOutcome, len(items))
-	for i, res := range results {
-		if !res.OK {
-			out[i].Err = fmt.Errorf("router: %s /batch entry %s: %w", b.base, items[i].ID,
-				replicaError(res.Status, res.Msg, res.RetryAfter))
+	for i := 0; err == nil && w.Next(); i++ {
+		it := &items[i]
+		if !w.OK {
+			out[i].Err = fmt.Errorf("router: %s /batch entry %s: %w", b.base, it.ID,
+				replicaError(w.Status, string(w.Msg), w.RetryAfter))
 			continue
 		}
-		out[i].RawResponse = serve.RawResponse{
-			ID:       items[i].ID,
-			Params:   items[i].Params,
-			Key:      res.Key,
-			Class:    items[i].Class,
-			Raw:      res.Payload,
-			CacheHit: res.CacheHit,
-			Shared:   res.Shared,
-			Latency:  elapsed,
+		var key string
+		if it.Ident != nil && string(w.Key) == it.Ident.Key() {
+			key = it.Ident.Key()
+		} else {
+			key = string(w.Key)
 		}
+		out[i].RawResponse = serve.RawResponse{ID: it.ID, Params: it.Params, Key: key, Class: it.Class,
+			Raw: w.Payload, CacheHit: w.CacheHit, Shared: w.Shared, Latency: elapsed}
+	}
+	if err == nil {
+		err = w.Err
+	}
+	switch {
+	case err != nil:
+		httpapi.PutReplyBuffer(reply)
+		return nil, fmt.Errorf("router: %s: bad batch frame: %v", b.base, err)
+	case len(out) > 0: // a frame of none leaves its reply to the GC
+		out[0].Reply = reply
 	}
 	return out, nil
 }
 
 // postBatch is DoBatch's HTTP carrier: POST /v1/batch with the frame as
-// the body and the envelope in headers, returning the response body.
-func (b *HTTPBackend) postBatch(ctx context.Context, env httpapi.Envelope, frame []byte) ([]byte, error) {
+// the body and the envelope in headers, returning the response body in a
+// reply buffer.
+func (b *HTTPBackend) postBatch(ctx context.Context, env httpapi.Envelope, frame []byte) (*[]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.base+"/v1/batch", bytes.NewReader(frame))
 	if err != nil {
 		return nil, err
@@ -249,7 +261,14 @@ func (b *HTTPBackend) postBatch(ctx context.Context, env httpapi.Envelope, frame
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, replicaError(resp.StatusCode, strings.TrimSpace(string(body)), 0)
 	}
-	return io.ReadAll(resp.Body)
+	reply := httpapi.GetReplyBuffer()
+	bb := bytes.NewBuffer((*reply)[:0])
+	_, err = bb.ReadFrom(resp.Body)
+	if *reply = bb.Bytes(); err != nil {
+		httpapi.PutReplyBuffer(reply)
+		return nil, err
+	}
+	return reply, nil
 }
 
 // Carrier reports which transport DoBatch is on — "stream" unless the

@@ -7,6 +7,7 @@ package router
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -26,48 +27,69 @@ var batchSizeBounds = []float64{1, 2, 4, 8, 16, 32, 64, 256, 1024, 4096}
 // each grid point exactly once cluster-wide, on the same replica single
 // requests would pick. Items that arrive without an identity (in-process
 // callers holding a map) are annotated in place with it and its resolved
-// params (visible to the caller). Owners are served concurrently, a lone
-// owner on this goroutine, their exchanges under one bound — ctx, canceled
+// params (visible to the caller). Owners are served concurrently, the last
+// one on this goroutine, their exchanges under one bound — ctx, canceled
 // at the router's timeout — so a wedged replica costs a sweep one timeout,
 // not the sweep. A cancel, not a deadline: arming a timer is not free, and
 // a deadline would ride the envelope and arm one on every replica too.
 func (r *Router) ServeEncodedBatch(ctx context.Context, items []serve.BatchItem) []serve.BatchOutcome {
+	return r.ServeEncodedBatchInto(ctx, items, nil)
+}
+
+// ServeEncodedBatchInto is ServeEncodedBatch writing outcomes into buf,
+// reused when its capacity suffices (Engine.ServeEncodedBatchInto).
+func (r *Router) ServeEncodedBatchInto(ctx context.Context, items []serve.BatchItem, buf []serve.BatchOutcome) []serve.BatchOutcome {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r.requests.Add(int64(len(items)))
-	out := make([]serve.BatchOutcome, len(items))
-	groups := make([][]int, len(r.backends))
-	var owner int
+	n := len(items)
+	r.requests.Add(int64(n))
+	out := slices.Grow(buf[:0], n)[:n]
+	clear(out)
+	if n == 0 {
+		return out
+	}
+	// A counting sort by owner into one index slice and one sub-item slice,
+	// each owner's share a contiguous run: ends[o+1] counts owner o's items,
+	// the prefix sums make ends[o] its run's start, placing moves it to the end.
+	idx := make([]int, 2*n+len(r.backends)+1)
+	owners, order, ends := idx[:n], idx[n:2*n], idx[2*n:]
 	for i := range items {
 		it := &items[i]
 		if it.Ident == nil {
 			it.Ident = serve.IdentOf(it.ID, it.Params)
 			it.Params = it.Ident.Params()
 		}
-		owner = r.ring.Place(it.Ident.Hash())
-		if groups[owner] == nil {
-			groups[owner] = make([]int, 0, len(items)-i)
-		}
-		groups[owner] = append(groups[owner], i)
+		owners[i] = r.ring.Place(it.Ident.Hash())
+		ends[owners[i]+1]++
+	}
+	for o := 1; o < len(r.backends); o++ {
+		ends[o] += ends[o-1]
+	}
+	sub := make([]serve.BatchItem, n)
+	for i, o := range owners {
+		order[ends[o]], sub[ends[o]] = i, items[i]
+		ends[o]++
 	}
 	xctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	defer time.AfterFunc(r.cfg.Timeout, cancel).Stop()
-	if n := len(items); n > 0 && len(groups[owner]) == n { // one owner: no goroutine
-		r.serveOwnerBatch(ctx, xctx, owner, groups[owner], items, out)
-		return out
-	}
 	var wg sync.WaitGroup
-	for owner, idxs := range groups {
-		if len(idxs) == 0 {
-			continue
+	lo := 0
+	for o, hi := range ends[:len(r.backends)] {
+		switch {
+		case hi == n: // the last owner: on this goroutine
+			r.serveOwnerBatch(ctx, xctx, o, order[lo:], sub[lo:], items, out)
+		case hi > lo:
+			wg.Add(1)
+			go func(o int, idxs []int, sub []serve.BatchItem) {
+				defer wg.Done()
+				r.serveOwnerBatch(ctx, xctx, o, idxs, sub, items, out)
+			}(o, order[lo:hi], sub[lo:hi])
 		}
-		wg.Add(1)
-		go func(owner int, idxs []int) {
-			defer wg.Done()
-			r.serveOwnerBatch(ctx, xctx, owner, idxs, items, out)
-		}(owner, idxs)
+		if lo = hi; lo == n {
+			break
+		}
 	}
 	wg.Wait()
 	return out
@@ -82,12 +104,8 @@ func (r *Router) ServeEncodedBatch(ctx context.Context, items []serve.BatchItem)
 // exactly-once). The exchange runs under xctx, ctx canceled at the
 // router's timeout; the fallbacks under ctx, and never hedged: a backup
 // racing an owner that may be running the entry would run it twice.
-func (r *Router) serveOwnerBatch(ctx, xctx context.Context, owner int, idxs []int, items []serve.BatchItem, out []serve.BatchOutcome) {
+func (r *Router) serveOwnerBatch(ctx, xctx context.Context, owner int, idxs []int, sub, items []serve.BatchItem, out []serve.BatchOutcome) {
 	if r.admit(owner) {
-		sub := make([]serve.BatchItem, len(idxs))
-		for j, i := range idxs {
-			sub[j] = items[i]
-		}
 		outs, err := r.exchange(xctx, owner, sub, nil)
 		switch {
 		case err == nil:

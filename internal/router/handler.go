@@ -90,7 +90,7 @@ func (r *Router) Handler() http.Handler {
 	// exchange per owner; per-entry failures ride inside the response
 	// frame with the same status taxonomy the single-request route uses.
 	httpapi.MountFunc(mux, "POST /batch", func(w http.ResponseWriter, req *http.Request) {
-		serve.HandleBatch(w, req, r.ServeEncodedBatch, http.StatusBadGateway)
+		serve.HandleBatch(w, req, r.ServeEncodedBatchInto, http.StatusBadGateway)
 	})
 	httpapi.MountFunc(mux, "GET /stats", func(w http.ResponseWriter, req *http.Request) {
 		httpapi.WriteJSON(w, http.StatusOK, r.Metrics())

@@ -24,10 +24,11 @@ import (
 // streamDialTimeout bounds the dial plus the upgrade handshake.
 const streamDialTimeout = 5 * time.Second
 
-// streamReply is what the reader hands a waiter: a reply body, or the
-// error the replica answered the frame with or that killed the connection.
+// streamReply is what the reader hands a waiter: a pooled reply body, the
+// waiter's from then on, or the error the replica answered the frame with
+// or that killed the connection.
 type streamReply struct {
-	body []byte
+	body *[]byte
 	err  error
 }
 
@@ -111,9 +112,10 @@ func (b *HTTPBackend) streamFor(ctx context.Context) (*streamConn, error) {
 // reclaim it.
 func (sc *streamConn) readLoop(br *bufio.Reader) {
 	for {
-		// The body is never pooled: every OK entry's payload aliases it for
-		// the rest of the outcomes' lifetime.
-		id, kind, body, err := httpapi.ReadStreamMessage(br, httpapi.MaxStreamReplyBytes)
+		// A reply goes to its waiter in a pooled body whose ownership rule
+		// HTTPBackend.DoBatch states; an error body, or a reply whose caller
+		// has left, goes back at once: nothing aliases it.
+		id, kind, rb, err := httpapi.ReadStreamMessage(br, httpapi.MaxStreamReplyBytes, httpapi.GetReplyBuffer)
 		if err == nil && kind != httpapi.StreamReply && kind != httpapi.StreamError {
 			err = fmt.Errorf("%w: kind %d from a replica", httpapi.ErrStreamMessage, kind)
 		}
@@ -121,15 +123,19 @@ func (sc *streamConn) readLoop(br *bufio.Reader) {
 			sc.fail(err)
 			return
 		}
-		r := streamReply{body: body}
+		r := streamReply{body: rb}
 		if kind == httpapi.StreamError {
-			status, msg, perr := httpapi.ParseStreamError(body)
+			status, msg, perr := httpapi.ParseStreamError(*rb)
 			if r.err = perr; perr == nil {
 				r.err = replicaError(status, msg, 0)
 			}
+			r.body = nil
+			httpapi.PutReplyBuffer(rb)
 		}
-		if ch := sc.take(id); ch != nil { // nil: a canceled caller has already left
+		if ch := sc.take(id); ch != nil {
 			ch <- r
+		} else if r.body != nil { // a canceled caller has already left
+			httpapi.PutReplyBuffer(rb)
 		}
 	}
 }
@@ -190,8 +196,9 @@ func (sc *streamConn) send(ctx context.Context, msg []byte) error {
 
 // exchange sends one request — msg with StreamHeaderLen bytes reserved in
 // front of its body — and waits for the reply body. A caller whose ctx
-// ends sends a cancel message instead of tearing the connection down.
-func (sc *streamConn) exchange(ctx context.Context, msg []byte) ([]byte, error) {
+// ends sends a cancel message instead of tearing the connection down (a
+// reply already on its way then goes to the GC with the channel).
+func (sc *streamConn) exchange(ctx context.Context, msg []byte) (*[]byte, error) {
 	ch := make(chan streamReply, 1)
 	sc.mu.Lock()
 	if sc.err != nil {

@@ -11,9 +11,9 @@ package serve
 // == requests) holds whether a request arrived alone or in a frame of 64.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
 	"sync"
@@ -47,6 +47,11 @@ type BatchItem struct {
 type BatchOutcome struct {
 	RawResponse RawResponse
 	Err         error
+	// Reply, set on the first outcome of a wire exchange, is the pooled
+	// reply body its OK siblings' Raw alias. Only ServeBatchFrame reads it,
+	// recycling the body once the response frame holds every payload; any
+	// other consumer drops it with the outcomes, to the GC.
+	Reply *[]byte
 }
 
 // ServeEncodedBatch serves every item and returns outcomes in item
@@ -195,18 +200,21 @@ func (m *missPass) work(lead bool) {
 }
 
 // HandleBatch is POST /batch on either face of the API — the engine's
-// (serveFn = Engine.ServeEncodedBatch) and the routing front-end's
-// (Router.ServeEncodedBatch): one frame in the request body, its response
-// frame in the reply. The whole-request error paths (unreadable body, bad
-// QoS headers, bad frame) use the shared JSON envelope like every other
-// endpoint; per-entry failures ride inside the frame as outcome words,
-// with the status httpapi.ErrorStatus gives them under fallback (500 on a
-// replica, 502 on the front-end), so one bad entry cannot fail its
-// siblings.
+// (serveFn = Engine.ServeEncodedBatchInto) and the routing front-end's
+// (Router.ServeEncodedBatchInto): one frame in the request body, its
+// response frame in the reply, both in pooled buffers. The whole-request
+// error paths (unreadable body, bad QoS headers, bad frame) use the
+// shared JSON envelope like every other endpoint; per-entry failures ride
+// inside the frame as outcome words, with the status httpapi.ErrorStatus
+// gives them under fallback (500 on a replica, 502 on the front-end), so
+// one bad entry cannot fail its siblings.
 func HandleBatch(w http.ResponseWriter, r *http.Request,
-	serveFn func(context.Context, []BatchItem) []BatchOutcome, fallback int) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, httpapi.MaxBatchBytes))
-	if err != nil {
+	serveFn func(context.Context, []BatchItem, []BatchOutcome) []BatchOutcome, fallback int) {
+	in := httpapi.GetBuffer()
+	defer httpapi.PutBuffer(in)
+	bb := bytes.NewBuffer((*in)[:0])
+	_, err := bb.ReadFrom(http.MaxBytesReader(w, r.Body, httpapi.MaxBatchBytes))
+	if *in = bb.Bytes(); err != nil {
 		httpapi.WriteServingError(w, fmt.Errorf("bad batch body: %w", err), http.StatusBadRequest)
 		return
 	}
@@ -218,7 +226,7 @@ func HandleBatch(w http.ResponseWriter, r *http.Request,
 	defer cancel()
 	buf := httpapi.GetBuffer()
 	defer httpapi.PutBuffer(buf)
-	frame, err := ServeBatchFrame(ctx, body, (*buf)[:0], serveFn, fallback)
+	frame, err := ServeBatchFrame(ctx, *in, (*buf)[:0], serveFn, fallback)
 	if err != nil {
 		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
 		return
@@ -228,35 +236,67 @@ func HandleBatch(w http.ResponseWriter, r *http.Request,
 	_, _ = w.Write(frame)
 }
 
+// frameScratch is ServeBatchFrame's pooled working set: the items, their
+// response rows and the outcomes serveFn writes.
+type frameScratch struct {
+	items   []BatchItem
+	results []httpapi.BatchResult
+	outs    []BatchOutcome
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(frameScratch) }}
+
+// release recycles the reply bodies the outcomes carry — their payloads
+// are copied into the response frame by now — then the scratch, cleared so
+// the pool pins nothing, unless a frame above 256 entries grew it.
+func (s *frameScratch) release() {
+	for _, o := range s.outs {
+		if o.Reply != nil {
+			httpapi.PutReplyBuffer(o.Reply)
+		}
+	}
+	if cap(s.results) <= 256 { // results has a row per entry: the largest
+		clear(s.items)
+		clear(s.results)
+		clear(s.outs)
+		*s = frameScratch{s.items[:0], s.results[:0], s.outs[:0]}
+		scratchPool.Put(s)
+	}
+}
+
 // ServeBatchFrame is the frame routine both carriers share (POST /batch
 // and the replica stream): walk the A21B request frame in body, naming each
 // entry by its own bytes (Intern), serve them through serveFn, append the
 // A21R response frame to dst, an entry's error as the status and retry
 // hint httpapi.ErrorStatus gives it under fallback. The error is a frame
 // that does not decode — the one failure that answers the whole frame
-// instead of an entry.
+// instead of an entry. Nothing returned aliases body, which is read in
+// full before anything is appended, so dst may share its storage; the
+// outcomes' reply bodies (BatchOutcome.Reply) are recycled here, after
+// the response frame holds its copy of every payload.
 func ServeBatchFrame(ctx context.Context, body, dst []byte,
-	serveFn func(context.Context, []BatchItem) []BatchOutcome, fallback int) ([]byte, error) {
+	serveFn func(context.Context, []BatchItem, []BatchOutcome) []BatchOutcome, fallback int) ([]byte, error) {
 	w, err := httpapi.WalkBatchRequest(body)
 	if err != nil {
 		return dst, err
 	}
-	results := make([]httpapi.BatchResult, 0, w.Len())
-	items := make([]BatchItem, 0, w.Len())
+	s := scratchPool.Get().(*frameScratch)
+	defer s.release()
 	for w.Next() {
 		ident, perr := Intern(w.ID, w.Run)
 		if perr != nil {
-			results = append(results, httpapi.BatchResult{Status: http.StatusBadRequest, Msg: perr.Error()})
+			s.results = append(s.results, httpapi.BatchResult{Status: http.StatusBadRequest, Msg: perr.Error()})
 			continue
 		}
-		items = append(items, BatchItem{ID: ident.id, Params: ident.params, Class: w.Class, Ident: ident})
-		results = append(results, httpapi.BatchResult{})
+		s.items = append(s.items, BatchItem{ID: ident.id, Params: ident.params, Class: w.Class, Ident: ident})
+		s.results = append(s.results, httpapi.BatchResult{})
 	}
 	if w.Err != nil {
 		return dst, w.Err
 	}
-	i := -1
-	for _, o := range serveFn(ctx, items) {
+	s.outs = serveFn(ctx, s.items, s.outs)
+	results, i := s.results, -1
+	for _, o := range s.outs {
 		for i++; results[i].Status != 0; i++ { // on to the next entry not rejected above
 		}
 		if o.Err != nil {
@@ -264,7 +304,7 @@ func ServeBatchFrame(ctx context.Context, body, dst []byte,
 			results[i] = httpapi.BatchResult{Status: status, Msg: o.Err.Error(), RetryAfter: retryAfter}
 			continue
 		}
-		rr := o.RawResponse
+		rr := &o.RawResponse
 		results[i] = httpapi.BatchResult{OK: true, CacheHit: rr.CacheHit, Shared: rr.Shared,
 			Key: rr.Key, Payload: rr.Raw}
 	}

@@ -281,7 +281,7 @@ func (e *Engine) Handler() http.Handler {
 	// POST /batch: the multi-get wire surface (varint frames in and out,
 	// per-entry outcome words, payloads served zero-copy from the slab).
 	httpapi.MountFunc(mux, "POST /batch", func(w http.ResponseWriter, r *http.Request) {
-		HandleBatch(w, r, e.ServeEncodedBatch, http.StatusInternalServerError)
+		HandleBatch(w, r, e.ServeEncodedBatchInto, http.StatusInternalServerError)
 	})
 	// GET /stream: the same frames over one upgraded, pipelined connection.
 	httpapi.MountFunc(mux, "GET /stream", e.handleStream)

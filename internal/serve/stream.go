@@ -12,6 +12,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -112,11 +113,12 @@ func (s *replicaStream) serve(br *bufio.Reader) {
 	sem := make(chan struct{}, streamMaxInflight)
 	for {
 		sem <- struct{}{} // before reading: at the cap the reader stops reading
-		id, kind, body, err := httpapi.ReadStreamMessage(br, httpapi.MaxBatchBytes)
+		id, kind, in, err := httpapi.ReadStreamMessage(br, httpapi.MaxBatchBytes, httpapi.GetBuffer)
 		switch {
 		case err != nil:
 			return
-		case kind == httpapi.StreamCancel && len(body) == 0:
+		case kind == httpapi.StreamCancel && len(*in) == 0:
+			httpapi.PutBuffer(in)
 			s.mu.Lock()
 			if c := s.cancels[id]; c != nil {
 				c()
@@ -131,7 +133,7 @@ func (s *replicaStream) serve(br *bufio.Reader) {
 			s.frames.Add(1)
 			go func() {
 				defer s.frames.Done()
-				s.serveFrame(fctx, id, body)
+				s.serveFrame(fctx, id, in)
 				s.mu.Lock()
 				delete(s.cancels, id)
 				s.mu.Unlock()
@@ -144,25 +146,26 @@ func (s *replicaStream) serve(br *bufio.Reader) {
 	}
 }
 
-// serveFrame serves one request message and writes its reply.
-func (s *replicaStream) serveFrame(ctx context.Context, id uint32, body []byte) {
-	out := httpapi.GetBuffer()
-	defer httpapi.PutBuffer(out)
-	var hdr [httpapi.StreamHeaderLen]byte
+// serveFrame serves one request message, the body in buf, and writes its
+// reply from the same pooled buffer, over the body: ServeBatchFrame has
+// read all of the frame before it appends, and the header goes in last.
+func (s *replicaStream) serveFrame(ctx context.Context, id uint32, buf *[]byte) {
+	defer httpapi.PutBuffer(buf)
+	const hdr = httpapi.StreamHeaderLen
 	kind := httpapi.StreamReply
-	msg := append((*out)[:0], hdr[:]...)
-	env, frame, err := httpapi.ParseStreamRequest(body)
+	env, frame, err := httpapi.ParseStreamRequest(*buf)
+	msg := slices.Grow((*buf)[:0], hdr)[:hdr] // the header's room: the body's first bytes, written last
 	if err == nil {
 		ectx, cancel := env.Context(ctx)
-		msg, err = ServeBatchFrame(ectx, frame, msg, s.e.ServeEncodedBatch, http.StatusInternalServerError)
+		msg, err = ServeBatchFrame(ectx, frame, msg, s.e.ServeEncodedBatchInto, http.StatusInternalServerError)
 		cancel()
 	}
 	if err != nil {
 		kind = httpapi.StreamError
-		msg = httpapi.AppendStreamError(msg[:len(hdr)], http.StatusBadRequest, err.Error())
+		msg = httpapi.AppendStreamError(msg[:hdr], http.StatusBadRequest, err.Error())
 	}
 	httpapi.PutStreamHeader(msg, id, kind)
-	*out = msg
+	*buf = msg
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	_ = s.conn.SetWriteDeadline(time.Now().Add(httpapi.StreamWriteTimeout))
