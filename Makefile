@@ -82,9 +82,9 @@ bench-compare:
 	done; done; \
 	.bench_build/bench -compare "$$tmp/old" "$$tmp/new"
 
-# bench-hop times one front-end -> replica exchange three ways (net/http
-# POST /v1/batch, the frame stream, the stream eight deep): ns, cpu-us
-# and allocs per exchange, replies checked.
+# bench-hop times one front-end -> replica exchange over the frame
+# stream, alone and eight deep: ns, cpu-us and allocs per exchange,
+# replies checked.
 bench-hop:
 	$(GO) test -run xxx -bench 'BenchmarkHop' -benchtime 2s -count 3 -cpu 1,2 ./internal/router
 

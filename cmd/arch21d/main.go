@@ -102,7 +102,7 @@ func main() {
 	lcSLO := flag.Duration("lc-slo", 0, "interactive p99 SLO: a feedback controller retunes -batch-rate every second to hold it (0 = static rate)")
 	eventsLog := flag.String("events-log", "", "append every control-plane event to this file as NDJSON (the in-memory ring serves /events regardless)")
 	tenants := flag.String("tenants", "", "comma-separated tenant vocabulary: keep per-tenant books and /metrics families; requests with an unlisted (or no) X-Arch21-Tenant header fold into \"other\"")
-	peers := flag.String("peers", "", "comma-separated replica addresses: run as a consistent-hash routing front-end instead of serving locally")
+	peers := flag.String("peers", "", "comma-separated replica addresses (host:port or http://host:port): run as a consistent-hash routing front-end instead of serving locally")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof under /debug/pprof/ on this address, a listener of its own (empty = none)")
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -145,6 +145,13 @@ func main() {
 			p = strings.TrimSpace(p)
 			if p == "" {
 				continue
+			}
+			// The front-end reaches a replica only over its plain-TCP frame
+			// stream: a peer it could never reach is a boot error, not a
+			// replica ejected at the first request.
+			if base := httpapi.BaseURL(p); !strings.HasPrefix(base, "http://") {
+				fmt.Fprintf(os.Stderr, "arch21d: -peers %s: a replica is reached over plain http:// only\n", p)
+				os.Exit(2)
 			}
 			backends = append(backends, router.NewHTTPBackend(p))
 		}

@@ -182,7 +182,8 @@ func docPins() []docPin {
 			"*removed in PR 23*", "arch21_batched_requests_total", "arch21_batch_size", "sweep.Server",
 			"exactly-once", "GET /v1/stream", "`Upgrade: " + httpapi.StreamProtocol + "`", "http.Hijacker",
 			"httpapi.MaxBatchBytes", "httpapi.MaxStreamReplyBytes", "FuzzStreamMessage", "serve.ServeBatchFrame",
-			"`404`, `405`, `426`", "transport failure", "`cancel id`", "`\"transport\": \"stream\" | \"http\"`",
+			"*The one-carrier rule.*", "anything but `101`", "transport failure", "`cancel id`",
+			"never a `replicaError` carrying the peer's status", "TestRefusedUpgradeFailsOverAndEjects",
 			"arch21_backend_stream_redials_total", "BenchmarkHop", "Engine.Close", "**Request identity.**",
 			"serve.Identity", "serve.Intern", "serve.IdentOf", "httpapi.BatchWalker",
 			"**The cap rule:** 8192 rows", "`routeTab`", "`BatchItem.Key`"}},

@@ -100,12 +100,6 @@ func Forward(req *http.Request, ctx context.Context, hopBudget time.Duration) er
 	if err != nil {
 		return err
 	}
-	env.Stamp(req)
-	return nil
-}
-
-// Stamp writes the envelope into an outbound request's X-Arch21-* headers.
-func (env Envelope) Stamp(req *http.Request) {
 	req.Header.Set(admit.HeaderClass, env.Class.String())
 	if env.Tenant != "" {
 		req.Header.Set(admit.HeaderTenant, env.Tenant)
@@ -116,6 +110,7 @@ func (env Envelope) Stamp(req *http.Request) {
 	if env.Deadline > 0 {
 		req.Header.Set(admit.HeaderDeadlineMS, strconv.FormatInt(int64(env.Deadline/time.Millisecond), 10))
 	}
+	return nil
 }
 
 // BaseURL normalizes an arch21d address into the base URL every client

@@ -4,15 +4,14 @@ package router
 // replica engine's handler and the routing front-end — answers with the
 // shared httpapi envelope, on the legacy paths and their /v1 aliases
 // alike; upstream sheds pass through with Retry-After intact; and
-// HTTPBackend keeps one stream per replica, and on the POST carrier its
-// keep-alive pool actually reuses connections, including across error
-// responses.
+// HTTPBackend keeps one stream per replica, and the keep-alive pool its
+// POST /control rides actually reuses connections, including across
+// error responses.
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
@@ -148,33 +147,19 @@ func TestV1AliasesServeSameContent(t *testing.T) {
 	}
 }
 
-// shedReplica is a fake replica that refuses the stream upgrade and
-// answers every POST /v1/batch frame with one shed entry per request
-// entry: 503 queue-full carrying retryAfter as the frame's retry hint.
+// shedReplica is a fake stream replica that answers every entry of
+// every frame with a shed: 503 queue-full carrying retryAfter as the
+// entry's retry hint.
 func shedReplica(t *testing.T, retryAfter time.Duration) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.URL.Path == "/healthz":
-			w.WriteHeader(http.StatusOK)
-		case r.Method == http.MethodPost && r.URL.Path == "/v1/batch":
-			body, _ := io.ReadAll(r.Body)
-			entries, err := httpapi.DecodeBatchRequest(body)
-			if err != nil {
-				t.Errorf("fake replica got a bad frame: %v", err)
-			}
-			results := make([]httpapi.BatchResult, len(entries))
-			for i := range results {
-				results[i] = httpapi.BatchResult{Status: http.StatusServiceUnavailable,
-					Msg: "queue full", RetryAfter: retryAfter}
-			}
-			_, _ = w.Write(httpapi.AppendBatchResponse(nil, results))
-		default:
-			httpapi.WriteError(w, http.StatusUpgradeRequired, httpapi.CodeBadRequest, "no stream here")
+	return fakeStreamReplica(t, func(entries []httpapi.BatchEntry) []httpapi.BatchResult {
+		results := make([]httpapi.BatchResult, len(entries))
+		for i := range results {
+			results[i] = httpapi.BatchResult{Status: http.StatusServiceUnavailable,
+				Msg: "queue full", RetryAfter: retryAfter}
 		}
-	}))
-	t.Cleanup(srv.Close)
-	return srv
+		return results
+	})
 }
 
 func TestRouterPassesThroughUpstreamShedEnvelope(t *testing.T) {
@@ -217,24 +202,24 @@ func TestHTTPBackendReusesConnections(t *testing.T) {
 			t.Fatalf("stream attempt %d: %v", i, err)
 		}
 	}
-	if tr, redials := b.Carrier(); tr != "stream" || redials != 0 || requests.Load() != 1 {
-		t.Fatalf("8 attempts: carrier %q, %d redials, %d HTTP requests; want one stream, dialled once", tr, redials, requests.Load())
+	if redials := b.Redials(); redials != 0 || requests.Load() != 1 {
+		t.Fatalf("8 attempts: %d redials, %d HTTP requests; want one stream, dialled once", redials, requests.Load())
 	}
 
-	// On the POST carrier, sequential exchanges — including one answered
-	// with an error status whose body the backend must drain — have to
-	// ride one keep-alive connection. Without draining, the transport
-	// tears the connection down after every error and the pool silently
-	// degrades to a dial per request.
+	// POST /control, the last POST the backend makes: sequential calls —
+	// including one answered with an error status whose body the backend
+	// must drain — have to ride one keep-alive connection. Without
+	// draining, the transport tears the connection down after every error
+	// and the pool silently degrades to a dial per request.
 	var posts atomic.Int64
-	postSrv := httptest.NewServer(noStream(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	postSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost && posts.Add(1) == 2 {
 			httpapi.WriteError(w, http.StatusServiceUnavailable, httpapi.CodeQueueFull,
-				strings.Repeat("shed ", 200)) // larger than the 512B error sample
+				strings.Repeat("shed ", 20000)) // larger than the ack's 64 KiB read
 			return
 		}
 		eng.Handler().ServeHTTP(w, r)
-	})))
+	}))
 	t.Cleanup(postSrv.Close)
 	b = NewHTTPBackend(postSrv.URL)
 
@@ -247,13 +232,14 @@ func TestHTTPBackendReusesConnections(t *testing.T) {
 	}}
 	ctx = httptrace.WithClientTrace(ctx, trace)
 
-	if _, err := b.Do(ctx, "E1", nil); err != nil {
+	body := []byte(`{"batch_rate": 96}`)
+	if _, err := b.Control(ctx, body); err != nil {
 		t.Fatalf("first request: %v", err)
 	}
-	if _, err := b.Do(ctx, "E1", nil); replicaStatus(err) != http.StatusServiceUnavailable {
+	if _, err := b.Control(ctx, body); replicaStatus(err) != http.StatusServiceUnavailable {
 		t.Fatalf("error request = %v, want the 503", err)
 	}
-	if _, err := b.Do(ctx, "E1", nil); err != nil {
+	if _, err := b.Control(ctx, body); err != nil {
 		t.Fatalf("post-error request: %v", err)
 	}
 	mu.Lock()

@@ -90,20 +90,17 @@ func replicaError(status int, msg string, retryAfter time.Duration) error {
 }
 
 // HTTPBackend is a remote arch21d replica: frames ride one upgraded
-// stream (stream.go), or POST /batch when the replica refuses the
-// upgrade; GET /healthz probes it and POST /control retunes it.
+// stream (stream.go); GET /healthz probes it and POST /control retunes it.
 type HTTPBackend struct {
 	base   string
 	client *http.Client
 
 	// smu guards stream — the live (or last, dead) connection — and
-	// serializes dials. httpOnly is set once the replica definitively
-	// refused the upgrade; redials counts streams established after the
-	// first. Atomics, so /stats never waits behind a dial.
-	smu      sync.Mutex
-	stream   *streamConn
-	httpOnly atomic.Bool
-	redials  atomic.Int64
+	// serializes dials. redials counts streams established after the
+	// first: an atomic, so /stats never waits behind a dial.
+	smu     sync.Mutex
+	stream  *streamConn
+	redials atomic.Int64
 }
 
 // NewHTTPBackend points at an arch21d base address (see httpapi.BaseURL).
@@ -111,22 +108,12 @@ func NewHTTPBackend(addr string) *HTTPBackend {
 	return &HTTPBackend{
 		base: httpapi.BaseURL(addr),
 		client: &http.Client{
-			// Strictly above the router's per-attempt timeout: the router
-			// must be the layer that abandons a slow attempt (it knows how
-			// to fail over and eject); this deadline only reclaims the
-			// abandoned goroutine's connection eventually.
-			Timeout: DefaultTimeout + time.Minute,
-			Transport: &http.Transport{
-				// Carries /healthz, /control and — only for a replica that
-				// refused the stream — the POST carrier. One backend == one
-				// host, so the per-host cap is the real limit: as many pooled
-				// exchanges as a replica serves frames at once on a stream
-				// (serve's streamMaxInflight). Reuse only works if every
-				// response body is drained — see httpapi.DrainClose.
-				MaxIdleConns:        64,
-				MaxIdleConnsPerHost: 64,
-				IdleConnTimeout:     90 * time.Second,
-			},
+			// Carries only /healthz (Check's 2 s context) and /control (the
+			// fan-out's controlFanoutTimeout, which also bounds a caller whose
+			// context has none). Reuse only works if every response body is
+			// drained — see httpapi.DrainClose.
+			Timeout:   controlFanoutTimeout,
+			Transport: &http.Transport{IdleConnTimeout: 90 * time.Second},
 		},
 	}
 }
@@ -152,16 +139,16 @@ func (b *HTTPBackend) Do(ctx context.Context, id string, p core.Params) (serve.R
 	return decodeResponse(outs[0].RawResponse)
 }
 
-// DoBatch implements Backend over the wire: one A21B request frame
-// out, one A21R outcome frame back. This is the frame-exchange routine of
-// both carriers; only how the bytes move differs — a message on the
-// replica's stream, or POST /v1/batch when the replica refused the
-// upgrade. The QoS envelope (class, tenant, hedge marker, deadline less
-// hopBudget) is read once and rides the stream message or the POST's
-// headers; a budget that cannot survive the hop is shed here without a
-// wire message. Entry-level errors surface as replicaError values so the
-// router's verdict taxonomy (client error vs shed vs replica failure)
-// applies per entry whichever frame carried it.
+// DoBatch implements Backend over the replica's stream: one A21B request
+// frame out, one A21R outcome frame back. The QoS envelope (class,
+// tenant, hedge marker, deadline less hopBudget) rides in front of the
+// frame; a budget that cannot survive the hop is shed here without a
+// wire message. A replica that cannot be reached over the stream — a
+// dial error, an upgrade answered anything but 101, a base that is not
+// plain http:// — fails the whole exchange as a transport failure.
+// Entry-level errors surface as replicaError values so the router's
+// verdict taxonomy (client error vs shed vs replica failure) applies per
+// entry.
 //
 // The reply is walked straight into the outcomes, an entry answered
 // under its identity's key taking the identity's string. Its body is a
@@ -178,10 +165,7 @@ func (b *HTTPBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]s
 	if err == nil {
 		// An entry is its identity's wire bytes: nothing is rendered here.
 		fb := httpapi.GetBuffer()
-		msg := (*fb)[:0]
-		if sc != nil {
-			msg = env.Append(append(msg, make([]byte, httpapi.StreamHeaderLen)...))
-		}
+		msg := env.Append(append((*fb)[:0], make([]byte, httpapi.StreamHeaderLen)...))
 		msg = httpapi.AppendBatchHeader(msg, len(items))
 		for i := range items {
 			ident := items[i].Ident
@@ -190,14 +174,10 @@ func (b *HTTPBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]s
 			}
 			msg = httpapi.AppendBatchEntry(msg, items[i].ID, items[i].Class, ident.Wire())
 		}
-		if sc != nil {
-			reply, err = sc.exchange(ctx, msg)
-		} else {
-			reply, err = b.postBatch(ctx, env, msg)
-		}
+		reply, err = sc.exchange(ctx, msg)
 		*fb = msg
-		// Both carriers return only after the request bytes are consumed
-		// (or abandoned), so the frame buffer is safe to recycle here.
+		// exchange returns only after the request bytes are written (or
+		// abandoned), so the frame buffer is safe to recycle here.
 		httpapi.PutBuffer(fb)
 	}
 	if err != nil {
@@ -242,44 +222,9 @@ func (b *HTTPBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]s
 	return out, nil
 }
 
-// postBatch is DoBatch's HTTP carrier: POST /v1/batch with the frame as
-// the body and the envelope in headers, returning the response body in a
-// reply buffer.
-func (b *HTTPBackend) postBatch(ctx context.Context, env httpapi.Envelope, frame []byte) (*[]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.base+"/v1/batch", bytes.NewReader(frame))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	env.Stamp(req)
-	resp, err := b.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer httpapi.DrainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, replicaError(resp.StatusCode, strings.TrimSpace(string(body)), 0)
-	}
-	reply := httpapi.GetReplyBuffer()
-	bb := bytes.NewBuffer((*reply)[:0])
-	_, err = bb.ReadFrom(resp.Body)
-	if *reply = bb.Bytes(); err != nil {
-		httpapi.PutReplyBuffer(reply)
-		return nil, err
-	}
-	return reply, nil
-}
-
-// Carrier reports which transport DoBatch is on — "stream" unless the
-// replica refused the upgrade, then "http" — and how many times the
-// stream had to be re-established.
-func (b *HTTPBackend) Carrier() (transport string, redials int64) {
-	if b.httpOnly.Load() {
-		return "http", 0
-	}
-	return "stream", b.redials.Load()
-}
+// Redials reports how many times the stream had to be re-established
+// after the first dial.
+func (b *HTTPBackend) Redials() int64 { return b.redials.Load() }
 
 // Control implements Controller: POST the raw body to the replica's
 // /control and return its ack body.
@@ -305,12 +250,13 @@ func (b *HTTPBackend) Control(ctx context.Context, body []byte) ([]byte, error) 
 
 // Check implements Backend: GET /healthz with a short deadline.
 func (b *HTTPBackend) Check() error {
-	req, err := http.NewRequest(http.MethodGet, b.base+"/healthz", nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+"/healthz", nil)
 	if err != nil {
 		return err
 	}
-	cl := &http.Client{Timeout: 2 * time.Second, Transport: b.client.Transport}
-	resp, err := cl.Do(req)
+	resp, err := b.client.Do(req)
 	if err != nil {
 		return err
 	}

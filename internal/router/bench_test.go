@@ -63,31 +63,24 @@ func BenchmarkServeEncodedRoutedWarm(b *testing.B) {
 	})
 }
 
-// The hop, three ways (ROADMAP item 3): the same one-entry warm exchange
-// against one engine over (i) net/http POST /v1/batch with a frame of
-// one, (ii) the upgraded frame stream, (iii) the stream with eight
-// exchanges in flight. Every reply is decoded and checked. Reported per
-// exchange: ns (wall), cpu-us (getrusage, whole process — client and
-// replica), allocs. DESIGN §7 records the readings, next to the fourth
-// way they were first taken against (net/http GET format=bin, whose
-// client PR 23 removed).
-func benchHop(b *testing.B, carrier string, inflight int, exchange func(hb *HTTPBackend) error) {
+// The hop, two ways (ROADMAP item 3): the same one-entry warm exchange
+// against one engine over (i) the upgraded frame stream, (ii) the stream
+// with eight exchanges in flight. Every reply is decoded and checked.
+// Reported per exchange: ns (wall), cpu-us (getrusage, whole process —
+// client and replica), allocs. DESIGN §7 records the readings, next to
+// the two ways they were first taken against, whose front-end clients
+// have since gone: net/http GET format=bin and POST /v1/batch with a
+// frame of one.
+func benchHop(b *testing.B, inflight int, exchange func(hb *HTTPBackend) error) {
 	eng := serve.NewEngine(serve.Config{Shards: 8, Workers: 2})
 	defer eng.Close()
-	h := eng.Handler()
-	if carrier != "stream" {
-		h = noStream(h)
-	}
-	srv := httptest.NewServer(h)
+	srv := httptest.NewServer(eng.Handler())
 	defer srv.Close()
 	hb := NewHTTPBackend(srv.URL)
-	for i := 0; i < 2*hedgeWarmup; i++ { // fill the cache, open the connections
+	for i := 0; i < 2*hedgeWarmup; i++ { // fill the cache, open the connection
 		if err := exchange(hb); err != nil {
 			b.Fatal(err)
 		}
-	}
-	if tr, _ := hb.Carrier(); tr != carrier {
-		b.Fatalf("DoBatch rides %q, want %q", tr, carrier)
 	}
 	cpu := func() time.Duration {
 		var ru syscall.Rusage
@@ -132,6 +125,5 @@ func hopBatchOne(hb *HTTPBackend) error {
 	return err
 }
 
-func BenchmarkHopHTTPBatchOne(b *testing.B)     { benchHop(b, "http", 1, hopBatchOne) }
-func BenchmarkHopStream(b *testing.B)           { benchHop(b, "stream", 1, hopBatchOne) }
-func BenchmarkHopStreamPipelined8(b *testing.B) { benchHop(b, "stream", 8, hopBatchOne) }
+func BenchmarkHopStream(b *testing.B)           { benchHop(b, 1, hopBatchOne) }
+func BenchmarkHopStreamPipelined8(b *testing.B) { benchHop(b, 8, hopBatchOne) }

@@ -2,12 +2,10 @@ package router
 
 // One taxonomy, shown. Whatever a request carries — a warm or cold
 // scoreboard, a deadline, a tenant, interactive or batch class — and
-// whether it rides the stream or the POST carrier, the client of
-// Router.Handler() sees the same status, Retry-After, error code and
-// envelope — and the same request as a POST /v1/batch entry the same
-// status and retry hint. A 2-replica HTTP cluster: replica 0 takes the
-// stream, replica 1 refuses the upgrade, so a key's owner picks the
-// carrier.
+// whichever replica owns it, the client of Router.Handler() sees the
+// same status, Retry-After, error code and envelope — and the same
+// request as a POST /v1/batch entry the same status and retry hint. A
+// 2-replica HTTP cluster, both reached over the stream.
 
 import (
 	"bytes"
@@ -32,7 +30,7 @@ import (
 
 // laneCluster is two one-worker, one-queue-slot replicas (so a queue can
 // be filled) whose runner parks IDs prefixed "slow", with tenant tB
-// declared; replica 1 is reached over POST.
+// declared.
 type laneCluster struct {
 	g     *gate
 	engs  [2]*serve.Engine
@@ -46,11 +44,7 @@ func newLaneCluster(t *testing.T) *laneCluster {
 	for i := range c.engs {
 		eng := serve.NewEngine(serve.Config{Shards: 4, Workers: 1, Queue: 1,
 			RunnerWith: c.g.run, Tenants: []string{"tB"}})
-		h := eng.Handler()
-		if i == 1 {
-			h = noStream(h)
-		}
-		srv := httptest.NewServer(h)
+		srv := httptest.NewServer(eng.Handler())
 		t.Cleanup(srv.Close)
 		t.Cleanup(eng.Close)
 		c.engs[i], c.urls[i] = eng, srv.URL
@@ -173,7 +167,7 @@ func TestOneTaxonomyAcrossLanes(t *testing.T) {
 		{name: "bad param", status: 400, code: "bad_request",
 			mk: func(i int) (string, core.Params) { return "E7", core.Params{"f": float64(7 + i)} }},
 		// A budget the hop cannot survive: shed where the frame would have
-		// been sent, whichever carrier it would have taken.
+		// been sent, whichever replica it would have gone to.
 		{name: "deadline shed", status: 429, code: "deadline_unmeetable", retry: "1", only: "deadline",
 			header: map[string]string{admit.HeaderDeadlineMS: "1"}, mk: plain("W"), anyMsg: true},
 		// Every replica's queue is full (fillQueues, below): the shed fails
@@ -186,7 +180,7 @@ func TestOneTaxonomyAcrossLanes(t *testing.T) {
 		if oc.name == "queue-full shed" {
 			fillQueues(t, c.g, c.engs[:]...)
 		}
-		for owner, carrier := range []string{"stream", "http"} {
+		for owner := range c.engs {
 			id, params := c.owned(t, owner, oc.mk)
 			path := "/v1/run/" + id + "?" + url.Values{"param": params.Assignments()}.Encode()
 			var refKind, refBody string
@@ -194,7 +188,7 @@ func TestOneTaxonomyAcrossLanes(t *testing.T) {
 				if (oc.only != "" && oc.only != k.name) || oc.skip == k.name {
 					continue
 				}
-				what := fmt.Sprintf("%s / %s over %s", oc.name, k.name, carrier)
+				what := fmt.Sprintf("%s / %s owned by replica %d", oc.name, k.name, owner)
 				if oc.prep != nil {
 					oc.prep(c.engs[owner], id)
 				}
@@ -212,12 +206,6 @@ func TestOneTaxonomyAcrossLanes(t *testing.T) {
 					t.Fatalf("%s: status %d Retry-After %q, want %d %q\n%s", what, rec.Code,
 						rec.Header().Get("Retry-After"), oc.status, oc.retry, rec.Body.String())
 				}
-				// The request took the carrier its owner names.
-				if oc.status != 429 {
-					if tr, _ := rt.backends[owner].(*HTTPBackend).Carrier(); tr != carrier {
-						t.Fatalf("%s: carrier %q", what, tr)
-					}
-				}
 				body := rec.Body.String()
 				if oc.code != "" {
 					env := decodeEnvelope(t, rec)
@@ -228,7 +216,7 @@ func TestOneTaxonomyAcrossLanes(t *testing.T) {
 						body = ""
 					} else if want := "router: " + c.urls[owner] + " /batch entry " + id + ": HTTP "; !strings.HasPrefix(body, want) {
 						// The one wording an entry's error has, whichever
-						// kind or carrier.
+						// kind or owner.
 						t.Fatalf("%s: message %q, want prefix %q", what, body, want)
 					}
 				} else {
@@ -280,8 +268,7 @@ func TestTenantTaggedRequestKeepsItsTenantAfterWarmup(t *testing.T) {
 		id, _ := c.owned(t, owner, func(i int) (string, core.Params) { return fmt.Sprintf("T%d", i), nil })
 		rt := c.front(t, true)
 		// Dial both streams outside the scoreboard, so the owner's first
-		// exchange does not pay the dial and the owner's carrier usually
-		// answers.
+		// exchange does not pay the dial and the owner usually answers.
 		for _, b := range rt.backends {
 			if _, err := serveOne(context.Background(), b, id, nil); err != nil {
 				t.Fatal(err)

@@ -22,46 +22,38 @@ import (
 	"repro/internal/serve"
 )
 
-// TestHTTPBackendPropagatesClassAndDeadline pins the envelope contract
-// on both carriers: a frame of one carries the context's class verbatim,
-// its hedge marker, and its remaining deadline decremented by the hop
-// budget, so a replica works against the caller's residual budget, not a
-// fresh one.
+// TestHTTPBackendPropagatesClassAndDeadline pins the envelope contract:
+// a frame of one carries the context's class verbatim, its hedge marker,
+// and its remaining deadline decremented by the hop budget, so a replica
+// works against the caller's residual budget, not a fresh one.
 func TestHTTPBackendPropagatesClassAndDeadline(t *testing.T) {
 	g := &gate{}
 	eng := newGateEngine(g)
 	defer eng.Close()
-	streamSrv := httptest.NewServer(eng.Handler())
-	defer streamSrv.Close()
-	postSrv := httptest.NewServer(noStream(eng.Handler()))
-	defer postSrv.Close()
+	srv := httptest.NewServer(eng.Handler())
+	defer srv.Close()
 
-	b := NewHTTPBackend(streamSrv.URL)
+	b := NewHTTPBackend(srv.URL)
 	budget := 500 * time.Millisecond
-	for id, hb := range map[string]*HTTPBackend{"viaStream": b, "viaPost": NewHTTPBackend(postSrv.URL)} {
-		ctx, cancel := context.WithTimeout(
-			httpapi.WithHedge(admit.WithClass(context.Background(), admit.Batch)), budget)
-		resp, err := hb.Do(ctx, id, nil)
-		cancel()
-		if err != nil {
-			t.Fatalf("%s: Do: %v", id, err)
-		}
-		if resp.Class != admit.Batch {
-			t.Fatalf("%s: response class = %v, want batch", id, resp.Class)
-		}
-		v, _ := g.seen.Load(id) // the cold run's own context
-		env, _ := v.(httpapi.Envelope)
-		if env.Class != admit.Batch || !env.Hedge {
-			t.Fatalf("%s: replica saw envelope %+v, want class batch and the hedge marker", id, env)
-		}
-		// The forwarded budget must be less than the original (decremented
-		// by the hop) but still most of it.
-		if env.Deadline >= budget || env.Deadline < budget/2 {
-			t.Fatalf("%s: forwarded budget %v not a decremented share of %v", id, env.Deadline, budget)
-		}
+	ctx, cancel := context.WithTimeout(
+		httpapi.WithHedge(admit.WithClass(context.Background(), admit.Batch)), budget)
+	resp, err := b.Do(ctx, "viaStream", nil)
+	cancel()
+	if err != nil {
+		t.Fatalf("Do: %v", err)
 	}
-	if tr, _ := b.Carrier(); tr != "stream" {
-		t.Fatalf("carrier = %q, want stream", tr)
+	if resp.Class != admit.Batch {
+		t.Fatalf("response class = %v, want batch", resp.Class)
+	}
+	v, _ := g.seen.Load("viaStream") // the cold run's own context
+	env, _ := v.(httpapi.Envelope)
+	if env.Class != admit.Batch || !env.Hedge {
+		t.Fatalf("replica saw envelope %+v, want class batch and the hedge marker", env)
+	}
+	// The forwarded budget must be less than the original (decremented by
+	// the hop) but still most of it.
+	if env.Deadline >= budget || env.Deadline < budget/2 {
+		t.Fatalf("forwarded budget %v not a decremented share of %v", env.Deadline, budget)
 	}
 
 	// A budget that cannot survive the hop is shed at the front-end
@@ -69,7 +61,7 @@ func TestHTTPBackendPropagatesClassAndDeadline(t *testing.T) {
 	tiny, cancel2 := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel2()
 	time.Sleep(2 * time.Millisecond) // ensure it is already unmeetable
-	_, err := b.Do(tiny, "E1", nil)
+	_, err = b.Do(tiny, "E1", nil)
 	if err == nil {
 		t.Fatal("hop-doomed budget was forwarded instead of shed")
 	}

@@ -11,12 +11,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -105,23 +103,15 @@ func TestServeEncodedBatchStreamAllocsPerFrameNotPerEntry(t *testing.T) {
 // still has its own key passed through; one that answers the identity's
 // key has it too.
 func TestHTTPBackendPassesReplicaKeyThrough(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if !strings.HasSuffix(req.URL.Path, "/batch") {
-			http.NotFound(w, req) // no stream: the POST carrier
-			return
+	srv := fakeStreamReplica(t, func(entries []httpapi.BatchEntry) []httpapi.BatchResult {
+		if len(entries) != 2 {
+			t.Errorf("fake replica got %d entries, want 2", len(entries))
 		}
-		body, _ := io.ReadAll(req.Body)
-		entries, err := httpapi.DecodeBatchRequest(body)
-		if err != nil || len(entries) != 2 {
-			http.Error(w, fmt.Sprintf("%d entries, err %v", len(entries), err), http.StatusBadRequest)
-			return
-		}
-		_, _ = w.Write(httpapi.AppendBatchResponse(nil, []httpapi.BatchResult{
+		return []httpapi.BatchResult{
 			{OK: true, Key: serve.IdentOf("E7", nil).Key(), Payload: []byte("own")},
 			{OK: true, Key: "replica-spelled-key", Payload: []byte("other")},
-		}))
-	}))
-	defer srv.Close()
+		}
+	})
 	items := []serve.BatchItem{itemOf(serve.IdentOf("E7", nil), admit.Batch),
 		itemOf(serve.IdentOf("E1", nil), admit.Batch)}
 	outs, err := NewHTTPBackend(srv.URL).DoBatch(context.Background(), items)

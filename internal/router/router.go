@@ -579,19 +579,16 @@ type BackendStatus struct {
 	// ran long; HedgeWins those backups that answered first.
 	Hedges    int64 `json:"hedges"`
 	HedgeWins int64 `json:"hedge_wins"`
-	// Transport is the carrier a wire backend ships batch frames over
-	// ("stream" or "http"; empty for in-process backends).
-	Transport string `json:"transport,omitempty"`
 
 	// latency (seconds) and redials are the row's /metrics-only readings.
 	latency float64
 	redials int64
 }
 
-// carrier is the optional backend capability the transport row and the
-// arch21_backend_stream_redials_total counter read (HTTPBackend.Carrier).
-type carrier interface {
-	Carrier() (transport string, redials int64)
+// redialer is the optional backend capability the
+// arch21_backend_stream_redials_total counter reads (HTTPBackend.Redials).
+type redialer interface {
+	Redials() int64
 }
 
 // Metrics is a point-in-time router snapshot.
@@ -645,8 +642,8 @@ func (r *Router) status(b int) BackendStatus {
 	row.Inflight = sc.inflight.Load()
 	row.Hedges = sc.hedges.Load()
 	row.HedgeWins = sc.hedgeWins.Load()
-	if c, ok := r.backends[b].(carrier); ok {
-		row.Transport, row.redials = c.Carrier()
+	if c, ok := r.backends[b].(redialer); ok {
+		row.redials = c.Redials()
 	}
 	return row
 }

@@ -45,17 +45,15 @@ type streamConn struct {
 }
 
 // streamFor returns the backend's live stream, dialling it when there is
-// none or the last one died. nil without error means this replica is
-// served over HTTP: it refused the upgrade definitively (404/405/426) or
-// the base is not plain http://. Anything else that goes wrong — dial
-// error, 5xx, a bad handshake — is a transport failure for the caller to
-// report, and the next call dials again.
+// none or the last one died. The stream is the one carrier: a base that
+// is not plain http://, a dial error, an upgrade answered anything but
+// 101 or a bad handshake is a transport failure for the caller to report
+// — a plain error, never the replica's status, so the router fails the
+// frame over and counts it toward ejection — and the next call dials
+// again.
 func (b *HTTPBackend) streamFor(ctx context.Context) (*streamConn, error) {
 	b.smu.Lock()
 	defer b.smu.Unlock()
-	if b.httpOnly.Load() {
-		return nil, nil
-	}
 	if sc := b.stream; sc != nil {
 		sc.mu.Lock()
 		dead := sc.err != nil
@@ -65,9 +63,11 @@ func (b *HTTPBackend) streamFor(ctx context.Context) (*streamConn, error) {
 		}
 	}
 	req, err := http.NewRequest(http.MethodGet, b.base+"/v1/stream", nil)
-	if err != nil || req.URL.Scheme != "http" {
-		b.httpOnly.Store(true)
-		return nil, nil
+	if err != nil {
+		return nil, err
+	}
+	if req.URL.Scheme != "http" {
+		return nil, fmt.Errorf("the frame stream runs over plain http://, not %s://", req.URL.Scheme)
 	}
 	req.Header.Set("Connection", "Upgrade")
 	req.Header.Set("Upgrade", httpapi.StreamProtocol)
@@ -97,11 +97,8 @@ func (b *HTTPBackend) streamFor(ctx context.Context) (*streamConn, error) {
 		b.stream = sc
 		go sc.readLoop(br)
 		return sc, nil
-	case resp.StatusCode == http.StatusNotFound, resp.StatusCode == http.StatusMethodNotAllowed,
-		resp.StatusCode == http.StatusUpgradeRequired:
-		b.httpOnly.Store(true)
 	default:
-		err = replicaError(resp.StatusCode, "stream upgrade refused", 0)
+		err = fmt.Errorf("stream upgrade answered HTTP %d, not 101 %s", resp.StatusCode, httpapi.StreamProtocol)
 	}
 	_ = conn.Close()
 	return nil, err

@@ -1,9 +1,10 @@
 package router
 
 // Front-end-side tests of the stream carrier: HTTPBackend.DoBatch over
-// the upgraded stream against real engine handlers, the POST fallback,
-// cancellation, redial after Engine.Close, a stuck peer, and the
-// invariants hammer.
+// the upgraded stream against real engine handlers and fake stream
+// replicas, the refusal rule (an upgrade answered anything but 101 is a
+// transport failure), cancellation, redial after Engine.Close, a stuck
+// peer, and the invariants hammer.
 
 import (
 	"bufio"
@@ -39,15 +40,71 @@ func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	(*s.h.Load()).ServeHTTP(w, r)
 }
 
-// noStream is an old replica: every route but /stream.
-func noStream(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/stream") {
+// fakeStreamReplica is a replica that upgrades GET /v1/stream and
+// answers each request frame, in arrival order, with answer's results
+// for its entries; /healthz answers 200, any other route 404. Its
+// connections close with the test.
+func fakeStreamReplica(t *testing.T, answer func(entries []httpapi.BatchEntry) []httpapi.BatchResult) *httptest.Server {
+	t.Helper()
+	var mu sync.Mutex
+	var conns []net.Conn
+	closed := false
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/healthz":
+			return
+		case "/v1/stream":
+		default:
 			http.NotFound(w, r)
 			return
 		}
-		h.ServeHTTP(w, r)
+		conn, brw, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			return
+		}
+		mu.Lock()
+		if closed {
+			mu.Unlock()
+			_ = conn.Close()
+			return
+		}
+		conns = append(conns, conn)
+		mu.Unlock()
+		_, _ = io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+httpapi.StreamProtocol+"\r\n\r\n")
+		for {
+			id, kind, body, err := httpapi.ReadStreamMessage(brw.Reader, httpapi.MaxBatchBytes, func() *[]byte { return new([]byte) })
+			if err != nil {
+				return
+			}
+			if kind != httpapi.StreamRequest {
+				continue // a cancel: every answer here is immediate
+			}
+			_, frame, err := httpapi.ParseStreamRequest(*body)
+			var entries []httpapi.BatchEntry
+			if err == nil {
+				entries, err = httpapi.DecodeBatchRequest(frame)
+			}
+			if err != nil {
+				t.Errorf("fake replica got a bad request: %v", err)
+				return
+			}
+			msg := httpapi.AppendBatchResponse(make([]byte, httpapi.StreamHeaderLen), answer(entries))
+			httpapi.PutStreamHeader(msg, id, httpapi.StreamReply)
+			if _, err := conn.Write(msg); err != nil {
+				return
+			}
+		}
+	}))
+	t.Cleanup(func() {
+		srv.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		closed = true
+		for _, c := range conns {
+			_ = c.Close()
+		}
 	})
+	return srv
 }
 
 // gate is a runner that parks IDs prefixed "slow" until released or
@@ -115,18 +172,19 @@ func replicaStatus(err error) int {
 	return status
 }
 
-// The same items over both carriers give the same outcomes — a frame of
-// one carries its whole envelope, a shed entry its retry hint — the stats
-// row names the carrier, and a hop-doomed budget never reaches the wire.
-func TestStreamAndPostFallbackAgree(t *testing.T) {
+// A frame over the stream answers every entry with what the engine
+// serves in-process — cold, then warm; an unknown experiment and a bad
+// parameter as the replica's 404 and 400 entries — carries the whole
+// envelope even as a frame of one, brings a shed entry's retry hint back,
+// leaves the /stats rows without a transport field, and a hop-doomed
+// budget never reaches the wire.
+func TestStreamFrameCarriesEnvelopeAndOutcomes(t *testing.T) {
 	g := &gate{}
 	eng := newGateEngine(g)
 	defer eng.Close()
-	streamSrv := httptest.NewServer(eng.Handler())
-	defer streamSrv.Close()
-	postSrv := httptest.NewServer(noStream(eng.Handler()))
-	defer postSrv.Close()
-	overStream, overPost := NewHTTPBackend(streamSrv.URL), NewHTTPBackend(postSrv.URL)
+	srv := httptest.NewServer(eng.Handler())
+	defer srv.Close()
+	b := NewHTTPBackend(srv.URL)
 
 	items := []serve.BatchItem{
 		{ID: "E7", Class: admit.Interactive},
@@ -137,101 +195,83 @@ func TestStreamAndPostFallbackAgree(t *testing.T) {
 	ctx, cancel := context.WithTimeout(admit.WithTenant(context.Background(), "tB"), time.Minute)
 	defer cancel()
 	for pass := 0; pass < 2; pass++ { // cold, then warm
-		a, err := overStream.DoBatch(ctx, items)
+		outs, err := b.DoBatch(ctx, items)
 		if err != nil {
-			t.Fatalf("stream DoBatch: %v", err)
+			t.Fatalf("DoBatch: %v", err)
 		}
-		b, err := overPost.DoBatch(ctx, items)
-		if err != nil {
-			t.Fatalf("POST DoBatch: %v", err)
-		}
-		for i := range items {
-			ra, rb := a[i].RawResponse, b[i].RawResponse
-			if (a[i].Err == nil) != (b[i].Err == nil) || classify(a[i].Err) != classify(b[i].Err) ||
-				ra.Key != rb.Key || !bytes.Equal(ra.Raw, rb.Raw) || ra.Class != rb.Class {
-				t.Fatalf("pass %d entry %d differs: stream (%v, %q) vs POST (%v, %q)", pass, i, a[i].Err, ra.Key, b[i].Err, rb.Key)
-			}
-			if pass == 1 && a[i].Err == nil && (!ra.CacheHit || !rb.CacheHit) {
-				t.Fatalf("warm pass entry %d not a hit on both carriers", i)
+		for i, it := range items[:2] {
+			got := outs[i].RawResponse
+			want, err := eng.ServeEncoded(ctx, it.ID, it.Params)
+			if outs[i].Err != nil || err != nil || got.Key != want.Key || !bytes.Equal(got.Raw, want.Raw) ||
+				got.Class != it.Class || got.CacheHit != (pass == 1) {
+				t.Fatalf("pass %d entry %d = (%v, %q, class %v, hit %v), want the engine's %q payload",
+					pass, i, outs[i].Err, got.Key, got.Class, got.CacheHit, want.Key)
 			}
 		}
-		if replicaStatus(a[2].Err) != http.StatusNotFound || replicaStatus(a[3].Err) != http.StatusBadRequest {
-			t.Fatalf("entry errors = %v / %v, want embedded 404 / 400", a[2].Err, a[3].Err)
+		if replicaStatus(outs[2].Err) != http.StatusNotFound || replicaStatus(outs[3].Err) != http.StatusBadRequest {
+			t.Fatalf("entry errors = %v / %v, want embedded 404 / 400", outs[2].Err, outs[3].Err)
 		}
 	}
-	if tr, _ := overStream.Carrier(); tr != "stream" {
-		t.Fatalf("carrier = %q, want stream", tr)
-	}
-	if tr, _ := overPost.Carrier(); tr != "http" {
-		t.Fatalf("refusing replica's carrier = %q, want http", tr)
-	}
-	// The replica saw the caller's envelope on the first (stream) miss.
+	// The replica saw the caller's envelope on the first miss.
 	if v, ok := g.seen.Load("E7"); !ok || v.(httpapi.Envelope).Tenant != "tB" ||
 		v.(httpapi.Envelope).Deadline <= 0 || v.(httpapi.Envelope).Deadline > time.Minute-hopBudget {
 		t.Fatalf("replica saw envelope %+v, want tenant tB and a hop-decremented deadline", v)
 	}
-	// A frame of one — what a chain attempt is — carries the same envelope
-	// on either carrier: deadline, tenant, and a backup's hedge marker.
-	for id, b := range map[string]*HTTPBackend{"oneOverStream": overStream, "oneOverPost": overPost} {
-		outs, err := b.DoBatch(httpapi.WithHedge(ctx), []serve.BatchItem{{ID: id, Class: admit.Interactive}})
-		if err != nil || outs[0].Err != nil {
-			t.Fatalf("%s: frame of one = (%+v, %v)", id, outs, err)
-		}
-		v, _ := g.seen.Load(id)
-		if env, _ := v.(httpapi.Envelope); env.Tenant != "tB" || !env.Hedge || env.Class != admit.Interactive ||
-			env.Deadline <= 0 || env.Deadline > time.Minute-hopBudget {
-			t.Fatalf("%s: replica saw envelope %+v, want tenant tB, the hedge marker and a hop-decremented deadline", id, env)
-		}
+	// A frame of one — what a chain attempt is — carries the same
+	// envelope: deadline, tenant, and a backup's hedge marker.
+	outs, err := b.DoBatch(httpapi.WithHedge(ctx), []serve.BatchItem{{ID: "one", Class: admit.Interactive}})
+	if err != nil || outs[0].Err != nil {
+		t.Fatalf("frame of one = (%+v, %v)", outs, err)
 	}
-	// A shed entry carries its retry hint on either carrier: a one-worker
-	// replica with its worker pinned and its one queue slot taken sheds
-	// the next cold interactive entry.
+	v, _ := g.seen.Load("one")
+	if env, _ := v.(httpapi.Envelope); env.Tenant != "tB" || !env.Hedge || env.Class != admit.Interactive ||
+		env.Deadline <= 0 || env.Deadline > time.Minute-hopBudget {
+		t.Fatalf("frame of one: replica saw envelope %+v, want tenant tB, the hedge marker and a hop-decremented deadline", env)
+	}
+	// A shed entry carries its retry hint: a one-worker replica with its
+	// worker pinned and its one queue slot taken sheds the next cold
+	// interactive entry.
 	fg := &gate{release: make(chan struct{})}
 	full := serve.NewEngine(serve.Config{Shards: 4, Workers: 1, Queue: 1, RunnerWith: fg.run})
 	defer full.Close()
 	defer close(fg.release) // LIFO: the parked runs leave before Close drains
-	fullStream := httptest.NewServer(full.Handler())
-	defer fullStream.Close()
-	fullPost := httptest.NewServer(noStream(full.Handler()))
-	defer fullPost.Close()
+	fullSrv := httptest.NewServer(full.Handler())
+	defer fullSrv.Close()
 	fillQueues(t, fg, full)
-	for name, b := range map[string]*HTTPBackend{"stream": NewHTTPBackend(fullStream.URL), "POST": NewHTTPBackend(fullPost.URL)} {
-		outs, err := b.DoBatch(context.Background(), []serve.BatchItem{{ID: "shed", Class: admit.Interactive}})
-		if err != nil {
-			t.Fatalf("%s: DoBatch: %v", name, err)
-		}
-		_, _, retryAfter := httpapi.ErrorStatus(outs[0].Err, http.StatusBadGateway)
-		if replicaStatus(outs[0].Err) != http.StatusServiceUnavailable || retryAfter <= 0 ||
-			classify(outs[0].Err) != verdictFailover {
-			t.Fatalf("%s: shed entry = (%+v, %v), want a 503 entry with a retry hint", name, outs, err)
-		}
+	outs, err = NewHTTPBackend(fullSrv.URL).DoBatch(context.Background(), []serve.BatchItem{{ID: "shed", Class: admit.Interactive}})
+	if err != nil {
+		t.Fatalf("DoBatch to a full replica: %v", err)
+	}
+	if _, _, retryAfter := httpapi.ErrorStatus(outs[0].Err, http.StatusBadGateway); replicaStatus(outs[0].Err) != http.StatusServiceUnavailable ||
+		retryAfter <= 0 || classify(outs[0].Err) != verdictFailover {
+		t.Fatalf("shed entry = %v, want a 503 entry with a retry hint", outs[0].Err)
 	}
 
-	r, err := New([]Backend{overStream, overPost}, Config{})
+	r, err := New([]Backend{b}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
-	var m Metrics
-	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
-		t.Fatal(err)
+	var m struct {
+		Health []map[string]any `json:"health"`
 	}
-	if m.Health[0].Transport != "stream" || m.Health[1].Transport != "http" {
-		t.Fatalf("/stats transports = %q, %q", m.Health[0].Transport, m.Health[1].Transport)
+	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil || len(m.Health) != 1 {
+		t.Fatalf("/stats: %v\n%s", err, rec.Body)
+	}
+	if _, ok := m.Health[0]["transport"]; ok {
+		t.Fatalf("/stats row names a transport: %v", m.Health[0])
 	}
 
 	before := eng.Metrics().Requests
 	doomed, cancelDoomed := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancelDoomed()
 	var shed *admit.ShedError
-	for _, b := range []*HTTPBackend{overStream, overPost} {
-		if _, err := b.DoBatch(doomed, items[:1]); !errors.As(err, &shed) || !shed.Deadline {
-			t.Fatalf("hop-doomed DoBatch = %v, want a deadline shed", err)
-		}
+	if _, err := b.DoBatch(doomed, items[:1]); !errors.As(err, &shed) || !shed.Deadline {
+		t.Fatalf("hop-doomed DoBatch = %v, want a deadline shed", err)
 	}
 	if after := eng.Metrics().Requests; after != before {
-		t.Fatalf("hop-doomed frames reached the replica: %d → %d requests", before, after)
+		t.Fatalf("hop-doomed frame reached the replica: %d → %d requests", before, after)
 	}
 }
 
@@ -261,14 +301,15 @@ func TestStreamCancelKeepsConnection(t *testing.T) {
 	if err != nil || outs[0].Err != nil {
 		t.Fatalf("DoBatch after a cancel: %v / %v", err, outs)
 	}
-	if _, redials := b.Carrier(); redials != 0 {
+	if redials := b.Redials(); redials != 0 {
 		t.Fatalf("cancel cost %d redials, want the same connection", redials)
 	}
 }
 
 // (f) Engine.Close mid-flight fails the waiter with a transport error,
 // the next DoBatch redials; an upgrade answered 500 is a transport
-// failure too and is not remembered as "HTTP only".
+// failure too, not the replica's status relayed, and the next DoBatch
+// dials again.
 func TestStreamEngineCloseFailsWaitersAndRedials(t *testing.T) {
 	g := &gate{release: make(chan struct{})}
 	first := newGateEngine(g)
@@ -302,19 +343,118 @@ func TestStreamEngineCloseFailsWaitersAndRedials(t *testing.T) {
 		}
 		h.ServeHTTP(w, r)
 	}))
-	if _, err := b.DoBatch(context.Background(), []serve.BatchItem{{ID: "K"}}); err == nil || classify(err) != verdictFailure {
+	if _, err := b.DoBatch(context.Background(), []serve.BatchItem{{ID: "K"}}); err == nil ||
+		classify(err) != verdictFailure || replicaStatus(err) != 0 {
 		t.Fatalf("DoBatch against a 500 upgrade = %v, want a transport failure", err)
-	}
-	if tr, _ := b.Carrier(); tr != "stream" {
-		t.Fatalf("a 500 upgrade was remembered as %q", tr)
 	}
 	fail.Store(false)
 	outs, err := b.DoBatch(context.Background(), []serve.BatchItem{{ID: "K"}})
 	if err != nil || outs[0].Err != nil {
 		t.Fatalf("DoBatch after the replica came back: %v / %v", err, outs)
 	}
-	if tr, redials := b.Carrier(); tr != "stream" || redials != 1 {
-		t.Fatalf("carrier = (%q, %d redials), want (stream, 1)", tr, redials)
+	if redials := b.Redials(); redials != 1 {
+		t.Fatalf("%d redials, want 1", redials)
+	}
+}
+
+// The one-carrier rule: a peer that answers the upgrade anything but
+// 101 (404, 426, 503 alike) is a transport failure, not the peer's
+// status relayed. Its requests and /v1/batch entries fail over to the
+// successor and it is ejected after FailThreshold; a client whose every
+// candidate refused sees 502, never the peer's status; and an https://
+// base fails without a dial, with an error that names the scheme.
+func TestRefusedUpgradeFailsOverAndEjects(t *testing.T) {
+	refuser := func(status int) string {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/healthz" {
+				httpapi.WriteError(w, status, httpapi.CodeForStatus(status), "no stream here")
+			}
+		}))
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+	good := httptest.NewServer(newTestEngine(t).Handler())
+	defer good.Close()
+	now := time.Unix(1000, 0) // frozen: an ejected peer is never probed back in
+	get := func(r *Router, path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec
+	}
+	for _, status := range []int{http.StatusNotFound, http.StatusUpgradeRequired, http.StatusServiceUnavailable} {
+		r, err := New([]Backend{NewHTTPBackend(refuser(status)), NewHTTPBackend(good.URL)},
+			Config{FailThreshold: 3, DisableHedge: true, now: func() time.Time { return now }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every request goes to a key the refuser owns, alternating the
+		// /v1/run and /v1/batch lanes; each costs it at least one failure.
+		for i, n := 0, 0; n < 2*3; i++ {
+			id := fmt.Sprintf("R%d", i)
+			if ownerOf(r, id, nil) != 0 {
+				continue
+			}
+			if n++; n%2 == 1 {
+				if rec := get(r, "/v1/run/"+id); rec.Code != http.StatusOK {
+					t.Fatalf("upgrade %d: /v1/run/%s = %d, want the successor's 200\n%s", status, id, rec.Code, rec.Body)
+				}
+			} else if res := postOne(t, r, id, nil); !res.OK || res.Key != id {
+				t.Fatalf("upgrade %d: /v1/batch entry %s = %+v, want the successor's answer", status, id, res)
+			}
+		}
+		m := r.Metrics()
+		if h := m.Health[0]; !h.Ejected || h.Failures < 3 || m.Failovers == 0 || m.Exhausted != 0 {
+			t.Fatalf("upgrade %d: refuser %+v, %d failovers, %d exhausted; want it ejected after 3 failures",
+				status, h, m.Failovers, m.Exhausted)
+		}
+	}
+
+	only := func() *Router {
+		r, err := New([]Backend{NewHTTPBackend(refuser(http.StatusNotFound)), NewHTTPBackend(refuser(http.StatusUpgradeRequired))},
+			Config{DisableHedge: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	rec := get(only(), "/v1/run/E7")
+	if env := decodeEnvelope(t, rec); rec.Code != http.StatusBadGateway || env.Code != httpapi.CodeUpstream ||
+		rec.Header().Get("Retry-After") != "" {
+		t.Fatalf("every candidate refusing: %d %+v, want a 502 envelope", rec.Code, env)
+	}
+	if res := postOne(t, only(), "E7", nil); res.OK || res.Status != http.StatusBadGateway {
+		t.Fatalf("every candidate refusing, /v1/batch entry = %+v, want 502", res)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan string, 16) // the remote address of every dial, in order
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- c.RemoteAddr().String()
+			_ = c.Close()
+		}
+	}()
+	defer ln.Close()
+	_, err = NewHTTPBackend("https://"+ln.Addr().String()).DoBatch(context.Background(), []serve.BatchItem{{ID: "E7"}})
+	if err == nil || !strings.Contains(err.Error(), "not https://") || classify(err) != verdictFailure || replicaStatus(err) != 0 {
+		t.Fatalf("https:// base: DoBatch = %v, want a transport failure naming the scheme", err)
+	}
+	// A sentinel dial: accepted in order, it is the first unless the
+	// backend dialled.
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if first := <-accepted; first != c.LocalAddr().String() {
+		t.Fatalf("https:// base dialled the replica (from %s)", first)
 	}
 }
 
@@ -372,7 +512,7 @@ func TestStreamStuckPeerWriteDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	_, _ = b.DoBatch(ctx, []serve.BatchItem{{ID: "K"}})
-	if _, redials := b.Carrier(); redials != 1 {
+	if redials := b.Redials(); redials != 1 {
 		t.Fatalf("%d redials after the stuck connection was killed, want 1", redials)
 	}
 }
@@ -515,7 +655,7 @@ func TestStreamInvariantsUnderReplicaReplacement(t *testing.T) {
 	if m.Exhausted != 0 {
 		t.Errorf("%d requests exhausted every replica", m.Exhausted)
 	}
-	_, redials := backends[1].(*HTTPBackend).Carrier()
+	redials := backends[1].(*HTTPBackend).Redials()
 	t.Logf("%d requests, %d batched, %d failovers, replica 1: %d failures, %d stream redials",
 		m.Requests, r.batched.Load(), m.Failovers, m.Health[1].Failures, redials)
 	for i, e := range engines {

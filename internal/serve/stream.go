@@ -59,9 +59,9 @@ type replicaStream struct {
 }
 
 // handleStream is GET /stream. A request that does not ask for the
-// upgrade, or a ResponseWriter that cannot be hijacked, answers 426 — a
-// definitive "HTTP only" to the dialer; a closing engine drops the
-// connection, which the dialer treats as a transport failure.
+// upgrade, or a ResponseWriter that cannot be hijacked, answers 426; a
+// closing engine drops the connection. The front-end's dialer treats
+// either as a transport failure.
 func (e *Engine) handleStream(w http.ResponseWriter, r *http.Request) {
 	hj, ok := w.(http.Hijacker)
 	if !ok || !strings.EqualFold(r.Header.Get("Upgrade"), httpapi.StreamProtocol) {
