@@ -53,14 +53,19 @@ W ?= engine-warm wire-warm wire-routed wire-batch sweep-cold
 bench:
 	@for w in $(W); do bash bench/run.sh --workload $$w --seconds 5 --trace 0 || exit 1; done
 
-# bench-compare answers "did my change slow it down": BASE (a git
-# revision, default HEAD) is checked out into a temporary worktree, and
-# for each workload in W the benchmark runs three pairs of 5 s windows,
-# one on BASE and one on the working tree per pair, seeds 101-103, the
-# side that goes first flipping every pair. `bench -compare` then applies
-# BENCHMARK.json's bounds to the two sets and exits 1 only on a `worse`
-# row (`unresolved` means the runs spread wider than the bound). About
-# two minutes per workload.
+# bench-compare is a smoke reading of "did my change slow it down": BASE
+# (a git revision, default HEAD) is checked out into a temporary
+# worktree, and for each workload in W the benchmark runs three pairs of
+# 5 s windows, one on BASE and one on the working tree per pair, seeds
+# 101-103, the side that goes first flipping every pair. `bench -compare`
+# then applies BENCHMARK.json's bounds to the two sets and exits 1 only
+# on a `worse` row. Three pairs catch a gross regression, not a close
+# call: `unresolved` means the runs spread wider than the bound, and one
+# outlier run is enough for that (engine-warm's ~1.5 ms setup_s read
+# unresolved on single 2.4-2.6 ms runs that ten pairs of the same trees
+# read ok). Re-run an unresolved workload at ten alternating pairs, as
+# ROADMAP's rules of engagement ask, before reading anything into it.
+# About two minutes per workload.
 BASE ?= HEAD
 bench-compare:
 	@set -eu; \

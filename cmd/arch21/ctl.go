@@ -8,7 +8,6 @@ package main
 //
 //	arch21 ctl -addr :8021 -batch-rate 64
 //	arch21 ctl -addr :8021 -slo 50ms
-//	arch21 ctl -addr :8021 -policy shared-fifo
 
 import (
 	"bytes"
@@ -21,7 +20,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/admit"
+	"repro/internal/httpapi"
 	"repro/internal/serve"
 )
 
@@ -30,7 +29,6 @@ func cmdCtl(args []string) {
 	addr := fs.String("addr", ":8021", "arch21d address (engine or -peers front-end)")
 	batchRate := fs.Float64("batch-rate", -1, "retune the batch token-bucket rate (tokens/s; 0 removes the throttle; negative = leave alone)")
 	slo := fs.Duration("slo", 0, "retune the feedback controller's interactive p99 target (0 = leave alone)")
-	policy := fs.String("policy", "", "switch the admission policy: strict-priority or shared-fifo (empty = leave alone)")
 	timeout := fs.Duration("timeout", 10*time.Second, "request timeout")
 	_ = fs.Parse(args)
 
@@ -42,28 +40,14 @@ func cmdCtl(args []string) {
 		ms := slo.Seconds() * 1e3
 		req.SLOMS = &ms
 	}
-	if *policy != "" {
-		if _, err := admit.ParsePolicy(*policy); err != nil {
-			fmt.Fprintf(os.Stderr, "arch21 ctl: %v\n", err)
-			os.Exit(2)
-		}
-		req.Policy = policy
-	}
 	if req.Empty() {
-		fmt.Fprintln(os.Stderr, "arch21 ctl: nothing to retune (pass -batch-rate, -slo, and/or -policy)")
+		fmt.Fprintln(os.Stderr, "arch21 ctl: nothing to retune (pass -batch-rate and/or -slo)")
 		os.Exit(2)
 	}
 
-	base := strings.TrimSuffix(*addr, "/")
-	if strings.HasPrefix(base, ":") {
-		base = "localhost" + base
-	}
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
 	body, _ := json.Marshal(req)
 	client := &http.Client{Timeout: *timeout}
-	resp, err := client.Post(base+"/control", "application/json", bytes.NewReader(body))
+	resp, err := client.Post(httpapi.BaseURL(*addr)+"/control", "application/json", bytes.NewReader(body))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "arch21 ctl: %v\n", err)
 		os.Exit(1)

@@ -13,7 +13,7 @@
 //	arch21 sweep -id E7 -param f=0.9,0.99 -param bces=64,256 -v
 //	arch21 loadtest -scenario warm-hammer -duration 2s -json report.json
 //	arch21 ctl -addr :8021 -batch-rate 64    # live retune a running arch21d
-//	arch21 ctl -addr :8021 -slo 50ms -policy strict-priority
+//	arch21 ctl -addr :8021 -slo 50ms
 //	arch21 metricslint -addr :8021            # promlint-style check of a live /metrics
 //
 // Sweeps fan the grid out over the same memoizing engine arch21d serves
@@ -234,6 +234,6 @@ func usage() {
   arch21 run <id|all> [-param name=value ...] [-csv]
   arch21 sweep -id <id> -param name=lo:hi:step [-param ...] [-csv] [-v]
   arch21 loadtest -scenario <name> [-duration 5s] [-clients N] [-rate R] [-class interactive|batch] [-http addr] [-json out.json]
-  arch21 ctl -addr :8021 [-batch-rate R] [-slo 50ms] [-policy strict-priority|shared-fifo]
+  arch21 ctl -addr :8021 [-batch-rate R] [-slo 50ms]
   arch21 metricslint [-addr :8021] [FILE]`)
 }

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/httpapi"
 	"repro/internal/obs"
 )
 
@@ -31,14 +32,7 @@ func cmdMetricsLint(args []string) {
 	var src string
 	switch {
 	case *addr != "":
-		base := strings.TrimSuffix(*addr, "/")
-		if strings.HasPrefix(base, ":") {
-			base = "localhost" + base
-		}
-		if !strings.Contains(base, "://") {
-			base = "http://" + base
-		}
-		src = base + "/metrics"
+		src = httpapi.BaseURL(*addr) + "/metrics"
 		client := &http.Client{Timeout: *timeout}
 		resp, err := client.Get(src)
 		if err != nil {

@@ -39,7 +39,7 @@
 //	                           (router mode: routing counters + backend health)
 //	GET  /metrics              Prometheus text exposition — both modes
 //	GET  /events?since=N       structured control-plane events after cursor N
-//	POST /control              live retune: batch_rate, slo_ms, policy;
+//	POST /control              live retune: batch_rate, slo_ms;
 //	                           the front-end fans it out to every replica
 //	                           and reports per-replica acks
 //

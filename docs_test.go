@@ -120,10 +120,7 @@ type docPin struct {
 // docPins is the one table of phrases the docs must keep naming as the
 // code and the flags do.
 func docPins() []docPin {
-	var qos []string
-	for _, p := range admit.Policies() {
-		qos = append(qos, "`"+p.String()+"`")
-	}
+	qos := []string{"One discipline", "one token per worker", "E15", "power check"}
 	for _, c := range admit.Classes() {
 		qos = append(qos, "`"+c.String()+"`")
 	}
@@ -151,9 +148,9 @@ func docPins() []docPin {
 			admit.HeaderClass, admit.HeaderDeadlineMS, "Retry-After"}},
 		{obsT, "DESIGN.md", "§9", []string{"internal/obs", "GET /metrics", "GET /events", "POST /control",
 			"obs.Lint", "TakeClassWindow", "snapshot difference", "stats.AtomicHistogram", "arch21 ctl",
-			"-events-log", "207", "schema 2"}},
+			"-events-log", "207", "schema 2", "serve.DecodeControl", "unknown key"}},
 		{obsT, "README.md", "Observability & live control", []string{"/metrics", "/events?since=", "arch21 ctl",
-			"-batch-rate", "-slo", "-policy", "batch_rate", "slo_ms", "policy", "-events-log", "metrics-smoke",
+			"-batch-rate", "-slo", "batch_rate", "slo_ms", "one discipline", "unknown key", "400", "-events-log", "metrics-smoke",
 			"-lc-slo", "207", "arch21_request_duration_seconds_bucket"}},
 		{adv, "DESIGN.md", "§6", []string{"RateSchedule", "`rate@dur`", "`lo:hi@dur`", "FuzzParseRateSchedule",
 			"churn", "`schema: 3`", "`per_tenant`", "fairness_index", "Jain", "-chaos", "-soak-duration",

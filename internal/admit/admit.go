@@ -3,11 +3,11 @@
 // can applications express Quality-of-Service targets and have the
 // underlying hardware ... ensure them?", §2.4). Work arrives in two
 // classes — interactive (latency-critical /run traffic) and batch (sweep
-// grid points) — and a bounded number of slots is granted to it under a
-// policy: strict priority for the interactive class plus a token-bucket
-// throttle on batch admissions (the default), or a single shared FIFO (the
-// no-QoS baseline the scheduler replaced, kept selectable so the inversion
-// it removes stays demonstrable). Admission is deadline-aware: a request
+// grid points) — and a bounded number of slots is granted to it under one
+// discipline: strict priority for the interactive class plus a
+// token-bucket throttle on batch admissions. (The no-QoS shared FIFO it
+// replaced lives on only in internal/qos, where E15 compares the two.)
+// Admission is deadline-aware: a request
 // whose projected queue wait already exceeds its context deadline is shed
 // immediately with a retry hint instead of occupying the queue, and a
 // full interactive queue sheds (fail fast) while a full batch queue
@@ -35,8 +35,8 @@ type Class uint8
 
 const (
 	// Interactive is the latency-critical class: /run traffic a human is
-	// waiting on. Served ahead of batch under StrictPriority; shed (fail
-	// fast) when its queue is full.
+	// waiting on. Served ahead of batch; shed (fail fast) when its queue
+	// is full.
 	Interactive Class = iota
 	// Batch is the throughput class: sweep grid points and other bulk
 	// work. Throttled by the token bucket and backpressured (submitters
@@ -111,49 +111,6 @@ func ClassFromContext(ctx context.Context) (Class, bool) {
 	return Interactive, false
 }
 
-// Policy selects the scheduling discipline.
-type Policy uint8
-
-const (
-	// StrictPriority serves interactive work ahead of batch
-	// (non-preemptive) and throttles batch admissions through the token
-	// bucket — the live counterpart of internal/qos's PriorityLC +
-	// TokenBucket policies.
-	StrictPriority Policy = iota
-	// SharedFIFO runs everything through one queue in arrival order with
-	// no throttle and no shedding — the no-QoS baseline (how serve.Pool
-	// behaved before it was deleted), kept selectable so tests can
-	// demonstrate the priority inversion the scheduler removes.
-	SharedFIFO
-)
-
-// Policies lists every policy. `make docs-check` fails when DESIGN.md §8
-// misses one.
-func Policies() []Policy { return []Policy{StrictPriority, SharedFIFO} }
-
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case StrictPriority:
-		return "strict-priority"
-	case SharedFIFO:
-		return "shared-fifo"
-	default:
-		return fmt.Sprintf("policy(%d)", uint8(p))
-	}
-}
-
-// ParsePolicy maps a policy name (as produced by Policy.String) back to
-// the policy — the wire form POST /control retunes admission with.
-func ParsePolicy(s string) (Policy, error) {
-	for _, p := range Policies() {
-		if s == p.String() {
-			return p, nil
-		}
-	}
-	return StrictPriority, fmt.Errorf("admit: unknown policy %q (want strict-priority or shared-fifo)", s)
-}
-
 // ErrClosed is returned by Run after Close.
 var ErrClosed = errors.New("admit: scheduler closed")
 
@@ -193,14 +150,11 @@ type Config struct {
 	Workers int
 	// Queue is the per-class queue depth (default 2*Workers).
 	Queue int
-	// Policy is the scheduling discipline (default StrictPriority).
-	Policy Policy
 	// BatchRate is the token-bucket rate in batch admissions/s; 0 leaves
 	// batch unthrottled (priority ordering still applies). Tunable live
-	// via SetBatchRate (the SLO feedback controller's knob).
+	// via SetBatchRate (the SLO feedback controller's knob). The bucket
+	// holds one token per worker.
 	BatchRate float64
-	// BatchBurst is the bucket depth (default max(1, Workers)).
-	BatchBurst float64
 }
 
 func (c *Config) setDefaults() {
@@ -210,9 +164,6 @@ func (c *Config) setDefaults() {
 	if c.Queue <= 0 {
 		c.Queue = 2 * c.Workers
 	}
-	if c.BatchBurst < 1 {
-		c.BatchBurst = math.Max(1, float64(c.Workers))
-	}
 }
 
 // item is one queued submission. grantLocked sets granted when it leaves
@@ -220,7 +171,6 @@ func (c *Config) setDefaults() {
 // made only when its submitter has to wait, is closed then.
 type item struct {
 	class   Class
-	seq     uint64
 	ctx     context.Context
 	granted bool
 	err     error
@@ -240,7 +190,6 @@ type Scheduler struct {
 	cond *sync.Cond // wakes blocked batch submitters and a draining Close
 
 	queues [numClasses][]*item
-	seq    uint64
 	closed bool
 
 	running int
@@ -265,7 +214,7 @@ func NewScheduler(cfg Config) *Scheduler {
 	cfg.setDefaults()
 	s := &Scheduler{
 		cfg:    cfg,
-		tokens: cfg.BatchBurst,
+		tokens: float64(cfg.Workers),
 		rate:   cfg.BatchRate,
 		refill: time.Now(),
 	}
@@ -275,16 +224,6 @@ func NewScheduler(cfg Config) *Scheduler {
 
 // Workers returns the concurrency bound.
 func (s *Scheduler) Workers() int { return s.cfg.Workers }
-
-// SetPolicy switches the scheduling discipline live — the control
-// channel's admission knob. Queued work is not reshuffled; the new
-// discipline governs every grant from the next one on.
-func (s *Scheduler) SetPolicy(p Policy) {
-	s.mu.Lock()
-	s.cfg.Policy = p
-	s.grantLocked()
-	s.mu.Unlock()
-}
 
 // SetBatchRate retunes the token-bucket rate live (tokens accrued so far
 // are kept; <= 0 removes the throttle). This is the knob the qos feedback
@@ -331,9 +270,8 @@ func (s *Scheduler) Run(ctx context.Context, task func() ([]byte, error)) ([]byt
 
 	// Deadline-aware admission: a request that provably cannot be served
 	// inside its deadline is shed now, with a retry hint, instead of
-	// occupying queue space it will only be canceled out of. SharedFIFO
-	// (the no-QoS baseline) never sheds.
-	if dl, ok := ctx.Deadline(); ok && s.cfg.Policy != SharedFIFO {
+	// occupying queue space it will only be canceled out of.
+	if dl, ok := ctx.Deadline(); ok {
 		wait := s.projectedWaitLocked(class)
 		if wait > 0 && time.Now().Add(wait).After(dl) {
 			return s.shedLocked(class, &ShedError{Class: class, Deadline: true, RetryAfter: wait})
@@ -343,10 +281,9 @@ func (s *Scheduler) Run(ctx context.Context, task func() ([]byte, error)) ([]byt
 	// Queue-full: interactive sheds (fail fast — a waiting human should
 	// get a 503 now, not a slow one later); batch blocks (backpressure
 	// pacing producers to the scheduler). The wait releases the mutex, so
-	// blocked batch submitters never stall anyone else. SharedFIFO blocks
-	// both classes, like the pool it models.
+	// blocked batch submitters never stall anyone else.
 	for len(s.queues[class]) >= s.cfg.Queue {
-		if s.cfg.Policy != SharedFIFO && class == Interactive {
+		if class == Interactive {
 			return s.shedLocked(class, &ShedError{Class: class, RetryAfter: s.projectedWaitLocked(class)})
 		}
 		stop := context.AfterFunc(ctx, func() {
@@ -367,8 +304,7 @@ func (s *Scheduler) Run(ctx context.Context, task func() ([]byte, error)) ([]byt
 		}
 	}
 
-	it := &item{class: class, seq: s.seq, ctx: ctx}
-	s.seq++
+	it := &item{class: class, ctx: ctx}
 	s.queues[class] = append(s.queues[class], it)
 	s.grantLocked()
 	if !it.granted {
@@ -419,7 +355,7 @@ func (s *Scheduler) shedLocked(c Class, err error) ([]byte, error) {
 	return nil, err
 }
 
-// grantLocked hands free slots to queued submissions in policy order; one
+// grantLocked hands free slots to queued submissions in priority order; one
 // canceled while queued is shed and never runs.
 func (s *Scheduler) grantLocked() {
 	for s.running < s.cfg.Workers {
@@ -460,9 +396,9 @@ func (s *Scheduler) grantLocked() {
 func (s *Scheduler) refillLocked() {
 	now := time.Now()
 	if s.rate > 0 {
-		s.tokens = math.Min(s.cfg.BatchBurst, s.tokens+s.rate*now.Sub(s.refill).Seconds())
+		s.tokens = math.Min(float64(s.cfg.Workers), s.tokens+s.rate*now.Sub(s.refill).Seconds())
 	} else {
-		s.tokens = s.cfg.BatchBurst
+		s.tokens = float64(s.cfg.Workers)
 	}
 	s.refill = now
 }
@@ -499,24 +435,11 @@ func (s *Scheduler) projectedWaitLocked(c Class) time.Duration {
 	return time.Duration(wait * float64(time.Second))
 }
 
-// nextLocked pops the next grantable item under the policy, consuming a
-// token for throttled batch work. Nil means nothing is grantable right
-// now: empty queues, or batch gated on tokens. Draining after Close
-// ignores the throttle: queued work finishes promptly.
+// nextLocked pops the next grantable item — interactive first, then
+// batch — consuming a token for throttled batch work. Nil means nothing is
+// grantable right now: empty queues, or batch gated on tokens. Draining
+// after Close ignores the throttle: queued work finishes promptly.
 func (s *Scheduler) nextLocked() *item {
-	if s.cfg.Policy == SharedFIFO {
-		var best *item
-		bc := Interactive
-		for c := Class(0); c < numClasses; c++ {
-			if q := s.queues[c]; len(q) > 0 && (best == nil || q[0].seq < best.seq) {
-				best, bc = q[0], c
-			}
-		}
-		if best != nil {
-			s.popLocked(bc)
-		}
-		return best
-	}
 	if len(s.queues[Interactive]) > 0 {
 		return s.popLocked(Interactive)
 	}
@@ -594,8 +517,6 @@ type Stats struct {
 	// Workers is the concurrency bound; Running how many slots are held now.
 	Workers int `json:"workers"`
 	Running int `json:"running"`
-	// Policy is the discipline name.
-	Policy string `json:"policy"`
 	// BatchRate is the current token-bucket rate (0 = unthrottled);
 	// BatchTokens the bucket's current fill.
 	BatchRate   float64 `json:"batch_rate"`
@@ -611,7 +532,6 @@ func (s *Scheduler) Stats() Stats {
 	st := Stats{
 		Workers:     s.cfg.Workers,
 		Running:     s.running,
-		Policy:      s.cfg.Policy.String(),
 		BatchRate:   s.rate,
 		BatchTokens: s.tokens,
 		Classes:     make(map[string]ClassStats, numClasses),

@@ -1,16 +1,15 @@
 package load
 
-// The PR's acceptance experiment, as a test: under a colocation scenario
-// (interactive stream + concurrent batch sweep-storm), the class-based
-// scheduler keeps interactive p99 within 2x of the interactive-alone
-// p99 while batch makes progress; forcing the SharedFIFO policy (the old
-// single-FIFO pool) on the very same workload demonstrates the priority
-// inversion the refactor removes.
+// The scheduler's acceptance experiment, as a test: under a colocation
+// scenario (interactive stream + concurrent batch sweep-storm), the
+// class-based scheduler keeps interactive p99 within 2x of the
+// interactive-alone p99 while the storm keeps the workers busy. The
+// no-QoS shared FIFO it replaced is compared in internal/qos (E15), not
+// here: the live scheduler has one discipline.
 //
 // The engine runs an injected runner with a fixed 1ms service time per
 // (cold, unique) request, so the measured latencies are queueing plus a
-// known service time — the scheduling disciplines are compared on the
-// same footing, independent of experiment compute.
+// known service time, independent of experiment compute.
 
 import (
 	"context"
@@ -23,7 +22,15 @@ import (
 	"repro/internal/serve"
 )
 
-const colocService = time.Millisecond
+const (
+	colocService = time.Millisecond
+	colocWorkers = 4
+	colocWindow  = 700 * time.Millisecond
+	// colocMinBatchBusy is the power check's floor on the share of the
+	// workers' time the batch storm keeps busy: one worker's worth of the
+	// four. The two interactive clients alone can fill at most half.
+	colocMinBatchBusy = 0.25
+)
 
 // uniqueVariants builds n distinct cold keys under one class.
 func uniqueVariants(prefix string, n int, class admit.Class) []Variant {
@@ -35,14 +42,15 @@ func uniqueVariants(prefix string, n int, class admit.Class) []Variant {
 }
 
 // newColocEngine builds an engine whose runner takes exactly colocService
-// per request (honoring cancellation), switched to the given policy.
-func newColocEngine(t *testing.T, policy admit.Policy) *serve.Engine {
+// per request (honoring cancellation).
+func newColocEngine(t *testing.T) *serve.Engine {
 	t.Helper()
 	e := serve.NewEngine(serve.Config{
 		Shards:  8,
-		Workers: 4,
-		// Deep queues, as a live sweep's fan-out would produce: the FIFO
-		// inversion needs the backlog the old pool accumulated.
+		Workers: colocWorkers,
+		// Deep queues, as a live sweep's fan-out would produce: the whole
+		// storm sits queued rather than blocked at the queue door, so the
+		// priority grant is what keeps interactive work ahead of it.
 		Queue: 64,
 		RunnerWith: func(ctx context.Context, id string, _ core.Params) (core.Result, error) {
 			select {
@@ -53,7 +61,6 @@ func newColocEngine(t *testing.T, policy admit.Policy) *serve.Engine {
 			return core.Result{Findings: []string{"served " + id}}, nil
 		},
 	})
-	e.SetPolicy(policy)
 	t.Cleanup(e.Close)
 	return e
 }
@@ -62,11 +69,9 @@ func newColocEngine(t *testing.T, policy admit.Policy) *serve.Engine {
 // clients over unique cold keys — offered load below the 4-worker
 // capacity, as latency-critical traffic usually is — optionally with a
 // 64-client batch storm over its own unique cold keys soaking up the
-// headroom. Closed-loop clients hold one request each, so 64 of them are
-// what fills the 64-deep queue: under SharedFIFO an interactive request
-// then waits behind ~16 service times, well clear of the 2x-alone bound
-// even when the alone p99 is inflated by a busy host (32 clients gave
-// ~12 ms against a ~10 ms bound there).
+// headroom. Closed-loop clients hold one request each, so 64 of them keep
+// the 64-deep batch queue full and take every slot the interactive class
+// leaves free; the test's power check confirms they do.
 func colocScenario(withBatch bool) Scenario {
 	sc := Scenario{
 		Name: "coloc-accept", Mode: ClosedLoop, Skew: 0, Clients: 2, Seed: 11,
@@ -81,11 +86,11 @@ func colocScenario(withBatch bool) Scenario {
 	return sc
 }
 
-func runColoc(t *testing.T, policy admit.Policy, withBatch bool) Report {
+func runColoc(t *testing.T, withBatch bool) Report {
 	t.Helper()
-	eng := newColocEngine(t, policy)
+	eng := newColocEngine(t)
 	rep, err := Run(engineTarget(eng), colocScenario(withBatch), Options{
-		Duration: 700 * time.Millisecond,
+		Duration: colocWindow,
 	})
 	if err != nil {
 		t.Fatalf("load.Run: %v", err)
@@ -98,9 +103,8 @@ func TestColocationSchedulerHoldsInteractiveP99(t *testing.T) {
 		t.Skip("multi-second timing experiment; skipped in -short")
 	}
 
-	alone := runColoc(t, admit.StrictPriority, false)
-	coloc := runColoc(t, admit.StrictPriority, true)
-	fifo := runColoc(t, admit.SharedFIFO, true)
+	alone := runColoc(t, false)
+	coloc := runColoc(t, true)
 
 	aloneInt, ok := alone.Metrics.PerClass[admit.Interactive.String()]
 	if !ok {
@@ -114,12 +118,14 @@ func TestColocationSchedulerHoldsInteractiveP99(t *testing.T) {
 	if !ok {
 		t.Fatal("colocated run has no batch class metrics")
 	}
-	fifoInt := fifo.Metrics.PerClass[admit.Interactive.String()]
+	// The share of the workers' time each class kept busy in the
+	// colocated run, at the runner's nominal service time.
+	share := func(c ClassMetrics) float64 { return c.ThroughputRPS * colocService.Seconds() / colocWorkers }
+	intBusy, batchBusy := share(colocInt), share(colocBatch)
 
-	t.Logf("interactive p99: alone=%.2fms, colocated(strict-priority)=%.2fms, colocated(shared-fifo)=%.2fms",
-		aloneInt.Latency.P99*1e3, colocInt.Latency.P99*1e3, fifoInt.Latency.P99*1e3)
-	t.Logf("batch under strict-priority: %d requests, %.0f req/s, %d errors",
-		colocBatch.Requests, colocBatch.ThroughputRPS, colocBatch.Errors)
+	t.Logf("interactive p99: alone=%.2fms, colocated=%.2fms", aloneInt.Latency.P99*1e3, colocInt.Latency.P99*1e3)
+	t.Logf("batch: %d requests, %.0f req/s, %d errors; workers busy: batch %.0f%%, interactive %.0f%%",
+		colocBatch.Requests, colocBatch.ThroughputRPS, colocBatch.Errors, batchBusy*100, intBusy*100)
 
 	// The acceptance bound: batch pressure must not move interactive p99
 	// past 2x its alone value (a small absolute allowance absorbs
@@ -130,23 +136,15 @@ func TestColocationSchedulerHoldsInteractiveP99(t *testing.T) {
 		t.Errorf("scheduler failed to protect interactive p99: alone %.2fms, colocated %.2fms (> 2x + %.0fms)",
 			aloneInt.Latency.P99*1e3, colocInt.Latency.P99*1e3, slack*1e3)
 	}
-	// ... while the batch sweep makes progress.
-	if colocBatch.Requests < 50 {
-		t.Errorf("batch made no real progress under strict priority: %d requests", colocBatch.Requests)
-	}
 	if colocBatch.ErrorRate > 0.01 {
-		t.Errorf("batch error rate %.3f under strict priority; backpressure should block, not fail", colocBatch.ErrorRate)
+		t.Errorf("batch error rate %.3f; backpressure should block, not fail", colocBatch.ErrorRate)
 	}
-	// The counterfactual: the old shared FIFO lets the same batch storm
-	// invert interactive latency — the exact pathology the scheduler
-	// removes. Demand it visibly (beyond the bound the scheduler met).
-	if fifoInt.Latency.P99 <= 2*aloneInt.Latency.P99+slack {
-		t.Errorf("SharedFIFO did not demonstrate the inversion: alone p99 %.2fms, fifo colocated p99 %.2fms",
-			aloneInt.Latency.P99*1e3, fifoInt.Latency.P99*1e3)
-	}
-	if fifoInt.Latency.P99 <= colocInt.Latency.P99 {
-		t.Errorf("strict priority (%.2fms) did not beat shared FIFO (%.2fms) on interactive p99",
-			colocInt.Latency.P99*1e3, fifoInt.Latency.P99*1e3)
+	// The bound means something only if the storm has power: batch must
+	// take the slots interactive leaves free and keep the workers busy,
+	// not merely make some progress.
+	if batchBusy < colocMinBatchBusy {
+		t.Errorf("batch storm kept the workers only %.0f%% busy (%.0f req/s over %d workers at %v), want >= %.0f%%",
+			batchBusy*100, colocBatch.ThroughputRPS, colocWorkers, colocService, colocMinBatchBusy*100)
 	}
 }
 

@@ -230,10 +230,9 @@ func Scenarios() []Scenario {
 		)...,
 	)
 	// Colocation: the warm interactive mix under a concurrent batch
-	// sweep-storm of cold grid points. With the strict-priority scheduler
-	// the interactive per-class p99 must stay flat while batch makes
-	// progress; under a SharedFIFO engine the same scenario demonstrates
-	// the inversion the scheduler removes.
+	// sweep-storm of cold grid points. The scheduler serves interactive
+	// work first, so its per-class p99 must stay flat while batch makes
+	// progress. (The no-QoS inversion it avoids is E15's comparison.)
 	batchStorm := asBatch(append(
 		gridVariants("E7", "f=0.9:0.99:0.005", "bces=16,64,256,1024,4096"),
 		gridVariants("E5", "operands=1:8:1", "tile=256,1024,4096,16384,65536")...,

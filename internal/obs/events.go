@@ -27,7 +27,7 @@ const (
 	// labels backend.
 	EventReadmit = "readmit"
 	// EventControl is one accepted POST /control retune: labels carry the
-	// applied knobs (batch_rate, slo_ms, policy) as strings.
+	// applied knobs (batch_rate, slo_ms) as strings.
 	EventControl = "control"
 )
 

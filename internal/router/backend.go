@@ -70,9 +70,9 @@ func (b *EngineBackend) Engine() *serve.Engine { return b.eng }
 // Control implements Controller: apply the raw control body to the
 // in-process engine and return the ack JSON.
 func (b *EngineBackend) Control(_ context.Context, body []byte) ([]byte, error) {
-	var req serve.ControlRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, fmt.Errorf("router: %s: bad control body: %v", b.name, err)
+	req, err := serve.DecodeControl(body)
+	if err != nil {
+		return nil, fmt.Errorf("router: %s: %v", b.name, err)
 	}
 	ack, err := b.eng.ApplyControl(req)
 	if err != nil {

@@ -18,7 +18,6 @@ package router
 // the replicas, which serve every format.
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 
@@ -103,12 +102,10 @@ func (r *Router) Handler() http.Handler {
 			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
 			return
 		}
-		// Validate the body shape locally before burning the cluster's
-		// time: every replica parses the same contract.
-		var creq serve.ControlRequest
-		if err := json.Unmarshal(body, &creq); err != nil || creq.Empty() {
-			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest,
-				"bad control body (want JSON with batch_rate, slo_ms, and/or policy)")
+		// Refuse a body here, with the decoder every replica runs, so a
+		// body one replica would refuse reaches none of them.
+		if _, err := serve.DecodeControl(body); err != nil {
+			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
 			return
 		}
 		acks := r.Control(req.Context(), body)

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/admit"
 	"repro/internal/core"
@@ -109,9 +110,11 @@ func TestControlRetunesThreeNodeHTTPCluster(t *testing.T) {
 	const n = 3
 	engines := make([]*serve.Engine, n)
 	backends := make([]Backend, n)
+	slos := make([]time.Duration, n)
 	for i := 0; i < n; i++ {
 		engines[i] = serve.NewEngine(serve.Config{Shards: 2, Workers: 2, BatchRate: 512})
 		defer engines[i].Close()
+		engines[i].OnSLOChange(func(slo time.Duration) error { slos[i] = slo; return nil })
 		srv := httptest.NewServer(engines[i].Handler())
 		defer srv.Close()
 		backends[i] = NewHTTPBackend(srv.URL)
@@ -130,7 +133,7 @@ func TestControlRetunesThreeNodeHTTPCluster(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	body := []byte(`{"batch_rate": 96, "policy": "shared-fifo"}`)
+	body := []byte(`{"batch_rate": 96, "slo_ms": 40}`)
 	cr, err := http.Post(front.URL+"/control", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /control: %v", err)
@@ -157,7 +160,7 @@ func TestControlRetunesThreeNodeHTTPCluster(t *testing.T) {
 			t.Errorf("replica %s: bad ack %q: %v", a.Backend, a.Ack, err)
 			continue
 		}
-		if ack.Applied["batch_rate"] != "96" || ack.Applied["policy"] != "shared-fifo" {
+		if ack.Applied["batch_rate"] != "96" || ack.Applied["slo_ms"] != "40" {
 			t.Errorf("replica %s applied %+v", a.Backend, ack.Applied)
 		}
 	}
@@ -165,6 +168,9 @@ func TestControlRetunesThreeNodeHTTPCluster(t *testing.T) {
 	for i, e := range engines {
 		if got := e.Metrics().Scheduler.BatchRate; got != 96 {
 			t.Errorf("replica %d batch rate = %g, want 96", i, got)
+		}
+		if slos[i] != 40*time.Millisecond {
+			t.Errorf("replica %d SLO hook got %v, want 40ms", i, slos[i])
 		}
 	}
 	// And the front-end logged the cluster-wide control event.
@@ -254,5 +260,52 @@ func TestRouterConcurrentScrapeServeControl(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if problems := obs.Lint(strings.NewReader(rec.Body.String())); len(problems) > 0 {
 		t.Fatalf("post-race router scrape not clean:\n  %s", strings.Join(problems, "\n  "))
+	}
+}
+
+// A body one replica would refuse reaches none of them: the front-end
+// refuses it with 400 before fanning out, over an in-process and an HTTP
+// replica alike, and each face (engine handler, in-process backend) runs
+// the same strict decoder. A "policy" key from an older script is one
+// such body.
+func TestControlRefusedBodyAppliesNowhere(t *testing.T) {
+	local := serve.NewEngine(serve.Config{Shards: 2, Workers: 2, BatchRate: 512})
+	defer local.Close()
+	remote := serve.NewEngine(serve.Config{Shards: 2, Workers: 2, BatchRate: 512})
+	defer remote.Close()
+	srv := httptest.NewServer(remote.Handler())
+	defer srv.Close()
+	inproc := NewEngineBackend(local, "local")
+	r, err := New([]Backend{inproc, NewHTTPBackend(srv.URL)}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(r.Handler())
+	defer front.Close()
+
+	for _, body := range []string{
+		`{"batch_rate": 7, "policy": "shared-fifo"}`,
+		`{"batch_rate": 7, "bogus": 1}`,
+		`{"policy": "strict-priority"}`,
+		`{}`,
+	} {
+		for name, base := range map[string]string{"front-end": front.URL, "engine": srv.URL} {
+			resp, err := http.Post(base+"/control", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: %s: HTTP %d, want 400", name, body, resp.StatusCode)
+			}
+		}
+		if _, err := inproc.Control(context.Background(), []byte(body)); err == nil {
+			t.Errorf("in-process replica accepted %s", body)
+		}
+		for name, e := range map[string]*serve.Engine{"local": local, "remote": remote} {
+			if got := e.Metrics().Scheduler.BatchRate; got != 512 {
+				t.Errorf("%s moved the %s replica's batch rate to %g", body, name, got)
+			}
+		}
 	}
 }

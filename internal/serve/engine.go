@@ -680,7 +680,7 @@ type Metrics struct {
 	// accounting is configured (Config.Tenants); the "other" key
 	// aggregates unlisted and untagged traffic. Absent otherwise.
 	Tenants map[string]TenantMetrics `json:"tenants,omitempty"`
-	// Scheduler is the admission scheduler's own snapshot: policy,
+	// Scheduler is the admission scheduler's own snapshot: running slots,
 	// queue depths, token bucket state, per-class service EWMAs.
 	Scheduler admit.Stats `json:"scheduler"`
 	// Snapshot reports the tier-2 disk cache (zero value when disabled).

@@ -27,7 +27,7 @@ import (
 //	GET /v1/stats                engine metrics: counters, cache, per-class p50/p99
 //	GET /v1/metrics              Prometheus text exposition (promlint-clean)
 //	GET /v1/events?since=N       structured control-plane events after cursor N
-//	POST /v1/control             live retune: {"batch_rate":..,"slo_ms":..,"policy":".."}
+//	POST /v1/control             live retune: {"batch_rate":..,"slo_ms":..} (strict: unknown keys are 400)
 //
 // Every error path answers with the shared JSON envelope
 // {"error":{"code","message","retry_after_ms"}} (internal/httpapi).

@@ -8,8 +8,10 @@ package serve
 // how aggressive, cannot perturb the QoS feedback signal.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -32,9 +34,6 @@ func (e *Engine) OnSLOChange(fn func(slo time.Duration) error) {
 	e.sloHook = fn
 	e.sloMu.Unlock()
 }
-
-// SetPolicy switches the admission discipline live.
-func (e *Engine) SetPolicy(p admit.Policy) { e.sched.SetPolicy(p) }
 
 // MetricsRegistry returns the engine's /metrics registry, built once.
 // Every collector reads atomics or cumulative histograms, so a scrape
@@ -175,14 +174,32 @@ type ControlRequest struct {
 	// SLOMS retunes the feedback controller's p99 target in milliseconds.
 	// Rejected when no controller is attached.
 	SLOMS *float64 `json:"slo_ms,omitempty"`
-	// Policy switches the admission discipline ("strict-priority" or
-	// "shared-fifo").
-	Policy *string `json:"policy,omitempty"`
 }
 
 // Empty reports whether the request carries no knob at all.
 func (c ControlRequest) Empty() bool {
-	return c.BatchRate == nil && c.SLOMS == nil && c.Policy == nil
+	return c.BatchRate == nil && c.SLOMS == nil
+}
+
+// DecodeControl is the one reader of a POST /control body: the engine's
+// handler, the front-end's check before it fans out and the in-process
+// replica all call it, so a body one of them refuses no replica applies.
+// It is strict: an unknown field (a "policy" key from an older script
+// among them), trailing data, or a body with no knob is an error.
+func DecodeControl(body []byte) (ControlRequest, error) {
+	var req ControlRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return ControlRequest{}, fmt.Errorf("serve: bad control body: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return ControlRequest{}, fmt.Errorf("serve: bad control body: data after the JSON object")
+	}
+	if req.Empty() {
+		return ControlRequest{}, fmt.Errorf("serve: control request carries no knob (want batch_rate and/or slo_ms)")
+	}
+	return req, nil
 }
 
 // ControlAck reports what one replica applied, keyed by knob name.
@@ -190,20 +207,10 @@ type ControlAck struct {
 	Applied map[string]string `json:"applied"`
 }
 
-// ApplyControl validates and applies a control request and records one
-// EventControl into the ring. All-or-nothing: validation of every
-// present knob happens before any is applied.
+// ApplyControl validates and applies a decoded control request and
+// records one EventControl into the ring. All-or-nothing: validation of
+// every present knob happens before any is applied.
 func (e *Engine) ApplyControl(req ControlRequest) (ControlAck, error) {
-	if req.Empty() {
-		return ControlAck{}, fmt.Errorf("serve: control request carries no knob (want batch_rate, slo_ms, or policy)")
-	}
-	var pol admit.Policy
-	if req.Policy != nil {
-		var err error
-		if pol, err = admit.ParsePolicy(*req.Policy); err != nil {
-			return ControlAck{}, err
-		}
-	}
 	if req.BatchRate != nil {
 		if r := *req.BatchRate; math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
 			return ControlAck{}, fmt.Errorf("serve: bad batch_rate %v (want a finite rate >= 0)", *req.BatchRate)
@@ -230,11 +237,6 @@ func (e *Engine) ApplyControl(req ControlRequest) (ControlAck, error) {
 		ack.Applied["batch_rate"] = v
 		labels["batch_rate"] = v
 	}
-	if req.Policy != nil {
-		e.SetPolicy(pol)
-		ack.Applied["policy"] = pol.String()
-		labels["policy"] = pol.String()
-	}
 	if req.SLOMS != nil {
 		if err := sloHook(time.Duration(*req.SLOMS * float64(time.Millisecond))); err != nil {
 			return ControlAck{}, err
@@ -255,14 +257,15 @@ func (e *Engine) ControlHandler() http.Handler {
 			httpapi.WriteError(w, http.StatusMethodNotAllowed, httpapi.CodeMethodNotAllowed, "method not allowed")
 			return
 		}
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<16))
 		var req ControlRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, "bad control body: "+err.Error())
-			return
+		if err == nil {
+			req, err = DecodeControl(body)
 		}
-		ack, err := e.ApplyControl(req)
+		var ack ControlAck
+		if err == nil {
+			ack, err = e.ApplyControl(req)
+		}
 		if err != nil {
 			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
 			return

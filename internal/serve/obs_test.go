@@ -142,14 +142,6 @@ func TestApplyControl(t *testing.T) {
 		t.Fatalf("ack: %+v", ack)
 	}
 
-	pol := "shared-fifo"
-	if _, err := e.ApplyControl(ControlRequest{Policy: &pol}); err != nil {
-		t.Fatalf("ApplyControl(policy): %v", err)
-	}
-	if got := e.sched.Stats().Policy; got != admit.SharedFIFO.String() {
-		t.Fatalf("policy after control: %v", got)
-	}
-
 	// slo_ms without a controller attached must be rejected...
 	ms := 50.0
 	if _, err := e.ApplyControl(ControlRequest{SLOMS: &ms}); err == nil {
@@ -166,18 +158,16 @@ func TestApplyControl(t *testing.T) {
 	}
 
 	for name, req := range map[string]ControlRequest{
-		"empty":          {},
-		"negative rate":  {BatchRate: ptr(-1.0)},
-		"NaN rate":       {BatchRate: ptr(nan())},
-		"zero slo":       {SLOMS: ptr(0.0)},
-		"unknown policy": {Policy: ptrS("lifo")},
+		"negative rate": {BatchRate: ptr(-1.0)},
+		"NaN rate":      {BatchRate: ptr(nan())},
+		"zero slo":      {SLOMS: ptr(0.0)},
 	} {
 		if _, err := e.ApplyControl(req); err == nil {
 			t.Errorf("%s: want error", name)
 		}
 	}
 	// A request with one bad knob must apply nothing (validate-all-first).
-	bad := ControlRequest{BatchRate: ptr(128.0), Policy: ptrS("bogus")}
+	bad := ControlRequest{BatchRate: ptr(128.0), SLOMS: ptr(-5.0)}
 	if _, err := e.ApplyControl(bad); err == nil {
 		t.Fatal("mixed good/bad request should fail whole")
 	}
@@ -192,13 +182,12 @@ func TestApplyControl(t *testing.T) {
 			controls++
 		}
 	}
-	if controls != 3 {
-		t.Fatalf("control events recorded: %d want 3", controls)
+	if controls != 2 {
+		t.Fatalf("control events recorded: %d want 2", controls)
 	}
 }
 
 func ptr(f float64) *float64 { return &f }
-func ptrS(s string) *string  { return &s }
 func nan() (f float64)       { f = 0; f /= f; return } //nolint: deliberate NaN
 
 func TestControlHandlerHTTP(t *testing.T) {
@@ -225,11 +214,23 @@ func TestControlHandlerHTTP(t *testing.T) {
 		t.Fatalf("ack %+v, rate %g", ack, e.sched.BatchRate())
 	}
 
-	if rec := post(`{"batch_rate": 32, "bogus": 1}`); rec.Code != http.StatusBadRequest {
-		t.Fatalf("unknown field: HTTP %d want 400", rec.Code)
+	// DecodeControl is strict, and the front-end and the in-process
+	// replica run it too: none of these bodies is applied anywhere.
+	for _, body := range []string{
+		``,
+		`{}`,
+		`not json`,
+		`{"batch_rate": "7"}`,
+		`{"batch_rate": 7, "bogus": 1}`,
+		`{"batch_rate": 7, "policy": "shared-fifo"}`,
+		`{"batch_rate": 7} {"slo_ms": 50}`,
+	} {
+		if rec := post(body); rec.Code != http.StatusBadRequest {
+			t.Errorf("%q: HTTP %d want 400", body, rec.Code)
+		}
 	}
-	if rec := post(`{}`); rec.Code != http.StatusBadRequest {
-		t.Fatalf("empty body: HTTP %d want 400", rec.Code)
+	if got := e.sched.BatchRate(); got != 32 {
+		t.Fatalf("a refused body moved the batch rate to %g", got)
 	}
 
 	rec = httptest.NewRecorder()
@@ -280,11 +281,7 @@ func TestConcurrentScrapeServeControl(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
 			rate := float64(100 + i)
-			pol := "strict-priority"
-			if i%2 == 0 {
-				pol = "shared-fifo"
-			}
-			if _, err := e.ApplyControl(ControlRequest{BatchRate: &rate, Policy: &pol}); err != nil {
+			if _, err := e.ApplyControl(ControlRequest{BatchRate: &rate}); err != nil {
 				t.Errorf("ApplyControl: %v", err)
 				return
 			}
