@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -30,6 +29,13 @@ type Backend interface {
 	// in item order, one per item, and one item's failure never fails its
 	// siblings — transport-level failures (the whole exchange lost) are
 	// the returned error instead.
+	//
+	// The contract every implementation keeps, test doubles included:
+	// DoBatch returns promptly once ctx ends, canceled or past its
+	// deadline, whatever the replica is doing; and it keeps no reference
+	// to items after it returns. The router runs an attempt on the
+	// goroutine that needs its answer, bounds it by canceling ctx at
+	// Config.Timeout, and reuses the items' storage once DoBatch returns.
 	DoBatch(ctx context.Context, items []serve.BatchItem) ([]serve.BatchOutcome, error)
 	// Check probes liveness cheaply; nil means healthy. The router calls
 	// it to decide re-admission of an ejected backend.
@@ -98,7 +104,7 @@ type HTTPBackend struct {
 	// smu guards stream — the live (or last, dead) connection — and
 	// serializes dials. redials counts streams established after the
 	// first: an atomic, so /stats never waits behind a dial.
-	smu     sync.Mutex
+	smu     ctxLock
 	stream  *streamConn
 	redials atomic.Int64
 }
@@ -107,6 +113,7 @@ type HTTPBackend struct {
 func NewHTTPBackend(addr string) *HTTPBackend {
 	return &HTTPBackend{
 		base: httpapi.BaseURL(addr),
+		smu:  make(ctxLock, 1),
 		client: &http.Client{
 			// Carries only /healthz (Check's 2 s context) and /control (the
 			// fan-out's controlFanoutTimeout, which also bounds a caller whose

@@ -288,3 +288,33 @@ func TestPooledReplyOutcomesSurviveFailoverAndCancel(t *testing.T) {
 			ok.Load(), failed.Load(), late.held.Load(), r.Metrics().Failovers)
 	}
 }
+
+// A warm routed hit through Router.ServeEncoded over three stream
+// replicas allocates at most routedStreamHitAllocs times, both sides of
+// the hop counted: the primary attempt runs on the caller through a
+// pooled frame of one, its reply channel is pooled, and the replica
+// answers a frame of one that hits on its reader. The bound is the
+// measured count and only ratchets down.
+func TestRouterServeEncodedStreamHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const routedStreamHitAllocs = 11
+	r, err := New(newStreamCluster(t, 3, nil), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	p := core.Params{"bces": 512, "f": 0.9}
+	hit := func() {
+		if rr, err := r.ServeEncoded(ctx, "E7", p); err != nil || len(rr.Raw) == 0 {
+			t.Fatalf("routed ServeEncoded: %d bytes, err=%v", len(rr.Raw), err)
+		}
+	}
+	for i := 0; i < 3*hedgeWarmup; i++ { // execute, warm the scoreboard, the pools and the stream
+		hit()
+	}
+	if got := testing.AllocsPerRun(500, hit); got > routedStreamHitAllocs {
+		t.Errorf("warm routed stream hit allocates %v times, want <= %d", got, routedStreamHitAllocs)
+	}
+}

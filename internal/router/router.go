@@ -61,10 +61,11 @@ type Config struct {
 	// daemon's write timeout for slow cold runs — set it above the
 	// slowest legitimate cold execution, because an expiry is treated as
 	// a replica failure: the router abandons the attempt, re-executes on
-	// the successor, and counts it toward ejection; the abandoned call's
-	// goroutine drains in the background when the backend eventually
-	// answers). An attempt on a bare in-process engine runs inline on
-	// the caller's goroutine and is bounded by the caller's context only.
+	// the successor, and counts it toward ejection). The bound is a
+	// cancel of the attempt's context at Timeout, not a deadline, and the
+	// backend returns once its context ends (the Backend contract), so
+	// the caller's goroutine is free by then. An attempt on a bare
+	// in-process engine is bounded by the caller's context only.
 	Timeout time.Duration
 	// FailThreshold is the consecutive-failure count that ejects a
 	// backend (default 3).
@@ -205,10 +206,11 @@ func classify(err error) verdict {
 // replica's encoded payload without a decode/re-encode at this hop.
 // Every attempt is a frame of one under the caller's context, so its QoS
 // envelope (class, tenant, hedge marker, hop-decremented deadline,
-// cancellation) rides to the backend. An attempt on a bare in-process
-// engine runs on this goroutine (serveInline); any other is launched,
-// bounded by Config.Timeout, and — the first attempt of an interactive
-// request only — hedge-protected (doHedged has the rule and its
+// cancellation) rides to the backend, and every attempt runs on this
+// goroutine. One on a bare in-process engine is a plain call (attempt);
+// any other is bounded by Config.Timeout and — the first attempt of an
+// interactive request only — hedge-protected, the backup alone getting a
+// goroutine of its own, its timer's (doHedged has the rule and its
 // reasons). A shed answered by a replica (429) is a client-visible QoS
 // verdict, not a replica failure: no ejection, no failover. Satisfies
 // load.Server, so in-process load generation measures exactly this path.
@@ -269,7 +271,7 @@ func (r *Router) serveChainKeyed(ctx context.Context, it serve.BatchItem, answer
 		var out serve.BatchOutcome
 		winner := b
 		if r.sb.scores[b].eng != nil {
-			out = r.serveInline(ctx, b, it)
+			out = r.attempt(ctx, b, it)
 		} else {
 			// Only the first admitted attempt hedges: one backup per
 			// request bounds the work amplification at 2x.
@@ -305,9 +307,9 @@ func (r *Router) serveChainKeyed(ctx context.Context, it serve.BatchItem, answer
 		it.Ident.Key(), len(chain), lastErr)}
 }
 
-// frameOfOne is the pooled one-entry frame an inline attempt is served
-// through, so a warm routed hit allocates neither the item nor its
-// outcome.
+// frameOfOne is the pooled one-entry frame an attempt is served through,
+// so a warm routed hit allocates neither the item nor, on an in-process
+// engine, its outcome.
 type frameOfOne struct {
 	items [1]serve.BatchItem
 	outs  [1]serve.BatchOutcome
@@ -315,13 +317,11 @@ type frameOfOne struct {
 
 var framePool = sync.Pool{New: func() any { return new(frameOfOne) }}
 
-// serveInline is one attempt on a bare in-process engine, run on the
-// caller's goroutine under the caller's context: no goroutine, no timer,
-// no hedge. An in-process engine cannot transport-wedge, so there is
-// nothing to abandon, and a backup would run on the same cores. The
-// engine returns only once every entry is resolved, which is what makes
-// the pooled frame reusable.
-func (r *Router) serveInline(ctx context.Context, b int, it serve.BatchItem) serve.BatchOutcome {
+// attempt is one exchange of a frame of one with backend b, run on the
+// calling goroutine under ctx. The frame goes back to its pool when the
+// exchange returns, which the Backend contract makes safe (a backend
+// keeps no reference to its items) and prompt (it returns once ctx ends).
+func (r *Router) attempt(ctx context.Context, b int, it serve.BatchItem) serve.BatchOutcome {
 	f := framePool.Get().(*frameOfOne)
 	f.items[0] = it
 	outs, err := r.exchange(ctx, b, f.items[:], f.outs[:0])
@@ -368,70 +368,140 @@ func (r *Router) exchange(ctx context.Context, b int, items []serve.BatchItem, b
 	return outs, err
 }
 
-// errAbandoned is the cause a hedged race cancels its legs with when it
+// errAbandoned is the cause a hedged race cancels its legs with once it
 // is decided, so a leg can tell its abandonment from the caller's.
 var errAbandoned = errors.New("router: attempt abandoned")
 
-// legOutcome is one leg's answer in a hedged race, tagged with its backend.
-type legOutcome struct {
-	serve.BatchOutcome
-	b int
+// hedgedRace is one bounded attempt's state (doHedged), under mu: each
+// leg reports its answer and each timer its firing, and the report that
+// decides the race cancels the legs' context, which abandons a leg still
+// out and wakes the caller.
+type hedgedRace struct {
+	r       *Router
+	ctx     context.Context // the legs': canceled once decided
+	abandon context.CancelCauseFunc
+	it      serve.BatchItem
+	b, hb   int // the primary's backend; the backup's, -1 without one
+
+	mu                        sync.Mutex
+	out, failed, hedged, from int // legs out; the first to fail and the backup fired (-1: none); res's backend
+	decided                   bool
+	res                       serve.BatchOutcome
 }
 
-// launch starts one leg of a hedged race — a frame of one through
-// exchange — on a goroutine of its own, which is the price of hang
-// protection: the race can abandon a backend that neither answers nor
-// honors its context. The leg runs under the race's context; abandonment
-// (a winning answer or the attempt timer) reaches a remote replica as
-// the stream's cancel message, and the elapsed time is then a lower
-// bound on the true latency, folded in only when it raises the estimate
-// (why: scoreboard.observeFloor). Organic failures feed health
-// accounting instead; their wall time says nothing about serving latency.
-func (r *Router) launch(race context.Context, b int, it serve.BatchItem, hedge bool, legs chan<- legOutcome) {
-	actx := race
+// leg runs one leg on this goroutine. An abandoned leg's elapsed time is a
+// lower bound on the true latency, folded in only when it raises the
+// estimate (why: scoreboard.observeFloor); organic failures feed health
+// accounting instead.
+func (h *hedgedRace) leg(b int, hedge bool) {
+	ctx := h.ctx
 	if hedge {
-		actx = httpapi.WithHedge(race)
+		ctx = httpapi.WithHedge(ctx)
 	}
-	go func() {
-		t0 := time.Now()
-		outs, err := r.exchange(actx, b, []serve.BatchItem{it}, nil)
-		o := legOutcome{serve.BatchOutcome{Err: err}, b}
-		if err == nil {
-			o.BatchOutcome = outs[0]
+	t0 := time.Now()
+	o := h.r.attempt(ctx, b, h.it)
+	if h.report(b, o) && errors.Is(o.Err, context.Canceled) {
+		if c := context.Cause(h.ctx); c == errAbandoned || c == errAttemptTimeout {
+			h.r.sb.observeFloor(b, time.Since(t0))
 		}
-		if errors.Is(o.Err, context.Canceled) && context.Cause(race) == errAbandoned {
-			r.sb.observeFloor(b, time.Since(t0))
+	}
+}
+
+// report applies leg b's answer by doHedged's rules, reporting whether
+// the race was decided without it.
+func (h *hedgedRace) report(b int, o serve.BatchOutcome) (abandoned bool) {
+	h.mu.Lock()
+	if h.out--; h.decided {
+		h.mu.Unlock()
+		return true
+	}
+	switch v := classify(o.Err); {
+	case v == verdictOK || v == verdictReturn:
+		if b != h.b {
+			h.r.sb.scores[h.b].hedgeWins.Add(1)
 		}
-		legs <- o
-	}()
+	case v == verdictCtx:
+	case h.ctx.Err() != nil: // the caller is gone: its error, no blame
+		o, b = serve.BatchOutcome{Err: h.ctx.Err()}, h.b
+	case h.out > 0: // charged now; the other leg decides
+		h.failed = b
+		h.mu.Unlock()
+		if v == verdictFailure {
+			h.r.noteFailure(b)
+		}
+		return false
+	}
+	h.decideLocked(o, b, errAbandoned)
+	return false
+}
+
+// decideLocked records o, charged to from, unless the race is decided;
+// then it releases mu and cancels the legs' context with cause.
+func (h *hedgedRace) decideLocked(o serve.BatchOutcome, from int, cause error) {
+	if !h.decided {
+		h.decided, h.res, h.from = true, o, from
+	}
+	h.mu.Unlock()
+	h.abandon(cause)
+}
+
+// hedge is the hedge timer's: while the primary is the only leg out, the
+// backup runs on this goroutine. An ejected, unprobeable backup leaves
+// the primary on its own.
+func (h *hedgedRace) hedge() {
+	if h.ctx.Err() != nil || !h.r.admit(h.hb) {
+		return
+	}
+	h.mu.Lock()
+	if h.decided {
+		h.mu.Unlock()
+		return
+	}
+	h.hedged, h.out = h.hb, h.out+1
+	h.r.sb.scores[h.b].hedges.Add(1)
+	h.mu.Unlock()
+	h.leg(h.hb, true)
+}
+
+// timeout is the overall timer's: the race is lost by a leg still out.
+func (h *hedgedRace) timeout() {
+	h.mu.Lock()
+	from := h.b
+	if h.failed == h.b {
+		from = h.hb
+	}
+	h.decideLocked(serve.BatchOutcome{Err: fmt.Errorf("%w after %v on %s",
+		errAttemptTimeout, h.r.cfg.Timeout, h.r.backends[from].Name())}, from, errAttemptTimeout)
 }
 
 // doHedged runs one bounded attempt on b, hedge-protected when rest
-// offers a candidate: the primary launches immediately; if it outlives
-// the scoreboard's adaptive budget, one backup fires to the next distinct
-// untried replica in rest. Both legs answer on one channel, and the race
-// keeps two facts: how many legs are still out, and which failed first.
+// offers a candidate: the primary leg runs on the caller's goroutine, and
+// if it outlives the scoreboard's adaptive budget the hedge timer's own
+// goroutine runs one backup on the next distinct untried replica in rest.
+// Both legs run under one context, canceled when the race is decided or
+// Config.Timeout runs out; a Backend returns once its context ends, so
+// the caller is not held past either. The race keeps two facts: how many
+// legs are still out, and which failed first.
 //
 //   - The first usable answer (success, or a client/deadline verdict —
 //     identical on every replica) wins, and the other leg is canceled. A
 //     backup's is a hedge win.
-//   - A leg that fails while the other is still out is charged here, and
-//     the other leg decides.
+//   - A leg that fails while the other is still out is charged at once,
+//     and the other leg decides.
 //   - The last leg's answer goes to the caller's taxonomy.
 //   - The overall timeout is charged to a leg that is still out.
 //
 // With no candidate (a failover attempt passes none) or no trusted
-// budget the hedge timer never fires and this is a plain attempt under
-// Config.Timeout. The timers are stopped eagerly so a fast hit does not
-// leave a multi-minute timer live until GC. A primary that *fails*
-// before the budget expires returns without hedging — failures belong to
-// the failover path, hedging is for slowness — and 4xx verdicts are
-// never hedged: by the time one could fire, the request's fate is
-// already decided on every replica.
+// budget there is no hedge timer. The timers are stopped on return so a
+// fast hit does not leave a multi-minute timer live until GC. A primary
+// that *fails* before the budget expires returns without hedging —
+// failures belong to the failover path, hedging is for slowness — and
+// 4xx verdicts are never hedged: by the time one could fire, the
+// request's fate is already decided on every replica.
 //
 // Returns the deciding outcome, the backend it is charged to (the caller
 // applies health accounting to it), and the backup's index when one was
-// launched (-1 otherwise; the caller marks it consumed).
+// fired (-1 otherwise; the caller marks it consumed).
 func (r *Router) doHedged(ctx context.Context, b int, rest []int, it serve.BatchItem) (serve.BatchOutcome, int, int) {
 	// Only interactive traffic hedges. A hedge buys tail latency with
 	// duplicate work, which batch traffic by definition does not want —
@@ -450,58 +520,20 @@ func (r *Router) doHedged(ctx context.Context, b int, rest []int, it serve.Batch
 			}
 		}
 	}
-
-	legs := make(chan legOutcome, 2) // room for both: a leg never blocks on a decided race
-	race, abandon := context.WithCancelCause(ctx)
-	defer abandon(errAbandoned)
-	r.launch(race, b, it, false, legs)
-	overall := time.NewTimer(r.cfg.Timeout)
-	defer overall.Stop()
-	var hedgeC <-chan time.Time // nil without a backup to fire: never ready
+	h := &hedgedRace{r: r, it: it, b: b, hb: hb, out: 1, failed: -1, hedged: -1}
+	h.ctx, h.abandon = context.WithCancelCause(ctx)
+	defer time.AfterFunc(r.cfg.Timeout, h.timeout).Stop()
 	if hb >= 0 {
-		hedgeTimer := time.NewTimer(delay)
-		defer hedgeTimer.Stop()
-		hedgeC = hedgeTimer.C
+		defer time.AfterFunc(delay, h.hedge).Stop()
 	}
-
-	out, failed, hedged := 1, -1, -1 // legs still out; the leg that failed first; the backup once fired
-	for {
-		select {
-		case o := <-legs:
-			out--
-			v := classify(o.Err)
-			if v == verdictOK || v == verdictReturn {
-				if o.b != b {
-					r.sb.scores[b].hedgeWins.Add(1)
-				}
-				return o.BatchOutcome, o.b, hedged
-			}
-			if v == verdictCtx || out == 0 {
-				return o.BatchOutcome, o.b, hedged
-			}
-			if v == verdictFailure {
-				r.noteFailure(o.b)
-			}
-			failed = o.b
-		case <-hedgeC:
-			// The timer fires once, while the primary is the only leg out.
-			// An ejected, unprobeable backup leaves the primary on its own.
-			if r.admit(hb) {
-				r.sb.scores[b].hedges.Add(1)
-				hedged, out = hb, out+1
-				r.launch(race, hb, it, true, legs)
-			}
-		case <-ctx.Done():
-			return serve.BatchOutcome{Err: ctx.Err()}, b, hedged
-		case <-overall.C:
-			from := b
-			if failed == b {
-				from = hb
-			}
-			return serve.BatchOutcome{Err: fmt.Errorf("%w after %v on %s",
-				errAttemptTimeout, r.cfg.Timeout, r.backends[from].Name())}, from, hedged
-		}
+	h.leg(b, false)
+	<-h.ctx.Done() // decided, or the caller is gone while the backup is out
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !h.decided {
+		h.decided, h.res, h.from = true, serve.BatchOutcome{Err: ctx.Err()}, b
 	}
+	return h.res, h.from, h.hedged
 }
 
 // admit reports whether backend b may take an exchange now. Ejected

@@ -99,7 +99,7 @@ type flakyBackend struct {
 	errRate  float64       // fraction of calls failed at random
 	rng      *stats.RNG    // errRate draws
 	latency  time.Duration // added to every call (latency spike)
-	hung     chan struct{} // when non-nil, every request blocks until closed
+	hung     chan struct{} // when non-nil, every request blocks until closed or its context ends
 	down     bool          // Check fails while set
 
 	calls  atomic.Int64
@@ -127,8 +127,12 @@ func (f *flakyBackend) do(ctx context.Context, id string, p core.Params) (serve.
 		fail = true
 	}
 	f.mu.Unlock()
-	if hung != nil {
-		<-hung
+	if hung != nil { // a wedged replica, released or abandoned (the Backend contract)
+		select {
+		case <-hung:
+		case <-ctx.Done():
+			return serve.Response{}, ctx.Err()
+		}
 	}
 	if lat > 0 {
 		time.Sleep(lat)

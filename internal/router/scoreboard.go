@@ -65,8 +65,8 @@ type score struct {
 	ejections   int64
 
 	// eng is the replica's engine when it is a bare in-process
-	// EngineBackend, nil otherwise: an attempt on one is served inline
-	// on the caller's goroutine (serveInline).
+	// EngineBackend, nil otherwise: an attempt on one is a plain call,
+	// with no timer and no hedge (Router.attempt).
 	eng       *serve.Engine
 	requests  atomic.Int64 // entries shipped to the replica
 	inflight  atomic.Int64

@@ -14,6 +14,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -24,6 +25,28 @@ import (
 // streamDialTimeout bounds the dial plus the upgrade handshake.
 const streamDialTimeout = 5 * time.Second
 
+// writeSlice is how long a blocked write runs between looks at its context.
+const writeSlice = 50 * time.Millisecond
+
+// ctxLock is a mutex whose lock gives up when the caller's context ends.
+type ctxLock chan struct{}
+
+func (l ctxLock) lock(ctx context.Context) error {
+	select {
+	case l <- struct{}{}: // uncontended: the cheap non-blocking send
+		return nil
+	default:
+	}
+	select {
+	case l <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (l ctxLock) unlock() { <-l }
+
 // streamReply is what the reader hands a waiter: a pooled reply body, the
 // waiter's from then on, or the error the replica answered the frame with
 // or that killed the connection.
@@ -32,14 +55,18 @@ type streamReply struct {
 	err  error
 }
 
+// replyChans pools the waiters' channels, of capacity 1 so the reader
+// never blocks. A waiter that lost take drains its one reply first.
+var replyChans = sync.Pool{New: func() any { return make(chan streamReply, 1) }}
+
 // streamConn is one live stream. Any read or write failure ends it
 // through fail, which fails every waiter once.
 type streamConn struct {
-	conn net.Conn
-	wmu  sync.Mutex // one message on the wire at a time
+	conn  net.Conn
+	wlock ctxLock // one message on the wire at a time
 
 	mu      sync.Mutex
-	waiters map[uint32]chan streamReply // capacity 1 each: the reader never blocks
+	waiters map[uint32]chan streamReply
 	next    uint32
 	err     error // set once, when the stream dies
 }
@@ -50,10 +77,13 @@ type streamConn struct {
 // 101 or a bad handshake is a transport failure for the caller to report
 // — a plain error, never the replica's status, so the router fails the
 // frame over and counts it toward ejection — and the next call dials
-// again.
+// again. A caller whose ctx ends stops waiting for another's dial, and
+// cuts its own dial and handshake.
 func (b *HTTPBackend) streamFor(ctx context.Context) (*streamConn, error) {
-	b.smu.Lock()
-	defer b.smu.Unlock()
+	if err := b.smu.lock(ctx); err != nil {
+		return nil, err
+	}
+	defer b.smu.unlock()
 	if sc := b.stream; sc != nil {
 		sc.mu.Lock()
 		dead := sc.err != nil
@@ -80,17 +110,21 @@ func (b *HTTPBackend) streamFor(ctx context.Context) (*streamConn, error) {
 		return nil, err
 	}
 	_ = conn.SetDeadline(time.Now().Add(streamDialTimeout))
+	cut := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
 	br := bufio.NewReaderSize(conn, 16<<10)
 	var resp *http.Response
 	if err = req.Write(conn); err == nil {
 		resp, err = http.ReadResponse(br, req)
+	}
+	if !cut() && err == nil { // ctx ended as the handshake finished, its deadline now past
+		err = ctx.Err()
 	}
 	switch {
 	case err != nil:
 	case resp.StatusCode == http.StatusSwitchingProtocols &&
 		strings.EqualFold(resp.Header.Get("Upgrade"), httpapi.StreamProtocol):
 		_ = conn.SetDeadline(time.Time{})
-		sc := &streamConn{conn: conn, waiters: make(map[uint32]chan streamReply)}
+		sc := &streamConn{conn: conn, wlock: make(ctxLock, 1), waiters: make(map[uint32]chan streamReply)}
 		if b.stream != nil {
 			b.redials.Add(1)
 		}
@@ -168,58 +202,88 @@ func (sc *streamConn) fail(err error) {
 	}
 }
 
-// send writes one whole message under the write lock and a write
-// deadline — ctx's, at most StreamWriteTimeout — so a peer that stops
-// reading cannot hold the lock past the caller's patience. A failed write
-// leaves the peer mid-message: it ends the stream. A ctx already over
-// when the lock is won writes nothing.
+// send writes one whole message under the write lock, in deadline slices
+// of writeSlice up to ctx's deadline or StreamWriteTimeout, so neither
+// the wait for the lock nor a write the peer does not drain outlasts ctx.
+// A ctx already over when the lock is won writes nothing. A write that
+// fails or is cut short leaves the peer mid-message: it ends the stream.
 func (sc *streamConn) send(ctx context.Context, msg []byte) error {
-	dl := time.Now().Add(httpapi.StreamWriteTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(dl) {
-		dl = d
-	}
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	if err := ctx.Err(); err != nil {
+	if err := sc.wlock.lock(ctx); err != nil {
 		return err
 	}
-	_ = sc.conn.SetWriteDeadline(dl)
-	_, err := sc.conn.Write(msg)
-	if err != nil {
-		sc.fail(err)
+	defer sc.wlock.unlock()
+	now := time.Now()
+	end := now.Add(httpapi.StreamWriteTimeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(end) {
+		end = d
 	}
-	return err
+	whole := len(msg)
+	for ; ctx.Err() == nil; now = time.Now() {
+		dl := now.Add(writeSlice)
+		if dl.After(end) {
+			dl = end
+		}
+		_ = sc.conn.SetWriteDeadline(dl)
+		n, err := sc.conn.Write(msg)
+		switch msg = msg[n:]; {
+		case err == nil:
+			return nil
+		case dl.Equal(end) || !errors.Is(err, os.ErrDeadlineExceeded): // not a slice's end
+			sc.fail(err)
+			return err
+		}
+	}
+	if len(msg) < whole {
+		sc.fail(fmt.Errorf("stream write cut short: %v", ctx.Err()))
+	}
+	return ctx.Err()
+}
+
+// sendCancel asks the replica to stop request id, whose caller has left.
+// It runs on a goroutine of its own, because the write lock's queue, or a
+// replica that has stopped reading, may hold it for up to
+// StreamWriteTimeout, and the caller returns once its context ends.
+func (sc *streamConn) sendCancel(id uint32) {
+	var msg [httpapi.StreamHeaderLen]byte
+	httpapi.PutStreamHeader(msg[:], id, httpapi.StreamCancel)
+	_ = sc.send(context.Background(), msg[:])
 }
 
 // exchange sends one request — msg with StreamHeaderLen bytes reserved in
 // front of its body — and waits for the reply body. A caller whose ctx
-// ends sends a cancel message instead of tearing the connection down (a
-// reply already on its way then goes to the GC with the channel).
+// ends leaves a cancel message to be sent (sendCancel) instead of tearing
+// the connection down.
 func (sc *streamConn) exchange(ctx context.Context, msg []byte) (*[]byte, error) {
-	ch := make(chan streamReply, 1)
+	ch := replyChans.Get().(chan streamReply)
 	sc.mu.Lock()
-	if sc.err != nil {
+	if err := sc.err; err != nil {
 		sc.mu.Unlock()
-		return nil, sc.err
+		replyChans.Put(ch)
+		return nil, err
 	}
 	sc.next++
 	id := sc.next
 	sc.waiters[id] = ch
 	sc.mu.Unlock()
 	httpapi.PutStreamHeader(msg, id, httpapi.StreamRequest)
-	if err := sc.send(ctx, msg); err != nil {
-		sc.take(id)
-		return nil, err
-	}
-	select {
-	case r := <-ch:
-		return r.body, r.err
-	case <-ctx.Done():
-		if sc.take(id) != nil {
-			var cancel [httpapi.StreamHeaderLen]byte
-			httpapi.PutStreamHeader(cancel[:], id, httpapi.StreamCancel)
-			_ = sc.send(context.Background(), cancel[:])
+	err := sc.send(ctx, msg)
+	sent := err == nil
+	if sent {
+		select {
+		case r := <-ch:
+			replyChans.Put(ch)
+			return r.body, r.err
+		case <-ctx.Done():
+			err = ctx.Err()
 		}
-		return nil, ctx.Err()
 	}
+	if sc.take(id) == nil { // the reader or fail took it first: drain the one reply owed
+		if r := <-ch; r.body != nil {
+			httpapi.PutReplyBuffer(r.body)
+		}
+	} else if sent { // the replica has the request: ask it to stop
+		go sc.sendCancel(id)
+	}
+	replyChans.Put(ch)
+	return nil, err
 }

@@ -459,8 +459,11 @@ func TestRefusedUpgradeFailsOverAndEjects(t *testing.T) {
 }
 
 // (c) A peer that stops reading cannot hold the write lock past the
-// callers' deadline: the blocked write fails, the connection dies, and
-// every waiter — written or still queued for the lock — fails once.
+// callers' patience, a deadline or a plain cancel: the blocked write
+// fails, the connection dies, and every waiter — written or still queued
+// for the lock — fails once. And a caller whose request is written before
+// the peer stops reading returns at once when canceled: the cancel
+// message it owes the peer does not wait for the wedged write.
 func TestStreamStuckPeerWriteDeadline(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -470,6 +473,8 @@ func TestStreamStuckPeerWriteDeadline(t *testing.T) {
 	var conns sync.WaitGroup
 	stop := make(chan struct{})
 	defer func() { close(stop); conns.Wait() }()
+	var readFirst atomic.Bool // the peer reads one message before it stops
+	read := make(chan struct{}, 1)
 	go func() { // upgrades every connection, then never reads it
 		for {
 			c, err := ln.Accept()
@@ -480,40 +485,144 @@ func TestStreamStuckPeerWriteDeadline(t *testing.T) {
 			go func() {
 				defer conns.Done()
 				defer c.Close()
-				if _, err := http.ReadRequest(bufio.NewReader(c)); err != nil {
+				br := bufio.NewReader(c)
+				if _, err := http.ReadRequest(br); err != nil {
 					return
 				}
 				_, _ = io.WriteString(c, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+httpapi.StreamProtocol+"\r\n\r\n")
+				if readFirst.Load() {
+					if _, _, in, err := httpapi.ReadStreamMessage(br, httpapi.MaxBatchBytes, httpapi.GetBuffer); err == nil {
+						httpapi.PutBuffer(in)
+						read <- struct{}{}
+					}
+				}
 				<-stop
 			}()
 		}
 	}()
+	const patience = 300 * time.Millisecond
+	for _, row := range []struct {
+		name string
+		ctx  func() (context.Context, context.CancelFunc)
+	}{
+		{"deadline", func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), patience)
+		}},
+		{"cancel", func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(patience, cancel)
+			return ctx, cancel
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			b := NewHTTPBackend("http://" + ln.Addr().String())
+			big := []serve.BatchItem{{ID: strings.Repeat("x", 6<<20)}} // a few of these fill the socket buffers
+			const callers = 6
+			errs := make(chan error, callers)
+			t0 := time.Now()
+			for i := 0; i < callers; i++ {
+				go func() {
+					ctx, cancel := row.ctx()
+					defer cancel()
+					_, err := b.DoBatch(ctx, big)
+					errs <- err
+				}()
+			}
+			for i := 0; i < callers; i++ {
+				if err := <-errs; err == nil {
+					t.Fatal("DoBatch against a peer that never reads succeeded")
+				}
+			}
+			if d := time.Since(t0); d > 5*time.Second {
+				t.Fatalf("callers were held %v behind a stuck peer", d)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			defer cancel()
+			_, _ = b.DoBatch(ctx, []serve.BatchItem{{ID: "K"}})
+			if redials := b.Redials(); redials != 1 {
+				t.Fatalf("%d redials after the stuck connection was killed, want 1", redials)
+			}
+		})
+	}
+	t.Run("cancel-after-write", func(t *testing.T) {
+		readFirst.Store(true)
+		b := NewHTTPBackend("http://" + ln.Addr().String())
+		ctx, cancel := context.WithCancel(context.Background())
+		small := make(chan error, 1)
+		go func() {
+			_, err := b.DoBatch(ctx, []serve.BatchItem{{ID: "K"}})
+			small <- err
+		}()
+		<-read // the request is written and read; the peer reads no more
+		bigCtx, bigCancel := context.WithTimeout(context.Background(), 10*time.Second)
+		bigDone := make(chan error, 1)
+		go func() { // fills the socket buffers and holds the write lock
+			_, err := b.DoBatch(bigCtx, []serve.BatchItem{{ID: strings.Repeat("x", 16<<20)}})
+			bigDone <- err
+		}()
+		time.Sleep(200 * time.Millisecond)
+		t0 := time.Now()
+		cancel()
+		err := <-small
+		if d := time.Since(t0); d > 100*time.Millisecond {
+			t.Errorf("a canceled caller was held %v behind a stuck peer", d)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("canceled DoBatch = %v, want context.Canceled", err)
+		}
+		bigCancel()
+		if err := <-bigDone; err == nil {
+			t.Error("DoBatch against a peer that never reads succeeded")
+		}
+	})
+}
+
+// A replica that accepts the connection but never answers the upgrade
+// holds no caller past its context, the one dialling as well as those
+// queued behind its dial: a canceled DoBatch returns within 100 ms.
+func TestStreamHandshakeHonoursCancel(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 16)
+	go func() { // accepts, reads nothing, answers nothing
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- c
+		}
+	}()
+	defer func() {
+		for len(accepted) > 0 {
+			(<-accepted).Close()
+		}
+	}()
 	b := NewHTTPBackend("http://" + ln.Addr().String())
-	big := []serve.BatchItem{{ID: strings.Repeat("x", 6<<20)}} // a few of these fill the socket buffers
-	const callers = 6
+	ctx, cancel := context.WithCancel(context.Background())
+	const callers = 3
 	errs := make(chan error, callers)
-	t0 := time.Now()
 	for i := 0; i < callers; i++ {
 		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
-			defer cancel()
-			_, err := b.DoBatch(ctx, big)
+			_, err := b.DoBatch(ctx, []serve.BatchItem{{ID: "E7"}})
 			errs <- err
 		}()
 	}
+	c := <-accepted // the dial is in its handshake
+	defer c.Close()
+	time.Sleep(20 * time.Millisecond) // the other callers queue behind it
+	t0 := time.Now()
+	cancel()
 	for i := 0; i < callers; i++ {
-		if err := <-errs; err == nil {
-			t.Fatal("DoBatch against a peer that never reads succeeded")
+		if err := <-errs; !errors.Is(err, context.Canceled) {
+			t.Fatalf("DoBatch against an unanswered upgrade = %v, want context.Canceled", err)
 		}
 	}
-	if d := time.Since(t0); d > 5*time.Second {
-		t.Fatalf("callers were held %v behind a stuck peer", d)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	_, _ = b.DoBatch(ctx, []serve.BatchItem{{ID: "K"}})
-	if redials := b.Redials(); redials != 1 {
-		t.Fatalf("%d redials after the stuck connection was killed, want 1", redials)
+	if d := time.Since(t0); d > 100*time.Millisecond {
+		t.Fatalf("canceled callers were held %v behind an unanswered upgrade", d)
 	}
 }
 

@@ -276,12 +276,23 @@ func (s *frameScratch) release() {
 // the response frame holds its copy of every payload.
 func ServeBatchFrame(ctx context.Context, body, dst []byte,
 	serveFn func(context.Context, []BatchItem, []BatchOutcome) []BatchOutcome, fallback int) ([]byte, error) {
-	w, err := httpapi.WalkBatchRequest(body)
+	s, err := parseFrame(body)
 	if err != nil {
 		return dst, err
 	}
-	s := scratchPool.Get().(*frameScratch)
 	defer s.release()
+	s.outs = serveFn(ctx, s.items, s.outs)
+	return s.appendResponse(dst, fallback), nil
+}
+
+// parseFrame walks the A21B request frame in body into a pooled scratch
+// that aliases nothing of body; the error is a frame that does not decode.
+func parseFrame(body []byte) (*frameScratch, error) {
+	w, err := httpapi.WalkBatchRequest(body)
+	if err != nil {
+		return nil, err
+	}
+	s := scratchPool.Get().(*frameScratch)
 	for w.Next() {
 		ident, perr := Intern(w.ID, w.Run)
 		if perr != nil {
@@ -292,12 +303,17 @@ func ServeBatchFrame(ctx context.Context, body, dst []byte,
 		s.results = append(s.results, httpapi.BatchResult{})
 	}
 	if w.Err != nil {
-		return dst, w.Err
+		s.release()
+		return nil, w.Err
 	}
-	s.outs = serveFn(ctx, s.items, s.outs)
+	return s, nil
+}
+
+// appendResponse appends the A21R response frame of s's outcomes to dst.
+func (s *frameScratch) appendResponse(dst []byte, fallback int) []byte {
 	results, i := s.results, -1
 	for _, o := range s.outs {
-		for i++; results[i].Status != 0; i++ { // on to the next entry not rejected above
+		for i++; results[i].Status != 0; i++ { // on to the next entry not rejected by parseFrame
 		}
 		if o.Err != nil {
 			status, _, retryAfter := httpapi.ErrorStatus(o.Err, fallback)
@@ -308,5 +324,5 @@ func ServeBatchFrame(ctx context.Context, body, dst []byte,
 		results[i] = httpapi.BatchResult{OK: true, CacheHit: rr.CacheHit, Shared: rr.Shared,
 			Key: rr.Key, Payload: rr.Raw}
 	}
-	return httpapi.AppendBatchResponse(dst, results), nil
+	return httpapi.AppendBatchResponse(dst, results)
 }

@@ -293,10 +293,18 @@ func NewEngine(cfg Config) *Engine {
 // tenant (unknown and untagged requests share the overflow slot), nil
 // when per-tenant accounting is not configured.
 func (e *Engine) tenantBook(ctx context.Context) *tenantCounters {
+	if e.tenants == nil { // checked before the context is searched for a tenant
+		return nil
+	}
+	return e.tenantBookOf(admit.TenantFrom(ctx))
+}
+
+// tenantBookOf is tenantBook for a tenant in hand.
+func (e *Engine) tenantBookOf(tenant string) *tenantCounters {
 	if e.tenants == nil {
 		return nil
 	}
-	return &e.tenantBooks[e.tenants.Index(admit.TenantFrom(ctx))]
+	return &e.tenantBooks[e.tenants.Index(tenant)]
 }
 
 // loadSnapshot warm-starts the in-memory tier from the tier-2 file.

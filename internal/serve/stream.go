@@ -2,9 +2,10 @@ package serve
 
 // The replica end of the stream carrier (wire contract in
 // internal/httpapi/stream.go): GET /stream upgrades the connection, after
-// which every request message is served on its own goroutine through
-// ServeBatchFrame — the routine POST /batch uses — and answered by id, so
-// a slow miss never holds up a warm hit queued behind it.
+// which request messages are served through the frame routine POST /batch
+// uses and answered by id: a frame of one that hits on the reader itself,
+// any other on a goroutine of its own, so a slow miss never holds up a
+// warm hit queued behind it.
 
 import (
 	"bufio"
@@ -126,6 +127,10 @@ func (s *replicaStream) serve(br *bufio.Reader) {
 			s.mu.Unlock()
 			<-sem
 		case kind == httpapi.StreamRequest:
+			if s.answerHit(id, in) {
+				<-sem
+				continue
+			}
 			fctx, fcancel := context.WithCancel(ctx)
 			s.mu.Lock()
 			s.cancels[id] = fcancel
@@ -146,11 +151,41 @@ func (s *replicaStream) serve(br *bufio.Reader) {
 	}
 }
 
+// answerHit answers on the reader a request message, the body in buf,
+// whose frame is one entry that hits (batchHit), and reports whether it
+// did: no context, cancel entry or goroutine. Anything else goes to
+// serveFrame, which parses it again: batchHit books nothing on a miss,
+// and a miss's own execution dwarfs the second parse.
+func (s *replicaStream) answerHit(id uint32, buf *[]byte) bool {
+	env, frame, err := httpapi.ParseStreamRequest(*buf)
+	if err != nil {
+		return false
+	}
+	if w, err := httpapi.WalkBatchRequest(frame); err != nil || w.Len() != 1 {
+		return false
+	}
+	fs, err := parseFrame(frame)
+	if err != nil {
+		return false
+	}
+	defer fs.release()
+	if len(fs.items) != 1 || fs.items[0].Ident.err != nil {
+		return false
+	}
+	it := &fs.items[0]
+	fs.outs = append(fs.outs[:0], BatchOutcome{})
+	if !s.e.batchHit(s.e.tenantBookOf(env.Tenant), it, it.Ident.key, it.Ident.params, s.e.now(), &fs.outs[0]) {
+		return false
+	}
+	const hdr = httpapi.StreamHeaderLen
+	s.send(id, httpapi.StreamReply, buf, fs.appendResponse(slices.Grow((*buf)[:0], hdr)[:hdr], http.StatusInternalServerError))
+	return true
+}
+
 // serveFrame serves one request message, the body in buf, and writes its
 // reply from the same pooled buffer, over the body: ServeBatchFrame has
 // read all of the frame before it appends, and the header goes in last.
 func (s *replicaStream) serveFrame(ctx context.Context, id uint32, buf *[]byte) {
-	defer httpapi.PutBuffer(buf)
 	const hdr = httpapi.StreamHeaderLen
 	kind := httpapi.StreamReply
 	env, frame, err := httpapi.ParseStreamRequest(*buf)
@@ -164,6 +199,13 @@ func (s *replicaStream) serveFrame(ctx context.Context, id uint32, buf *[]byte) 
 		kind = httpapi.StreamError
 		msg = httpapi.AppendStreamError(msg[:hdr], http.StatusBadRequest, err.Error())
 	}
+	s.send(id, kind, buf, msg)
+}
+
+// send writes msg, built in buf's storage with the header's room in
+// front, as message id of kind, and gives buf back to its pool.
+func (s *replicaStream) send(id uint32, kind byte, buf *[]byte, msg []byte) {
+	defer httpapi.PutBuffer(buf)
 	httpapi.PutStreamHeader(msg, id, kind)
 	*buf = msg
 	s.wmu.Lock()
