@@ -36,6 +36,7 @@ type Backend interface {
 	// to items after it returns. The router runs an attempt on the
 	// goroutine that needs its answer, bounds it by canceling ctx at
 	// Config.Timeout, and reuses the items' storage once DoBatch returns.
+	// The returned slice belongs to the caller, who may reuse it.
 	DoBatch(ctx context.Context, items []serve.BatchItem) ([]serve.BatchOutcome, error)
 	// Check probes liveness cheaply; nil means healthy. The router calls
 	// it to decide re-admission of an ejected backend.
@@ -60,7 +61,7 @@ func NewEngineBackend(eng *serve.Engine, name string) *EngineBackend {
 // DoBatch implements Backend straight through the engine's multi-get
 // surface.
 func (b *EngineBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]serve.BatchOutcome, error) {
-	return b.eng.ServeEncodedBatch(ctx, items), nil
+	return b.eng.ServeEncodedBatchInto(ctx, items, getOuts(len(items))), nil
 }
 
 // Check implements Backend; an in-process engine is alive by definition.
@@ -199,7 +200,7 @@ func (b *HTTPBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]s
 		httpapi.PutReplyBuffer(reply)
 		return nil, fmt.Errorf("router: %s: batch returned %d outcomes for %d items", b.base, w.Len(), len(items))
 	}
-	out := make([]serve.BatchOutcome, len(items))
+	out := getOuts(len(items))
 	for i := 0; err == nil && w.Next(); i++ {
 		it := &items[i]
 		if !w.OK {

@@ -52,8 +52,11 @@ func (r *Router) ServeEncodedBatchInto(ctx context.Context, items []serve.BatchI
 	// A counting sort by owner into one index slice and one sub-item slice,
 	// each owner's share a contiguous run: ends[o+1] counts owner o's items,
 	// the prefix sums make ends[o] its run's start, placing moves it to the end.
-	idx := make([]int, 2*n+len(r.backends)+1)
+	s := sortPool.Get().(*sortScratch)
+	defer s.release()
+	idx := slices.Grow(s.idx[:0], 2*n+len(r.backends)+1)[:2*n+len(r.backends)+1]
 	owners, order, ends := idx[:n], idx[n:2*n], idx[2*n:]
+	clear(ends)
 	for i := range items {
 		it := &items[i]
 		if it.Ident == nil {
@@ -66,7 +69,8 @@ func (r *Router) ServeEncodedBatchInto(ctx context.Context, items []serve.BatchI
 	for o := 1; o < len(r.backends); o++ {
 		ends[o] += ends[o-1]
 	}
-	sub := make([]serve.BatchItem, n)
+	sub := slices.Grow(s.sub[:0], n)[:n]
+	s.idx, s.sub = idx, sub
 	for i, o := range owners {
 		order[ends[o]], sub[ends[o]] = i, items[i]
 		ends[o]++
@@ -95,6 +99,50 @@ func (r *Router) ServeEncodedBatchInto(ctx context.Context, items []serve.BatchI
 	return out
 }
 
+// sortScratch is ServeEncodedBatchInto's pooled owner sort, cleared on
+// return so the pool pins no identity or params; not above 256 entries.
+type sortScratch struct {
+	idx []int
+	sub []serve.BatchItem
+}
+
+var sortPool = sync.Pool{New: func() any { return new(sortScratch) }}
+
+func (s *sortScratch) release() {
+	if cap(s.sub) <= 256 {
+		clear(s.sub)
+		sortPool.Put(s)
+	}
+}
+
+// outsPool holds boxed exchange outcome slices (DoBatch's are the caller's
+// to reuse); boxPool the empty boxes, so neither get nor put allocates.
+var outsPool, boxPool = sync.Pool{}, sync.Pool{New: func() any { return new([]serve.BatchOutcome) }}
+
+// getOuts returns a zeroed outcome slice of length n.
+func getOuts(n int) []serve.BatchOutcome {
+	if p, _ := outsPool.Get().(*[]serve.BatchOutcome); p != nil {
+		outs := *p
+		*p = nil
+		boxPool.Put(p)
+		if cap(outs) >= n {
+			return outs[:n]
+		}
+	}
+	return make([]serve.BatchOutcome, n)
+}
+
+// putOuts takes back outs once its consumer has copied what it keeps (a
+// reply body is the consumer's), cleared; not above 256 entries.
+func putOuts(outs []serve.BatchOutcome) {
+	if c := cap(outs); c > 0 && c <= 256 {
+		clear(outs[:c])
+		p := boxPool.Get().(*[]serve.BatchOutcome)
+		*p = outs[:0]
+		outsPool.Put(p)
+	}
+}
+
 // serveOwnerBatch ships one owner's share of a frame, falling back to
 // the chain walk per entry when the owner is ejected, the exchange is
 // lost, or an entry's error warrants failover. An entry the owner
@@ -106,7 +154,8 @@ func (r *Router) ServeEncodedBatchInto(ctx context.Context, items []serve.BatchI
 // racing an owner that may be running the entry would run it twice.
 func (r *Router) serveOwnerBatch(ctx, xctx context.Context, owner int, idxs []int, sub, items []serve.BatchItem, out []serve.BatchOutcome) {
 	if r.admit(owner) {
-		outs, err := r.exchange(xctx, owner, sub, nil)
+		outs, err := r.exchange(xctx, owner, sub)
+		defer putOuts(outs)
 		switch {
 		case err == nil:
 			r.noteSuccess(owner)

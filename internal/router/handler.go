@@ -36,13 +36,14 @@ func (r *Router) Handler() http.Handler {
 		httpapi.WriteJSON(w, http.StatusOK, serve.ExperimentInfos())
 	})
 	httpapi.MountFunc(mux, "GET /run/{id}", func(w http.ResponseWriter, req *http.Request) {
-		if f := req.URL.Query().Get("format"); f != "" && f != "json" {
+		q := req.URL.Query()
+		if f := q.Get("format"); f != "" && f != "json" {
 			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest,
 				"the routing front-end serves JSON envelopes only; request format="+f+" from a replica directly")
 			return
 		}
 		id := req.PathValue("id")
-		params, err := core.ParseParams(req.URL.Query()["param"])
+		params, err := core.ParseParams(q["param"])
 		if err != nil {
 			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
 			return
@@ -56,14 +57,17 @@ func (r *Router) Handler() http.Handler {
 			return
 		}
 		defer cancel()
-		// The chain walk serves this as a frame of one; the payload
-		// arrives encoded and is decoded once here at the edge.
-		rr, err := r.ServeEncoded(ctx, id, params)
-		if err != nil {
-			httpapi.WriteServingError(w, err, http.StatusBadGateway)
+		// The chain walk serves this as a frame of one, decoded once here at
+		// the edge; its reply body goes back to its pool once this is written.
+		out := r.serveOne(ctx, id, params)
+		if out.Reply != nil {
+			defer httpapi.PutReplyBuffer(out.Reply)
+		}
+		if out.Err != nil {
+			httpapi.WriteServingError(w, out.Err, http.StatusBadGateway)
 			return
 		}
-		res, err := core.DecodeSummary(rr.Raw)
+		res, err := core.DecodeSummary(out.RawResponse.Raw)
 		if err != nil {
 			httpapi.WriteError(w, http.StatusBadGateway, httpapi.CodeUpstream,
 				"bad result payload: "+err.Error())
@@ -73,7 +77,7 @@ func (r *Router) Handler() http.Handler {
 		// is written by serve's hand-rolled writers into a pooled buffer.
 		buf := httpapi.GetBuffer()
 		defer httpapi.PutBuffer(buf)
-		body, ok := serve.AppendRoutedEnvelope((*buf)[:0], &rr, res.Headline, res.Findings)
+		body, ok := serve.AppendRoutedEnvelope((*buf)[:0], &out.RawResponse, res.Headline, res.Findings)
 		if !ok {
 			httpapi.WriteError(w, http.StatusInternalServerError, httpapi.CodeInternal,
 				"result headline is not a finite number")

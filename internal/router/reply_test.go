@@ -1,20 +1,28 @@
 package router
 
-// Tests of the pooled reply bodies on the batch plane: a warm frame over
-// stream replicas allocates per exchange, not per entry; a replica's own
-// key passes through; and the ownership rule — a body goes back to its
-// pool only from the frame routine, after the response frame copied every
-// payload that aliases it — holds under cancellation, timeouts, chain-walk
-// fallbacks and sweeps sharing the same replicas.
+// Tests of the pooled buffers on the batch plane: a warm frame over stream
+// replicas allocates per exchange, not per entry, in count and in bytes; a
+// replica's own key passes through; the ownership rule — a body goes back
+// to its pool only from the frame routine, after the response frame copied
+// every payload that aliases it — holds under cancellation, timeouts,
+// chain-walk fallbacks and sweeps sharing the same replicas; pooled owner
+// sorts and outcome slices never cross frames; and a /batch reply carries
+// its length.
 
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -96,6 +104,70 @@ func TestServeEncodedBatchStreamAllocsPerFrameNotPerEntry(t *testing.T) {
 	}
 	if a16, a64 := allocs(16), allocs(64); a16 != a64 {
 		t.Fatalf("warm frame over three stream replicas: %v allocations at 16 entries, %v at 64", a16, a64)
+	}
+}
+
+// A warm frame through Router.ServeEncodedBatchInto over three stream
+// replicas, its outcome buffer reused and its reply bodies recycled as the
+// frame routine recycles them, allocates the same bytes at 16 and at 64
+// entries, within 1 KiB, both sides of the hop counted: the owner sort's
+// scratch and every exchange's outcome slice are pooled. The collector is
+// off while frames are counted, so no pool is emptied under the count.
+func TestServeEncodedBatchStreamBytesPerFrameNotPerEntry(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	r, err := New(newStreamCluster(t, 3, nil), Config{DisableHedge: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var byOwner [3][]core.Params // entry j is owned by replica j%3
+	for _, p := range e7Grid(60) {
+		o := r.ring.Place(serve.IdentOf("E7", p).Hash())
+		byOwner[o] = append(byOwner[o], p)
+	}
+	ctx := context.Background()
+	bytesPerFrame := func(n int) float64 {
+		items := make([]serve.BatchItem, n)
+		for j := range items {
+			own := byOwner[j%3]
+			items[j] = itemOf(serve.IdentOf("E7", own[(j/3)%len(own)]), admit.Batch)
+		}
+		var outs []serve.BatchOutcome
+		serveFrame := func() {
+			outs = r.ServeEncodedBatchInto(ctx, items, outs)
+			for j, o := range outs {
+				if o.Err != nil || len(o.RawResponse.Raw) == 0 {
+					t.Fatalf("entry %d: %d bytes, err %v", j, len(o.RawResponse.Raw), o.Err)
+				}
+			}
+			recycleReplies(outs)
+		}
+		for i := 0; i < 50; i++ { // execute, then warm the pools and the streams
+			serveFrame()
+		}
+		const frames = 1000
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < frames; i++ {
+			serveFrame()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / frames
+	}
+	if b16, b64 := bytesPerFrame(16), bytesPerFrame(64); math.Abs(b64-b16) > 1024 {
+		t.Fatalf("warm frame over three stream replicas: %.0f bytes allocated at 16 entries, %.0f at 64", b16, b64)
+	}
+}
+
+// recycleReplies puts back a frame's reply bodies once nothing reads its
+// outcomes' payloads any more, as the frame routine does.
+func recycleReplies(outs []serve.BatchOutcome) {
+	for _, o := range outs {
+		if o.Reply != nil {
+			httpapi.PutReplyBuffer(o.Reply)
+		}
 	}
 }
 
@@ -292,14 +364,14 @@ func TestPooledReplyOutcomesSurviveFailoverAndCancel(t *testing.T) {
 // A warm routed hit through Router.ServeEncoded over three stream
 // replicas allocates at most routedStreamHitAllocs times, both sides of
 // the hop counted: the primary attempt runs on the caller through a
-// pooled frame of one, its reply channel is pooled, and the replica
-// answers a frame of one that hits on its reader. The bound is the
-// measured count and only ratchets down.
+// pooled frame of one and a pooled outcome slice, its reply channel is
+// pooled, and the replica answers a frame of one that hits on its reader.
+// The bound is the measured count and only ratchets down.
 func TestRouterServeEncodedStreamHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const routedStreamHitAllocs = 11
+	const routedStreamHitAllocs = 10
 	r, err := New(newStreamCluster(t, 3, nil), Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -316,5 +388,180 @@ func TestRouterServeEncodedStreamHitAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(500, hit); got > routedStreamHitAllocs {
 		t.Errorf("warm routed stream hit allocates %v times, want <= %d", got, routedStreamHitAllocs)
+	}
+}
+
+// POST /v1/batch answers with the frame's length and no chunked framing on
+// both faces, the engine's and the front-end's: the reply frame leaves in
+// one Write of a known length. Thirty-two E7 entries put it well past the
+// size below which net/http would have set the length itself.
+func TestBatchReplyCarriesContentLength(t *testing.T) {
+	eng := serve.NewEngine(serve.Config{Shards: 4, Workers: 2})
+	replica := httptest.NewServer(eng.Handler())
+	t.Cleanup(func() { replica.Close(); eng.Close() })
+	r, err := New([]Backend{NewHTTPBackend(replica.URL)}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(r.Handler())
+	defer front.Close()
+	grid := e7Grid(32)
+	entries := make([]httpapi.BatchEntry, len(grid))
+	for j, p := range grid {
+		entries[j] = httpapi.BatchEntry{ID: "E7", Class: admit.Batch, Params: p.Assignments()}
+	}
+	frame := httpapi.AppendBatchRequest(nil, entries)
+	for _, face := range []struct{ name, url string }{{"engine", replica.URL}, {"front-end", front.URL}} {
+		resp, err := http.Post(face.url+"/v1/batch", "application/octet-stream", bytes.NewReader(frame))
+		if err != nil {
+			t.Fatalf("%s: POST /v1/batch: %v", face.name, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d, read err %v", face.name, resp.StatusCode, err)
+		}
+		if results, err := httpapi.DecodeBatchResponse(body); err != nil || len(results) != len(entries) || len(body) < 4096 {
+			t.Fatalf("%s: %d-byte frame, %d results, err %v", face.name, len(body), len(results), err)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %q for a %d-byte body",
+				face.name, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+	}
+}
+
+// The pooled owner-sort scratch and exchange outcome slices under -race:
+// frames go through Router.ServeEncodedBatchInto concurrently, each
+// goroutine reusing its outcome buffer and recycling its reply bodies
+// once it has read the frame, over three owners — a FaultBackend over an
+// engine whose exchanges fail while frames are in flight (their entries
+// walk the chain), a bare in-process engine and a stream replica — while
+// routed requests draw from the same pools, some through the front-end's
+// /v1/run handler, which recycles the winning reply body. Every outcome a
+// frame reads must be its own entry's: the key of the identity it asked
+// for, and core's encode of that point byte for byte; every envelope must
+// carry its point's key and findings.
+func TestPooledScratchAndOutcomesStayWithTheirFrame(t *testing.T) {
+	grid := e7Grid(24)
+	want := make(map[string][]byte, len(grid))
+	findings := make(map[string][]string, len(grid))
+	ctx := context.Background()
+	for _, p := range grid {
+		exp, _ := core.ByID("E7")
+		res, _, err := exp.RunWith(ctx, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[serve.IdentOf("E7", p).Key()] = res.Encode()
+		findings[serve.IdentOf("E7", p).Key()] = res.Findings
+	}
+	newEngine := func() *serve.Engine {
+		e := serve.NewEngine(serve.Config{Shards: 4, Workers: 2})
+		t.Cleanup(e.Close)
+		return e
+	}
+	fault := NewFaultBackend(NewEngineBackend(newEngine(), "fault"))
+	fault.Degrade(100 * time.Microsecond) // in flight long enough to fail mid-run
+	backends := append([]Backend{fault, NewEngineBackend(newEngine(), "engine")},
+		newStreamCluster(t, 1, nil)...)
+	r, err := New(backends, Config{FailThreshold: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(r.Handler())
+	defer front.Close()
+
+	var mismatched, failed, served atomic.Int64
+	check := func(it *serve.BatchItem, o serve.BatchOutcome) {
+		switch {
+		case o.Err != nil:
+			failed.Add(1)
+		case o.RawResponse.Key != it.Ident.Key() || !bytes.Equal(o.RawResponse.Raw, want[it.Ident.Key()]):
+			mismatched.Add(1)
+		default:
+			served.Add(1)
+		}
+	}
+	stop := make(chan struct{})
+	var faulting sync.WaitGroup
+	faulting.Add(1)
+	go func() { // an exchange on the fault owner fails every few hundred microseconds
+		defer faulting.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(300 * time.Microsecond):
+				fault.ErrorBurst(1)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c)))
+			var outs []serve.BatchOutcome
+			for f := 0; f < 40; f++ {
+				items := make([]serve.BatchItem, 8+rng.Intn(40))
+				for j := range items {
+					items[j] = itemOf(serve.IdentOf("E7", grid[rng.Intn(len(grid))]), admit.Batch)
+				}
+				outs = r.ServeEncodedBatchInto(ctx, items, outs)
+				for j, o := range outs {
+					check(&items[j], o)
+				}
+				recycleReplies(outs)
+			}
+		}(c)
+	}
+	wg.Add(2)
+	go func() { // routed requests: frames of one through the same pools
+		defer wg.Done()
+		for k := 0; k < 200; k++ {
+			p := grid[k%len(grid)]
+			it := itemOf(serve.IdentOf("E7", p), admit.Interactive)
+			rr, err := r.ServeEncoded(ctx, "E7", p)
+			check(&it, serve.BatchOutcome{RawResponse: rr, Err: err})
+		}
+	}()
+	go func() { // and through the front-end's /v1/run, whose reply bodies go back to the pool
+		defer wg.Done()
+		for k := 0; k < 100; k++ {
+			p := grid[k%len(grid)]
+			resp, err := http.Get(front.URL + "/v1/run/E7?" + url.Values{"param": p.Assignments()}.Encode())
+			if err != nil {
+				t.Errorf("GET /v1/run/E7: %v", err)
+				return
+			}
+			var env struct {
+				Key      string   `json:"key"`
+				Findings []string `json:"findings"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&env)
+			resp.Body.Close()
+			key := serve.IdentOf("E7", p).Key()
+			switch {
+			case err != nil || resp.StatusCode != http.StatusOK:
+				failed.Add(1)
+			case env.Key != key || !slices.Equal(env.Findings, findings[key]):
+				mismatched.Add(1)
+			default:
+				served.Add(1)
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	faulting.Wait()
+	if mismatched.Load() > 0 || failed.Load() > 0 {
+		t.Fatalf("%d outcomes were another entry's and %d failed (%d served)",
+			mismatched.Load(), failed.Load(), served.Load())
+	}
+	if served.Load() == 0 || fault.faults.Load() == 0 || r.Metrics().Failovers == 0 {
+		t.Fatalf("the stress did not run its course: %d served, %d injected faults, %d failovers",
+			served.Load(), fault.faults.Load(), r.Metrics().Failovers)
 	}
 }

@@ -215,12 +215,18 @@ func classify(err error) verdict {
 // verdict, not a replica failure: no ejection, no failover. Satisfies
 // load.Server, so in-process load generation measures exactly this path.
 func (r *Router) ServeEncoded(ctx context.Context, id string, p core.Params) (serve.RawResponse, error) {
+	out := r.serveOne(ctx, id, p)
+	return out.RawResponse, out.Err
+}
+
+// serveOne is ServeEncoded keeping the outcome whole: its Reply, the body
+// Raw aliases, is for a caller done with Raw to recycle (the /run handler).
+func (r *Router) serveOne(ctx context.Context, id string, p core.Params) serve.BatchOutcome {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	r.requests.Add(1)
-	out := r.serveChainKeyed(ctx, itemOf(serve.IdentOf(id, p), admit.ClassFrom(ctx)), -1, nil, false)
-	return out.RawResponse, out.Err
+	return r.serveChainKeyed(ctx, itemOf(serve.IdentOf(id, p), admit.ClassFrom(ctx)), -1, nil, false)
 }
 
 // itemOf is the frame entry of an interned request served under class.
@@ -307,29 +313,24 @@ func (r *Router) serveChainKeyed(ctx context.Context, it serve.BatchItem, answer
 		it.Ident.Key(), len(chain), lastErr)}
 }
 
-// frameOfOne is the pooled one-entry frame an attempt is served through,
-// so a warm routed hit allocates neither the item nor, on an in-process
-// engine, its outcome.
-type frameOfOne struct {
-	items [1]serve.BatchItem
-	outs  [1]serve.BatchOutcome
-}
-
-var framePool = sync.Pool{New: func() any { return new(frameOfOne) }}
+// framePool holds the one-entry frames an attempt is served through, so
+// a warm routed hit allocates neither its item nor (getOuts) its outcome.
+var framePool = sync.Pool{New: func() any { return new([1]serve.BatchItem) }}
 
 // attempt is one exchange of a frame of one with backend b, run on the
-// calling goroutine under ctx. The frame goes back to its pool when the
-// exchange returns, which the Backend contract makes safe (a backend
-// keeps no reference to its items) and prompt (it returns once ctx ends).
+// calling goroutine under ctx. Frame and outcomes go back to their pools
+// when the exchange returns: safe and prompt by the Backend contract (no
+// item kept, the outcomes the caller's; it returns once ctx ends).
 func (r *Router) attempt(ctx context.Context, b int, it serve.BatchItem) serve.BatchOutcome {
-	f := framePool.Get().(*frameOfOne)
-	f.items[0] = it
-	outs, err := r.exchange(ctx, b, f.items[:], f.outs[:0])
+	f := framePool.Get().(*[1]serve.BatchItem)
+	f[0] = it
+	outs, err := r.exchange(ctx, b, f[:])
 	out := serve.BatchOutcome{Err: err}
 	if err == nil {
 		out = outs[0]
 	}
-	*f = frameOfOne{}
+	putOuts(outs)
+	*f = [1]serve.BatchItem{}
 	framePool.Put(f)
 	return out
 }
@@ -341,10 +342,10 @@ func (r *Router) attempt(ctx context.Context, b int, it serve.BatchItem) serve.B
 // scoreboard's latency sample (a completed exchange only: one cut short
 // by its context says nothing about serving latency). Bounding the
 // exchange and judging what its error means for the replica's health
-// stay with the caller, who knows whose context it runs under. A bare
-// in-process engine is served through its buffer-reusing multi-get,
-// into buf (nil: a fresh slice).
-func (r *Router) exchange(ctx context.Context, b int, items []serve.BatchItem, buf []serve.BatchOutcome) (outs []serve.BatchOutcome, err error) {
+// stay with the caller, who knows whose context it runs under, and so
+// does the outcome slice (putOuts once copied). A bare in-process engine
+// is served through its buffer-reusing multi-get, into a pooled slice.
+func (r *Router) exchange(ctx context.Context, b int, items []serve.BatchItem) (outs []serve.BatchOutcome, err error) {
 	n := int64(len(items))
 	r.batchSize.Observe(float64(n))
 	sc := &r.sb.scores[b]
@@ -352,7 +353,7 @@ func (r *Router) exchange(ctx context.Context, b int, items []serve.BatchItem, b
 	sc.inflight.Add(n)
 	t0 := time.Now()
 	if eng := sc.eng; eng != nil {
-		outs = eng.ServeEncodedBatchInto(ctx, items, buf)
+		outs = eng.ServeEncodedBatchInto(ctx, items, getOuts(len(items)))
 	} else {
 		outs, err = r.backends[b].DoBatch(ctx, items)
 	}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -232,7 +233,9 @@ func HandleBatch(w http.ResponseWriter, r *http.Request,
 		return
 	}
 	*buf = frame
+	// One Write of a known length: the reply is not chunked.
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
 	_, _ = w.Write(frame)
 }
 
