@@ -154,21 +154,22 @@ func putOuts(outs []serve.BatchOutcome) {
 // racing an owner that may be running the entry would run it twice.
 func (r *Router) serveOwnerBatch(ctx, xctx context.Context, owner int, idxs []int, sub, items []serve.BatchItem, out []serve.BatchOutcome) {
 	if r.admit(owner) {
-		outs, err := r.exchange(xctx, owner, sub)
+		outs, err := r.exchange(xctx, owner, sub, nil)
 		defer putOuts(outs)
 		switch {
 		case err == nil:
 			r.noteSuccess(owner)
+			batched := int64(0)
 			for j, i := range idxs {
-				o := outs[j]
+				o := &outs[j]
 				if o.Err == nil {
-					r.batched.Add(1)
-					out[i] = o
+					batched++
+					out[i] = *o
 					continue
 				}
 				switch classify(o.Err) {
 				case verdictCtx, verdictReturn:
-					out[i] = o
+					out[i] = *o
 				case verdictFailure:
 					// The chain walk's rule for an attempt that failed.
 					r.noteFailure(owner)
@@ -177,6 +178,7 @@ func (r *Router) serveOwnerBatch(ctx, xctx context.Context, owner int, idxs []in
 					out[i] = r.serveChainKeyed(ctx, items[i], owner, o.Err, true)
 				}
 			}
+			r.batched.Add(batched)
 			return
 		case ctx.Err() != nil:
 			// The caller is gone: final for every entry, no health blame.

@@ -11,7 +11,7 @@
 // an unhealthy or failing owner fail over — bounded — to the next
 // distinct ring positions, so one wedged replica degrades capacity
 // instead of availability. The router satisfies sweep.Server (through
-// ServeEncodedBatch), so POST /sweep fans out through it unchanged, and
+// ServeEncodedBatchInto), so POST /sweep fans out through it unchanged, and
 // internal/load measures it like any other target.
 package router
 
@@ -313,24 +313,31 @@ func (r *Router) serveChainKeyed(ctx context.Context, it serve.BatchItem, answer
 		it.Ident.Key(), len(chain), lastErr)}
 }
 
-// framePool holds the one-entry frames an attempt is served through, so
-// a warm routed hit allocates neither its item nor (getOuts) its outcome.
-var framePool = sync.Pool{New: func() any { return new([1]serve.BatchItem) }}
+// framePool holds the frames of one an attempt is served through, each with
+// the outcome a bare engine serves into: a warm routed hit allocates neither.
+var framePool = sync.Pool{New: func() any { return new(oneFrame) }}
+
+type oneFrame struct {
+	item [1]serve.BatchItem
+	out  [1]serve.BatchOutcome
+}
 
 // attempt is one exchange of a frame of one with backend b, run on the
 // calling goroutine under ctx. Frame and outcomes go back to their pools
 // when the exchange returns: safe and prompt by the Backend contract (no
 // item kept, the outcomes the caller's; it returns once ctx ends).
 func (r *Router) attempt(ctx context.Context, b int, it serve.BatchItem) serve.BatchOutcome {
-	f := framePool.Get().(*[1]serve.BatchItem)
-	f[0] = it
-	outs, err := r.exchange(ctx, b, f[:])
+	f := framePool.Get().(*oneFrame)
+	f.item[0] = it
+	outs, err := r.exchange(ctx, b, f.item[:], f.out[:0])
 	out := serve.BatchOutcome{Err: err}
 	if err == nil {
 		out = outs[0]
 	}
-	putOuts(outs)
-	*f = [1]serve.BatchItem{}
+	if r.sb.scores[b].eng == nil {
+		putOuts(outs)
+	}
+	*f = oneFrame{}
 	framePool.Put(f)
 	return out
 }
@@ -344,16 +351,16 @@ func (r *Router) attempt(ctx context.Context, b int, it serve.BatchItem) serve.B
 // exchange and judging what its error means for the replica's health
 // stay with the caller, who knows whose context it runs under, and so
 // does the outcome slice (putOuts once copied). A bare in-process engine
-// is served through its buffer-reusing multi-get, into a pooled slice.
-func (r *Router) exchange(ctx context.Context, b int, items []serve.BatchItem) (outs []serve.BatchOutcome, err error) {
+// serves an attempt straight into buf, the frame of one's own outcome.
+func (r *Router) exchange(ctx context.Context, b int, items []serve.BatchItem, buf []serve.BatchOutcome) (outs []serve.BatchOutcome, err error) {
 	n := int64(len(items))
 	r.batchSize.Observe(float64(n))
 	sc := &r.sb.scores[b]
 	sc.requests.Add(n)
 	sc.inflight.Add(n)
 	t0 := time.Now()
-	if eng := sc.eng; eng != nil {
-		outs = eng.ServeEncodedBatchInto(ctx, items, getOuts(len(items)))
+	if eng := sc.eng; eng != nil && buf != nil {
+		outs = eng.ServeEncodedBatchInto(ctx, items, buf)
 	} else {
 		outs, err = r.backends[b].DoBatch(ctx, items)
 	}

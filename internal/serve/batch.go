@@ -1,6 +1,6 @@
 package serve
 
-// The engine's multi-get surface: ServeEncodedBatch serves many
+// The engine's multi-get surface: ServeEncodedBatchInto serves many
 // (experiment, assignment, class) items in one call — interned warm hits
 // inline off the slab; misses, and items named by a bare map, dispatched
 // concurrently through the same singleflight + admission path single
@@ -26,7 +26,7 @@ import (
 	"repro/internal/httpapi"
 )
 
-// BatchItem is one request in a ServeEncodedBatch call.
+// BatchItem is one request in a ServeEncodedBatchInto call.
 type BatchItem struct {
 	// ID is the experiment to serve.
 	ID string
@@ -49,65 +49,62 @@ type BatchOutcome struct {
 	RawResponse RawResponse
 	Err         error
 	// Reply, set on the first outcome of a wire exchange, is the pooled
-	// reply body its OK siblings' Raw alias. Only ServeBatchFrame reads it,
-	// recycling the body once the response frame holds every payload; any
-	// other consumer drops it with the outcomes, to the GC.
+	// reply body its OK siblings' Raw alias. A parsed frame's release and
+	// the front-end's /run handler recycle it once the payloads are copied
+	// out; any other consumer drops it with the outcomes, to the GC.
 	Reply *[]byte
 }
 
-// ServeEncodedBatch serves every item and returns outcomes in item
-// order: interned hits inline, one slab read each; misses and map-only
-// items concurrently, through the cache check, singleflight and admission
-// a single request takes (serveMisses).
-// One item's failure never fails its siblings. The context carries the
-// caller's tenant, deadline, and cancellation; each item's class comes
-// from the item itself.
-func (e *Engine) ServeEncodedBatch(ctx context.Context, items []BatchItem) []BatchOutcome {
-	return e.ServeEncodedBatchInto(ctx, items, nil)
-}
-
-// ServeEncodedBatchInto is ServeEncodedBatch writing outcomes into a
-// caller-supplied buffer (reused when its capacity suffices, grown
-// otherwise) — the router serves an in-process attempt through a pooled
-// one-entry scratch instead of allocating its outcome per request. The
-// returned slice is valid until the caller's next reuse of buf.
+// ServeEncodedBatchInto serves every item and returns outcomes in item
+// order, in buf's storage when its capacity suffices: interned hits inline,
+// one slab read each (hitPass); misses and map-only items concurrently,
+// through the cache check, singleflight and admission a single request
+// takes (serveMisses). One item's failure never fails its siblings. The
+// context carries the caller's tenant, deadline, and cancellation; each
+// item's class comes from the item itself.
 func (e *Engine) ServeEncodedBatchInto(ctx context.Context, items []BatchItem, buf []BatchOutcome) []BatchOutcome {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := slices.Grow(buf[:0], len(items))[:len(items)]
-	clear(out)
-	var missIdx []int
 	tb := e.tenantBook(ctx)
 	// One clock read at the frame's arrival and one at each hit's end: a
 	// held value, as the single-request door keeps (clockIn), would mix
 	// latencies from different frame positions; a read is ~1 % of an entry.
 	t0 := e.now()
+	out, misses := e.hitPass(tb, t0, items, buf, nil)
+	if len(misses) > 0 {
+		e.serveMisses(ctx, tb, t0, items, out, misses)
+	}
+	return out
+}
+
+// hitPass is a batch's first pass, on the caller: it answers every
+// interned item whose key is in the cache (booked by serveHit) into the
+// outcomes it returns in buf's storage, and appends every other item's
+// index to misses — an interned miss's row holding its resolved key and
+// params for serveMisses, a map-only item's nothing yet.
+func (e *Engine) hitPass(tb *tenantCounters, t0 time.Duration, items []BatchItem, buf []BatchOutcome, misses []int) ([]BatchOutcome, []int) {
+	out := slices.Grow(buf[:0], len(items))[:len(items)]
+	clear(out)
 	for i := range items {
 		it := &items[i]
 		id := it.Ident
-		if id == nil { // a caller holding only a map: the miss pass resolves it
-			if missIdx == nil { // map-only items come many at once (a sweep's wave): size once
-				missIdx = make([]int, 0, len(items)-i)
-			}
-			missIdx = append(missIdx, i)
-			continue
-		}
-		if id.err != nil {
+		switch {
+		case id == nil: // a caller holding only a map: the miss pass resolves it
+		case id.err != nil:
 			out[i].Err = id.err
 			continue
-		}
-		if e.batchHit(tb, it, id.key, id.params, t0, &out[i]) {
+		case e.batchHit(tb, it, id.key, id.params, t0, &out[i]):
 			continue
+		default:
+			out[i].RawResponse = RawResponse{Key: id.key, Params: id.params}
 		}
-		// Stash the resolved key/params for the miss pass below.
-		out[i].RawResponse = RawResponse{Key: id.key, Params: id.params}
-		missIdx = append(missIdx, i)
+		if cap(misses) == 0 { // misses come many at once (a sweep's wave): size once
+			misses = make([]int, 0, len(items)-i)
+		}
+		misses = append(misses, i)
 	}
-	if len(missIdx) > 0 {
-		e.serveMisses(ctx, tb, t0, items, out, missIdx)
-	}
-	return out
+	return out, misses
 }
 
 // batchHit answers item it from the cache when its key is there, booked
@@ -239,12 +236,14 @@ func HandleBatch(w http.ResponseWriter, r *http.Request,
 	_, _ = w.Write(frame)
 }
 
-// frameScratch is ServeBatchFrame's pooled working set: the items, their
-// response rows and the outcomes serveFn writes.
+// frameScratch is a parsed frame's pooled working set: the items, their
+// response rows, the outcomes served into it and, on the replica stream,
+// the indices its hit pass left to the miss pass.
 type frameScratch struct {
 	items   []BatchItem
 	results []httpapi.BatchResult
 	outs    []BatchOutcome
+	misses  []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(frameScratch) }}
@@ -253,30 +252,31 @@ var scratchPool = sync.Pool{New: func() any { return new(frameScratch) }}
 // are copied into the response frame by now — then the scratch, cleared so
 // the pool pins nothing, unless a frame above 256 entries grew it.
 func (s *frameScratch) release() {
-	for _, o := range s.outs {
-		if o.Reply != nil {
-			httpapi.PutReplyBuffer(o.Reply)
+	for i := range s.outs {
+		if r := s.outs[i].Reply; r != nil {
+			httpapi.PutReplyBuffer(r)
 		}
 	}
 	if cap(s.results) <= 256 { // results has a row per entry: the largest
 		clear(s.items)
 		clear(s.results)
 		clear(s.outs)
-		*s = frameScratch{s.items[:0], s.results[:0], s.outs[:0]}
+		*s = frameScratch{s.items[:0], s.results[:0], s.outs[:0], s.misses[:0]}
 		scratchPool.Put(s)
 	}
 }
 
-// ServeBatchFrame is the frame routine both carriers share (POST /batch
-// and the replica stream): walk the A21B request frame in body, naming each
-// entry by its own bytes (Intern), serve them through serveFn, append the
-// A21R response frame to dst, an entry's error as the status and retry
-// hint httpapi.ErrorStatus gives it under fallback. The error is a frame
-// that does not decode — the one failure that answers the whole frame
-// instead of an entry. Nothing returned aliases body, which is read in
-// full before anything is appended, so dst may share its storage; the
-// outcomes' reply bodies (BatchOutcome.Reply) are recycled here, after
-// the response frame holds its copy of every payload.
+// ServeBatchFrame is POST /batch's frame routine (the replica stream runs
+// its halves, parseFrame and appendResponse, around its own hit and miss
+// passes): walk the A21B request frame in body, naming each entry by its
+// own bytes (Intern), serve them through serveFn, append the A21R response
+// frame to dst, an entry's error as the status and retry hint
+// httpapi.ErrorStatus gives it under fallback. The error is a frame that
+// does not decode — the one failure that answers the whole frame instead
+// of an entry. Nothing returned aliases body, which is read in full before
+// anything is appended, so dst may share its storage; the outcomes' reply
+// bodies (BatchOutcome.Reply) are recycled here, after the response frame
+// holds its copy of every payload.
 func ServeBatchFrame(ctx context.Context, body, dst []byte,
 	serveFn func(context.Context, []BatchItem, []BatchOutcome) []BatchOutcome, fallback int) ([]byte, error) {
 	s, err := parseFrame(body)
@@ -315,7 +315,8 @@ func parseFrame(body []byte) (*frameScratch, error) {
 // appendResponse appends the A21R response frame of s's outcomes to dst.
 func (s *frameScratch) appendResponse(dst []byte, fallback int) []byte {
 	results, i := s.results, -1
-	for _, o := range s.outs {
+	for k := range s.outs {
+		o := &s.outs[k]
 		for i++; results[i].Status != 0; i++ { // on to the next entry not rejected by parseFrame
 		}
 		if o.Err != nil {

@@ -1,7 +1,7 @@
 package serve
 
 // Tests for the engine's multi-get surface: per-class and per-tenant
-// conservation through ServeEncodedBatch (batched accounting must be
+// conservation through ServeEncodedBatchInto (batched accounting must be
 // indistinguishable from single-request accounting), per-entry error
 // isolation, and the POST /batch frame round trip over HTTP.
 
@@ -58,7 +58,7 @@ func TestServeEncodedBatchConservation(t *testing.T) {
 				// fail resolution before the request is counted.
 				items = append(items, BatchItem{ID: "NOPE", Params: core.Params{"x": 1}})
 				ctx := admit.WithTenant(context.Background(), fmt.Sprintf("t%d", g%3))
-				for i, out := range e.ServeEncodedBatch(ctx, items) {
+				for i, out := range e.ServeEncodedBatchInto(ctx, items, nil) {
 					if i == len(items)-1 {
 						if out.Err == nil {
 							t.Error("invalid entry served without error")
@@ -253,7 +253,7 @@ func TestMapOnlyFrameBooksLikeInterned(t *testing.T) {
 		within(t, "the 64-item frame", func() {
 			done := make(chan struct{})
 			go func() {
-				out = e.ServeEncodedBatch(ctx, frame)
+				out = e.ServeEncodedBatchInto(ctx, frame, nil)
 				close(done)
 			}()
 			<-held

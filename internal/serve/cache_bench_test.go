@@ -231,7 +231,7 @@ func coldWave(items []BatchItem, n int, fresh *int) []BatchItem {
 }
 
 // What dispatch costs a cold point, and its floor: BenchmarkColdWave serves
-// waves of fresh E7 points through ServeEncodedBatch into a 4 MiB cache
+// waves of fresh E7 points through ServeEncodedBatchInto into a 4 MiB cache
 // (resolve, miss pass, singleflight, admission, run, Encode, Set, books);
 // BenchmarkColdFloor does the same points' RunWith + Encode + Set on
 // Workers() bare goroutines. ns/point of the first over the second is the
@@ -248,7 +248,7 @@ func BenchmarkColdWave(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				items = coldWave(items, wave, &fresh)
-				for _, o := range e.ServeEncodedBatch(ctx, items) {
+				for _, o := range e.ServeEncodedBatchInto(ctx, items, nil) {
 					if o.Err != nil || o.RawResponse.CacheHit {
 						b.Fatalf("cold point: hit=%v err=%v", o.RawResponse.CacheHit, o.Err)
 					}

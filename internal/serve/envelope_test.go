@@ -235,7 +235,7 @@ func TestTailBuiltOnlyByJSONHit(t *testing.T) {
 		if _, err := e.ServeEncoded(ctx, "E7", nil); err != nil {
 			t.Fatal(err)
 		}
-		e.ServeEncodedBatch(ctx, []BatchItem{{ID: "E7"}, {ID: "E5"}})
+		e.ServeEncodedBatchInto(ctx, []BatchItem{{ID: "E7"}, {ID: "E5"}}, nil)
 		for _, f := range []string{"bin", "text", "csv"} {
 			if rec := serveGET(h, "/run/E7?format="+f); rec.Code != http.StatusOK {
 				t.Fatalf("format=%s: %d", f, rec.Code)
@@ -260,7 +260,7 @@ func TestTailBuiltOnlyByJSONHit(t *testing.T) {
 	if rec := serveGET(h, "/run/E7?format=bin"); !bytes.Equal(rec.Body.Bytes(), payload) {
 		t.Error("format=bin body is not the payload after the tail was attached")
 	}
-	if out := e.ServeEncodedBatch(ctx, []BatchItem{{ID: "E7"}}); !bytes.Equal(out[0].RawResponse.Raw, payload) {
+	if out := e.ServeEncodedBatchInto(ctx, []BatchItem{{ID: "E7"}}, nil); !bytes.Equal(out[0].RawResponse.Raw, payload) {
 		t.Error("batch payload changed after the tail was attached")
 	}
 	if err := e.SaveSnapshot(); err != nil {
@@ -351,8 +351,8 @@ func TestEnvelopeHammerConservation(t *testing.T) {
 						t.Errorf("text %s differs from Render()", path)
 					}
 				case 4:
-					for _, o := range e.ServeEncodedBatch(context.Background(),
-						[]BatchItem{{ID: tg.id, Params: tg.params, Class: admit.Batch}, {ID: "E7"}}) {
+					for _, o := range e.ServeEncodedBatchInto(context.Background(),
+						[]BatchItem{{ID: tg.id, Params: tg.params, Class: admit.Batch}, {ID: "E7"}}, nil) {
 						if o.Err != nil {
 							t.Errorf("batch: %v", o.Err)
 						}

@@ -106,7 +106,7 @@ func TestWarmHitClockSampling(t *testing.T) {
 	t.Run("first", func(t *testing.T) {
 		e := newEngine()
 		defer e.Close()
-		if out := e.ServeEncodedBatch(ctx, []BatchItem{{ID: "A", Ident: IdentOf("A", nil)}}); out[0].Err != nil {
+		if out := e.ServeEncodedBatchInto(ctx, []BatchItem{{ID: "A", Ident: IdentOf("A", nil)}}, nil); out[0].Err != nil {
 			t.Fatal(out[0].Err)
 		}
 		if n := e.clocks[0].n.Load(); n != 0 {

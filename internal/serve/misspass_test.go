@@ -92,7 +92,7 @@ func TestMissPassRunsWorkersAtOnceAndNoMore(t *testing.T) {
 	within(t, "the 64-miss frame", func() {
 		done := make(chan struct{})
 		go func() {
-			out = e.ServeEncodedBatch(context.Background(), coldItems(64, admit.Batch))
+			out = e.ServeEncodedBatchInto(context.Background(), coldItems(64, admit.Batch), nil)
 			close(done)
 		}()
 		for i := 0; i < 4; i++ {
@@ -147,7 +147,7 @@ func TestMissPassDedupesARepeatedKey(t *testing.T) {
 	within(t, "the frame with a repeated key", func() {
 		done := make(chan struct{})
 		go func() {
-			out = e.ServeEncodedBatch(context.Background(), []BatchItem{{ID: "K1"}, {ID: "K1"}})
+			out = e.ServeEncodedBatchInto(context.Background(), []BatchItem{{ID: "K1"}, {ID: "K1"}}, nil)
 			close(done)
 		}()
 		<-g.entered
@@ -174,7 +174,7 @@ func TestMissPassBooksEachItemUnderItsClass(t *testing.T) {
 	for i := 0; i < 10; i += 3 { // items 0, 3, 6, 9
 		items[i].Class = admit.Interactive
 	}
-	for _, o := range e.ServeEncodedBatch(admit.WithClass(context.Background(), admit.Batch), items) {
+	for _, o := range e.ServeEncodedBatchInto(admit.WithClass(context.Background(), admit.Batch), items, nil) {
 		if o.Err != nil {
 			t.Fatal(o.Err)
 		}
@@ -200,7 +200,7 @@ func TestMissPassCancelShedsWhatHasNotStarted(t *testing.T) {
 	within(t, "the canceled frame", func() {
 		done := make(chan struct{})
 		go func() {
-			out = e.ServeEncodedBatch(ctx, coldItems(8, admit.Batch))
+			out = e.ServeEncodedBatchInto(ctx, coldItems(8, admit.Batch), nil)
 			close(done)
 		}()
 		<-g.entered
@@ -230,7 +230,7 @@ func TestMissPassPanicFailsOneItem(t *testing.T) {
 		return fakeResult(id), nil
 	})})
 	defer e.Close()
-	for i, o := range e.ServeEncodedBatch(context.Background(), coldItems(5, admit.Interactive)) {
+	for i, o := range e.ServeEncodedBatchInto(context.Background(), coldItems(5, admit.Interactive), nil) {
 		if bad := i == 2; (o.Err != nil) != bad || bad && !strings.Contains(o.Err.Error(), "model blew up") {
 			t.Fatalf("item %d: err = %v", i, o.Err)
 		}

@@ -49,8 +49,8 @@ func TestScratchMissRawSurvivesNextBatch(t *testing.T) {
 		}})
 	defer e.Close()
 	var kept []BatchOutcome
-	within(t, "the first batch", func() { kept = e.ServeEncodedBatch(context.Background(), first) })
-	within(t, "the second batch", func() { e.ServeEncodedBatch(context.Background(), e7Points(64, 1e-4)) })
+	within(t, "the first batch", func() { kept = e.ServeEncodedBatchInto(context.Background(), first, nil) })
+	within(t, "the second batch", func() { e.ServeEncodedBatchInto(context.Background(), e7Points(64, 1e-4), nil) })
 	exp, _ := core.ByID("E7")
 	for i, o := range kept {
 		res, _, err := exp.RunWith(context.Background(), first[i].Params)
@@ -155,7 +155,7 @@ func TestColdMapOnlyPointAllocs(t *testing.T) {
 	// A first batch gives every shard its arena and index; AllocsPerRun
 	// then calls f runs+1 times, each on a point of its own.
 	points := e7Points(warm+runs+1, 0)
-	e.ServeEncodedBatch(ctx, points[:warm])
+	e.ServeEncodedBatchInto(ctx, points[:warm], nil)
 	k := warm
 	out := make([]BatchOutcome, 1)
 	serveNext := func() {

@@ -2,10 +2,10 @@ package serve
 
 // The replica end of the stream carrier (wire contract in
 // internal/httpapi/stream.go): GET /stream upgrades the connection, after
-// which request messages are served through the frame routine POST /batch
-// uses and answered by id: a frame of one that hits on the reader itself,
-// any other on a goroutine of its own, so a slow miss never holds up a
-// warm hit queued behind it.
+// which request messages are answered by id through one routine: the
+// reader parses each frame once and serves its hits itself, and only a
+// frame's misses get a goroutine, so a slow miss never holds up a warm
+// hit queued behind it.
 
 import (
 	"bufio"
@@ -127,84 +127,71 @@ func (s *replicaStream) serve(br *bufio.Reader) {
 			s.mu.Unlock()
 			<-sem
 		case kind == httpapi.StreamRequest:
-			if s.answerHit(id, in) {
+			if !s.request(ctx, id, in, sem) {
 				<-sem
-				continue
 			}
-			fctx, fcancel := context.WithCancel(ctx)
-			s.mu.Lock()
-			s.cancels[id] = fcancel
-			s.mu.Unlock()
-			s.frames.Add(1)
-			go func() {
-				defer s.frames.Done()
-				s.serveFrame(fctx, id, in)
-				s.mu.Lock()
-				delete(s.cancels, id)
-				s.mu.Unlock()
-				fcancel()
-				<-sem
-			}()
 		default:
 			return
 		}
 	}
 }
 
-// answerHit answers on the reader a request message, the body in buf,
-// whose frame is one entry that hits (batchHit), and reports whether it
-// did: no context, cancel entry or goroutine. Anything else goes to
-// serveFrame, which parses it again: batchHit books nothing on a miss,
-// and a miss's own execution dwarfs the second parse.
-func (s *replicaStream) answerHit(id uint32, buf *[]byte) bool {
+// request serves one request message, the body in buf. The envelope and
+// frame are parsed once, here on the reader, and the frame's hit pass runs
+// here too: a frame that is all hits (or does not parse) is answered on
+// the spot, with no context, cancel entry or goroutine. A frame with
+// misses registers its cancel and hands its misses, with the parsed
+// scratch, to a goroutine that serves them under the envelope's context,
+// answers, and frees the frame's slot in sem — so a slow miss never holds
+// up a warm hit queued behind it. It reports whether it started one.
+func (s *replicaStream) request(ctx context.Context, id uint32, buf *[]byte, sem chan struct{}) bool {
 	env, frame, err := httpapi.ParseStreamRequest(*buf)
+	var fs *frameScratch
+	if err == nil {
+		fs, err = parseFrame(frame)
+	}
 	if err != nil {
+		s.reply(id, buf, nil, err)
 		return false
 	}
-	if w, err := httpapi.WalkBatchRequest(frame); err != nil || w.Len() != 1 {
+	tb, t0 := s.e.tenantBookOf(env.Tenant), s.e.now()
+	if fs.outs, fs.misses = s.e.hitPass(tb, t0, fs.items, fs.outs, fs.misses); len(fs.misses) == 0 {
+		s.reply(id, buf, fs, nil)
 		return false
 	}
-	fs, err := parseFrame(frame)
-	if err != nil {
-		return false
-	}
-	defer fs.release()
-	if len(fs.items) != 1 || fs.items[0].Ident.err != nil {
-		return false
-	}
-	it := &fs.items[0]
-	fs.outs = append(fs.outs[:0], BatchOutcome{})
-	if !s.e.batchHit(s.e.tenantBookOf(env.Tenant), it, it.Ident.key, it.Ident.params, s.e.now(), &fs.outs[0]) {
-		return false
-	}
-	const hdr = httpapi.StreamHeaderLen
-	s.send(id, httpapi.StreamReply, buf, fs.appendResponse(slices.Grow((*buf)[:0], hdr)[:hdr], http.StatusInternalServerError))
+	fctx, fcancel := context.WithCancel(ctx)
+	s.mu.Lock()
+	s.cancels[id] = fcancel
+	s.mu.Unlock()
+	s.frames.Add(1)
+	go func() {
+		defer s.frames.Done()
+		ectx, cancel := env.Context(fctx)
+		s.e.serveMisses(ectx, tb, t0, fs.items, fs.outs, fs.misses)
+		cancel()
+		s.reply(id, buf, fs, nil)
+		s.mu.Lock()
+		delete(s.cancels, id)
+		s.mu.Unlock()
+		fcancel()
+		<-sem
+	}()
 	return true
 }
 
-// serveFrame serves one request message, the body in buf, and writes its
-// reply from the same pooled buffer, over the body: ServeBatchFrame has
-// read all of the frame before it appends, and the header goes in last.
-func (s *replicaStream) serveFrame(ctx context.Context, id uint32, buf *[]byte) {
+// reply answers message id with fs's response frame (and releases fs),
+// or with err as a whole-frame error, built in buf's storage over the body
+// parseFrame has read in full, the header written last into the room left
+// at the front; buf goes back to its pool.
+func (s *replicaStream) reply(id uint32, buf *[]byte, fs *frameScratch, err error) {
 	const hdr = httpapi.StreamHeaderLen
-	kind := httpapi.StreamReply
-	env, frame, err := httpapi.ParseStreamRequest(*buf)
-	msg := slices.Grow((*buf)[:0], hdr)[:hdr] // the header's room: the body's first bytes, written last
-	if err == nil {
-		ectx, cancel := env.Context(ctx)
-		msg, err = ServeBatchFrame(ectx, frame, msg, s.e.ServeEncodedBatchInto, http.StatusInternalServerError)
-		cancel()
-	}
+	msg, kind := slices.Grow((*buf)[:0], hdr)[:hdr], httpapi.StreamReply
 	if err != nil {
-		kind = httpapi.StreamError
-		msg = httpapi.AppendStreamError(msg[:hdr], http.StatusBadRequest, err.Error())
+		msg, kind = httpapi.AppendStreamError(msg, http.StatusBadRequest, err.Error()), httpapi.StreamError
+	} else {
+		msg = fs.appendResponse(msg, http.StatusInternalServerError)
+		fs.release()
 	}
-	s.send(id, kind, buf, msg)
-}
-
-// send writes msg, built in buf's storage with the header's room in
-// front, as message id of kind, and gives buf back to its pool.
-func (s *replicaStream) send(id uint32, kind byte, buf *[]byte, msg []byte) {
 	defer httpapi.PutBuffer(buf)
 	httpapi.PutStreamHeader(msg, id, kind)
 	*buf = msg

@@ -262,6 +262,74 @@ func TestStreamOutOfOrderAndCancel(t *testing.T) {
 	}
 }
 
+// A frame that mixes hits and misses has its hits served on the reader and
+// only its miss handed on: an all-hit frame behind it is answered while the
+// miss is held, the mixed reply carries the hits as hits, every entry is
+// booked once, and a cancel of a mixed frame reaches only its miss's runner.
+func TestStreamMixedFrames(t *testing.T) {
+	g := &gateRunner{release: make(chan struct{})}
+	e := NewEngine(Config{Shards: 4, Workers: 2, RunnerWith: g.run})
+	defer e.Close()
+	srv := httptest.NewServer(e.Handler())
+	defer srv.Close()
+	s := dialStream(t, srv)
+
+	warm := make([]httpapi.BatchEntry, 16)
+	for i := range warm {
+		warm[i] = httpapi.BatchEntry{ID: fmt.Sprintf("warm%d", i)}
+	}
+	s.request(1, httpapi.Envelope{}, warm...)
+	s.okReply(1)
+	s.request(2, httpapi.Envelope{}, warm[0], warm[1], warm[2], httpapi.BatchEntry{ID: "slow-a"})
+	waitFor(t, func() bool { return g.started.Load() == 1 })
+	s.request(3, httpapi.Envelope{}, warm...)
+	for i, r := range s.okReply(3) { // arrives while 2's miss is held
+		if !r.CacheHit {
+			t.Fatalf("all-hit frame entry %d was not a hit", i)
+		}
+	}
+
+	s.request(4, httpapi.Envelope{}, warm[3], warm[4], warm[5], httpapi.BatchEntry{ID: "slow-b"})
+	waitFor(t, func() bool { return g.started.Load() == 2 })
+	s.cancel(4)
+	waitFor(t, func() bool { return g.canceled.Load() == 1 })
+	id, kind, body, err := s.reply()
+	if err != nil || id != 4 || kind != httpapi.StreamReply {
+		t.Fatalf("canceled frame answered (id %d, kind %d, %v)", id, kind, err)
+	}
+	results, err := httpapi.DecodeBatchResponse(body)
+	if err != nil || len(results) != 4 || results[3].OK {
+		t.Fatalf("canceled frame = %+v (%v), want its miss failed", results, err)
+	}
+	for i, r := range results[:3] {
+		if !r.OK || !r.CacheHit {
+			t.Fatalf("canceled frame's entry %d = %+v, want a hit", i, r)
+		}
+	}
+
+	close(g.release)
+	results = s.okReply(2)
+	for i, r := range results {
+		if r.CacheHit != (i < 3) {
+			t.Fatalf("mixed frame entry %d: cache_hit %v", i, r.CacheHit)
+		}
+	}
+	if n := g.canceled.Load(); n != 1 {
+		t.Fatalf("%d runners canceled, want only the canceled frame's", n)
+	}
+
+	var requests, hits int64
+	for class, c := range e.Metrics().Classes {
+		if err := c.Balance(); err != nil {
+			t.Fatalf("class %s books do not balance: %v", class, err)
+		}
+		requests, hits = requests+c.Requests, hits+c.CacheHits
+	}
+	if requests != 40 || hits != 22 {
+		t.Fatalf("books read %d requests, %d hits; want 40 and 22, each entry once", requests, hits)
+	}
+}
+
 // The upgrade's refusals: no Upgrade header or a ResponseWriter that
 // cannot be hijacked is a definitive 426; a closed engine drops the
 // connection without a 101 (a transport failure to the dialer).

@@ -251,14 +251,14 @@ func (sp Spec) Grid() []core.Params {
 }
 
 // Server is the serving surface a sweep fans out over: a multi-get that
-// serves many (experiment, assignment) points in one call. serve.Engine
-// satisfies it, and so does router.Router — which is how a POST /sweep
-// against a routing front-end lands each grid point on its owning replica,
-// one wave becoming one batch exchange per replica instead of a request
-// per point. Placement and memoization are those of a single request, so
-// exactly-once cluster-wide is preserved.
+// serves many (experiment, assignment) points in one call, into a reusable
+// outcome buffer. serve.Engine satisfies it, and so does router.Router —
+// which is how a POST /sweep against a routing front-end lands each grid
+// point on its owning replica, one wave becoming one batch exchange per
+// replica instead of a request per point. Placement and memoization are
+// those of a single request, so exactly-once cluster-wide is preserved.
 type Server interface {
-	ServeEncodedBatch(ctx context.Context, items []serve.BatchItem) []serve.BatchOutcome
+	ServeEncodedBatchInto(ctx context.Context, items []serve.BatchItem, buf []serve.BatchOutcome) []serve.BatchOutcome
 }
 
 // Point is one completed grid point, as streamed to the caller.
@@ -309,11 +309,11 @@ type Summary struct {
 // Run executes the sweep on the server (an engine or a router), streaming
 // each completed point to emit (in grid order) and returning the
 // aggregate. The grid is served in sequential waves of 2*Parallelism
-// points, each wave one ServeEncodedBatch call: within a wave points run
-// concurrently (bounded by the server's own miss fan-out and, for cold
-// compute, by the engine's admission scheduler), and a wave's points
-// stream before the next wave ships, so output is deterministic. A nil
-// emit just skips streaming. The first point error aborts the sweep.
+// points, each wave one ServeEncodedBatchInto call into one buffer: within
+// a wave points run concurrently (bounded by the server's own miss fan-out
+// and, for cold compute, by the engine's admission scheduler), and a wave's
+// points stream before the next wave ships, so output is deterministic. A
+// nil emit just skips streaming. The first point error aborts the sweep.
 //
 // Grid points run as batch class (unless ctx carries an explicit class
 // already): a sweep is bulk work, and the engine's scheduler must never
@@ -353,6 +353,7 @@ func Run(ctx context.Context, srv Server, sp Spec, emit func(Point) error) (Summ
 	sum := Summary{ID: sp.ID, Points: len(grid)}
 	points := make([]Point, 0, len(grid))
 	items := make([]serve.BatchItem, 0, wave)
+	var outs []serve.BatchOutcome
 	var text paramsText
 	if emit != nil {
 		text = newParamsText(sp.Axes)
@@ -366,8 +367,9 @@ func Run(ctx context.Context, srv Server, sp Spec, emit func(Point) error) (Summ
 		for i := lo; i < hi; i++ {
 			items = append(items, serve.BatchItem{ID: sp.ID, Params: grid[i], Class: class})
 		}
-		for j, out := range srv.ServeEncodedBatch(ctx, items) {
-			i := lo + j
+		outs = srv.ServeEncodedBatchInto(ctx, items, outs)
+		for j := range outs {
+			out, i := &outs[j], lo+j
 			if out.Err != nil {
 				return Summary{}, fmt.Errorf("sweep: %s point %d: %w", sp.ID, i, out.Err)
 			}
