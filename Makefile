@@ -140,15 +140,18 @@ loadtest-smoke:
 # size prints non-test lines (wc -l) per serving-stack package and their
 # sum: the number ROADMAP's "least code" aim tracks, then the module's
 # non-test Go lines outside bench/ (and outside dot-directories such as
-# .bench_build/). CI prints it in its summary next to the coverage figure;
-# nothing gates on it.
+# .bench_build/), then the test lines of serve and router, where the
+# serving stack's tests live. CI prints it in its summary next to the
+# coverage figure; nothing gates on it.
 size:
 	@total=0; for p in serve router load httpapi obs admit sweep qos; do \
 		n=$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l); \
 		printf '%-8s %6d\n' $$p $$n; total=$$((total + n)); done; \
 	printf '%-8s %6d\n' total $$total; \
 	n=$$(find . \( -path ./bench -o -name '.?*' \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
-	printf '%-8s %6d  (non-test Go lines outside bench/)\n' module $$n
+	printf '%-8s %6d  (non-test Go lines outside bench/)\n' module $$n; \
+	n=$$(cat internal/serve/*_test.go internal/router/*_test.go | wc -l); \
+	printf '%-8s %6d  (serve + router test lines)\n' tests $$n
 
 # cover prints total statement coverage (CI enforces the floor).
 cover:

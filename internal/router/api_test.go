@@ -66,6 +66,7 @@ func TestErrorEnvelopeBothFrontEnds(t *testing.T) {
 		{"bad deadline header", "GET", "/run/E7", http.StatusBadRequest, httpapi.CodeBadRequest},
 		{"bad events cursor", "GET", "/events?since=abc", http.StatusBadRequest, httpapi.CodeBadRequest},
 		{"bad control body", "POST", "/control", http.StatusBadRequest, httpapi.CodeBadRequest},
+		{"junk batch frame", "POST", "/batch", http.StatusBadRequest, httpapi.CodeBadRequest},
 	}
 	for _, fe := range fronts {
 		for _, prefix := range []string{"", "/v1"} {

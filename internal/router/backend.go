@@ -70,10 +70,6 @@ func (b *EngineBackend) Check() error { return nil }
 // Name implements Backend.
 func (b *EngineBackend) Name() string { return b.name }
 
-// Engine exposes the wrapped engine (tests inspect per-replica
-// execution counts through it).
-func (b *EngineBackend) Engine() *serve.Engine { return b.eng }
-
 // Control implements Controller: apply the raw control body to the
 // in-process engine and return the ack JSON.
 func (b *EngineBackend) Control(_ context.Context, body []byte) ([]byte, error) {

@@ -1,26 +1,20 @@
 package router
 
 // Tests for the batched data plane: the routed request's books, the
-// pre-assembled frames of ServeEncodedBatch, the wire client
-// (HTTPBackend.DoBatch against a live replica handler), and the
-// front-end's POST /batch route.
+// pre-assembled frames of ServeEncodedBatch and their fallbacks. What
+// every frame server shares — HTTPBackend.DoBatch and the front-end's
+// POST /v1/batch among them — is the conformance suite's.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/admit"
 	"repro/internal/core"
-	"repro/internal/httpapi"
 	"repro/internal/serve"
 )
 
@@ -91,30 +85,17 @@ func TestServeEncodedBatchClassBooksBalance(t *testing.T) {
 // each replica sees it once, and that is one failover.
 func TestServeEncodedBatchAnsweredEntryFailsOverPastOwner(t *testing.T) {
 	eng := newTestEngine(t)
-	var calls [2]atomic.Int64
-	owner := -1
-	backends := make([]Backend, 2)
-	for i := range backends {
-		backends[i] = backendFunc{name: fmt.Sprintf("b%d", i),
-			do: func(ctx context.Context, id string, p core.Params) (serve.Response, error) {
-				calls[i].Add(1)
-				if i == owner {
-					return serve.Response{}, &admit.ShedError{Class: admit.ClassFrom(ctx), RetryAfter: time.Second}
-				}
-				return eng.ServeWith(ctx, id, p)
-			}}
-	}
-	r, err := New(backends, Config{})
+	owner := &answerBackend{err: &admit.ShedError{Class: admit.Batch, RetryAfter: time.Second}}
+	r, err := New([]Backend{owner, NewEngineBackend(eng, "engine[1]")}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner = ownerOf(r, "E7", nil)
-	ctx := admit.WithClass(context.Background(), admit.Batch)
-	outs := r.ServeEncodedBatch(ctx, []serve.BatchItem{{ID: "E7", Class: admit.Batch}})
-	if outs[0].Err != nil || outs[0].RawResponse.ID != "E7" {
-		t.Fatalf("entry: id %q err %v, want E7 served by the successor", outs[0].RawResponse.ID, outs[0].Err)
+	id := keyOwnedBy(t, r, 0)
+	outs := r.ServeEncodedBatch(context.Background(), []serve.BatchItem{{ID: id, Class: admit.Batch}})
+	if outs[0].Err != nil || outs[0].RawResponse.ID != id {
+		t.Fatalf("entry: id %q err %v, want %s served by the successor", outs[0].RawResponse.ID, outs[0].Err, id)
 	}
-	if o, s := calls[owner].Load(), calls[1-owner].Load(); o != 1 || s != 1 {
+	if o, s := owner.entries.Load(), eng.Metrics().Requests; o != 1 || s != 1 {
 		t.Fatalf("owner saw the entry %d times, successor %d; want 1 and 1", o, s)
 	}
 	if got := r.Metrics().Failovers; got != 1 {
@@ -199,131 +180,11 @@ func TestLostFrameFallbackNeverHedges(t *testing.T) {
 	}
 }
 
-// HTTPBackend.DoBatch against a live replica: one POST /v1/batch
-// exchange serves every entry, per-entry errors come back as
-// replica answers the router taxonomy classifies like single
-// requests, and payloads decode.
-func TestHTTPBackendDoBatch(t *testing.T) {
-	eng := serve.NewEngine(serve.Config{Shards: 4, Workers: 2})
-	defer eng.Close()
-	srv := httptest.NewServer(eng.Handler())
-	defer srv.Close()
-	b := NewHTTPBackend(srv.URL)
-
-	items := []serve.BatchItem{
-		{ID: "E7", Class: admit.Interactive},
-		{ID: "E1", Class: admit.Batch},
-		{ID: "NOPE", Class: admit.Interactive},
-	}
-	outs, err := b.DoBatch(context.Background(), items)
-	if err != nil {
-		t.Fatalf("DoBatch: %v", err)
-	}
-	if len(outs) != len(items) {
-		t.Fatalf("got %d outcomes, want %d", len(outs), len(items))
-	}
-	for i := 0; i < 2; i++ {
-		if outs[i].Err != nil {
-			t.Fatalf("entry %d: %v", i, outs[i].Err)
-		}
-		rr := outs[i].RawResponse
-		if rr.ID != items[i].ID || rr.Key == "" {
-			t.Fatalf("entry %d: bad identity %+v", i, rr)
-		}
-		if _, err := rr.Result(); err != nil {
-			t.Fatalf("entry %d: bad payload: %v", i, err)
-		}
-	}
-	if outs[2].Err == nil {
-		t.Fatal("unknown experiment served without error")
-	}
-	if replicaStatus(outs[2].Err) != http.StatusNotFound {
-		t.Fatalf("unknown experiment error = %v, want embedded 404", outs[2].Err)
-	}
-	if v := classify(outs[2].Err); v != verdictReturn {
-		t.Fatalf("404 entry classifies as %d, want verdictReturn", v)
-	}
-
-	// Repeat: every entry is the replica's cache hit, carried in the
-	// outcome word.
-	outs, err = b.DoBatch(context.Background(), items[:2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range outs {
-		if o.Err != nil || !o.RawResponse.CacheHit {
-			t.Fatalf("repeat entry %d not a cache hit: %+v", i, o)
-		}
-	}
-}
-
-// The front-end's POST /batch: a frame in, per-entry outcomes out,
-// served through the routed batch plane (placement intact).
-func TestRouterBatchEndpoint(t *testing.T) {
-	r, engines := newRegistryCluster(t, 3, "", Config{})
-	defer func() {
-		for _, e := range engines {
-			e.Close()
-		}
-	}()
-	srv := httptest.NewServer(r.Handler())
-	defer srv.Close()
-
-	entries := []httpapi.BatchEntry{
-		{ID: "E7", Class: admit.Batch},
-		{ID: "E7", Class: admit.Batch, Params: []string{"f=0.95"}},
-		{ID: "E1", Class: admit.Batch},
-		// Params on an unknown ID fail resolution before admission, so
-		// the entry answers 404 in-frame without an engine request.
-		{ID: "NOPE", Class: admit.Interactive, Params: []string{"x=1"}},
-	}
-	frame := httpapi.AppendBatchRequest(nil, entries)
-	resp, err := http.Post(srv.URL+"/v1/batch", "application/octet-stream", bytes.NewReader(frame))
-	if err != nil {
-		t.Fatalf("POST /v1/batch: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("HTTP %d", resp.StatusCode)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := httpapi.DecodeBatchResponse(body)
-	if err != nil {
-		t.Fatalf("DecodeBatchResponse: %v", err)
-	}
-	if len(results) != len(entries) {
-		t.Fatalf("got %d results, want %d", len(results), len(entries))
-	}
-	for i := 0; i < 3; i++ {
-		if !results[i].OK {
-			t.Fatalf("entry %d: HTTP %d: %s", i, results[i].Status, results[i].Msg)
-		}
-	}
-	if r := results[3]; r.OK || r.Status != http.StatusNotFound {
-		t.Fatalf("unknown-ID entry: %+v, want 404", r)
-	}
-	// The three served entries were answered inside their owners' frames,
-	// and each landed on its ring owner (books on the engines sum to the
-	// served entries).
-	if got := r.batched.Load(); got != 3 {
-		t.Fatalf("%d entries answered inside a frame, want 3", got)
-	}
-	var engReqs int64
-	for _, e := range engines {
-		engReqs += e.Metrics().Requests
-	}
-	if engReqs != 3 {
-		t.Fatalf("engines saw %d requests, want 3", engReqs)
-	}
-}
-
 // ServeEncodedBatch keeps its books whether a frame has one owner (served
 // on the caller's goroutine) or several (one goroutine each): outcomes in
-// item order, one batch-size observation per owner,
-// every entry counted toward its owner, nothing left in flight.
+// item order, every entry counted as answered inside a frame, one
+// batch-size observation per owner, every entry counted toward its owner,
+// nothing left in flight.
 func TestServeEncodedBatchBooksPerOwner(t *testing.T) {
 	r, engines := newRegistryCluster(t, 3, "", Config{})
 	defer func() {
@@ -342,13 +203,16 @@ func TestServeEncodedBatchBooksPerOwner(t *testing.T) {
 		if (len(perOwner) == 1) != (frameIDs[0] == frameIDs[1]) {
 			t.Fatalf("frame %v spans %d owners", frameIDs, len(perOwner))
 		}
-		before, sizes := r.Metrics(), r.batchSize.Snapshot()
+		before, sizes, batched := r.Metrics(), r.batchSize.Snapshot(), r.batched.Load()
 		for i, o := range r.ServeEncodedBatch(context.Background(), items) {
 			if o.Err != nil || o.RawResponse.ID != frameIDs[i] {
 				t.Fatalf("outcome %d: id %q err %v, want %s", i, o.RawResponse.ID, o.Err, frameIDs[i])
 			}
 		}
 		after, snap := r.Metrics(), r.batchSize.Snapshot()
+		if got := r.batched.Load() - batched; got != int64(len(items)) {
+			t.Errorf("%d entries answered inside a frame, want %d", got, len(items))
+		}
 		if snap.Count-sizes.Count != uint64(len(perOwner)) || snap.Sum-sizes.Sum != float64(len(items)) {
 			t.Errorf("%d owners: batch_size saw %d flushes of %v entries, want %d of %d",
 				len(perOwner), snap.Count-sizes.Count, snap.Sum-sizes.Sum, len(perOwner), len(items))
@@ -364,53 +228,28 @@ func TestServeEncodedBatchBooksPerOwner(t *testing.T) {
 	}
 }
 
-// An attempt whose frame fails as a whole (transport error) must fail
-// over: the request still completes through the chain on a sibling,
-// and the dead replica's health accounting sees the failure.
-func TestCoalescedFlushFailsOverOnTransportError(t *testing.T) {
-	engines := make([]*serve.Engine, 2)
-	killable := make([]*killableBackend, 2)
-	backends := make([]Backend, 2)
-	for i := range engines {
-		engines[i] = serve.NewEngine(serve.Config{Shards: 4, Workers: 2})
-		defer engines[i].Close()
-		killable[i] = &killableBackend{Backend: NewEngineBackend(engines[i], fmt.Sprintf("engine[%d]", i))}
-		backends[i] = killable[i]
-	}
-	r, err := New(backends, Config{FailThreshold: 1, ProbeAfter: time.Hour})
+// A killed owner loses the frame of one its request is sent in, as a
+// transport failure: the request fails over and completes on the
+// sibling, the owner is ejected at FailThreshold 1, and the entry
+// executes exactly once cluster-wide.
+func TestKilledOwnerLostFrameFailsOverOnce(t *testing.T) {
+	r, faults, engines, _ := newTestCluster(t, 2, Config{FailThreshold: 1, ProbeAfter: time.Hour}, false)
+	owner := ownerOf(r, "X1", nil)
+	faults[owner].Kill()
+	rr, err := r.ServeEncoded(admit.WithClass(context.Background(), admit.Batch), "X1", nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := admit.WithClass(context.Background(), admit.Batch)
-	owner := ownerOf(r, "E7", nil)
-	killable[owner].dead.Store(true)
-
-	rr, err := r.ServeEncoded(ctx, "E7", nil)
-	if err != nil {
-		t.Fatalf("ServeEncoded with dead owner: %v", err)
+		t.Fatalf("ServeEncoded with a killed owner: %v", err)
 	}
 	if _, err := rr.Result(); err != nil {
 		t.Fatalf("bad payload after failover: %v", err)
 	}
-	if !r.Metrics().Health[owner].Ejected {
-		t.Fatal("owner's flush failure should eject it at FailThreshold 1")
+	if h := r.Metrics().Health[owner]; !h.Ejected || h.Failures != 1 {
+		t.Fatalf("owner %+v, want one failure and ejected at FailThreshold 1", h)
 	}
-	if got := engines[1-owner].Metrics().Executions + engines[owner].Metrics().Executions; got != 1 {
+	if got := totalExecutions(engines); got != 1 {
 		t.Fatalf("cluster executed %d times, want exactly 1", got)
 	}
-	var hadError bool
-	for _, h := range r.Metrics().Health {
-		if h.Failures > 0 {
-			hadError = true
-		}
-	}
-	if !hadError {
-		t.Fatal("dead owner's flush failure not in health accounting")
-	}
 }
-
-// errorsIs helper kept out of the hot assertions for readability.
-var _ = errors.Is
 
 // A warm routed hit over in-process replicas allocates nothing, bare or
 // with params: the request is named by its interned identity, its chain

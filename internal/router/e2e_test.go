@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,44 +103,8 @@ func TestClusterSweepExecutesEachPointExactlyOnce(t *testing.T) {
 	}
 }
 
-// killableBackend hard-fails every call once killed (in-flight calls
-// complete — a kill is a crash, not a time machine).
-type killableBackend struct {
-	Backend
-	dead atomic.Bool
-}
-
-// DoBatch fails a dead replica's frame as a transport error — the
-// mid-sweep kill exercises batch-exchange failover: every entry must fail
-// over through the chain walk.
-func (k *killableBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]serve.BatchOutcome, error) {
-	if k.dead.Load() {
-		return nil, fmt.Errorf("backend killed")
-	}
-	return k.Backend.DoBatch(ctx, items)
-}
-
-func (k *killableBackend) Check() error {
-	if k.dead.Load() {
-		return fmt.Errorf("backend killed")
-	}
-	return k.Backend.Check()
-}
-
 func TestClusterSweepSurvivesReplicaKillMidSweep(t *testing.T) {
-	engines := make([]*serve.Engine, 3)
-	killable := make([]*killableBackend, 3)
-	backends := make([]Backend, 3)
-	for i := range engines {
-		engines[i] = serve.NewEngine(serve.Config{Shards: 4, Workers: 2})
-		defer engines[i].Close()
-		killable[i] = &killableBackend{Backend: NewEngineBackend(engines[i], fmt.Sprintf("engine[%d]", i))}
-		backends[i] = killable[i]
-	}
-	r, err := New(backends, Config{FailThreshold: 2, ProbeAfter: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, faults, engines, _ := newTestCluster(t, 3, Config{FailThreshold: 2, ProbeAfter: time.Hour}, false)
 	sp := e2eSpec(t)
 	// Waves of 16, so the kill below lands between waves.
 	sp.Parallelism = 8
@@ -154,7 +117,7 @@ func TestClusterSweepSurvivesReplicaKillMidSweep(t *testing.T) {
 		emitted++
 		points = append(points, pt)
 		if emitted == 16 {
-			killable[1].dead.Store(true)
+			faults[1].Kill()
 		}
 		return nil
 	})
@@ -181,53 +144,14 @@ func TestClusterSweepSurvivesReplicaKillMidSweep(t *testing.T) {
 	}
 }
 
-// hangingBackend blocks every frame until released or abandoned — a
-// wedged replica, not a crashed one: it accepts work and never answers.
-// Like a replica behind the stream, it learns of an abandoned exchange
-// only through the exchange's context (the cancel message), and the
-// frame is then lost as a whole.
-type hangingBackend struct {
-	Backend
-	hung    atomic.Bool
-	release chan struct{}
-}
-
-func (h *hangingBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]serve.BatchOutcome, error) {
-	if h.hung.Load() {
-		// Abandoned exchanges must not touch the (closing) engine.
-		select {
-		case <-h.release:
-		case <-ctx.Done():
-		}
-		return nil, fmt.Errorf("wedged exchange abandoned")
-	}
-	return h.Backend.DoBatch(ctx, items)
-}
-
 // A wedged replica must not stall an entire sweep: points owned by the
 // hung backend cost at most the per-attempt timeout each (and only
 // until ejection), then fail over; the sweep completes with every point
 // served.
 func TestWedgedReplicaCannotStallSweep(t *testing.T) {
-	engines := make([]*serve.Engine, 3)
-	backends := make([]Backend, 3)
-	var wedged *hangingBackend
-	for i := range engines {
-		engines[i] = serve.NewEngine(serve.Config{Shards: 4, Workers: 2})
-		defer engines[i].Close()
-		b := Backend(NewEngineBackend(engines[i], fmt.Sprintf("engine[%d]", i)))
-		if i == 2 {
-			wedged = &hangingBackend{Backend: b, release: make(chan struct{})}
-			wedged.hung.Store(true)
-			b = wedged
-		}
-		backends[i] = b
-	}
-	defer close(wedged.release)
-	r, err := New(backends, Config{Timeout: 100 * time.Millisecond, FailThreshold: 2, ProbeAfter: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, faults, engines, _ := newTestCluster(t, 3, Config{Timeout: 100 * time.Millisecond, FailThreshold: 2, ProbeAfter: time.Hour}, false)
+	faults[2].Hang()
+	defer faults[2].Release()
 	sp := e2eSpec(t)
 
 	t0 := time.Now()

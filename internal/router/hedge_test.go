@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -160,29 +159,8 @@ func TestScoreboardPreferNeedsWarmthAndRatio(t *testing.T) {
 	}
 }
 
-// newHedgeCluster builds n engine replicas wrapped in FaultBackends
-// behind a router with test-friendly hedging (1ms floor, short attempt
-// timeout).
-func newHedgeCluster(t *testing.T, n int, cfg Config) (*Router, []*FaultBackend) {
-	t.Helper()
-	faults := make([]*FaultBackend, n)
-	backends := make([]Backend, n)
-	for i := 0; i < n; i++ {
-		faults[i] = NewFaultBackend(NewEngineBackend(newTestEngine(t), fmt.Sprintf("engine[%d]", i)))
-		backends[i] = faults[i]
-	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = 2 * time.Second
-	}
-	r, err := New(backends, cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	return r, faults
-}
-
 func TestHedgeFiresOnSlowPrimaryAndBackupWins(t *testing.T) {
-	r, faults := newHedgeCluster(t, 2, Config{})
+	r, faults, _, _ := newTestCluster(t, 2, Config{Timeout: 2 * time.Second}, false)
 	id := keyOwnedBy(t, r, 0)
 	faults[0].Degrade(150 * time.Millisecond)
 	// Both replicas look fast and warm: the budget bottoms out at the
@@ -224,7 +202,7 @@ func TestHedgeFiresOnSlowPrimaryAndBackupWins(t *testing.T) {
 }
 
 func TestHedgeLoserCanceledNoGoroutineLeak(t *testing.T) {
-	r, faults := newHedgeCluster(t, 3, Config{})
+	r, faults, _, _ := newTestCluster(t, 3, Config{Timeout: 2 * time.Second}, false)
 	faults[0].Degrade(100 * time.Millisecond)
 	for i := range faults {
 		primeScore(r, i, 100*time.Microsecond)
@@ -252,28 +230,12 @@ func TestHedgeLoserCanceledNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-// errBackend answers every request instantly with a fixed error.
-type errBackend struct {
-	name  string
-	err   error
-	calls atomic.Int64
-}
-
-func (e *errBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]serve.BatchOutcome, error) {
-	return perRequest(func(context.Context, string, core.Params) (serve.Response, error) {
-		e.calls.Add(1)
-		return serve.Response{}, e.err
-	}).DoBatch(ctx, items)
-}
-func (e *errBackend) Check() error { return nil }
-func (e *errBackend) Name() string { return e.name }
-
 func Test4xxNeverHedged(t *testing.T) {
 	// The primary answers with a client error immediately — long before
 	// any budget expires. No hedge may fire and no failover may happen:
 	// the verdict is identical on every replica.
-	bad := &errBackend{name: "bad", err: fmt.Errorf("%w: NOPE", serve.ErrUnknownExperiment)}
-	other := &errBackend{name: "other", err: errors.New("should never be called")}
+	bad := &answerBackend{err: fmt.Errorf("%w: NOPE", serve.ErrUnknownExperiment)}
+	other := &answerBackend{err: errors.New("should never be called")}
 	r, err := New([]Backend{bad, other}, Config{Timeout: time.Second})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -293,13 +255,13 @@ func Test4xxNeverHedged(t *testing.T) {
 	if m.Failovers != 0 {
 		t.Fatalf("a 4xx failed over: %d", m.Failovers)
 	}
-	if other.calls.Load() != 0 {
+	if other.entries.Load() != 0 {
 		t.Fatal("the second replica saw traffic for a client error")
 	}
 }
 
 func TestDisableHedgeHonored(t *testing.T) {
-	r, faults := newHedgeCluster(t, 2, Config{DisableHedge: true})
+	r, faults, _, _ := newTestCluster(t, 2, Config{Timeout: 2 * time.Second, DisableHedge: true}, false)
 	id := keyOwnedBy(t, r, 0)
 	faults[0].Degrade(30 * time.Millisecond)
 	primeScore(r, 0, 100*time.Microsecond)
@@ -319,7 +281,7 @@ func TestDisableHedgeHonored(t *testing.T) {
 func TestHedgeSkippedDuringWarmup(t *testing.T) {
 	// No trusted budget, no backup — an untrusted estimate must not
 	// double warm-path load.
-	r, faults := newHedgeCluster(t, 2, Config{})
+	r, faults, _, _ := newTestCluster(t, 2, Config{Timeout: 2 * time.Second}, false)
 	id := keyOwnedBy(t, r, 0)
 	faults[0].Degrade(20 * time.Millisecond)
 	if _, err := serveDecoded(context.Background(), r, id, nil); err != nil {

@@ -270,8 +270,8 @@ func TestTenantTaggedRequestKeepsItsTenantAfterWarmup(t *testing.T) {
 		// Dial both streams outside the scoreboard, so the owner's first
 		// exchange does not pay the dial and the owner usually answers.
 		for _, b := range rt.backends {
-			if _, err := serveOne(context.Background(), b, id, nil); err != nil {
-				t.Fatal(err)
+			if outs, err := b.DoBatch(context.Background(), []serve.BatchItem{{ID: id}}); err != nil || outs[0].Err != nil {
+				t.Fatal(err, outs)
 			}
 		}
 		get := func(tenant string) {

@@ -140,7 +140,7 @@ func New(backends []Backend, cfg Config) (*Router, error) {
 	}
 	for i, b := range backends {
 		if eb, isEng := b.(*EngineBackend); isEng {
-			r.sb.scores[i].eng = eb.Engine()
+			r.sb.scores[i].eng = eb.eng
 		}
 	}
 	return r, nil

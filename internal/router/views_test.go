@@ -44,7 +44,7 @@ func scrapeBackendSamples(t *testing.T, body string) map[string]map[string]float
 }
 
 func TestStatsAndMetricsReadOneRow(t *testing.T) {
-	r, faults := newHedgeCluster(t, 3, Config{ProbeAfter: time.Hour})
+	r, faults, _, _ := newTestCluster(t, 3, Config{Timeout: 2 * time.Second, ProbeAfter: time.Hour}, false)
 	for b := range faults {
 		primeScore(r, b, 100*time.Microsecond)
 	}

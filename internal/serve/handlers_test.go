@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -8,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/admit"
 	"repro/internal/core"
+	"repro/internal/httpapi"
 )
 
 func newTestServer(t *testing.T) (*Engine, *httptest.Server) {
@@ -216,5 +219,31 @@ func TestRunEndpointRejectsUnknownFormat(t *testing.T) {
 	}
 	if !strings.Contains(body, "format must be") {
 		t.Fatalf("unknown-format error body: %s", body)
+	}
+}
+
+// POST /batch's own rejections, which the router package's conformance
+// suite (what every frame server shares) cannot send: an assignment that does not parse answers 400 inside
+// the frame beside its served sibling, and a body that is not a frame
+// answers the JSON envelope's 400.
+func TestBatchHandlerRoundTrip(t *testing.T) {
+	e := NewEngine(Config{Shards: 4, Workers: 2})
+	defer e.Close()
+	h := e.Handler()
+	post := func(body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+		return rec
+	}
+	rec := post(httpapi.AppendBatchRequest(nil, []httpapi.BatchEntry{
+		{ID: "E7", Params: []string{"not-an-assignment"}},
+		{ID: "E7", Class: admit.Batch},
+	}))
+	res, err := httpapi.DecodeBatchResponse(rec.Body.Bytes())
+	if err != nil || len(res) != 2 || res[0].OK || res[0].Status != http.StatusBadRequest || !res[1].OK {
+		t.Fatalf("frame: HTTP %d, %+v (%v); want a 400 entry beside a served one", rec.Code, res, err)
+	}
+	if rec := post([]byte("junk")); rec.Code != http.StatusBadRequest {
+		t.Fatalf("junk body: HTTP %d, want 400", rec.Code)
 	}
 }
