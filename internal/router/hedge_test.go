@@ -134,6 +134,88 @@ func TestScoreboardPreferDemotesWithCanary(t *testing.T) {
 	}
 }
 
+// A demoted owner's canary runs beside the request: every caller is
+// answered by the successor without waiting on the straggler, and the
+// one canary in canaryEvery decisions reaches the owner, whose full
+// latency then feeds its score.
+func TestCanaryRunsBesideTheRequest(t *testing.T) {
+	r, faults, engines, _ := newTestCluster(t, 2, Config{Timeout: 2 * time.Second}, false)
+	id := keyOwnedBy(t, r, 0)
+	primeScore(r, 0, 80*time.Millisecond) // demoted: 800x its successor
+	primeScore(r, 1, 100*time.Microsecond)
+	faults[0].Degrade(200 * time.Millisecond)
+	for i := 0; i < canaryEvery; i++ {
+		t0 := time.Now()
+		if _, err := serveDecoded(context.Background(), r, id, nil); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if el := time.Since(t0); el > 100*time.Millisecond {
+			t.Fatalf("request %d took %v: it waited on the demoted owner", i, el)
+		}
+	}
+	observed := func() bool {
+		mean, _, n := r.sb.snapshot(0)
+		return n > hedgeWarmup && mean > (80*time.Millisecond).Seconds()
+	}
+	eventually(t, "the canary's 200ms to feed the owner's score", observed)
+	waitInflightDrain(t, r)
+	if got := engines[0].Metrics().Requests; got != 1 {
+		t.Fatalf("the demoted owner served %d requests over %d decisions, want the 1 canary", got, canaryEvery)
+	}
+}
+
+// Demotion holds per (owner, successor) pair until the owner is back
+// under recoverRatio: an owner between the two bars keeps the state its
+// pair last had, and one pair's demotion does not move another's.
+func TestScoreboardDemotionHysteresis(t *testing.T) {
+	sb := newScoreboard(3, time.Millisecond, time.Minute)
+	settle := func(b int, d time.Duration) {
+		for i := 0; i < 64; i++ { // 0.8^64 of the old mean is left: none
+			sb.observe(b, d)
+		}
+	}
+	demoted := func(owner, succ int) bool {
+		chain := []int{owner, succ}
+		canary := sb.prefer(chain)
+		return canary || chain[0] == succ
+	}
+	settle(1, time.Millisecond)
+	settle(2, time.Millisecond)
+	settle(0, 80*time.Millisecond)
+	if !demoted(0, 1) {
+		t.Fatal("an owner 80x its successor was not demoted")
+	}
+	settle(0, 6*time.Millisecond)
+	if !demoted(0, 1) {
+		t.Fatal("a demoted owner at 6x, over the recovery bar, was re-admitted")
+	}
+	if demoted(0, 2) {
+		t.Fatal("an owner at 6x was demoted against a successor it was never 8x slower than")
+	}
+	settle(0, 3*time.Millisecond)
+	if demoted(0, 1) {
+		t.Fatal("an owner at 3x, under the recovery bar, stayed demoted")
+	}
+	settle(0, 6*time.Millisecond)
+	if demoted(0, 1) {
+		t.Fatal("a recovered owner at 6x, under the demotion bar, was demoted")
+	}
+}
+
+// A ratio over the demotion bar on a gap under the hedge floor is
+// scheduling noise: microsecond replicas do not demote each other.
+func TestScoreboardPreferIgnoresGapsUnderTheFloor(t *testing.T) {
+	sb := newScoreboard(2, time.Millisecond, time.Minute)
+	for i := 0; i < hedgeWarmup; i++ {
+		sb.observe(0, 800*time.Microsecond) // 16x its successor, 750µs behind it
+		sb.observe(1, 50*time.Microsecond)
+	}
+	chain := []int{0, 1}
+	if canary := sb.prefer(chain); canary || chain[0] != 0 {
+		t.Fatal("demoted the owner on a gap under the hedge floor")
+	}
+}
+
 func TestScoreboardPreferNeedsWarmthAndRatio(t *testing.T) {
 	// Successor not warmed: no demotion, however slow the owner looks.
 	sb := newScoreboard(2, time.Millisecond, time.Minute)

@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"slices"
 	"sync"
@@ -209,11 +210,12 @@ func classify(err error) verdict {
 // cancellation) rides to the backend, and every attempt runs on this
 // goroutine. One on a bare in-process engine is a plain call (attempt);
 // any other is bounded by Config.Timeout and — the first attempt of an
-// interactive request only — hedge-protected, the backup alone getting a
+// interactive request only — hedge-protected. Only the backup gets a
 // goroutine of its own, its timer's (doHedged has the rule and its
-// reasons). A shed answered by a replica (429) is a client-visible QoS
-// verdict, not a replica failure: no ejection, no failover. Satisfies
-// load.Server, so in-process load generation measures exactly this path.
+// reasons), and so does a demoted owner's canary (canary). A shed
+// answered by a replica (429) is a client-visible QoS verdict, not a
+// replica failure: no ejection, no failover. Satisfies load.Server, so
+// in-process load generation measures exactly this path.
 func (r *Router) ServeEncoded(ctx context.Context, id string, p core.Params) (serve.RawResponse, error) {
 	out := r.serveOne(ctx, id, p)
 	return out.RawResponse, out.Err
@@ -253,7 +255,12 @@ func decodeResponse(rr serve.RawResponse) (serve.Response, error) {
 func (r *Router) serveChainKeyed(ctx context.Context, it serve.BatchItem, answeredBy int, prior error, frame bool) serve.BatchOutcome {
 	var chainBuf, triedBuf [8]int // a chain is one entry per backend: no heap for a small cluster
 	chain := r.ring.PlaceK(chainBuf[:0], it.Ident.Hash(), len(r.backends))
-	r.sb.prefer(chain)
+	if r.sb.prefer(chain) && !frame && r.hedges(it) {
+		// A canary that may duplicate work runs beside the request, not
+		// in front of it: the successor answers the caller.
+		chain[0], chain[1] = chain[1], chain[0]
+		go r.canary(ctx, chain[1], it)
+	}
 	lastErr := prior
 	tried := triedBuf[:0] // backends already consumed, by the loop, a hedge or the frame
 	if answeredBy >= 0 {
@@ -518,7 +525,7 @@ func (r *Router) doHedged(ctx context.Context, b int, rest []int, it serve.Batch
 	// cluster-wide property. Batch still gets the failover chain and
 	// scoreboard demotion.
 	hb, delay := -1, time.Duration(0)
-	if !r.cfg.DisableHedge && it.Class == admit.Interactive {
+	if r.hedges(it) {
 		for _, c := range rest {
 			if c != b {
 				if d, ok := r.sb.hedgeDelay(b, c); ok {
@@ -542,6 +549,34 @@ func (r *Router) doHedged(ctx context.Context, b int, rest []int, it serve.Batch
 		h.decided, h.res, h.from = true, serve.BatchOutcome{Err: ctx.Err()}, b
 	}
 	return h.res, h.from, h.hedged
+}
+
+// hedges reports whether it may take duplicate work on a second replica:
+// a hedged backup, or a canary beside the request.
+func (r *Router) hedges(it serve.BatchItem) bool {
+	return !r.cfg.DisableHedge && it.Class == admit.Interactive
+}
+
+// canary sends it to the demoted owner b off the caller's path, with the
+// caller's envelope but not its cancellation, bounded by Config.Timeout
+// and tagged as a hedge (work a replica may shed). The exchange feeds b's
+// score its full latency, so a healed owner is seen; a failure counts
+// toward ejection, and a timeout raises the estimate to the timeout.
+func (r *Router) canary(ctx context.Context, b int, it serve.BatchItem) {
+	if !r.admit(b) {
+		return
+	}
+	it.Params = maps.Clone(it.Params) // the caller may reuse its map once answered
+	ctx, cancel := context.WithTimeout(httpapi.WithHedge(context.WithoutCancel(ctx)), r.cfg.Timeout)
+	defer cancel()
+	switch o := r.attempt(ctx, b, it); classify(o.Err) {
+	case verdictOK, verdictReturn:
+		r.noteSuccess(b)
+	case verdictFailure:
+		r.noteFailure(b)
+	case verdictCtx:
+		r.sb.observeFloor(b, r.cfg.Timeout)
+	}
 }
 
 // admit reports whether backend b may take an exchange now. Ejected

@@ -8,7 +8,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -276,5 +278,86 @@ func TestLatencySpikeDoesNotFailRequests(t *testing.T) {
 		if _, err := serveDecoded(context.Background(), r, fmt.Sprintf("S%d", i), nil); err != nil {
 			t.Fatalf("slow-but-alive backend failed request: %v", err)
 		}
+	}
+}
+
+// A replica that answers with HTTP 500s, behind a genuine server, is
+// failed over and ejected; a healthy /healthz re-admits it; and its 404
+// for an unknown experiment surfaces as the caller's error without
+// ejecting anyone.
+func TestHTTPBackendFailoverEjectionReadmission(t *testing.T) {
+	// The fake runner must 404 unknown-prefixed IDs so the client-error
+	// path is exercised over the wire.
+	newEng := func() *serve.Engine {
+		e := serve.NewEngine(serve.Config{Shards: 4, Workers: 2,
+			RunnerWith: func(_ context.Context, id string, _ core.Params) (core.Result, error) {
+				if len(id) >= 4 && id[:4] == "NOPE" {
+					return core.Result{}, fmt.Errorf("%w %q", serve.ErrUnknownExperiment, id)
+				}
+				return fakeResult(id), nil
+			}})
+		t.Cleanup(e.Close)
+		return e
+	}
+	engines := []*serve.Engine{newEng(), newEng()}
+	var fail atomic.Bool // 500 every request, /healthz too, while set
+	h0 := engines[0].Handler()
+	srv0 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if fail.Load() {
+			http.Error(w, "injected outage", http.StatusInternalServerError)
+			return
+		}
+		h0.ServeHTTP(w, r)
+	}))
+	defer srv0.Close()
+	srv1 := httptest.NewServer(engines[1].Handler())
+	defer srv1.Close()
+
+	now := time.Unix(1000, 0)
+	r, err := New([]Backend{NewHTTPBackend(srv0.URL), NewHTTPBackend(srv1.URL)},
+		Config{FailThreshold: 2, ProbeAfter: time.Second, now: func() time.Time { return now }})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Find a key owned by the failing server.
+	key := ""
+	for i := 0; ; i++ {
+		k := fmt.Sprintf("X%d", i)
+		if ownerOf(r, k, nil) == 0 {
+			key = k
+			break
+		}
+	}
+
+	fail.Store(true)
+	for i := 0; i < 2; i++ {
+		if _, err := serveDecoded(context.Background(), r, key, nil); err != nil {
+			t.Fatalf("failover over HTTP: %v", err)
+		}
+	}
+	if !r.Metrics().Health[0].Ejected {
+		t.Fatal("HTTP 500s should eject the replica")
+	}
+
+	// Recovery: probe /healthz re-admits.
+	fail.Store(false)
+	now = now.Add(2 * time.Second)
+	if _, err := serveDecoded(context.Background(), r, key, nil); err != nil {
+		t.Fatalf("Serve after HTTP recovery: %v", err)
+	}
+	if r.Metrics().Health[0].Ejected {
+		t.Fatal("healthy /healthz should re-admit the replica")
+	}
+
+	// A 404 from the replica is the caller's fault: surfaced as-is, no
+	// ejection.
+	if _, err := serveDecoded(context.Background(), r, "NOPE-unregistered", nil); err == nil {
+		t.Fatal("unknown experiment over HTTP should error")
+	} else if s := replicaStatus(err); s < 400 || s >= 500 {
+		t.Fatalf("404 should surface as a client error, got %v", err)
+	}
+	if r.Metrics().Health[0].Ejected || r.Metrics().Health[1].Ejected {
+		t.Fatal("client errors must not eject")
 	}
 }

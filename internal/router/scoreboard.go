@@ -15,12 +15,16 @@ package router
 //     microsecond traffic does not hedge on scheduler noise. Until a
 //     replica has hedgeWarmup samples there is no budget and no hedging.
 //   - prefer: chain reordering — when the owner's score is demoteRatio
-//     worse than its first successor's, the request goes successor-first
+//     worse than its first successor's, and worse by more than the hedge
+//     floor (and, once demoted, until it is back under recoverRatio or
+//     the floor), the request goes successor-first
 //     (placement falls back along the same PlaceK chain failover uses,
 //     so cache locality degrades to the successor's tier instead of
-//     scattering). Every canaryEvery-th such request still goes
-//     owner-first, hedge-protected, so a healed replica's score recovers
-//     instead of being frozen by its own demotion.
+//     scattering). Every canaryEvery-th such decision is a canary: the
+//     owner still sees the request, so a healed replica's score recovers
+//     instead of being frozen by its own demotion. A canary that may
+//     duplicate work runs beside the request (Router.canary), so it costs
+//     the caller nothing; any other goes owner-first.
 
 import (
 	"sync"
@@ -42,9 +46,15 @@ const (
 	// demoteRatio is how much worse (×) the owner's latency EWMA must be
 	// than its successor's before requests route successor-first.
 	demoteRatio = 8.0
-	// canaryEvery keeps 1/canaryEvery of a demoted owner's traffic going
-	// owner-first (hedged): frequent enough to notice recovery within
-	// tens of requests, rare enough to stay out of the cluster p99.
+	// recoverRatio is the bar a demoted owner must get back under before
+	// requests route owner-first again. Without the gap, a straggler whose
+	// score sits at the demotion bar flaps across it on its successor's
+	// noise, and each flap sends a request owner-first on the
+	// straggler's own runaway hedge budget.
+	recoverRatio = 4.0
+	// canaryEvery sends 1/canaryEvery of a demoted owner's traffic to it
+	// as canaries: frequent enough to notice recovery within tens of
+	// requests, rare enough to add no load worth the name.
 	canaryEvery = 64
 )
 
@@ -80,10 +90,14 @@ type scoreboard struct {
 	floor   time.Duration
 	ceiling time.Duration
 	scores  []score
+	// demoted is prefer's state, one flag per (owner, successor) pair,
+	// row-major: an owner's chains reach different successors, and one
+	// pair's comparison says nothing about another's.
+	demoted []atomic.Bool
 }
 
 func newScoreboard(n int, floor, ceiling time.Duration) *scoreboard {
-	sb := &scoreboard{floor: floor, ceiling: ceiling, scores: make([]score, n)}
+	sb := &scoreboard{floor: floor, ceiling: ceiling, scores: make([]score, n), demoted: make([]atomic.Bool, n*n)}
 	for i := range sb.scores {
 		sb.scores[i].ewma = stats.NewEWMA(stats.DefaultEWMAAlpha)
 	}
@@ -143,10 +157,11 @@ func (s *scoreboard) budget(b int) (time.Duration, bool) {
 // hedgeDelay picks when a backup to hb should fire behind a primary
 // attempt on b: normally b's own budget (hedge on the primary's p99),
 // but when b is known sick relative to hb — the same bar demotion uses —
-// the backup's budget instead. A demoted owner's canary request would
-// otherwise inherit the straggler's runaway budget and fire its backup
-// far too late to protect the request. ok is false while either side of
-// the decision is still warming up.
+// the backup's budget instead. A sick primary the chain still tries
+// first (its owner ejected, say) would otherwise inherit the straggler's
+// runaway budget and fire its backup far too late to protect the
+// request. ok is false while either side of the decision is still
+// warming up.
 func (s *scoreboard) hedgeDelay(b, hb int) (time.Duration, bool) {
 	d, ok := s.budget(b)
 	if !ok {
@@ -165,17 +180,33 @@ func (s *scoreboard) hedgeDelay(b, hb int) (time.Duration, bool) {
 // prefer reorders the first two chain positions in place when the owner
 // is consistently slower than its successor (see the package comment on
 // demotion and canaries). The chain is the walk's own per-request slice.
-func (s *scoreboard) prefer(chain []int) {
+// A canary decision leaves it owner-first and reports canary.
+func (s *scoreboard) prefer(chain []int) (canary bool) {
 	if len(chain) < 2 {
-		return
+		return false
 	}
 	ma, _, na := s.snapshot(chain[0])
 	mb, _, nb := s.snapshot(chain[1])
-	if na < hedgeWarmup || nb < hedgeWarmup || ma <= demoteRatio*mb {
-		return
+	demoted := &s.demoted[chain[0]*len(s.scores)+chain[1]]
+	was, bar := demoted.Load(), demoteRatio
+	if was {
+		bar = recoverRatio
+	}
+	// A gap under the hedge floor is scheduling noise, whatever its ratio:
+	// microsecond replicas would otherwise demote each other on one GC
+	// pause and hold it through the hysteresis.
+	if na < hedgeWarmup || nb < hedgeWarmup || ma <= bar*mb || ma-mb <= s.floor.Seconds() {
+		if was {
+			demoted.Store(false)
+		}
+		return false
+	}
+	if !was {
+		demoted.Store(true)
 	}
 	if s.scores[chain[0]].canary.Add(1)%canaryEvery == 0 {
-		return // canary: owner-first, hedge-protected, so recovery is seen
+		return true
 	}
 	chain[0], chain[1] = chain[1], chain[0]
+	return false
 }
